@@ -1,14 +1,12 @@
-//! Shared helpers for the benchmark harness.
-//!
-//! Every bench prints the paper-style data series it regenerates (levels,
-//! atom counts, who-wins summaries) before timing, so `cargo bench`
-//! output doubles as the experiment log recorded in EXPERIMENTS.md.
+//! Shared helpers for the `perf_report` / `ground_smoke` bins. (The
+//! end-to-end and per-layer benchmark lives in the repo-root
+//! `benchmark/` workspace, not here.)
 
 use gsls_ground::{GroundAtomId, GroundProgram, Grounder};
 use gsls_lang::{parse_goal, Program, TermStore};
 
 /// Grounds a program with default options, panicking on budget failure
-/// (bench workloads are sized to fit).
+/// (report workloads are sized to fit).
 pub fn ground(store: &mut TermStore, program: &Program) -> GroundProgram {
     Grounder::ground(store, program).expect("bench workload grounds")
 }
@@ -23,7 +21,7 @@ pub fn atom_named(store: &mut TermStore, gp: &GroundProgram, name: &str) -> Grou
         .unwrap_or_else(|| panic!("atom {name} not found"))
 }
 
-/// Standard sweep sizes for the scaling benches.
+/// Standard sweep sizes for the scaling reports.
 pub const SWEEP: &[usize] = &[16, 64, 256, 1024];
 
 #[cfg(test)]

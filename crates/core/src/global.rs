@@ -28,6 +28,7 @@
 use crate::ordinal::Ordinal;
 use crate::slp::{SlpOpts, SlpTree};
 use gsls_lang::{Atom, FxHashMap, Goal, Literal, Program, Subst, TermStore};
+use gsls_wfs::Truth;
 
 /// Budgets and options for global-tree construction.
 #[derive(Debug, Clone, Copy)]
@@ -199,6 +200,17 @@ impl GlobalTree {
     /// The status of the whole query.
     pub fn status(&self) -> Status {
         self.root().flags.primary()
+    }
+
+    /// The status as a three-valued query verdict, plus whether the
+    /// evaluation floundered — the mapping every engine facade reports.
+    pub fn verdict(&self) -> (Truth, bool) {
+        match self.status() {
+            Status::Successful => (Truth::True, self.root().flags.floundered),
+            Status::Failed => (Truth::False, false),
+            Status::Floundered => (Truth::Undefined, true),
+            Status::Indeterminate => (Truth::Undefined, false),
+        }
     }
 
     /// The tree node for a previously expanded ground subgoal.

@@ -23,7 +23,8 @@
 //! An interrupted commit unwinds exactly like a failed one: the WAL
 //! record is truncated off, the program is restored, and the engine is
 //! rebuilt at the previous epoch — a timeout is a rolled-back
-//! transaction, never a poisoned session. An interrupted query stops
+//! transaction, never a poisoned session (only an unwind that storage
+//! refuses to complete poisons). An interrupted query stops
 //! yielding and reports the cause through
 //! [`crate::session::Answers::interrupted`] — the answers already
 //! streamed remain valid (a partial-answers outcome).
@@ -173,29 +174,4 @@ impl QueryOpts {
         self.deadline = Some(Instant::now() + timeout);
         self
     }
-}
-
-/// Builds the guard for one governed operation from a session's
-/// persistent cancel flag plus per-operation limits.
-pub(crate) fn guard_for(
-    cancel: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    deadline: Option<Instant>,
-    max_memory_bytes: Option<usize>,
-    fuel: Option<u64>,
-    panic_on_fuel: bool,
-) -> Guard {
-    let mut b = Guard::builder().cancel_flag(cancel);
-    if let Some(d) = deadline {
-        b = b.deadline(d);
-    }
-    if let Some(m) = max_memory_bytes {
-        b = b.memory_budget(m);
-    }
-    if let Some(f) = fuel {
-        b = b.fuel(f);
-    }
-    if panic_on_fuel {
-        b = b.panic_on_trip();
-    }
-    b.build()
 }

@@ -18,7 +18,24 @@
 //!   programs (Sec. 7): relevant-subprogram extraction + SCC-local
 //!   alternating fixpoints; agrees with the well-founded model;
 //! * [`trace`] — ASCII rendering of SLP and global trees (Figures 1–4);
-//! * [`solver`] — the user-facing facade.
+//! * [`session`] — the incremental, durable, snapshot-isolated
+//!   [`Session`]: the engine most users talk to (below);
+//! * [`solver`] — the one-shot batch facade over the same query
+//!   evaluator.
+//!
+//! ## The session, by module
+//!
+//! [`session`] is a module tree cut along the decisions it makes, one
+//! definition each (its docs carry the full map and diagram):
+//! `engine` — the materialized state and its single `build`;
+//! `commit` — [`UpdateBatch`] and the one pipeline every write is a
+//! call of, `validate → admit → journal → apply → publish`, WAL replay
+//! entering at `apply`, a failure after `journal` either *unwound*
+//! (engine rebuilt, WAL cut to its mark) or leaving the session
+//! *poisoned* until [`Session::recover`] completes the unwind;
+//! `query` — the one goal compiler and the one streaming evaluator
+//! ([`Answers`]) behind every `execute*`; `snapshot` — the frozen
+//! `Send + Sync` read view; `errors` — [`SessionError`] and friends.
 //!
 //! ```
 //! use gsls_core::{Engine, Solver};

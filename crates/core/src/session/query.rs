@@ -1,0 +1,919 @@
+//! The model-backed query engine: one goal compiler ([`QueryPlan`]),
+//! one streaming evaluator ([`Answers`]), and the [`PreparedQuery`]
+//! surface over the live session. [`super::Snapshot`]s and the
+//! [`crate::Solver`] shim run the very same plans through the very
+//! same [`Answers::start`].
+
+use super::{record_trip, Session, SessionError, Snapshot};
+use crate::global::GlobalTree;
+use crate::govern::{Guard, InterruptCause, InterruptPhase, QueryOpts, TripInfo};
+use crate::solver::{Engine, QueryResult};
+use gsls_ground::{GroundAtomId, GroundProgram};
+use gsls_lang::{
+    parse_goal, Atom, FxHashMap, Goal, Pred, Subst, Symbol, Term, TermId, TermStore, Var,
+};
+use gsls_obs::{Counter, Obs};
+use gsls_wfs::{Interp, Truth};
+
+/// Sentinel for an unbound query binding slot.
+const UNBOUND: TermId = TermId(u32::MAX);
+
+/// Sentinel ids for names a goal mentions that the target store has
+/// never interned. They compare unequal to every real id (the arena
+/// would overflow its `u32` long before reaching them), so a pattern
+/// holding one simply never matches — which is the correct semantics:
+/// an unknown constant's atom is false, and its negation true.
+const FOREIGN_TERM: TermId = TermId(u32::MAX - 1);
+const FOREIGN_SYM: Symbol = Symbol(u32::MAX);
+
+/// Hard cap on residual (universe-enumerated) query instances.
+const MAX_QUERY_INSTANCES: usize = 100_000;
+
+/// Query-path metric handles, owned by the session (and by each
+/// snapshot, so reader threads keep counting). [`Answers`] only
+/// *borrows* them: it accumulates plain `u64`s during enumeration and
+/// flushes on drop — zero atomics per answer, and no refcount traffic
+/// per execution on cache lines every reader thread shares.
+#[derive(Clone)]
+pub(super) struct QueryObs {
+    executions: Counter,
+    answers: Counter,
+    point_lookups: Counter,
+    scans: Counter,
+    interrupts: Counter,
+    /// For cold-path trip recording (dynamic counter + ring event).
+    obs: Obs,
+}
+
+impl QueryObs {
+    pub(super) fn new(obs: &Obs) -> QueryObs {
+        let reg = obs.registry();
+        QueryObs {
+            executions: reg.counter("query.executions"),
+            answers: reg.counter("query.answers"),
+            point_lookups: reg.counter("query.point_lookups"),
+            scans: reg.counter("query.scans"),
+            interrupts: reg.counter("query.interrupts"),
+            obs: obs.clone(),
+        }
+    }
+}
+
+impl std::fmt::Debug for QueryObs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("QueryObs { .. }")
+    }
+}
+
+/// A read view the query evaluator runs against: the session's live
+/// state, a snapshot's captured state, or the [`crate::Solver`] shim's
+/// batch state.
+#[derive(Clone, Copy)]
+pub(crate) struct ModelView<'a> {
+    pub store: &'a TermStore,
+    pub gp: &'a GroundProgram,
+    pub model: &'a Interp,
+    /// Constants for residual (all-negative) enumeration.
+    pub domain: &'a [TermId],
+}
+
+/// Where a goal's names are looked up, i.e. the one thing that differs
+/// between compiling for the live session and for a shared snapshot.
+#[derive(Clone, Copy)]
+pub(crate) struct Names<'a> {
+    /// The store the goal was parsed into.
+    pub source: &'a TermStore,
+    /// `None`: `source` is the store the plan runs against, every id is
+    /// already right. `Some(target)`: resolve into `target` by
+    /// **read-only** structural lookup, interning nothing there; names
+    /// it has never seen become [`FOREIGN_SYM`] / [`FOREIGN_TERM`]
+    /// sentinels that match no candidate (unknown atom ⇒ false, its
+    /// negation ⇒ true).
+    pub target: Option<&'a TermStore>,
+}
+
+impl Names<'_> {
+    fn symbol(&self, sym: Symbol) -> Symbol {
+        self.target.map_or(sym, |target| {
+            target
+                .lookup_symbol(self.source.symbol_name(sym))
+                .unwrap_or(FOREIGN_SYM)
+        })
+    }
+
+    /// A ground term's id in the target store; [`FOREIGN_TERM`] when
+    /// any of its symbols or subterms is absent there.
+    fn ground_term(&self, t: TermId) -> TermId {
+        let Some(target) = self.target else { return t };
+        let Term::App(sym, args) = self.source.term(t) else {
+            unreachable!("ground_term on a non-ground term")
+        };
+        let mut targs = Vec::with_capacity(args.len());
+        for &a in args.iter() {
+            targs.push(self.ground_term(a));
+        }
+        if targs.contains(&FOREIGN_TERM) {
+            return FOREIGN_TERM;
+        }
+        let sym = self.symbol(*sym);
+        target.lookup_app(sym, &targs).unwrap_or(FOREIGN_TERM)
+    }
+}
+
+/// One literal argument, compiled store-free: evaluation decomposes
+/// candidate terms but never constructs any, so it runs read-only
+/// against a shared snapshot.
+#[derive(Debug, Clone)]
+enum PatArg {
+    /// A term ground at compile time (hash-consing makes id equality
+    /// structural equality).
+    Const(TermId),
+    /// A goal variable's binding slot.
+    Slot(u32),
+    /// A non-ground compound pattern (function symbols only).
+    App(Symbol, Box<[PatArg]>),
+}
+
+#[derive(Debug, Clone)]
+struct CompiledLit {
+    pred: Pred,
+    args: Box<[PatArg]>,
+}
+
+/// A goal compiled for the model-backed engine: positive literals (goal
+/// order) drive candidate enumeration over the interned atom table,
+/// residual slots enumerate the domain, negative literals check last.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct QueryPlan {
+    pos: Vec<CompiledLit>,
+    neg: Vec<CompiledLit>,
+    /// Goal variables in first-occurrence order; slot `i` belongs to
+    /// `vars[i]`.
+    pub(super) vars: Vec<Var>,
+    /// Slots no positive literal binds, in slot order.
+    residual: Vec<u32>,
+}
+
+impl QueryPlan {
+    /// Compiles `goal`, resolving its names per `names`. The plan is
+    /// store-free: it stays valid on every later state of the target
+    /// store (ids are stable under the append-only arena).
+    pub(crate) fn compile(names: Names<'_>, goal: &Goal) -> Result<QueryPlan, SessionError> {
+        let vars = goal.vars(names.source);
+        let slot_of: FxHashMap<Var, u32> = vars
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, i as u32))
+            .collect();
+        fn compile_arg(names: Names<'_>, slot_of: &FxHashMap<Var, u32>, t: TermId) -> PatArg {
+            if names.source.is_ground(t) {
+                return PatArg::Const(names.ground_term(t));
+            }
+            match names.source.term(t) {
+                Term::Var(v) => PatArg::Slot(slot_of[v]),
+                Term::App(f, args) => PatArg::App(
+                    names.symbol(*f),
+                    args.iter()
+                        .map(|&a| compile_arg(names, slot_of, a))
+                        .collect(),
+                ),
+            }
+        }
+        let compile_lit = |atom: &Atom| CompiledLit {
+            pred: Pred::new(names.symbol(atom.pred), atom.arity()),
+            args: atom
+                .args
+                .iter()
+                .map(|&t| compile_arg(names, &slot_of, t))
+                .collect(),
+        };
+        let mut pos = Vec::new();
+        let mut neg = Vec::new();
+        for lit in goal.literals() {
+            let c = compile_lit(&lit.atom);
+            if lit.is_pos() {
+                pos.push(c);
+            } else {
+                if c.args.iter().any(|a| matches!(a, PatArg::App(..))) {
+                    return Err(SessionError::Unsupported(
+                        "negative literal with a non-ground compound argument \
+                         (use the global-tree engine)"
+                            .to_owned(),
+                    ));
+                }
+                neg.push(c);
+            }
+        }
+        // Slots some positive literal binds (matching against ground
+        // facts binds every variable of the pattern).
+        let mut bound = vec![false; vars.len()];
+        fn mark(bound: &mut [bool], a: &PatArg) {
+            match a {
+                PatArg::Const(_) => {}
+                PatArg::Slot(s) => bound[*s as usize] = true,
+                PatArg::App(_, args) => args.iter().for_each(|a| mark(bound, a)),
+            }
+        }
+        for lit in &pos {
+            lit.args.iter().for_each(|a| mark(&mut bound, a));
+        }
+        let residual = (0..vars.len() as u32)
+            .filter(|&s| !bound[s as usize])
+            .collect();
+        Ok(QueryPlan {
+            pos,
+            neg,
+            vars,
+            residual,
+        })
+    }
+
+    /// Runs this plan against a view with caller-owned scratch — the
+    /// [`crate::Solver`] shim's entry into the shared evaluator
+    /// (ungoverned, uncounted).
+    pub(crate) fn run<'a>(
+        &'a self,
+        view: ModelView<'a>,
+        scratch: &'a mut QueryScratch,
+    ) -> Result<Answers<'a>, SessionError> {
+        Answers::start(
+            self,
+            view,
+            ScratchSlot::Borrowed(scratch),
+            Guard::none(),
+            None,
+        )
+    }
+}
+
+/// Per-depth iteration state of one [`Answers`] run.
+#[derive(Debug, Clone)]
+struct DepthState {
+    /// Candidate atoms (positive depths only).
+    candidates: Vec<GroundAtomId>,
+    cursor: usize,
+    /// Trail length on entry — advance/backtrack undoes to here.
+    mark: usize,
+    /// Truth of the matched candidate (positive depths).
+    truth: Truth,
+}
+
+impl Default for DepthState {
+    fn default() -> Self {
+        DepthState {
+            candidates: Vec::new(),
+            cursor: 0,
+            mark: 0,
+            truth: Truth::True,
+        }
+    }
+}
+
+/// Reusable evaluation scratch, cached inside a [`PreparedQuery`]
+/// across executions (snapshot runs allocate their own).
+#[derive(Debug, Default, Clone)]
+pub(crate) struct QueryScratch {
+    bindings: Vec<TermId>,
+    depths: Vec<DepthState>,
+    trail: Vec<u32>,
+    key_buf: Vec<TermId>,
+}
+
+impl QueryScratch {
+    /// Unbinds every slot bound since the trail was `mark` long.
+    #[inline]
+    fn undo_to(&mut self, mark: usize) {
+        while self.trail.len() > mark {
+            let slot = self.trail.pop().expect("trail mark within bounds");
+            self.bindings[slot as usize] = UNBOUND;
+        }
+    }
+}
+
+/// Resolves `lit`'s arguments under the current bindings into
+/// `s.key_buf` — the atom's interning key. `false` (key incomplete)
+/// when a slot is still unbound or an argument is a compound pattern.
+#[inline]
+fn resolve_key(lit: &CompiledLit, s: &mut QueryScratch) -> bool {
+    s.key_buf.clear();
+    for a in lit.args.iter() {
+        match a {
+            PatArg::Const(t) => s.key_buf.push(*t),
+            PatArg::Slot(slot) if s.bindings[*slot as usize] != UNBOUND => {
+                s.key_buf.push(s.bindings[*slot as usize])
+            }
+            _ => return false,
+        }
+    }
+    true
+}
+
+pub(super) enum ScratchSlot<'a> {
+    Borrowed(&'a mut QueryScratch),
+    Owned(Box<QueryScratch>),
+}
+
+impl std::ops::Deref for ScratchSlot<'_> {
+    type Target = QueryScratch;
+    fn deref(&self) -> &QueryScratch {
+        match self {
+            ScratchSlot::Borrowed(s) => s,
+            ScratchSlot::Owned(s) => s,
+        }
+    }
+}
+
+impl std::ops::DerefMut for ScratchSlot<'_> {
+    fn deref_mut(&mut self) -> &mut QueryScratch {
+        match self {
+            ScratchSlot::Borrowed(s) => s,
+            ScratchSlot::Owned(s) => s,
+        }
+    }
+}
+
+/// One streamed answer: a substitution for the goal variables and the
+/// truth of that instance (`True` or `Undefined`; false instances are
+/// never yielded).
+#[derive(Debug, Clone)]
+pub struct Answer {
+    /// Bindings for the goal's variables.
+    pub subst: Subst,
+    /// `True` or `Undefined`.
+    pub truth: Truth,
+}
+
+/// A streaming iterator over the true and undefined instances of a
+/// prepared query — answers are produced on demand; nothing is
+/// materialized unless the caller collects.
+pub struct Answers<'a> {
+    plan: &'a QueryPlan,
+    view: ModelView<'a>,
+    scratch: ScratchSlot<'a>,
+    depth: usize,
+    started: bool,
+    done: bool,
+    /// Global-tree engine only: pre-materialized answers + verdict.
+    materialized: Option<std::vec::IntoIter<Answer>>,
+    overall: Option<(Truth, bool)>,
+    /// Resource governance: checked once per backtracking step.
+    guard: Guard,
+    tick: u32,
+    interrupted: Option<InterruptCause>,
+    /// Borrowed query metric handles (`None` on the detached
+    /// [`crate::Solver`] path) plus locally-accumulated counts, flushed
+    /// once on drop (zero shared-memory traffic per answer).
+    qobs: Option<&'a QueryObs>,
+    n_answers: u64,
+    n_point: u64,
+    n_scan: u64,
+}
+
+impl<'a> Answers<'a> {
+    /// Starts a run of `plan` against `view` — the single entry every
+    /// execution surface (live, governed, snapshot, solver shim) goes
+    /// through. Fails fast if a residual enumeration would exceed the
+    /// instance budget.
+    pub(super) fn start(
+        plan: &'a QueryPlan,
+        view: ModelView<'a>,
+        mut scratch: ScratchSlot<'a>,
+        guard: Guard,
+        qobs: Option<&'a QueryObs>,
+    ) -> Result<Answers<'a>, SessionError> {
+        if let Some(q) = qobs {
+            q.executions.add(1);
+        }
+        if !plan.residual.is_empty() {
+            let total = view.domain.len().checked_pow(plan.residual.len() as u32);
+            if total.is_none_or(|t| t > MAX_QUERY_INSTANCES) {
+                return Err(SessionError::Unsupported(format!(
+                    "all-negative enumeration over {} variables × {} constants \
+                     exceeds the instance budget",
+                    plan.residual.len(),
+                    view.domain.len()
+                )));
+            }
+        }
+        let total = plan.pos.len() + plan.residual.len();
+        scratch.bindings.clear();
+        scratch.bindings.resize(plan.vars.len(), UNBOUND);
+        scratch.trail.clear();
+        if scratch.depths.len() < total {
+            scratch.depths.resize(total, DepthState::default());
+        }
+        Ok(Answers {
+            plan,
+            view,
+            scratch,
+            depth: 0,
+            started: false,
+            done: false,
+            materialized: None,
+            overall: None,
+            guard,
+            tick: 0,
+            interrupted: None,
+            qobs,
+            n_answers: 0,
+            n_point: 0,
+            n_scan: 0,
+        })
+    }
+
+    /// Why the stream stopped early, if it did. `Some` means the
+    /// iterator hit its deadline/cancellation and went quiet — the
+    /// answers already yielded remain valid (a *partial* enumeration),
+    /// analogous to a resolution engine returning a budget outcome.
+    pub fn interrupted(&self) -> Option<InterruptCause> {
+        self.interrupted
+    }
+
+    /// The term store answers resolve against — lets callers render
+    /// streamed substitutions while the iterator still borrows the
+    /// session.
+    pub fn store(&self) -> &TermStore {
+        self.view.store
+    }
+
+    fn total_depth(&self) -> usize {
+        self.plan.pos.len() + self.plan.residual.len()
+    }
+
+    /// Prepares depth `d`'s iteration: candidate list for positive
+    /// depths (with a point-lookup fast path when the pattern is fully
+    /// bound), cursor reset for residual depths.
+    fn enter(&mut self, d: usize) {
+        let mark = self.scratch.trail.len();
+        if d < self.plan.pos.len() {
+            let lit = &self.plan.pos[d];
+            // Fast path: every argument already resolvable — one hash
+            // lookup instead of a predicate scan.
+            let resolved = resolve_key(lit, &mut self.scratch);
+            let key = std::mem::take(&mut self.scratch.key_buf);
+            let st = &mut self.scratch.depths[d];
+            st.candidates.clear();
+            if resolved {
+                self.n_point += 1;
+                if let Some(id) = self.view.gp.lookup_atom_parts(lit.pred.sym, &key) {
+                    st.candidates.push(id);
+                }
+            } else {
+                self.n_scan += 1;
+                st.candidates.extend(self.view.gp.atoms_with_pred(lit.pred));
+            }
+            self.scratch.key_buf = key;
+        }
+        let st = &mut self.scratch.depths[d];
+        st.cursor = 0;
+        st.mark = mark;
+    }
+
+    /// Undoes depth `d`'s bindings and binds its next candidate (or
+    /// next domain constant). Returns `false` when exhausted.
+    fn advance(&mut self, d: usize) -> bool {
+        let mark = self.scratch.depths[d].mark;
+        self.scratch.undo_to(mark);
+        if d < self.plan.pos.len() {
+            let lit = &self.plan.pos[d];
+            loop {
+                let st = &self.scratch.depths[d];
+                let Some(&id) = st.candidates.get(st.cursor) else {
+                    return false;
+                };
+                self.scratch.depths[d].cursor += 1;
+                let t = self.view.model.truth(id);
+                if t == Truth::False {
+                    continue;
+                }
+                let atom = self.view.gp.atom(id);
+                let s = &mut *self.scratch;
+                let ok = lit
+                    .args
+                    .iter()
+                    .zip(atom.args.iter())
+                    .all(|(p, &tgt)| match_pat(self.view.store, p, tgt, s));
+                if ok {
+                    self.scratch.depths[d].truth = t;
+                    return true;
+                }
+                self.scratch.undo_to(mark);
+            }
+        } else {
+            let slot = self.plan.residual[d - self.plan.pos.len()];
+            let st = &self.scratch.depths[d];
+            let Some(&c) = self.view.domain.get(st.cursor) else {
+                return false;
+            };
+            self.scratch.depths[d].cursor += 1;
+            let s = &mut *self.scratch;
+            s.bindings[slot as usize] = c;
+            s.trail.push(slot);
+            true
+        }
+    }
+
+    /// Evaluates the leaf under the current (total) binding: checks the
+    /// negative literals, folds the three-valued conjunction, and
+    /// builds the answer. `None` = this instance is false.
+    fn leaf(&mut self) -> Option<Answer> {
+        let mut truth = Truth::True;
+        for d in 0..self.plan.pos.len() {
+            truth = min_truth(truth, self.scratch.depths[d].truth);
+        }
+        for lit in &self.plan.neg {
+            let s = &mut *self.scratch;
+            let resolved = resolve_key(lit, s);
+            debug_assert!(resolved, "leaf with an unbound slot or compound pattern");
+            let t = self
+                .view
+                .gp
+                .lookup_atom_parts(lit.pred.sym, &s.key_buf)
+                .map_or(Truth::False, |id| self.view.model.truth(id));
+            let neg_t = match t {
+                Truth::True => Truth::False,
+                Truth::False => Truth::True,
+                Truth::Undefined => Truth::Undefined,
+            };
+            if neg_t == Truth::False {
+                return None;
+            }
+            truth = min_truth(truth, neg_t);
+        }
+        let mut subst = Subst::new();
+        for (i, &v) in self.plan.vars.iter().enumerate() {
+            let b = self.scratch.bindings[i];
+            debug_assert_ne!(b, UNBOUND, "leaf with unbound goal variable");
+            subst.bind(v, b);
+        }
+        Some(Answer { subst, truth })
+    }
+
+    /// Drains the iterator into a compatibility [`QueryResult`].
+    pub fn collect_result(mut self) -> QueryResult {
+        let overall = self.overall;
+        let mut answers = Vec::new();
+        let mut undefined = Vec::new();
+        for a in self.by_ref() {
+            match a.truth {
+                Truth::True => answers.push(a.subst),
+                Truth::Undefined => undefined.push(a.subst),
+                Truth::False => unreachable!("false instances are never yielded"),
+            }
+        }
+        let (truth, floundered) = match overall {
+            Some((t, f)) => (t, f),
+            None => {
+                let t = if !answers.is_empty() {
+                    Truth::True
+                } else if !undefined.is_empty() {
+                    Truth::Undefined
+                } else {
+                    Truth::False
+                };
+                (t, false)
+            }
+        };
+        QueryResult {
+            truth,
+            answers,
+            undefined,
+            floundered,
+            interrupted: self.interrupted,
+        }
+    }
+}
+
+impl Iterator for Answers<'_> {
+    type Item = Answer;
+
+    fn next(&mut self) -> Option<Answer> {
+        if let Some(m) = &mut self.materialized {
+            let a = m.next();
+            if a.is_some() {
+                self.n_answers += 1;
+            }
+            return a;
+        }
+        if self.done {
+            return None;
+        }
+        let total = self.total_depth();
+        if !self.started {
+            self.started = true;
+            if total == 0 {
+                self.done = true;
+                let a = self.leaf();
+                if a.is_some() {
+                    self.n_answers += 1;
+                }
+                return a;
+            }
+            self.enter(0);
+            self.depth = 0;
+        } else {
+            self.depth = total - 1;
+        }
+        loop {
+            if let Err(cause) = self.guard.tick(&mut self.tick) {
+                self.interrupted = Some(cause);
+                self.done = true;
+                if let Some(q) = self.qobs {
+                    q.interrupts.add(1);
+                    record_trip(
+                        &q.obs,
+                        InterruptPhase::Query,
+                        cause,
+                        &TripInfo::from_guard(&self.guard),
+                    );
+                }
+                return None;
+            }
+            if self.advance(self.depth) {
+                if self.depth + 1 == total {
+                    if let Some(a) = self.leaf() {
+                        self.n_answers += 1;
+                        return Some(a);
+                    }
+                } else {
+                    self.depth += 1;
+                    self.enter(self.depth);
+                }
+            } else if self.depth == 0 {
+                self.done = true;
+                return None;
+            } else {
+                self.depth -= 1;
+            }
+        }
+    }
+}
+
+impl Drop for Answers<'_> {
+    fn drop(&mut self) {
+        let Some(q) = self.qobs else { return };
+        if self.n_answers > 0 {
+            q.answers.add(self.n_answers);
+        }
+        if self.n_point > 0 {
+            q.point_lookups.add(self.n_point);
+        }
+        if self.n_scan > 0 {
+            q.scans.add(self.n_scan);
+        }
+    }
+}
+
+/// Structurally matches one compiled pattern argument against a ground
+/// target term, binding slots on the trail. Read-only on the store.
+fn match_pat(store: &TermStore, pat: &PatArg, tgt: TermId, s: &mut QueryScratch) -> bool {
+    match pat {
+        PatArg::Const(t) => *t == tgt,
+        PatArg::Slot(slot) => {
+            let cur = s.bindings[*slot as usize];
+            if cur == UNBOUND {
+                s.bindings[*slot as usize] = tgt;
+                s.trail.push(*slot);
+                true
+            } else {
+                cur == tgt
+            }
+        }
+        PatArg::App(f, args) => match store.term(tgt) {
+            Term::App(g, targs) if g == f && targs.len() == args.len() => {
+                let targs = targs.clone();
+                args.iter()
+                    .zip(targs.iter())
+                    .all(|(p, &t)| match_pat(store, p, t, s))
+            }
+            _ => false,
+        },
+    }
+}
+
+fn min_truth(a: Truth, b: Truth) -> Truth {
+    fn rank(t: Truth) -> u8 {
+        match t {
+            Truth::False => 0,
+            Truth::Undefined => 1,
+            Truth::True => 2,
+        }
+    }
+    if rank(a) <= rank(b) {
+        a
+    } else {
+        b
+    }
+}
+
+/// A query compiled once and executable many times: goal compilation,
+/// engine choice and evaluation scratch are cached across calls.
+/// Execute against the live session ([`PreparedQuery::execute`]) or
+/// against a [`Snapshot`] from any thread
+/// ([`PreparedQuery::execute_on`]).
+#[derive(Debug)]
+pub struct PreparedQuery {
+    pub(super) goal: Goal,
+    pub(super) engine: Engine,
+    pub(super) plan: QueryPlan,
+    pub(super) scratch: QueryScratch,
+}
+
+impl PreparedQuery {
+    /// The compiled goal.
+    pub fn goal(&self) -> &Goal {
+        &self.goal
+    }
+
+    /// The engine this query runs on.
+    pub fn engine(&self) -> Engine {
+        self.engine
+    }
+
+    /// Runs against the live session's committed model, reusing the
+    /// cached scratch buffers (zero steady-state allocation for
+    /// point queries).
+    pub fn execute<'a>(
+        &'a mut self,
+        session: &'a mut Session,
+    ) -> Result<Answers<'a>, SessionError> {
+        // The global-tree engine builds terms, so it runs first, while
+        // the session is still mutably borrowed; its answers then ride
+        // the same stream as pre-materialized results.
+        let tree = match self.engine {
+            Engine::Tabled => None,
+            Engine::GlobalTree => {
+                let tree = GlobalTree::build(
+                    &mut session.store,
+                    &session.program,
+                    &self.goal,
+                    session.global_opts,
+                );
+                let answers: Vec<Answer> = tree
+                    .answers(&mut session.store)
+                    .into_iter()
+                    .map(|a| Answer {
+                        subst: a.subst,
+                        truth: Truth::True,
+                    })
+                    .collect();
+                Some((answers, tree.verdict()))
+            }
+        };
+        let mut out = self.start_live(session, Guard::none())?;
+        if let Some((answers, verdict)) = tree {
+            out.done = true;
+            out.materialized = Some(answers.into_iter());
+            out.overall = Some(verdict);
+        }
+        Ok(out)
+    }
+
+    /// Governed variant of [`PreparedQuery::execute`]: the returned
+    /// stream checks `opts` (deadline, fuel) plus the session's
+    /// [`Session::interrupt_handle`] every
+    /// [`crate::govern::TICK_INTERVAL`] backtracking steps. When a limit
+    /// trips, the stream simply ends — answers already yielded stay
+    /// valid — and [`Answers::interrupted`] reports the cause.
+    ///
+    /// Only the model-backed [`Engine::Tabled`] streams incrementally;
+    /// the global-tree engine materializes up front and is rejected
+    /// here as [`SessionError::Unsupported`].
+    pub fn execute_governed<'a>(
+        &'a mut self,
+        session: &'a mut Session,
+        opts: &QueryOpts,
+    ) -> Result<Answers<'a>, SessionError> {
+        self.require_tabled(
+            "the global-tree engine materializes its answers up front; \
+             governed streaming serves the model-backed engine",
+        )?;
+        let guard = session.governed_guard(opts.deadline, None, opts.fuel, false);
+        self.start_live(session, guard)
+    }
+
+    fn start_live<'a>(
+        &'a mut self,
+        session: &'a Session,
+        guard: Guard,
+    ) -> Result<Answers<'a>, SessionError> {
+        Answers::start(
+            &self.plan,
+            session.view(),
+            ScratchSlot::Borrowed(&mut self.scratch),
+            guard,
+            Some(&session.sobs.query),
+        )
+    }
+
+    /// Runs against a snapshot — `&self`, so one prepared query can be
+    /// shared by many reader threads (each run allocates its own
+    /// scratch).
+    pub fn execute_on<'a>(&'a self, snapshot: &'a Snapshot) -> Result<Answers<'a>, SessionError> {
+        self.execute_on_governed(snapshot, &Guard::none())
+    }
+
+    /// Governed variant of [`PreparedQuery::execute_on`]: the caller
+    /// supplies the [`Guard`] (snapshots have no session cancel flag;
+    /// build one with [`Guard::builder`] and share its
+    /// [`crate::govern::InterruptHandle`] across reader threads).
+    pub fn execute_on_governed<'a>(
+        &'a self,
+        snapshot: &'a Snapshot,
+        guard: &Guard,
+    ) -> Result<Answers<'a>, SessionError> {
+        self.require_tabled(
+            "the global-tree engine needs the live session (it builds terms); \
+             snapshots serve the model-backed engine",
+        )?;
+        snapshot.run(&self.plan, guard)
+    }
+
+    fn require_tabled(&self, why: &str) -> Result<(), SessionError> {
+        match self.engine {
+            Engine::Tabled => Ok(()),
+            Engine::GlobalTree => Err(SessionError::Unsupported(why.to_owned())),
+        }
+    }
+}
+
+impl Session {
+    /// Compiles a query (e.g. `"?- win(X)."`) into a reusable
+    /// [`PreparedQuery`] on the default (model-backed) engine.
+    pub fn prepare(&mut self, src: &str) -> Result<PreparedQuery, SessionError> {
+        let goal = parse_goal(&mut self.store, src)?;
+        self.prepare_goal(goal, Engine::Tabled)
+    }
+
+    /// Compiles an already-parsed goal for `engine`.
+    pub fn prepare_goal(
+        &mut self,
+        goal: Goal,
+        engine: Engine,
+    ) -> Result<PreparedQuery, SessionError> {
+        let plan = match engine {
+            Engine::Tabled => {
+                let names = Names {
+                    source: &self.store,
+                    target: None,
+                };
+                QueryPlan::compile(names, &goal)?
+            }
+            // The tree materializes its own answers; nothing to enumerate.
+            Engine::GlobalTree => QueryPlan::default(),
+        };
+        Ok(PreparedQuery {
+            goal,
+            engine,
+            plan,
+            scratch: QueryScratch::default(),
+        })
+    }
+
+    /// One-shot convenience: parse, prepare, execute, materialize.
+    pub fn query(&mut self, src: &str) -> Result<QueryResult, SessionError> {
+        let mut q = self.prepare(src)?;
+        let r = q.execute(self)?.collect_result();
+        Ok(r)
+    }
+
+    /// Governed one-shot query: like [`Session::query`] but the
+    /// enumeration respects `opts` plus this session's
+    /// [`Session::interrupt_handle`]. A tripped limit yields a
+    /// *partial* result — the answers found so far, with
+    /// [`QueryResult::interrupted`] set to the cause — never an error.
+    pub fn query_governed(
+        &mut self,
+        src: &str,
+        opts: &QueryOpts,
+    ) -> Result<QueryResult, SessionError> {
+        let mut q = self.prepare(src)?;
+        let r = q.execute_governed(self, opts)?.collect_result();
+        Ok(r)
+    }
+
+    /// Truth of a single (ground) query — shorthand over
+    /// [`Session::query`].
+    pub fn truth(&mut self, src: &str) -> Result<Truth, SessionError> {
+        Ok(self.query(src)?.truth)
+    }
+
+    /// The committed truth of a ground atom (atoms the grounder never
+    /// saw are false).
+    pub fn truth_of_atom(&self, atom: &Atom) -> Truth {
+        match self.ground_program().lookup_atom(atom) {
+            Some(id) => self.engine.model.truth(id),
+            None => Truth::False,
+        }
+    }
+
+    /// The session's read view (shared with [`Snapshot`]s).
+    fn view(&self) -> ModelView<'_> {
+        ModelView {
+            store: &self.store,
+            gp: self.engine.grounder.ground_program(),
+            model: &self.engine.model,
+            domain: self.engine.grounder.universe(),
+        }
+    }
+}

@@ -1,0 +1,425 @@
+//! Unit tests of the session surface (moved verbatim from the old
+//! single-file module; the workspace-level suites live in `tests/`).
+
+use super::*;
+use crate::solver::Engine;
+use gsls_analyze::{Lint, LintLevel};
+use gsls_lang::{parse_goal, Goal};
+use gsls_wfs::Truth;
+
+#[test]
+fn snapshot_is_send_sync() {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Snapshot>();
+}
+
+#[test]
+fn quickstart_flow() {
+    let mut sess =
+        Session::from_source("move(a, b). move(b, a). move(b, c). win(X) :- move(X, Y), ~win(Y).")
+            .unwrap();
+    assert_eq!(sess.truth("?- win(b).").unwrap(), Truth::True);
+    assert_eq!(sess.truth("?- win(a).").unwrap(), Truth::False);
+    assert_eq!(sess.truth("?- win(c).").unwrap(), Truth::False);
+    let r = sess.query("?- win(X).").unwrap();
+    assert_eq!(r.truth, Truth::True);
+    assert_eq!(r.answers.len(), 1);
+    assert_eq!(r.answers[0].display(sess.store()), "{X = b}");
+}
+
+#[test]
+fn assert_retract_roundtrip() {
+    let mut sess = Session::from_source("move(a, b). win(X) :- move(X, Y), ~win(Y).").unwrap();
+    assert_eq!(sess.truth("?- win(a).").unwrap(), Truth::True);
+    // Give b an escape: a↔b draw loop.
+    sess.assert_facts("move(b, a).").unwrap();
+    assert_eq!(sess.truth("?- win(a).").unwrap(), Truth::Undefined);
+    assert_eq!(sess.epoch(), 1);
+    // Retract it again.
+    sess.retract_facts("move(b, a).").unwrap();
+    assert_eq!(sess.truth("?- win(a).").unwrap(), Truth::True);
+    assert_eq!(sess.truth("?- move(b, a).").unwrap(), Truth::False);
+    // Re-assert: re-enable, no new clauses.
+    let before = sess.ground_program().clause_count();
+    sess.assert_facts("move(b, a).").unwrap();
+    assert_eq!(sess.ground_program().clause_count(), before);
+    assert_eq!(sess.truth("?- move(b, a).").unwrap(), Truth::True);
+}
+
+#[test]
+fn transaction_batches_and_rollback() {
+    let mut sess = Session::from_source("p :- e, ~q.").unwrap();
+    sess.begin().unwrap();
+    sess.assert_facts("e.").unwrap();
+    // Not yet visible.
+    assert_eq!(sess.truth("?- p.").unwrap(), Truth::False);
+    assert!(sess.in_transaction());
+    assert!(matches!(sess.begin(), Err(SessionError::NestedTransaction)));
+    let stats = sess.commit().unwrap();
+    assert_eq!(stats.facts_asserted, 1);
+    assert_eq!(sess.truth("?- p.").unwrap(), Truth::True);
+    // Rollback drops the batch.
+    sess.begin().unwrap();
+    sess.retract_facts("e.").unwrap();
+    sess.rollback();
+    sess.commit().unwrap();
+    assert_eq!(sess.truth("?- p.").unwrap(), Truth::True);
+}
+
+#[test]
+fn add_rules_against_live_facts() {
+    let mut sess = Session::from_source("e(a, b). e(b, c).").unwrap();
+    sess.add_rules("t(X, Y) :- e(X, Y). t(X, Z) :- e(X, Y), t(Y, Z).")
+        .unwrap();
+    assert_eq!(sess.truth("?- t(a, c).").unwrap(), Truth::True);
+    // New facts flow through rules added earlier.
+    sess.assert_facts("e(c, d).").unwrap();
+    assert_eq!(sess.truth("?- t(a, d).").unwrap(), Truth::True);
+}
+
+#[test]
+fn prepared_query_reuse_across_commits() {
+    let mut sess = Session::from_source("d(a). good(X) :- d(X), ~bad(X).").unwrap();
+    let mut q = sess.prepare("?- good(X).").unwrap();
+    assert_eq!(q.execute(&mut sess).unwrap().count(), 1);
+    sess.assert_facts("d(b). d(c). bad(b).").unwrap();
+    let answers: Vec<Answer> = q.execute(&mut sess).unwrap().collect();
+    assert_eq!(answers.len(), 2, "a and c");
+    for a in &answers {
+        assert_eq!(a.truth, Truth::True);
+    }
+}
+
+#[test]
+fn answers_stream_lazily() {
+    let mut sess = Session::from_source("d(a). d(b). d(c). d(e).").unwrap();
+    let mut q = sess.prepare("?- d(X).").unwrap();
+    let mut it = q.execute(&mut sess).unwrap();
+    assert!(it.next().is_some());
+    assert!(it.next().is_some());
+    drop(it); // abandoning mid-stream is fine
+    assert_eq!(q.execute(&mut sess).unwrap().count(), 4);
+}
+
+#[test]
+fn snapshot_isolation_under_writes() {
+    let mut sess = Session::from_source("q(a). d(a). d(b).").unwrap();
+    let q = sess.prepare("?- ~q(X).").unwrap();
+    let snap = sess.snapshot();
+    let snap2 = sess.snapshot();
+    assert_eq!(snap.epoch(), snap2.epoch());
+    // Writer moves on.
+    sess.assert_facts("q(b).").unwrap();
+    let live = sess.query("?- ~q(X).").unwrap();
+    assert_eq!(live.answers.len(), 0);
+    // The snapshot still sees epoch 0: ~q(b) holds there.
+    let frozen: Vec<Answer> = q.execute_on(&snap).unwrap().collect();
+    assert_eq!(frozen.len(), 1);
+    assert_eq!(frozen[0].subst.display(snap.store()), "{X = b}");
+    // Threads: query the same snapshot concurrently.
+    let handles: Vec<_> = (0..4)
+        .map(|_| {
+            let snap = snap.clone();
+            std::thread::spawn(move || {
+                let q = PreparedQuery {
+                    goal: Goal::empty(),
+                    engine: Engine::Tabled,
+                    plan: QueryPlan::compile(
+                        Names {
+                            source: snap.store(),
+                            target: None,
+                        },
+                        &Goal::empty(),
+                    )
+                    .unwrap(),
+                    scratch: QueryScratch::default(),
+                };
+                q.execute_on(&snap).unwrap().count()
+            })
+        })
+        .collect();
+    for h in handles {
+        assert_eq!(h.join().unwrap(), 1, "empty goal: one vacuous answer");
+    }
+}
+
+#[test]
+fn empty_session_grows_from_nothing() {
+    let mut sess = Session::new();
+    assert_eq!(sess.truth("?- p.").unwrap(), Truth::False);
+    sess.add_rules("p :- ~q.").unwrap();
+    assert_eq!(sess.truth("?- p.").unwrap(), Truth::True);
+    sess.assert_facts("q.").unwrap();
+    assert_eq!(sess.truth("?- p.").unwrap(), Truth::False);
+}
+
+#[test]
+fn function_symbols_rejected() {
+    assert!(matches!(
+        Session::from_source("nat(0). nat(s(X)) :- nat(X)."),
+        Err(SessionError::NotFunctionFree)
+    ));
+    let mut sess = Session::new();
+    assert!(matches!(
+        sess.add_rules("p(f(X)) :- q(X)."),
+        Err(SessionError::NotFunctionFree)
+    ));
+    assert!(matches!(
+        sess.assert_facts("p(f(a))."),
+        Err(SessionError::NotFunctionFree)
+    ));
+    assert!(matches!(
+        sess.assert_facts("p(X)."),
+        Err(SessionError::NotAFact(_))
+    ));
+    assert!(matches!(
+        sess.assert_facts("p :- q."),
+        Err(SessionError::NotAFact(_))
+    ));
+}
+
+#[test]
+fn assert_then_retract_same_fact_in_one_commit_nets_retracted() {
+    // Regression: retracts apply last, even against a re-enable
+    // queued by the same commit, and the disabled-set stays in sync
+    // with the chains so later retracts still work.
+    let mut sess = Session::from_source("f.").unwrap();
+    sess.retract_facts("f.").unwrap();
+    sess.begin().unwrap();
+    sess.assert_facts("f.").unwrap();
+    sess.retract_facts("f.").unwrap();
+    sess.commit().unwrap();
+    assert_eq!(sess.truth("?- f.").unwrap(), Truth::False);
+    // The inverse order nets asserted? No — retracts always apply
+    // last within a batch: still false.
+    sess.begin().unwrap();
+    sess.retract_facts("f.").unwrap();
+    sess.assert_facts("f.").unwrap();
+    sess.commit().unwrap();
+    assert_eq!(sess.truth("?- f.").unwrap(), Truth::False);
+    // And the bookkeeping is intact: a plain assert re-enables, a
+    // plain retract disables.
+    sess.assert_facts("f.").unwrap();
+    assert_eq!(sess.truth("?- f.").unwrap(), Truth::True);
+    sess.retract_facts("f.").unwrap();
+    assert_eq!(sess.truth("?- f.").unwrap(), Truth::False);
+}
+
+#[test]
+fn rule_instances_are_not_retractable() {
+    // Regression: p(X). derives p(a)/p(b) as permanent rule
+    // instances; retract_facts must not be able to switch them off.
+    // (The analyzer denies such facts by default; this test is
+    // exactly about the active-domain enumeration they trigger.)
+    let mut sess = Session::from_source("d(a). d(b).")
+        .unwrap()
+        .with_lint_config(LintConfig::default().set(Lint::NonGroundFact, LintLevel::Allow));
+    sess.add_rules("p(X).").unwrap();
+    assert_eq!(sess.truth("?- p(a).").unwrap(), Truth::True);
+    sess.retract_facts("p(a).").unwrap();
+    assert_eq!(sess.truth("?- p(a).").unwrap(), Truth::True);
+    // An asserted fact shadowed by a rule instance survives its own
+    // retraction through the rule, matching a scratch rebuild.
+    sess.assert_facts("p(c).").unwrap();
+    sess.retract_facts("p(c).").unwrap();
+    assert_eq!(
+        sess.truth("?- p(c).").unwrap(),
+        Truth::True,
+        "p(X). still derives p(c) for the active-domain constant c"
+    );
+}
+
+#[test]
+fn unsafe_rule_batch_rejected_with_all_violations() {
+    // A floundering rule AND an arity conflict in one batch: the
+    // rejection lists both (collect-all, not first-error).
+    let mut sess = Session::from_source("q(a).").unwrap();
+    sess.begin().unwrap();
+    sess.add_rules("p(X) :- ~w(X).").unwrap();
+    sess.assert_facts("q(a, b).").unwrap();
+    let err = sess.commit().unwrap_err();
+    let SessionError::Rejected(rej) = &err else {
+        panic!("expected rejection, got {err:?}");
+    };
+    assert_eq!(rej.errors.len(), 2, "{rej}");
+    assert!(rej.errors.iter().any(|e| matches!(
+        e,
+        CommitError::ArityMismatch {
+            expected: 1,
+            found: 2,
+            ..
+        }
+    )));
+    assert!(rej.errors.iter().any(|e| matches!(
+        e,
+        CommitError::Unsafe(d) if d.lint == Lint::NegativeOnlyVar
+    )));
+    assert!(!sess.is_poisoned());
+    assert_eq!(sess.epoch(), 0, "nothing applied");
+    // Still writable.
+    sess.assert_facts("q(b).").unwrap();
+    assert_eq!(sess.truth("?- q(b).").unwrap(), Truth::True);
+}
+
+#[test]
+fn permissive_lints_admit_floundering_rules() {
+    let mut sess = Session::from_source("f(a).")
+        .unwrap()
+        .with_lint_config(LintConfig::permissive());
+    // Denied by default, admitted here: u ranges over the active
+    // domain minus f.
+    sess.add_rules("u(X) :- ~f(X).").unwrap();
+    sess.assert_facts("f(b). g(c).").unwrap();
+    assert_eq!(sess.truth("?- u(c).").unwrap(), Truth::True);
+    assert_eq!(sess.truth("?- u(a).").unwrap(), Truth::False);
+}
+
+#[test]
+fn seed_program_is_gated_too() {
+    let err = match Session::from_source("p(X) :- ~q(X). q(a).") {
+        Err(e) => e,
+        Ok(_) => panic!("floundering seed program must be rejected"),
+    };
+    assert!(
+        matches!(&err, SessionError::Rejected(r)
+            if matches!(r.first(), CommitError::Unsafe(d) if d.lint == Lint::NegativeOnlyVar)),
+        "got {err:?}"
+    );
+    // The permissive escape hatch admits the same program.
+    let mut store = TermStore::new();
+    let program = parse_program(&mut store, "p(X) :- ~q(X). q(a).").unwrap();
+    let sess = Session::with_opts_lints(
+        store,
+        program,
+        GrounderOpts::default(),
+        LintConfig::permissive(),
+    )
+    .unwrap();
+    assert_eq!(sess.epoch(), 0);
+}
+
+#[test]
+fn warnings_surface_in_last_lint_report() {
+    let mut sess = Session::from_source("e(a, b).").unwrap();
+    // Singleton Y: warn-level — the commit succeeds and the report
+    // is retrievable.
+    sess.add_rules("p(X) :- e(X, Y).").unwrap();
+    let report = sess.last_lint_report();
+    assert!(!report.has_errors());
+    assert!(
+        report
+            .diagnostics
+            .iter()
+            .any(|d| d.lint == Lint::SingletonVar && d.witness.as_deref() == Some("Y")),
+        "{}",
+        report.render()
+    );
+    assert_eq!(sess.truth("?- p(a).").unwrap(), Truth::True);
+    // A fact-only commit skips analysis and leaves a clean report.
+    sess.assert_facts("e(b, c).").unwrap();
+    assert!(sess.last_lint_report().is_clean());
+}
+
+#[test]
+fn analyze_reports_on_the_full_program() {
+    let mut sess =
+        Session::from_source("move(a, b). move(b, a). win(X) :- move(X, Y), ~win(Y).").unwrap();
+    // Default config allows unstratified programs — that's the
+    // engine's job — so the full-program report is clean.
+    assert!(sess.analyze().is_clean(), "{}", sess.analyze().render());
+    // Under strict lints the cycle is named with its witness.
+    sess.set_lint_config(LintConfig::strict());
+    let report = sess.analyze();
+    let d = report
+        .diagnostics
+        .iter()
+        .find(|d| d.lint == Lint::Unstratified)
+        .expect("win-game is unstratified");
+    assert_eq!(d.witness.as_deref(), Some("win → not win"));
+    assert!(
+        d.message.contains("locally stratified"),
+        "ground program is available, the class must be named: {}",
+        d.message
+    );
+}
+
+#[test]
+fn rule_batch_facts_are_permanent() {
+    // Regression: a fact added via add_rules is program text — it
+    // must stay true even if an identical source fact was retracted
+    // before (or is retracted after).
+    let mut sess = Session::from_source("g.").unwrap();
+    sess.retract_facts("g.").unwrap();
+    assert_eq!(sess.truth("?- g.").unwrap(), Truth::False);
+    sess.add_rules("g.").unwrap();
+    assert_eq!(sess.truth("?- g.").unwrap(), Truth::True);
+    sess.retract_facts("g.").unwrap();
+    assert_eq!(
+        sess.truth("?- g.").unwrap(),
+        Truth::True,
+        "the rule-batch clause is not retractable"
+    );
+    // Re-asserting and retracting the source fact keeps working.
+    sess.assert_facts("g.").unwrap();
+    sess.retract_facts("g.").unwrap();
+    assert_eq!(sess.truth("?- g.").unwrap(), Truth::True);
+}
+
+#[test]
+fn session_matches_scratch_rebuild() {
+    // A miniature of the workspace property test: after a mixed
+    // walk, the session model equals a from-scratch solve of the
+    // merged program.
+    let mut sess =
+        Session::from_source("e(a, b). e(b, c). r(X) :- e(X, Y), ~dead(X). dead(c).").unwrap();
+    sess.assert_facts("e(c, a).").unwrap();
+    sess.add_rules("t(X, Y) :- e(X, Y). t(X, Z) :- e(X, Y), t(Y, Z).")
+        .unwrap();
+    sess.retract_facts("e(b, c).").unwrap();
+    sess.assert_facts("dead(a).").unwrap();
+    sess.retract_facts("dead(c).").unwrap();
+    sess.assert_facts("e(b, c).").unwrap(); // re-enable
+                                            // Rebuild: rules + currently-active facts.
+    let mut s2 = TermStore::new();
+    let p2 = parse_program(
+        &mut s2,
+        "e(a, b). e(b, c). r(X) :- e(X, Y), ~dead(X). \
+         t(X, Y) :- e(X, Y). t(X, Z) :- e(X, Y), t(Y, Z). e(c, a). dead(a).",
+    )
+    .unwrap();
+    let gp2 = gsls_ground::Grounder::ground(&mut s2, &p2).unwrap();
+    let m2 = gsls_wfs::well_founded_model(&gp2);
+    // Compare truths over the rebuilt program's atoms...
+    for id2 in gp2.atom_ids() {
+        let atom2 = gp2.atom(id2);
+        let name = atom2.display(&s2);
+        let goal = format!("?- {name}.");
+        assert_eq!(
+            sess.truth(&goal).unwrap(),
+            m2.truth(id2),
+            "atom {name} diverges"
+        );
+    }
+    // ...and session atoms absent from the rebuild must be false.
+    let session_atoms: Vec<String> = sess
+        .ground_program()
+        .atom_ids()
+        .map(|id| sess.ground_program().display_atom(sess.store(), id))
+        .collect();
+    for name in session_atoms {
+        let mut s3 = s2.clone();
+        let g = parse_goal(&mut s3, &format!("?- {name}.")).unwrap();
+        let known = g.literals()[0]
+            .atom
+            .is_ground(&s3)
+            .then(|| gp2.lookup_atom(&g.literals()[0].atom))
+            .flatten();
+        if known.is_none() {
+            assert_eq!(
+                sess.truth(&format!("?- {name}.")).unwrap(),
+                Truth::False,
+                "session-only atom {name} must be false"
+            );
+        }
+    }
+}

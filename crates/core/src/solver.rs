@@ -19,8 +19,8 @@
 //! * the SLDNF and SLS baselines live in `gsls-resolution` and are
 //!   compared in the experiment harness, not proxied here.
 
-use crate::global::{GlobalOpts, GlobalTree, Status};
-use crate::session::{ModelView, QueryPlan, QueryScratch, SessionError};
+use crate::global::{GlobalOpts, GlobalTree};
+use crate::session::{ModelView, Names, QueryPlan, QueryScratch, SessionError};
 use gsls_ground::{herbrand, GroundProgram, Grounder, GrounderOpts};
 use gsls_lang::{Goal, Literal, Program, Subst, TermStore};
 use gsls_wfs::{well_founded_model, Interp, Truth};
@@ -196,7 +196,11 @@ impl Solver {
         goal: &Goal,
     ) -> Result<QueryResult, SolverError> {
         self.ensure_ready(store)?;
-        let plan = QueryPlan::compile(store, goal)?;
+        let names = Names {
+            source: store,
+            target: None,
+        };
+        let plan = QueryPlan::compile(names, goal)?;
         let st = self.ready.as_ref().expect("ensure_ready succeeded");
         let view = ModelView {
             store,
@@ -216,12 +220,7 @@ impl Solver {
             .into_iter()
             .map(|a| a.subst)
             .collect::<Vec<_>>();
-        let (truth, floundered) = match tree.status() {
-            Status::Successful => (Truth::True, tree.root().flags.floundered),
-            Status::Failed => (Truth::False, false),
-            Status::Floundered => (Truth::Undefined, true),
-            Status::Indeterminate => (Truth::Undefined, false),
-        };
+        let (truth, floundered) = tree.verdict();
         QueryResult {
             truth,
             answers,

@@ -1,8 +1,10 @@
-//! Payload codecs for the durability layer: CRC-32 checksums, the WAL
-//! commit-batch record, and the checkpoint image.
+//! Codecs for the durability layer: CRC-32 checksums, the frame header,
+//! the WAL commit-batch record, and the checkpoint image.
 //!
-//! Everything here is **payload** bytes — framing (length prefixes,
-//! torn-tail detection) lives in [`crate::wal`] and [`crate::checkpoint`].
+//! The `[len][crc32]` frame header is encoded and parsed here, once, for
+//! both its users — WAL records ([`crate::wal`]) and the server's wire
+//! frames; what to do about a torn or oversized frame stays with them.
+//! Everything else here is **payload** bytes.
 //! Terms, atoms and clauses serialize through the stable structural
 //! codec in [`gsls_lang::wire`], so payloads survive process restarts
 //! and decode into any fresh [`TermStore`].
@@ -40,6 +42,35 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc ^ 0xFFFF_FFFF
 }
 
+/// Size of the `[len: u32 LE][crc32: u32 LE]` header that frames every
+/// WAL record on disk and every protocol frame on the wire.
+pub const FRAME_HEADER: usize = 8;
+
+/// The frame header for `payload`, or `None` when the payload is longer
+/// than the caller's `cap`.
+pub fn encode_frame_header(payload: &[u8], cap: usize) -> Option<[u8; FRAME_HEADER]> {
+    let len = u32::try_from(payload.len()).ok()?;
+    if payload.len() > cap {
+        return None;
+    }
+    let mut header = [0u8; FRAME_HEADER];
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    Some(header)
+}
+
+/// Splits a frame header into `(payload length, payload crc32)`;
+/// `Err(length)` when the length exceeds the caller's `cap` — corruption
+/// or a hostile peer, never an allocation request.
+pub fn parse_frame_header(header: &[u8; FRAME_HEADER], cap: usize) -> Result<(usize, u32), usize> {
+    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+    let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
+    if len > cap {
+        return Err(len);
+    }
+    Ok((len, crc))
+}
+
 /// One durable commit batch: the exact update set one `Session::commit`
 /// applies, in the session's documented order (rules → asserts →
 /// retracts), stamped with the epoch the commit produced.
@@ -55,21 +86,26 @@ pub struct Batch {
     pub retracts: Vec<Atom>,
 }
 
-/// Encodes a commit batch into WAL-record payload bytes.
-pub fn encode_batch(store: &TermStore, batch: &Batch) -> Vec<u8> {
+/// Encodes a commit batch into WAL-record payload bytes (the inverse
+/// of [`decode_batch`]), straight from the committing session's slices.
+pub fn encode_batch(
+    store: &TermStore,
+    epoch: u64,
+    rules: &[Clause],
+    asserts: &[Atom],
+    retracts: &[Atom],
+) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
-    write_uv(&mut out, batch.epoch);
-    write_uv(&mut out, batch.rules.len() as u64);
-    for c in &batch.rules {
+    write_uv(&mut out, epoch);
+    write_uv(&mut out, rules.len() as u64);
+    for c in rules {
         encode_clause(store, c, &mut out);
     }
-    write_uv(&mut out, batch.asserts.len() as u64);
-    for a in &batch.asserts {
-        encode_atom(store, a, &mut out);
-    }
-    write_uv(&mut out, batch.retracts.len() as u64);
-    for a in &batch.retracts {
-        encode_atom(store, a, &mut out);
+    for atoms in [asserts, retracts] {
+        write_uv(&mut out, atoms.len() as u64);
+        for a in atoms {
+            encode_atom(store, a, &mut out);
+        }
     }
     out
 }
@@ -78,21 +114,9 @@ pub fn encode_batch(store: &TermStore, batch: &Batch) -> Vec<u8> {
 pub fn decode_batch(store: &mut TermStore, payload: &[u8]) -> Result<Batch, DurableError> {
     let mut r = WireReader::new(payload);
     let epoch = read_uv(&mut r)?;
-    let n_rules = checked_count(read_uv(&mut r)?, &r)?;
-    let mut rules = Vec::with_capacity(n_rules);
-    for _ in 0..n_rules {
-        rules.push(decode_clause(store, &mut r)?);
-    }
-    let n_asserts = checked_count(read_uv(&mut r)?, &r)?;
-    let mut asserts = Vec::with_capacity(n_asserts);
-    for _ in 0..n_asserts {
-        asserts.push(decode_atom(store, &mut r)?);
-    }
-    let n_retracts = checked_count(read_uv(&mut r)?, &r)?;
-    let mut retracts = Vec::with_capacity(n_retracts);
-    for _ in 0..n_retracts {
-        retracts.push(decode_atom(store, &mut r)?);
-    }
+    let rules = decode_seq(&mut r, |r| decode_clause(store, r))?;
+    let asserts = decode_seq(&mut r, |r| decode_atom(store, r))?;
+    let retracts = decode_seq(&mut r, |r| decode_atom(store, r))?;
     if !r.is_empty() {
         return Err(DurableError::Corrupt("trailing bytes after batch".into()));
     }
@@ -140,16 +164,8 @@ pub fn decode_checkpoint(
 ) -> Result<CheckpointImage, DurableError> {
     let mut r = WireReader::new(payload);
     let epoch = read_uv(&mut r)?;
-    let n_clauses = checked_count(read_uv(&mut r)?, &r)?;
-    let mut clauses = Vec::with_capacity(n_clauses);
-    for _ in 0..n_clauses {
-        clauses.push(decode_clause(store, &mut r)?);
-    }
-    let n_retracted = checked_count(read_uv(&mut r)?, &r)?;
-    let mut retracted = Vec::with_capacity(n_retracted);
-    for _ in 0..n_retracted {
-        retracted.push(decode_atom(store, &mut r)?);
-    }
+    let clauses = decode_seq(&mut r, |r| decode_clause(store, r))?;
+    let retracted = decode_seq(&mut r, |r| decode_atom(store, r))?;
     if !r.is_empty() {
         return Err(DurableError::Corrupt(
             "trailing bytes after checkpoint".into(),
@@ -162,15 +178,24 @@ pub fn decode_checkpoint(
     })
 }
 
-/// Bounds a decoded element count by the remaining input (each element
-/// costs at least one byte), so corrupt counts cannot OOM the decoder.
-fn checked_count(n: u64, r: &WireReader<'_>) -> Result<usize, DurableError> {
+/// Decodes one count-prefixed sequence. The count is bounded by the
+/// remaining input (each element costs at least one byte), so corrupt
+/// counts cannot OOM the decoder.
+fn decode_seq<'a, T, E: Into<DurableError>>(
+    r: &mut WireReader<'a>,
+    mut element: impl FnMut(&mut WireReader<'a>) -> Result<T, E>,
+) -> Result<Vec<T>, DurableError> {
+    let n = read_uv(r)?;
     if n > r.remaining() as u64 {
         return Err(DurableError::Corrupt(format!(
             "element count {n} exceeds remaining payload"
         )));
     }
-    Ok(n as usize)
+    let mut out = Vec::with_capacity(n as usize);
+    for _ in 0..n {
+        out.push(element(r).map_err(Into::into)?);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -200,10 +225,24 @@ mod tests {
     }
 
     #[test]
+    fn frame_header_roundtrip_and_cap() {
+        let header = encode_frame_header(b"123456789", 9).expect("within cap");
+        assert_eq!(parse_frame_header(&header, 9), Ok((9, 0xCBF4_3926)));
+        assert_eq!(parse_frame_header(&header, 8), Err(9));
+        assert!(encode_frame_header(b"123456789", 8).is_none());
+    }
+
+    #[test]
     fn batch_roundtrip() {
         let mut store = TermStore::new();
         let batch = sample_batch(&mut store);
-        let bytes = encode_batch(&store, &batch);
+        let bytes = encode_batch(
+            &store,
+            batch.epoch,
+            &batch.rules,
+            &batch.asserts,
+            &batch.retracts,
+        );
         let mut store2 = TermStore::new();
         let got = decode_batch(&mut store2, &bytes).unwrap();
         assert_eq!(got.epoch, 7);
@@ -221,7 +260,13 @@ mod tests {
     fn batch_truncation_errors() {
         let mut store = TermStore::new();
         let batch = sample_batch(&mut store);
-        let bytes = encode_batch(&store, &batch);
+        let bytes = encode_batch(
+            &store,
+            batch.epoch,
+            &batch.rules,
+            &batch.asserts,
+            &batch.retracts,
+        );
         for cut in 0..bytes.len() {
             let mut s = TermStore::new();
             assert!(

@@ -5,12 +5,14 @@
 //! volatile `pending` buffer — the simulated page cache. A successful
 //! `sync` flushes `pending` to the file; a *dropped* sync (per the
 //! [`FaultPlan`]) reports success while leaving the bytes volatile,
-//! exactly like a disk that lies about fsync. When the plan's byte
-//! budget runs out the file **crashes**: unsynced bytes are lost —
-//! except for a configurable torn tail that "reached the platter"
-//! mid-write — and every later operation fails. Re-opening the
-//! underlying path with [`crate::wal::FileStorage`] then plays the
-//! part of the post-reboot recovery.
+//! exactly like a disk that lies about fsync; a *failed* sync or
+//! truncate reports a transient I/O error and changes nothing, so the
+//! bytes it should have settled are still there for the next sync to
+//! flush. When the plan's byte budget runs out the file **crashes**:
+//! unsynced bytes are lost — except for a configurable torn tail that
+//! "reached the platter" mid-write — and every later operation fails.
+//! Re-opening the underlying path with [`crate::wal::FileStorage`] then
+//! plays the part of the post-reboot recovery.
 
 use crate::wal::WalStorage;
 use std::fs::{File, OpenOptions};
@@ -29,6 +31,13 @@ pub struct FaultPlan {
     /// At crash time, this many unsynced bytes (in append order) leak
     /// to the durable file anyway — a torn write caught mid-flight.
     pub torn_tail_bytes: u64,
+    /// 0-based indices of `sync` calls that fail with an I/O error and
+    /// flush nothing: the appended bytes stay volatile, and a later
+    /// successful sync still makes them durable.
+    pub fail_syncs: Vec<u64>,
+    /// 0-based indices of `truncate` calls that fail with an I/O error
+    /// and discard nothing.
+    pub fail_truncates: Vec<u64>,
 }
 
 impl FaultPlan {
@@ -41,6 +50,9 @@ impl FaultPlan {
 /// The error kind every operation returns after an injected crash.
 pub const INJECTED_CRASH: &str = "injected crash";
 
+/// The error a `fail_syncs` / `fail_truncates` entry injects.
+const INJECTED_IO_ERROR: &str = "injected transient i/o error";
+
 /// [`WalStorage`] with fault injection; see the module docs for the
 /// volatility model.
 #[derive(Debug)]
@@ -51,6 +63,8 @@ pub struct FaultyFile {
     appended: u64,
     /// Number of `sync` calls made so far.
     syncs: u64,
+    /// Number of `truncate` calls made so far.
+    truncates: u64,
     /// Appended-but-unsynced bytes (the simulated page cache).
     pending: Vec<u8>,
     crashed: bool,
@@ -70,6 +84,7 @@ impl FaultyFile {
             plan,
             appended: 0,
             syncs: 0,
+            truncates: 0,
             pending: Vec::new(),
             crashed: false,
         })
@@ -134,6 +149,9 @@ impl WalStorage for FaultyFile {
         self.check_alive()?;
         let idx = self.syncs;
         self.syncs += 1;
+        if self.plan.fail_syncs.contains(&idx) {
+            return Err(io::Error::other(INJECTED_IO_ERROR));
+        }
         if self.plan.drop_syncs.contains(&idx) {
             return Ok(()); // the lying disk: success without durability
         }
@@ -147,6 +165,11 @@ impl WalStorage for FaultyFile {
 
     fn truncate(&mut self, len: u64) -> io::Result<()> {
         self.check_alive()?;
+        let idx = self.truncates;
+        self.truncates += 1;
+        if self.plan.fail_truncates.contains(&idx) {
+            return Err(io::Error::other(INJECTED_IO_ERROR));
+        }
         let durable = self.file.metadata()?.len();
         if len <= durable {
             self.file.set_len(len)?;
@@ -228,6 +251,35 @@ mod tests {
         assert!(f.append(b"ghijkl").is_err()); // budget 4 → crash
                                                // 6 pending + 4 of the cut write = 10 pending at crash; 4 leak.
         assert_eq!(std::fs::read(&path).unwrap(), b"abcd");
+    }
+
+    /// A failed fsync leaves the frame in the page cache. The WAL must
+    /// not append behind it: the next append first cuts it off, and
+    /// refuses while the cut itself fails.
+    #[test]
+    fn failed_sync_frame_is_cut_before_the_next_append() {
+        let path = temp_path("failed_sync");
+        let plan = FaultPlan {
+            fail_syncs: vec![1],
+            fail_truncates: vec![0, 1],
+            ..FaultPlan::default()
+        };
+        let storage = Box::new(FaultyFile::open(&path, plan).unwrap());
+        let (mut wal, _) = Wal::open(storage).unwrap();
+        wal.append(b"acked", true).unwrap();
+        let mark = wal.len();
+        assert!(wal.append(b"never acked", true).is_err(), "sync #1 fails");
+        assert_eq!(wal.len(), mark);
+        assert!(wal.truncate_to(mark).is_err(), "truncate #0 fails");
+        assert!(
+            wal.append(b"blocked", true).is_err(),
+            "truncate #1 fails: no append behind the un-acked frame"
+        );
+        wal.append(b"next", true).unwrap(); // truncate #2 cuts, then appends
+        drop(wal);
+        let storage = Box::new(FileStorage::open(&path).unwrap());
+        let (_, scan) = Wal::open(storage).unwrap();
+        assert_eq!(scan.records, vec![b"acked".to_vec(), b"next".to_vec()]);
     }
 
     /// End-to-end: a WAL on faulty storage crashes mid-append; reopening

@@ -2,7 +2,8 @@
 //!
 //! Std-only durability for [`gsls`] sessions, layered as:
 //!
-//! * [`codec`] — CRC-32 plus the payload codecs for WAL commit batches
+//! * [`codec`] — CRC-32, the `[len][crc32]` frame header shared by WAL
+//!   records and wire frames, plus the payload codecs for commit batches
 //!   ([`Batch`]) and checkpoint images ([`CheckpointImage`]), built on
 //!   the stable structural term codec in `gsls_lang::wire`.
 //! * [`wal`] — the write-ahead log proper: length-prefixed, checksummed
@@ -32,7 +33,8 @@ pub use checkpoint::{
     ckpt_path, read_checkpoint, scan_dir, wal_path, write_checkpoint, Generations,
 };
 pub use codec::{
-    crc32, decode_batch, decode_checkpoint, encode_batch, encode_checkpoint, Batch, CheckpointImage,
+    crc32, decode_batch, decode_checkpoint, encode_batch, encode_checkpoint, encode_frame_header,
+    parse_frame_header, Batch, CheckpointImage, FRAME_HEADER,
 };
 pub use fault::{FaultPlan, FaultyFile, INJECTED_CRASH};
 pub use log::{DurableLog, DurableOpts, Recovered, StorageKind, WalObs};

@@ -235,16 +235,7 @@ impl DurableLog {
     /// On success the record is durable *before* the caller mutates
     /// in-memory state.
     pub fn append(&mut self, payload: &[u8]) -> Result<(), DurableError> {
-        self.wal.append(payload, self.opts.fsync)?;
-        self.records += 1;
-        self.obs.appends.add(1);
-        self.obs
-            .appended_bytes
-            .add(RECORD_HEADER + payload.len() as u64);
-        if self.opts.fsync {
-            self.obs.fsyncs.add(1);
-        }
-        Ok(())
+        self.append_record(payload, self.opts.fsync)
     }
 
     /// Appends one record **without** fsync'ing, regardless of the
@@ -254,12 +245,19 @@ impl DurableLog {
     /// cache only and a crash may tear it off (recovery truncates the
     /// torn tail, which is safe precisely because no ack was sent).
     pub fn append_unsynced(&mut self, payload: &[u8]) -> Result<(), DurableError> {
-        self.wal.append(payload, false)?;
+        self.append_record(payload, false)
+    }
+
+    fn append_record(&mut self, payload: &[u8], sync: bool) -> Result<(), DurableError> {
+        self.wal.append(payload, sync)?;
         self.records += 1;
         self.obs.appends.add(1);
         self.obs
             .appended_bytes
             .add(RECORD_HEADER + payload.len() as u64);
+        if sync {
+            self.obs.fsyncs.add(1);
+        }
         Ok(())
     }
 
@@ -280,13 +278,17 @@ impl DurableLog {
 
     /// Rolls the active WAL back to a mark taken with [`Self::wal_len`]
     /// — used when the in-memory apply of an already-journaled batch
-    /// fails, so the record is never replayed.
+    /// fails (so the record is never replayed) and after a failed
+    /// append (so its partial or un-synced frame is gone before the
+    /// next one lands). `Err` means the bytes may still be on storage.
     pub fn truncate_to(&mut self, mark: u64) -> Result<(), DurableError> {
-        if mark < self.wal.len() {
+        let unwinds_record = mark < self.wal.len();
+        self.wal.truncate_to(mark)?;
+        if unwinds_record {
             self.records = self.records.saturating_sub(1);
             self.obs.truncates.add(1);
         }
-        self.wal.truncate_to(mark)
+        Ok(())
     }
 
     /// Whether the active WAL has grown past the checkpoint thresholds.

@@ -26,18 +26,18 @@
 //! buffers unsynced bytes and loses them on an injected crash —
 //! exactly the failure model fsync is meant to defend against.
 
-use crate::codec::crc32;
+use crate::codec::{crc32, encode_frame_header, parse_frame_header, FRAME_HEADER};
 use crate::DurableError;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Record header size: payload length + checksum.
-pub const RECORD_HEADER: u64 = 8;
+pub const RECORD_HEADER: u64 = FRAME_HEADER as u64;
 
 /// Hard sanity cap on a single record's payload (1 GiB). A length
 /// beyond this is treated as corruption, not an allocation request.
-const MAX_RECORD: u32 = 1 << 30;
+const MAX_RECORD: usize = 1 << 30;
 
 /// The byte-level surface the WAL writes through. Implementations must
 /// behave like an append-only file: `append` adds bytes at the end,
@@ -112,6 +112,13 @@ pub struct WalScan {
 pub struct Wal {
     storage: Box<dyn WalStorage>,
     len: u64,
+    /// Storage may hold bytes past `len`: an append failed part-way (or
+    /// its fsync did), so an un-acked frame — whole or torn — can sit
+    /// behind the last intact record. Cleared by the next successful
+    /// [`Wal::truncate_to`]; until then nothing may be appended, or an
+    /// acked record would land behind bytes recovery stops (or worse,
+    /// replays) at.
+    dirty: bool,
 }
 
 impl std::fmt::Debug for Wal {
@@ -127,25 +134,22 @@ fn scan_records(bytes: &[u8]) -> (Vec<Vec<u8>>, Vec<u64>, u64) {
     let mut offsets = Vec::new();
     let mut pos = 0usize;
     loop {
-        if bytes.len() - pos < RECORD_HEADER as usize {
+        let body = pos + FRAME_HEADER;
+        let Some(header) = bytes.get(pos..body) else {
             break; // truncated header (or clean EOF)
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if len > MAX_RECORD {
+        };
+        let header = header.try_into().expect("header-sized slice");
+        let Ok((len, crc)) = parse_frame_header(header, MAX_RECORD) else {
             break; // absurd length: corrupt header
-        }
-        let body = pos + RECORD_HEADER as usize;
-        let end = body + len as usize;
-        if end > bytes.len() {
+        };
+        let Some(payload) = bytes.get(body..body + len) else {
             break; // torn payload
-        }
-        let payload = &bytes[body..end];
+        };
         if crc32(payload) != crc {
             break; // corrupt payload
         }
         records.push(payload.to_vec());
-        pos = end;
+        pos = body + len;
         offsets.push(pos as u64);
     }
     (records, offsets, pos as u64)
@@ -166,6 +170,7 @@ impl Wal {
             Wal {
                 storage,
                 len: valid,
+                dirty: false,
             },
             WalScan {
                 records,
@@ -187,24 +192,27 @@ impl Wal {
 
     /// Appends one framed record and (when `sync`) makes it durable.
     /// On success the record is on storage *before* the caller applies
-    /// the batch in memory — the write-ahead contract.
+    /// the batch in memory — the write-ahead contract. On failure the
+    /// frame may have reached storage anyway (a failed fsync does not
+    /// un-write it): the log is left *dirty*, and the caller must cut
+    /// the frame off with [`Wal::truncate_to`] — this method refuses to
+    /// append behind it until that has succeeded.
     pub fn append(&mut self, payload: &[u8], sync: bool) -> Result<(), DurableError> {
-        let len = u32::try_from(payload.len()).map_err(|_| {
+        if self.dirty {
+            self.truncate_to(self.len)?;
+        }
+        let header = encode_frame_header(payload, MAX_RECORD).ok_or_else(|| {
             DurableError::Corrupt(format!("record payload of {} bytes", payload.len()))
         })?;
-        if len > MAX_RECORD {
-            return Err(DurableError::Corrupt(format!(
-                "record payload of {len} bytes"
-            )));
-        }
-        let mut frame = Vec::with_capacity(RECORD_HEADER as usize + payload.len());
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
+        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+        frame.extend_from_slice(&header);
         frame.extend_from_slice(payload);
+        self.dirty = true;
         self.storage.append(&frame)?;
         if sync {
             self.storage.sync()?;
         }
+        self.dirty = false;
         self.len += frame.len() as u64;
         Ok(())
     }
@@ -218,11 +226,14 @@ impl Wal {
     }
 
     /// Discards everything past `len` bytes — the undo hook for a
-    /// record whose in-memory apply failed after the append.
+    /// record whose in-memory apply failed after the append, and for
+    /// whatever a failed append left behind. An `Err` means the bytes
+    /// may still be there; the caller must not treat the record as gone.
     pub fn truncate_to(&mut self, len: u64) -> Result<(), DurableError> {
-        if len < self.len {
+        if len < self.len || (self.dirty && len == self.len) {
             self.storage.truncate(len)?;
             self.len = len;
+            self.dirty = false;
         }
         Ok(())
     }

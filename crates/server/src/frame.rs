@@ -1,13 +1,13 @@
 //! Stream framing: `[len: u32 LE][crc: u32 LE][payload]`.
 //!
 //! The same record shape the WAL uses on disk (`gsls_durable::wal`),
-//! reused on the socket so a torn or corrupted frame is detected the
-//! same way in both places: a length prefix bounds the read, a CRC-32
-//! over the payload rejects bit damage, and anything structurally
-//! wrong surfaces as a typed [`FrameError`] — never a panic, never an
-//! over-read.
+//! through the same header codec (`gsls_durable::codec`), so a torn or
+//! corrupted frame is detected the same way in both places: a length
+//! prefix bounds the read, a CRC-32 over the payload rejects bit
+//! damage, and anything structurally wrong surfaces as a typed
+//! [`FrameError`] — never a panic, never an over-read.
 
-use gsls_durable::crc32;
+use gsls_durable::{crc32, encode_frame_header, parse_frame_header, FRAME_HEADER};
 use std::io::{self, Read, Write};
 
 /// Hard cap on a single frame's payload. A length prefix above this is
@@ -52,11 +52,15 @@ impl From<io::Error> for FrameError {
 }
 
 /// Writes one frame: header then payload, no flush policy of its own
-/// (callers flush once per response).
+/// (callers flush once per response). A payload over [`MAX_FRAME`] is
+/// an `InvalidInput` error — the peer would refuse it anyway.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let mut header = [0u8; 8];
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    let header = encode_frame_header(payload, MAX_FRAME).ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            FrameError::TooLarge(payload.len()).to_string(),
+        )
+    })?;
     w.write_all(&header)?;
     w.write_all(payload)
 }
@@ -101,7 +105,7 @@ fn is_timeout(e: &io::Error) -> bool {
 /// frame yet) from a slow in-progress transfer.
 #[derive(Debug, Default)]
 pub struct FrameReader {
-    header: [u8; 8],
+    header: [u8; FRAME_HEADER],
     hgot: usize,
     /// Allocated once the header is complete; length = payload length.
     payload: Vec<u8>,
@@ -143,11 +147,9 @@ impl FrameReader {
                 Err(e) => return Err(FrameError::Io(e)),
             }
         }
+        let (len, crc) =
+            parse_frame_header(&self.header, MAX_FRAME).map_err(FrameError::TooLarge)?;
         if !self.have_header {
-            let len = u32::from_le_bytes(self.header[..4].try_into().unwrap()) as usize;
-            if len > MAX_FRAME {
-                return Err(FrameError::TooLarge(len));
-            }
             self.payload = vec![0u8; len];
             self.pgot = 0;
             self.have_header = true;
@@ -161,7 +163,6 @@ impl FrameReader {
                 Err(e) => return Err(FrameError::Io(e)),
             }
         }
-        let crc = u32::from_le_bytes(self.header[4..].try_into().unwrap());
         let payload = std::mem::take(&mut self.payload);
         self.hgot = 0;
         self.pgot = 0;

@@ -59,8 +59,8 @@
 use crate::frame::{write_frame, FrameError, FrameReader};
 use gsls_core::{CommitOpts, Guard, Session, SessionError, Snapshot, UpdateBatch};
 use gsls_lang::{
-    decode_request, encode_response, peek_request_kind, Atom, Clause, CommitNumbers, ErrorKind,
-    GovernOpts, Request, RequestKind, Response, TermStore, TruthTag,
+    decode_request, encode_response, peek_request_kind, Atom, CommitNumbers, ErrorKind, GovernOpts,
+    Request, RequestKind, Response, TermStore, TruthTag,
 };
 use gsls_obs::{render_prometheus, Obs};
 use gsls_wfs::Truth;
@@ -756,34 +756,6 @@ fn writer_loop(
     }
 }
 
-/// Pre-validation of a decoded commit against its scratch store: the
-/// same shape checks the session would fail the batch on, applied
-/// *before* anything is interned into the session's arena.
-fn validate_commit(
-    store: &TermStore,
-    rules: &[Clause],
-    asserts: &[Atom],
-    retracts: &[Atom],
-) -> Result<(), Response> {
-    for c in rules {
-        if !c.is_function_free(store) {
-            return Err(err(
-                ErrorKind::Rejected,
-                format!("clause is not function-free: {}", c.display(store)),
-            ));
-        }
-    }
-    for a in asserts.iter().chain(retracts.iter()) {
-        if !a.is_ground(store) || !a.args_function_free(store) {
-            return Err(err(
-                ErrorKind::Rejected,
-                format!("not a ground function-free fact: {}", a.display(store)),
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Decodes and group-commits one contiguous run of commit jobs,
 /// replying to each client individually — after the covering fsync
 /// *and* after the new snapshot is published, so an acked client
@@ -809,13 +781,20 @@ fn commit_run(session: &mut Session, svc: &SessionSvc, run: Vec<Job>) {
             unreachable!()
         };
         let mut scratch = TermStore::new();
-        let (rules, asserts, retracts, opts) = match decode_request(&mut scratch, &payload) {
+        let (decoded, opts) = match decode_request(&mut scratch, &payload) {
             Ok(Request::Commit {
                 rules,
                 asserts,
                 retracts,
                 opts,
-            }) => (rules, asserts, retracts, opts),
+            }) => (
+                UpdateBatch {
+                    rules,
+                    asserts,
+                    retracts,
+                },
+                opts,
+            ),
             Ok(_) => {
                 let _ = reply.send(err(ErrorKind::Protocol, "kind/payload mismatch"));
                 continue;
@@ -833,23 +812,26 @@ fn commit_run(session: &mut Session, svc: &SessionSvc, run: Vec<Job>) {
             ));
             continue;
         }
-        if let Err(resp) = validate_commit(&scratch, &rules, &asserts, &retracts) {
-            let _ = reply.send(resp);
+        // The session's own shape check, run against the scratch store.
+        if let Err(rejection) = decoded.check_shape(&scratch) {
+            let _ = reply.send(session_err(&rejection.into()));
             continue;
         }
-        let map = scratch.translate_into(session.store_mut());
+        let store = session.store_mut();
+        let map = scratch.translate_into(store);
+        let mut atoms = |atoms: &[Atom]| -> Vec<Atom> {
+            atoms
+                .iter()
+                .map(|a| a.translate(&scratch, store, &map))
+                .collect()
+        };
         let batch = UpdateBatch {
-            rules: rules
+            asserts: atoms(&decoded.asserts),
+            retracts: atoms(&decoded.retracts),
+            rules: decoded
+                .rules
                 .iter()
-                .map(|c| c.translate(&scratch, session.store_mut(), &map))
-                .collect(),
-            asserts: asserts
-                .iter()
-                .map(|a| a.translate(&scratch, session.store_mut(), &map))
-                .collect(),
-            retracts: retracts
-                .iter()
-                .map(|a| a.translate(&scratch, session.store_mut(), &map))
+                .map(|c| c.translate(&scratch, store, &map))
                 .collect(),
         };
         let bumps = !batch.is_empty();

@@ -22,6 +22,10 @@ cargo test -q
 echo "==> cargo test --doc (the Session quickstart doctest is the API contract)"
 cargo test -q --doc
 
+echo "==> benchmark/ harness tests (its own workspace: the root build neither"
+echo "    compiles nor notices it, so API drift must fail here, not at the next run)"
+(cd benchmark && cargo test -q)
+
 echo "==> ground_smoke (join-plan vs naive-join differential)"
 cargo run --release -p gsls-bench --bin ground_smoke
 

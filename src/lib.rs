@@ -91,12 +91,15 @@
 //! (e.g. the grounding clause budget) is unwound — its WAL record is
 //! truncated off and the engine state is rebuilt at the previous epoch
 //! — so it degrades to a rolled-back transaction and the session stays
-//! writable. Only a failure of that rebuild itself poisons the
-//! session, and [`prelude::Session::recover`] retries the rebuild. The
-//! crash-injection harness behind this lives in
+//! writable. Only an unwind that cannot complete — the rebuild fails,
+//! or the WAL record cannot be cut off, so it could still replay —
+//! poisons the session, and [`prelude::Session::recover`] retries it:
+//! *unwind or poison*, never carry on over a record nobody was acked
+//! for. The crash-injection harness behind this lives in
 //! [`durable`](gsls_durable): a [`internals::FaultPlan`]-driven storage
-//! double that drops fsyncs, tears final records and kills writes at a
-//! chosen byte, driving the reopen-equals-rebuild property tests.
+//! double that drops or fails fsyncs, fails truncates, tears final
+//! records and kills writes at a chosen byte, driving the
+//! reopen-equals-rebuild property tests.
 //!
 //! ## Failure model & resource governance
 //!
@@ -109,8 +112,8 @@
 //! | `Interrupted { phase: Admission, .. }` | predicted cost exceeds a [`prelude::CommitOpts`] cap | untouched — rejected before the WAL |
 //! | `Interrupted { phase: Grounding \| ModelRefresh, .. }` | deadline, cancel, or budget trips mid-apply | rolled back — WAL record truncated, engine rebuilt at the previous epoch |
 //! | [`prelude::SessionError::Grounding`] | the grounder's own clause budget | rolled back, same path |
-//! | [`prelude::SessionError::Durable`] | storage failure on the WAL append | untouched in memory; the commit never happened |
-//! | [`prelude::SessionError::Poisoned`] | the *rollback rebuild* failed, or a panic escaped mid-commit | reads serve the last consistent model; [`prelude::Session::recover`] unwinds and retries |
+//! | [`prelude::SessionError::Durable`] | storage failure on the WAL append (or its fsync) | untouched in memory; the frame is cut back off the WAL (the log refuses further appends until it is), so the commit never happened |
+//! | [`prelude::SessionError::Poisoned`] | an unwind could not complete (rebuild failed, or the WAL record could not be cut off), a group's covering fsync failed, or a panic escaped mid-commit | reads serve the last consistent model; [`prelude::Session::recover`] completes the unwind — engine *and* WAL back at the last acked state |
 //!
 //! The [`prelude::InterruptCause`] inside `Interrupted` says *why*
 //! (`Cancelled`, `DeadlineExceeded`, `MemoryBudget`); the

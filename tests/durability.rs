@@ -19,6 +19,11 @@
 //!   tails — seed swept via `GSLS_FAULT_SEED` in check.sh) and asserts
 //!   the post-"reboot" state is the prefix named by the recovered
 //!   epoch;
+//! * the `*_never_surfaces` tests inject *transient* storage errors
+//!   (a failed fsync, a failed truncate) and pin the unwind-or-poison
+//!   contract: a commit that was not acked is cut off the WAL — or the
+//!   session stays poisoned until it is — so it can never replay, and
+//!   never shadows a later acked commit, in sync-each and group mode;
 //! * the remaining tests pin checkpoint rotation/fallback and the
 //!   failed-commit recovery semantics (rejected and failed batches
 //!   degrade to rolled-back transactions; rollback un-poisons).
@@ -387,6 +392,7 @@ fn fault_injection_run(seed: u64) {
             Vec::new()
         },
         torn_tail_bytes: rng.below(24) as u64,
+        ..FaultPlan::default()
     };
     let commits = 10;
     let batches = script_walk(seed, commits);
@@ -467,6 +473,193 @@ fn fault_injected_crash_recovers_a_commit_prefix() {
     for seed in seeds {
         fault_injection_run(seed);
     }
+}
+
+// ---------------------------------------------------------------------
+// Transient storage errors: an un-acked record never surfaces.
+// ---------------------------------------------------------------------
+
+/// The walk base on fault-injecting storage. The seed checkpoint
+/// rotates onto a fresh WAL file, so the plan's sync/truncate indices
+/// count from the first commit.
+fn open_faulty(dir: &Path, plan: FaultPlan) -> Session {
+    open_base(
+        dir,
+        DurableOpts {
+            storage: StorageKind::Faulty(plan),
+            ..no_auto_checkpoint()
+        },
+    )
+}
+
+type Fingerprint = (BTreeSet<String>, BTreeSet<String>);
+
+/// What a clean reopen of `dir` (real storage) recovers.
+fn reopened_state(dir: &Path) -> (u64, Fingerprint) {
+    let s = Session::open_with(dir, GrounderOpts::default(), no_auto_checkpoint())
+        .expect("reopen on real storage");
+    (s.epoch(), fingerprint(&s))
+}
+
+/// The un-acked-record contract, checked after an injected failure made
+/// a commit (or group) return `Err`: the session is either already back
+/// at the acked state with a clean WAL, or poisoned — refusing writes —
+/// until `recover()` gets it there. Either way a crash right now
+/// recovers exactly the acked state, the next commit succeeds, and a
+/// reopen shows acked + next: never a `failed` fact, never a lost ack.
+fn assert_failed_commit_never_surfaces(
+    ctx: &str,
+    mut s: Session,
+    dir: &Path,
+    acked: &(u64, Fingerprint),
+    failed: &[&str],
+) {
+    if s.is_poisoned() {
+        assert!(
+            matches!(s.assert_facts("f(c9)."), Err(SessionError::Poisoned)),
+            "{ctx}: a poisoned session refuses writes"
+        );
+        s.recover().expect("the injected faults are transient");
+    }
+    assert!(!s.is_poisoned(), "{ctx}");
+    assert_eq!(
+        (s.epoch(), fingerprint(&s)),
+        *acked,
+        "{ctx}: live state must be the acked state"
+    );
+    let crash_dir = temp_dir(&format!("{ctx}_crash"));
+    copy_dir(dir, &crash_dir);
+    assert_eq!(
+        reopened_state(&crash_dir),
+        *acked,
+        "{ctx}: a crash now must recover exactly the acked state"
+    );
+    let _ = std::fs::remove_dir_all(&crash_dir);
+
+    s.assert_facts("f(c7).").expect("next commit");
+    let live = (s.epoch(), fingerprint(&s));
+    assert_eq!(live.0, acked.0 + 1, "{ctx}");
+    drop(s);
+    let mut reopened = Session::open_with(dir, GrounderOpts::default(), no_auto_checkpoint())
+        .expect("reopen on real storage");
+    assert_eq!(
+        (reopened.epoch(), fingerprint(&reopened)),
+        live,
+        "{ctx}: reopen must agree with the session that kept committing"
+    );
+    assert_eq!(reopened.truth("?- f(c7).").unwrap(), Truth::True, "{ctx}");
+    for fact in failed {
+        assert_eq!(
+            reopened.truth(&format!("?- {fact}.")).unwrap(),
+            Truth::False,
+            "{ctx}: un-acked {fact} resurfaced after reopen"
+        );
+    }
+}
+
+/// Sync-each mode: the fsync of a commit's record fails. The record's
+/// bytes are in the page cache, where the *next* commit's fsync would
+/// make them durable under the same epoch — replaying the failed batch
+/// and skipping the acked one. With and without the cut failing too.
+#[test]
+fn failed_fsync_in_sync_each_mode_never_surfaces() {
+    for cut_fails in [false, true] {
+        let ctx = format!("sync_each_cut_fails_{cut_fails}");
+        let dir = temp_dir(&ctx);
+        let plan = FaultPlan {
+            fail_syncs: vec![1],
+            fail_truncates: if cut_fails { vec![0] } else { Vec::new() },
+            ..FaultPlan::default()
+        };
+        let mut s = open_faulty(&dir, plan);
+        s.assert_facts("e(c0, c1).").expect("sync #0 succeeds");
+        let acked = (s.epoch(), fingerprint(&s));
+        let err = s.assert_facts("e(c1, c2).").unwrap_err(); // sync #1 fails
+        assert!(matches!(err, SessionError::Durable(_)), "got {err:?}");
+        assert_failed_commit_never_surfaces(&ctx, s, &dir, &acked, &["e(c1, c2)"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A journaled commit is interrupted mid-apply and the truncate that
+/// should cut its record off fails: the record would replay on reopen,
+/// so the session must be poisoned until `recover()` has cut it.
+#[test]
+fn interrupted_commit_with_failed_wal_cut_never_surfaces() {
+    let ctx = "interrupted_cut_fails";
+    let dir = temp_dir(ctx);
+    let plan = FaultPlan {
+        fail_truncates: vec![0],
+        ..FaultPlan::default()
+    };
+    let mut s = open_faulty(&dir, plan);
+    s.assert_facts("e(c0, c1).").expect("acked commit");
+    let acked = (s.epoch(), fingerprint(&s));
+    s.begin().unwrap();
+    s.assert_facts("e(c1, c2).").unwrap();
+    let err = s
+        .commit_with(&CommitOpts {
+            fuel: Some(0),
+            ..CommitOpts::default()
+        })
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            SessionError::Interrupted { phase, .. } if phase != InterruptPhase::Admission
+        ),
+        "the trip must land after journaling, got {err:?}"
+    );
+    assert!(
+        s.is_poisoned(),
+        "the record is still in the WAL: the session must not carry on"
+    );
+    assert_eq!(
+        fingerprint(&s),
+        acked.1,
+        "a poisoned session keeps serving the acked model"
+    );
+    assert_failed_commit_never_surfaces(ctx, s, &dir, &acked, &["e(c1, c2)"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Group mode: the covering fsync fails after both batches were applied
+/// in memory. No ack went out, so `recover()` must return to the state
+/// before the group — memory and WAL — not bless the un-acked batches.
+#[test]
+fn failed_group_fsync_never_surfaces() {
+    let ctx = "group_fsync_fails";
+    let dir = temp_dir(ctx);
+    let plan = FaultPlan {
+        fail_syncs: vec![1],
+        ..FaultPlan::default()
+    };
+    let mut s = open_faulty(&dir, plan);
+    s.assert_facts("e(c0, c1). g(c0).")
+        .expect("sync #0 succeeds");
+    let acked = (s.epoch(), fingerprint(&s));
+    let mut batch = |assert: &str, retract: &str| {
+        let mut atoms = |src: &str| -> Vec<Atom> {
+            parse_program(s.store_mut(), src)
+                .unwrap()
+                .clauses()
+                .iter()
+                .map(|c| c.head.clone())
+                .collect()
+        };
+        let batch = UpdateBatch {
+            asserts: atoms(assert),
+            retracts: atoms(retract),
+            ..UpdateBatch::default()
+        };
+        (batch, CommitOpts::none())
+    };
+    let group = vec![batch("e(c1, c2).", "g(c0)."), batch("f(c2).", "")];
+    let err = s.commit_group(group).unwrap_err(); // sync #1: the covering fsync
+    assert!(matches!(err, SessionError::Durable(_)), "got {err:?}");
+    assert!(s.is_poisoned(), "a failed covering fsync poisons");
+    assert_failed_commit_never_surfaces(ctx, s, &dir, &acked, &["e(c1, c2)", "f(c2)"]);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------

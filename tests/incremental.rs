@@ -11,6 +11,13 @@
 //! rebuild of the merged program after every commit — checked both on
 //! the live session and through a `Snapshot` read from
 //! `gsls_par::threads()` worker threads (`GSLS_THREADS=2` in check.sh).
+//!
+//! PR 12 pins **one pipeline, one compiler** differentially: the same
+//! seeded batch sequence through every commit entry point (auto-commit,
+//! `begin`/`commit`, `commit_with`, `commit_group` of one, WAL replay)
+//! must produce identical epochs, `CommitStats`, models and WAL bytes;
+//! and the same seeded goals through `Session::prepare` and
+//! `Snapshot::prepare` must produce identical answer sets.
 
 use gsls_ground::{Grounder, GrounderOpts, HerbrandOpts};
 use gsls_lang::TermStore;
@@ -348,6 +355,334 @@ proptest! {
 fn session_walk_fixed_seeds() {
     for seed in [3, 7, 0xdeadbeef] {
         session_walk(seed, 12);
+    }
+}
+
+// ---------------------------------------------------------------------
+// One commit pipeline: every entry point ≡ every other.
+// ---------------------------------------------------------------------
+
+/// One single-kind update batch (so auto-commit can issue it as one
+/// commit too).
+#[derive(Debug, Clone)]
+enum EntryBatch {
+    Assert(String),
+    Retract(String),
+    Rules(String),
+}
+
+/// The commit entry points under test; WAL replay is the fifth, run on
+/// what these journaled.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Entry {
+    Auto,
+    Txn,
+    Governed,
+    GroupOfOne,
+}
+
+fn script_entry_batches(seed: u64, commits: usize) -> Vec<EntryBatch> {
+    let mut rng = Walk(seed);
+    let mut rules_left: Vec<&str> = WALK_RULES.to_vec();
+    let mut asserted: Vec<String> = Vec::new();
+    (0..commits)
+        .map(|step| {
+            let n_consts = 3 + step.min(3);
+            match rng.below(6) {
+                // Retract asserted (or sometimes never-asserted) facts.
+                0 | 1 if !asserted.is_empty() => {
+                    let mut src = asserted[rng.below(asserted.len())].clone();
+                    if rng.chance(0.3) {
+                        src.push(' ');
+                        src.push_str(&walk_fact(&mut rng, n_consts));
+                    }
+                    EntryBatch::Retract(src)
+                }
+                2 if !rules_left.is_empty() => {
+                    EntryBatch::Rules(rules_left.remove(rng.below(rules_left.len())).to_owned())
+                }
+                // Assert 1–3 facts: fresh, duplicate, or re-asserted.
+                _ => {
+                    let facts: Vec<String> = (0..1 + rng.below(3))
+                        .map(|_| walk_fact(&mut rng, n_consts))
+                        .collect();
+                    asserted.extend(facts.iter().cloned());
+                    EntryBatch::Assert(facts.join(" "))
+                }
+            }
+        })
+        .collect()
+}
+
+fn entry_temp_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("gsls_entry_{}_{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Everything two sessions that committed the same batches must agree
+/// on: epoch, the cumulative `CommitStats` (read back from the
+/// registry, which also counts auto-commits and replayed commits),
+/// ground-program size, and the model by atom name.
+fn entry_state(
+    s: &global_sls::prelude::Session,
+) -> (u64, [u64; 7], usize, usize, Vec<(String, u8)>) {
+    let m = s.metrics();
+    let stats = [
+        "commit.count",
+        "commit.rules_added",
+        "commit.facts_asserted",
+        "commit.facts_reenabled",
+        "commit.facts_retracted",
+        "commit.new_atoms",
+        "commit.new_clauses",
+    ]
+    .map(|name| m.counter(name).unwrap_or(0));
+    let gp = s.ground_program();
+    let mut model: Vec<_> = gp
+        .atom_ids()
+        .map(|id| (gp.display_atom(s.store(), id), s.model().truth(id) as u8))
+        .collect();
+    model.sort();
+    (s.epoch(), stats, gp.atom_count(), gp.clause_count(), model)
+}
+
+/// Commits `batch` through `entry`; `None` for auto-commit, whose
+/// stats only reach the registry.
+fn commit_via(
+    s: &mut global_sls::prelude::Session,
+    entry: Entry,
+    batch: &EntryBatch,
+) -> Option<global_sls::prelude::CommitStats> {
+    use global_sls::prelude::*;
+    let issue = |s: &mut Session| match batch {
+        EntryBatch::Assert(src) => s.assert_facts(src),
+        EntryBatch::Retract(src) => s.retract_facts(src),
+        EntryBatch::Rules(src) => s.add_rules(src),
+    };
+    match entry {
+        Entry::Auto => {
+            issue(s).expect("auto-commit");
+            None
+        }
+        Entry::Txn => {
+            s.begin().expect("begin");
+            issue(s).expect("buffer");
+            Some(s.commit().expect("commit"))
+        }
+        Entry::Governed => {
+            s.begin().expect("begin");
+            issue(s).expect("buffer");
+            Some(s.commit_with(&CommitOpts::default()).expect("commit_with"))
+        }
+        Entry::GroupOfOne => {
+            let (EntryBatch::Assert(src) | EntryBatch::Retract(src) | EntryBatch::Rules(src)) =
+                batch;
+            let clauses = parse_program(s.store_mut(), src)
+                .expect("batch parses")
+                .clauses()
+                .to_vec();
+            let heads = || clauses.iter().map(|c| c.head.clone()).collect();
+            let update = match batch {
+                EntryBatch::Assert(_) => UpdateBatch {
+                    asserts: heads(),
+                    ..UpdateBatch::default()
+                },
+                EntryBatch::Retract(_) => UpdateBatch {
+                    retracts: heads(),
+                    ..UpdateBatch::default()
+                },
+                EntryBatch::Rules(_) => UpdateBatch {
+                    rules: clauses.clone(),
+                    ..UpdateBatch::default()
+                },
+            };
+            let mut results = s
+                .commit_group(vec![(update, CommitOpts::default())])
+                .expect("group fsync");
+            assert_eq!(results.len(), 1);
+            Some(results.remove(0).expect("group batch commits"))
+        }
+    }
+}
+
+/// The differential driver: four durable sessions, one per entry
+/// point, fed the same batches; after every batch they must be
+/// indistinguishable, their WALs byte-identical at the end, and a
+/// reopen (the fifth entry: WAL replay) must land in the same state.
+fn entry_points_agree(seed: u64, commits: usize) {
+    use global_sls::prelude::*;
+    use gsls_durable::{scan_dir, wal_path};
+
+    const ENTRIES: [Entry; 4] = [Entry::Auto, Entry::Txn, Entry::Governed, Entry::GroupOfOne];
+    let batches = script_entry_batches(seed, commits);
+    let dirs: Vec<_> = ENTRIES
+        .iter()
+        .map(|e| entry_temp_dir(&format!("{seed}_{e:?}")))
+        .collect();
+    let mut sessions: Vec<Session> = dirs
+        .iter()
+        .map(|dir| {
+            let mut store = TermStore::new();
+            let program = parse_program(&mut store, WALK_BASE).expect("base parses");
+            let mut s = Session::open_with_parts(
+                dir,
+                store,
+                program,
+                GrounderOpts::default(),
+                DurableOpts::default(),
+            )
+            .expect("durable open");
+            // The rule pool includes lint-deniable rules (see session_walk).
+            s.set_lint_config(LintConfig::permissive());
+            s
+        })
+        .collect();
+
+    for (step, batch) in batches.iter().enumerate() {
+        let returned: Vec<Option<CommitStats>> = ENTRIES
+            .iter()
+            .zip(sessions.iter_mut())
+            .map(|(&entry, s)| commit_via(s, entry, batch))
+            .collect();
+        let want = entry_state(&sessions[0]);
+        assert_eq!(want.0, step as u64 + 1, "seed {seed}: one epoch per batch");
+        for (entry, s) in ENTRIES.iter().zip(&sessions).skip(1) {
+            assert_eq!(
+                entry_state(s),
+                want,
+                "seed {seed} step {step} {batch:?}: {entry:?} diverges from auto-commit"
+            );
+        }
+        let stats: Vec<CommitStats> = returned.into_iter().flatten().collect();
+        assert!(
+            stats.windows(2).all(|w| w[0] == w[1]),
+            "seed {seed} step {step} {batch:?}: returned CommitStats differ: {stats:?}"
+        );
+    }
+
+    let want = entry_state(&sessions[0]);
+    drop(sessions);
+    let wal_bytes = |dir: &std::path::Path| {
+        let gens = scan_dir(dir).expect("scan dir");
+        std::fs::read(wal_path(dir, *gens.wals.iter().max().expect("a wal"))).expect("read wal")
+    };
+    let wal = wal_bytes(&dirs[0]);
+    assert!(!wal.is_empty());
+    for (entry, dir) in ENTRIES.iter().zip(&dirs).skip(1) {
+        assert_eq!(
+            wal_bytes(dir),
+            wal,
+            "seed {seed}: {entry:?} journaled different WAL bytes"
+        );
+    }
+    // WAL replay: every batch re-enters the pipeline at `apply`.
+    let replayed = Session::open(&dirs[0]).expect("reopen");
+    assert_eq!(
+        entry_state(&replayed),
+        want,
+        "seed {seed}: WAL replay diverges from the live commits"
+    );
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+#[test]
+fn session_commit_entry_points_agree() {
+    for seed in [5, 23, 0xfeed] {
+        entry_points_agree(seed, 10);
+    }
+}
+
+// ---------------------------------------------------------------------
+// One query compiler: Session::prepare ≡ Snapshot::prepare.
+// ---------------------------------------------------------------------
+
+/// A seeded goal over the walk vocabulary — point lookups, scans,
+/// joins, residual enumeration — salted with constants and predicates
+/// no store has ever interned and with compound-pattern arguments
+/// (which no function-free atom can match).
+fn seeded_goal(rng: &mut Walk) -> String {
+    let c = |rng: &mut Walk| match rng.below(5) {
+        0 => format!("zz{}", rng.below(3)), // never seen
+        _ => format!("c{}", rng.below(6)),
+    };
+    match rng.below(12) {
+        0 => format!("?- e({}, {}).", c(rng), c(rng)),
+        1 => format!("?- t({}, X).", c(rng)),
+        2 => "?- e(X, Y), ~w(Y).".to_owned(),
+        3 => format!("?- w(X), ~e(X, {}).", c(rng)),
+        4 => "?- ~f(X).".to_owned(),
+        5 => format!("?- p(X), t(X, {}).", c(rng)),
+        6 => format!("?- nope{}(X, {}).", rng.below(3), c(rng)), // unseen predicate
+        7 => format!("?- f(X), ~nope{}(X).", rng.below(3)),
+        8 => format!("?- e(X, k{}(Y)).", rng.below(2)), // non-ground compound pattern
+        9 => format!("?- e(k0({}, X), Y).", c(rng)),
+        10 => format!("?- f(X), ~e(X, k1({})).", c(rng)), // ground compound under negation
+        _ => "?- f(X), ~e(X, k0(Y)).".to_owned(),         // unsupported on both sides
+    }
+}
+
+#[test]
+fn session_and_snapshot_prepare_agree_on_seeded_goals() {
+    use global_sls::prelude::*;
+    use std::collections::BTreeSet;
+
+    for seed in [2u64, 19, 0xabcdef] {
+        let mut rng = Walk(seed);
+        let mut session = Session::from_source(WALK_BASE).expect("base program grounds");
+        session.set_lint_config(LintConfig::permissive());
+        session.add_rules(WALK_RULES[4]).expect("residual rule"); // u(X) :- ~f(X).
+        for batch in script_entry_batches(seed, 8) {
+            commit_via(&mut session, Entry::Auto, &batch);
+        }
+        // Taken before any goal is prepared: the live store then learns
+        // the goals' new names, the snapshot's store never does.
+        let snapshot = session.snapshot();
+        let mut answered = 0usize;
+        for _ in 0..60 {
+            let goal = seeded_goal(&mut rng);
+            let live = session.prepare(&goal);
+            let frozen = snapshot.prepare(&goal);
+            let (mut live, frozen) = match (live, frozen) {
+                (Ok(l), Ok(f)) => (l, f),
+                (Err(l), Err(f)) => {
+                    assert_eq!(l, f, "seed {seed}: {goal} fails differently");
+                    continue;
+                }
+                (l, f) => panic!("seed {seed}: {goal} compiles on one side only: {l:?} / {f:?}"),
+            };
+            let vars = live.goal().vars(session.store());
+            let got_live: BTreeSet<(String, u8)> = {
+                let answers: Vec<Answer> = live.execute(&mut session).expect("live run").collect();
+                answers
+                    .iter()
+                    .map(|a| {
+                        let store = session.store();
+                        let row: Vec<String> = vars
+                            .iter()
+                            .filter_map(|&v| {
+                                let t = a.subst.lookup(v)?;
+                                Some(format!("{} = {}", store.var_name(v), store.display_term(t)))
+                            })
+                            .collect();
+                        (row.join(", "), a.truth as u8)
+                    })
+                    .collect()
+            };
+            let got_frozen: BTreeSet<(String, u8)> = frozen
+                .execute(&snapshot)
+                .expect("snapshot run")
+                .map(|a| (frozen.render_answer(&snapshot, &a), a.truth as u8))
+                .collect();
+            assert_eq!(got_live, got_frozen, "seed {seed}: {goal}");
+            answered += usize::from(!got_live.is_empty());
+        }
+        assert!(
+            answered >= 10,
+            "seed {seed}: only {answered} goals had answers — the comparison is near-vacuous"
+        );
     }
 }
 

@@ -128,7 +128,11 @@ fn snapshots_from_a_second_thread_are_monotone() {
         let mut last_commits = 0u64;
         let mut last_ground_sum = 0u64;
         let mut polls = 0u32;
-        while !done2.load(std::sync::atomic::Ordering::Relaxed) {
+        // Poll-then-test: on a loaded 2-core host the 60 commits can
+        // finish before this thread is first scheduled; the final poll
+        // still observes the (complete) counters.
+        loop {
+            let finished = done2.load(std::sync::atomic::Ordering::Relaxed);
             let m = obs.snapshot();
             let commits = m.counter("commit.count").unwrap_or(0);
             assert!(commits >= last_commits, "commit.count went backwards");
@@ -139,6 +143,9 @@ fn snapshots_from_a_second_thread_are_monotone() {
                 last_ground_sum = h.sum;
             }
             polls += 1;
+            if finished {
+                break;
+            }
         }
         polls
     });
