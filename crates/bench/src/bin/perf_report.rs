@@ -31,7 +31,7 @@
 //!
 //! * **`observability`** — the per-phase commit breakdown of the warm
 //!   win_grid 200×200 single-fact commit, read **from the session's
-//!   metrics registry** (`commit.validate` … `commit.index` latency
+//!   metrics registry** (`commit.validate` … `commit.publish` latency
 //!   histograms — no bench-side stopwatches), plus the cost of the
 //!   always-on instrumentation itself: p50 of the identical warm
 //!   commit with the bundle enabled vs. `Obs::set_enabled(false)`,
@@ -1271,7 +1271,7 @@ fn observability_sweep() -> ObsPoint {
         session.commit_with(&CommitOpts::none()).expect("commit");
     }
     let after = session.metrics();
-    const PHASES: [&str; 7] = [
+    const PHASES: [&str; 8] = [
         "commit.total",
         "commit.validate",
         "commit.admission",
@@ -1279,6 +1279,7 @@ fn observability_sweep() -> ObsPoint {
         "commit.ground",
         "commit.refresh",
         "commit.index",
+        "commit.publish",
     ];
     let phases: Vec<(&'static str, gsls_obs::HistogramSnapshot)> = PHASES
         .iter()
@@ -1392,6 +1393,7 @@ fn obs_acceptance(obs: &ObsPoint) {
         "commit.ground",
         "commit.refresh",
         "commit.index",
+        "commit.publish",
     ] {
         assert!(
             obs.phases.iter().any(|(name, _)| *name == must),

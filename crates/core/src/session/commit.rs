@@ -11,7 +11,6 @@ use gsls_analyze::{analyze_batch, estimate_batch_instances, Lint, LintLevel, Lin
 use gsls_durable::{decode_batch, encode_batch, DurableLog};
 use gsls_ground::GroundingError;
 use gsls_lang::{parse_program, Atom, Clause, FxHashMap, Program, Span, Symbol, TermStore};
-use gsls_wfs::well_founded_refresh_governed;
 use std::time::Instant;
 
 /// What one [`Session::commit`] did.
@@ -638,10 +637,19 @@ impl Session {
         let point = self.poisoned.take().expect("armed above");
         match applied {
             Ok(stats) => {
+                // Phase `commit.publish`: the new epoch becomes visible
+                // — dropping the cached snapshot frees the previous
+                // deep clone — and the commit's counters are flushed.
+                let t_publish = Instant::now();
                 self.epoch += 1;
                 self.snapshot_cache = None;
                 self.sobs.record_commit(&stats);
                 self.flush_subsystem_stats();
+                let publish_ns = t_publish.elapsed().as_nanos() as u64;
+                self.sobs.phase_publish.record(publish_ns);
+                self.obs
+                    .tracer()
+                    .span_event("commit.publish", t_publish, publish_ns);
                 Ok(stats)
             }
             Err(e) => {
@@ -758,29 +766,15 @@ impl Session {
         tracer.span_event("commit.index", t_ground, fin_delta);
 
         // 4. Model maintenance: grow the chains over the appended
-        //    atoms/clauses, flip the switched clauses, re-run the
-        //    alternating refresh from the warm state.
-        let engine = &mut self.engine;
-        engine.grounder.set_guard(Guard::none());
+        //    atoms/clauses, flip the switched clauses, restart the
+        //    alternation below the change's dependency cone.
+        self.engine.grounder.set_guard(Guard::none());
         let t_refresh = Instant::now();
-        let gp = engine.grounder.ground_program();
-        engine.t_chain.grow(gp);
-        engine.u_chain.grow(gp);
-        engine.empty.grow(gp.atom_count());
-        if !disable.is_empty() || !enable.is_empty() {
-            engine.t_chain.set_clauses_enabled(gp, &disable, &enable);
-            engine.u_chain.set_clauses_enabled(gp, &disable, &enable);
-        }
-        let refreshed = well_founded_refresh_governed(
-            gp,
-            &mut engine.t_chain,
-            &mut engine.u_chain,
-            &engine.empty,
-            guard,
-        );
-        match refreshed {
-            Ok(model) => engine.model = model,
-            Err(cause) => return Err(self.interrupted(InterruptPhase::ModelRefresh, cause, guard)),
+        if let Err(cause) = self
+            .engine
+            .refresh_model(clauses_before, &disable, &enable, guard)
+        {
+            return Err(self.interrupted(InterruptPhase::ModelRefresh, cause, guard));
         }
         let refresh_ns = t_refresh.elapsed().as_nanos() as u64;
         self.sobs.phase_refresh.record(refresh_ns);

@@ -2,10 +2,11 @@
 //! the two warm fixpoint chains, the model, the retracted-fact set and
 //! the predicate arities — and the **one** way to build it from source.
 
+use crate::govern::{Guard, InterruptCause};
 use gsls_analyze::{AnalyzerOpts, LintConfig};
 use gsls_ground::{GrounderOpts, GroundingError, IncrementalGrounder};
 use gsls_lang::{Atom, Clause, FxHashMap, Program, Symbol, TermStore};
-use gsls_wfs::{well_founded_refresh, BitSet, IncrementalLfp, Interp, NegMode};
+use gsls_wfs::{well_founded_refresh_governed, ChangeCone, IncrementalLfp, Interp, NegMode};
 
 /// Everything derived from `(program, retracted facts)`. Commits
 /// maintain it incrementally; construction, checkpoint restore and the
@@ -14,8 +15,9 @@ pub(super) struct EngineState {
     pub grounder: IncrementalGrounder,
     pub t_chain: IncrementalLfp,
     pub u_chain: IncrementalLfp,
-    /// Reusable empty context for the alternating refresh.
-    pub empty: BitSet,
+    /// Reusable scratch for the refresh's restart set: the dependency
+    /// cone of what a commit changed.
+    cone: ChangeCone,
     pub model: Interp,
     /// Currently-retracted facts: ground-clause index → source atom.
     /// The atom is kept so the set survives a full re-ground (clause
@@ -28,7 +30,9 @@ pub(super) struct EngineState {
 
 impl EngineState {
     /// Grounds `program`, switches the `retracted` source facts off on
-    /// fresh chains and solves once. The committed *state* a rebuild
+    /// fresh chains and solves once — through the same
+    /// [`EngineState::refresh_model`] every commit runs, which on
+    /// unprimed chains starts from `∅`. The committed *state* a rebuild
     /// reproduces is exact; internal clause/atom numbering may differ
     /// from the incrementally-maintained state it replaces.
     pub fn build(
@@ -38,40 +42,70 @@ impl EngineState {
         retracted: impl IntoIterator<Item = Atom>,
     ) -> Result<EngineState, GroundingError> {
         let grounder = IncrementalGrounder::new(store, program, opts)?;
-        let (t_chain, u_chain, empty, model, disabled) = {
-            let gp = grounder.ground_program();
-            let mut t_chain = IncrementalLfp::new(gp, NegMode::SatisfiedOutside);
-            let mut u_chain = IncrementalLfp::new(gp, NegMode::SatisfiedOutside);
-            let empty = BitSet::new(gp.atom_count());
-            let mut disabled: FxHashMap<u32, Atom> = FxHashMap::default();
-            let mut disable: Vec<u32> = Vec::new();
-            for atom in retracted {
-                let Some(ci) = source_fact_clause(&grounder, &atom) else {
-                    continue;
-                };
-                if let std::collections::hash_map::Entry::Vacant(slot) = disabled.entry(ci) {
-                    disable.push(ci);
-                    slot.insert(atom);
-                }
-            }
-            if !disable.is_empty() {
-                t_chain.set_clauses_enabled(gp, &disable, &[]);
-                u_chain.set_clauses_enabled(gp, &disable, &[]);
-            }
-            let model = well_founded_refresh(gp, &mut t_chain, &mut u_chain, &empty);
-            (t_chain, u_chain, empty, model, disabled)
-        };
-        let mut arities = FxHashMap::default();
-        note_arities(&mut arities, program.clauses());
-        Ok(EngineState {
+        let gp = grounder.ground_program();
+        let mut engine = EngineState {
+            t_chain: IncrementalLfp::new(gp, NegMode::SatisfiedOutside),
+            u_chain: IncrementalLfp::new(gp, NegMode::SatisfiedOutside),
+            cone: ChangeCone::new(),
+            model: Interp::new(gp.atom_count()),
+            disabled: FxHashMap::default(),
+            arities: FxHashMap::default(),
             grounder,
-            t_chain,
-            u_chain,
-            empty,
-            model,
-            disabled,
-            arities,
-        })
+        };
+        let mut disable: Vec<u32> = Vec::new();
+        for atom in retracted {
+            let Some(ci) = engine.source_fact_clause(&atom) else {
+                continue;
+            };
+            if let std::collections::hash_map::Entry::Vacant(slot) = engine.disabled.entry(ci) {
+                disable.push(ci);
+                slot.insert(atom);
+            }
+        }
+        let clauses = engine.grounder.ground_program().clause_count();
+        engine
+            .refresh_model(clauses, &disable, &[], &Guard::none())
+            .expect("an ungoverned refresh cannot be interrupted");
+        note_arities(&mut engine.arities, program.clauses());
+        Ok(engine)
+    }
+
+    /// Model maintenance — step 4 of a commit, and all of a build: grow
+    /// the chains over the clauses appended from index `first_new` on,
+    /// flip the switched clauses, then restart the alternation below the
+    /// dependency cone of everything that changed
+    /// ([`ChangeCone::restart_set`]) and write the model in place. Every
+    /// loop polls `guard`; on a trip the chains are torn and the caller
+    /// unwinds to a rebuilt engine.
+    pub fn refresh_model(
+        &mut self,
+        first_new: usize,
+        disable: &[u32],
+        enable: &[u32],
+        guard: &Guard,
+    ) -> Result<(), InterruptCause> {
+        let gp = self.grounder.ground_program();
+        self.t_chain.grow_governed(gp, guard)?;
+        self.u_chain.grow_governed(gp, guard)?;
+        self.model.grow(gp.atom_count());
+        self.t_chain
+            .set_clauses_enabled_governed(gp, disable, enable, guard)?;
+        self.u_chain
+            .set_clauses_enabled_governed(gp, disable, enable, guard)?;
+        let changed = (first_new as u32..gp.clause_count() as u32)
+            .chain(disable.iter().copied())
+            .chain(enable.iter().copied());
+        let start = self
+            .cone
+            .restart_set(gp, changed, self.model.pos(), guard)?;
+        well_founded_refresh_governed(
+            gp,
+            &mut self.t_chain,
+            &mut self.u_chain,
+            start,
+            &mut self.model,
+            guard,
+        )
     }
 
     /// The switchable ground clause of a source fact, if `atom` is one.

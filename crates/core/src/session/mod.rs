@@ -13,10 +13,17 @@
 //!   [`gsls_ground::IncrementalGrounder::extend`] (re-joining only the
 //!   plans whose predicates grew, via the relevance index) and
 //!   maintains the model on two warm [`gsls_wfs::IncrementalLfp`] chains
-//!   ([`gsls_wfs::well_founded_refresh`]) instead of re-solving from
-//!   scratch. Retraction is a model-level clause switch: the ground
-//!   program is append-only, a retracted fact's clause is disabled on
-//!   the chains and re-enabled by a later re-assert.
+//!   instead of re-solving from scratch. Retraction is a model-level
+//!   clause switch: the ground program is append-only, a retracted
+//!   fact's clause is disabled on the chains and re-enabled by a later
+//!   re-assert. The model refresh costs the change, not the program:
+//!   the alternating iteration restarts
+//!   ([`gsls_wfs::well_founded_refresh`]) from the previous model's true
+//!   atoms *outside the forward dependency cone* of the clauses the
+//!   commit appended or switched ([`gsls_wfs::ChangeCone`]) — relevance,
+//!   the property Ross's global tree makes literal (the tree for `← A`
+//!   only visits atoms `A` depends on), keeps every verdict outside that
+//!   cone fixed.
 //! * **Prepared queries** — [`Session::prepare`] compiles a goal once
 //!   into a [`PreparedQuery`] (pattern specs, slot layout, engine
 //!   choice, reusable scratch); [`PreparedQuery::execute`] streams
@@ -51,7 +58,15 @@
 //! WAL replay ([`Session::open`]) enters it at `apply`. The entry points
 //! differ only in the guard (none, or built from `CommitOpts`) and in
 //! whether `journal` fsyncs now or leaves it to the group's covering
-//! fsync.
+//! fsync. `apply` is ground → index → refresh: delta-ground the batch,
+//! finalize the CSR indexes, then `EngineState::refresh_model` — the
+//! same function a from-source build runs on unprimed chains — grows
+//! and switches the chains and restarts the alternation below the
+//! change's cone, every loop of it polling the commit's guard.
+//! `publish` bumps the epoch, drops the cached snapshot and flushes the
+//! commit's counters. Seven phase histograms (`commit.validate`,
+//! `.admission`, `.journal`, `.ground`, `.index`, `.refresh`,
+//! `.publish`) add up to `commit.total`.
 //!
 //! ```text
 //! validate ──▶ admit ──────▶ journal ─────▶ apply ──────────▶ publish
@@ -183,6 +198,7 @@ struct SessionObs {
     phase_ground: Histogram,
     phase_refresh: Histogram,
     phase_index: Histogram,
+    phase_publish: Histogram,
     ground_rounds: Counter,
     ground_join_candidates: Counter,
     ground_index_probes: Counter,
@@ -220,6 +236,7 @@ impl SessionObs {
             phase_ground: reg.histogram("commit.ground"),
             phase_refresh: reg.histogram("commit.refresh"),
             phase_index: reg.histogram("commit.index"),
+            phase_publish: reg.histogram("commit.publish"),
             ground_rounds: reg.counter("ground.rounds"),
             ground_join_candidates: reg.counter("ground.join_candidates"),
             ground_index_probes: reg.counter("ground.index_probes"),
@@ -690,7 +707,7 @@ impl Session {
 
     /// A consistent snapshot of every engine metric this session has
     /// recorded: commit counters, per-phase commit latency histograms
-    /// (`commit.validate` … `commit.index`, plus `commit.total`),
+    /// (`commit.validate` … `commit.publish`, plus `commit.total`),
     /// grounder/fixpoint work counters, WAL I/O, query counters, and
     /// `guard.trips.<phase>.<cause>`. Cheap enough to call per request.
     pub fn metrics(&self) -> MetricsSnapshot {

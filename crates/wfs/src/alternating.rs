@@ -20,7 +20,7 @@ use crate::incremental::{IncrementalLfp, NegMode};
 use crate::interp::Interp;
 use crate::propagator::Propagator;
 use crate::tp::lfp_with_rebuild;
-use gsls_ground::GroundProgram;
+use gsls_ground::{GroundAtomId, GroundProgram};
 use gsls_par::govern::{Guard, InterruptCause};
 
 /// Statistics from an alternating-fixpoint run.
@@ -96,31 +96,54 @@ pub fn well_founded_model_with_stats(gp: &GroundProgram) -> (Interp, Alternating
     (Interp::from_parts(t, false_set), stats)
 }
 
-/// Recomputes the well-founded model of `gp` on **warm** chains — the
-/// session maintenance path. The same alternating iteration as
-/// [`well_founded_model`] runs from `T₀ = ∅`, but the two
-/// [`IncrementalLfp`] chains carry their state across calls (and across
-/// program growth via [`IncrementalLfp::grow`] and clause switching via
-/// [`IncrementalLfp::set_clauses_enabled`]), so no priming scan is ever
-/// repeated: every reduct evaluation diffs against the chain's stored
-/// context and pays for the change cone, not for program size.
+/// Brings the well-founded model of `gp` up to date on **warm** chains
+/// — the one refresh behind session construction, every commit and WAL
+/// replay. The two [`IncrementalLfp`] chains carry their state across
+/// calls (and across program growth via [`IncrementalLfp::grow`] and
+/// clause switching via [`IncrementalLfp::set_clauses_enabled`]), so
+/// every reduct evaluation diffs against the chain's stored context and
+/// pays for what changed, not for program size. The result is written
+/// into `model` in place (capacity `gp.atom_count()`); nothing is
+/// allocated once the chains' scratch has reached steady capacity.
 ///
-/// `empty` must be an empty bitset of `gp.atom_count()` capacity (the
-/// caller keeps it around and [`BitSet::grow`]s it with the program so
-/// the refresh itself allocates nothing).
+/// **The start-set contract.** The alternation runs from `T₀ = start`
+/// instead of `T₀ = ∅`:
 ///
-/// Correctness note: warm starts do not perturb the iteration — each
-/// `evaluate` is exact for the presented context, and the presented
-/// contexts are the alternating sequence from `∅`, whose `T`-results
-/// grow and `U`-results shrink monotonically; equal consecutive
-/// cardinalities therefore still imply the fixpoint.
+/// ```text
+/// T₀ = start,  U₀ = A(T₀),  Tᵢ₊₁ = A(Uᵢ),  Uᵢ₊₁ = A(Tᵢ₊₁)
+/// ```
+///
+/// and `start` must satisfy `start ⊆ T∞`, the true set of `gp`'s
+/// well-founded model. `∅` always qualifies (it is what unprimed chains
+/// get), and so does [`ChangeCone::restart_set`]: the previous model's
+/// true atoms outside the forward dependency cone of whatever changed,
+/// which relevance — `M_WF(P)(a)` is fixed by the clauses `a` depends
+/// on — leaves true. A `start` with an atom outside `T∞` is a contract
+/// violation; debug builds catch it (`start ⊆ result`).
+///
+/// **Correctness note (the sandwich).** `F = A∘A` is monotone and `T∞`
+/// is its least fixpoint, so `∅ ⊆ start ⊆ T∞` gives
+/// `Fⁿ(∅) ⊆ Fⁿ(start) ⊆ Fⁿ(T∞) = T∞` for every `n`. The lower bound is
+/// the classical iteration, which reaches `T∞` after finitely many
+/// rounds; the restart is squeezed onto `T∞` no later, and each of its
+/// rounds touches only what differs from the chains' stored state — the
+/// cone, not the program.
+///
+/// **The stop rule is set equality.** From a non-empty start the `Tᵢ`
+/// need not grow monotonically (`start` is below `T∞`, not necessarily
+/// below `F(start)`), so equal cardinalities of consecutive rounds can
+/// hide different sets. The loop stops when `Tᵢ₊₁ = Tᵢ` as sets, read
+/// off [`IncrementalLfp::context_changed`] — the `U`-chain diffs the
+/// presented `Tᵢ₊₁` against its stored `Tᵢ` anyway. That is a fixpoint
+/// of `F` inside the sandwich, i.e. below the least one: it is `T∞`.
 pub fn well_founded_refresh(
     gp: &GroundProgram,
     t_chain: &mut IncrementalLfp,
     u_chain: &mut IncrementalLfp,
-    empty: &BitSet,
-) -> Interp {
-    well_founded_refresh_governed(gp, t_chain, u_chain, empty, &Guard::none())
+    start: &BitSet,
+    model: &mut Interp,
+) {
+    well_founded_refresh_governed(gp, t_chain, u_chain, start, model, &Guard::none())
         .expect("an ungoverned refresh cannot be interrupted")
 }
 
@@ -128,40 +151,105 @@ pub fn well_founded_refresh(
 /// evaluation runs governed ([`IncrementalLfp::evaluate_governed`]) and
 /// the outer alternation checks the guard once per round, so a
 /// cancellation, deadline, or fuel trip surfaces within one tick
-/// interval of work. On interruption the chains are left unprimed (they
-/// re-prime on next use — see `evaluate_governed`) and the error
-/// carries the trip cause; callers that must restore exact warm-chain
-/// state rebuild the chains, as the session rollback path does.
+/// interval of work. On interruption `model` is untouched, the chain
+/// that tripped is left unprimed (it re-primes on next use) and the
+/// error carries the trip cause; the previous model no longer bounds a
+/// later `start` then — restart from `∅`, or rebuild the chains as the
+/// session rollback path does.
 pub fn well_founded_refresh_governed(
     gp: &GroundProgram,
     t_chain: &mut IncrementalLfp,
     u_chain: &mut IncrementalLfp,
-    empty: &BitSet,
+    start: &BitSet,
+    model: &mut Interp,
     guard: &Guard,
-) -> Result<Interp, InterruptCause> {
-    debug_assert_eq!(empty.capacity(), gp.atom_count());
-    debug_assert!(empty.is_empty());
-    let mut t_count = 0usize;
-    let mut u_count = u_chain.evaluate_governed(gp, empty, guard)?;
+) -> Result<(), InterruptCause> {
+    debug_assert_eq!(start.capacity(), gp.atom_count());
+    u_chain.evaluate_governed(gp, start, guard)?;
     loop {
         guard.check()?;
-        let tc = t_chain.evaluate_governed(gp, u_chain.out(), guard)?;
-        let uc = u_chain.evaluate_governed(gp, t_chain.out(), guard)?;
-        let stable = tc == t_count && uc == u_count;
-        t_count = tc;
-        u_count = uc;
-        if stable {
+        t_chain.evaluate_governed(gp, u_chain.out(), guard)?;
+        u_chain.evaluate_governed(gp, t_chain.out(), guard)?;
+        if !u_chain.context_changed() {
             break;
         }
     }
-    let t = t_chain.out().clone();
-    let mut false_set = u_chain.out().clone();
     debug_assert!(
-        t.is_subset(&false_set),
-        "alternating fixpoint order violated"
+        start.is_subset(t_chain.out()),
+        "refresh start set was not below the well-founded true set"
     );
-    false_set.complement_in_place();
-    Ok(Interp::from_parts(t, false_set))
+    model.assign_bounds(t_chain.out(), u_chain.out());
+    Ok(())
+}
+
+/// Reusable scratch for the restart set of [`well_founded_refresh`]:
+/// the forward dependency cone of a program change, and the previous
+/// model's true atoms outside it.
+#[derive(Debug, Clone, Default)]
+pub struct ChangeCone {
+    /// Cone atoms whose dependents are still to be visited.
+    stack: Vec<u32>,
+    /// The cone: every atom that depends on a changed clause's head.
+    cone: BitSet,
+    /// `old_true ∖ cone`.
+    start: BitSet,
+    /// Work-tick counter feeding [`Guard::tick`].
+    tick: u32,
+}
+
+impl ChangeCone {
+    /// An empty scratch; it sizes itself to the program on first use.
+    pub fn new() -> Self {
+        ChangeCone::default()
+    }
+
+    /// Computes `old_true ∖ cone`, where `cone` is the forward closure —
+    /// over `watch_pos ∪ watch_neg → heads` of the finalized `gp` — of
+    /// the heads of the `changed` clauses (indices; every clause the
+    /// change appended, disabled or enabled), and `old_true` is the true
+    /// set of the well-founded model *before* the change, at
+    /// `gp.atom_count()` capacity.
+    ///
+    /// An atom outside the cone depends on no changed clause, so the
+    /// clauses it depends on — and with them its well-founded verdict —
+    /// are the same before and after: the returned set lies below the
+    /// new model's true set, which is the [`well_founded_refresh`]
+    /// start-set contract. The walk covers switched-off clauses too (a
+    /// superset of the cone is as sound) and ticks `guard` per visited
+    /// atom; its cost is the cone's atoms plus the watch lists they head.
+    pub fn restart_set(
+        &mut self,
+        gp: &GroundProgram,
+        changed: impl IntoIterator<Item = u32>,
+        old_true: &BitSet,
+        guard: &Guard,
+    ) -> Result<&BitSet, InterruptCause> {
+        let n = gp.atom_count();
+        self.cone.grow(n);
+        self.cone.clear();
+        self.start.grow(n);
+        self.start.copy_from(old_true);
+        self.stack.clear();
+        let heads = gp.heads();
+        for ci in changed {
+            let h = heads[ci as usize];
+            if self.cone.insert(h.index()) {
+                self.stack.push(h.0);
+            }
+        }
+        while let Some(a) = self.stack.pop() {
+            guard.tick(&mut self.tick)?;
+            self.start.remove(a as usize);
+            let a = GroundAtomId(a);
+            for &ci in gp.watch_pos(a).iter().chain(gp.watch_neg(a)) {
+                let h = heads[ci as usize];
+                if self.cone.insert(h.index()) {
+                    self.stack.push(h.0);
+                }
+            }
+        }
+        Ok(&self.start)
+    }
 }
 
 /// The full-recompute alternating fixpoint of PR 1: every `A(·)` runs
@@ -346,8 +434,6 @@ mod tests {
 
     #[test]
     fn refresh_tracks_growth_and_switching() {
-        use crate::bitset::BitSet;
-        use crate::incremental::{IncrementalLfp, NegMode};
         let mut s = TermStore::new();
         let p = parse_program(
             &mut s,
@@ -357,9 +443,15 @@ mod tests {
         let mut gp = Grounder::ground(&mut s, &p).unwrap();
         let mut t_chain = IncrementalLfp::new(&gp, NegMode::SatisfiedOutside);
         let mut u_chain = IncrementalLfp::new(&gp, NegMode::SatisfiedOutside);
-        let mut empty = BitSet::new(gp.atom_count());
-        let m0 = well_founded_refresh(&gp, &mut t_chain, &mut u_chain, &empty);
-        assert_eq!(m0, well_founded_model(&gp));
+        let mut cone = ChangeCone::new();
+        let mut model = Interp::new(gp.atom_count());
+        let none = Guard::none();
+        // Unprimed chains, nothing changed: the start set is ∅.
+        let start = cone.restart_set(&gp, [], model.pos(), &none).unwrap();
+        assert!(start.is_empty());
+        well_founded_refresh(&gp, &mut t_chain, &mut u_chain, start, &mut model);
+        assert_eq!(model, well_founded_model(&gp));
+        let m0 = model.clone();
         // Grow: give c an escape move back to a, plus its win rule
         // instance — flips the board's values.
         let mv = s.intern_symbol("move");
@@ -368,23 +460,29 @@ mod tests {
         let mca = gp.intern_atom(gsls_lang::Atom::new(mv, vec![c, a]));
         let wc = gp.intern_atom(gsls_lang::Atom::new(win, vec![c]));
         let wa = gp.lookup_atom(&gsls_lang::Atom::new(win, vec![a])).unwrap();
+        let first_new = gp.clause_count() as u32;
         gp.push_clause_parts(mca, &[], &[]);
         gp.push_clause_parts(wc, &[mca], &[wa]);
         gp.finalize();
         t_chain.grow(&gp);
         u_chain.grow(&gp);
-        empty.grow(gp.atom_count());
-        let m1 = well_founded_refresh(&gp, &mut t_chain, &mut u_chain, &empty);
-        assert_eq!(m1, well_founded_model(&gp), "after growth");
+        model.grow(gp.atom_count());
+        let start = cone
+            .restart_set(&gp, first_new..first_new + 2, model.pos(), &none)
+            .unwrap();
+        well_founded_refresh(&gp, &mut t_chain, &mut u_chain, start, &mut model);
+        assert_eq!(model, well_founded_model(&gp), "after growth");
         // Switch the new move fact off again on both chains: the model
         // must return to the original board's verdicts on old atoms.
-        let fact_ci = (gp.clause_count() - 2) as u32;
-        t_chain.set_clauses_enabled(&gp, &[fact_ci], &[]);
-        u_chain.set_clauses_enabled(&gp, &[fact_ci], &[]);
-        let m2 = well_founded_refresh(&gp, &mut t_chain, &mut u_chain, &empty);
+        t_chain.set_clauses_enabled(&gp, &[first_new], &[]);
+        u_chain.set_clauses_enabled(&gp, &[first_new], &[]);
+        let start = cone
+            .restart_set(&gp, [first_new], model.pos(), &none)
+            .unwrap();
+        well_founded_refresh(&gp, &mut t_chain, &mut u_chain, start, &mut model);
         for atom in [("win(a)"), ("win(b)"), ("win(c)")] {
             let old = gsls_ground::testutil::atom_id(&s, &gp, atom);
-            assert_eq!(m2.truth(old), m0.truth(old), "{atom} after switch-off");
+            assert_eq!(model.truth(old), m0.truth(old), "{atom} after switch-off");
         }
     }
 

@@ -127,10 +127,13 @@ pub struct IncrementalLfp {
     /// the session has switched off.
     disabled: Vec<bool>,
     primed: bool,
+    /// Whether the latest evaluation's context differed from the stored
+    /// one (a priming call always counts as a change).
+    context_changed: bool,
     stats: IncStats,
     n_atoms: usize,
-    /// Governance guard for the current evaluation (ungoverned outside
-    /// [`Self::evaluate_governed`]).
+    /// Governance guard for the operation in flight (unset outside the
+    /// `*_governed` entry points).
     guard: Guard,
     /// Work-tick counter feeding [`Guard::tick`].
     tick: u32,
@@ -158,6 +161,7 @@ impl IncrementalLfp {
             revived_heads: Vec::new(),
             disabled: vec![false; gp.clause_count()],
             primed: false,
+            context_changed: false,
             stats: IncStats::default(),
             n_atoms: n,
             guard: Guard::none(),
@@ -181,6 +185,16 @@ impl IncrementalLfp {
         self.stats
     }
 
+    /// Whether the most recent evaluation was presented a context that
+    /// differed *as a set* from the one the engine had stored (a priming
+    /// evaluation always counts as changed). An iteration that feeds a
+    /// chain its own successive results reads its set-equality stop test
+    /// off this: `false` means the presented set equalled the previous
+    /// one, at the cost of the word-wise diff the evaluation runs anyway.
+    pub fn context_changed(&self) -> bool {
+        self.context_changed
+    }
+
     /// Consumes the engine, returning the fixpoint set (for final model
     /// construction without a copy).
     pub fn into_out(self) -> BitSet {
@@ -197,8 +211,7 @@ impl IncrementalLfp {
     /// every later call re-enqueues only clauses reachable from the
     /// context delta through `watch_neg`.
     pub fn evaluate(&mut self, gp: &GroundProgram, context: &BitSet) -> usize {
-        self.guard = Guard::none();
-        self.evaluate_inner(gp, context)
+        self.evaluate_governed(gp, context, &Guard::none())
             .expect("an ungoverned evaluation cannot be interrupted")
     }
 
@@ -214,8 +227,19 @@ impl IncrementalLfp {
         context: &BitSet,
         guard: &Guard,
     ) -> Result<usize, InterruptCause> {
+        self.governed(guard, |lfp| lfp.evaluate_inner(gp, context))
+    }
+
+    /// Runs one state-changing operation under `guard`. A trip leaves the
+    /// engine **unprimed**: its partial counters are inconsistent, so the
+    /// next evaluation re-primes from scratch.
+    fn governed<T>(
+        &mut self,
+        guard: &Guard,
+        op: impl FnOnce(&mut Self) -> Result<T, InterruptCause>,
+    ) -> Result<T, InterruptCause> {
         self.guard = guard.clone();
-        let r = self.evaluate_inner(gp, context);
+        let r = op(self);
         self.guard = Guard::none();
         if r.is_err() {
             self.primed = false;
@@ -232,11 +256,12 @@ impl IncrementalLfp {
         debug_assert_eq!(self.n_atoms, gp.atom_count(), "program changed");
         debug_assert_eq!(context.capacity(), self.n_atoms);
         self.stats.evaluations += 1;
-        if !self.primed {
-            self.prime(gp, context)?;
+        self.context_changed = if self.primed {
+            self.update(gp, context)?
         } else {
-            self.update(gp, context)?;
-        }
+            self.prime(gp, context)?;
+            true
+        };
         Ok(self.out_count)
     }
 
@@ -267,8 +292,9 @@ impl IncrementalLfp {
 
     /// One delta step: diff the stored context against `context`, flip
     /// clause liveness through `watch_neg`, retract the cone of broken
-    /// derivations, revive and re-derive, then drain the queue.
-    fn update(&mut self, gp: &GroundProgram, context: &BitSet) -> Result<(), InterruptCause> {
+    /// derivations, revive and re-derive, then drain the queue. Returns
+    /// whether the two contexts differed at all.
+    fn update(&mut self, gp: &GroundProgram, context: &BitSet) -> Result<bool, InterruptCause> {
         // Phase 1: word-wise diff into "now blocks its watchers" /
         // "no longer blocks its watchers" atom lists.
         self.now_blocking.clear();
@@ -288,10 +314,10 @@ impl IncrementalLfp {
                 }
             }
         }
-        self.s.copy_from(context);
         if self.now_blocking.is_empty() && self.now_unblocked.is_empty() {
-            return Ok(());
+            return Ok(false);
         }
+        self.s.copy_from(context);
 
         // Phase 2: re-delete clauses that gained a blocker. A deleted
         // clause that was satisfied invalidates one derivation of its
@@ -356,7 +382,8 @@ impl IncrementalLfp {
         self.rederive_retracted(gp)?;
 
         // Phase 5: drain the derivation queue.
-        self.propagate(gp)
+        self.propagate(gp)?;
+        Ok(true)
     }
 
     /// Overdeletes the dependent cone of everything on `self.retracted`
@@ -415,6 +442,19 @@ impl IncrementalLfp {
     /// holds again on return. Callers must still present contexts of
     /// the *new* atom capacity to subsequent [`Self::evaluate`] calls.
     pub fn grow(&mut self, gp: &GroundProgram) {
+        self.grow_governed(gp, &Guard::none())
+            .expect("an ungoverned grow cannot be interrupted")
+    }
+
+    /// [`Self::grow`] under a governance [`Guard`]: the re-closing
+    /// propagation polls it like an evaluation does. A trip leaves the
+    /// engine resized to `gp` but **unprimed**, exactly as
+    /// [`Self::evaluate_governed`] does.
+    pub fn grow_governed(
+        &mut self,
+        gp: &GroundProgram,
+        guard: &Guard,
+    ) -> Result<(), InterruptCause> {
         assert!(
             gp.is_finalized(),
             "IncrementalLfp::grow requires a finalized GroundProgram"
@@ -432,13 +472,20 @@ impl IncrementalLfp {
         self.missing.resize(nc, 0);
         self.disabled.resize(nc, false);
         if !self.primed || old_nc == nc {
-            return;
+            return Ok(());
         }
-        // Two-phase like revival: compute every new counter against the
-        // pre-insertion `out`, then insert complete heads, then
-        // propagate — counters must never see pending queue entries.
+        self.governed(guard, |lfp| lfp.absorb_clauses(gp, old_nc as u32))
+    }
+
+    /// Evaluates the clauses appended from index `first` on against the
+    /// stored context and re-closes the fixpoint. Two-phase like
+    /// revival: compute every new counter against the pre-insertion
+    /// `out`, then insert complete heads, then propagate — counters must
+    /// never see pending queue entries.
+    fn absorb_clauses(&mut self, gp: &GroundProgram, first: u32) -> Result<(), InterruptCause> {
         self.revived_heads.clear();
-        for ci in old_nc as u32..nc as u32 {
+        for ci in first..gp.clause_count() as u32 {
+            self.guard.tick(&mut self.tick)?;
             self.stats.clause_checks += 1;
             let c = gp.clause(ci);
             if c.neg.iter().all(|&q| Self::sat(&self.s, self.mode, q)) {
@@ -459,10 +506,7 @@ impl IncrementalLfp {
             let h = self.revived_heads[i];
             self.insert(GroundAtomId(h));
         }
-        // `grow` runs between evaluations, where the guard is always
-        // unset (both `evaluate_governed` paths reset it).
         self.propagate(gp)
-            .expect("an ungoverned propagation cannot be interrupted");
     }
 
     /// Switches clauses off (`disable`) and back on (`enable`) — the
@@ -473,6 +517,21 @@ impl IncrementalLfp {
     /// the stored context. Indices may repeat; a disable and enable of
     /// the same clause in one call resolves to its `enable` membership.
     pub fn set_clauses_enabled(&mut self, gp: &GroundProgram, disable: &[u32], enable: &[u32]) {
+        self.set_clauses_enabled_governed(gp, disable, enable, &Guard::none())
+            .expect("an ungoverned clause switch cannot be interrupted")
+    }
+
+    /// [`Self::set_clauses_enabled`] under a governance [`Guard`]: the
+    /// delete-and-rederive cascade polls it. A trip leaves the switches
+    /// recorded and the engine **unprimed** (the re-priming scan reads
+    /// them), exactly as [`Self::evaluate_governed`] does.
+    pub fn set_clauses_enabled_governed(
+        &mut self,
+        gp: &GroundProgram,
+        disable: &[u32],
+        enable: &[u32],
+        guard: &Guard,
+    ) -> Result<(), InterruptCause> {
         for &ci in disable {
             self.disabled[ci as usize] = true;
         }
@@ -480,11 +539,22 @@ impl IncrementalLfp {
             self.disabled[ci as usize] = false;
         }
         if !self.primed {
-            return; // prime() reads `disabled` directly
+            return Ok(()); // prime() reads `disabled` directly
         }
+        self.governed(guard, |lfp| lfp.switch_clauses(gp, disable, enable))
+    }
+
+    /// Brings the fixpoint in line with freshly recorded clause switches.
+    fn switch_clauses(
+        &mut self,
+        gp: &GroundProgram,
+        disable: &[u32],
+        enable: &[u32],
+    ) -> Result<(), InterruptCause> {
         self.retracted.clear();
         let heads = gp.heads();
         for &ci in disable {
+            self.guard.tick(&mut self.tick)?;
             if !self.disabled[ci as usize] {
                 continue; // re-enabled later in the same batch
             }
@@ -498,12 +568,10 @@ impl IncrementalLfp {
                 self.retract(heads[ci as usize]);
             }
         }
-        // Like `grow`, clause switching runs between evaluations with
-        // the guard unset, so the fallible internals cannot trip.
-        self.cascade_retractions(gp)
-            .expect("an ungoverned cascade cannot be interrupted");
+        self.cascade_retractions(gp)?;
         self.revived_heads.clear();
         for &ci in enable {
+            self.guard.tick(&mut self.tick)?;
             if self.disabled[ci as usize] || self.missing[ci as usize] != DEAD {
                 continue; // still off, or already alive
             }
@@ -527,10 +595,8 @@ impl IncrementalLfp {
             let h = self.revived_heads[i];
             self.insert(GroundAtomId(h));
         }
-        self.rederive_retracted(gp)
-            .expect("an ungoverned re-derivation cannot be interrupted");
+        self.rederive_retracted(gp)?;
         self.propagate(gp)
-            .expect("an ungoverned propagation cannot be interrupted");
     }
 
     #[inline]
@@ -828,6 +894,70 @@ mod tests {
         assert!(inc.out().contains(atom_id(&s, &gp, "r").index()));
         let count2 = inc.evaluate(&gp, &ctx);
         assert_eq!(count2, count);
+    }
+
+    /// A positive chain long enough that re-closing it (or retracting
+    /// it) crosses a tick interval: `c0 :- b. cᵢ₊₁ :- cᵢ.`
+    fn long_chain(with_base: bool) -> (TermStore, GroundProgram) {
+        let mut src = String::from(if with_base { "b.\n" } else { "" });
+        src.push_str("c0 :- b.\n");
+        for i in 0..1500 {
+            src.push_str(&format!("c{} :- c{i}.\n", i + 1));
+        }
+        let mut s = TermStore::new();
+        let p = parse_program(&mut s, &src).unwrap();
+        let gp = Grounder::ground_with(
+            &mut s,
+            &p,
+            gsls_ground::GrounderOpts {
+                mode: gsls_ground::GroundingMode::Full,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        (s, gp)
+    }
+
+    #[test]
+    fn interrupted_grow_and_switch_reprime_cleanly() {
+        use gsls_par::govern::{Guard, InterruptCause};
+        let tripping = Guard::builder().fuel(0).build();
+
+        // Switch: retracting the base fact cascades down the chain.
+        let (s, gp) = long_chain(true);
+        assert!(gp.clause(0).is_fact());
+        let ctx = BitSet::new(gp.atom_count());
+        let mut inc = IncrementalLfp::new(&gp, NegMode::SatisfiedOutside);
+        inc.evaluate(&gp, &ctx);
+        assert!(inc.out().contains(atom_id(&s, &gp, "c1500").index()));
+        assert_eq!(
+            inc.set_clauses_enabled_governed(&gp, &[0], &[], &tripping),
+            Err(InterruptCause::Cancelled)
+        );
+        // The switch is recorded; the torn counters are not trusted.
+        inc.evaluate(&gp, &ctx);
+        assert_eq!(
+            &scratch_disabled(&gp, &ctx, NegMode::SatisfiedOutside, &[0]),
+            inc.out()
+        );
+        assert!(inc.out().is_empty());
+
+        // Grow: appending the base fact derives the whole chain.
+        let (s, mut gp) = long_chain(false);
+        let ctx = BitSet::new(gp.atom_count());
+        let mut inc = IncrementalLfp::new(&gp, NegMode::SatisfiedOutside);
+        inc.evaluate(&gp, &ctx);
+        assert!(inc.out().is_empty());
+        gp.push_clause_parts(atom_id(&s, &gp, "b"), &[], &[]);
+        gp.finalize();
+        assert_eq!(
+            inc.grow_governed(&gp, &tripping),
+            Err(InterruptCause::Cancelled)
+        );
+        // Resized to the grown program, unprimed.
+        inc.evaluate(&gp, &ctx);
+        assert_eq!(&scratch(&gp, &ctx, NegMode::SatisfiedOutside), inc.out());
+        assert!(inc.out().contains(atom_id(&s, &gp, "c1500").index()));
     }
 
     #[test]

@@ -57,6 +57,24 @@ impl Interp {
         self.pos.capacity()
     }
 
+    /// Grows the capacity to `n` atoms (never shrinks); the new atoms
+    /// come up undefined.
+    pub fn grow(&mut self, n: usize) {
+        self.pos.grow(n);
+        self.neg.grow(n);
+    }
+
+    /// Overwrites `self`, in place, with the interpretation bounded by
+    /// `lower ⊆ upper`: true atoms `lower`, false atoms the complement of
+    /// `upper` (capacities must match) — how a fixpoint pair `(T∞, U∞)`
+    /// becomes a model without a fresh allocation.
+    pub fn assign_bounds(&mut self, lower: &BitSet, upper: &BitSet) {
+        debug_assert!(lower.is_subset(upper), "inconsistent interpretation");
+        self.pos.copy_from(lower);
+        self.neg.copy_from(upper);
+        self.neg.complement_in_place();
+    }
+
     /// The truth value of `a`.
     #[inline]
     pub fn truth(&self, a: GroundAtomId) -> Truth {

@@ -57,7 +57,7 @@ pub mod wp;
 pub use alternating::{
     well_founded_model, well_founded_model_rebuild, well_founded_model_scratch,
     well_founded_model_with_stats, well_founded_refresh, well_founded_refresh_governed,
-    AlternatingStats,
+    AlternatingStats, ChangeCone,
 };
 pub use bitset::BitSet;
 pub use fitting::{fitting_model, phi};

@@ -206,11 +206,12 @@
 //! histograms) and a bounded trace-event ring. The commit pipeline
 //! records one histogram per phase (`commit.validate`,
 //! `commit.admission`, `commit.journal`, `commit.ground`,
-//! `commit.refresh`, `commit.index`, plus `commit.total`); the
-//! grounder, fixpoint chains, WAL, scheduler, and query evaluator feed
-//! counters (`ground.*`, `lfp.*`, `wal.*`, `par.*`, `query.*`); guard
-//! trips surface both as `guard.trips.<phase>.<cause>` counters and as
-//! ring events carrying the [`prelude::TripInfo`] resource readings.
+//! `commit.refresh`, `commit.index`, `commit.publish`, plus
+//! `commit.total`); the grounder, fixpoint chains, WAL, scheduler, and
+//! query evaluator feed counters (`ground.*`, `lfp.*`, `wal.*`,
+//! `par.*`, `query.*`); guard trips surface both as
+//! `guard.trips.<phase>.<cause>` counters and as ring events carrying
+//! the [`prelude::TripInfo`] resource readings.
 //! [`prelude::Session::metrics`] snapshots everything consistently —
 //! cheap enough to call per request — and
 //! [`prelude::Session::recent_events`] drains the ring for post-hoc
@@ -431,6 +432,6 @@ pub mod internals {
     pub use gsls_wfs::{
         greatest_unfounded, is_stable_model, well_founded_model_rebuild,
         well_founded_model_scratch, well_founded_model_with_stats, well_founded_refresh,
-        AlternatingStats, BitSet, IncrementalLfp, NegMode, Propagator,
+        AlternatingStats, BitSet, ChangeCone, IncrementalLfp, NegMode, Propagator,
     };
 }

@@ -350,6 +350,57 @@ fn interrupt_at_every_phase_durable() {
     interrupt_at_every_phase(true);
 }
 
+/// The same sweep over a **retraction**: no grounding happens, so every
+/// guard check the commit performs is model maintenance — the
+/// delete-and-rederive cascades of both chains' clause switch, the cone
+/// walk, the alternation. Cutting the middle edge of an 80-node chain
+/// retracts 40 × 40 `t/2` atoms per chain, several tick intervals of
+/// cascade. Wherever the fuel runs out, the commit must come back
+/// `Interrupted` in `ModelRefresh` and unwound to the pre-commit
+/// fingerprint. (That the cascade itself polls the guard is pinned in
+/// `gsls-wfs`: `interrupted_grow_and_switch_reprime_cleanly`.)
+#[test]
+fn interrupt_at_every_check_of_a_retraction() {
+    const N: usize = 80;
+    let mut src = String::from("t(X, Y) :- e(X, Y). t(X, Z) :- e(X, Y), t(Y, Z).\n");
+    for i in 0..N {
+        src.push_str(&format!("e(k{i}, k{}). ", i + 1));
+    }
+    let mut s = Session::from_source(&src).unwrap();
+    let cut = format!("e(k{}, k{}).", N / 2, N / 2 + 1);
+    let fp_before = fingerprint(&s);
+    let mut interrupts = 0u64;
+    for fuel in 0.. {
+        s.begin().unwrap();
+        s.retract_facts(&cut).unwrap();
+        let opts = CommitOpts {
+            fuel: Some(fuel),
+            ..CommitOpts::default()
+        };
+        match s.commit_with(&opts) {
+            Ok(stats) => {
+                assert_eq!(stats.facts_retracted, 1);
+                break;
+            }
+            Err(SessionError::Interrupted { phase, cause, .. }) => {
+                assert_eq!(phase, InterruptPhase::ModelRefresh, "fuel {fuel}");
+                assert_eq!(cause, InterruptCause::Cancelled, "fuel {fuel}");
+                interrupts += 1;
+            }
+            Err(other) => panic!("fuel {fuel}: unexpected error {other:?}"),
+        }
+        assert!(!s.is_poisoned(), "fuel {fuel}: interrupt must not poison");
+        assert_eq!(fingerprint(&s), fp_before, "fuel {fuel}: state diverged");
+    }
+    assert!(
+        interrupts >= 2,
+        "the sweep should cross several distinct guard checks, crossed {interrupts}"
+    );
+    assert_eq!(s.truth("?- t(k0, k80).").unwrap(), Truth::False);
+    assert_eq!(s.truth("?- t(k0, k40).").unwrap(), Truth::True);
+    assert_eq!(s.truth("?- t(k41, k80).").unwrap(), Truth::True);
+}
+
 // ---------------------------------------------------------------------
 // The panic-at-every-stage sweep.
 // ---------------------------------------------------------------------

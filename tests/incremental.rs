@@ -18,6 +18,11 @@
 //! must produce identical epochs, `CommitStats`, models and WAL bytes;
 //! and the same seeded goals through `Session::prepare` and
 //! `Snapshot::prepare` must produce identical answer sets.
+//!
+//! PR 14 adds the **work gate** for the cone-restarted refresh: the
+//! fixpoint work one commit does, read off the exact `lfp.*` registry
+//! counters, is bounded by the change's dependency cone — the same
+//! constants hold on a 32×32 and a 64×64 board.
 
 use gsls_ground::{Grounder, GrounderOpts, HerbrandOpts};
 use gsls_lang::TermStore;
@@ -748,4 +753,91 @@ fn grid_board_engines_agree() {
         truths.iter().all(|&c| c > 0),
         "all three values: {truths:?}"
     );
+}
+
+// ---------------------------------------------------------------------
+// Refresh work is proportional to the change's cone, not to the board.
+// ---------------------------------------------------------------------
+
+/// The fixpoint work `op` costs: the growth of `lfp.enqueues +
+/// lfp.clause_checks` — every atom the two chains pushed on a work
+/// queue plus every clause whose liveness they re-examined. Exact
+/// counts, the same on every machine and every run.
+fn refresh_work(
+    s: &mut global_sls::prelude::Session,
+    op: impl FnOnce(&mut global_sls::prelude::Session),
+) -> u64 {
+    let read = |s: &global_sls::prelude::Session| {
+        let m = s.metrics();
+        m.counter("lfp.enqueues").unwrap_or(0) + m.counter("lfp.clause_checks").unwrap_or(0)
+    };
+    let before = read(s);
+    op(s);
+    read(s) - before
+}
+
+/// The noise-free form of "commit cost is proportional to the delta".
+/// A leaf insert `move(w, n)` has a two-atom cone (the fact and
+/// `win(w)`, which nothing depends on). The board edge `(1,0) → (2,0)`
+/// has the cone `{move, win(1,0), win(0,0)}` on every board: only
+/// `(0,0)` moves into `(1,0)` and nothing moves into `(0,0)`. So the
+/// fixpoint work of inserting the one and of retracting / re-asserting
+/// the other must stay under the same small constant at 32×32 and at
+/// 64×64. A refresh that replays the alternation from `T₀ = ∅` spends
+/// thousands of units on each, growing with the board.
+#[test]
+fn refresh_work_is_bounded_by_the_cone_not_the_board() {
+    use global_sls::prelude::*;
+    const BOUND: u64 = 64;
+    for side in [32usize, 64] {
+        let leaves = [
+            "move(w0, n5).".to_owned(),
+            format!("move(w1, n{}).", side * side / 2),
+            format!("move(w2, n{}).", side * side - 1),
+        ];
+        let mut store = TermStore::new();
+        let program = win_grid(&mut store, side, side);
+        let mut s = Session::from_parts(store, program).expect("board grounds");
+        for fact in &leaves {
+            let work = refresh_work(&mut s, |s| {
+                s.assert_facts(fact).expect("leaf insert");
+            });
+            assert!(
+                work <= BOUND,
+                "{side}x{side}: leaf insert {fact} did {work} units of fixpoint work"
+            );
+        }
+        // Twice, so both the first switch-off and a warm toggle count.
+        for round in 0..2 {
+            let off = refresh_work(&mut s, |s| {
+                s.retract_facts("move(n1, n2).").expect("retract");
+            });
+            let on = refresh_work(&mut s, |s| {
+                s.assert_facts("move(n1, n2).").expect("re-assert");
+            });
+            assert!(
+                off <= BOUND && on <= BOUND,
+                "{side}x{side} round {round}: edge toggle did {off} / {on} units of fixpoint work"
+            );
+        }
+        // The gate measures a correct engine: still ≡ a rebuild.
+        let mut store2 = TermStore::new();
+        let mut merged = win_grid(&mut store2, side, side);
+        for c in parse_program(&mut store2, &leaves.join(" "))
+            .unwrap()
+            .clauses()
+        {
+            merged.push(c.clone());
+        }
+        let gp2 = Grounder::ground(&mut store2, &merged).expect("merged grounds");
+        let m2 = well_founded_model(&gp2);
+        for id2 in gp2.atom_ids() {
+            let name = gp2.display_atom(&store2, id2);
+            assert_eq!(
+                s.truth(&format!("?- {name}.")).unwrap(),
+                m2.truth(id2),
+                "{side}x{side}: {name}"
+            );
+        }
+    }
 }

@@ -47,14 +47,15 @@ fn counters_are_monotone_across_commits() {
     assert!(cone.count >= 1, "retraction must record a cone size");
 }
 
-/// On a durable governed commit all six pipeline phases record exactly
-/// once, and their durations sum to ≈ the measured commit wall time.
+/// On a durable governed commit all seven pipeline phases record
+/// exactly once, and their durations sum to ≈ the measured commit wall
+/// time.
 #[test]
 fn phase_histograms_cover_the_commit() {
     let dir = unique_dir("phases");
     let dopts = DurableOpts {
         // Never auto-checkpoint mid-walk: keeps `commit.total` equal to
-        // the six phases plus loop glue.
+        // the seven phases plus loop glue.
         checkpoint_records: usize::MAX,
         checkpoint_bytes: u64::MAX,
         ..DurableOpts::default()
@@ -64,13 +65,14 @@ fn phase_histograms_cover_the_commit() {
         .unwrap();
     let before = s.metrics();
 
-    const PHASES: [&str; 6] = [
+    const PHASES: [&str; 7] = [
         "commit.validate",
         "commit.admission",
         "commit.journal",
         "commit.ground",
         "commit.refresh",
         "commit.index",
+        "commit.publish",
     ];
     const N: u64 = 8;
     for i in 0..N {
