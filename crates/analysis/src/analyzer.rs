@@ -16,7 +16,7 @@
 
 use crate::diag::{Diagnostic, Lint, LintConfig, LintReport};
 use gsls_ground::depgraph::{AtomDepGraph, DepGraph};
-use gsls_ground::grounder::GroundProgram;
+use gsls_ground::GroundProgram;
 use gsls_lang::{Clause, FxHashMap, Pred, Program, Sign, Symbol, Term, TermId, TermStore, Var};
 
 /// Context the analyzer runs under: the lint configuration plus what

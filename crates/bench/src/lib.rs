@@ -1,6 +1,6 @@
-//! Shared helpers for the `perf_report` / `ground_smoke` bins. (The
-//! end-to-end and per-layer benchmark lives in the repo-root
-//! `benchmark/` workspace, not here.)
+//! Shared helpers for the `perf_report` bin. (The end-to-end and
+//! per-layer benchmark lives in the repo-root `benchmark/` workspace,
+//! not here.)
 
 use gsls_ground::{GroundAtomId, GroundProgram, Grounder};
 use gsls_lang::{parse_goal, Program, TermStore};

@@ -669,10 +669,6 @@ impl Session {
         batch: UpdateBatch,
         guard: &Guard,
     ) -> Result<CommitStats, SessionError> {
-        // The grounder holds the guard for the duration of its fallible
-        // steps (1 and 2); it is cleared before model maintenance so a
-        // later ungoverned commit never inherits a stale deadline.
-        self.engine.grounder.set_guard(guard.clone());
         let mut stats = CommitStats::default();
         // Grounding vs. index-finalize attribution: steps 1–3 are timed
         // as one wall interval; the grounder's own finalize_ns delta is
@@ -693,7 +689,7 @@ impl Session {
             }
             self.engine
                 .grounder
-                .add_rules(&mut self.store, &self.program, first_new)
+                .add_rules(&mut self.store, &self.program, first_new, guard)
                 .map_err(|e| self.grounding_error(e, guard))?;
         }
 
@@ -719,7 +715,7 @@ impl Session {
             stats.facts_asserted = new_facts.len();
             self.engine
                 .grounder
-                .extend(&mut self.store, &new_facts)
+                .extend(&mut self.store, &new_facts, guard)
                 .map_err(|e| self.grounding_error(e, guard))?;
         }
         for &ci in &enable {
@@ -768,7 +764,6 @@ impl Session {
         // 4. Model maintenance: grow the chains over the appended
         //    atoms/clauses, flip the switched clauses, restart the
         //    alternation below the change's dependency cone.
-        self.engine.grounder.set_guard(Guard::none());
         let t_refresh = Instant::now();
         if let Err(cause) = self
             .engine

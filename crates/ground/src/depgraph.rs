@@ -7,7 +7,7 @@
 //! global SLS-resolution is effective), and general programs (where the
 //! memoized engine is needed). This module implements the analyses.
 
-use crate::grounder::GroundProgram;
+use crate::program::GroundProgram;
 use gsls_lang::{FxHashMap, Pred, Program, Sign};
 
 /// A syntactic class of normal programs, ordered from most to least

@@ -30,7 +30,7 @@
 //! handed out at registration, so the grounder's inner loop performs no
 //! hash lookups to find them.
 
-use crate::grounder::{GroundAtomId, GroundProgram};
+use crate::program::{GroundAtomId, GroundProgram};
 use gsls_lang::fxhash::FxHasher;
 use gsls_lang::{FxHashMap, Pred, TermId};
 use std::hash::{Hash, Hasher};

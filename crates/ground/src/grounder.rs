@@ -1,25 +1,16 @@
-//! Herbrand instantiation: compiling programs to dense ground form.
-//!
-//! A [`GroundProgram`] stores interned ground atoms as `u32` ids and
-//! clauses in **CSR (compressed-sparse-row) form**: one flat array holds
-//! every body atom of every clause (positive literals first, then
-//! negative), and per-clause offset tables delimit the slices. On top of
-//! the clause store, [`GroundProgram::finalize`] precomputes three CSR
-//! reverse indexes — head → clauses, atom → clauses watching it
-//! positively, atom → clauses watching it negatively — so fixpoint
-//! engines never rebuild watch lists per call. See the crate docs for the
-//! full layout contract.
+//! Herbrand instantiation (Def. 1.5): the grounding kernel.
 //!
 //! [`Grounder::ground`] performs **relevant grounding**: instead of the
-//! full Herbrand instantiation (Def. 1.5), which is wasteful or infinite,
-//! it computes the least fixpoint of the positive-closure operator
+//! full Herbrand instantiation, which is wasteful or infinite, it
+//! computes the least fixpoint of the positive-closure operator
 //! (negative literals ignored) and emits only rule instances whose
 //! positive bodies are potentially derivable. Rule instances pruned this
 //! way can never fire in any fixpoint of `W_P`, so the well-founded model
 //! restricted to derivable atoms is unchanged, and atoms never interned
 //! are false in the well-founded model. Variables not bound by the
 //! positive body are enumerated over the (depth-bounded) Herbrand
-//! universe.
+//! universe. The output is a [`GroundProgram`] (module
+//! [`crate::program`]).
 //!
 //! The relevant-grounding loop is **semi-naive** and **plan-compiled**:
 //! each `rule × delta-position` pair is compiled once into a
@@ -32,740 +23,58 @@
 //! delta/old row range by binary search. See the `plan` and `factstore`
 //! module docs for the invariants.
 //!
-//! [`JoinStrategy::Naive`] keeps a deliberately simple join (original
-//! literal order, full fact scans, whole-store re-joins per pass) as the
-//! differential oracle: both strategies must produce the same clause
-//! set, and the microbench smoke target plus the workspace property
-//! tests pin that.
+//! ## One kernel
+//!
+//! All ground state lives in one struct, [`IncrementalGrounder`]: the
+//! *emission half* (`Emission`, in `emission.rs`: the ground program,
+//! the derivability closure and delta queue, the dedup spaces, the
+//! active domain, binding and buffer scratch, statistics) and, beside
+//! it, the *compiled half* (rule templates, join plans, fact store). The
+//! join walk is a set of `Emission` methods that borrow the compiled
+//! half immutably and take what belongs to the caller — the
+//! [`TermStore`] and the governance [`Guard`] — per operation (`Run`);
+//! nothing is moved in or out.
+//!
+//! **Batch grounding is the kernel, dropped**: [`Grounder::ground_with`]
+//! builds one, runs it once, finalizes, and returns its program. A
+//! session keeps it ([`IncrementalGrounder::new`]) and feeds it deltas
+//! ([`IncrementalGrounder::extend`], [`IncrementalGrounder::add_rules`]).
+//! The two differ in one field, `Emission::persistent`, read in exactly
+//! the places where a kernel that will see later deltas must behave
+//! differently from one that will not:
+//!
+//! * **fact dedup** (`Emission::push_unique`): a session retracts a
+//!   *source* fact by switching its clause off, so source facts and
+//!   *permanent* fact-shaped clauses (rule instances, facts of a rule
+//!   batch) dedup in separate spaces, each keeping its own clause;
+//!   batch grounding keeps one clause per head;
+//! * **rule compilation** (`build_templates`): every persistent template
+//!   consults the clause-dedup table — a rule added later may collide
+//!   with any signature — where batch grounding skips the table for
+//!   rules whose signature is unique in the program;
+//! * **the fact store** is frozen after planning only in batch mode — a
+//!   later rule may join a predicate no current plan touches.
+//!
+//! **After an `Err`** (clause budget, guard trip) the program is
+//! finalized but holds part of a delta: the only valid move is to drop
+//! the kernel — `global_sls::Session` rebuilds its engine from source.
+//!
+//! The Subst-based reference implementations — [`GroundingMode::Full`]
+//! and the [`JoinStrategy::Naive`] differential oracle — live in
+//! `instantiate.rs` and share only the emission step with the kernel;
+//! `tests/grounding_diff.rs` and `tests/parallel_diff.rs` pin planned ≡
+//! naive ≡ kernel-fed-in-batches at the clause-set level.
 
-use crate::factstore::{
-    atom_hash, clause_hash, shard_of, FactStore, IdTable, Role, ShardedIdTable, SHARDS,
-};
-use crate::herbrand::{herbrand_universe, HerbrandOpts};
-use crate::plan::{
-    append_plans, build_plans, build_templates, residual_vars, template_of, ArgSpec, JoinPlan,
-    Planner, RuleTemplate, NO_INDEX, UNBOUND,
-};
-use gsls_lang::{
-    match_term_recording, Atom, Clause, FxHashMap, FxHashSet, Pred, Program, Subst, Symbol, Term,
-    TermId, TermStore, Var,
-};
+use crate::emission::{Emission, FactKind, Run};
+use crate::factstore::{FactStore, Role};
+use crate::herbrand::HerbrandOpts;
+use crate::instantiate;
+use crate::plan::{append_plans, build_plans, build_templates, template_of, Planner, RuleTemplate};
+use crate::program::{GroundAtomId, GroundProgram};
+use gsls_lang::{Atom, FxHashSet, Program, TermId, TermStore};
 use gsls_par::govern::{Guard, InterruptCause};
 use std::fmt;
 use std::time::Instant;
-
-/// Identity of an interned ground atom within a [`GroundProgram`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct GroundAtomId(pub u32);
-
-impl GroundAtomId {
-    /// The raw index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// An owned ground clause `head ← pos₁,…,posₘ, ¬neg₁,…,¬negₖ`.
-///
-/// This is the *builder* form: [`GroundProgram::push_clause`] copies it
-/// into the CSR store. Engines never see it — they work on borrowed
-/// [`ClauseRef`] views, and the grounder deduplicates against the CSR
-/// store directly (id-triple hashing), so no owned clause is built per
-/// candidate.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct GroundClause {
-    /// Head atom.
-    pub head: GroundAtomId,
-    /// Positive body atoms.
-    pub pos: Box<[GroundAtomId]>,
-    /// Atoms appearing negated in the body.
-    pub neg: Box<[GroundAtomId]>,
-}
-
-impl GroundClause {
-    /// Whether this is a fact.
-    pub fn is_fact(&self) -> bool {
-        self.pos.is_empty() && self.neg.is_empty()
-    }
-
-    /// Total body length.
-    pub fn body_len(&self) -> usize {
-        self.pos.len() + self.neg.len()
-    }
-}
-
-/// A borrowed view of one clause inside the CSR store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClauseRef<'a> {
-    /// Head atom.
-    pub head: GroundAtomId,
-    /// Positive body atoms.
-    pub pos: &'a [GroundAtomId],
-    /// Atoms appearing negated in the body.
-    pub neg: &'a [GroundAtomId],
-}
-
-impl ClauseRef<'_> {
-    /// Whether this is a fact.
-    pub fn is_fact(&self) -> bool {
-        self.pos.is_empty() && self.neg.is_empty()
-    }
-
-    /// Total body length.
-    pub fn body_len(&self) -> usize {
-        self.pos.len() + self.neg.len()
-    }
-
-    /// Copies into an owned [`GroundClause`].
-    pub fn to_owned(&self) -> GroundClause {
-        GroundClause {
-            head: self.head,
-            pos: self.pos.into(),
-            neg: self.neg.into(),
-        }
-    }
-}
-
-/// A compressed-sparse-row map from `u32` keys to lists of `u32` items:
-/// row `k` is `items[off[k] .. off[k+1]]`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Csr {
-    off: Vec<u32>,
-    items: Vec<u32>,
-}
-
-impl Csr {
-    /// Builds from `(key, item)` pairs produced by calling `each` with a
-    /// sink; `n_keys` bounds the key space. Two passes: count, then fill.
-    fn build(n_keys: usize, each: impl Fn(&mut dyn FnMut(u32, u32))) -> Csr {
-        let mut counts = vec![0u32; n_keys + 1];
-        each(&mut |k, _| counts[k as usize + 1] += 1);
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let mut items = vec![0u32; *counts.last().unwrap_or(&0) as usize];
-        let mut cursor = counts.clone();
-        each(&mut |k, v| {
-            let c = &mut cursor[k as usize];
-            items[*c as usize] = v;
-            *c += 1;
-        });
-        Csr { off: counts, items }
-    }
-
-    /// The item list for `key`.
-    #[inline]
-    pub fn row(&self, key: usize) -> &[u32] {
-        &self.items[self.off[key] as usize..self.off[key + 1] as usize]
-    }
-
-    /// O(delta) in-place growth for the common append case: when every
-    /// delta pair's key is a **new** key (≥ the current key count), the
-    /// new rows land entirely after the existing items, so the arrays
-    /// extend without any re-layout. Returns `false` (leaving `self`
-    /// untouched) when some delta key is an existing one — the caller
-    /// falls back to the full [`Csr::extend`] merge.
-    ///
-    /// This is what makes a session commit's re-index cheap: a fresh
-    /// fact's head and positive watches index under fresh atom ids;
-    /// typically only the negative-watch index (whose delta can point
-    /// at old atoms) pays the merge.
-    fn try_append_tail(
-        &mut self,
-        n_keys: usize,
-        each_new: &impl Fn(&mut dyn FnMut(u32, u32)),
-    ) -> bool {
-        let old_keys = self.len();
-        debug_assert!(n_keys >= old_keys);
-        let mut ok = true;
-        each_new(&mut |k, _| ok &= k as usize >= old_keys);
-        if !ok {
-            return false;
-        }
-        let mut counts = vec![0u32; n_keys - old_keys];
-        each_new(&mut |k, _| counts[k as usize - old_keys] += 1);
-        let total = self.items.len() as u32;
-        // Per-new-key start cursors, then the off tail (end offsets).
-        let mut cursor = counts;
-        let mut run = total;
-        for c in cursor.iter_mut() {
-            let len = *c;
-            *c = run;
-            run += len;
-            self.off.push(run);
-        }
-        self.items.resize(run as usize, 0);
-        let items = &mut self.items;
-        each_new(&mut |k, v| {
-            let c = &mut cursor[k as usize - old_keys];
-            items[*c as usize] = v;
-            *c += 1;
-        });
-        true
-    }
-
-    /// Builds the CSR holding every `(key, item)` pair of `self` plus
-    /// the pairs `each_new` produces, over a possibly larger key space —
-    /// the merge step behind the incremental `finalize`: old rows are
-    /// block-copied, only the delta re-runs the counting pass. `spare`
-    /// (the generation-before-last's arrays) is recycled so steady-state
-    /// session commits allocate nothing here.
-    fn extend(
-        &self,
-        n_keys: usize,
-        each_new: impl Fn(&mut dyn FnMut(u32, u32)),
-        spare: Option<Csr>,
-    ) -> Csr {
-        debug_assert!(n_keys >= self.len());
-        let (mut counts, mut spare_items) = match spare {
-            Some(c) => (c.off, Some(c.items)),
-            None => (Vec::new(), None),
-        };
-        counts.clear();
-        counts.resize(n_keys + 1, 0);
-        each_new(&mut |k, _| counts[k as usize + 1] += 1);
-        for k in 0..self.len() {
-            counts[k + 1] += self.off[k + 1] - self.off[k];
-        }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let total = *counts.last().unwrap_or(&0) as usize;
-        let mut items = spare_items.take().unwrap_or_default();
-        // Every slot is written below (old-row copy + delta fill cover
-        // the whole count), so stale spare contents are harmless.
-        items.clear();
-        items.resize(total, 0);
-        let mut cursor = counts.clone();
-        for (k, c) in cursor.iter_mut().enumerate().take(self.len()) {
-            let row = &self.items[self.off[k] as usize..self.off[k + 1] as usize];
-            let start = *c as usize;
-            items[start..start + row.len()].copy_from_slice(row);
-            *c += row.len() as u32;
-        }
-        each_new(&mut |k, v| {
-            let c = &mut cursor[k as usize];
-            items[*c as usize] = v;
-            *c += 1;
-        });
-        Csr { off: counts, items }
-    }
-
-    /// Number of keys.
-    pub fn len(&self) -> usize {
-        self.off.len().saturating_sub(1)
-    }
-
-    /// Whether there are no keys.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The reverse indexes precomputed by [`GroundProgram::finalize`].
-#[derive(Debug, Clone)]
-struct Indexes {
-    /// head atom → clause indices.
-    by_head: Csr,
-    /// atom → clauses whose *positive* body contains it (one entry per
-    /// occurrence, so counter-based propagation can decrement per watch).
-    watch_pos: Csr,
-    /// atom → clauses whose *negative* body contains it.
-    watch_neg: Csr,
-    /// The atom/clause counts these indexes cover. A mismatch with the
-    /// live store means the indexes are stale — accessors panic, and
-    /// `finalize` **extends** them over the appended suffix instead of
-    /// rebuilding (sessions commit small deltas against big programs).
-    n_atoms: usize,
-    n_clauses: usize,
-}
-
-/// A program compiled to ground form (CSR clause storage).
-#[derive(Debug)]
-pub struct GroundProgram {
-    atoms: Vec<Atom>,
-    /// Open-addressing interning table over `atoms` (identity = `(pred,
-    /// args)`; probes hash borrowed parts, so lookups allocate nothing).
-    /// Sharded by high hash bits so growth rehashes one shard at a time
-    /// and the parallel seed round can dedup shards on separate workers.
-    atom_table: ShardedIdTable,
-    /// Clause heads, one per clause.
-    heads: Vec<GroundAtomId>,
-    /// Flat body store: clause `c`'s positive atoms then negative atoms.
-    body: Vec<GroundAtomId>,
-    /// `body_start[c] .. body_start[c+1]` delimits clause `c`'s body.
-    body_start: Vec<u32>,
-    /// Within that range, negatives start at `neg_start[c]`.
-    neg_start: Vec<u32>,
-    /// predicate → interned atom ids (query-enumeration index).
-    /// Maintained incrementally at interning time — unlike the CSR
-    /// reverse indexes it never needs a rebuild, so sessions that
-    /// append atoms per commit pay one hash-push per *new* atom instead
-    /// of a full re-scan in `finalize`.
-    by_pred: FxHashMap<Pred, Vec<u32>>,
-    /// Reverse indexes; `None` until [`GroundProgram::finalize`] runs (or
-    /// after any mutation, which invalidates them).
-    index: Option<Indexes>,
-    /// The previous generation's index arrays, recycled by the next
-    /// incremental `finalize` (double buffering: steady-state session
-    /// commits re-index without allocating). Never cloned.
-    index_spare: Option<Indexes>,
-}
-
-impl Default for GroundProgram {
-    fn default() -> Self {
-        GroundProgram {
-            atoms: Vec::new(),
-            atom_table: ShardedIdTable::default(),
-            heads: Vec::new(),
-            body: Vec::new(),
-            body_start: vec![0],
-            neg_start: Vec::new(),
-            by_pred: FxHashMap::default(),
-            index: None,
-            index_spare: None,
-        }
-    }
-}
-
-impl Clone for GroundProgram {
-    fn clone(&self) -> Self {
-        GroundProgram {
-            atoms: self.atoms.clone(),
-            atom_table: self.atom_table.clone(),
-            heads: self.heads.clone(),
-            body: self.body.clone(),
-            body_start: self.body_start.clone(),
-            neg_start: self.neg_start.clone(),
-            by_pred: self.by_pred.clone(),
-            index: self.index.clone(),
-            // The recycling buffer is an allocation cache, not state —
-            // snapshots must not pay for (or carry) it.
-            index_spare: None,
-        }
-    }
-}
-
-impl GroundProgram {
-    /// Creates an empty ground program.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// One probe walk: the existing id for `(pred, args)`, or the slot
-    /// claimed for the next id (in which case the caller pushes the
-    /// atom). Keeps the hot interning path at a single table traversal.
-    fn intern_probe(&mut self, pred: Symbol, args: &[TermId]) -> Option<GroundAtomId> {
-        let hash = atom_hash(pred, args);
-        let candidate = u32::try_from(self.atoms.len()).expect("ground atom overflow");
-        let atoms = &self.atoms;
-        self.atom_table
-            .find_or_insert(
-                hash,
-                candidate,
-                |id| {
-                    let a = &atoms[id as usize];
-                    a.pred == pred && a.args[..] == *args
-                },
-                |id| {
-                    let a = &atoms[id as usize];
-                    atom_hash(a.pred, &a.args)
-                },
-            )
-            .map(GroundAtomId)
-    }
-
-    /// Interns a ground atom, returning its id.
-    pub fn intern_atom(&mut self, atom: Atom) -> GroundAtomId {
-        match self.intern_probe(atom.pred, &atom.args) {
-            Some(id) => id,
-            None => {
-                let id = GroundAtomId(self.atoms.len() as u32);
-                self.by_pred.entry(atom.pred_id()).or_default().push(id.0);
-                // A fresh atom widens the id space the reverse indexes
-                // cover; they go stale (count mismatch) until the next
-                // `finalize`, which extends them over the new suffix.
-                self.atoms.push(atom);
-                id
-            }
-        }
-    }
-
-    /// Interns a ground atom from borrowed parts; the owned [`Atom`] is
-    /// built only when the atom is genuinely new. This is the grounder's
-    /// hot interning path — duplicate candidates allocate nothing.
-    pub fn intern_atom_parts(&mut self, pred: Symbol, args: &[TermId]) -> GroundAtomId {
-        match self.intern_probe(pred, args) {
-            Some(id) => id,
-            None => {
-                let id = GroundAtomId(self.atoms.len() as u32);
-                self.by_pred
-                    .entry(Pred::new(pred, args.len() as u32))
-                    .or_default()
-                    .push(id.0);
-                self.atoms.push(Atom::new(pred, args.to_vec()));
-                id
-            }
-        }
-    }
-
-    /// Appends an atom **without** touching the interning table. Only
-    /// the parallel seed merge may use this: it deduplicated the atoms
-    /// per shard already and bulk-loads the table afterwards
-    /// ([`GroundProgram::bulk_intern_unique`]).
-    fn push_atom_raw(&mut self, atom: Atom) -> GroundAtomId {
-        let id = GroundAtomId(u32::try_from(self.atoms.len()).expect("ground atom overflow"));
-        self.by_pred.entry(atom.pred_id()).or_default().push(id.0);
-        self.atoms.push(atom);
-        id
-    }
-
-    /// Bulk-loads interning entries `(hash, id)` whose atoms were
-    /// appended by [`GroundProgram::push_atom_raw`]. Keys must be
-    /// distinct from each other and from every stored entry.
-    fn bulk_intern_unique(&mut self, entries: impl Iterator<Item = (u64, u32)>) {
-        let Self {
-            atoms, atom_table, ..
-        } = self;
-        for (h, id) in entries {
-            atom_table.insert_unique(h, id, |i| {
-                let a = &atoms[i as usize];
-                atom_hash(a.pred, &a.args)
-            });
-        }
-    }
-
-    /// Pre-sizes the atom arena and interning table for about `n_atoms`
-    /// entries and the clause store for `n_clauses`, so bulk grounding
-    /// skips the grow-and-rehash cascade.
-    pub fn reserve(&mut self, n_atoms: usize, n_clauses: usize) {
-        self.atoms.reserve(n_atoms.saturating_sub(self.atoms.len()));
-        let atoms = &self.atoms;
-        self.atom_table.reserve(n_atoms, |id| {
-            let a = &atoms[id as usize];
-            atom_hash(a.pred, &a.args)
-        });
-        self.heads
-            .reserve(n_clauses.saturating_sub(self.heads.len()));
-        self.body_start.reserve(n_clauses);
-        self.neg_start.reserve(n_clauses);
-    }
-
-    /// Looks up a ground atom from borrowed parts without interning (and
-    /// without building an owned [`Atom`]) — the query engines' hot
-    /// point-lookup path.
-    pub fn lookup_atom_parts(&self, pred: Symbol, args: &[TermId]) -> Option<GroundAtomId> {
-        let atoms = &self.atoms;
-        self.atom_table
-            .find(atom_hash(pred, args), |id| {
-                let a = &atoms[id as usize];
-                a.pred == pred && a.args[..] == *args
-            })
-            .map(GroundAtomId)
-    }
-
-    /// Looks up a ground atom without interning.
-    pub fn lookup_atom(&self, atom: &Atom) -> Option<GroundAtomId> {
-        let atoms = &self.atoms;
-        self.atom_table
-            .find(atom_hash(atom.pred, &atom.args), |id| {
-                let a = &atoms[id as usize];
-                a.pred == atom.pred && a.args == atom.args
-            })
-            .map(GroundAtomId)
-    }
-
-    /// The atom for `id`.
-    pub fn atom(&self, id: GroundAtomId) -> &Atom {
-        &self.atoms[id.index()]
-    }
-
-    /// Number of interned atoms.
-    pub fn atom_count(&self) -> usize {
-        self.atoms.len()
-    }
-
-    /// Iterates over all atom ids.
-    pub fn atom_ids(&self) -> impl Iterator<Item = GroundAtomId> {
-        (0..self.atoms.len() as u32).map(GroundAtomId)
-    }
-
-    /// Approximate heap footprint of the CSR store, interning table,
-    /// and reverse indexes, in bytes. O(number of predicates), computed
-    /// from capacities and counts (never by walking atoms or clauses),
-    /// so governance can poll it every grounding round. Per-atom and
-    /// per-entry constants stand in for boxed argument lists and
-    /// hash-table overhead; budgets are approximate by contract.
-    pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let atoms = self.atoms.capacity() * size_of::<Atom>() + self.atoms.len() * 16;
-        let table = self.atoms.len() * 16; // sharded interning entries
-        let csr = (self.heads.capacity() + self.body.capacity()) * 4
-            + (self.body_start.capacity() + self.neg_start.capacity()) * 4;
-        let by_pred: usize = self.by_pred.values().map(|v| v.capacity() * 4 + 48).sum();
-        // Reverse indexes: by_head + watch_pos + watch_neg each hold one
-        // offset per atom and one item per watch occurrence (≈ body len).
-        let index = match &self.index {
-            Some(_) => 3 * (self.atoms.len() + 1) * 4 + (self.body.len() + self.heads.len()) * 12,
-            None => 0,
-        };
-        atoms + table + csr + by_pred + index
-    }
-
-    /// Adds a clause (deduplication is the grounder's responsibility).
-    pub fn push_clause(&mut self, clause: GroundClause) {
-        self.push_clause_parts(clause.head, &clause.pos, &clause.neg);
-    }
-
-    /// Adds a clause from borrowed parts, avoiding the boxed builder.
-    pub fn push_clause_parts(
-        &mut self,
-        head: GroundAtomId,
-        pos: &[GroundAtomId],
-        neg: &[GroundAtomId],
-    ) {
-        self.heads.push(head);
-        self.body.extend_from_slice(pos);
-        self.neg_start
-            .push(u32::try_from(self.body.len()).expect("ground body overflow"));
-        self.body.extend_from_slice(neg);
-        self.body_start
-            .push(u32::try_from(self.body.len()).expect("ground body overflow"));
-    }
-
-    /// Iterates over all clauses as borrowed views.
-    pub fn clauses(&self) -> impl Iterator<Item = ClauseRef<'_>> + '_ {
-        (0..self.clause_count() as u32).map(move |i| self.clause(i))
-    }
-
-    /// Number of clauses.
-    pub fn clause_count(&self) -> usize {
-        self.heads.len()
-    }
-
-    /// The clause at `idx`.
-    #[inline]
-    pub fn clause(&self, idx: u32) -> ClauseRef<'_> {
-        let i = idx as usize;
-        let (start, end) = (self.body_start[i] as usize, self.body_start[i + 1] as usize);
-        let mid = self.neg_start[i] as usize;
-        ClauseRef {
-            head: self.heads[i],
-            pos: &self.body[start..mid],
-            neg: &self.body[mid..end],
-        }
-    }
-
-    /// Number of positive body atoms of clause `idx` (O(1), no slice
-    /// construction — used by propagator init loops).
-    #[inline]
-    pub fn pos_len(&self, idx: u32) -> u32 {
-        self.neg_start[idx as usize] - self.body_start[idx as usize]
-    }
-
-    /// All clause heads, indexed by clause (O(1) head access for hot
-    /// propagation loops that don't need the bodies).
-    #[inline]
-    pub fn heads(&self) -> &[GroundAtomId] {
-        &self.heads
-    }
-
-    /// The atom → positively-watching-clauses index as a raw [`Csr`],
-    /// for hot loops that hoist the per-lookup indirection (same panics
-    /// as [`GroundProgram::clauses_for`]).
-    pub fn watch_pos_index(&self) -> &Csr {
-        &self.index().watch_pos
-    }
-
-    /// Builds the reverse indexes (head → clauses and the two watch
-    /// maps). Idempotent; must be re-run after any `push_clause` /
-    /// fresh-atom `intern_atom`. [`Grounder::ground`] returns programs
-    /// already finalized.
-    ///
-    /// **Incremental:** when stale indexes exist and the store only
-    /// grew (the append-only session path), the new indexes are built
-    /// by block-copying the old rows and counting only the appended
-    /// clause suffix — a commit's finalize cost tracks the delta's
-    /// watch entries plus one pass over the key space, not the whole
-    /// body store.
-    pub fn finalize(&mut self) {
-        let n = self.atom_count();
-        let nc = self.heads.len();
-        let from = match &self.index {
-            Some(idx) if idx.n_atoms == n && idx.n_clauses == nc => return,
-            Some(idx) if idx.n_atoms <= n && idx.n_clauses <= nc => idx.n_clauses,
-            _ => 0,
-        };
-        let (heads, body, body_start, neg_start) =
-            (&self.heads, &self.body, &self.body_start, &self.neg_start);
-        let new_by_head = |sink: &mut dyn FnMut(u32, u32)| {
-            for (ci, &h) in heads.iter().enumerate().skip(from) {
-                sink(h.0, ci as u32);
-            }
-        };
-        let new_watch_pos = |sink: &mut dyn FnMut(u32, u32)| {
-            for ci in from..nc {
-                let (start, mid) = (body_start[ci] as usize, neg_start[ci] as usize);
-                for a in &body[start..mid] {
-                    sink(a.0, ci as u32);
-                }
-            }
-        };
-        let new_watch_neg = |sink: &mut dyn FnMut(u32, u32)| {
-            for ci in from..nc {
-                let (mid, end) = (neg_start[ci] as usize, body_start[ci + 1] as usize);
-                for a in &body[mid..end] {
-                    sink(a.0, ci as u32);
-                }
-            }
-        };
-        if from > 0 {
-            // Incremental: tail-append per index when the delta only
-            // touches new keys; full merge (through the recycled spare
-            // buffers — the replaced generation becomes the next spare)
-            // otherwise.
-            let mut idx = self.index.take().expect("from > 0 implies an index");
-            let mut spare = self.index_spare.take().unwrap_or(Indexes {
-                by_head: Csr::default(),
-                watch_pos: Csr::default(),
-                watch_neg: Csr::default(),
-                n_atoms: 0,
-                n_clauses: 0,
-            });
-            if !idx.by_head.try_append_tail(n, &new_by_head) {
-                let merged =
-                    idx.by_head
-                        .extend(n, new_by_head, Some(std::mem::take(&mut spare.by_head)));
-                spare.by_head = std::mem::replace(&mut idx.by_head, merged);
-            }
-            if !idx.watch_pos.try_append_tail(n, &new_watch_pos) {
-                let merged = idx.watch_pos.extend(
-                    n,
-                    new_watch_pos,
-                    Some(std::mem::take(&mut spare.watch_pos)),
-                );
-                spare.watch_pos = std::mem::replace(&mut idx.watch_pos, merged);
-            }
-            if !idx.watch_neg.try_append_tail(n, &new_watch_neg) {
-                let merged = idx.watch_neg.extend(
-                    n,
-                    new_watch_neg,
-                    Some(std::mem::take(&mut spare.watch_neg)),
-                );
-                spare.watch_neg = std::mem::replace(&mut idx.watch_neg, merged);
-            }
-            idx.n_atoms = n;
-            idx.n_clauses = nc;
-            self.index_spare = Some(spare);
-            self.index = Some(idx);
-            return;
-        }
-        let built = Indexes {
-            by_head: Csr::build(n, new_by_head),
-            watch_pos: Csr::build(n, new_watch_pos),
-            watch_neg: Csr::build(n, new_watch_neg),
-            n_atoms: n,
-            n_clauses: nc,
-        };
-        self.index_spare = self.index.replace(built);
-    }
-
-    /// Whether the reverse indexes are current.
-    pub fn is_finalized(&self) -> bool {
-        self.index
-            .as_ref()
-            .is_some_and(|i| i.n_atoms == self.atoms.len() && i.n_clauses == self.heads.len())
-    }
-
-    fn index(&self) -> &Indexes {
-        let idx = self
-            .index
-            .as_ref()
-            .expect("GroundProgram::finalize must be called after mutation");
-        assert!(
-            idx.n_atoms == self.atoms.len() && idx.n_clauses == self.heads.len(),
-            "GroundProgram::finalize must be called after mutation"
-        );
-        idx
-    }
-
-    /// Indices of clauses with head `id`.
-    ///
-    /// # Panics
-    /// Panics if the program was mutated since the last
-    /// [`GroundProgram::finalize`].
-    pub fn clauses_for(&self, id: GroundAtomId) -> &[u32] {
-        self.index().by_head.row(id.index())
-    }
-
-    /// Clauses whose positive body contains `id`, one entry per
-    /// occurrence (same panics as [`GroundProgram::clauses_for`]).
-    pub fn watch_pos(&self, id: GroundAtomId) -> &[u32] {
-        self.index().watch_pos.row(id.index())
-    }
-
-    /// Clauses whose negative body contains `id`, one entry per
-    /// occurrence (same panics as [`GroundProgram::clauses_for`]).
-    pub fn watch_neg(&self, id: GroundAtomId) -> &[u32] {
-        self.index().watch_neg.row(id.index())
-    }
-
-    /// Interned atoms of predicate `pred`, in interning (id) order. Lets
-    /// query engines enumerate candidate instances without scanning the
-    /// whole atom table. Maintained at interning time, so — unlike the
-    /// clause-side accessors — it is valid even before
-    /// [`GroundProgram::finalize`].
-    pub fn atoms_with_pred(&self, pred: Pred) -> impl Iterator<Item = GroundAtomId> + '_ {
-        self.by_pred
-            .get(&pred)
-            .map_or(&[][..], |v| v.as_slice())
-            .iter()
-            .map(|&i| GroundAtomId(i))
-    }
-
-    /// Ground-atom counts per predicate — FactStore-style cardinality
-    /// hints for cost estimation (the `gsls-analyze` instantiation
-    /// lints). Like [`GroundProgram::atoms_with_pred`], valid before
-    /// finalization.
-    pub fn pred_cardinalities(&self) -> gsls_lang::FxHashMap<Pred, usize> {
-        self.by_pred.iter().map(|(&p, v)| (p, v.len())).collect()
-    }
-
-    /// Renders an atom.
-    pub fn display_atom(&self, store: &TermStore, id: GroundAtomId) -> String {
-        self.atom(id).display(store)
-    }
-
-    /// Renders the whole ground program.
-    pub fn display(&self, store: &TermStore) -> String {
-        let mut s = String::new();
-        for c in self.clauses() {
-            s.push_str(&self.display_atom(store, c.head));
-            if !c.is_fact() {
-                s.push_str(" :- ");
-                let mut first = true;
-                for &p in c.pos.iter() {
-                    if !first {
-                        s.push_str(", ");
-                    }
-                    first = false;
-                    s.push_str(&self.display_atom(store, p));
-                }
-                for &n in c.neg.iter() {
-                    if !first {
-                        s.push_str(", ");
-                    }
-                    first = false;
-                    s.push('~');
-                    s.push_str(&self.display_atom(store, n));
-                }
-            }
-            s.push_str(".\n");
-        }
-        s
-    }
-}
 
 /// How clause instances are enumerated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -904,80 +213,14 @@ impl GroundStats {
     }
 }
 
-/// The Herbrand instantiation engine.
-pub struct Grounder<'a> {
-    store: &'a mut TermStore,
-    universe: Vec<TermId>,
-    opts: GrounderOpts,
-    /// Maximum term depth allowed in emitted atoms: heads like `e(s(X),0)`
-    /// can otherwise escape the bounded universe and diverge.
-    max_depth: u32,
-    gp: GroundProgram,
-    /// `derivable[atom id]`: the atom heads an emitted instance, so it is
-    /// in the positive closure and has been queued through the delta.
-    derivable: Vec<bool>,
-    /// `fact_seen[atom id]`: a fact-shaped clause with this head was
-    /// already stored (fact dedup without touching the clause table).
-    fact_seen: Vec<bool>,
-    /// Clause dedup: id-triple hashes over the CSR store.
-    clause_table: IdTable,
-    /// Backtracking trail for `Subst`-based matching (naive oracle).
-    trail: Vec<Var>,
-    /// Dense binding slots for the planned path: `bindings[slot]` is the
-    /// ground value of the current rule's variable `slot`, or
-    /// [`UNBOUND`]. Sized to the largest rule once per run.
-    bindings: Vec<TermId>,
-    /// Backtracking trail of slot numbers for the planned path.
-    slot_trail: Vec<u32>,
-    /// `matched_buf[p]`: the interned atom id of the fact row matched by
-    /// positive body literal `p` (clause order) — emission reuses these
-    /// ids instead of re-interning the atoms.
-    matched_buf: Vec<GroundAtomId>,
-    stats: GroundStats,
-    /// Reusable buffers (probe keys, resolved head/body arguments,
-    /// interned body ids) — the join inner loop allocates nothing.
-    key_buf: Vec<TermId>,
-    head_buf: Vec<TermId>,
-    body_buf: Vec<TermId>,
-    neg_buf: Vec<GroundAtomId>,
-    /// Session mode ([`IncrementalGrounder`]): fact-clause indices are
-    /// tracked, every bodied rule consults the clause-dedup table (new
-    /// rules added later could collide with any existing signature),
-    /// and the fact store is never frozen (a later rule may join a
-    /// predicate no current plan touches).
-    persistent: bool,
-    /// When set, [`Grounder::exec`] ranges every literal over the full
-    /// fact store instead of its semi-naive role — the one-shot
-    /// catch-up join for rules added to a live session.
-    force_full: bool,
-    /// Persistent mode: the current emission is a **source fact** — a
-    /// ground fact the session can later retract (initial program facts
-    /// and `assert`ed facts). Everything else fact-shaped (residual
-    /// rule instances, facts arriving in an `add_rules` batch) is
-    /// *permanent*: it dedups separately and is never switchable, so
-    /// retracting a source fact can never falsify a rule-derived or
-    /// rule-batch duplicate.
-    source_fact: bool,
-    /// head atom id → clause index of its **source** fact clause
-    /// (persistent mode only) — the retraction hook a session flips
-    /// clauses with.
-    fact_clause: FxHashMap<u32, u32>,
-    /// `free_fact_seen[atom id]`: a *permanent* (untracked) fact clause
-    /// with this head exists (persistent mode's second dedup space).
-    free_fact_seen: Vec<bool>,
-    /// Governance: polled every [`gsls_par::TICK_INTERVAL`] join
-    /// candidates / emissions and once per semi-naive round (where the
-    /// memory budget is also enforced). [`Guard::none`] costs one
-    /// branch per tick site.
-    guard: Guard,
-    /// Local tick counter for `guard` (caller-owned cadence).
-    tick: u32,
-}
+/// Batch grounding: one [`IncrementalGrounder`] kernel built, run once
+/// and dropped, its finalized program returned.
+pub enum Grounder {}
 
-impl<'a> Grounder<'a> {
+impl Grounder {
     /// Grounds `program` with default options.
     pub fn ground(
-        store: &'a mut TermStore,
+        store: &mut TermStore,
         program: &Program,
     ) -> Result<GroundProgram, GroundingError> {
         Self::ground_with(store, program, GrounderOpts::default())
@@ -986,7 +229,7 @@ impl<'a> Grounder<'a> {
     /// Grounds `program` with explicit options. The returned program is
     /// finalized (reverse indexes built).
     pub fn ground_with(
-        store: &'a mut TermStore,
+        store: &mut TermStore,
         program: &Program,
         opts: GrounderOpts,
     ) -> Result<GroundProgram, GroundingError> {
@@ -995,1044 +238,31 @@ impl<'a> Grounder<'a> {
 
     /// [`Grounder::ground_with`] plus per-stage instrumentation.
     pub fn ground_with_stats(
-        store: &'a mut TermStore,
+        store: &mut TermStore,
         program: &Program,
         opts: GrounderOpts,
     ) -> Result<(GroundProgram, GroundStats), GroundingError> {
-        // With function symbols the universe is depth-truncated; emitted
-        // atoms must respect the same bound or grounding diverges. For
-        // function-free programs terms never grow, so no bound is needed.
-        let max_depth = if program.is_function_free(store) {
-            u32::MAX
-        } else {
-            opts.universe.max_depth
-        };
-        let mut g = Grounder {
-            store,
-            // Computed on demand: joins only consult the universe for
-            // residual variables, and purely extensional workloads have
-            // none (see `ensure_universe`).
-            universe: Vec::new(),
-            opts,
-            max_depth,
-            gp: GroundProgram::new(),
-            derivable: Vec::new(),
-            fact_seen: Vec::new(),
-            clause_table: IdTable::default(),
-            trail: Vec::new(),
-            bindings: Vec::new(),
-            slot_trail: Vec::new(),
-            matched_buf: Vec::new(),
-            stats: GroundStats::default(),
-            key_buf: Vec::new(),
-            head_buf: Vec::new(),
-            body_buf: Vec::new(),
-            neg_buf: Vec::new(),
-            persistent: false,
-            force_full: false,
-            source_fact: false,
-            fact_clause: FxHashMap::default(),
-            free_fact_seen: Vec::new(),
-            guard: Guard::none(),
-            tick: 0,
-        };
-        g.run(program)?;
-        let t = Instant::now();
-        g.gp.finalize();
-        g.stats.finalize_ns = t.elapsed().as_nanos() as u64;
-        Ok((g.gp, g.stats))
-    }
-
-    fn run(&mut self, program: &Program) -> Result<(), GroundingError> {
-        match (self.opts.mode, self.opts.strategy) {
-            (GroundingMode::Full, _) => self.run_full(program),
-            (GroundingMode::Relevant, JoinStrategy::Planned) => self.run_planned(program),
-            (GroundingMode::Relevant, JoinStrategy::Naive) => self.run_naive(program),
-        }
-    }
-
-    /// Enumerates the (depth-bounded) Herbrand universe, once per run.
-    /// Deferred so that runs which never enumerate a residual variable —
-    /// every rule's variables bound by its positive body — skip the
-    /// constant/function sweep over the whole program.
-    fn ensure_universe(&mut self, program: &Program) {
-        if self.universe.is_empty() {
-            self.universe = herbrand_universe(self.store, program, self.opts.universe);
-        }
-    }
-
-    /// Full instantiation doesn't consult the derivable closure: one
-    /// enumeration pass emits everything.
-    fn run_full(&mut self, program: &Program) -> Result<(), GroundingError> {
-        let t = Instant::now();
-        self.ensure_universe(program);
-        let mut ignored = Vec::new();
-        for clause in program.clauses() {
-            let free = clause.vars(self.store);
-            let mut subst = Subst::new();
-            self.enumerate_free(clause, &free, 0, &mut subst, &mut ignored)?;
-        }
-        self.stats.seed_ns = t.elapsed().as_nanos() as u64;
-        Ok(())
-    }
-
-    /// The production path: rule-template compilation, seed round, plan
-    /// compilation, then relevance-driven semi-naive rounds over the
-    /// compiled plans using dense binding slots.
-    fn run_planned(&mut self, program: &Program) -> Result<(), GroundingError> {
-        self.run_planned_core(program).map(|_| ())
-    }
-
-    /// [`Grounder::run_planned`], returning the compiled templates,
-    /// planner and fact store so a persistent session
-    /// ([`IncrementalGrounder`]) can keep joining deltas against them.
-    fn run_planned_core(
-        &mut self,
-        program: &Program,
-    ) -> Result<(Vec<Option<RuleTemplate>>, Planner, FactStore), GroundingError> {
-        // Seed round: rules without positive body — their instances don't
-        // depend on the closure and are emitted exactly once. Ground
-        // facts (template `None`) bypass enumeration entirely.
-        let t = Instant::now();
-        let templates = build_templates(self.store, program);
-        let max_slots = templates
-            .iter()
-            .flatten()
-            .map(|t| t.n_slots)
-            .max()
-            .unwrap_or(0);
-        let max_pos = templates
-            .iter()
-            .flatten()
-            .map(|t| t.n_pos)
-            .max()
-            .unwrap_or(0);
-        if templates.iter().flatten().any(|t| !t.residual.is_empty()) {
-            self.ensure_universe(program);
-        }
-        self.bindings = vec![UNBOUND; max_slots as usize];
-        self.matched_buf = vec![GroundAtomId(0); max_pos as usize];
-        // Size the arenas for the extensional load: most programs are
-        // dominated by their facts, each contributing one atom and one
-        // clause (further growth is the usual amortized doubling).
-        self.gp.reserve(program.len(), program.len());
-        let mut new_atoms: Vec<GroundAtomId> = Vec::new();
-        let par_seed = self.opts.threads > 1 && templates.iter().any(Option::is_none);
-        if par_seed {
-            // Ground facts go through the sharded parallel round; the
-            // (rare) seed rules with residual variables follow
-            // sequentially, exactly as below.
-            self.seed_facts_parallel(program, &templates, &mut new_atoms)?;
-        }
-        for (ci, clause) in program.clauses().iter().enumerate() {
-            match &templates[ci] {
-                None if !par_seed && !self.exceeds_depth(&clause.head.args) => {
-                    let head_id = self
-                        .gp
-                        .intern_atom_parts(clause.head.pred, &clause.head.args);
-                    self.neg_buf.clear();
-                    // Initial-program ground facts are source facts: a
-                    // session may retract them.
-                    self.source_fact = true;
-                    let r = self.push_unique(head_id, 0, false, &mut new_atoms);
-                    self.source_fact = false;
-                    r?;
-                }
-                None => {}
-                Some(tmpl) if clause.pos_body().next().is_none() => {
-                    self.enumerate_residual(tmpl, 0, &mut new_atoms)?;
-                }
-                Some(_) => {}
+        let mut k = IncrementalGrounder::start(store, program, opts, false);
+        let guard = Guard::none();
+        let run = &mut Run::new(store, &guard);
+        match (opts.mode, opts.strategy) {
+            (GroundingMode::Full, _) => instantiate::run_full(&mut k.em, run, program),
+            (GroundingMode::Relevant, JoinStrategy::Planned) => k.run_planned(run, program),
+            (GroundingMode::Relevant, JoinStrategy::Naive) => {
+                instantiate::run_naive(&mut k.em, run, program)
             }
-        }
-        self.stats.seed_ns = t.elapsed().as_nanos() as u64;
-
-        // Compile plans once, after the seed round, so the selectivity
-        // order can use observed cardinalities; index registration
-        // backfills over the seed facts.
-        let t = Instant::now();
-        let mut facts = FactStore::default();
-        let mut grown: Vec<u32> = Vec::new();
-        facts.advance(&self.gp, &new_atoms, &mut grown);
-        new_atoms.clear();
-        let planner = build_plans(self.store, program, &templates, &mut facts);
-        // Every joinable predicate now has a slot; anything else is
-        // dead weight and gets dropped by subsequent advances. A
-        // persistent session must keep everything: a rule added later
-        // may join a predicate no current plan touches.
-        if !self.persistent {
-            facts.freeze();
-        }
-        self.stats.plans = planner.plans.len() as u32;
-        self.stats.indexes = facts.index_count() as u32;
-        self.stats.plan_ns = t.elapsed().as_nanos() as u64;
-
-        // Interning micro-fix: pre-size for the join rounds from the
-        // seed round's observed cardinality. On relational workloads
-        // derived heads track the delta rows — about one new atom and
-        // clause per seed fact — so doubling the seeded counts removes
-        // the grow-and-rehash cascade that dominated the 10^6-atom
-        // profiles (each sharded grow rehashes 1/16th of the store, and
-        // after this reserve the join rounds trigger none at all).
-        let seeded_atoms = self.gp.atom_count();
-        let seeded_clauses = self.gp.clause_count();
-        self.gp.reserve(seeded_atoms * 2, seeded_clauses * 2);
-
-        // Semi-naive rounds: only plans whose delta predicate grew are
-        // re-joined (relevance index).
-        let t = Instant::now();
-        self.drain_rounds(&templates, &planner, &mut facts, &mut new_atoms, &mut grown)?;
-        self.stats.join_ns += t.elapsed().as_nanos() as u64;
-        Ok((templates, planner, facts))
-    }
-
-    /// Runs relevance-driven semi-naive rounds to quiescence: while some
-    /// predicate grew, re-join exactly the plans whose delta predicate
-    /// it is, then advance the fact store. `grown` carries the slots of
-    /// the most recent advance in; both buffers come back empty.
-    fn drain_rounds(
-        &mut self,
-        templates: &[Option<RuleTemplate>],
-        planner: &Planner,
-        facts: &mut FactStore,
-        new_atoms: &mut Vec<GroundAtomId>,
-        grown: &mut Vec<u32>,
-    ) -> Result<(), GroundingError> {
-        while !grown.is_empty() {
-            self.stats.rounds += 1;
-            self.check_guard_memory(facts)?;
-            for &slot in grown.iter() {
-                for &pid in planner.dependents_of(slot) {
-                    let plan = &planner.plans[pid as usize];
-                    let tmpl = templates[plan.rule as usize]
-                        .as_ref()
-                        .expect("planned rules have templates");
-                    self.exec(plan, tmpl, 0, facts, new_atoms)?;
-                }
-            }
-            facts.advance(&self.gp, new_atoms, grown);
-            new_atoms.clear();
-        }
-        Ok(())
-    }
-
-    /// The sharded parallel seed round (`opts.threads > 1`).
-    ///
-    /// Ground facts dominate real programs, and seeding them is pure
-    /// interning — the superlinear 10^6-atom cost the ROADMAP tracked.
-    /// Three phases, each deterministic:
-    ///
-    /// 1. **Route** (parallel over fact chunks): hash every fact head
-    ///    and route `(hash, stream index)` into its interning shard —
-    ///    keys of different shards can never collide, so shards are
-    ///    independent dedup problems.
-    /// 2. **Dedup** (parallel over shards): each shard replays its
-    ///    entries in stream order against a private [`IdTable`],
-    ///    recording the distinct atoms with their first-occurrence
-    ///    index.
-    /// 3. **Merge** (sequential, no hashing): walk the fact stream
-    ///    once, assigning global ids at each first occurrence — the
-    ///    same first-occurrence order the sequential seed round interns
-    ///    in — emitting the fact clauses, then bulk-load the sharded
-    ///    table with the now-final ids (no probes: entries are unique
-    ///    by construction).
-    ///
-    /// The emitted clause set is therefore identical at every thread
-    /// count, and identical to the sequential path whenever ground
-    /// facts precede the residual seed rules (it differs only in
-    /// emission order otherwise — `tests/parallel_diff.rs` pins the
-    /// set identity).
-    fn seed_facts_parallel(
-        &mut self,
-        program: &Program,
-        templates: &[Option<RuleTemplate>],
-        new_atoms: &mut Vec<GroundAtomId>,
-    ) -> Result<(), GroundingError> {
-        let facts: Vec<&Atom> = program
-            .clauses()
-            .iter()
-            .zip(templates)
-            .filter_map(|(c, t)| t.is_none().then_some(&c.head))
-            .collect();
-        let n_threads = self.opts.threads;
-        let store: &TermStore = self.store;
-        let max_depth = self.max_depth;
-        // Phase 1: hash and route, chunks in stream order.
-        let routed: Vec<Vec<Vec<(u64, u32)>>> =
-            gsls_par::par_chunks(n_threads, &facts, n_threads * 4, |offset, chunk| {
-                let mut buckets: Vec<Vec<(u64, u32)>> = vec![Vec::new(); SHARDS];
-                for (i, head) in chunk.iter().enumerate() {
-                    if max_depth != u32::MAX
-                        && head.args.iter().any(|&a| store.depth(a) > max_depth)
-                    {
-                        continue;
-                    }
-                    let h = atom_hash(head.pred, &head.args);
-                    buckets[shard_of(h)].push((h, (offset + i) as u32));
-                }
-                buckets
-            });
-        // Phase 2: per-shard dedup against a private table.
-        struct ShardOut {
-            /// `(first-occurrence fact index, hash)` per distinct atom.
-            uniq: Vec<(u32, u64)>,
-            /// `(fact index, uniq index)` per routed entry.
-            assign: Vec<(u32, u32)>,
-        }
-        let shard_outs: Vec<ShardOut> = gsls_par::par_map(n_threads, SHARDS, |s| {
-            let total: usize = routed.iter().map(|b| b[s].len()).sum();
-            let mut table = IdTable::default();
-            table.reserve(total, |_| unreachable!("rehash of an empty table"));
-            let mut uniq: Vec<(u32, u64)> = Vec::new();
-            let mut assign: Vec<(u32, u32)> = Vec::with_capacity(total);
-            for buckets in &routed {
-                for &(h, fi) in &buckets[s] {
-                    let head = facts[fi as usize];
-                    let cand = uniq.len() as u32;
-                    let found = table.find_or_insert(
-                        h,
-                        cand,
-                        |u| {
-                            let first = facts[uniq[u as usize].0 as usize];
-                            first.pred == head.pred && first.args == head.args
-                        },
-                        |u| uniq[u as usize].1,
-                    );
-                    match found {
-                        Some(u) => assign.push((fi, u)),
-                        None => {
-                            uniq.push((fi, h));
-                            assign.push((fi, cand));
-                        }
-                    }
-                }
-            }
-            ShardOut { uniq, assign }
-        });
-        // Phase 3: deterministic merge. `SHARDS` in the shard byte
-        // marks depth-pruned facts, which emit nothing.
-        let mut of_fact: Vec<(u8, u32)> = vec![(SHARDS as u8, 0); facts.len()];
-        for (s, out) in shard_outs.iter().enumerate() {
-            for &(fi, u) in &out.assign {
-                of_fact[fi as usize] = (s as u8, u);
-            }
-        }
-        let total_uniq: usize = shard_outs.iter().map(|o| o.uniq.len()).sum();
-        self.gp
-            .reserve(self.gp.atom_count() + total_uniq, total_uniq);
-        let mut global: Vec<Vec<u32>> = shard_outs
-            .iter()
-            .map(|o| vec![u32::MAX; o.uniq.len()])
-            .collect();
-        for (fi, &(s, u)) in of_fact.iter().enumerate() {
-            if s as usize == SHARDS {
-                continue;
-            }
-            let slot = &mut global[s as usize][u as usize];
-            if *slot != u32::MAX {
-                self.stats.dedup_hits += 1;
-                continue;
-            }
-            // (On a budget error the half-built program is discarded,
-            // so the atom pushed ahead of emit_fact's check is fine.)
-            let id = self.gp.push_atom_raw(facts[fi].clone());
-            *slot = id.0;
-            self.source_fact = true;
-            let r = self.emit_fact(id, new_atoms);
-            self.source_fact = false;
-            r?;
-        }
-        for (s, out) in shard_outs.iter().enumerate() {
-            self.gp.bulk_intern_unique(
-                out.uniq
-                    .iter()
-                    .enumerate()
-                    .map(|(u, &(_fi, h))| (h, global[s][u])),
-            );
-        }
-        Ok(())
-    }
-
-    /// The differential oracle: per pass, every rule is re-joined
-    /// against the whole fact store with unordered full scans, until a
-    /// pass emits nothing new. See [`JoinStrategy::Naive`].
-    fn run_naive(&mut self, program: &Program) -> Result<(), GroundingError> {
-        let t = Instant::now();
-        self.ensure_universe(program);
-        let mut new_atoms: Vec<GroundAtomId> = Vec::new();
-        let mut facts = FactStore::default();
-        let mut grown: Vec<u32> = Vec::new();
-        let mut subst = Subst::new();
-        loop {
-            let before = self.gp.clause_count();
-            for clause in program.clauses() {
-                let pats: Vec<&Atom> = clause.pos_body().map(|l| &l.atom).collect();
-                if pats.is_empty() {
-                    let free = clause.vars(self.store);
-                    self.enumerate_free(clause, &free, 0, &mut subst, &mut new_atoms)?;
-                } else {
-                    let residual = residual_vars(self.store, clause);
-                    self.naive_join(
-                        clause,
-                        &pats,
-                        &residual,
-                        0,
-                        &mut subst,
-                        &facts,
-                        &mut new_atoms,
-                    )?;
-                }
-            }
-            facts.advance(&self.gp, &new_atoms, &mut grown);
-            new_atoms.clear();
-            if self.gp.clause_count() == before {
-                break;
-            }
-            self.stats.rounds += 1;
-        }
-        self.stats.join_ns = t.elapsed().as_nanos() as u64;
-        Ok(())
-    }
-
-    /// Executes plan literal `li` under the current bindings: an index
-    /// probe clamped to the literal's role sub-range, or a row-range
-    /// scan when nothing is bound at this slot.
-    fn exec(
-        &mut self,
-        plan: &JoinPlan,
-        tmpl: &RuleTemplate,
-        li: usize,
-        facts: &FactStore,
-        new_atoms: &mut Vec<GroundAtomId>,
-    ) -> Result<(), GroundingError> {
-        let Some(lit) = plan.literals.get(li) else {
-            return self.enumerate_residual(tmpl, 0, new_atoms);
-        };
-        let role = if self.force_full {
-            Role::Full
-        } else {
-            match lit.orig.cmp(&plan.delta_pos) {
-                std::cmp::Ordering::Less => Role::Full,
-                std::cmp::Ordering::Equal => Role::Delta,
-                std::cmp::Ordering::Greater => Role::Old,
-            }
-        };
-        let (lo, hi) = facts.range(lit.pred_slot, role);
-        if lo >= hi {
-            return Ok(());
-        }
-        if lit.handle != NO_INDEX {
-            let mark = self.key_buf.len();
-            for &p in lit.bound.iter() {
-                let value = match lit.specs[p as usize] {
-                    ArgSpec::Ground(id) => id,
-                    ArgSpec::Slot(s) => self.bindings[s as usize],
-                    ArgSpec::Compound(_) => unreachable!("compound args never join signatures"),
-                };
-                debug_assert_ne!(value, UNBOUND, "bound signature slot unbound");
-                self.key_buf.push(value);
-            }
-            self.stats.index_probes += 1;
-            let posting = facts.posting(lit.handle, &self.key_buf[mark..]);
-            self.key_buf.truncate(mark);
-            // Sorted posting list: the role restriction is a contiguous
-            // sub-range, not a filter over the whole list.
-            let a = posting.partition_point(|&r| r < lo);
-            let b = posting.partition_point(|&r| r < hi);
-            for &row in &posting[a..b] {
-                self.try_row(plan, tmpl, li, row, facts, new_atoms)?;
-            }
-        } else {
-            for row in lo..hi {
-                self.try_row(plan, tmpl, li, row, facts, new_atoms)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Matches plan literal `li` against fact `row` (skipping the
-    /// index-guaranteed bound positions), recursing on success and
-    /// undoing the slot bindings afterwards.
-    fn try_row(
-        &mut self,
-        plan: &JoinPlan,
-        tmpl: &RuleTemplate,
-        li: usize,
-        row: u32,
-        facts: &FactStore,
-        new_atoms: &mut Vec<GroundAtomId>,
-    ) -> Result<(), GroundingError> {
-        let lit = &plan.literals[li];
-        self.stats.join_candidates += 1;
-        self.tick_guard()?;
-        let targs = facts.row_args(lit.pred_slot, row);
-        let mark = self.slot_trail.len();
-        let mut ok = true;
-        let mut bi = 0usize;
-        for (p, (&spec, &tgt)) in lit.specs.iter().zip(targs.iter()).enumerate() {
-            if bi < lit.bound.len() && lit.bound[bi] as usize == p {
-                // The index key already pinned this position.
-                bi += 1;
-                continue;
-            }
-            let matched = match spec {
-                // Hash-consing: id equality is structural equality, so
-                // deep ground terms (numerals) compare in O(1).
-                ArgSpec::Ground(id) => id == tgt,
-                ArgSpec::Slot(s) => {
-                    let cur = self.bindings[s as usize];
-                    if cur == UNBOUND {
-                        self.bindings[s as usize] = tgt;
-                        self.slot_trail.push(s);
-                        true
-                    } else {
-                        cur == tgt
-                    }
-                }
-                ArgSpec::Compound(pat) => match_compound(
-                    self.store,
-                    pat,
-                    tgt,
-                    &tmpl.var_slots,
-                    &mut self.bindings,
-                    &mut self.slot_trail,
-                ),
-            };
-            if !matched {
-                ok = false;
-                break;
-            }
-        }
-        if ok {
-            self.matched_buf[lit.orig as usize] = facts.row_atom(lit.pred_slot, row);
-            self.exec(plan, tmpl, li + 1, facts, new_atoms)?;
-        }
-        while self.slot_trail.len() > mark {
-            let s = self
-                .slot_trail
-                .pop()
-                .expect("slot trail mark within bounds");
-            self.bindings[s as usize] = UNBOUND;
-        }
-        Ok(())
-    }
-
-    /// Enumerates the rule's residual slots over the universe, emitting
-    /// the instance when all are bound.
-    fn enumerate_residual(
-        &mut self,
-        tmpl: &RuleTemplate,
-        j: usize,
-        new_atoms: &mut Vec<GroundAtomId>,
-    ) -> Result<(), GroundingError> {
-        let Some(&slot) = tmpl.residual.get(j) else {
-            return self.emit_template(tmpl, new_atoms);
-        };
-        for u in 0..self.universe.len() {
-            self.tick_guard()?;
-            self.bindings[slot as usize] = self.universe[u];
-            self.enumerate_residual(tmpl, j + 1, new_atoms)?;
-        }
-        self.bindings[slot as usize] = UNBOUND;
-        Ok(())
-    }
-
-    /// Resolves one template argument to its ground term.
-    fn resolve_spec(&mut self, spec: ArgSpec, tmpl: &RuleTemplate) -> TermId {
-        match spec {
-            ArgSpec::Ground(id) => id,
-            ArgSpec::Slot(s) => {
-                let t = self.bindings[s as usize];
-                debug_assert_ne!(t, UNBOUND, "unbound slot at emit");
-                t
-            }
-            ArgSpec::Compound(t) => self.resolve_compound(t, tmpl),
-        }
-    }
-
-    /// Substitutes slot values into a non-ground compound argument,
-    /// interning the new terms (cold path: function symbols only).
-    fn resolve_compound(&mut self, t: TermId, tmpl: &RuleTemplate) -> TermId {
-        if self.store.is_ground(t) {
-            return t;
-        }
-        match self.store.term(t).clone() {
-            Term::Var(v) => {
-                let b = self.bindings[tmpl.var_slots[&v] as usize];
-                debug_assert_ne!(b, UNBOUND, "unbound variable at emit");
-                b
-            }
-            Term::App(f, args) => {
-                let new_args: Vec<TermId> = args
-                    .iter()
-                    .map(|&a| self.resolve_compound(a, tmpl))
-                    .collect();
-                self.store.app(f, &new_args)
-            }
-        }
-    }
-
-    /// Template analogue of [`Grounder::emit`]: the positive body ids
-    /// come straight from the matched fact rows; only the head and the
-    /// negative body atoms are resolved and interned.
-    fn emit_template(
-        &mut self,
-        tmpl: &RuleTemplate,
-        new_atoms: &mut Vec<GroundAtomId>,
-    ) -> Result<(), GroundingError> {
-        // Resolve before interning anything: an instance that escapes
-        // the bounded universe must leave no trace in the atom table.
-        // (Positive body atoms are matched fact rows, i.e. previously
-        // emitted heads, so they are within depth by induction.)
-        self.head_buf.clear();
-        for i in 0..tmpl.head.args.len() {
-            let t = self.resolve_spec(tmpl.head.args[i], tmpl);
-            self.head_buf.push(t);
-        }
-        if self.exceeds_depth(&self.head_buf) {
-            return Ok(());
-        }
-        self.body_buf.clear();
-        for ni in 0..tmpl.neg.len() {
-            let start = self.body_buf.len();
-            for ai in 0..tmpl.neg[ni].args.len() {
-                let t = self.resolve_spec(tmpl.neg[ni].args[ai], tmpl);
-                self.body_buf.push(t);
-            }
-            if self.exceeds_depth(&self.body_buf[start..]) {
-                return Ok(());
-            }
-        }
-        let head_id = self.gp.intern_atom_parts(tmpl.head.pred, &self.head_buf);
-        self.neg_buf.clear();
-        let mut off = 0usize;
-        for nt in tmpl.neg.iter() {
-            let n = nt.args.len();
-            let id = self
-                .gp
-                .intern_atom_parts(nt.pred, &self.body_buf[off..off + n]);
-            off += n;
-            self.neg_buf.push(id);
-        }
-        self.push_unique(head_id, tmpl.n_pos as usize, tmpl.table_dedup, new_atoms)
-    }
-
-    /// Dedups and stores the clause `head ← matched positives, ¬negs`,
-    /// queueing a first-time head through the delta.
-    ///
-    /// Fact-shaped instances (empty body) dedup by head atom alone — two
-    /// such clauses are equal iff their heads are. Bodied instances
-    /// consult the id-triple clause table only when `use_table` says a
-    /// colliding rule exists (see `RuleTemplate::table_dedup`); planned
-    /// semi-naive enumeration is duplicate-free within one rule.
-    fn push_unique(
-        &mut self,
-        head_id: GroundAtomId,
-        n_pos: usize,
-        use_table: bool,
-        new_atoms: &mut Vec<GroundAtomId>,
-    ) -> Result<(), GroundingError> {
-        self.tick_guard()?;
-        if n_pos == 0 && self.neg_buf.is_empty() {
-            if self.fact_seen.len() <= head_id.index() {
-                self.fact_seen.resize(head_id.index() + 1, false);
-            }
-            if !self.persistent {
-                if self.fact_seen[head_id.index()] {
-                    self.stats.dedup_hits += 1;
-                    return Ok(());
-                }
-                return self.emit_fact(head_id, new_atoms);
-            }
-            // Persistent mode dedups source and permanent fact clauses
-            // separately: a session may switch a source clause off, so
-            // a permanent duplicate (rule instance / rule-batch fact)
-            // must get its own always-on clause, and vice versa — a
-            // later `assert` over a permanent clause still needs a
-            // switchable one to retract.
-            let duplicate = if self.source_fact {
-                self.fact_clause.contains_key(&head_id.0)
-            } else {
-                if self.free_fact_seen.len() <= head_id.index() {
-                    self.free_fact_seen.resize(head_id.index() + 1, false);
-                }
-                self.free_fact_seen[head_id.index()]
-            };
-            if duplicate {
-                self.stats.dedup_hits += 1;
-                return Ok(());
-            }
-            return self.emit_fact(head_id, new_atoms);
-        }
-        if use_table || self.persistent {
-            let pos = &self.matched_buf[..n_pos];
-            let neg = &self.neg_buf;
-            let hash = clause_hash(head_id.0, pos, neg);
-            let gp = &self.gp;
-            let eq = |ci: u32| {
-                let c = gp.clause(ci);
-                c.head == head_id && c.pos == pos && c.neg == &neg[..]
-            };
-            let ci = gp.clause_count() as u32;
-            if (ci as usize) >= self.opts.max_clauses {
-                // At the budget only duplicates may still arrive cleanly.
-                if self.clause_table.find(hash, eq).is_some() {
-                    self.stats.dedup_hits += 1;
-                    return Ok(());
-                }
-                return Err(GroundingError::ClauseBudget(self.opts.max_clauses));
-            }
-            let existing = self.clause_table.find_or_insert(hash, ci, eq, |i| {
-                let c = gp.clause(i);
-                clause_hash(c.head.0, c.pos, c.neg)
-            });
-            if existing.is_some() {
-                self.stats.dedup_hits += 1;
-                return Ok(());
-            }
-        } else if self.gp.clause_count() >= self.opts.max_clauses {
-            return Err(GroundingError::ClauseBudget(self.opts.max_clauses));
-        }
-        let (gp, matched) = (&mut self.gp, &self.matched_buf);
-        gp.push_clause_parts(head_id, &matched[..n_pos], &self.neg_buf);
-        self.queue_derivable(head_id, new_atoms)
-    }
-
-    /// Emits the fact clause for a head already known novel: budget
-    /// check, `fact_seen` mark, clause push, delta queue. The single
-    /// emission step shared by [`Grounder::push_unique`]'s fact branch
-    /// and the parallel seed merge — keep the invariants in one place.
-    fn emit_fact(
-        &mut self,
-        head_id: GroundAtomId,
-        new_atoms: &mut Vec<GroundAtomId>,
-    ) -> Result<(), GroundingError> {
-        if self.gp.clause_count() >= self.opts.max_clauses {
-            return Err(GroundingError::ClauseBudget(self.opts.max_clauses));
-        }
-        if self.fact_seen.len() <= head_id.index() {
-            self.fact_seen.resize(head_id.index() + 1, false);
-        }
-        self.fact_seen[head_id.index()] = true;
-        if self.persistent {
-            if self.source_fact {
-                let ci = u32::try_from(self.gp.clause_count()).expect("ground clause overflow");
-                self.fact_clause.insert(head_id.0, ci);
-            } else {
-                if self.free_fact_seen.len() <= head_id.index() {
-                    self.free_fact_seen.resize(head_id.index() + 1, false);
-                }
-                self.free_fact_seen[head_id.index()] = true;
-            }
-        }
-        self.gp.push_clause_parts(head_id, &[], &[]);
-        self.queue_derivable(head_id, new_atoms)
-    }
-
-    /// Marks `head_id` derivable, queueing it through the delta on the
-    /// first derivation.
-    fn queue_derivable(
-        &mut self,
-        head_id: GroundAtomId,
-        new_atoms: &mut Vec<GroundAtomId>,
-    ) -> Result<(), GroundingError> {
-        if self.derivable.len() <= head_id.index() {
-            self.derivable.resize(head_id.index() + 1, false);
-        }
-        if !self.derivable[head_id.index()] {
-            self.derivable[head_id.index()] = true;
-            new_atoms.push(head_id);
-        }
-        Ok(())
-    }
-
-    /// Matches naive-order literal `i` against every fact row of its
-    /// predicate — the oracle join.
-    #[allow(clippy::too_many_arguments)]
-    fn naive_join(
-        &mut self,
-        clause: &Clause,
-        pats: &[&Atom],
-        residual: &[Var],
-        i: usize,
-        subst: &mut Subst,
-        facts: &FactStore,
-        new_atoms: &mut Vec<GroundAtomId>,
-    ) -> Result<(), GroundingError> {
-        if i == pats.len() {
-            return self.enumerate_free(clause, residual, 0, subst, new_atoms);
-        }
-        let pat = pats[i];
-        let Some(slot) = facts.slot_of(pat.pred_id()) else {
-            return Ok(());
-        };
-        let (lo, hi) = facts.range(slot, Role::Full);
-        for row in lo..hi {
-            self.stats.join_candidates += 1;
-            let targs = facts.row_args(slot, row);
-            let mark = self.trail.len();
-            let mut ok = true;
-            for (&p, &t) in pat.args.iter().zip(targs.iter()) {
-                if !match_term_recording(self.store, subst, p, t, &mut self.trail) {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                self.naive_join(clause, pats, residual, i + 1, subst, facts, new_atoms)?;
-            }
-            while self.trail.len() > mark {
-                let v = self.trail.pop().expect("trail mark within bounds");
-                subst.remove(v);
-            }
-        }
-        Ok(())
-    }
-
-    fn enumerate_free(
-        &mut self,
-        clause: &Clause,
-        free: &[Var],
-        j: usize,
-        subst: &mut Subst,
-        new_atoms: &mut Vec<GroundAtomId>,
-    ) -> Result<(), GroundingError> {
-        if j == free.len() {
-            return self.emit(clause, subst, new_atoms);
-        }
-        for u in 0..self.universe.len() {
-            let t = self.universe[u];
-            subst.bind(free[j], t);
-            self.enumerate_free(clause, free, j + 1, subst, new_atoms)?;
-            subst.remove(free[j]);
-        }
-        Ok(())
-    }
-
-    /// Resolves the instance under `subst`, interns its atoms, and —
-    /// unless the id-triple dedup has seen the clause — pushes it into
-    /// the CSR store, queueing a first-time head through the delta.
-    fn emit(
-        &mut self,
-        clause: &Clause,
-        subst: &Subst,
-        new_atoms: &mut Vec<GroundAtomId>,
-    ) -> Result<(), GroundingError> {
-        // Resolve every atom before interning anything: an instance that
-        // escapes the bounded universe belongs to a deeper prefix of the
-        // (infinite) Herbrand instantiation than this grounding
-        // approximates, and must leave no trace in the atom table.
-        self.head_buf.clear();
-        for &a in clause.head.args.iter() {
-            let t = subst.resolve(self.store, a);
-            debug_assert!(self.store.is_ground(t), "unbound head variable at emit");
-            self.head_buf.push(t);
-        }
-        if self.exceeds_depth(&self.head_buf) {
-            return Ok(());
-        }
-        self.body_buf.clear();
-        for lit in &clause.body {
-            let start = self.body_buf.len();
-            for &a in lit.atom.args.iter() {
-                let t = subst.resolve(self.store, a);
-                debug_assert!(self.store.is_ground(t), "unbound variable at emit");
-                self.body_buf.push(t);
-            }
-            if self.exceeds_depth(&self.body_buf[start..]) {
-                return Ok(());
-            }
-        }
-        let head_id = self.gp.intern_atom_parts(clause.head.pred, &self.head_buf);
-        // The planned path never runs this emit, so `matched_buf` is
-        // free to serve as the positive-id buffer here.
-        self.matched_buf.clear();
-        self.neg_buf.clear();
-        let mut off = 0usize;
-        for lit in &clause.body {
-            let n = lit.atom.args.len();
-            let id = self
-                .gp
-                .intern_atom_parts(lit.atom.pred, &self.body_buf[off..off + n]);
-            off += n;
-            if lit.is_pos() {
-                self.matched_buf.push(id);
-            } else {
-                self.neg_buf.push(id);
-            }
-        }
-        let n_pos = self.matched_buf.len();
-        self.push_unique(head_id, n_pos, true, new_atoms)
-    }
-
-    fn exceeds_depth(&self, args: &[TermId]) -> bool {
-        self.max_depth != u32::MAX && args.iter().any(|&t| self.store.depth(t) > self.max_depth)
-    }
-
-    /// One governance tick (amortized check) charged to this run.
-    #[inline]
-    fn tick_guard(&mut self) -> Result<(), GroundingError> {
-        self.guard
-            .tick(&mut self.tick)
-            .map_err(GroundingError::Interrupted)
-    }
-
-    /// A real governance check plus memory accounting over the term
-    /// store, the CSR program, and the fact-store indexes — the
-    /// per-round boundary check.
-    fn check_guard_memory(&mut self, facts: &FactStore) -> Result<(), GroundingError> {
-        if !self.guard.is_governed() {
-            return Ok(());
-        }
-        let r = if self.guard.memory_budget().is_some() {
-            let used = self.store.approx_bytes() + self.gp.approx_bytes() + facts.approx_bytes();
-            self.guard.check_memory(used)
-        } else {
-            self.guard.check()
-        };
-        r.map_err(GroundingError::Interrupted)
-    }
-
-    /// Builds a transient grounder over a session kernel's state: every
-    /// owned field moves out of the kernel (cheap pointer moves) and
-    /// [`Grounder::detach`] moves them back. Persistent mode is implied.
-    fn attach<'s>(store: &'s mut TermStore, k: &mut IncrementalGrounder) -> Grounder<'s> {
-        Grounder {
-            store,
-            universe: std::mem::take(&mut k.universe),
-            opts: k.opts,
-            max_depth: k.max_depth,
-            gp: std::mem::take(&mut k.gp),
-            derivable: std::mem::take(&mut k.derivable),
-            fact_seen: std::mem::take(&mut k.fact_seen),
-            clause_table: std::mem::take(&mut k.clause_table),
-            trail: std::mem::take(&mut k.trail),
-            bindings: std::mem::take(&mut k.bindings),
-            slot_trail: std::mem::take(&mut k.slot_trail),
-            matched_buf: std::mem::take(&mut k.matched_buf),
-            stats: k.stats,
-            key_buf: std::mem::take(&mut k.key_buf),
-            head_buf: std::mem::take(&mut k.head_buf),
-            body_buf: std::mem::take(&mut k.body_buf),
-            neg_buf: std::mem::take(&mut k.neg_buf),
-            persistent: true,
-            force_full: false,
-            source_fact: false,
-            fact_clause: std::mem::take(&mut k.fact_clause),
-            free_fact_seen: std::mem::take(&mut k.free_fact_seen),
-            guard: k.guard.clone(),
-            tick: 0,
-        }
-    }
-
-    /// Moves the state of an [`Grounder::attach`]ed run back into its
-    /// kernel.
-    fn detach(self, k: &mut IncrementalGrounder) {
-        k.universe = self.universe;
-        k.gp = self.gp;
-        k.derivable = self.derivable;
-        k.fact_seen = self.fact_seen;
-        k.clause_table = self.clause_table;
-        k.trail = self.trail;
-        k.bindings = self.bindings;
-        k.slot_trail = self.slot_trail;
-        k.matched_buf = self.matched_buf;
-        k.stats = self.stats;
-        k.key_buf = self.key_buf;
-        k.head_buf = self.head_buf;
-        k.body_buf = self.body_buf;
-        k.neg_buf = self.neg_buf;
-        k.fact_clause = self.fact_clause;
-        k.free_fact_seen = self.free_fact_seen;
-    }
-
-    /// Re-joins every residual-slot rule in full — the catch-up pass
-    /// after the active domain (universe) grows. The dedup table and
-    /// `fact_seen` absorb the instances that already exist; only the
-    /// combinations touching new constants survive to emission.
-    fn rerun_rules_full(
-        &mut self,
-        parts: &mut KernelParts<'_>,
-        new_atoms: &mut Vec<GroundAtomId>,
-    ) -> Result<(), GroundingError> {
-        for &ri in parts.residual_rules {
-            let tmpl = parts.templates[ri as usize]
-                .as_ref()
-                .expect("residual rules have templates");
-            let r = if tmpl.n_pos == 0 {
-                self.enumerate_residual(tmpl, 0, new_atoms)
-            } else {
-                self.force_full = true;
-                let plan = parts
-                    .planner
-                    .plans
-                    .iter()
-                    .find(|p| p.rule == ri && p.delta_pos == 0)
-                    .expect("bodied rules compile at least one plan");
-                let r = self.exec(plan, tmpl, 0, parts.facts, new_atoms);
-                self.force_full = false;
-                r
-            };
-            r?;
-        }
-        Ok(())
+        }?;
+        k.finalize();
+        Ok((k.em.gp, k.em.stats))
     }
 }
 
-/// Structurally matches a non-ground compound pattern (e.g. `s(X)`)
-/// against a ground target, binding pattern variables into the rule's
-/// dense slots and recording each new binding on the slot trail. The
-/// cold path of [`Grounder::try_row`] — only reachable in programs with
-/// function symbols.
-fn match_compound(
-    store: &TermStore,
-    pat: TermId,
-    tgt: TermId,
-    var_slots: &FxHashMap<Var, u32>,
-    bindings: &mut [TermId],
-    slot_trail: &mut Vec<u32>,
-) -> bool {
-    if store.is_ground(pat) {
-        // Hash-consing: ground ids are equal iff the terms are.
-        return pat == tgt;
-    }
-    match store.term(pat) {
-        Term::Var(v) => {
-            let s = var_slots[v] as usize;
-            let cur = bindings[s];
-            if cur == UNBOUND {
-                bindings[s] = tgt;
-                slot_trail.push(s as u32);
-                true
-            } else {
-                cur == tgt
-            }
-        }
-        Term::App(f, pargs) => match store.term(tgt) {
-            Term::App(g, targs) if f == g && pargs.len() == targs.len() => {
-                // Clone the id slices (Copy elements) so we can recurse
-                // while mutating the bindings.
-                let pargs: Vec<TermId> = pargs.to_vec();
-                let targs: Vec<TermId> = targs.to_vec();
-                pargs
-                    .into_iter()
-                    .zip(targs)
-                    .all(|(p, t)| match_compound(store, p, t, var_slots, bindings, slot_trail))
-            }
-            _ => false,
-        },
-    }
-}
-
-/// The **persistent** grounder backing `global_sls::Session` — the
-/// `Grounder::extend` path: the same join machinery as
-/// [`Grounder::ground`], but all run state (fact store, compiled
-/// templates and plans, dedup tables, derivability closure, scratch
-/// buffers) survives between calls, so committing a fact delta re-joins
-/// only the plans whose predicates actually grew instead of re-grounding
-/// from scratch.
+/// The grounding kernel — every piece of ground state (see the module
+/// docs), kept by `global_sls::Session` so that committing a delta
+/// re-joins only the plans whose predicates actually grew instead of
+/// re-grounding from scratch.
 ///
-/// Contract differences from the batch path:
+/// Contract of a kept kernel, beyond batch grounding's:
 ///
 /// * **Function-free only** ([`IncrementalGrounder::new`] rejects
 ///   programs with proper function symbols): the Herbrand universe is
@@ -2049,47 +279,48 @@ fn match_compound(
 /// * **Active-domain enumeration**: rules whose variables no positive
 ///   body literal binds are enumerated over the constants seen so far;
 ///   when a commit introduces new constants, every such rule is
-///   re-joined in full (the dedup table absorbs the overlap), so the
+///   re-joined in full (the dedup spaces absorb the overlap), so the
 ///   emitted instance set always equals a from-scratch grounding of the
 ///   merged program. (Corner case: if the *initial* program had no
 ///   constants at all, the batch grounder's invented constant persists
 ///   in the session universe.)
-/// * The returned program is re-[`finalized`](GroundProgram::finalize)
-///   after every operation.
+/// * The program is re-[`finalized`](GroundProgram::finalize) after
+///   every operation, failed ones included.
 pub struct IncrementalGrounder {
-    opts: GrounderOpts,
-    max_depth: u32,
-    universe: Vec<TermId>,
-    /// Membership view of `universe` (constants, function-free).
+    em: Emission,
+    /// Membership view of `em.universe` (constants, function-free).
     uni_set: FxHashSet<TermId>,
-    gp: GroundProgram,
-    derivable: Vec<bool>,
-    fact_seen: Vec<bool>,
-    clause_table: IdTable,
-    trail: Vec<Var>,
-    bindings: Vec<TermId>,
-    slot_trail: Vec<u32>,
-    matched_buf: Vec<GroundAtomId>,
-    stats: GroundStats,
-    key_buf: Vec<TermId>,
-    head_buf: Vec<TermId>,
-    body_buf: Vec<TermId>,
-    neg_buf: Vec<GroundAtomId>,
-    fact_clause: FxHashMap<u32, u32>,
-    free_fact_seen: Vec<bool>,
-    /// Per-rule compilation, indexed like the session program's clauses.
+    /// Per-rule compilation, indexed like the source program's clauses.
     templates: Vec<Option<RuleTemplate>>,
     planner: Planner,
     facts: FactStore,
     /// Rule indices with residual (universe-enumerated) slots — the
     /// rules that must re-join in full when the universe grows.
     residual_rules: Vec<u32>,
-    /// Governance guard the next attached run polls; [`Guard::none`]
-    /// unless a session installed one for the current commit.
-    guard: Guard,
 }
 
 impl IncrementalGrounder {
+    /// The empty kernel for `program` — the one place ground state is
+    /// initialised.
+    fn start(store: &TermStore, program: &Program, opts: GrounderOpts, persistent: bool) -> Self {
+        // With function symbols the universe is depth-truncated; emitted
+        // atoms must respect the same bound or grounding diverges. For
+        // function-free programs terms never grow, so no bound is needed.
+        let max_depth = if program.is_function_free(store) {
+            u32::MAX
+        } else {
+            opts.universe.max_depth
+        };
+        IncrementalGrounder {
+            em: Emission::new(opts, max_depth, persistent),
+            uni_set: FxHashSet::default(),
+            templates: Vec::new(),
+            planner: Planner::default(),
+            facts: FactStore::default(),
+            residual_rules: Vec::new(),
+        }
+    }
+
     /// Grounds `program` and keeps every piece of run state for later
     /// [`IncrementalGrounder::extend`] / [`IncrementalGrounder::
     /// add_rules`] calls. The program must be function-free.
@@ -2102,91 +333,42 @@ impl IncrementalGrounder {
             program.is_function_free(store),
             "IncrementalGrounder requires a function-free program"
         );
+        let mut k = Self::start(store, program, opts, true);
         // Active-domain universe: the constant set, computed eagerly so
         // later deltas only need to diff against it. (`ensure_universe`
         // skips its sweep when this is non-empty; when the program has
         // no constants at all it may still invent the batch grounder's
         // default one — see the corner case in the type docs.)
         let consts = program.constants(store);
-        let universe: Vec<TermId> = consts.into_iter().map(|c| store.app(c, &[])).collect();
-        let mut k = IncrementalGrounder {
-            opts,
-            max_depth: u32::MAX,
-            universe,
-            uni_set: FxHashSet::default(),
-            gp: GroundProgram::new(),
-            derivable: Vec::new(),
-            fact_seen: Vec::new(),
-            clause_table: IdTable::default(),
-            trail: Vec::new(),
-            bindings: Vec::new(),
-            slot_trail: Vec::new(),
-            matched_buf: Vec::new(),
-            stats: GroundStats::default(),
-            key_buf: Vec::new(),
-            head_buf: Vec::new(),
-            body_buf: Vec::new(),
-            neg_buf: Vec::new(),
-            fact_clause: FxHashMap::default(),
-            free_fact_seen: Vec::new(),
-            templates: Vec::new(),
-            planner: Planner::default(),
-            facts: FactStore::default(),
-            residual_rules: Vec::new(),
-            guard: Guard::none(),
-        };
-        let mut g = Grounder::attach(store, &mut k);
-        let r = g.run_planned_core(program);
-        g.detach(&mut k);
-        let (templates, planner, facts) = r?;
-        k.residual_rules = residual_rules_of(&templates);
-        k.templates = templates;
-        k.planner = planner;
-        k.facts = facts;
-        k.uni_set = k.universe.iter().copied().collect();
-        let t = Instant::now();
-        k.gp.finalize();
-        k.stats.finalize_ns += t.elapsed().as_nanos() as u64;
+        k.em.universe = consts.into_iter().map(|c| store.app(c, &[])).collect();
+        k.run_planned(&mut Run::new(store, &Guard::none()), program)?;
+        k.uni_set = k.em.universe.iter().copied().collect();
+        k.finalize();
         Ok(k)
     }
 
     /// The (finalized) ground program.
     pub fn ground_program(&self) -> &GroundProgram {
-        &self.gp
+        &self.em.gp
     }
 
     /// The active domain: every constant seen so far, as interned
     /// terms. Query engines enumerate unbound all-negative variables
     /// over exactly this set.
     pub fn universe(&self) -> &[TermId] {
-        &self.universe
+        &self.em.universe
     }
 
     /// Cumulative grounding statistics across all operations so far.
     pub fn stats(&self) -> GroundStats {
-        self.stats
-    }
-
-    /// Installs the governance guard that subsequent
-    /// [`IncrementalGrounder::extend`] / [`IncrementalGrounder::
-    /// add_rules`] runs poll. A session sets a per-commit guard before
-    /// applying a batch and resets to [`Guard::none`] afterwards.
-    pub fn set_guard(&mut self, guard: Guard) {
-        self.guard = guard;
+        self.em.stats
     }
 
     /// Approximate heap footprint of the persistent ground state — CSR
     /// program plus fact store and composite indexes — in bytes. The
     /// session adds the term store's own accounting on top.
     pub fn approx_bytes(&self) -> usize {
-        self.gp.approx_bytes() + self.facts.approx_bytes()
-    }
-
-    /// Number of program clauses (rules and source facts) compiled so
-    /// far — the index the next [`IncrementalGrounder::add_rules`] call
-    /// must pass as `first_new`.
-    pub fn rules_compiled(&self) -> usize {
-        self.templates.len()
+        self.em.gp.approx_bytes() + self.facts.approx_bytes()
     }
 
     /// The clause index of the **source** fact clause for `id`, if one
@@ -2196,7 +378,197 @@ impl IncrementalGrounder {
     /// through [`IncrementalGrounder::add_rules`] are permanent program
     /// text and have no entry here.
     pub fn fact_clause_of(&self, id: GroundAtomId) -> Option<u32> {
-        self.fact_clause.get(&id.0).copied()
+        self.em.fact_clause.get(&id.0).copied()
+    }
+
+    /// The production path: rule-template compilation, seed round, plan
+    /// compilation, then relevance-driven semi-naive rounds over the
+    /// compiled plans using dense binding slots.
+    fn run_planned(&mut self, run: &mut Run<'_>, program: &Program) -> Result<(), GroundingError> {
+        // Seed round: rules without positive body — their instances don't
+        // depend on the closure and are emitted exactly once. Ground
+        // facts (template `None`) bypass enumeration entirely.
+        let t = Instant::now();
+        self.templates = build_templates(run.store, program, self.em.persistent);
+        self.residual_rules = residual_rules_of(&self.templates);
+        let Self {
+            em,
+            templates,
+            planner,
+            facts,
+            residual_rules,
+            ..
+        } = self;
+        if !residual_rules.is_empty() {
+            em.ensure_universe(run.store, program);
+        }
+        em.fit_scratch(templates);
+        // Size the arenas for the extensional load: most programs are
+        // dominated by their facts, each contributing one atom and one
+        // clause (further growth is the usual amortized doubling).
+        em.gp.reserve(program.len(), program.len());
+        let par_seed = em.opts.threads > 1 && templates.iter().any(Option::is_none);
+        if par_seed {
+            // Ground facts go through the sharded parallel round; the
+            // (rare) seed rules with residual variables follow
+            // sequentially, exactly as below.
+            em.seed_facts_parallel(run.store, program, templates)?;
+        }
+        for (ci, clause) in program.clauses().iter().enumerate() {
+            match &templates[ci] {
+                // Initial-program ground facts are source facts: a
+                // session may retract them.
+                None if !par_seed && !em.exceeds_depth(run.store, &clause.head.args) => {
+                    em.emit_ground_fact(run, &clause.head, FactKind::Source)?;
+                }
+                None => {}
+                Some(tmpl) if tmpl.n_pos == 0 => em.enumerate_residual(run, tmpl, 0)?,
+                Some(_) => {}
+            }
+        }
+        em.stats.seed_ns = t.elapsed().as_nanos() as u64;
+
+        // Compile plans once, after the seed round, so the selectivity
+        // order can use observed cardinalities; index registration
+        // backfills over the seed facts.
+        let t = Instant::now();
+        let mut grown: Vec<u32> = Vec::new();
+        em.flush_delta(facts, &mut grown);
+        *planner = build_plans(run.store, program, templates, facts);
+        // Every joinable predicate now has a slot; anything else is
+        // dead weight and gets dropped by subsequent advances. A
+        // persistent kernel must keep everything: a rule added later
+        // may join a predicate no current plan touches.
+        if !em.persistent {
+            facts.freeze();
+        }
+        em.stats.plans = planner.plans.len() as u32;
+        em.stats.indexes = facts.index_count() as u32;
+        em.stats.plan_ns = t.elapsed().as_nanos() as u64;
+
+        // Interning micro-fix: pre-size for the join rounds from the
+        // seed round's observed cardinality. On relational workloads
+        // derived heads track the delta rows — about one new atom and
+        // clause per seed fact — so doubling the seeded counts removes
+        // the grow-and-rehash cascade that dominated the 10^6-atom
+        // profiles (each sharded grow rehashes 1/16th of the store, and
+        // after this reserve the join rounds trigger none at all).
+        let seeded_atoms = em.gp.atom_count();
+        let seeded_clauses = em.gp.clause_count();
+        em.gp.reserve(seeded_atoms * 2, seeded_clauses * 2);
+
+        // Semi-naive rounds: only plans whose delta predicate grew are
+        // re-joined (relevance index).
+        let t = Instant::now();
+        self.drain_rounds(run, &mut grown)?;
+        self.em.stats.join_ns += t.elapsed().as_nanos() as u64;
+        Ok(())
+    }
+
+    /// Runs relevance-driven semi-naive rounds to quiescence: while some
+    /// predicate grew, re-join exactly the plans whose delta predicate
+    /// it is, then advance the fact store. `grown` carries the slots of
+    /// the most recent advance in and comes back empty, as does the
+    /// delta queue.
+    fn drain_rounds(
+        &mut self,
+        run: &mut Run<'_>,
+        grown: &mut Vec<u32>,
+    ) -> Result<(), GroundingError> {
+        let Self {
+            em,
+            templates,
+            planner,
+            facts,
+            ..
+        } = self;
+        while !grown.is_empty() {
+            em.stats.rounds += 1;
+            run.check_memory(&em.gp, facts)?;
+            for &slot in grown.iter() {
+                for &pid in planner.dependents_of(slot) {
+                    let plan = &planner.plans[pid as usize];
+                    let tmpl = templates[plan.rule as usize]
+                        .as_ref()
+                        .expect("planned rules have templates");
+                    em.exec(run, plan, tmpl, 0, None, facts)?;
+                }
+            }
+            em.flush_delta(facts, grown);
+        }
+        Ok(())
+    }
+
+    /// Joins rule `ri` once against everything stored — the catch-up
+    /// pass of a rule new to a live kernel, and of every residual-slot
+    /// rule after the active domain grew. Rules without positive body
+    /// enumerate their residual slots; bodied rules join with every
+    /// literal at full range. The dedup spaces absorb the instances
+    /// that already exist.
+    fn join_in_full(&mut self, run: &mut Run<'_>, ri: u32) -> Result<(), GroundingError> {
+        let tmpl = self.templates[ri as usize]
+            .as_ref()
+            .expect("rules have templates");
+        if tmpl.n_pos == 0 {
+            return self.em.enumerate_residual(run, tmpl, 0);
+        }
+        let plan = self
+            .planner
+            .plans
+            .iter()
+            .find(|p| p.rule == ri && p.delta_pos == 0)
+            .expect("bodied rules compile at least one plan");
+        self.em
+            .exec(run, plan, tmpl, 0, Some(Role::Full), &self.facts)
+    }
+
+    /// Adds `arg` to the active domain; whether it was new.
+    fn absorb_constant(&mut self, arg: TermId) -> bool {
+        let new = self.uni_set.insert(arg);
+        if new {
+            self.em.universe.push(arg);
+        }
+        new
+    }
+
+    /// Grounds one delta into the live program: `seed` emits what the
+    /// delta states directly; if the delta grew the active domain every
+    /// residual-slot rule is then re-joined in full (only the
+    /// combinations touching new constants survive dedup); semi-naive
+    /// rounds run to quiescence; and the program is re-finalized, also
+    /// on `Err`.
+    fn ground_delta(
+        &mut self,
+        run: &mut Run<'_>,
+        universe_grew: bool,
+        seed: impl FnOnce(&mut Self, &mut Run<'_>) -> Result<(), GroundingError>,
+    ) -> Result<(), GroundingError> {
+        let joins = |k: &mut Self, run: &mut Run<'_>| {
+            let t = Instant::now();
+            seed(k, run)?;
+            if universe_grew {
+                for i in 0..k.residual_rules.len() {
+                    k.join_in_full(run, k.residual_rules[i])?;
+                }
+            }
+            k.em.stats.seed_ns += t.elapsed().as_nanos() as u64;
+            let t = Instant::now();
+            let mut grown = Vec::new();
+            k.em.flush_delta(&mut k.facts, &mut grown);
+            k.drain_rounds(run, &mut grown)?;
+            k.em.stats.join_ns += t.elapsed().as_nanos() as u64;
+            Ok(())
+        };
+        let r = joins(self, run);
+        self.finalize();
+        r
+    }
+
+    /// Re-finalizes the program, charging the time to `finalize_ns`.
+    fn finalize(&mut self) {
+        let t = Instant::now();
+        self.em.gp.finalize();
+        self.em.stats.finalize_ns += t.elapsed().as_nanos() as u64;
     }
 
     /// Grounds a batch of **new ground facts** into the live program:
@@ -2205,7 +577,8 @@ impl IncrementalGrounder {
     /// facts enable is emitted. Facts whose atoms already have a fact
     /// clause are skipped (re-assertion after retraction is a clause
     /// re-enable, not a grounding change). Atoms and clauses are only
-    /// appended; the program is re-finalized on return.
+    /// appended; the program is re-finalized on return. `guard` governs
+    /// this call only.
     ///
     /// The caller is expected to append the same facts (in order) to
     /// the session's source [`Program`]; the kernel keeps its per-clause
@@ -2214,6 +587,7 @@ impl IncrementalGrounder {
         &mut self,
         store: &mut TermStore,
         new_facts: &[Atom],
+        guard: &Guard,
     ) -> Result<(), GroundingError> {
         // Keep templates index-aligned with the session program, which
         // records each asserted fact as a ground fact clause.
@@ -2225,42 +599,14 @@ impl IncrementalGrounder {
         for atom in new_facts {
             for &arg in atom.args.iter() {
                 debug_assert!(store.is_ground(arg), "asserted facts must be ground");
-                if self.uni_set.insert(arg) {
-                    self.universe.push(arg);
-                    universe_grew = true;
-                }
+                universe_grew |= self.absorb_constant(arg);
             }
         }
-        let rerun = universe_grew && !self.residual_rules.is_empty();
-        self.with_grounder(store, |g, parts| {
-            let t = Instant::now();
-            let mut new_atoms: Vec<GroundAtomId> = Vec::new();
-            for atom in new_facts {
-                let id = g.gp.intern_atom_parts(atom.pred, &atom.args);
-                g.neg_buf.clear();
-                // `assert`ed facts are source facts (retractable).
-                g.source_fact = true;
-                let r = g.push_unique(id, 0, false, &mut new_atoms);
-                g.source_fact = false;
-                r?;
-            }
-            if rerun {
-                g.rerun_rules_full(parts, &mut new_atoms)?;
-            }
-            g.stats.seed_ns += t.elapsed().as_nanos() as u64;
-            let t = Instant::now();
-            let mut grown = Vec::new();
-            parts.facts.advance(&g.gp, &new_atoms, &mut grown);
-            new_atoms.clear();
-            g.drain_rounds(
-                parts.templates,
-                parts.planner,
-                parts.facts,
-                &mut new_atoms,
-                &mut grown,
-            )?;
-            g.stats.join_ns += t.elapsed().as_nanos() as u64;
-            Ok(())
+        self.ground_delta(&mut Run::new(store, guard), universe_grew, |k, run| {
+            // `assert`ed facts are source facts (retractable).
+            new_facts
+                .iter()
+                .try_for_each(|fact| k.em.emit_ground_fact(run, fact, FactKind::Source))
         })
     }
 
@@ -2270,12 +616,14 @@ impl IncrementalGrounder {
     /// to templates and plans, joined once **in full** against the live
     /// fact store, and then participate in semi-naive rounds like any
     /// other rule. Constants the new clauses introduce grow the active
-    /// domain exactly as in [`IncrementalGrounder::extend`].
+    /// domain exactly as in [`IncrementalGrounder::extend`]. `guard`
+    /// governs this call only.
     pub fn add_rules(
         &mut self,
         store: &mut TermStore,
         program: &Program,
         first_new: usize,
+        guard: &Guard,
     ) -> Result<(), GroundingError> {
         assert_eq!(
             first_new,
@@ -2291,28 +639,18 @@ impl IncrementalGrounder {
         // clause is one).
         let mut universe_grew = false;
         for clause in new_clauses {
-            let mut absorb = |args: &[TermId]| {
-                for &arg in args {
-                    if store.is_ground(arg) && self.uni_set.insert(arg) {
-                        self.universe.push(arg);
-                        universe_grew = true;
-                    }
+            let atoms = std::iter::once(&clause.head).chain(clause.body.iter().map(|l| &l.atom));
+            for &arg in atoms.flat_map(|a| a.args.iter()) {
+                if store.is_ground(arg) {
+                    universe_grew |= self.absorb_constant(arg);
                 }
-            };
-            absorb(&clause.head.args);
-            for lit in &clause.body {
-                absorb(&lit.atom.args);
             }
         }
-        // Compile the new clauses (the session forces the dedup table at
-        // emission time, so the per-template flag is moot).
         let t = Instant::now();
         for clause in new_clauses {
             let tmpl = template_of(store, clause, |_| true);
-            if let Some(t) = &tmpl {
-                if !t.residual.is_empty() {
-                    self.residual_rules.push(self.templates.len() as u32);
-                }
+            if tmpl.as_ref().is_some_and(|t| !t.residual.is_empty()) {
+                self.residual_rules.push(self.templates.len() as u32);
             }
             self.templates.push(tmpl);
         }
@@ -2324,112 +662,23 @@ impl IncrementalGrounder {
             first_new,
             &mut self.planner,
         );
-        // Re-size the dense binding scratch for the widest rule.
-        let max_slots = self.templates.iter().flatten().map(|t| t.n_slots).max();
-        let max_pos = self.templates.iter().flatten().map(|t| t.n_pos).max();
-        if self.bindings.len() < max_slots.unwrap_or(0) as usize {
-            self.bindings
-                .resize(max_slots.unwrap_or(0) as usize, UNBOUND);
-        }
-        if self.matched_buf.len() < max_pos.unwrap_or(0) as usize {
-            self.matched_buf
-                .resize(max_pos.unwrap_or(0) as usize, GroundAtomId(0));
-        }
-        self.stats.plans = self.planner.plans.len() as u32;
-        self.stats.indexes = self.facts.index_count() as u32;
-        self.stats.plan_ns += t.elapsed().as_nanos() as u64;
-        let rerun_all = universe_grew && !self.residual_rules.is_empty();
-        self.with_grounder(store, |g, parts| {
-            let t = Instant::now();
-            let mut new_atoms: Vec<GroundAtomId> = Vec::new();
-            // One catch-up pass per new clause: facts emit directly,
-            // seed rules enumerate their residual slots, bodied rules
-            // join once with every literal at full range.
+        self.em.fit_scratch(&self.templates);
+        self.em.stats.plans = self.planner.plans.len() as u32;
+        self.em.stats.indexes = self.facts.index_count() as u32;
+        self.em.stats.plan_ns += t.elapsed().as_nanos() as u64;
+        self.ground_delta(&mut Run::new(store, guard), universe_grew, |k, run| {
+            // One catch-up pass per new clause: facts emit directly (as
+            // permanent program text), rules join once in full.
             for (ci, clause) in new_clauses.iter().enumerate() {
-                match &parts.templates[first_new + ci] {
-                    None => {
-                        let id = g.gp.intern_atom_parts(clause.head.pred, &clause.head.args);
-                        g.neg_buf.clear();
-                        g.push_unique(id, 0, false, &mut new_atoms)?;
-                    }
-                    Some(tmpl) if tmpl.n_pos == 0 => {
-                        g.enumerate_residual(tmpl, 0, &mut new_atoms)?;
-                    }
-                    Some(tmpl) => {
-                        g.force_full = true;
-                        let plan = parts
-                            .planner
-                            .plans
-                            .iter()
-                            .find(|p| p.rule as usize == first_new + ci && p.delta_pos == 0)
-                            .expect("bodied rules compile at least one plan");
-                        let r = g.exec(plan, tmpl, 0, parts.facts, &mut new_atoms);
-                        g.force_full = false;
-                        r?;
-                    }
+                if k.templates[first_new + ci].is_some() {
+                    k.join_in_full(run, (first_new + ci) as u32)?;
+                } else {
+                    k.em.emit_ground_fact(run, &clause.head, FactKind::Permanent)?;
                 }
             }
-            if rerun_all {
-                g.rerun_rules_full(parts, &mut new_atoms)?;
-            }
-            g.stats.seed_ns += t.elapsed().as_nanos() as u64;
-            let t = Instant::now();
-            let mut grown = Vec::new();
-            parts.facts.advance(&g.gp, &new_atoms, &mut grown);
-            new_atoms.clear();
-            g.drain_rounds(
-                parts.templates,
-                parts.planner,
-                parts.facts,
-                &mut new_atoms,
-                &mut grown,
-            )?;
-            g.stats.join_ns += t.elapsed().as_nanos() as u64;
             Ok(())
         })
     }
-
-    /// Runs `op` on a transient [`Grounder`] attached to this kernel's
-    /// state, handing it the compiled parts, then re-absorbs the state
-    /// and re-finalizes the program (even on error, so a failed commit
-    /// leaves a structurally consistent — if semantically partial —
-    /// program behind for the session to poison).
-    fn with_grounder(
-        &mut self,
-        store: &mut TermStore,
-        op: impl FnOnce(&mut Grounder<'_>, &mut KernelParts<'_>) -> Result<(), GroundingError>,
-    ) -> Result<(), GroundingError> {
-        let templates = std::mem::take(&mut self.templates);
-        let planner = std::mem::take(&mut self.planner);
-        let mut facts = std::mem::take(&mut self.facts);
-        let residual_rules = std::mem::take(&mut self.residual_rules);
-        let mut g = Grounder::attach(store, self);
-        let mut parts = KernelParts {
-            templates: &templates,
-            planner: &planner,
-            facts: &mut facts,
-            residual_rules: &residual_rules,
-        };
-        let r = op(&mut g, &mut parts);
-        g.detach(self);
-        self.templates = templates;
-        self.planner = planner;
-        self.facts = facts;
-        self.residual_rules = residual_rules;
-        let t = Instant::now();
-        self.gp.finalize();
-        self.stats.finalize_ns += t.elapsed().as_nanos() as u64;
-        r
-    }
-}
-
-/// The compiled parts a kernel operation joins against, borrowed out of
-/// the kernel for the duration of one attached-[`Grounder`] run.
-struct KernelParts<'p> {
-    templates: &'p [Option<RuleTemplate>],
-    planner: &'p Planner,
-    facts: &'p mut FactStore,
-    residual_rules: &'p [u32],
 }
 
 /// Rule indices whose templates have residual (universe-enumerated)
@@ -2449,6 +698,7 @@ fn residual_rules_of(templates: &[Option<RuleTemplate>]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::sorted_clauses;
     use gsls_lang::parse_program;
 
     fn ground(src: &str) -> (TermStore, GroundProgram) {
@@ -2457,8 +707,6 @@ mod tests {
         let gp = Grounder::ground(&mut s, &p).unwrap();
         (s, gp)
     }
-
-    use crate::testutil::sorted_clauses;
 
     #[test]
     fn facts_ground_to_themselves() {
@@ -2574,147 +822,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_vs_intern() {
-        let (mut s, mut gp) = ground("p(a).");
-        let p = s.intern_symbol("p");
-        let b = s.constant("b");
-        let pb = Atom::new(p, vec![b]);
-        assert!(gp.lookup_atom(&pb).is_none());
-        let id = gp.intern_atom(pb.clone());
-        assert_eq!(gp.lookup_atom(&pb), Some(id));
-        assert_eq!(gp.atom(id), &pb);
-        // Parts-based interning agrees with the owned-atom path.
-        assert_eq!(gp.intern_atom_parts(p, &pb.args), id);
-    }
-
-    #[test]
-    fn csr_views_match_pushed_clauses() {
-        // Round-trip: clauses pushed as owned builders come back
-        // identical through the CSR views, in order.
-        let mut s = TermStore::new();
-        let mut gp = GroundProgram::new();
-        let mut mk = |name: &str| {
-            let sym = s.intern_symbol(name);
-            gp.intern_atom(Atom::new(sym, Vec::new()))
-        };
-        let (a, b, c, d) = (mk("a"), mk("b"), mk("c"), mk("d"));
-        let cls = vec![
-            GroundClause {
-                head: a,
-                pos: vec![b, c].into(),
-                neg: vec![d].into(),
-            },
-            GroundClause {
-                head: b,
-                pos: Vec::new().into(),
-                neg: Vec::new().into(),
-            },
-            GroundClause {
-                head: c,
-                pos: vec![b, b].into(), // duplicate body literal survives
-                neg: vec![a, d].into(),
-            },
-        ];
-        for cl in &cls {
-            gp.push_clause(cl.clone());
-        }
-        assert_eq!(gp.clause_count(), cls.len());
-        for (i, cl) in cls.iter().enumerate() {
-            let view = gp.clause(i as u32);
-            assert_eq!(&view.to_owned(), cl, "clause {i}");
-            assert_eq!(view.pos.len() as u32, gp.pos_len(i as u32));
-        }
-        // Reverse indexes agree with a brute-force scan.
-        gp.finalize();
-        for atom in gp.atom_ids() {
-            let heads: Vec<u32> = (0..cls.len() as u32)
-                .filter(|&ci| gp.clause(ci).head == atom)
-                .collect();
-            assert_eq!(gp.clauses_for(atom), &heads[..], "by_head {atom:?}");
-            let mut pos_watch = Vec::new();
-            let mut neg_watch = Vec::new();
-            for ci in 0..cls.len() as u32 {
-                for &p in gp.clause(ci).pos {
-                    if p == atom {
-                        pos_watch.push(ci);
-                    }
-                }
-                for &q in gp.clause(ci).neg {
-                    if q == atom {
-                        neg_watch.push(ci);
-                    }
-                }
-            }
-            assert_eq!(gp.watch_pos(atom), &pos_watch[..], "watch_pos {atom:?}");
-            assert_eq!(gp.watch_neg(atom), &neg_watch[..], "watch_neg {atom:?}");
-        }
-    }
-
-    #[test]
-    fn incremental_finalize_matches_full_rebuild() {
-        // Finalize, append clauses that watch both old and brand-new
-        // atoms (tail-append AND merge paths), finalize again — every
-        // reverse index must equal a single from-scratch finalize of
-        // the same store. Repeated rounds exercise spare recycling.
-        let mut s = TermStore::new();
-        let p =
-            parse_program(&mut s, "e(a). e(b). p(X) :- e(X), ~q(X). q(a). r :- ~p(a).").unwrap();
-        let mut gp = Grounder::ground(&mut s, &p).unwrap();
-        let mut oracle = GroundProgram::new();
-        for a in gp.atom_ids() {
-            oracle.intern_atom(gp.atom(a).clone());
-        }
-        for c in gp.clauses() {
-            oracle.push_clause_parts(c.head, c.pos, c.neg);
-        }
-        for round in 0..4 {
-            // New head atom + body mixing an old atom and a new atom.
-            let sym = s.intern_symbol(&format!("n{round}"));
-            let dep = s.intern_symbol(&format!("m{round}"));
-            let h = gp.intern_atom(Atom::new(sym, Vec::new()));
-            let d = gp.intern_atom(Atom::new(dep, Vec::new()));
-            let old = GroundAtomId(round as u32 % 3);
-            gp.push_clause_parts(h, &[old, d], &[GroundAtomId(0)]);
-            gp.push_clause_parts(d, &[], &[]);
-            gp.finalize();
-            let h2 = oracle.intern_atom(Atom::new(sym, Vec::new()));
-            let d2 = oracle.intern_atom(Atom::new(dep, Vec::new()));
-            assert_eq!((h, d), (h2, d2), "interning order preserved");
-            oracle.push_clause_parts(h2, &[old, d2], &[GroundAtomId(0)]);
-            oracle.push_clause_parts(d2, &[], &[]);
-            let mut fresh = GroundProgram::new();
-            for a in oracle.atom_ids() {
-                fresh.intern_atom(oracle.atom(a).clone());
-            }
-            for c in oracle.clauses() {
-                fresh.push_clause_parts(c.head, c.pos, c.neg);
-            }
-            fresh.finalize();
-            for a in gp.atom_ids() {
-                assert_eq!(gp.clauses_for(a), fresh.clauses_for(a), "by_head {a:?}");
-                assert_eq!(gp.watch_pos(a), fresh.watch_pos(a), "watch_pos {a:?}");
-                assert_eq!(gp.watch_neg(a), fresh.watch_neg(a), "watch_neg {a:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn mutation_invalidates_indexes() {
-        let (_, mut gp) = ground("p :- ~q.");
-        assert!(gp.is_finalized());
-        let p = GroundAtomId(0);
-        gp.push_clause(GroundClause {
-            head: p,
-            pos: Vec::new().into(),
-            neg: Vec::new().into(),
-        });
-        assert!(!gp.is_finalized());
-        gp.finalize();
-        assert!(gp.is_finalized());
-        assert!(gp.clauses_for(p).len() >= 2 || gp.clauses_for(p).len() == 1);
-    }
-
-    #[test]
     fn semi_naive_matches_long_chain() {
         // A linear chain forces many rounds; every hop must appear.
         let mut src = String::new();
@@ -2729,41 +836,6 @@ mod tests {
             assert!(text.contains(&format!("r(v{i})")), "r(v{i}) missing");
         }
         assert!(!text.contains("r(v13)"));
-    }
-
-    #[test]
-    fn planned_and_naive_agree_on_core_programs() {
-        for src in [
-            "e(a). other(b). p(X) :- e(X).",
-            "q(a). q(b). p(X) :- ~q(X).",
-            "e(a, b). e(b, c). t(X, Y) :- e(X, Y). t(X, Z) :- e(X, Y), t(Y, Z).",
-            "move(a, b). move(b, a). move(b, c). win(X) :- move(X, Y), ~win(Y).",
-            "p :- ~q. q :- ~p. r :- p.",
-            // Wide rule with shared variables across four positive
-            // literals plus a residual-only negative.
-            "a(x, y). a(y, z). b(y). c(y, z). d(z). \
-             p(X, Z) :- a(X, Y), b(Y), c(Y, Z), d(Z), ~p(Z, X).",
-        ] {
-            let mut s1 = TermStore::new();
-            let p1 = parse_program(&mut s1, src).unwrap();
-            let planned = Grounder::ground(&mut s1, &p1).unwrap();
-            let mut s2 = TermStore::new();
-            let p2 = parse_program(&mut s2, src).unwrap();
-            let naive = Grounder::ground_with(
-                &mut s2,
-                &p2,
-                GrounderOpts {
-                    strategy: JoinStrategy::Naive,
-                    ..GrounderOpts::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(
-                sorted_clauses(&s1, &planned),
-                sorted_clauses(&s2, &naive),
-                "strategy divergence on {src}"
-            );
-        }
     }
 
     #[test]
@@ -2835,15 +907,6 @@ mod tests {
     }
 
     #[test]
-    fn ground_program_is_shareable_across_workers() {
-        fn assert_send<T: Send>() {}
-        fn assert_sync<T: Sync>() {}
-        assert_send::<GroundProgram>();
-        assert_sync::<GroundProgram>();
-        assert_sync::<TermStore>();
-    }
-
-    #[test]
     fn stats_expose_plan_and_probe_counts() {
         let mut s = TermStore::new();
         let p = parse_program(
@@ -2883,7 +946,7 @@ mod tests {
         // Extend with a chain extension: new constants, recursive cascade.
         let facts = parse_program(&mut s, "e(b, c). e(c, d).").unwrap();
         let atoms: Vec<Atom> = facts.clauses().iter().map(|c| c.head.clone()).collect();
-        k.extend(&mut s, &atoms).unwrap();
+        k.extend(&mut s, &atoms, &Guard::none()).unwrap();
         assert!(k.ground_program().is_finalized());
         assert_matches_batch(
             &s,
@@ -2892,7 +955,7 @@ mod tests {
         );
         // Duplicate extension is a no-op.
         let before = k.ground_program().clause_count();
-        k.extend(&mut s, &atoms).unwrap();
+        k.extend(&mut s, &atoms, &Guard::none()).unwrap();
         assert_eq!(k.ground_program().clause_count(), before);
         // Fact clauses are tracked for retraction.
         let eab = k
@@ -2917,7 +980,7 @@ mod tests {
         for c in add.clauses() {
             p.push(c.clone());
         }
-        k.add_rules(&mut s, &p, first_new).unwrap();
+        k.add_rules(&mut s, &p, first_new, &Guard::none()).unwrap();
         assert_matches_batch(
             &s,
             &k,
@@ -2927,7 +990,7 @@ mod tests {
         // added above.
         let fx = parse_program(&mut s, "e(c, d).").unwrap();
         let atoms: Vec<Atom> = fx.clauses().iter().map(|c| c.head.clone()).collect();
-        k.extend(&mut s, &atoms).unwrap();
+        k.extend(&mut s, &atoms, &Guard::none()).unwrap();
         assert_matches_batch(
             &s,
             &k,
@@ -2945,7 +1008,7 @@ mod tests {
         let mut k = IncrementalGrounder::new(&mut s, &p0, GrounderOpts::default()).unwrap();
         let fx = parse_program(&mut s, "d(b).").unwrap();
         let atoms: Vec<Atom> = fx.clauses().iter().map(|c| c.head.clone()).collect();
-        k.extend(&mut s, &atoms).unwrap();
+        k.extend(&mut s, &atoms, &Guard::none()).unwrap();
         assert_matches_batch(&s, &k, "q(a). d(a). p(X) :- ~q(X). d(b).");
         // Growth via add_rules constants, too.
         let mut p = p0.clone();
@@ -2956,7 +1019,8 @@ mod tests {
         }
         // (fx was applied via extend; add_rules also accepts fact
         // clauses, so route the new constant c through it.)
-        k.add_rules(&mut s, &p, first_new + 1).unwrap();
+        k.add_rules(&mut s, &p, first_new + 1, &Guard::none())
+            .unwrap();
         assert_matches_batch(&s, &k, "q(a). d(a). p(X) :- ~q(X). d(b). d(c).");
     }
 
@@ -2985,5 +1049,49 @@ mod tests {
             "chain join candidates {} exceed linear bound {bound}",
             stats.join_candidates
         );
+    }
+
+    #[test]
+    fn ground_program_is_shareable_across_workers() {
+        fn assert_send<T: Send>() {}
+        fn assert_sync<T: Sync>() {}
+        assert_send::<GroundProgram>();
+        assert_sync::<GroundProgram>();
+        assert_sync::<TermStore>();
+    }
+
+    #[test]
+    fn planned_and_naive_agree_on_core_programs() {
+        for src in [
+            "e(a). other(b). p(X) :- e(X).",
+            "q(a). q(b). p(X) :- ~q(X).",
+            "e(a, b). e(b, c). t(X, Y) :- e(X, Y). t(X, Z) :- e(X, Y), t(Y, Z).",
+            "move(a, b). move(b, a). move(b, c). win(X) :- move(X, Y), ~win(Y).",
+            "p :- ~q. q :- ~p. r :- p.",
+            // Wide rule with shared variables across four positive
+            // literals plus a residual-only negative.
+            "a(x, y). a(y, z). b(y). c(y, z). d(z). \
+             p(X, Z) :- a(X, Y), b(Y), c(Y, Z), d(Z), ~p(Z, X).",
+        ] {
+            let mut s1 = TermStore::new();
+            let p1 = parse_program(&mut s1, src).unwrap();
+            let planned = Grounder::ground(&mut s1, &p1).unwrap();
+            let mut s2 = TermStore::new();
+            let p2 = parse_program(&mut s2, src).unwrap();
+            let naive = Grounder::ground_with(
+                &mut s2,
+                &p2,
+                GrounderOpts {
+                    strategy: JoinStrategy::Naive,
+                    ..GrounderOpts::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(
+                sorted_clauses(&s1, &planned),
+                sorted_clauses(&s2, &naive),
+                "strategy divergence on {src}"
+            );
+        }
     }
 }

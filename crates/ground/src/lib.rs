@@ -6,15 +6,23 @@
 //! * [`herbrand`] — Herbrand universe enumeration (Def. 1.2), the
 //!   **augmented program** P′ of Def. 6.1 (universal query problem), and
 //!   the `term/1` anti-floundering transform of Sec. 6;
-//! * [`grounder`] — Herbrand instantiation (Def. 1.5): compiles a program
-//!   to a dense [`GroundProgram`] over interned ground-atom ids, using a
-//!   **semi-naive** relevant-grounding fixpoint so only rules whose
+//! * [`program`] — the dense [`GroundProgram`] every fixpoint engine
+//!   reads: interned ground-atom ids and a CSR clause store with three
+//!   reverse indexes (layout below);
+//! * [`grounder`] — Herbrand instantiation (Def. 1.5): **one grounding
+//!   kernel** that compiles a program to a [`GroundProgram`] with a
+//!   **semi-naive** relevant-grounding fixpoint, so only rules whose
 //!   positive bodies are potentially derivable are emitted. Rule bodies
 //!   are compiled once into **join plans** (selectivity-ordered literals,
 //!   composite bound-argument indexes, delta sub-ranges, a relevance
 //!   index routing each round to the plans whose delta grew — see the
-//!   `plan` and `factstore` module docs), with a deliberately simple
-//!   [`JoinStrategy::Naive`] oracle retained for differential testing;
+//!   `plan` and `factstore` module docs). [`Grounder`] builds a kernel,
+//!   runs it once and drops it; a session keeps it
+//!   ([`IncrementalGrounder`]) and feeds it fact and rule deltas. The
+//!   join walk and the state it writes live in the private `emission`
+//!   module; the Subst-based [`GroundingMode::Full`] enumeration and the
+//!   deliberately simple [`JoinStrategy::Naive`] differential oracle in
+//!   `instantiate`;
 //! * [`depgraph`] — predicate/atom dependency graphs, Tarjan SCCs,
 //!   stratification, local stratification and acyclicity tests for the
 //!   program classes discussed in Sec. 7 of the paper.
@@ -30,12 +38,15 @@
 //! * [`GroundProgram::clause`] returns a borrowed [`ClauseRef`] view
 //!   (`head` + `pos`/`neg` slices); the owned [`GroundClause`] exists
 //!   only as a builder/dedup key;
-//! * [`GroundProgram::finalize`] precomputes four reverse indexes in one
-//!   pass: head → clauses, atom → positively-watching clauses (one entry
-//!   per occurrence, so counter propagation decrements per watch), atom →
-//!   negatively-watching clauses, and predicate → atoms. Engines
+//! * [`GroundProgram::finalize`] maintains three reverse indexes: head →
+//!   clauses, atom → positively-watching clauses (one entry per
+//!   occurrence, so counter propagation decrements per watch) and atom →
+//!   negatively-watching clauses — extended over the appended suffix
+//!   when the store only grew, rebuilt otherwise. Engines
 //!   (`gsls_wfs::Propagator`, the tabled engine, the solver) read these
-//!   instead of rebuilding watch lists per call.
+//!   instead of rebuilding watch lists per call. The fourth index,
+//!   predicate → atoms, is kept current at interning time and needs no
+//!   finalize.
 //!
 //! **Mutation contract:** `push_clause` / fresh-atom `intern_atom`
 //! invalidate the indexes; call `finalize` again before using any
@@ -43,15 +54,19 @@
 //! returns programs already finalized.
 
 pub mod depgraph;
+mod emission;
 mod factstore;
 pub mod grounder;
 pub mod herbrand;
+mod instantiate;
 mod plan;
+pub mod program;
 pub mod testutil;
 
 pub use depgraph::{AtomDepGraph, DepGraph, ProgramClass};
 pub use grounder::{
-    ClauseRef, Csr, GroundAtomId, GroundClause, GroundProgram, GroundStats, Grounder, GrounderOpts,
-    GroundingError, GroundingMode, IncrementalGrounder, JoinStrategy,
+    GroundStats, Grounder, GrounderOpts, GroundingError, GroundingMode, IncrementalGrounder,
+    JoinStrategy,
 };
 pub use herbrand::{augment_program, herbrand_universe, term_transform, HerbrandOpts};
+pub use program::{ClauseRef, Csr, GroundAtomId, GroundClause, GroundProgram};

@@ -208,7 +208,16 @@ pub(crate) fn residual_vars(store: &TermStore, clause: &gsls_lang::Clause) -> Ve
 /// workloads — get `None`: they have no variables, no body and no
 /// plans, so the grounder interns their head directly instead of paying
 /// a template per fact.
-pub(crate) fn build_templates(store: &TermStore, program: &Program) -> Vec<Option<RuleTemplate>> {
+///
+/// `always_table` forces [`RuleTemplate::table_dedup`] on every rule —
+/// a persistent kernel cannot know which signatures later rules will
+/// collide with. Otherwise the flag is the signature-collision test
+/// within `program`.
+pub(crate) fn build_templates(
+    store: &TermStore,
+    program: &Program,
+    always_table: bool,
+) -> Vec<Option<RuleTemplate>> {
     // Count rule signatures to decide which rules can skip the clause-
     // dedup table (see `RuleTemplate::table_dedup`). Ground facts are
     // excluded: fact-shaped instances always dedup by head atom.
@@ -221,23 +230,29 @@ pub(crate) fn build_templates(store: &TermStore, program: &Program) -> Vec<Optio
             clause.neg_body().map(|l| l.atom.pred_id()).collect(),
         )
     };
-    for clause in program.clauses() {
-        if clause.body.is_empty() && clause.head.is_ground(store) {
-            continue;
+    if !always_table {
+        for clause in program.clauses() {
+            if clause.body.is_empty() && clause.head.is_ground(store) {
+                continue;
+            }
+            *sig_counts.entry(sig_of(clause)).or_insert(0) += 1;
         }
-        *sig_counts.entry(sig_of(clause)).or_insert(0) += 1;
     }
     program
         .clauses()
         .iter()
-        .map(|clause| template_of(store, clause, |c| sig_counts[&sig_of(c)] > 1))
+        .map(|clause| {
+            template_of(store, clause, |c| {
+                always_table || sig_counts[&sig_of(c)] > 1
+            })
+        })
         .collect()
 }
 
 /// Compiles one clause to its template (or `None` for a ground fact).
-/// `table_dedup` decides the dedup-table flag for rules — the batch
-/// grounder passes the signature-collision test, the session grounder
-/// forces the table at emission time and passes a constant.
+/// `table_dedup` decides the dedup-table flag for rules: the
+/// signature-collision test in batch grounding, constantly `true` in a
+/// persistent kernel (see [`build_templates`]).
 pub(crate) fn template_of(
     store: &TermStore,
     clause: &gsls_lang::Clause,
@@ -380,7 +395,7 @@ pub(crate) fn append_plans(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grounder::GroundProgram;
+    use crate::program::GroundProgram;
     use gsls_lang::parse_program;
 
     /// Builds a fact store whose cardinalities are the given per-source-
@@ -403,7 +418,7 @@ mod tests {
         let mut s = TermStore::new();
         let p = parse_program(&mut s, src).unwrap();
         let (_, mut fs) = facts_of(&p);
-        let templates = build_templates(&s, &p);
+        let templates = build_templates(&s, &p, false);
         let planner = build_plans(&s, &p, &templates, &mut fs);
         (s, p, planner)
     }
@@ -464,7 +479,7 @@ mod tests {
     fn templates_slot_head_and_residual_vars() {
         let mut s = TermStore::new();
         let p = parse_program(&mut s, "e(a). p(X, W) :- e(X), ~q(Z).").unwrap();
-        let templates = build_templates(&s, &p);
+        let templates = build_templates(&s, &p, false);
         let t = templates[1].as_ref().expect("rule template");
         // Clause vars in first-occurrence order: X, W, Z.
         assert_eq!(t.n_slots, 3);
@@ -480,7 +495,7 @@ mod tests {
     fn templates_classify_ground_and_compound_args() {
         let mut s = TermStore::new();
         let p = parse_program(&mut s, "e(s(X), 0) :- e(X, 0).").unwrap();
-        let templates = build_templates(&s, &p);
+        let templates = build_templates(&s, &p, false);
         let t = templates[0].as_ref().expect("rule template");
         assert!(matches!(t.head.args[0], ArgSpec::Compound(_)));
         assert!(matches!(t.head.args[1], ArgSpec::Ground(_)));

@@ -1,0 +1,881 @@
+//! The ground program: interned ground atoms and a CSR clause store.
+//!
+//! A [`GroundProgram`] stores interned ground atoms as `u32` ids and
+//! clauses in **CSR (compressed-sparse-row) form**: one flat array holds
+//! every body atom of every clause (positive literals first, then
+//! negative), and per-clause offset tables delimit the slices. On top of
+//! the clause store, [`GroundProgram::finalize`] maintains three CSR
+//! reverse indexes — head → clauses, atom → clauses watching it
+//! positively, atom → clauses watching it negatively — so fixpoint
+//! engines never rebuild watch lists per call. (The predicate → atoms
+//! index is not one of them: it is kept current at interning time.) See
+//! the crate docs for the full layout contract.
+//!
+//! Nothing here knows about joins: the store is what every fixpoint
+//! engine reads and what [`crate::grounder`] appends to.
+
+use crate::factstore::{atom_hash, ShardedIdTable};
+use gsls_lang::{Atom, FxHashMap, Pred, Symbol, TermId, TermStore};
+
+/// Identity of an interned ground atom within a [`GroundProgram`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct GroundAtomId(pub u32);
+
+impl GroundAtomId {
+    /// The raw index.
+    #[inline]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// An owned ground clause `head ← pos₁,…,posₘ, ¬neg₁,…,¬negₖ`.
+///
+/// This is the *builder* form: [`GroundProgram::push_clause`] copies it
+/// into the CSR store. Engines never see it — they work on borrowed
+/// [`ClauseRef`] views, and the grounder deduplicates against the CSR
+/// store directly (id-triple hashing), so no owned clause is built per
+/// candidate.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct GroundClause {
+    /// Head atom.
+    pub head: GroundAtomId,
+    /// Positive body atoms.
+    pub pos: Box<[GroundAtomId]>,
+    /// Atoms appearing negated in the body.
+    pub neg: Box<[GroundAtomId]>,
+}
+
+impl GroundClause {
+    /// Whether this is a fact.
+    pub fn is_fact(&self) -> bool {
+        self.pos.is_empty() && self.neg.is_empty()
+    }
+
+    /// Total body length.
+    pub fn body_len(&self) -> usize {
+        self.pos.len() + self.neg.len()
+    }
+}
+
+/// A borrowed view of one clause inside the CSR store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClauseRef<'a> {
+    /// Head atom.
+    pub head: GroundAtomId,
+    /// Positive body atoms.
+    pub pos: &'a [GroundAtomId],
+    /// Atoms appearing negated in the body.
+    pub neg: &'a [GroundAtomId],
+}
+
+impl ClauseRef<'_> {
+    /// Whether this is a fact.
+    pub fn is_fact(&self) -> bool {
+        self.pos.is_empty() && self.neg.is_empty()
+    }
+
+    /// Total body length.
+    pub fn body_len(&self) -> usize {
+        self.pos.len() + self.neg.len()
+    }
+
+    /// Copies into an owned [`GroundClause`].
+    pub fn to_owned(&self) -> GroundClause {
+        GroundClause {
+            head: self.head,
+            pos: self.pos.into(),
+            neg: self.neg.into(),
+        }
+    }
+}
+
+/// A compressed-sparse-row map from `u32` keys to lists of `u32` items:
+/// row `k` is `items[off[k] .. off[k+1]]`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Csr {
+    off: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Csr {
+    /// Builds from `(key, item)` pairs produced by calling `each` with a
+    /// sink; `n_keys` bounds the key space. Two passes: count, then fill.
+    fn build(n_keys: usize, each: impl Fn(&mut dyn FnMut(u32, u32))) -> Csr {
+        let mut counts = vec![0u32; n_keys + 1];
+        each(&mut |k, _| counts[k as usize + 1] += 1);
+        for i in 1..counts.len() {
+            counts[i] += counts[i - 1];
+        }
+        let mut items = vec![0u32; *counts.last().unwrap_or(&0) as usize];
+        let mut cursor = counts.clone();
+        each(&mut |k, v| {
+            let c = &mut cursor[k as usize];
+            items[*c as usize] = v;
+            *c += 1;
+        });
+        Csr { off: counts, items }
+    }
+
+    /// The item list for `key`.
+    #[inline]
+    pub fn row(&self, key: usize) -> &[u32] {
+        &self.items[self.off[key] as usize..self.off[key + 1] as usize]
+    }
+
+    /// O(delta) in-place growth for the common append case: when every
+    /// delta pair's key is a **new** key (≥ the current key count), the
+    /// new rows land entirely after the existing items, so the arrays
+    /// extend without any re-layout. Returns `false` (leaving `self`
+    /// untouched) when some delta key is an existing one — the caller
+    /// falls back to the full [`Csr::extend`] merge.
+    ///
+    /// This is what makes a session commit's re-index cheap: a fresh
+    /// fact's head and positive watches index under fresh atom ids;
+    /// typically only the negative-watch index (whose delta can point
+    /// at old atoms) pays the merge.
+    fn try_append_tail(
+        &mut self,
+        n_keys: usize,
+        each_new: &impl Fn(&mut dyn FnMut(u32, u32)),
+    ) -> bool {
+        let old_keys = self.len();
+        debug_assert!(n_keys >= old_keys);
+        let mut ok = true;
+        each_new(&mut |k, _| ok &= k as usize >= old_keys);
+        if !ok {
+            return false;
+        }
+        let mut counts = vec![0u32; n_keys - old_keys];
+        each_new(&mut |k, _| counts[k as usize - old_keys] += 1);
+        let total = self.items.len() as u32;
+        // Per-new-key start cursors, then the off tail (end offsets).
+        let mut cursor = counts;
+        let mut run = total;
+        for c in cursor.iter_mut() {
+            let len = *c;
+            *c = run;
+            run += len;
+            self.off.push(run);
+        }
+        self.items.resize(run as usize, 0);
+        let items = &mut self.items;
+        each_new(&mut |k, v| {
+            let c = &mut cursor[k as usize - old_keys];
+            items[*c as usize] = v;
+            *c += 1;
+        });
+        true
+    }
+
+    /// Builds the CSR holding every `(key, item)` pair of `self` plus
+    /// the pairs `each_new` produces, over a possibly larger key space —
+    /// the merge step behind the incremental `finalize`: old rows are
+    /// block-copied, only the delta re-runs the counting pass. `spare`
+    /// (the generation-before-last's arrays) is recycled so steady-state
+    /// session commits allocate nothing here.
+    fn extend(
+        &self,
+        n_keys: usize,
+        each_new: impl Fn(&mut dyn FnMut(u32, u32)),
+        spare: Csr,
+    ) -> Csr {
+        debug_assert!(n_keys >= self.len());
+        let Csr {
+            off: mut counts,
+            mut items,
+        } = spare;
+        counts.clear();
+        counts.resize(n_keys + 1, 0);
+        each_new(&mut |k, _| counts[k as usize + 1] += 1);
+        for k in 0..self.len() {
+            counts[k + 1] += self.off[k + 1] - self.off[k];
+        }
+        for i in 1..counts.len() {
+            counts[i] += counts[i - 1];
+        }
+        let total = *counts.last().unwrap_or(&0) as usize;
+        // Every slot is written below (old-row copy + delta fill cover
+        // the whole count), so stale spare contents are harmless.
+        items.clear();
+        items.resize(total, 0);
+        let mut cursor = counts.clone();
+        for (k, c) in cursor.iter_mut().enumerate().take(self.len()) {
+            let row = &self.items[self.off[k] as usize..self.off[k + 1] as usize];
+            let start = *c as usize;
+            items[start..start + row.len()].copy_from_slice(row);
+            *c += row.len() as u32;
+        }
+        each_new(&mut |k, v| {
+            let c = &mut cursor[k as usize];
+            items[*c as usize] = v;
+            *c += 1;
+        });
+        Csr { off: counts, items }
+    }
+
+    /// Grows the map over `n_keys` keys by the pairs `each_new`
+    /// produces: appended in place when every pair lands on a new key
+    /// ([`Csr::try_append_tail`]), otherwise merged ([`Csr::extend`])
+    /// into `spare`'s arrays — `spare` then holds the replaced
+    /// generation, ready for the next merge.
+    fn grow(
+        &mut self,
+        n_keys: usize,
+        each_new: impl Fn(&mut dyn FnMut(u32, u32)),
+        spare: &mut Csr,
+    ) {
+        if !self.try_append_tail(n_keys, &each_new) {
+            let merged = self.extend(n_keys, each_new, std::mem::take(spare));
+            *spare = std::mem::replace(self, merged);
+        }
+    }
+
+    /// Number of keys.
+    pub fn len(&self) -> usize {
+        self.off.len().saturating_sub(1)
+    }
+
+    /// Whether there are no keys.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// The reverse indexes precomputed by [`GroundProgram::finalize`].
+#[derive(Debug, Clone)]
+struct Indexes {
+    /// head atom → clause indices.
+    by_head: Csr,
+    /// atom → clauses whose *positive* body contains it (one entry per
+    /// occurrence, so counter-based propagation can decrement per watch).
+    watch_pos: Csr,
+    /// atom → clauses whose *negative* body contains it.
+    watch_neg: Csr,
+    /// The atom/clause counts these indexes cover. A mismatch with the
+    /// live store means the indexes are stale — accessors panic, and
+    /// `finalize` **extends** them over the appended suffix instead of
+    /// rebuilding (sessions commit small deltas against big programs).
+    n_atoms: usize,
+    n_clauses: usize,
+}
+
+/// A program compiled to ground form (CSR clause storage).
+#[derive(Debug)]
+pub struct GroundProgram {
+    atoms: Vec<Atom>,
+    /// Open-addressing interning table over `atoms` (identity = `(pred,
+    /// args)`; probes hash borrowed parts, so lookups allocate nothing).
+    /// Sharded by high hash bits so growth rehashes one shard at a time
+    /// and the parallel seed round can dedup shards on separate workers.
+    atom_table: ShardedIdTable,
+    /// Clause heads, one per clause.
+    heads: Vec<GroundAtomId>,
+    /// Flat body store: clause `c`'s positive atoms then negative atoms.
+    body: Vec<GroundAtomId>,
+    /// `body_start[c] .. body_start[c+1]` delimits clause `c`'s body.
+    body_start: Vec<u32>,
+    /// Within that range, negatives start at `neg_start[c]`.
+    neg_start: Vec<u32>,
+    /// predicate → interned atom ids (query-enumeration index).
+    /// Maintained incrementally at interning time — unlike the CSR
+    /// reverse indexes it never needs a rebuild, so sessions that
+    /// append atoms per commit pay one hash-push per *new* atom instead
+    /// of a full re-scan in `finalize`.
+    by_pred: FxHashMap<Pred, Vec<u32>>,
+    /// Reverse indexes; `None` until [`GroundProgram::finalize`] runs (or
+    /// after any mutation, which invalidates them).
+    index: Option<Indexes>,
+    /// The previous generation's index arrays, recycled by the next
+    /// incremental `finalize` (double buffering: steady-state session
+    /// commits re-index without allocating). Never cloned.
+    index_spare: Option<Indexes>,
+}
+
+impl Default for GroundProgram {
+    fn default() -> Self {
+        GroundProgram {
+            atoms: Vec::new(),
+            atom_table: ShardedIdTable::default(),
+            heads: Vec::new(),
+            body: Vec::new(),
+            body_start: vec![0],
+            neg_start: Vec::new(),
+            by_pred: FxHashMap::default(),
+            index: None,
+            index_spare: None,
+        }
+    }
+}
+
+impl Clone for GroundProgram {
+    fn clone(&self) -> Self {
+        GroundProgram {
+            atoms: self.atoms.clone(),
+            atom_table: self.atom_table.clone(),
+            heads: self.heads.clone(),
+            body: self.body.clone(),
+            body_start: self.body_start.clone(),
+            neg_start: self.neg_start.clone(),
+            by_pred: self.by_pred.clone(),
+            index: self.index.clone(),
+            // The recycling buffer is an allocation cache, not state —
+            // snapshots must not pay for (or carry) it.
+            index_spare: None,
+        }
+    }
+}
+
+impl GroundProgram {
+    /// Creates an empty ground program.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// One probe walk: the existing id for `(pred, args)`, or the slot
+    /// claimed for the next id (in which case the caller pushes the
+    /// atom). Keeps the hot interning path at a single table traversal.
+    fn intern_probe(&mut self, pred: Symbol, args: &[TermId]) -> Option<GroundAtomId> {
+        let hash = atom_hash(pred, args);
+        let candidate = u32::try_from(self.atoms.len()).expect("ground atom overflow");
+        let atoms = &self.atoms;
+        self.atom_table
+            .find_or_insert(
+                hash,
+                candidate,
+                |id| {
+                    let a = &atoms[id as usize];
+                    a.pred == pred && a.args[..] == *args
+                },
+                |id| {
+                    let a = &atoms[id as usize];
+                    atom_hash(a.pred, &a.args)
+                },
+            )
+            .map(GroundAtomId)
+    }
+
+    /// Interns a ground atom, returning its id.
+    pub fn intern_atom(&mut self, atom: Atom) -> GroundAtomId {
+        match self.intern_probe(atom.pred, &atom.args) {
+            Some(id) => id,
+            None => {
+                let id = GroundAtomId(self.atoms.len() as u32);
+                self.by_pred.entry(atom.pred_id()).or_default().push(id.0);
+                // A fresh atom widens the id space the reverse indexes
+                // cover; they go stale (count mismatch) until the next
+                // `finalize`, which extends them over the new suffix.
+                self.atoms.push(atom);
+                id
+            }
+        }
+    }
+
+    /// Interns a ground atom from borrowed parts; the owned [`Atom`] is
+    /// built only when the atom is genuinely new. This is the grounder's
+    /// hot interning path — duplicate candidates allocate nothing.
+    pub fn intern_atom_parts(&mut self, pred: Symbol, args: &[TermId]) -> GroundAtomId {
+        match self.intern_probe(pred, args) {
+            Some(id) => id,
+            None => {
+                let id = GroundAtomId(self.atoms.len() as u32);
+                self.by_pred
+                    .entry(Pred::new(pred, args.len() as u32))
+                    .or_default()
+                    .push(id.0);
+                self.atoms.push(Atom::new(pred, args.to_vec()));
+                id
+            }
+        }
+    }
+
+    /// Appends an atom **without** touching the interning table. Only
+    /// the parallel seed merge may use this: it deduplicated the atoms
+    /// per shard already and bulk-loads the table afterwards
+    /// ([`GroundProgram::bulk_intern_unique`]).
+    pub(crate) fn push_atom_raw(&mut self, atom: Atom) -> GroundAtomId {
+        let id = GroundAtomId(u32::try_from(self.atoms.len()).expect("ground atom overflow"));
+        self.by_pred.entry(atom.pred_id()).or_default().push(id.0);
+        self.atoms.push(atom);
+        id
+    }
+
+    /// Bulk-loads interning entries `(hash, id)` whose atoms were
+    /// appended by [`GroundProgram::push_atom_raw`]. Keys must be
+    /// distinct from each other and from every stored entry.
+    pub(crate) fn bulk_intern_unique(&mut self, entries: impl Iterator<Item = (u64, u32)>) {
+        let Self {
+            atoms, atom_table, ..
+        } = self;
+        for (h, id) in entries {
+            atom_table.insert_unique(h, id, |i| {
+                let a = &atoms[i as usize];
+                atom_hash(a.pred, &a.args)
+            });
+        }
+    }
+
+    /// Pre-sizes the atom arena and interning table for about `n_atoms`
+    /// entries and the clause store for `n_clauses`, so bulk grounding
+    /// skips the grow-and-rehash cascade.
+    pub fn reserve(&mut self, n_atoms: usize, n_clauses: usize) {
+        self.atoms.reserve(n_atoms.saturating_sub(self.atoms.len()));
+        let atoms = &self.atoms;
+        self.atom_table.reserve(n_atoms, |id| {
+            let a = &atoms[id as usize];
+            atom_hash(a.pred, &a.args)
+        });
+        self.heads
+            .reserve(n_clauses.saturating_sub(self.heads.len()));
+        self.body_start.reserve(n_clauses);
+        self.neg_start.reserve(n_clauses);
+    }
+
+    /// Looks up a ground atom from borrowed parts without interning (and
+    /// without building an owned [`Atom`]) — the query engines' hot
+    /// point-lookup path.
+    pub fn lookup_atom_parts(&self, pred: Symbol, args: &[TermId]) -> Option<GroundAtomId> {
+        let atoms = &self.atoms;
+        self.atom_table
+            .find(atom_hash(pred, args), |id| {
+                let a = &atoms[id as usize];
+                a.pred == pred && a.args[..] == *args
+            })
+            .map(GroundAtomId)
+    }
+
+    /// Looks up a ground atom without interning.
+    pub fn lookup_atom(&self, atom: &Atom) -> Option<GroundAtomId> {
+        let atoms = &self.atoms;
+        self.atom_table
+            .find(atom_hash(atom.pred, &atom.args), |id| {
+                let a = &atoms[id as usize];
+                a.pred == atom.pred && a.args == atom.args
+            })
+            .map(GroundAtomId)
+    }
+
+    /// The atom for `id`.
+    pub fn atom(&self, id: GroundAtomId) -> &Atom {
+        &self.atoms[id.index()]
+    }
+
+    /// Number of interned atoms.
+    pub fn atom_count(&self) -> usize {
+        self.atoms.len()
+    }
+
+    /// Iterates over all atom ids.
+    pub fn atom_ids(&self) -> impl Iterator<Item = GroundAtomId> {
+        (0..self.atoms.len() as u32).map(GroundAtomId)
+    }
+
+    /// Approximate heap footprint of the CSR store, interning table,
+    /// and reverse indexes, in bytes. O(number of predicates), computed
+    /// from capacities and counts (never by walking atoms or clauses),
+    /// so governance can poll it every grounding round. Per-atom and
+    /// per-entry constants stand in for boxed argument lists and
+    /// hash-table overhead; budgets are approximate by contract.
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let atoms = self.atoms.capacity() * size_of::<Atom>() + self.atoms.len() * 16;
+        let table = self.atoms.len() * 16; // sharded interning entries
+        let csr = (self.heads.capacity() + self.body.capacity()) * 4
+            + (self.body_start.capacity() + self.neg_start.capacity()) * 4;
+        let by_pred: usize = self.by_pred.values().map(|v| v.capacity() * 4 + 48).sum();
+        // Reverse indexes: by_head + watch_pos + watch_neg each hold one
+        // offset per atom and one item per watch occurrence (≈ body len).
+        let index = match &self.index {
+            Some(_) => 3 * (self.atoms.len() + 1) * 4 + (self.body.len() + self.heads.len()) * 12,
+            None => 0,
+        };
+        atoms + table + csr + by_pred + index
+    }
+
+    /// Adds a clause (deduplication is the grounder's responsibility).
+    pub fn push_clause(&mut self, clause: GroundClause) {
+        self.push_clause_parts(clause.head, &clause.pos, &clause.neg);
+    }
+
+    /// Adds a clause from borrowed parts, avoiding the boxed builder.
+    pub fn push_clause_parts(
+        &mut self,
+        head: GroundAtomId,
+        pos: &[GroundAtomId],
+        neg: &[GroundAtomId],
+    ) {
+        self.heads.push(head);
+        self.body.extend_from_slice(pos);
+        self.neg_start
+            .push(u32::try_from(self.body.len()).expect("ground body overflow"));
+        self.body.extend_from_slice(neg);
+        self.body_start
+            .push(u32::try_from(self.body.len()).expect("ground body overflow"));
+    }
+
+    /// Iterates over all clauses as borrowed views.
+    pub fn clauses(&self) -> impl Iterator<Item = ClauseRef<'_>> + '_ {
+        (0..self.clause_count() as u32).map(move |i| self.clause(i))
+    }
+
+    /// Number of clauses.
+    pub fn clause_count(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// The clause at `idx`.
+    #[inline]
+    pub fn clause(&self, idx: u32) -> ClauseRef<'_> {
+        let i = idx as usize;
+        let (start, end) = (self.body_start[i] as usize, self.body_start[i + 1] as usize);
+        let mid = self.neg_start[i] as usize;
+        ClauseRef {
+            head: self.heads[i],
+            pos: &self.body[start..mid],
+            neg: &self.body[mid..end],
+        }
+    }
+
+    /// Number of positive body atoms of clause `idx` (O(1), no slice
+    /// construction — used by propagator init loops).
+    #[inline]
+    pub fn pos_len(&self, idx: u32) -> u32 {
+        self.neg_start[idx as usize] - self.body_start[idx as usize]
+    }
+
+    /// All clause heads, indexed by clause (O(1) head access for hot
+    /// propagation loops that don't need the bodies).
+    #[inline]
+    pub fn heads(&self) -> &[GroundAtomId] {
+        &self.heads
+    }
+
+    /// The atom → positively-watching-clauses index as a raw [`Csr`],
+    /// for hot loops that hoist the per-lookup indirection (same panics
+    /// as [`GroundProgram::clauses_for`]).
+    pub fn watch_pos_index(&self) -> &Csr {
+        &self.index().watch_pos
+    }
+
+    /// Builds the reverse indexes (head → clauses and the two watch
+    /// maps). Idempotent; must be re-run after any `push_clause` /
+    /// fresh-atom `intern_atom`. [`crate::Grounder::ground`] returns programs
+    /// already finalized.
+    ///
+    /// **Incremental:** when stale indexes exist and the store only
+    /// grew (the append-only session path), the new indexes are built
+    /// by block-copying the old rows and counting only the appended
+    /// clause suffix — a commit's finalize cost tracks the delta's
+    /// watch entries plus one pass over the key space, not the whole
+    /// body store.
+    pub fn finalize(&mut self) {
+        let n = self.atom_count();
+        let nc = self.heads.len();
+        let from = match &self.index {
+            Some(idx) if idx.n_atoms == n && idx.n_clauses == nc => return,
+            Some(idx) if idx.n_atoms <= n && idx.n_clauses <= nc => idx.n_clauses,
+            _ => 0,
+        };
+        let (heads, body, body_start, neg_start) =
+            (&self.heads, &self.body, &self.body_start, &self.neg_start);
+        let new_by_head = |sink: &mut dyn FnMut(u32, u32)| {
+            for (ci, &h) in heads.iter().enumerate().skip(from) {
+                sink(h.0, ci as u32);
+            }
+        };
+        let new_watch_pos = |sink: &mut dyn FnMut(u32, u32)| {
+            for ci in from..nc {
+                let (start, mid) = (body_start[ci] as usize, neg_start[ci] as usize);
+                for a in &body[start..mid] {
+                    sink(a.0, ci as u32);
+                }
+            }
+        };
+        let new_watch_neg = |sink: &mut dyn FnMut(u32, u32)| {
+            for ci in from..nc {
+                let (mid, end) = (neg_start[ci] as usize, body_start[ci + 1] as usize);
+                for a in &body[mid..end] {
+                    sink(a.0, ci as u32);
+                }
+            }
+        };
+        if from > 0 {
+            // Incremental: the replaced generation of a merged index
+            // becomes the next spare.
+            let mut idx = self.index.take().expect("from > 0 implies an index");
+            let mut spare = self.index_spare.take().unwrap_or(Indexes {
+                by_head: Csr::default(),
+                watch_pos: Csr::default(),
+                watch_neg: Csr::default(),
+                n_atoms: 0,
+                n_clauses: 0,
+            });
+            idx.by_head.grow(n, new_by_head, &mut spare.by_head);
+            idx.watch_pos.grow(n, new_watch_pos, &mut spare.watch_pos);
+            idx.watch_neg.grow(n, new_watch_neg, &mut spare.watch_neg);
+            idx.n_atoms = n;
+            idx.n_clauses = nc;
+            self.index_spare = Some(spare);
+            self.index = Some(idx);
+            return;
+        }
+        let built = Indexes {
+            by_head: Csr::build(n, new_by_head),
+            watch_pos: Csr::build(n, new_watch_pos),
+            watch_neg: Csr::build(n, new_watch_neg),
+            n_atoms: n,
+            n_clauses: nc,
+        };
+        self.index_spare = self.index.replace(built);
+    }
+
+    /// Whether the reverse indexes are current.
+    pub fn is_finalized(&self) -> bool {
+        self.index
+            .as_ref()
+            .is_some_and(|i| i.n_atoms == self.atoms.len() && i.n_clauses == self.heads.len())
+    }
+
+    fn index(&self) -> &Indexes {
+        let idx = self
+            .index
+            .as_ref()
+            .expect("GroundProgram::finalize must be called after mutation");
+        assert!(
+            idx.n_atoms == self.atoms.len() && idx.n_clauses == self.heads.len(),
+            "GroundProgram::finalize must be called after mutation"
+        );
+        idx
+    }
+
+    /// Indices of clauses with head `id`.
+    ///
+    /// # Panics
+    /// Panics if the program was mutated since the last
+    /// [`GroundProgram::finalize`].
+    pub fn clauses_for(&self, id: GroundAtomId) -> &[u32] {
+        self.index().by_head.row(id.index())
+    }
+
+    /// Clauses whose positive body contains `id`, one entry per
+    /// occurrence (same panics as [`GroundProgram::clauses_for`]).
+    pub fn watch_pos(&self, id: GroundAtomId) -> &[u32] {
+        self.index().watch_pos.row(id.index())
+    }
+
+    /// Clauses whose negative body contains `id`, one entry per
+    /// occurrence (same panics as [`GroundProgram::clauses_for`]).
+    pub fn watch_neg(&self, id: GroundAtomId) -> &[u32] {
+        self.index().watch_neg.row(id.index())
+    }
+
+    /// Interned atoms of predicate `pred`, in interning (id) order. Lets
+    /// query engines enumerate candidate instances without scanning the
+    /// whole atom table. Maintained at interning time, so — unlike the
+    /// clause-side accessors — it is valid even before
+    /// [`GroundProgram::finalize`].
+    pub fn atoms_with_pred(&self, pred: Pred) -> impl Iterator<Item = GroundAtomId> + '_ {
+        self.by_pred
+            .get(&pred)
+            .map_or(&[][..], |v| v.as_slice())
+            .iter()
+            .map(|&i| GroundAtomId(i))
+    }
+
+    /// Ground-atom counts per predicate — FactStore-style cardinality
+    /// hints for cost estimation (the `gsls-analyze` instantiation
+    /// lints). Like [`GroundProgram::atoms_with_pred`], valid before
+    /// finalization.
+    pub fn pred_cardinalities(&self) -> gsls_lang::FxHashMap<Pred, usize> {
+        self.by_pred.iter().map(|(&p, v)| (p, v.len())).collect()
+    }
+
+    /// Renders an atom.
+    pub fn display_atom(&self, store: &TermStore, id: GroundAtomId) -> String {
+        self.atom(id).display(store)
+    }
+
+    /// Renders the whole ground program.
+    pub fn display(&self, store: &TermStore) -> String {
+        let mut s = String::new();
+        for c in self.clauses() {
+            s.push_str(&self.display_atom(store, c.head));
+            if !c.is_fact() {
+                s.push_str(" :- ");
+                let mut first = true;
+                for &p in c.pos.iter() {
+                    if !first {
+                        s.push_str(", ");
+                    }
+                    first = false;
+                    s.push_str(&self.display_atom(store, p));
+                }
+                for &n in c.neg.iter() {
+                    if !first {
+                        s.push_str(", ");
+                    }
+                    first = false;
+                    s.push('~');
+                    s.push_str(&self.display_atom(store, n));
+                }
+            }
+            s.push_str(".\n");
+        }
+        s
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::grounder::Grounder;
+    use gsls_lang::parse_program;
+
+    fn ground(src: &str) -> (TermStore, GroundProgram) {
+        let mut s = TermStore::new();
+        let p = parse_program(&mut s, src).unwrap();
+        let gp = Grounder::ground(&mut s, &p).unwrap();
+        (s, gp)
+    }
+
+    #[test]
+    fn lookup_vs_intern() {
+        let (mut s, mut gp) = ground("p(a).");
+        let p = s.intern_symbol("p");
+        let b = s.constant("b");
+        let pb = Atom::new(p, vec![b]);
+        assert!(gp.lookup_atom(&pb).is_none());
+        let id = gp.intern_atom(pb.clone());
+        assert_eq!(gp.lookup_atom(&pb), Some(id));
+        assert_eq!(gp.atom(id), &pb);
+        // Parts-based interning agrees with the owned-atom path.
+        assert_eq!(gp.intern_atom_parts(p, &pb.args), id);
+    }
+
+    #[test]
+    fn csr_views_match_pushed_clauses() {
+        // Round-trip: clauses pushed as owned builders come back
+        // identical through the CSR views, in order.
+        let mut s = TermStore::new();
+        let mut gp = GroundProgram::new();
+        let mut mk = |name: &str| {
+            let sym = s.intern_symbol(name);
+            gp.intern_atom(Atom::new(sym, Vec::new()))
+        };
+        let (a, b, c, d) = (mk("a"), mk("b"), mk("c"), mk("d"));
+        let cls = vec![
+            GroundClause {
+                head: a,
+                pos: vec![b, c].into(),
+                neg: vec![d].into(),
+            },
+            GroundClause {
+                head: b,
+                pos: Vec::new().into(),
+                neg: Vec::new().into(),
+            },
+            GroundClause {
+                head: c,
+                pos: vec![b, b].into(), // duplicate body literal survives
+                neg: vec![a, d].into(),
+            },
+        ];
+        for cl in &cls {
+            gp.push_clause(cl.clone());
+        }
+        assert_eq!(gp.clause_count(), cls.len());
+        for (i, cl) in cls.iter().enumerate() {
+            let view = gp.clause(i as u32);
+            assert_eq!(&view.to_owned(), cl, "clause {i}");
+            assert_eq!(view.pos.len() as u32, gp.pos_len(i as u32));
+        }
+        // Reverse indexes agree with a brute-force scan.
+        gp.finalize();
+        for atom in gp.atom_ids() {
+            let heads: Vec<u32> = (0..cls.len() as u32)
+                .filter(|&ci| gp.clause(ci).head == atom)
+                .collect();
+            assert_eq!(gp.clauses_for(atom), &heads[..], "by_head {atom:?}");
+            let mut pos_watch = Vec::new();
+            let mut neg_watch = Vec::new();
+            for ci in 0..cls.len() as u32 {
+                for &p in gp.clause(ci).pos {
+                    if p == atom {
+                        pos_watch.push(ci);
+                    }
+                }
+                for &q in gp.clause(ci).neg {
+                    if q == atom {
+                        neg_watch.push(ci);
+                    }
+                }
+            }
+            assert_eq!(gp.watch_pos(atom), &pos_watch[..], "watch_pos {atom:?}");
+            assert_eq!(gp.watch_neg(atom), &neg_watch[..], "watch_neg {atom:?}");
+        }
+    }
+
+    #[test]
+    fn incremental_finalize_matches_full_rebuild() {
+        // Finalize, append clauses that watch both old and brand-new
+        // atoms (tail-append AND merge paths), finalize again — every
+        // reverse index must equal a single from-scratch finalize of
+        // the same store. Repeated rounds exercise spare recycling.
+        let mut s = TermStore::new();
+        let p =
+            parse_program(&mut s, "e(a). e(b). p(X) :- e(X), ~q(X). q(a). r :- ~p(a).").unwrap();
+        let mut gp = Grounder::ground(&mut s, &p).unwrap();
+        let mut oracle = GroundProgram::new();
+        for a in gp.atom_ids() {
+            oracle.intern_atom(gp.atom(a).clone());
+        }
+        for c in gp.clauses() {
+            oracle.push_clause_parts(c.head, c.pos, c.neg);
+        }
+        for round in 0..4 {
+            // New head atom + body mixing an old atom and a new atom.
+            let sym = s.intern_symbol(&format!("n{round}"));
+            let dep = s.intern_symbol(&format!("m{round}"));
+            let h = gp.intern_atom(Atom::new(sym, Vec::new()));
+            let d = gp.intern_atom(Atom::new(dep, Vec::new()));
+            let old = GroundAtomId(round as u32 % 3);
+            gp.push_clause_parts(h, &[old, d], &[GroundAtomId(0)]);
+            gp.push_clause_parts(d, &[], &[]);
+            gp.finalize();
+            let h2 = oracle.intern_atom(Atom::new(sym, Vec::new()));
+            let d2 = oracle.intern_atom(Atom::new(dep, Vec::new()));
+            assert_eq!((h, d), (h2, d2), "interning order preserved");
+            oracle.push_clause_parts(h2, &[old, d2], &[GroundAtomId(0)]);
+            oracle.push_clause_parts(d2, &[], &[]);
+            let mut fresh = GroundProgram::new();
+            for a in oracle.atom_ids() {
+                fresh.intern_atom(oracle.atom(a).clone());
+            }
+            for c in oracle.clauses() {
+                fresh.push_clause_parts(c.head, c.pos, c.neg);
+            }
+            fresh.finalize();
+            for a in gp.atom_ids() {
+                assert_eq!(gp.clauses_for(a), fresh.clauses_for(a), "by_head {a:?}");
+                assert_eq!(gp.watch_pos(a), fresh.watch_pos(a), "watch_pos {a:?}");
+                assert_eq!(gp.watch_neg(a), fresh.watch_neg(a), "watch_neg {a:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn mutation_invalidates_indexes() {
+        let (_, mut gp) = ground("p :- ~q.");
+        assert!(gp.is_finalized());
+        let p = GroundAtomId(0);
+        gp.push_clause(GroundClause {
+            head: p,
+            pos: Vec::new().into(),
+            neg: Vec::new().into(),
+        });
+        assert!(!gp.is_finalized());
+        gp.finalize();
+        assert!(gp.is_finalized());
+        assert!(gp.clauses_for(p).len() >= 2 || gp.clauses_for(p).len() == 1);
+    }
+}

@@ -5,7 +5,7 @@
 //! `gsls-core`. Tests in any crate that depends on `gsls-ground` should
 //! use these instead of re-rolling them.
 
-use crate::grounder::{GroundAtomId, GroundProgram};
+use crate::program::{GroundAtomId, GroundProgram};
 use gsls_lang::TermStore;
 
 /// Finds a ground atom by its rendered source text (e.g. `"win(n3)"`),

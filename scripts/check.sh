@@ -26,9 +26,6 @@ echo "==> benchmark/ harness tests (its own workspace: the root build neither"
 echo "    compiles nor notices it, so API drift must fail here, not at the next run)"
 (cd benchmark && cargo test -q)
 
-echo "==> ground_smoke (join-plan vs naive-join differential)"
-cargo run --release -p gsls-bench --bin ground_smoke
-
 echo "==> gsls-lint gate (examples + workload generators deny-clean)"
 cargo run --release -p gsls-bench --bin gsls-lint -- \
   examples/lp/win_game.lp examples/lp/reach.lp --workloads
@@ -38,6 +35,10 @@ if cargo run --release -p gsls-bench --bin gsls-lint -- examples/lp/defects.lp; 
   echo "gsls-lint failed to reject examples/lp/defects.lp" >&2
   exit 1
 fi
+
+echo "==> grounding diff suite (planned == naive on the four workloads and on"
+echo "    random programs; kernel fed in batches == batch == naive)"
+cargo test --release -q --test grounding_diff
 
 echo "==> parallel diff suite at 2 threads (gsls-par determinism gate)"
 GSLS_THREADS=2 cargo test --release -q --test parallel_diff

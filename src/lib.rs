@@ -216,8 +216,9 @@
 //! cheap enough to call per request — and
 //! [`prelude::Session::recent_events`] drains the ring for post-hoc
 //! reconstruction of a slow commit. The same numbers are inspectable
-//! offline with the `gsls-obs` binary, and `BENCH_9.json` pins the
-//! always-on overhead at ≤ 3% on a warm single-fact commit.
+//! offline with the `gsls-obs` binary, and `perf_report --obs-gate`
+//! (run by `scripts/check.sh`) holds the always-on overhead at ≤ 3% on
+//! a warm single-fact commit.
 //!
 //! ```
 //! use global_sls::prelude::*;

@@ -13,12 +13,20 @@
 //!   grounder interns without rules are false in both);
 //! * the chain regression: delta-restricted index probes keep the
 //!   total candidate count linear in the derivation chain.
+//!
+//! PR 15 adds **kernel ≡ batch ≡ naive on random splits**: the same
+//! program fed to an `IncrementalGrounder` in batches (`add_rules` for
+//! rule-bearing ones, `extend` for all-fact ones) must end with the
+//! clause set of one batch grounding and of the naive oracle — the test
+//! that fails if the one grounding kernel loses a `persistent` branch.
 
 use gsls_ground::testutil::sorted_clauses;
 use gsls_ground::{
-    GroundProgram, Grounder, GrounderOpts, GroundingMode, HerbrandOpts, JoinStrategy,
+    GroundProgram, Grounder, GrounderOpts, GroundingMode, HerbrandOpts, IncrementalGrounder,
+    JoinStrategy,
 };
-use gsls_lang::{Program, TermStore};
+use gsls_lang::{Atom, Clause, Program, TermStore};
+use gsls_par::Guard;
 use gsls_wfs::well_founded_model;
 use gsls_workloads::{
     negated_reachability, odd_even_chain, random_relational_program, van_gelder_program, win_grid,
@@ -56,19 +64,19 @@ fn assert_strategies_agree(mk: impl Fn(&mut TermStore) -> Program, opts: Grounde
 #[test]
 fn plan_path_matches_naive_on_existing_workloads() {
     assert_strategies_agree(
-        |s| win_grid(s, 12, 12),
+        |s| win_grid(s, 16, 16),
         GrounderOpts::default(),
-        "win_grid 12x12",
+        "win_grid 16x16",
     );
     assert_strategies_agree(
-        |s| negated_reachability(s, 8),
+        |s| negated_reachability(s, 12),
         GrounderOpts::default(),
-        "negated_reachability 8",
+        "negated_reachability 12",
     );
     assert_strategies_agree(
-        |s| odd_even_chain(s, 16),
+        |s| odd_even_chain(s, 48),
         GrounderOpts::default(),
-        "odd_even_chain 16",
+        "odd_even_chain 48",
     );
     assert_strategies_agree(
         van_gelder_program,
@@ -80,6 +88,101 @@ fn plan_path_matches_naive_on_existing_workloads() {
             ..GrounderOpts::default()
         },
         "van_gelder depth 8",
+    );
+}
+
+/// Wide rules: ≥4 positive/negative body literals drawn from a
+/// 4-variable pool, so plans must reorder, probe composite indexes, and
+/// split deltas across many positions.
+fn wide_rule_opts() -> RandomRelationalOpts {
+    RandomRelationalOpts {
+        constants: 3,
+        preds: 3,
+        facts: 9,
+        rules: 4,
+        min_body: 4,
+        max_body: 6,
+        vars: 4,
+        neg_prob: 0.25,
+        ..RandomRelationalOpts::default()
+    }
+}
+
+/// Grounds `opts`/`seed`'s random program three ways and requires one
+/// clause set: (1) an [`IncrementalGrounder`] fed the clause list —
+/// shuffled so facts, rules and new constants arrive in any order, but
+/// opening with a fact so the active domain never starts empty — as an
+/// initial program plus 1–4 batches cut at random points, all-fact
+/// batches through `extend` (source facts) and the rest through
+/// `add_rules` (whose facts are permanent); (2) one batch grounding of
+/// the merged program; (3) the naive oracle on it. A source and a
+/// permanent copy of one fact count as one clause; a bodied clause
+/// stored twice is a failure.
+fn assert_kernel_matches_batch_and_naive(opts: RandomRelationalOpts, seed: u64) {
+    let mut state = seed;
+    let mut below = |n: usize| {
+        // SplitMix64.
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    };
+    let mut store = TermStore::new();
+    let mut clauses: Vec<Clause> = random_relational_program(&mut store, opts, seed)
+        .clauses()
+        .to_vec();
+    for i in (2..clauses.len()).rev() {
+        clauses.swap(i, 1 + below(i));
+    }
+    assert!(clauses[0].is_fact(), "the generator emits facts first");
+    let mut cuts: Vec<usize> = (0..1 + below(4))
+        .map(|_| 1 + below(clauses.len()))
+        .collect();
+    cuts.push(clauses.len());
+    cuts.sort_unstable();
+    cuts.dedup();
+
+    let mut fed = Program::from_clauses(clauses[..cuts[0]].iter().cloned());
+    let mut kernel = IncrementalGrounder::new(&mut store, &fed, GrounderOpts::default())
+        .expect("initial program grounds");
+    for w in cuts.windows(2) {
+        let batch = &clauses[w[0]..w[1]];
+        let first_new = fed.len();
+        for c in batch {
+            fed.push(c.clone());
+        }
+        if batch.iter().all(|c| c.is_fact() && c.is_ground(&store)) {
+            let atoms: Vec<Atom> = batch.iter().map(|c| c.head.clone()).collect();
+            kernel.extend(&mut store, &atoms, &Guard::none())
+        } else {
+            kernel.add_rules(&mut store, &fed, first_new, &Guard::none())
+        }
+        .expect("batch grounds");
+    }
+    let mut fed_in_batches = sorted_clauses(&store, kernel.ground_program());
+    fed_in_batches.dedup_by(|a, b| a == b && !a.contains(":-"));
+
+    // By now `fed` is the merged program.
+    let batch = Grounder::ground(&mut store, &fed).expect("merged program grounds");
+    assert_eq!(
+        fed_in_batches,
+        sorted_clauses(&store, &batch),
+        "kernel fed at cuts {cuts:?} vs batch, seed {seed}"
+    );
+    let naive = Grounder::ground_with(
+        &mut store,
+        &fed,
+        GrounderOpts {
+            strategy: JoinStrategy::Naive,
+            ..GrounderOpts::default()
+        },
+    )
+    .expect("merged program grounds naively");
+    assert_eq!(
+        fed_in_batches,
+        sorted_clauses(&store, &naive),
+        "kernel fed at cuts {cuts:?} vs naive, seed {seed}"
     );
 }
 
@@ -114,23 +217,10 @@ proptest! {
         );
     }
 
-    /// The same oracle on wide rules: ≥4 positive/negative body
-    /// literals drawn from a 4-variable pool, so plans must reorder,
-    /// probe composite indexes, and split deltas across many positions.
+    /// The same oracle on wide rules ([`wide_rule_opts`]).
     #[test]
     fn plan_matches_naive_on_wide_rules(seed in any::<u64>()) {
-        let opts = RandomRelationalOpts {
-            constants: 3,
-            preds: 3,
-            facts: 9,
-            rules: 4,
-            min_body: 4,
-            max_body: 6,
-            vars: 4,
-            neg_prob: 0.25,
-            ..RandomRelationalOpts::default()
-        };
-        let mk = |s: &mut TermStore| random_relational_program(s, opts, seed);
+        let mk = |s: &mut TermStore| random_relational_program(s, wide_rule_opts(), seed);
         let planned = ground_strategy(mk, GrounderOpts::default());
         let naive = ground_strategy(mk, GrounderOpts {
             strategy: JoinStrategy::Naive,
@@ -141,6 +231,33 @@ proptest! {
             sorted_clauses(&naive.0, &naive.1),
             "seed {}", seed
         );
+    }
+
+    /// One kernel: feeding a random program in batches equals grounding
+    /// it at once, planned or naive.
+    #[test]
+    fn kernel_fed_in_batches_matches_batch_and_naive(
+        seed in any::<u64>(),
+        constants in 2usize..5,
+        facts in 1usize..12,
+        rules in 1usize..7,
+    ) {
+        assert_kernel_matches_batch_and_naive(
+            RandomRelationalOpts {
+                constants,
+                facts,
+                rules,
+                ..RandomRelationalOpts::default()
+            },
+            seed,
+        );
+    }
+
+    /// The same on wide rules: composite-index probes in the catch-up
+    /// joins, many delta positions.
+    #[test]
+    fn kernel_fed_in_batches_matches_batch_and_naive_on_wide_rules(seed in any::<u64>()) {
+        assert_kernel_matches_batch_and_naive(wide_rule_opts(), seed);
     }
 
     /// Relevant grounding preserves the well-founded model on the atoms

@@ -23,6 +23,11 @@
 //! fixpoint work one commit does, read off the exact `lfp.*` registry
 //! counters, is bounded by the change's dependency cone — the same
 //! constants hold on a 32×32 and a 64×64 board.
+//!
+//! PR 15 adds the same kind of gate for the **grounder**: the exact
+//! `ground.*` counter deltas of a leaf insert, a rule commit and a
+//! domain-growing insert on a 32×32 board, recorded before the
+//! `Grounder` / `IncrementalGrounder` unification and reproduced after.
 
 use gsls_ground::{Grounder, GrounderOpts, HerbrandOpts};
 use gsls_lang::TermStore;
@@ -759,21 +764,33 @@ fn grid_board_engines_agree() {
 // Refresh work is proportional to the change's cone, not to the board.
 // ---------------------------------------------------------------------
 
+/// How much each of the `names`d registry counters grew across `op`.
+/// Exact counts, the same on every machine and every run.
+fn counter_growth<const N: usize>(
+    s: &mut global_sls::prelude::Session,
+    names: [&str; N],
+    op: impl FnOnce(&mut global_sls::prelude::Session),
+) -> [u64; N] {
+    let read = |s: &global_sls::prelude::Session| {
+        let m = s.metrics();
+        names.map(|name| m.counter(name).unwrap_or(0))
+    };
+    let before = read(s);
+    op(s);
+    let after = read(s);
+    std::array::from_fn(|i| after[i] - before[i])
+}
+
 /// The fixpoint work `op` costs: the growth of `lfp.enqueues +
 /// lfp.clause_checks` — every atom the two chains pushed on a work
-/// queue plus every clause whose liveness they re-examined. Exact
-/// counts, the same on every machine and every run.
+/// queue plus every clause whose liveness they re-examined.
 fn refresh_work(
     s: &mut global_sls::prelude::Session,
     op: impl FnOnce(&mut global_sls::prelude::Session),
 ) -> u64 {
-    let read = |s: &global_sls::prelude::Session| {
-        let m = s.metrics();
-        m.counter("lfp.enqueues").unwrap_or(0) + m.counter("lfp.clause_checks").unwrap_or(0)
-    };
-    let before = read(s);
-    op(s);
-    read(s) - before
+    counter_growth(s, ["lfp.enqueues", "lfp.clause_checks"], op)
+        .iter()
+        .sum()
 }
 
 /// The noise-free form of "commit cost is proportional to the delta".
@@ -840,4 +857,92 @@ fn refresh_work_is_bounded_by_the_cone_not_the_board() {
             );
         }
     }
+}
+
+/// The grounder's work for `op`: `[rounds, join_candidates,
+/// index_probes, dedup_hits]`.
+fn ground_work(
+    s: &mut global_sls::prelude::Session,
+    op: impl FnOnce(&mut global_sls::prelude::Session),
+) -> [u64; 4] {
+    const NAMES: [&str; 4] = [
+        "ground.rounds",
+        "ground.join_candidates",
+        "ground.index_probes",
+        "ground.dedup_hits",
+    ];
+    counter_growth(s, NAMES, op)
+}
+
+/// The noise-free gate for the grounder: the join work of three kinds
+/// of commit on a 32×32 board, and of batch groundings of the same
+/// programs, as exact counts. The literals were recorded at the commit
+/// before `Grounder` and `IncrementalGrounder` became one kernel
+/// (PR 15); any change to what the kernel joins, probes or dedups — a
+/// dropped `persistent` branch, a catch-up join at the wrong role, a
+/// lost table dedup — moves at least one of them.
+#[test]
+fn ground_work_per_commit_is_exactly_the_recorded_counts() {
+    use global_sls::prelude::*;
+    const LEAF: &str = "move(w0, n5).";
+    // A recursive pair (catch-up join at full range, then semi-naive
+    // rounds), a bodied rule with a residual variable and a body-less
+    // residual rule (active-domain enumeration).
+    const RULES: &str = "reach(Y) :- move(n0, Y). reach(Y) :- reach(X), move(X, Y). \
+                         skip(X, Y) :- move(n0, X), ~win(Y). lose(X) :- ~win(X).";
+    // `z0` is a new constant: the active domain grows while the two
+    // residual-variable rules exist, so both re-join in full and the
+    // dedup spaces absorb every instance that already exists.
+    const GROW: &str = "move(z0, n7).";
+    let batch_work = |store: &mut TermStore, program: &Program| {
+        let (gp, st) = Grounder::ground_with_stats(store, program, GrounderOpts::default())
+            .expect("board grounds");
+        let work = [
+            u64::from(st.rounds),
+            st.join_candidates,
+            st.index_probes,
+            st.dedup_hits,
+        ];
+        (gp.clause_count(), work)
+    };
+
+    let mut store = TermStore::new();
+    let program = win_grid(&mut store, 32, 32);
+    let (_, board) = batch_work(&mut store, &program);
+    assert_eq!(board, [1, 2324, 0, 0], "batch grounding of the board");
+
+    let mut s = Session::from_parts(store, program).expect("board grounds");
+    // The default lint gate denies negative-only (residual) rules.
+    s.set_lint_config(LintConfig::permissive());
+    let leaf = ground_work(&mut s, |s| {
+        s.assert_facts(LEAF).expect("leaf insert");
+    });
+    assert_eq!(leaf, [2, 1, 0, 0], "leaf insert");
+    let rules = ground_work(&mut s, |s| {
+        s.add_rules(RULES).expect("rule commit");
+    });
+    assert_eq!(rules, [62, 3369, 1045, 0], "rule commit");
+    let grow = ground_work(&mut s, |s| {
+        s.assert_facts(GROW).expect("domain-growing insert");
+    });
+    assert_eq!(grow, [2, 4, 4, 3135], "domain-growing insert");
+
+    // The same program in one batch: the same clauses, by its own
+    // (also recorded) amount of work.
+    let mut store2 = TermStore::new();
+    let mut merged = win_grid(&mut store2, 32, 32);
+    for c in parse_program(&mut store2, &[LEAF, RULES, GROW].join(" "))
+        .unwrap()
+        .clauses()
+    {
+        merged.push(c.clone());
+    }
+    let (clauses, work) = batch_work(&mut store2, &merged);
+    assert_eq!(
+        work,
+        [63, 8021, 1045, 0],
+        "batch grounding of the merged program"
+    );
+    assert_eq!(clauses, 10_114);
+    assert_eq!(s.ground_program().clause_count(), clauses);
 }
