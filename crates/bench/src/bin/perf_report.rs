@@ -806,6 +806,7 @@ fn snapshot_read_sweep() -> Vec<SnapPoint> {
     let snapshot = session.snapshot();
     let queries = 200_000usize;
     let atoms: Vec<Atom> = {
+        // Shares the snapshot's chunks; copies only what it interns.
         let mut s = snapshot.store().clone();
         let win = s.intern_symbol("win");
         (0..w * h)

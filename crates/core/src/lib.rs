@@ -53,6 +53,8 @@
 //! assert_eq!(result.truth, Truth::True);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod deviant;
 pub mod global;
 pub mod govern;

@@ -638,11 +638,9 @@ impl Session {
         match applied {
             Ok(stats) => {
                 // Phase `commit.publish`: the new epoch becomes visible
-                // — dropping the cached snapshot frees the previous
-                // deep clone — and the commit's counters are flushed.
+                // and the commit's counters are flushed.
                 let t_publish = Instant::now();
                 self.epoch += 1;
-                self.snapshot_cache = None;
                 self.sobs.record_commit(&stats);
                 self.flush_subsystem_stats();
                 let publish_ns = t_publish.elapsed().as_nanos() as u64;

@@ -5,7 +5,7 @@
 use crate::govern::{Guard, InterruptCause};
 use gsls_analyze::{AnalyzerOpts, LintConfig};
 use gsls_ground::{GrounderOpts, GroundingError, IncrementalGrounder};
-use gsls_lang::{Atom, Clause, FxHashMap, Program, Symbol, TermStore};
+use gsls_lang::{Atom, Clause, CowTally, FxHashMap, Program, Symbol, TermStore};
 use gsls_wfs::{well_founded_refresh_governed, ChangeCone, IncrementalLfp, Interp, NegMode};
 
 /// Everything derived from `(program, retracted facts)`. Commits
@@ -106,6 +106,12 @@ impl EngineState {
             &mut self.model,
             guard,
         )
+    }
+
+    /// Copy-on-write work the ground state's snapshot-shared arenas
+    /// (atom side, active domain) have done.
+    pub fn cow_tally(&self) -> CowTally {
+        self.grounder.ground_program().atoms().cow_tally() + self.grounder.universe().cow_tally()
     }
 
     /// The switchable ground clause of a source fact, if `atom` is one.

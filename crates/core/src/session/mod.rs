@@ -30,10 +30,12 @@
 //!   bindings through the [`Answers`] iterator instead of materializing
 //!   vectors.
 //! * **Snapshot reads** — [`Session::snapshot`] returns an immutable,
-//!   [`Send`]`+`[`Sync`] [`Snapshot`] of the committed state, cheap to
-//!   take (the first snapshot after a commit clones the state into an
-//!   [`Arc`]; later ones just bump the refcount) and queryable from any
-//!   number of threads while the session keeps committing.
+//!   [`Send`]`+`[`Sync`] [`Snapshot`] of the committed state: a frozen
+//!   prefix that shares the term store, the atom table and the domain
+//!   with the live session chunk by chunk and copies only the model's
+//!   two bitsets, so taking one costs the same after every commit and
+//!   nothing is cached. Queryable from any number of threads while the
+//!   session keeps committing; a live read runs on the very same view.
 //!
 //! The session engine requires **function-free** programs (the class
 //! for which the paper's memoized procedure is effective); programs
@@ -63,8 +65,9 @@
 //! same function a from-source build runs on unprimed chains — grows
 //! and switches the chains and restarts the alternation below the
 //! change's cone, every loop of it polling the commit's guard.
-//! `publish` bumps the epoch, drops the cached snapshot and flushes the
-//! commit's counters. Seven phase histograms (`commit.validate`,
+//! `publish` bumps the epoch and flushes the commit's counters
+//! (snapshots are captured on demand, so there is nothing to
+//! invalidate). Seven phase histograms (`commit.validate`,
 //! `.admission`, `.journal`, `.ground`, `.index`, `.refresh`,
 //! `.publish`) add up to `commit.total`.
 //!
@@ -116,7 +119,7 @@ use gsls_durable::{
     decode_checkpoint, encode_checkpoint, CheckpointImage, DurableLog, DurableOpts, WalObs,
 };
 use gsls_ground::{GroundProgram, GroundStats, GrounderOpts};
-use gsls_lang::{parse_program, Atom, FxHashMap, Program, TermStore};
+use gsls_lang::{parse_program, Atom, CowTally, FxHashMap, Program, TermStore};
 use gsls_obs::{Counter, Histogram, MetricsSnapshot, Obs, TraceEvent};
 use gsls_par::{pool_totals, PoolTotals};
 use gsls_wfs::{IncStats, Interp};
@@ -140,7 +143,6 @@ pub struct Session {
     txn: Option<Pending>,
     /// Monotone commit counter; snapshots carry the epoch they saw.
     epoch: u64,
-    snapshot_cache: Option<Snapshot>,
     global_opts: GlobalOpts,
     /// Grounding options, kept for engine rebuilds when a commit unwinds.
     opts: GrounderOpts,
@@ -177,6 +179,7 @@ pub struct Session {
     base_t: IncStats,
     base_u: IncStats,
     base_par: PoolTotals,
+    base_cow: CowTally,
 }
 
 /// Metric handles pre-resolved against the session's registry at
@@ -215,6 +218,13 @@ struct SessionObs {
     par_steals: Counter,
     par_parks: Counter,
     par_aborts: Counter,
+    /// Bytes the writer copied because a live snapshot shared the chunk
+    /// it wrote into, and the number of such chunks.
+    cow_bytes: Counter,
+    cow_chunks: Counter,
+    /// Bytes of model bitsets copied into snapshots — the one
+    /// board-proportional copy a capture makes.
+    snapshot_model_bytes: Counter,
     query: QueryObs,
 }
 
@@ -252,6 +262,9 @@ impl SessionObs {
             par_steals: reg.counter("par.steals"),
             par_parks: reg.counter("par.parks"),
             par_aborts: reg.counter("par.aborts"),
+            cow_bytes: reg.counter("snapshot.cow_bytes"),
+            cow_chunks: reg.counter("snapshot.chunks_shared"),
+            snapshot_model_bytes: reg.counter("snapshot.model_bytes"),
             query: QueryObs::new(obs),
         }
     }
@@ -393,13 +406,13 @@ impl Session {
         let base_gstats = engine.grounder.stats();
         let base_t = engine.t_chain.stats();
         let base_u = engine.u_chain.stats();
+        let base_cow = store.cow_tally() + engine.cow_tally();
         Ok(Session {
             store,
             program,
             engine,
             txn: None,
             epoch,
-            snapshot_cache: None,
             global_opts: GlobalOpts::default(),
             opts,
             lint_config: LintConfig::default(),
@@ -413,6 +426,7 @@ impl Session {
             base_t,
             base_u,
             base_par: pool_totals(),
+            base_cow,
         })
     }
 
@@ -425,13 +439,13 @@ impl Session {
         retracted: impl IntoIterator<Item = Atom>,
     ) -> Result<(), SessionError> {
         self.engine = EngineState::build(&mut self.store, &self.program, self.opts, retracted)?;
-        self.snapshot_cache = None;
         // Fresh engine objects restart their lifetime stats at zero;
         // re-anchor the delta baselines so the rebuild's own work (a
         // rollback, not a commit) is never flushed to the registry.
         self.base_gstats = self.engine.grounder.stats();
         self.base_t = self.engine.t_chain.stats();
         self.base_u = self.engine.u_chain.stats();
+        self.base_cow = self.cow_tally();
         Ok(())
     }
 
@@ -708,7 +722,10 @@ impl Session {
     /// A consistent snapshot of every engine metric this session has
     /// recorded: commit counters, per-phase commit latency histograms
     /// (`commit.validate` … `commit.publish`, plus `commit.total`),
-    /// grounder/fixpoint work counters, WAL I/O, query counters, and
+    /// grounder/fixpoint work counters, WAL I/O, query counters,
+    /// `snapshot.cow_bytes` / `snapshot.chunks_shared` (what commits
+    /// copied because a live snapshot shared the chunk they wrote) and
+    /// `snapshot.model_bytes` (what captures copied), and
     /// `guard.trips.<phase>.<cause>`. Cheap enough to call per request.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.obs.snapshot()
@@ -730,6 +747,12 @@ impl Session {
     /// load and a branch).
     pub fn obs(&self) -> Obs {
         self.obs.clone()
+    }
+
+    /// Copy-on-write work done so far by everything snapshots share:
+    /// the term store, the atom side and the domain.
+    fn cow_tally(&self) -> CowTally {
+        self.store.cow_tally() + self.engine.cow_tally()
     }
 
     /// Flushes this commit's deltas of the subsystems' lifetime stat
@@ -776,5 +799,12 @@ impl Session {
             .par_aborts
             .add(p.aborts.saturating_sub(self.base_par.aborts));
         self.base_par = p;
+
+        // What sharing chunks with live snapshots cost this commit.
+        let cow = self.cow_tally();
+        let dcow = cow.delta_since(&self.base_cow);
+        self.base_cow = cow;
+        self.sobs.cow_bytes.add(dcow.bytes);
+        self.sobs.cow_chunks.add(dcow.chunks);
     }
 }

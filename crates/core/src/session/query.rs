@@ -8,9 +8,10 @@ use super::{record_trip, Session, SessionError, Snapshot};
 use crate::global::GlobalTree;
 use crate::govern::{Guard, InterruptCause, InterruptPhase, QueryOpts, TripInfo};
 use crate::solver::{Engine, QueryResult};
-use gsls_ground::{GroundAtomId, GroundProgram};
+use gsls_ground::{GroundAtomId, GroundAtoms};
 use gsls_lang::{
-    parse_goal, Atom, FxHashMap, Goal, Pred, Subst, Symbol, Term, TermId, TermStore, Var,
+    arena, parse_goal, Arena, Atom, FxHashMap, Goal, Pred, Subst, Symbol, Term, TermId, TermStore,
+    Var,
 };
 use gsls_obs::{Counter, Obs};
 use gsls_wfs::{Interp, Truth};
@@ -67,14 +68,17 @@ impl std::fmt::Debug for QueryObs {
 
 /// A read view the query evaluator runs against: the session's live
 /// state, a snapshot's captured state, or the [`crate::Solver`] shim's
-/// batch state.
+/// batch state — the same four things either way, which is what makes
+/// a live read "the snapshot of now". A query reads atoms and truth
+/// values, never clauses, so the view holds the ground program's atom
+/// side only.
 #[derive(Clone, Copy)]
 pub(crate) struct ModelView<'a> {
     pub store: &'a TermStore,
-    pub gp: &'a GroundProgram,
+    pub atoms: &'a GroundAtoms,
     pub model: &'a Interp,
     /// Constants for residual (all-negative) enumeration.
-    pub domain: &'a [TermId],
+    pub domain: &'a Arena<TermId>,
 }
 
 /// Where a goal's names are looked up, i.e. the one thing that differs
@@ -249,8 +253,12 @@ impl QueryPlan {
 /// Per-depth iteration state of one [`Answers`] run.
 #[derive(Debug, Clone)]
 struct DepthState {
-    /// Candidate atoms (positive depths only).
-    candidates: Vec<GroundAtomId>,
+    /// Positive depths: whether the candidates come from a predicate
+    /// scan ([`Answers::scans`]) rather than the point lookup below.
+    scan: bool,
+    /// The one candidate of a fully bound positive literal, until taken.
+    point: Option<GroundAtomId>,
+    /// Residual depths: the next domain constant.
     cursor: usize,
     /// Trail length on entry — advance/backtrack undoes to here.
     mark: usize,
@@ -261,7 +269,8 @@ struct DepthState {
 impl Default for DepthState {
     fn default() -> Self {
         DepthState {
-            candidates: Vec::new(),
+            scan: false,
+            point: None,
             cursor: 0,
             mark: 0,
             truth: Truth::True,
@@ -350,6 +359,12 @@ pub struct Answers<'a> {
     plan: &'a QueryPlan,
     view: ModelView<'a>,
     scratch: ScratchSlot<'a>,
+    /// `scans[d]`: the rest of the predicate scan positive depth `d` is
+    /// enumerating — candidates are pulled on demand, never copied out.
+    /// Sized on the first scan, so point queries allocate nothing here.
+    scans: Vec<arena::Iter<'a, u32>>,
+    /// The atom run the last candidate fell in (`GroundAtoms::atom_run`).
+    run: (usize, &'a [Atom]),
     depth: usize,
     started: bool,
     done: bool,
@@ -406,6 +421,8 @@ impl<'a> Answers<'a> {
             plan,
             view,
             scratch,
+            scans: Vec::new(),
+            run: (0, &[]),
             depth: 0,
             started: false,
             done: false,
@@ -440,29 +457,28 @@ impl<'a> Answers<'a> {
         self.plan.pos.len() + self.plan.residual.len()
     }
 
-    /// Prepares depth `d`'s iteration: candidate list for positive
-    /// depths (with a point-lookup fast path when the pattern is fully
-    /// bound), cursor reset for residual depths.
+    /// Prepares depth `d`'s iteration: for a positive depth the
+    /// predicate's scan, or the point lookup when the pattern is fully
+    /// bound; cursor reset for residual depths.
     fn enter(&mut self, d: usize) {
         let mark = self.scratch.trail.len();
         if d < self.plan.pos.len() {
             let lit = &self.plan.pos[d];
             // Fast path: every argument already resolvable — one hash
             // lookup instead of a predicate scan.
-            let resolved = resolve_key(lit, &mut self.scratch);
-            let key = std::mem::take(&mut self.scratch.key_buf);
-            let st = &mut self.scratch.depths[d];
-            st.candidates.clear();
-            if resolved {
-                self.n_point += 1;
-                if let Some(id) = self.view.gp.lookup_atom_parts(lit.pred.sym, &key) {
-                    st.candidates.push(id);
-                }
-            } else {
+            let s = &mut *self.scratch;
+            let scan = !resolve_key(lit, s);
+            s.depths[d].scan = scan;
+            if scan {
                 self.n_scan += 1;
-                st.candidates.extend(self.view.gp.atoms_with_pred(lit.pred));
+                if self.scans.len() <= d {
+                    self.scans.resize_with(d + 1, Default::default);
+                }
+                self.scans[d] = self.view.atoms.pred_ids(lit.pred);
+            } else {
+                self.n_point += 1;
+                s.depths[d].point = self.view.atoms.lookup_atom_parts(lit.pred.sym, &s.key_buf);
             }
-            self.scratch.key_buf = key;
         }
         let st = &mut self.scratch.depths[d];
         st.cursor = 0;
@@ -475,30 +491,27 @@ impl<'a> Answers<'a> {
         let mark = self.scratch.depths[d].mark;
         self.scratch.undo_to(mark);
         if d < self.plan.pos.len() {
-            let lit = &self.plan.pos[d];
-            loop {
-                let st = &self.scratch.depths[d];
-                let Some(&id) = st.candidates.get(st.cursor) else {
-                    return false;
-                };
-                self.scratch.depths[d].cursor += 1;
-                let t = self.view.model.truth(id);
-                if t == Truth::False {
-                    continue;
-                }
-                let atom = self.view.gp.atom(id);
-                let s = &mut *self.scratch;
-                let ok = lit
-                    .args
-                    .iter()
-                    .zip(atom.args.iter())
-                    .all(|(p, &tgt)| match_pat(self.view.store, p, tgt, s));
-                if ok {
-                    self.scratch.depths[d].truth = t;
-                    return true;
-                }
-                self.scratch.undo_to(mark);
+            // The candidate loop keeps its state — the scan, the atom
+            // run — in locals, not behind `self`: a board-sized predicate
+            // walks 10^5 candidates per query.
+            let (lit, view) = (&self.plan.pos[d], self.view);
+            let s = &mut *self.scratch;
+            let mut run = self.run;
+            let truth = if s.depths[d].scan {
+                let mut scan = std::mem::take(&mut self.scans[d]);
+                let hit = scan
+                    .find_map(|&i| try_candidate(view, lit, GroundAtomId(i), &mut run, s, mark));
+                self.scans[d] = scan;
+                hit
+            } else {
+                let point = s.depths[d].point.take();
+                point.and_then(|id| try_candidate(view, lit, id, &mut run, s, mark))
+            };
+            self.run = run;
+            if let Some(t) = truth {
+                s.depths[d].truth = t;
             }
+            truth.is_some()
         } else {
             let slot = self.plan.residual[d - self.plan.pos.len()];
             let st = &self.scratch.depths[d];
@@ -527,7 +540,7 @@ impl<'a> Answers<'a> {
             debug_assert!(resolved, "leaf with an unbound slot or compound pattern");
             let t = self
                 .view
-                .gp
+                .atoms
                 .lookup_atom_parts(lit.pred.sym, &s.key_buf)
                 .map_or(Truth::False, |id| self.view.model.truth(id));
             let neg_t = match t {
@@ -662,6 +675,39 @@ impl Drop for Answers<'_> {
             q.scans.add(self.n_scan);
         }
     }
+}
+
+/// Matches a positive literal against candidate atom `id`, binding its
+/// slots on the trail: the candidate's truth, or `None` (bindings undone
+/// to `mark`) when the atom is false in the model or does not match.
+/// `run` caches the atom run the previous candidate fell in — candidates
+/// ascend, so most fall in the run at hand.
+#[inline(always)]
+fn try_candidate<'a>(
+    view: ModelView<'a>,
+    lit: &CompiledLit,
+    id: GroundAtomId,
+    run: &mut (usize, &'a [Atom]),
+    s: &mut QueryScratch,
+    mark: usize,
+) -> Option<Truth> {
+    let t = view.model.truth(id);
+    if t == Truth::False {
+        return None;
+    }
+    if id.index().wrapping_sub(run.0) >= run.1.len() {
+        *run = view.atoms.atom_run(id);
+    }
+    let atom = &run.1[id.index() - run.0];
+    let ok = lit
+        .args
+        .iter()
+        .zip(atom.args.iter())
+        .all(|(p, &tgt)| match_pat(view.store, p, tgt, s));
+    if !ok {
+        s.undo_to(mark);
+    }
+    ok.then_some(t)
 }
 
 /// Structurally matches one compiled pattern argument against a ground
@@ -907,11 +953,11 @@ impl Session {
         }
     }
 
-    /// The session's read view (shared with [`Snapshot`]s).
+    /// The session's read view — what [`Session::snapshot`] freezes.
     fn view(&self) -> ModelView<'_> {
         ModelView {
             store: &self.store,
-            gp: self.engine.grounder.ground_program(),
+            atoms: self.engine.grounder.ground_program().atoms(),
             model: &self.engine.model,
             domain: self.engine.grounder.universe(),
         }

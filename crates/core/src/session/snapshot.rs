@@ -1,20 +1,42 @@
 //! Immutable, `Send + Sync` views of a committed session state, and the
 //! fully read-only query surface over them.
+//!
+//! A committed epoch is a value: for a function-free program the
+//! well-founded model is a function of the program, and the Herbrand
+//! side of the state — symbols, terms, ground atoms, the active domain
+//! — only ever grows (grounding is append-only; retraction switches
+//! clauses at the model level). So a [`Snapshot`] is a **frozen
+//! prefix**, not a copy: it shares the term store, the ground program's
+//! atom side and the domain with the live session chunk by chunk
+//! ([`gsls_lang::Arena`]), and copies only the model's two bitsets
+//! (atoms/8 bytes each — the one board-proportional copy left). It
+//! holds no clause store and no reverse index: a query reads atoms and
+//! truth values, and the model already is the clauses' consequence.
+//!
+//! After a capture the writer copies a chunk only when it writes into
+//! one the snapshot still shares — the tail chunk of each arena it
+//! appends to, the one table chunk an interned id lands in — and a
+//! commit that interns nothing (a retract, a re-assert) copies nothing.
+//! `snapshot.cow_bytes` / `snapshot.chunks_shared` in
+//! [`Session::metrics`] report that work per commit, and
+//! `snapshot.model_bytes` what the captures copied.
 
 use super::query::{Answers, ModelView, Names, QueryObs, QueryPlan, ScratchSlot};
 use super::{Answer, Session, SessionError};
 use crate::govern::Guard;
-use gsls_ground::GroundProgram;
-use gsls_lang::{parse_goal, Atom, TermId, TermStore};
+use gsls_ground::GroundAtoms;
+use gsls_lang::{parse_goal, Arena, Atom, TermId, TermStore};
 use gsls_wfs::{Interp, Truth};
 use std::sync::Arc;
 
+/// The four things a query reads ([`ModelView`]), owned: three shared
+/// prefixes and one copied model.
 #[derive(Debug)]
 struct SnapshotInner {
     store: TermStore,
-    gp: GroundProgram,
+    atoms: GroundAtoms,
     model: Interp,
-    domain: Vec<TermId>,
+    domain: Arena<TermId>,
     epoch: u64,
     /// Query counters shared with the originating session, so reads
     /// off snapshots on other threads keep counting.
@@ -24,7 +46,8 @@ struct SnapshotInner {
 /// An immutable view of a committed session state. Cloning is an
 /// [`Arc`] refcount bump; the snapshot is `Send + Sync`, so any number
 /// of threads can run [`super::PreparedQuery::execute_on`] against it
-/// while the originating session keeps committing.
+/// while the originating session keeps committing. Reads take no lock
+/// and touch no atomic.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     inner: Arc<SnapshotInner>,
@@ -36,26 +59,33 @@ impl Snapshot {
         self.inner.epoch
     }
 
-    /// The captured term store.
+    /// The captured term store. `clone()` it for a store of your own
+    /// to intern into (e.g. to run a batch engine next to the
+    /// session): the clone of a frozen store shares every chunk with
+    /// it and copies only what it goes on to write.
     pub fn store(&self) -> &TermStore {
         &self.inner.store
     }
 
-    /// The captured ground program.
-    pub fn ground_program(&self) -> &GroundProgram {
-        &self.inner.gp
-    }
-
-    /// The captured well-founded model.
-    pub fn model(&self) -> &Interp {
-        &self.inner.model
+    /// Number of ground atoms interned as of this snapshot's epoch.
+    pub fn atom_count(&self) -> usize {
+        self.inner.atoms.atom_count()
     }
 
     /// The truth of a ground atom in the captured model.
     pub fn truth_of_atom(&self, atom: &Atom) -> Truth {
-        match self.inner.gp.lookup_atom(atom) {
+        match self.inner.atoms.lookup_atom(atom) {
             Some(id) => self.inner.model.truth(id),
             None => Truth::False,
+        }
+    }
+
+    fn view(&self) -> ModelView<'_> {
+        ModelView {
+            store: &self.inner.store,
+            atoms: &self.inner.atoms,
+            model: &self.inner.model,
+            domain: &self.inner.domain,
         }
     }
 
@@ -95,15 +125,9 @@ impl Snapshot {
         plan: &'a QueryPlan,
         guard: &Guard,
     ) -> Result<Answers<'a>, SessionError> {
-        let view = ModelView {
-            store: &self.inner.store,
-            gp: &self.inner.gp,
-            model: &self.inner.model,
-            domain: &self.inner.domain,
-        };
         Answers::start(
             plan,
-            view,
+            self.view(),
             ScratchSlot::Owned(Box::default()),
             guard.clone(),
             Some(&self.inner.qobs),
@@ -153,43 +177,46 @@ impl SnapshotQuery {
     /// ground goal): variable names from the parsed goal, terms from
     /// the snapshot's store.
     pub fn render_answer(&self, snapshot: &Snapshot, answer: &Answer) -> String {
-        let mut parts = Vec::with_capacity(self.plan.vars.len());
+        // One buffer per answer: an enumeration renders 10^4 of these.
+        let mut out = String::new();
         for &v in &self.plan.vars {
             if let Some(t) = answer.subst.lookup(v) {
-                parts.push(format!(
-                    "{} = {}",
-                    self.names.var_name(v),
-                    snapshot.store().display_term(t)
-                ));
+                if !out.is_empty() {
+                    out.push_str(", ");
+                }
+                self.names.write_var_name(v, &mut out);
+                out.push_str(" = ");
+                snapshot.store().fmt_term(t, &mut out);
             }
         }
-        parts.join(", ")
+        out
     }
 }
 
 impl Session {
-    /// An immutable, `Send + Sync` snapshot of the committed state.
+    /// An immutable, `Send + Sync` snapshot of the committed state —
+    /// the session's own read view, owned.
     ///
-    /// The first snapshot after a commit clones the store, ground
-    /// program and model into an [`Arc`]; repeated calls between
-    /// commits return the cached `Arc` (refcount bump only). Readers
-    /// on other threads never block the session's writers — they
-    /// simply keep seeing their epoch.
+    /// Every call captures: one refcount bump per chunk of the term
+    /// store, the atom table and the domain, plus a copy of the model's
+    /// two bitsets. Nothing proportional to the program is copied but
+    /// those bitsets, so there is nothing to cache between commits.
+    /// Readers on other threads never block the session's writers —
+    /// they simply keep seeing their epoch.
     pub fn snapshot(&mut self) -> Snapshot {
-        if let Some(s) = &self.snapshot_cache {
-            return s.clone();
-        }
-        let snap = Snapshot {
+        let (atoms, domain) = self.engine.grounder.share_read_side();
+        let model = self.engine.model.clone();
+        let words = model.pos().words().len() + model.neg().words().len();
+        self.sobs.snapshot_model_bytes.add(8 * words as u64);
+        Snapshot {
             inner: Arc::new(SnapshotInner {
-                store: self.store.clone(),
-                gp: self.engine.grounder.ground_program().clone(),
-                model: self.engine.model.clone(),
-                domain: self.engine.grounder.universe().to_vec(),
+                store: self.store.share(),
+                atoms,
+                model,
+                domain,
                 epoch: self.epoch,
                 qobs: self.sobs.query.clone(),
             }),
-        };
-        self.snapshot_cache = Some(snap.clone());
-        snap
+        }
     }
 }

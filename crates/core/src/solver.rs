@@ -103,7 +103,7 @@ struct ModelState {
     /// for all-negative enumeration — the finite-domain counterpart of
     /// the constructive-negation escape hatch the paper's Section 6
     /// points to [4, 20].
-    domain: Vec<gsls_lang::TermId>,
+    domain: gsls_lang::Arena<gsls_lang::TermId>,
 }
 
 /// The compatibility facade.
@@ -204,7 +204,7 @@ impl Solver {
         let st = self.ready.as_ref().expect("ensure_ready succeeded");
         let view = ModelView {
             store,
-            gp: &st.gp,
+            atoms: st.gp.atoms(),
             model: &st.model,
             domain: &st.domain,
         };

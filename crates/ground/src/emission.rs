@@ -16,7 +16,7 @@ use crate::grounder::{GroundStats, GrounderOpts, GroundingError};
 use crate::herbrand::herbrand_universe;
 use crate::plan::{ArgSpec, JoinPlan, RuleTemplate, NO_INDEX, UNBOUND};
 use crate::program::{GroundAtomId, GroundProgram};
-use gsls_lang::{Atom, FxHashMap, Program, Term, TermId, TermStore, Var};
+use gsls_lang::{Arena, Atom, FxHashMap, Program, Term, TermId, TermStore, Var};
 use gsls_par::govern::Guard;
 
 /// What one kernel operation borrows from its caller: the term store
@@ -95,8 +95,10 @@ pub(crate) struct Emission {
     /// The (depth-bounded) Herbrand universe residual variables range
     /// over. Batch: computed on demand — purely extensional workloads
     /// have no residual variables (see [`Emission::ensure_universe`]).
-    /// Persistent: the active domain, every constant seen so far.
-    pub(crate) universe: Vec<TermId>,
+    /// Persistent: the active domain, every constant seen so far — an
+    /// [`Arena`] because session snapshots share it (queries enumerate
+    /// all-negative variables over it).
+    pub(crate) universe: Arena<TermId>,
     pub(crate) gp: GroundProgram,
     /// `derivable[atom id]`: the atom heads an emitted instance, so it is
     /// in the positive closure and has been queued through the delta.
@@ -145,7 +147,7 @@ impl Emission {
         Emission {
             opts,
             max_depth,
-            universe: Vec::new(),
+            universe: Arena::new(),
             gp: GroundProgram::new(),
             derivable: Vec::new(),
             new_atoms: Vec::new(),
@@ -193,7 +195,9 @@ impl Emission {
     /// constant/function sweep over the whole program.
     pub(crate) fn ensure_universe(&mut self, store: &mut TermStore, program: &Program) {
         if self.universe.is_empty() {
-            self.universe = herbrand_universe(store, program, self.opts.universe);
+            self.universe = herbrand_universe(store, program, self.opts.universe)
+                .into_iter()
+                .collect();
         }
     }
 

@@ -32,6 +32,9 @@
 
 use crate::program::{GroundAtomId, GroundProgram};
 use gsls_lang::fxhash::FxHasher;
+// The interning table the atom and clause stores dedup through lives in
+// `gsls-lang`, next to the arena it is laid out on.
+pub(crate) use gsls_lang::idtable::{shard_of, IdTable, ShardedIdTable, SHARDS};
 use gsls_lang::{FxHashMap, Pred, TermId};
 use std::hash::{Hash, Hasher};
 
@@ -50,225 +53,6 @@ pub(crate) enum Role {
     Delta,
     /// Rows that existed before the most recent round.
     Old,
-}
-
-/// An open-addressing set of `u32` ids with caller-supplied hashing and
-/// equality, used to intern atoms and deduplicate clauses **without
-/// materialising an owned key per probe**: the candidate's identity
-/// lives wherever the caller keeps it (the atom table, the CSR clause
-/// store), and this table stores only ids.
-///
-/// Each slot packs `(id << 32) | tag`, where the tag is the upper half
-/// of the key's hash and the probe index comes from the lower half.
-/// Comparing tags first means a probe walk touches only the slot array
-/// — the caller's `eq` (which dereferences the backing store) runs only
-/// on a tag match, i.e. almost exclusively on genuine hits.
-#[derive(Debug, Clone)]
-pub(crate) struct IdTable {
-    /// Power-of-two slot array; `u64::MAX` marks an empty slot.
-    slots: Box<[u64]>,
-    len: usize,
-}
-
-const EMPTY: u64 = u64::MAX;
-
-#[inline]
-fn pack(id: u32, hash: u64) -> u64 {
-    ((id as u64) << 32) | (hash >> 32)
-}
-
-impl Default for IdTable {
-    fn default() -> Self {
-        IdTable {
-            slots: vec![EMPTY; 16].into_boxed_slice(),
-            len: 0,
-        }
-    }
-}
-
-impl IdTable {
-    /// Looks up the id whose key hashes to `hash` and satisfies `eq`.
-    pub fn find(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
-        let mask = self.slots.len() - 1;
-        let tag = hash >> 32;
-        let mut i = hash as usize & mask;
-        loop {
-            let s = self.slots[i];
-            if s == EMPTY {
-                return None;
-            }
-            if s & 0xffff_ffff == tag {
-                let id = (s >> 32) as u32;
-                if eq(id) {
-                    return Some(id);
-                }
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// One probe walk that either finds the existing id for this key or
-    /// claims the empty slot for `candidate` (returning `None`, after
-    /// which the caller commits `candidate` to the backing store).
-    /// `rehash` recomputes a stored id's hash when the table grows.
-    pub fn find_or_insert(
-        &mut self,
-        hash: u64,
-        candidate: u32,
-        mut eq: impl FnMut(u32) -> bool,
-        rehash: impl FnMut(u32) -> u64,
-    ) -> Option<u32> {
-        // Grow before probing so the claimed slot stays valid.
-        if (self.len + 1) * 8 >= self.slots.len() * 7 {
-            self.grow(rehash);
-        }
-        let mask = self.slots.len() - 1;
-        let tag = hash >> 32;
-        let mut i = hash as usize & mask;
-        loop {
-            let s = self.slots[i];
-            if s == EMPTY {
-                self.slots[i] = pack(candidate, hash);
-                self.len += 1;
-                return None;
-            }
-            if s & 0xffff_ffff == tag {
-                let id = (s >> 32) as u32;
-                if eq(id) {
-                    return Some(id);
-                }
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Pre-sizes the table for about `n` entries, rehashing the current
-    /// contents once, so bulk loads skip the doubling cascade.
-    pub fn reserve(&mut self, n: usize, rehash: impl FnMut(u32) -> u64) {
-        let want = (n * 8 / 7 + 1).next_power_of_two();
-        if want > self.slots.len() {
-            self.grow_to(want, rehash);
-        }
-    }
-
-    fn grow(&mut self, rehash: impl FnMut(u32) -> u64) {
-        self.grow_to(self.slots.len() * 2, rehash);
-    }
-
-    fn grow_to(&mut self, target: usize, mut rehash: impl FnMut(u32) -> u64) {
-        let mut bigger = vec![EMPTY; target].into_boxed_slice();
-        let mask = bigger.len() - 1;
-        for &old in self.slots.iter() {
-            if old != EMPTY {
-                let id = (old >> 32) as u32;
-                let mut i = rehash(id) as usize & mask;
-                while bigger[i] != EMPTY {
-                    i = (i + 1) & mask;
-                }
-                bigger[i] = old;
-            }
-        }
-        self.slots = bigger;
-    }
-
-    /// Inserts an id whose key is **known absent** (no equality probes,
-    /// no duplicate check) — the bulk-load path for the parallel seed
-    /// round, whose shard-local dedup already guaranteed uniqueness.
-    /// `rehash` is only consulted if the insert triggers a grow.
-    pub fn insert_unique(&mut self, hash: u64, id: u32, rehash: impl FnMut(u32) -> u64) {
-        if (self.len + 1) * 8 >= self.slots.len() * 7 {
-            self.grow(rehash);
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = hash as usize & mask;
-        while self.slots[i] != EMPTY {
-            i = (i + 1) & mask;
-        }
-        self.slots[i] = pack(id, hash);
-        self.len += 1;
-    }
-
-    /// Number of stored ids.
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-}
-
-/// Number of lock-stripeable shards in a [`ShardedIdTable`]. A fixed
-/// power of two: enough that 8 workers rarely contend and each shard's
-/// grow-rehash touches 1/16th of the entries, small enough that tiny
-/// programs don't pay for empty tables.
-pub(crate) const SHARDS: usize = 16;
-
-/// The shard a key hashes into. Uses high hash bits: the probe index
-/// comes from the low bits and the tag from bits 32..64, so shard
-/// selection only narrows the tag by log₂([`SHARDS`]) bits.
-#[inline]
-pub(crate) fn shard_of(hash: u64) -> usize {
-    ((hash >> 59) as usize) & (SHARDS - 1)
-}
-
-/// An [`IdTable`] split into [`SHARDS`] hash-disjoint shards.
-///
-/// Two jobs: (1) the grounder's parallel seed round deduplicates each
-/// shard on a separate worker — keys of different shards can never be
-/// equal, so per-shard dedup is exact; (2) even sequentially, a grow
-/// rehashes one shard at a time instead of the whole table, which is
-/// what turned the 10^6-atom interning profile from rehash storms into
-/// amortized noise (the tables also get pre-sized from the seed round's
-/// cardinality — see the grounder).
-#[derive(Debug, Clone)]
-pub(crate) struct ShardedIdTable {
-    shards: Vec<IdTable>,
-}
-
-impl Default for ShardedIdTable {
-    fn default() -> Self {
-        ShardedIdTable {
-            shards: (0..SHARDS).map(|_| IdTable::default()).collect(),
-        }
-    }
-}
-
-impl ShardedIdTable {
-    /// [`IdTable::find`] on the key's shard.
-    pub fn find(&self, hash: u64, eq: impl FnMut(u32) -> bool) -> Option<u32> {
-        self.shards[shard_of(hash)].find(hash, eq)
-    }
-
-    /// [`IdTable::find_or_insert`] on the key's shard.
-    pub fn find_or_insert(
-        &mut self,
-        hash: u64,
-        candidate: u32,
-        eq: impl FnMut(u32) -> bool,
-        rehash: impl FnMut(u32) -> u64,
-    ) -> Option<u32> {
-        self.shards[shard_of(hash)].find_or_insert(hash, candidate, eq, rehash)
-    }
-
-    /// [`IdTable::insert_unique`] on the key's shard.
-    pub fn insert_unique(&mut self, hash: u64, id: u32, rehash: impl FnMut(u32) -> u64) {
-        self.shards[shard_of(hash)].insert_unique(hash, id, rehash);
-    }
-
-    /// Pre-sizes every shard for a **total** of about `n` entries,
-    /// assuming the uniform key distribution a good hash gives (a small
-    /// per-shard slack absorbs the variance; an unlucky shard just
-    /// grows once).
-    pub fn reserve(&mut self, n: usize, mut rehash: impl FnMut(u32) -> u64) {
-        let per = n / SHARDS + n / (SHARDS * 4) + 8;
-        for shard in &mut self.shards {
-            shard.reserve(per, &mut rehash);
-        }
-    }
-
-    /// Total number of stored ids.
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(IdTable::len).sum()
-    }
 }
 
 /// Facts of one predicate: a flat argument column store plus the

@@ -70,8 +70,8 @@ use crate::factstore::{FactStore, Role};
 use crate::herbrand::HerbrandOpts;
 use crate::instantiate;
 use crate::plan::{append_plans, build_plans, build_templates, template_of, Planner, RuleTemplate};
-use crate::program::{GroundAtomId, GroundProgram};
-use gsls_lang::{Atom, FxHashSet, Program, TermId, TermStore};
+use crate::program::{GroundAtomId, GroundAtoms, GroundProgram};
+use gsls_lang::{Arena, Atom, FxHashSet, Program, TermId, TermStore};
 use gsls_par::govern::{Guard, InterruptCause};
 use std::fmt;
 use std::time::Instant;
@@ -355,8 +355,16 @@ impl IncrementalGrounder {
     /// The active domain: every constant seen so far, as interned
     /// terms. Query engines enumerate unbound all-negative variables
     /// over exactly this set.
-    pub fn universe(&self) -> &[TermId] {
+    pub fn universe(&self) -> &Arena<TermId> {
         &self.em.universe
+    }
+
+    /// Publishes what a query reads of the ground state — the program's
+    /// atom side and the active domain — as values sharing every chunk
+    /// with the live ones (`gsls_lang::Arena::share`): a snapshot's
+    /// half of the kernel. Grounds nothing.
+    pub fn share_read_side(&mut self) -> (GroundAtoms, Arena<TermId>) {
+        (self.em.gp.share_atoms(), self.em.universe.share())
     }
 
     /// Cumulative grounding statistics across all operations so far.

@@ -48,10 +48,28 @@
 //!   predicate → atoms, is kept current at interning time and needs no
 //!   finalize.
 //!
+//! **Sharing contract:** the store has a reader side and a writer side.
+//! The *atom side* — [`GroundAtoms`]: atom arena, interning table,
+//! predicate → atoms lists — is all a query reads
+//! ([`GroundAtoms::lookup_atom_parts`], [`GroundAtoms::atoms_with_pred`],
+//! [`GroundAtoms::atom`]); it is append-only and lives on
+//! `gsls_lang::Arena` chunks, so a session snapshot captures it with
+//! [`GroundProgram::share_atoms`] — refcount bumps, no atom copied — and
+//! the writer's next interning copies only the chunks it lands in. The
+//! *clause side* — heads, bodies, offsets, the three reverse indexes —
+//! stays contiguous and writer-private: only the fixpoint chains and the
+//! grounder read it (a model is already the clauses' consequence, so no
+//! reader needs them), which is why `finalize` may keep merging new
+//! watch entries *into* existing rows of the reverse CSRs in place.
+//! `GroundProgram::clone` still copies the clause side in full, for
+//! engines that want a program of their own.
+//!
 //! **Mutation contract:** `push_clause` / fresh-atom `intern_atom`
 //! invalidate the indexes; call `finalize` again before using any
 //! index-backed accessor (they panic otherwise). [`Grounder::ground`]
 //! returns programs already finalized.
+
+#![forbid(unsafe_code)]
 
 pub mod depgraph;
 mod emission;
@@ -69,4 +87,4 @@ pub use grounder::{
     JoinStrategy,
 };
 pub use herbrand::{augment_program, herbrand_universe, term_transform, HerbrandOpts};
-pub use program::{ClauseRef, Csr, GroundAtomId, GroundClause, GroundProgram};
+pub use program::{ClauseRef, Csr, GroundAtomId, GroundAtoms, GroundClause, GroundProgram};

@@ -11,11 +11,19 @@
 //! index is not one of them: it is kept current at interning time.) See
 //! the crate docs for the full layout contract.
 //!
+//! The store is split along the reader/writer line. The **atom side**
+//! ([`GroundAtoms`]: atom arena, interning table, predicate → atoms
+//! lists) is everything a query reads; it is laid out on [`Arena`]
+//! chunks, so a snapshot captures it ([`GroundProgram::share_atoms`])
+//! without copying an atom. The **clause side** (heads, bodies, offsets and the
+//! three reverse indexes) is read only by the fixpoint chains and the
+//! grounder; it stays contiguous `Vec`s, private to the writer.
+//!
 //! Nothing here knows about joins: the store is what every fixpoint
 //! engine reads and what [`crate::grounder`] appends to.
 
 use crate::factstore::{atom_hash, ShardedIdTable};
-use gsls_lang::{Atom, FxHashMap, Pred, Symbol, TermId, TermStore};
+use gsls_lang::{arena, Arena, Atom, CowTally, FxHashMap, Pred, Symbol, TermId, TermStore};
 
 /// Identity of an interned ground atom within a [`GroundProgram`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -260,78 +268,32 @@ struct Indexes {
     n_clauses: usize,
 }
 
-/// A program compiled to ground form (CSR clause storage).
-#[derive(Debug)]
-pub struct GroundProgram {
-    atoms: Vec<Atom>,
+/// The atom side of a [`GroundProgram`]: interned ground atoms, the
+/// table that interns them and the predicate → atoms lists — exactly
+/// what evaluating a query against a model reads, and nothing a
+/// fixpoint engine needs beyond the atom count.
+///
+/// Append-only and stored on [`Arena`] chunks: [`GroundAtoms::share`]
+/// bumps one refcount per chunk and copies no atom, which is how a
+/// `Snapshot` captures it; the writer then re-copies only the chunks
+/// its next interned atoms land in.
+#[derive(Debug, Clone, Default)]
+pub struct GroundAtoms {
+    atoms: Arena<Atom>,
     /// Open-addressing interning table over `atoms` (identity = `(pred,
     /// args)`; probes hash borrowed parts, so lookups allocate nothing).
     /// Sharded by high hash bits so growth rehashes one shard at a time
     /// and the parallel seed round can dedup shards on separate workers.
-    atom_table: ShardedIdTable,
-    /// Clause heads, one per clause.
-    heads: Vec<GroundAtomId>,
-    /// Flat body store: clause `c`'s positive atoms then negative atoms.
-    body: Vec<GroundAtomId>,
-    /// `body_start[c] .. body_start[c+1]` delimits clause `c`'s body.
-    body_start: Vec<u32>,
-    /// Within that range, negatives start at `neg_start[c]`.
-    neg_start: Vec<u32>,
+    table: ShardedIdTable,
     /// predicate → interned atom ids (query-enumeration index).
     /// Maintained incrementally at interning time — unlike the CSR
     /// reverse indexes it never needs a rebuild, so sessions that
     /// append atoms per commit pay one hash-push per *new* atom instead
     /// of a full re-scan in `finalize`.
-    by_pred: FxHashMap<Pred, Vec<u32>>,
-    /// Reverse indexes; `None` until [`GroundProgram::finalize`] runs (or
-    /// after any mutation, which invalidates them).
-    index: Option<Indexes>,
-    /// The previous generation's index arrays, recycled by the next
-    /// incremental `finalize` (double buffering: steady-state session
-    /// commits re-index without allocating). Never cloned.
-    index_spare: Option<Indexes>,
+    by_pred: FxHashMap<Pred, Arena<u32>>,
 }
 
-impl Default for GroundProgram {
-    fn default() -> Self {
-        GroundProgram {
-            atoms: Vec::new(),
-            atom_table: ShardedIdTable::default(),
-            heads: Vec::new(),
-            body: Vec::new(),
-            body_start: vec![0],
-            neg_start: Vec::new(),
-            by_pred: FxHashMap::default(),
-            index: None,
-            index_spare: None,
-        }
-    }
-}
-
-impl Clone for GroundProgram {
-    fn clone(&self) -> Self {
-        GroundProgram {
-            atoms: self.atoms.clone(),
-            atom_table: self.atom_table.clone(),
-            heads: self.heads.clone(),
-            body: self.body.clone(),
-            body_start: self.body_start.clone(),
-            neg_start: self.neg_start.clone(),
-            by_pred: self.by_pred.clone(),
-            index: self.index.clone(),
-            // The recycling buffer is an allocation cache, not state —
-            // snapshots must not pay for (or carry) it.
-            index_spare: None,
-        }
-    }
-}
-
-impl GroundProgram {
-    /// Creates an empty ground program.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl GroundAtoms {
     /// One probe walk: the existing id for `(pred, args)`, or the slot
     /// claimed for the next id (in which case the caller pushes the
     /// atom). Keeps the hot interning path at a single table traversal.
@@ -339,7 +301,7 @@ impl GroundProgram {
         let hash = atom_hash(pred, args);
         let candidate = u32::try_from(self.atoms.len()).expect("ground atom overflow");
         let atoms = &self.atoms;
-        self.atom_table
+        self.table
             .find_or_insert(
                 hash,
                 candidate,
@@ -355,19 +317,177 @@ impl GroundProgram {
             .map(GroundAtomId)
     }
 
+    /// Appends an atom the table does not hold (or, for the parallel
+    /// seed merge, will be bulk-loaded with afterwards).
+    fn push(&mut self, atom: Atom) -> GroundAtomId {
+        let id = GroundAtomId(u32::try_from(self.atoms.len()).expect("ground atom overflow"));
+        self.by_pred.entry(atom.pred_id()).or_default().push(id.0);
+        self.atoms.push(atom);
+        id
+    }
+
+    /// Publishes the atom side: the returned value shares every chunk
+    /// with this one ([`Arena::share`]). O(chunks + predicates).
+    pub fn share(&mut self) -> GroundAtoms {
+        GroundAtoms {
+            atoms: self.atoms.share(),
+            table: self.table.share(),
+            by_pred: self
+                .by_pred
+                .iter_mut()
+                .map(|(&p, ids)| (p, ids.share()))
+                .collect(),
+        }
+    }
+
+    /// Looks up a ground atom from borrowed parts without interning (and
+    /// without building an owned [`Atom`]) — the query engines' hot
+    /// point-lookup path.
+    pub fn lookup_atom_parts(&self, pred: Symbol, args: &[TermId]) -> Option<GroundAtomId> {
+        self.table
+            .find(atom_hash(pred, args), |id| {
+                let a = &self.atoms[id as usize];
+                a.pred == pred && a.args[..] == *args
+            })
+            .map(GroundAtomId)
+    }
+
+    /// Looks up a ground atom without interning.
+    pub fn lookup_atom(&self, atom: &Atom) -> Option<GroundAtomId> {
+        self.lookup_atom_parts(atom.pred, &atom.args)
+    }
+
+    /// The atom for `id`.
+    pub fn atom(&self, id: GroundAtomId) -> &Atom {
+        &self.atoms[id.index()]
+    }
+
+    /// The run of consecutively stored atoms around `id`, as `(id of
+    /// the first, the atoms)`: a scan over ascending ids (a predicate's
+    /// atoms) resolves most of them by offset into the run it already
+    /// holds instead of a lookup each.
+    pub fn atom_run(&self, id: GroundAtomId) -> (usize, &[Atom]) {
+        self.atoms.run_of(id.index())
+    }
+
+    /// Number of interned atoms.
+    pub fn atom_count(&self) -> usize {
+        self.atoms.len()
+    }
+
+    /// The ids of predicate `pred`'s interned atoms, in interning order,
+    /// as a nameable iterator: a query scan holds it across calls and
+    /// pulls candidates on demand instead of materialising the list.
+    pub fn pred_ids(&self, pred: Pred) -> arena::Iter<'_, u32> {
+        static NONE: Arena<u32> = Arena::new();
+        self.by_pred.get(&pred).unwrap_or(&NONE).iter()
+    }
+
+    /// Interned atoms of predicate `pred`, in interning (id) order.
+    pub fn atoms_with_pred(&self, pred: Pred) -> impl Iterator<Item = GroundAtomId> + '_ {
+        self.pred_ids(pred).map(|&i| GroundAtomId(i))
+    }
+
+    /// Copy-on-write work interning has done because a clone (a
+    /// snapshot) shared the chunk written to. Monotone.
+    pub fn cow_tally(&self) -> CowTally {
+        self.by_pred
+            .values()
+            .fold(self.atoms.cow_tally() + self.table.cow_tally(), |t, ids| {
+                t + ids.cow_tally()
+            })
+    }
+
+    /// Approximate heap footprint in bytes; see
+    /// [`GroundProgram::approx_bytes`].
+    fn approx_bytes(&self) -> usize {
+        let atoms = self.atoms.heap_bytes() + self.atoms.len() * 16;
+        let by_pred: usize = self.by_pred.values().map(|v| v.heap_bytes() + 48).sum();
+        atoms + self.table.heap_bytes() + by_pred
+    }
+}
+
+/// A program compiled to ground form (CSR clause storage).
+#[derive(Debug)]
+pub struct GroundProgram {
+    /// The atom side: shared with snapshots chunk by chunk.
+    atoms: GroundAtoms,
+    /// Clause heads, one per clause. This and every field below is the
+    /// clause side: contiguous and writer-private.
+    heads: Vec<GroundAtomId>,
+    /// Flat body store: clause `c`'s positive atoms then negative atoms.
+    body: Vec<GroundAtomId>,
+    /// `body_start[c] .. body_start[c+1]` delimits clause `c`'s body.
+    body_start: Vec<u32>,
+    /// Within that range, negatives start at `neg_start[c]`.
+    neg_start: Vec<u32>,
+    /// Reverse indexes; `None` until [`GroundProgram::finalize`] runs (or
+    /// after any mutation, which invalidates them).
+    index: Option<Indexes>,
+    /// The previous generation's index arrays, recycled by the next
+    /// incremental `finalize` (double buffering: steady-state session
+    /// commits re-index without allocating). Never cloned.
+    index_spare: Option<Indexes>,
+}
+
+impl Default for GroundProgram {
+    fn default() -> Self {
+        GroundProgram {
+            atoms: GroundAtoms::default(),
+            heads: Vec::new(),
+            body: Vec::new(),
+            body_start: vec![0],
+            neg_start: Vec::new(),
+            index: None,
+            index_spare: None,
+        }
+    }
+}
+
+impl Clone for GroundProgram {
+    /// A full copy, for an engine that wants a program of its own
+    /// (only atom-side chunks already published to a snapshot are
+    /// shared instead). Snapshots do not go through here: they take
+    /// [`GroundProgram::share_atoms`] alone.
+    fn clone(&self) -> Self {
+        GroundProgram {
+            atoms: self.atoms.clone(),
+            heads: self.heads.clone(),
+            body: self.body.clone(),
+            body_start: self.body_start.clone(),
+            neg_start: self.neg_start.clone(),
+            index: self.index.clone(),
+            // The recycling buffer is an allocation cache, not state.
+            index_spare: None,
+        }
+    }
+}
+
+impl GroundProgram {
+    /// Creates an empty ground program.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The atom side — the part of the program query evaluation reads.
+    pub fn atoms(&self) -> &GroundAtoms {
+        &self.atoms
+    }
+
+    /// Publishes the atom side for a snapshot ([`GroundAtoms::share`]).
+    /// Appends nothing, so the reverse indexes stay current.
+    pub fn share_atoms(&mut self) -> GroundAtoms {
+        self.atoms.share()
+    }
+
     /// Interns a ground atom, returning its id.
     pub fn intern_atom(&mut self, atom: Atom) -> GroundAtomId {
-        match self.intern_probe(atom.pred, &atom.args) {
+        match self.atoms.intern_probe(atom.pred, &atom.args) {
             Some(id) => id,
-            None => {
-                let id = GroundAtomId(self.atoms.len() as u32);
-                self.by_pred.entry(atom.pred_id()).or_default().push(id.0);
-                // A fresh atom widens the id space the reverse indexes
-                // cover; they go stale (count mismatch) until the next
-                // `finalize`, which extends them over the new suffix.
-                self.atoms.push(atom);
-                id
-            }
+            // A fresh atom widens the id space the reverse indexes
+            // cover; they go stale (count mismatch) until the next
+            // `finalize`, which extends them over the new suffix.
+            None => self.atoms.push(atom),
         }
     }
 
@@ -375,17 +495,9 @@ impl GroundProgram {
     /// built only when the atom is genuinely new. This is the grounder's
     /// hot interning path — duplicate candidates allocate nothing.
     pub fn intern_atom_parts(&mut self, pred: Symbol, args: &[TermId]) -> GroundAtomId {
-        match self.intern_probe(pred, args) {
+        match self.atoms.intern_probe(pred, args) {
             Some(id) => id,
-            None => {
-                let id = GroundAtomId(self.atoms.len() as u32);
-                self.by_pred
-                    .entry(Pred::new(pred, args.len() as u32))
-                    .or_default()
-                    .push(id.0);
-                self.atoms.push(Atom::new(pred, args.to_vec()));
-                id
-            }
+            None => self.atoms.push(Atom::new(pred, args.to_vec())),
         }
     }
 
@@ -394,34 +506,29 @@ impl GroundProgram {
     /// per shard already and bulk-loads the table afterwards
     /// ([`GroundProgram::bulk_intern_unique`]).
     pub(crate) fn push_atom_raw(&mut self, atom: Atom) -> GroundAtomId {
-        let id = GroundAtomId(u32::try_from(self.atoms.len()).expect("ground atom overflow"));
-        self.by_pred.entry(atom.pred_id()).or_default().push(id.0);
-        self.atoms.push(atom);
-        id
+        self.atoms.push(atom)
     }
 
     /// Bulk-loads interning entries `(hash, id)` whose atoms were
     /// appended by [`GroundProgram::push_atom_raw`]. Keys must be
     /// distinct from each other and from every stored entry.
     pub(crate) fn bulk_intern_unique(&mut self, entries: impl Iterator<Item = (u64, u32)>) {
-        let Self {
-            atoms, atom_table, ..
-        } = self;
+        let GroundAtoms { atoms, table, .. } = &mut self.atoms;
         for (h, id) in entries {
-            atom_table.insert_unique(h, id, |i| {
+            table.insert_unique(h, id, |i| {
                 let a = &atoms[i as usize];
                 atom_hash(a.pred, &a.args)
             });
         }
     }
 
-    /// Pre-sizes the atom arena and interning table for about `n_atoms`
-    /// entries and the clause store for `n_clauses`, so bulk grounding
-    /// skips the grow-and-rehash cascade.
+    /// Pre-sizes the interning table for about `n_atoms` entries and
+    /// the clause store for `n_clauses`, so bulk grounding skips the
+    /// grow-and-rehash cascade. (The atom arena grows a chunk at a time
+    /// and needs no reservation.)
     pub fn reserve(&mut self, n_atoms: usize, n_clauses: usize) {
-        self.atoms.reserve(n_atoms.saturating_sub(self.atoms.len()));
-        let atoms = &self.atoms;
-        self.atom_table.reserve(n_atoms, |id| {
+        let GroundAtoms { atoms, table, .. } = &mut self.atoms;
+        table.reserve(n_atoms, |id| {
             let a = &atoms[id as usize];
             atom_hash(a.pred, &a.args)
         });
@@ -435,61 +542,46 @@ impl GroundProgram {
     /// without building an owned [`Atom`]) — the query engines' hot
     /// point-lookup path.
     pub fn lookup_atom_parts(&self, pred: Symbol, args: &[TermId]) -> Option<GroundAtomId> {
-        let atoms = &self.atoms;
-        self.atom_table
-            .find(atom_hash(pred, args), |id| {
-                let a = &atoms[id as usize];
-                a.pred == pred && a.args[..] == *args
-            })
-            .map(GroundAtomId)
+        self.atoms.lookup_atom_parts(pred, args)
     }
 
     /// Looks up a ground atom without interning.
     pub fn lookup_atom(&self, atom: &Atom) -> Option<GroundAtomId> {
-        let atoms = &self.atoms;
-        self.atom_table
-            .find(atom_hash(atom.pred, &atom.args), |id| {
-                let a = &atoms[id as usize];
-                a.pred == atom.pred && a.args == atom.args
-            })
-            .map(GroundAtomId)
+        self.atoms.lookup_atom(atom)
     }
 
     /// The atom for `id`.
     pub fn atom(&self, id: GroundAtomId) -> &Atom {
-        &self.atoms[id.index()]
+        self.atoms.atom(id)
     }
 
     /// Number of interned atoms.
     pub fn atom_count(&self) -> usize {
-        self.atoms.len()
+        self.atoms.atom_count()
     }
 
     /// Iterates over all atom ids.
     pub fn atom_ids(&self) -> impl Iterator<Item = GroundAtomId> {
-        (0..self.atoms.len() as u32).map(GroundAtomId)
+        (0..self.atom_count() as u32).map(GroundAtomId)
     }
 
     /// Approximate heap footprint of the CSR store, interning table,
     /// and reverse indexes, in bytes. O(number of predicates), computed
-    /// from capacities and counts (never by walking atoms or clauses),
-    /// so governance can poll it every grounding round. Per-atom and
-    /// per-entry constants stand in for boxed argument lists and
-    /// hash-table overhead; budgets are approximate by contract.
+    /// from capacities, chunk counts and lengths (never by walking atoms
+    /// or clauses; a chunk counts once however many snapshots share
+    /// it), so governance can poll it every grounding round. A per-atom
+    /// constant stands in for the boxed argument lists; budgets are
+    /// approximate by contract.
     pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let atoms = self.atoms.capacity() * size_of::<Atom>() + self.atoms.len() * 16;
-        let table = self.atoms.len() * 16; // sharded interning entries
         let csr = (self.heads.capacity() + self.body.capacity()) * 4
             + (self.body_start.capacity() + self.neg_start.capacity()) * 4;
-        let by_pred: usize = self.by_pred.values().map(|v| v.capacity() * 4 + 48).sum();
         // Reverse indexes: by_head + watch_pos + watch_neg each hold one
         // offset per atom and one item per watch occurrence (≈ body len).
         let index = match &self.index {
-            Some(_) => 3 * (self.atoms.len() + 1) * 4 + (self.body.len() + self.heads.len()) * 12,
+            Some(_) => 3 * (self.atom_count() + 1) * 4 + (self.body.len() + self.heads.len()) * 12,
             None => 0,
         };
-        atoms + table + csr + by_pred + index
+        self.atoms.approx_bytes() + csr + index
     }
 
     /// Adds a clause (deduplication is the grounder's responsibility).
@@ -633,7 +725,7 @@ impl GroundProgram {
     pub fn is_finalized(&self) -> bool {
         self.index
             .as_ref()
-            .is_some_and(|i| i.n_atoms == self.atoms.len() && i.n_clauses == self.heads.len())
+            .is_some_and(|i| i.n_atoms == self.atom_count() && i.n_clauses == self.heads.len())
     }
 
     fn index(&self) -> &Indexes {
@@ -642,7 +734,7 @@ impl GroundProgram {
             .as_ref()
             .expect("GroundProgram::finalize must be called after mutation");
         assert!(
-            idx.n_atoms == self.atoms.len() && idx.n_clauses == self.heads.len(),
+            idx.n_atoms == self.atom_count() && idx.n_clauses == self.heads.len(),
             "GroundProgram::finalize must be called after mutation"
         );
         idx
@@ -675,11 +767,7 @@ impl GroundProgram {
     /// clause-side accessors — it is valid even before
     /// [`GroundProgram::finalize`].
     pub fn atoms_with_pred(&self, pred: Pred) -> impl Iterator<Item = GroundAtomId> + '_ {
-        self.by_pred
-            .get(&pred)
-            .map_or(&[][..], |v| v.as_slice())
-            .iter()
-            .map(|&i| GroundAtomId(i))
+        self.atoms.atoms_with_pred(pred)
     }
 
     /// Ground-atom counts per predicate — FactStore-style cardinality
@@ -687,7 +775,11 @@ impl GroundProgram {
     /// lints). Like [`GroundProgram::atoms_with_pred`], valid before
     /// finalization.
     pub fn pred_cardinalities(&self) -> gsls_lang::FxHashMap<Pred, usize> {
-        self.by_pred.iter().map(|(&p, v)| (p, v.len())).collect()
+        self.atoms
+            .by_pred
+            .iter()
+            .map(|(&p, v)| (p, v.len()))
+            .collect()
     }
 
     /// Renders an atom.

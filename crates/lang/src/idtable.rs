@@ -1,0 +1,283 @@
+//! The one hash-interning table of the workspace: an open-addressing
+//! set of `u32` ids over a caller-owned backing store.
+//!
+//! Symbols, terms, ground atoms and ground clauses all intern through
+//! an [`IdTable`]: the key's identity lives wherever the caller keeps
+//! it (a name arena, the term arena, the atom arena, the CSR clause
+//! store) and the table stores only ids, hashing and comparing through
+//! caller-supplied closures — so a probe never materialises an owned
+//! key and no key is stored twice.
+//!
+//! The slot array is an [`Arena`], i.e. chunked and structurally
+//! shared: [`IdTable::share`] publishes a table in one refcount bump
+//! per chunk, and an insert into a table a clone still shares copies
+//! the one chunk the claimed slot lives in. A grow builds a fresh slot
+//! array, as any hash table does.
+
+use crate::arena::{Arena, CowTally};
+
+const EMPTY: u64 = u64::MAX;
+/// Slots of a table's first allocation (tables start empty and
+/// unallocated, so a throwaway per-request store costs nothing until
+/// it interns).
+const FIRST_SLOTS: usize = 16;
+
+#[inline]
+fn pack(id: u32, hash: u64) -> u64 {
+    ((id as u64) << 32) | (hash >> 32)
+}
+
+/// An open-addressing set of `u32` ids with caller-supplied hashing and
+/// equality.
+///
+/// Each slot packs `(id << 32) | tag`, where the tag is the upper half
+/// of the key's hash and the probe index comes from the lower half.
+/// Comparing tags first means a probe walk touches only the slot array
+/// — the caller's `eq` (which dereferences the backing store) runs only
+/// on a tag match, i.e. almost exclusively on genuine hits.
+///
+/// The default table is empty and unallocated.
+#[derive(Debug, Clone, Default)]
+pub struct IdTable {
+    /// Power-of-two slot array (or empty, before the first insert);
+    /// `u64::MAX` marks an empty slot.
+    slots: Arena<u64>,
+    len: usize,
+    /// Copy-on-write tallies of the slot arrays grows have replaced.
+    retired_cow: CowTally,
+}
+
+impl IdTable {
+    /// Looks up the id whose key hashes to `hash` and satisfies `eq`.
+    pub fn find(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let tag = hash >> 32;
+        let mut i = hash as usize & mask;
+        loop {
+            let s = self.slots[i];
+            if s == EMPTY {
+                return None;
+            }
+            if s & 0xffff_ffff == tag {
+                let id = (s >> 32) as u32;
+                if eq(id) {
+                    return Some(id);
+                }
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// One probe walk that either finds the existing id for this key or
+    /// claims the empty slot for `candidate` (returning `None`, after
+    /// which the caller commits `candidate` to the backing store).
+    /// `rehash` recomputes a stored id's hash when the table grows.
+    pub fn find_or_insert(
+        &mut self,
+        hash: u64,
+        candidate: u32,
+        mut eq: impl FnMut(u32) -> bool,
+        rehash: impl FnMut(u32) -> u64,
+    ) -> Option<u32> {
+        // Grow before probing so the claimed slot stays valid.
+        self.make_room(rehash);
+        let mask = self.slots.len() - 1;
+        let tag = hash >> 32;
+        let mut i = hash as usize & mask;
+        loop {
+            let s = self.slots[i];
+            if s == EMPTY {
+                *self.slots.get_mut(i) = pack(candidate, hash);
+                self.len += 1;
+                return None;
+            }
+            if s & 0xffff_ffff == tag {
+                let id = (s >> 32) as u32;
+                if eq(id) {
+                    return Some(id);
+                }
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Inserts an id whose key is **known absent** (no equality probes,
+    /// no duplicate check) — the bulk-load path for the parallel seed
+    /// round, whose shard-local dedup already guaranteed uniqueness.
+    /// `rehash` is only consulted if the insert triggers a grow.
+    pub fn insert_unique(&mut self, hash: u64, id: u32, rehash: impl FnMut(u32) -> u64) {
+        self.make_room(rehash);
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        while self.slots[i] != EMPTY {
+            i = (i + 1) & mask;
+        }
+        *self.slots.get_mut(i) = pack(id, hash);
+        self.len += 1;
+    }
+
+    /// Pre-sizes the table for about `n` entries, rehashing the current
+    /// contents once, so bulk loads skip the doubling cascade.
+    pub fn reserve(&mut self, n: usize, rehash: impl FnMut(u32) -> u64) {
+        let want = (n * 8 / 7 + 1).next_power_of_two().max(FIRST_SLOTS);
+        if want > self.slots.len() {
+            self.grow_to(want, rehash);
+        }
+    }
+
+    /// Keeps the load factor under 7/8 with one more entry.
+    #[inline]
+    fn make_room(&mut self, rehash: impl FnMut(u32) -> u64) {
+        if (self.len + 1) * 8 >= self.slots.len() * 7 {
+            self.grow_to((self.slots.len() * 2).max(FIRST_SLOTS), rehash);
+        }
+    }
+
+    fn grow_to(&mut self, target: usize, mut rehash: impl FnMut(u32) -> u64) {
+        // A fresh slot array: the new generation shares nothing with
+        // any clone of the old one.
+        let mut bigger = Arena::filled(target, EMPTY);
+        let mask = target - 1;
+        for &old in self.slots.iter() {
+            if old != EMPTY {
+                let id = (old >> 32) as u32;
+                let mut i = rehash(id) as usize & mask;
+                while bigger[i] != EMPTY {
+                    i = (i + 1) & mask;
+                }
+                *bigger.get_mut(i) = old;
+            }
+        }
+        self.retired_cow = self.cow_tally();
+        self.slots = bigger;
+    }
+
+    /// Publishes the table: the returned table shares every slot chunk
+    /// with this one ([`Arena::share`]).
+    pub fn share(&mut self) -> IdTable {
+        IdTable {
+            slots: self.slots.share(),
+            len: self.len,
+            retired_cow: CowTally::default(),
+        }
+    }
+
+    /// Number of stored ids.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no id is stored.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Number of slots allocated (a power of two, or 0).
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Bytes of slot storage. O(1).
+    pub fn heap_bytes(&self) -> usize {
+        self.slots.heap_bytes()
+    }
+
+    /// Copy-on-write work inserts into this table have done.
+    pub fn cow_tally(&self) -> CowTally {
+        self.retired_cow + self.slots.cow_tally()
+    }
+}
+
+/// Number of shards in a [`ShardedIdTable`]. A fixed power of two:
+/// enough that 8 workers rarely contend and each shard's grow-rehash
+/// touches 1/16th of the entries, small enough that tiny programs don't
+/// pay for empty tables.
+pub const SHARDS: usize = 16;
+
+/// The shard a key hashes into. Uses high hash bits: the probe index
+/// comes from the low bits and the tag from bits 32..64, so shard
+/// selection only narrows the tag by log₂([`SHARDS`]) bits.
+#[inline]
+pub fn shard_of(hash: u64) -> usize {
+    ((hash >> 59) as usize) & (SHARDS - 1)
+}
+
+/// An [`IdTable`] split into [`SHARDS`] hash-disjoint shards.
+///
+/// Two jobs: (1) the grounder's parallel seed round deduplicates each
+/// shard on a separate worker — keys of different shards can never be
+/// equal, so per-shard dedup is exact; (2) even sequentially, a grow
+/// rehashes one shard at a time instead of the whole table, which is
+/// what turned the 10^6-atom interning profile from rehash storms into
+/// amortized noise (the tables also get pre-sized from the seed round's
+/// cardinality — see the grounder).
+#[derive(Debug, Clone, Default)]
+pub struct ShardedIdTable {
+    shards: [IdTable; SHARDS],
+}
+
+impl ShardedIdTable {
+    /// [`IdTable::find`] on the key's shard.
+    pub fn find(&self, hash: u64, eq: impl FnMut(u32) -> bool) -> Option<u32> {
+        self.shards[shard_of(hash)].find(hash, eq)
+    }
+
+    /// [`IdTable::find_or_insert`] on the key's shard.
+    pub fn find_or_insert(
+        &mut self,
+        hash: u64,
+        candidate: u32,
+        eq: impl FnMut(u32) -> bool,
+        rehash: impl FnMut(u32) -> u64,
+    ) -> Option<u32> {
+        self.shards[shard_of(hash)].find_or_insert(hash, candidate, eq, rehash)
+    }
+
+    /// [`IdTable::insert_unique`] on the key's shard.
+    pub fn insert_unique(&mut self, hash: u64, id: u32, rehash: impl FnMut(u32) -> u64) {
+        self.shards[shard_of(hash)].insert_unique(hash, id, rehash);
+    }
+
+    /// Pre-sizes every shard for a **total** of about `n` entries,
+    /// assuming the uniform key distribution a good hash gives (a small
+    /// per-shard slack absorbs the variance; an unlucky shard just
+    /// grows once).
+    pub fn reserve(&mut self, n: usize, mut rehash: impl FnMut(u32) -> u64) {
+        let per = n / SHARDS + n / (SHARDS * 4) + 8;
+        for shard in &mut self.shards {
+            shard.reserve(per, &mut rehash);
+        }
+    }
+
+    /// [`IdTable::share`] on every shard.
+    pub fn share(&mut self) -> ShardedIdTable {
+        ShardedIdTable {
+            shards: std::array::from_fn(|s| self.shards[s].share()),
+        }
+    }
+
+    /// Total number of stored ids.
+    pub fn len(&self) -> usize {
+        self.shards.iter().map(IdTable::len).sum()
+    }
+
+    /// Whether no id is stored.
+    pub fn is_empty(&self) -> bool {
+        self.shards.iter().all(IdTable::is_empty)
+    }
+
+    /// Bytes of slot storage over all shards. O([`SHARDS`]).
+    pub fn heap_bytes(&self) -> usize {
+        self.shards.iter().map(IdTable::heap_bytes).sum()
+    }
+
+    /// Copy-on-write work over all shards.
+    pub fn cow_tally(&self) -> CowTally {
+        self.shards
+            .iter()
+            .fold(CowTally::default(), |t, s| t + s.cow_tally())
+    }
+}

@@ -21,6 +21,13 @@
 //! and shared term graphs never require reference counting — the design
 //! recommended for index-heavy database engines.
 //!
+//! The arena and its hash-consing table are built from the two sharing
+//! primitives of the workspace — [`arena::Arena`], a chunked vector whose
+//! chunks can be published behind `Arc`s, and [`idtable::IdTable`], the
+//! one open-addressing intern table (symbols, terms, ground atoms and
+//! ground clauses all intern through it) — so [`TermStore::share`] hands
+//! a reader a frozen prefix of the store without copying a term.
+//!
 //! ```
 //! use gsls_lang::{TermStore, Program, parse_program, parse_goal};
 //!
@@ -34,10 +41,14 @@
 //! assert_eq!(goal.literals().len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
+pub mod arena;
 pub mod atom;
 pub mod clause;
 pub mod error;
 pub mod fxhash;
+pub mod idtable;
 pub mod lexer;
 pub mod parser;
 pub mod pretty;
@@ -50,6 +61,7 @@ pub mod term;
 pub mod unify;
 pub mod wire;
 
+pub use arena::{Arena, CowTally};
 pub use atom::{Atom, Literal, Pred, Sign};
 pub use clause::Clause;
 pub use error::ParseError;

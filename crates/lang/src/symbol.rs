@@ -4,8 +4,11 @@
 //! and constants — is interned once into a [`SymbolTable`] and referred to
 //! by a copyable [`Symbol`] index. Symbol equality is `u32` equality.
 
-use crate::fxhash::FxHashMap;
+use crate::arena::{Arena, CowTally};
+use crate::fxhash::FxHasher;
+use crate::idtable::IdTable;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// An interned symbol: index into a [`SymbolTable`].
 ///
@@ -22,42 +25,78 @@ impl Symbol {
     }
 }
 
-/// An append-only intern table mapping names to [`Symbol`]s.
+/// An append-only intern table mapping names to [`Symbol`]s: a name
+/// [`Arena`] plus an [`IdTable`] over it (each name is stored once).
+/// [`SymbolTable::share`] publishes both chunk by chunk.
 #[derive(Debug, Default, Clone)]
 pub struct SymbolTable {
-    names: Vec<Box<str>>,
-    map: FxHashMap<Box<str>, Symbol>,
+    names: Arena<Box<str>>,
+    table: IdTable,
+}
+
+fn name_hash(name: &str) -> u64 {
+    let mut h = FxHasher::default();
+    name.hash(&mut h);
+    // Fx leaves a string's entropy in the high bits (names often share
+    // their first bytes); fold it down to where the table takes its
+    // probe index from.
+    let h = h.finish();
+    h ^ (h >> 32)
 }
 
 impl SymbolTable {
-    /// Creates an empty table.
+    /// Creates an empty table. Allocates nothing.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Interns `name`, returning the existing symbol if already present.
     pub fn intern(&mut self, name: &str) -> Symbol {
-        if let Some(&sym) = self.map.get(name) {
-            return sym;
+        let candidate = u32::try_from(self.names.len()).expect("symbol table overflow");
+        let names = &self.names;
+        let found = self.table.find_or_insert(
+            name_hash(name),
+            candidate,
+            |id| &*names[id as usize] == name,
+            |id| name_hash(&names[id as usize]),
+        );
+        match found {
+            Some(id) => Symbol(id),
+            None => {
+                self.names.push(name.into());
+                Symbol(candidate)
+            }
         }
-        let sym = Symbol(u32::try_from(self.names.len()).expect("symbol table overflow"));
-        let boxed: Box<str> = name.into();
-        self.names.push(boxed.clone());
-        self.map.insert(boxed, sym);
-        sym
+    }
+
+    /// Publishes the table ([`Arena::share`]): the returned table
+    /// shares every chunk with this one and no name is copied.
+    pub fn share(&mut self) -> SymbolTable {
+        SymbolTable {
+            names: self.names.share(),
+            table: self.table.share(),
+        }
     }
 
     /// Looks up a symbol without interning.
     pub fn lookup(&self, name: &str) -> Option<Symbol> {
-        self.map.get(name).copied()
+        self.table
+            .find(name_hash(name), |id| &*self.names[id as usize] == name)
+            .map(Symbol)
     }
 
-    /// Approximate heap footprint in bytes (O(1), estimate — assumes
-    /// short names; see `TermStore::approx_bytes`).
+    /// Approximate heap footprint in bytes. O(1): the name arena's and
+    /// the table's chunks (each counted once, however many snapshots
+    /// share it) plus a flat per-name estimate — see
+    /// `TermStore::approx_bytes` for how the constant is calibrated.
     pub fn approx_bytes(&self) -> usize {
-        self.names.capacity() * std::mem::size_of::<Box<str>>()
-            + self.map.capacity() * (std::mem::size_of::<Box<str>>() + 8)
-            + self.names.len() * 2 * 16
+        self.names.heap_bytes() + self.table.heap_bytes() + self.names.len() * 64
+    }
+
+    /// Copy-on-write work interning has done because a clone (a
+    /// snapshot) shared the chunk written to.
+    pub fn cow_tally(&self) -> CowTally {
+        self.names.cow_tally() + self.table.cow_tally()
     }
 
     /// The textual name of `sym`.

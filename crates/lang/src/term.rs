@@ -9,9 +9,12 @@
 //! Per-term attributes needed constantly by the engines — groundness,
 //! depth, size — are computed once at interning time and cached.
 
-use crate::fxhash::FxHashMap;
+use crate::arena::{Arena, CowTally};
+use crate::fxhash::FxHasher;
+use crate::idtable::IdTable;
 use crate::symbol::{Symbol, SymbolTable};
 use std::fmt;
+use std::hash::Hasher;
 
 /// A logic variable, identified by a store-global index.
 ///
@@ -68,18 +71,71 @@ struct TermInfo {
 ///
 /// A `TermStore` owns the [`SymbolTable`] as well, so one `&mut TermStore`
 /// is the only context engines need to thread around.
+///
+/// Terms live in an append-only [`Arena`] with an [`IdTable`] hash-consing
+/// over it. [`TermStore::share`] publishes the store as a frozen prefix —
+/// one refcount bump per chunk, nothing copied — which is what a session
+/// snapshot holds; `clone()` of such a frozen store is just as cheap, so a
+/// reader can fork a mutable store of its own off a snapshot. Whoever
+/// interns next copies only the chunks it writes to.
 #[derive(Debug, Default, Clone)]
 pub struct TermStore {
     symbols: SymbolTable,
-    terms: Vec<TermInfo>,
-    cons: FxHashMap<Term, TermId>,
-    var_names: Vec<Option<Box<str>>>,
+    terms: Arena<TermInfo>,
+    /// Hash-consing index over `terms` (identity = the [`Term`] shape).
+    cons: IdTable,
+    var_names: Arena<Option<Box<str>>>,
+}
+
+fn var_hash(v: Var) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_u8(0);
+    h.write_u32(v.0);
+    h.finish()
+}
+
+fn app_hash(sym: Symbol, args: &[TermId]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_u8(1);
+    h.write_u32(sym.0);
+    h.write_usize(args.len());
+    for a in args {
+        h.write_u32(a.0);
+    }
+    h.finish()
+}
+
+/// Whether term `id` of `terms` is exactly `sym(args…)`.
+#[inline]
+fn is_app(terms: &Arena<TermInfo>, id: u32, sym: Symbol, args: &[TermId]) -> bool {
+    matches!(&terms[id as usize].data, Term::App(s, a) if *s == sym && **a == *args)
+}
+
+fn term_hash(t: &Term) -> u64 {
+    match t {
+        Term::Var(v) => var_hash(*v),
+        Term::App(sym, args) => app_hash(*sym, args),
+    }
 }
 
 impl TermStore {
-    /// Creates an empty store.
+    /// Creates an empty store. Allocates nothing (servers build one per
+    /// request to parse into).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Publishes the store: the returned store holds exactly the
+    /// symbols, terms and variables interned so far and shares every
+    /// chunk with this one (see [`Arena::share`]). O(chunks), no
+    /// element copied; this store stays writable.
+    pub fn share(&mut self) -> TermStore {
+        TermStore {
+            symbols: self.symbols.share(),
+            terms: self.terms.share(),
+            cons: self.cons.share(),
+            var_names: self.var_names.share(),
+        }
     }
 
     /// Access to the symbol table.
@@ -102,7 +158,9 @@ impl TermStore {
     /// `Some` iff exactly this term was interned before. Usable on a
     /// shared (`&self`) store, e.g. a snapshot's.
     pub fn lookup_app(&self, sym: Symbol, args: &[TermId]) -> Option<TermId> {
-        self.cons.get(&Term::App(sym, args.into())).copied()
+        self.cons
+            .find(app_hash(sym, args), |id| is_app(&self.terms, id, sym, args))
+            .map(TermId)
     }
 
     /// The textual name of a symbol.
@@ -125,29 +183,39 @@ impl TermStore {
         self.var_names.len()
     }
 
-    /// Approximate heap footprint of the arena in bytes: capacities of
-    /// the term and interning tables plus a flat per-entry estimate of
-    /// the boxed argument lists and names. O(1) — computed from counts,
-    /// never by walking entries — so resource governance can poll it on
-    /// every accounting check.
+    /// Approximate heap footprint of the arena in bytes: the chunks of
+    /// the term arena and the interning tables — each counted once,
+    /// however many snapshots share it — plus a flat per-entry estimate
+    /// of the boxed argument lists and names. O(1) — computed from
+    /// counts, never by walking entries — so resource governance can
+    /// poll it on every accounting check.
     pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        // Each App's boxed args are ~2 ids on average in this workload;
-        // per-entry constants absorb allocator headers and hash-map
-        // control bytes. Deliberately coarse: budgets are advisory.
-        let terms = self.terms.capacity() * size_of::<TermInfo>() + self.terms.len() * 24;
-        let cons = self.cons.capacity() * (size_of::<Term>() + size_of::<TermId>() + 16);
+        // Deliberately coarse: budgets are advisory. The per-entry
+        // constants are calibrated so that a `max_memory_bytes` budget
+        // means what it meant under the flat `Vec` + `HashMap` layout
+        // (which stored every name and every term shape twice); the
+        // workspace test `approx_bytes_track_the_flat_accounting` pins
+        // that.
+        let terms = self.terms.heap_bytes() + self.terms.len() * 104;
+        let cons = self.cons.heap_bytes();
         let syms = self.symbols.approx_bytes();
-        let vars = self.var_names.capacity() * size_of::<Option<Box<str>>>();
+        let vars = self.var_names.heap_bytes();
         terms + cons + syms + vars
     }
 
-    fn intern(&mut self, data: Term, ground: bool, depth: u32, size: u32) -> TermId {
-        if let Some(&id) = self.cons.get(&data) {
-            return id;
-        }
+    /// Copy-on-write work interning has done because a clone (a
+    /// snapshot) shared the chunk written to. Monotone.
+    pub fn cow_tally(&self) -> CowTally {
+        self.symbols.cow_tally()
+            + self.terms.cow_tally()
+            + self.cons.cow_tally()
+            + self.var_names.cow_tally()
+    }
+
+    /// Appends a term known to be absent from `cons` (whose slot the
+    /// caller's probe just claimed for it).
+    fn push_term(&mut self, data: Term, ground: bool, depth: u32, size: u32) -> TermId {
         let id = TermId(u32::try_from(self.terms.len()).expect("term arena overflow"));
-        self.cons.insert(data.clone(), id);
         self.terms.push(TermInfo {
             data,
             ground,
@@ -157,24 +225,47 @@ impl TermStore {
         id
     }
 
+    fn intern_var(&mut self, var: Var) -> TermId {
+        let candidate = u32::try_from(self.terms.len()).expect("term arena overflow");
+        let terms = &self.terms;
+        let found = self.cons.find_or_insert(
+            var_hash(var),
+            candidate,
+            |id| matches!(&terms[id as usize].data, Term::Var(v) if *v == var),
+            |id| term_hash(&terms[id as usize].data),
+        );
+        match found {
+            Some(id) => TermId(id),
+            None => self.push_term(Term::Var(var), false, 1, 1),
+        }
+    }
+
     /// Creates a fresh variable with an optional display name.
     pub fn fresh_var(&mut self, name: Option<&str>) -> TermId {
         let var = Var(u32::try_from(self.var_names.len()).expect("variable overflow"));
         self.var_names.push(name.map(Into::into));
-        self.intern(Term::Var(var), false, 1, 1)
+        self.intern_var(var)
     }
 
     /// The term id of an existing variable.
     pub fn var_term(&mut self, var: Var) -> TermId {
         debug_assert!(var.index() < self.var_names.len(), "unknown variable");
-        self.intern(Term::Var(var), false, 1, 1)
+        self.intern_var(var)
     }
 
     /// The display name of a variable (generated `_Gn` if anonymous).
     pub fn var_name(&self, var: Var) -> String {
+        let mut s = String::new();
+        self.write_var_name(var, &mut s);
+        s
+    }
+
+    /// Appends [`TermStore::var_name`] to `out`.
+    pub fn write_var_name(&self, var: Var, out: &mut String) {
+        use std::fmt::Write;
         match self.var_names.get(var.index()).and_then(|n| n.as_deref()) {
-            Some(name) => name.to_owned(),
-            None => format!("_G{}", var.0),
+            Some(name) => out.push_str(name),
+            None => write!(out, "_G{}", var.0).expect("writing to a String cannot fail"),
         }
     }
 
@@ -189,7 +280,19 @@ impl TermStore {
             depth = depth.max(info.depth);
             size += info.size;
         }
-        self.intern(Term::App(sym, args.into()), ground, depth + 1, size)
+        let candidate = u32::try_from(self.terms.len()).expect("term arena overflow");
+        let terms = &self.terms;
+        let found = self.cons.find_or_insert(
+            app_hash(sym, args),
+            candidate,
+            |id| is_app(terms, id, sym, args),
+            |id| term_hash(&terms[id as usize].data),
+        );
+        match found {
+            Some(id) => TermId(id),
+            // The boxed argument list is built only for a new term.
+            None => self.push_term(Term::App(sym, args.into()), ground, depth + 1, size),
+        }
     }
 
     /// Interns the constant named `name`.
@@ -219,7 +322,7 @@ impl TermStore {
     pub fn translate_into(&self, dst: &mut TermStore) -> Vec<TermId> {
         let mut map: Vec<TermId> = Vec::with_capacity(self.terms.len());
         let mut args_buf = Vec::new();
-        for info in &self.terms {
+        for info in self.terms.iter() {
             // Arguments always precede their application in the arena,
             // so `map` already covers every child id.
             let id = match &info.data {
@@ -336,9 +439,11 @@ impl TermStore {
         s
     }
 
-    pub(crate) fn fmt_term(&self, id: TermId, out: &mut String) {
+    /// Appends [`TermStore::display_term`] to `out` — for callers
+    /// rendering many terms into one buffer.
+    pub fn fmt_term(&self, id: TermId, out: &mut String) {
         match self.term(id) {
-            Term::Var(v) => out.push_str(&self.var_name(*v)),
+            Term::Var(v) => self.write_var_name(*v, out),
             Term::App(sym, args) => {
                 out.push_str(self.symbols.name(*sym));
                 if !args.is_empty() {

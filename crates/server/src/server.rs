@@ -847,7 +847,11 @@ fn commit_run(session: &mut Session, svc: &SessionSvc, run: Vec<Job>) {
             // Publish the post-group snapshot BEFORE acking anyone: a
             // client that sees its Committed reply must find its write
             // in the very next query it sends.
-            *svc.snap.lock().unwrap() = session.snapshot();
+            let next = session.snapshot();
+            let prev = std::mem::replace(&mut *svc.snap.lock().unwrap(), next);
+            // Readers take this mutex per query: the previous snapshot's
+            // destructor (it may be the last holder) runs outside it.
+            drop(prev);
             for (r, (reply, bumps)) in results.into_iter().zip(waiting) {
                 let resp = match r {
                     Ok(stats) => {

@@ -81,6 +81,8 @@ fn main() {
     let snapshot = session.snapshot();
     let queries = 2_000usize;
     let atoms: Vec<Atom> = {
+        // A store of our own to intern into: the clone shares every
+        // chunk with the snapshot and copies only what it writes.
         let mut s = snapshot.store().clone();
         (0..queries)
             .map(|i| {

@@ -47,10 +47,13 @@ echo "==> session maintenance property at 2 threads (session ≡ rebuild)"
 GSLS_THREADS=2 cargo test --release -q --test incremental session_
 
 echo "==> cone-restart refresh gate (refresh ≡ scratch on append/switch walks,"
-echo "    the named restart traps, exact per-commit work bounds) at 1 and 2 threads"
+echo "    the named restart traps, exact per-commit work bounds), snapshot isolation"
+echo "    (retained snapshots ≡ their epoch's rebuild; concurrent readers; rollback +"
+echo "    recover) and the publish copy gate, at 1 and 2 threads"
 for threads in 1 2; do
   GSLS_THREADS=$threads cargo test --release -q -p gsls-wfs refresh_
-  GSLS_THREADS=$threads cargo test --release -q --test incremental refresh_
+  GSLS_THREADS=$threads cargo test --release -q --test incremental -- \
+    refresh_ snapshot_isolation publish_copies
 done
 
 echo "==> durability recovery gate (crash-injection seed sweep)"

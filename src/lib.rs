@@ -44,8 +44,9 @@
 //! session.retract_facts("move(b, c).")?;
 //! session.rollback(); // never mind
 //!
-//! // Snapshots are cheap, immutable, Send + Sync: readers on other
-//! // threads keep their epoch while the session commits on.
+//! // Snapshots are immutable, Send + Sync and share the store with the
+//! // session instead of copying it: readers on other threads keep
+//! // their epoch while the session commits on.
 //! let snapshot = session.snapshot();
 //! let frozen = session.prepare("?- win(X).")?;
 //! session.assert_facts("move(c, a).")?;
@@ -209,7 +210,8 @@
 //! `commit.refresh`, `commit.index`, `commit.publish`, plus
 //! `commit.total`); the grounder, fixpoint chains, WAL, scheduler, and
 //! query evaluator feed counters (`ground.*`, `lfp.*`, `wal.*`,
-//! `par.*`, `query.*`); guard trips surface both as
+//! `par.*`, `query.*`), and `snapshot.*` counts what sharing the store
+//! with live snapshots made commits copy; guard trips surface both as
 //! `guard.trips.<phase>.<cause>` counters and as ring events carrying
 //! the [`prelude::TripInfo`] resource readings.
 //! [`prelude::Session::metrics`] snapshots everything consistently —
@@ -353,12 +355,12 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`lang`] | terms, atoms, clauses, unification, parser |
+//! | [`lang`] | terms, atoms, clauses, unification, parser; the chunk-shared `Arena` + `IdTable` every interning structure is built on |
 //! | [`analysis`] | static analyzer: safety, stratification, dead-code and cost lints |
-//! | [`ground`] | grounding: join-plan compiler, fact store, incremental (session) grounder |
+//! | [`ground`] | grounding: join-plan compiler, fact store, incremental (session) grounder; the ground program (atom side shared with snapshots, clause side writer-private) |
 //! | [`wfs`] | bottom-up well-founded semantics; difference-driven fixpoint chains |
 //! | [`resolution`] | SLD / SLDNF / SLS baselines |
-//! | [`core`] | the `Session` engine, the `Solver` shim, global SLS-resolution trees |
+//! | [`core`] | the `Session` engine and its frozen-prefix `Snapshot`s, the `Solver` shim, global SLS-resolution trees |
 //! | [`par`] | work-stealing runtime (parallel SCC evaluation, sharded grounding) |
 //! | [`durable`] | write-ahead log, checkpoint/restore, crash-injection harness |
 //! | [`obs`] | metrics registry, latency histograms, span tracing (std-only, dependency leaf) |

@@ -28,6 +28,16 @@
 //! `ground.*` counter deltas of a leaf insert, a rule commit and a
 //! domain-growing insert on a 32×32 board, recorded before the
 //! `Grounder` / `IncrementalGrounder` unification and reproduced after.
+//!
+//! PR 16 adds **snapshot isolation as a differential property** — every
+//! `Snapshot` retained along a walk of bulk asserts, retracts,
+//! re-asserts and rule commits keeps answering exactly as it did at
+//! capture and agrees with `well_founded_model` of its epoch's program,
+//! with many, one and no snapshot alive, under concurrent readers, and
+//! across a rolled-back and a recovered commit — and the **publish work
+//! gate**: the bytes a commit copies because a snapshot shares the
+//! store (`snapshot.cow_bytes`) are bounded by the arena chunk size, by
+//! the same constant on a 32×32 and a 64×64 board.
 
 use gsls_ground::{Grounder, GrounderOpts, HerbrandOpts};
 use gsls_lang::TermStore;
@@ -945,4 +955,450 @@ fn ground_work_per_commit_is_exactly_the_recorded_counts() {
     );
     assert_eq!(clauses, 10_114);
     assert_eq!(s.ground_program().clause_count(), clauses);
+}
+
+// ---------------------------------------------------------------------
+// A snapshot is a frozen prefix: isolation as a differential property.
+// ---------------------------------------------------------------------
+
+/// The isolation walk's program: a win–move game plus one stratified
+/// rule — linear in the facts, so a walk can intern thousands of
+/// constants (several arena chunks, many table grows) in milliseconds.
+const FROZEN_BASE: &str = "w(X) :- e(X, Y), ~w(Y). p(X) :- f(X), ~g(X).";
+const FROZEN_RULES: &[&str] = &[
+    "r(X) :- e(X, Y), w(Y).",
+    "s(X) :- f(X), ~w(X).",
+    "q(X, Y) :- e(X, Y), e(Y, X).",
+];
+
+/// A retained snapshot with everything it answered at capture.
+struct Frozen {
+    snapshot: global_sls::prelude::Snapshot,
+    epoch: u64,
+    /// Truth of every atom interned when the snapshot was taken.
+    atoms: Vec<(gsls_lang::Atom, gsls_wfs::Truth)>,
+    /// Rendered, sorted answers of `?- w(X).` and `?- e(X, Y), ~w(Y).`.
+    wins: Vec<(String, u8)>,
+    join: Vec<(String, u8)>,
+    /// A constant only the *next* commit introduces.
+    later: String,
+    /// The program as of the epoch, for the rebuild oracle.
+    source: String,
+}
+
+fn frozen_answers(snapshot: &global_sls::prelude::Snapshot, goal: &str) -> Vec<(String, u8)> {
+    let q = snapshot.prepare(goal).expect("goal compiles on a snapshot");
+    let mut rows: Vec<(String, u8)> = q
+        .execute(snapshot)
+        .expect("snapshot run")
+        .map(|a| (q.render_answer(snapshot, &a), a.truth as u8))
+        .collect();
+    rows.sort();
+    rows
+}
+
+impl Frozen {
+    fn capture(s: &mut global_sls::prelude::Session, source: String) -> Frozen {
+        let snapshot = s.snapshot();
+        let gp = s.ground_program();
+        let atoms = gp
+            .atom_ids()
+            .map(|id| (gp.atom(id).clone(), s.model().truth(id)))
+            .collect();
+        Frozen {
+            epoch: s.epoch(),
+            atoms,
+            wins: frozen_answers(&snapshot, "?- w(X)."),
+            join: frozen_answers(&snapshot, "?- e(X, Y), ~w(Y)."),
+            later: format!("zz{}", s.epoch()),
+            source,
+            snapshot,
+        }
+    }
+
+    /// Re-asks everything: the snapshot must answer exactly as it did.
+    fn recheck(&self) {
+        use gsls_wfs::Truth;
+        let (snap, epoch) = (&self.snapshot, self.epoch);
+        assert_eq!(snap.epoch(), epoch);
+        assert_eq!(snap.atom_count(), self.atoms.len(), "epoch {epoch}: atoms");
+        for (atom, truth) in &self.atoms {
+            assert_eq!(snap.truth_of_atom(atom), *truth, "epoch {epoch}: {atom:?}");
+        }
+        assert_eq!(frozen_answers(snap, "?- w(X)."), self.wins, "epoch {epoch}");
+        assert_eq!(
+            frozen_answers(snap, "?- e(X, Y), ~w(Y)."),
+            self.join,
+            "epoch {epoch}"
+        );
+        // A name a later commit introduced stays foreign here: its
+        // atom is false, its negation true.
+        let later = &self.later;
+        assert!(frozen_answers(snap, &format!("?- w({later}).")).is_empty());
+        assert_eq!(
+            frozen_answers(snap, &format!("?- ~w({later}).")),
+            vec![(String::new(), Truth::True as u8)],
+            "epoch {epoch}"
+        );
+    }
+
+    /// The snapshot ≡ `well_founded_model` of its epoch's program.
+    fn check_against_rebuild(&self) {
+        use global_sls::prelude::*;
+        let mut store = TermStore::new();
+        let program = parse_program(&mut store, &self.source).expect("source parses");
+        let gp = Grounder::ground(&mut store, &program).expect("source grounds");
+        let model = well_founded_model(&gp);
+        let mut names = self.snapshot.store().clone();
+        let mut settled = 0usize;
+        let mut wins = Vec::new();
+        for id in gp.atom_ids() {
+            let name = gp.display_atom(&store, id);
+            let goal = parse_goal(&mut names, &format!("?- {name}.")).expect("atom parses");
+            let got = self.snapshot.truth_of_atom(&goal.literals()[0].atom);
+            assert_eq!(got, model.truth(id), "epoch {}: {name}", self.epoch);
+            settled += usize::from(got != Truth::False);
+            if let Some(arg) = name.strip_prefix("w(").filter(|_| got != Truth::False) {
+                wins.push((format!("X = {}", arg.trim_end_matches(')')), got as u8));
+            }
+        }
+        // Atoms only the snapshot knows (retracted facts' cones) are false.
+        let non_false = self.atoms.iter().filter(|(_, t)| *t != Truth::False);
+        assert_eq!(non_false.count(), settled, "epoch {}", self.epoch);
+        // The enumeration path (predicate scan) against the same oracle.
+        wins.sort();
+        assert_eq!(self.wins, wins, "epoch {}: ?- w(X).", self.epoch);
+    }
+}
+
+/// The facts of one bulk commit: a chain over fresh constants with the
+/// odd back edge (cycles make undefined positions), some `f`/`g` marks,
+/// and the constant `zz<epoch>` the previous snapshot was told about.
+fn frozen_bulk(rng: &mut Walk, next_const: &mut usize, epoch: u64) -> Vec<String> {
+    let mut facts = vec![format!("e(zz{epoch}, c0).")];
+    for _ in 0..250 + rng.below(400) {
+        let k = *next_const;
+        *next_const += 1;
+        facts.push(format!("e(c{k}, c{}).", k + 1));
+        match rng.below(8) {
+            0 => facts.push(format!("e(c{}, c{}).", k + 1, rng.below(k + 1))),
+            1 => facts.push(format!("f(c{k}).")),
+            2 => facts.push(format!("f(c{k}). g(c{k}).")),
+            _ => {}
+        }
+    }
+    facts
+}
+
+/// One isolation walk. `retain` bounds how many snapshots stay alive at
+/// once (0: each is checked and dropped before the next commit);
+/// `faults` routes the walk through a rolled-back commit and a
+/// panicked-then-recovered one; `readers` hands every retained snapshot
+/// to that many threads, which keep re-checking while the walk commits.
+fn snapshot_isolation_walk(seed: u64, commits: usize, retain: usize, faults: bool, readers: usize) {
+    use global_sls::prelude::*;
+    use std::sync::{mpsc, Arc};
+
+    let mut rng = Walk(seed);
+    let mut s = Session::from_source(FROZEN_BASE).expect("base program grounds");
+    let mut rules: Vec<&str> = FROZEN_RULES.to_vec();
+    let mut sources = vec![FROZEN_BASE.to_owned()];
+    let mut active: Vec<String> = Vec::new();
+    let mut retracted: Vec<String> = Vec::new();
+    let mut next_const = 0usize;
+    let mut kept: std::collections::VecDeque<Arc<Frozen>> = Default::default();
+    let mut all: Vec<Arc<Frozen>> = Vec::new();
+
+    std::thread::scope(|scope| {
+        // Rendezvous channels: a send returns only once the reader has
+        // the snapshot in hand, so its re-check of everything it holds
+        // starts exactly as the walk moves on to its next commit.
+        let feeds: Vec<mpsc::SyncSender<Arc<Frozen>>> = (0..readers)
+            .map(|_| {
+                let (tx, rx) = mpsc::sync_channel::<Arc<Frozen>>(0);
+                scope.spawn(move || {
+                    let mut held: Vec<Arc<Frozen>> = Vec::new();
+                    while let Ok(frozen) = rx.recv() {
+                        held.push(frozen);
+                        held.iter().for_each(|f| f.recheck());
+                    }
+                });
+                tx
+            })
+            .collect();
+
+        for step in 0..commits {
+            let epoch = s.epoch();
+            if faults && step == commits / 2 {
+                // A commit interrupted at its first guard check rolls
+                // back through an engine rebuild; one that panics there
+                // poisons the session until `recover()`. Either way the
+                // committed state — and every snapshot of it — stands.
+                let doomed = frozen_bulk(&mut rng, &mut next_const, epoch).join(" ");
+                for panic_on_fuel in [false, true] {
+                    s.begin().expect("begin");
+                    s.assert_facts(&doomed).expect("buffered");
+                    let opts = CommitOpts {
+                        fuel: Some(1),
+                        panic_on_fuel,
+                        ..CommitOpts::default()
+                    };
+                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        s.commit_with(&opts)
+                    }));
+                    match outcome {
+                        Ok(r) => assert!(
+                            !panic_on_fuel && matches!(r, Err(SessionError::Interrupted { .. })),
+                            "seed {seed}: fuel 1 must interrupt, got {r:?}"
+                        ),
+                        Err(_) => {
+                            assert!(panic_on_fuel && s.is_poisoned(), "seed {seed}");
+                            s.recover().expect("recover");
+                        }
+                    }
+                    assert_eq!(s.epoch(), epoch, "seed {seed}: rolled back");
+                    kept.iter().for_each(|f| f.recheck());
+                }
+            }
+            match rng.below(6) {
+                3 if !active.is_empty() => {
+                    let mut batch = Vec::new();
+                    for _ in 0..1 + rng.below(20) {
+                        let f = active.swap_remove(rng.below(active.len()));
+                        batch.push(f);
+                        if active.is_empty() {
+                            break;
+                        }
+                    }
+                    s.retract_facts(&batch.join(" ")).expect("retract");
+                    retracted.extend(batch);
+                }
+                4 if !retracted.is_empty() => {
+                    let n = 1 + rng.below(retracted.len());
+                    let batch: Vec<String> = retracted.drain(..n).collect();
+                    s.assert_facts(&batch.join(" ")).expect("re-assert");
+                    active.extend(batch);
+                }
+                5 if !rules.is_empty() => {
+                    let r = rules.remove(rng.below(rules.len()));
+                    s.add_rules(r).expect("add_rules");
+                    sources.push(r.to_owned());
+                }
+                _ => {
+                    let batch = frozen_bulk(&mut rng, &mut next_const, epoch);
+                    s.assert_facts(&batch.join(" ")).expect("bulk assert");
+                    active.extend(batch);
+                }
+            }
+            let source = format!("{}\n{}", sources.join("\n"), active.join("\n"));
+            let frozen = Arc::new(Frozen::capture(&mut s, source));
+            frozen.recheck();
+            for tx in &feeds {
+                tx.send(frozen.clone()).expect("reader alive");
+            }
+            all.push(frozen.clone());
+            kept.push_back(frozen);
+            while kept.len() > retain {
+                kept.pop_front();
+            }
+            if readers == 0 && retain < usize::MAX {
+                // Only `kept` may keep snapshots alive.
+                all.clear();
+            }
+            kept.iter().for_each(|f| f.recheck());
+        }
+        drop(feeds);
+    });
+
+    // The walk must have done what the property is about: carried
+    // every shared arena across chunk boundaries (and its tables
+    // through many grows) after the first snapshots were taken.
+    assert!(
+        s.store().symbols().len() > gsls_lang::arena::CHUNK
+            && s.ground_program().atom_count() > 2 * gsls_lang::arena::CHUNK,
+        "seed {seed}: walk too small ({} symbols, {} atoms)",
+        s.store().symbols().len(),
+        s.ground_program().atom_count()
+    );
+    for frozen in kept.iter().chain(&all) {
+        frozen.recheck();
+        frozen.check_against_rebuild();
+    }
+}
+
+/// With many, one and no snapshot alive across the commits that follow.
+#[test]
+fn snapshot_isolation_holds_with_many_one_and_no_live_snapshots() {
+    for (seed, retain) in [(11u64, usize::MAX), (12, 1), (13, 0)] {
+        snapshot_isolation_walk(seed, 16, retain, false, 0);
+    }
+}
+
+/// Through a fuel-1 rollback (engine rebuilt under the live snapshots)
+/// and a mid-commit panic followed by `recover()`.
+#[test]
+fn snapshot_isolation_survives_rollback_and_recover() {
+    for seed in [21u64, 22] {
+        snapshot_isolation_walk(seed, 16, usize::MAX, true, 0);
+    }
+}
+
+/// Reader threads re-check retained snapshots while the writer commits.
+#[test]
+fn snapshot_isolation_holds_under_concurrent_readers() {
+    snapshot_isolation_walk(31, 16, usize::MAX, false, gsls_par::threads().max(2));
+}
+
+// ---------------------------------------------------------------------
+// Publishing a commit copies chunks, not the board.
+// ---------------------------------------------------------------------
+
+/// `[snapshot.cow_bytes, snapshot.chunks_shared]` growth across `op`.
+fn publish_copies(
+    s: &mut global_sls::prelude::Session,
+    op: impl FnOnce(&mut global_sls::prelude::Session),
+) -> [u64; 2] {
+    counter_growth(s, ["snapshot.cow_bytes", "snapshot.chunks_shared"], op)
+}
+
+/// What a commit copies because a live snapshot shares the store, as
+/// exact byte counts off the `snapshot.*` registry counters. A commit
+/// writes into at most the tail chunk of each arena it appends to
+/// (names, terms, atoms, two predicate lists, the domain) and one slot
+/// chunk per table entry it inserts (symbol, term, atom tables), so its
+/// copy is bounded by a constant derived from [`gsls_lang::arena::CHUNK`]
+/// alone — the **same** constant on a 32×32 and a 64×64 board; a toggle
+/// interns nothing and copies exactly 0 bytes; and with no snapshot
+/// alive every commit copies 0. The one board-proportional copy left is
+/// the capture's own: the model's two bitsets, atoms/8 bytes each
+/// (rounded up to whole words). Before the store was chunked the
+/// equivalent copy was the whole term store and ground program per
+/// published commit.
+#[test]
+fn publish_copies_are_bounded_by_the_chunk_not_the_board() {
+    use global_sls::prelude::*;
+    use gsls_lang::arena::CHUNK;
+    use std::mem::size_of;
+    // Tail chunks: a boxed name, a term record (≤ 48 bytes), an atom,
+    // and three `u32` lists. Table chunks: `u64` slots; a new constant
+    // with its two atoms claims one slot in four tables at most.
+    const TAILS: usize = CHUNK * (size_of::<Box<str>>() + 48 + size_of::<Atom>() + 3 * 4);
+    const TABLE: usize = CHUNK * 8;
+    const LEAF_BOUND: u64 = (TAILS + 4 * TABLE) as u64;
+    const BATCH8_BOUND: u64 = (TAILS + 8 * 4 * TABLE) as u64;
+    let batch8 = |s: &mut Session, tag: &str| {
+        s.begin().expect("begin");
+        for i in 0..8 {
+            s.assert_facts(&format!("move({tag}{i}, n{}).", 3 * i + 1))
+                .expect("buffered");
+        }
+        s.commit().expect("batch commit");
+    };
+
+    let mut model_bytes = Vec::new();
+    for side in [32usize, 64] {
+        let mut store = TermStore::new();
+        let program = win_grid(&mut store, side, side);
+        let mut s = Session::from_parts(store, program).expect("board grounds");
+
+        // A snapshot held across each commit.
+        let held = s.snapshot();
+        let [bytes, chunks] = publish_copies(&mut s, |s| {
+            s.assert_facts("move(w0, n5).").expect("leaf insert");
+        });
+        assert!(
+            0 < bytes && bytes <= LEAF_BOUND && chunks <= 10,
+            "{side}x{side}: leaf insert copied {bytes} bytes in {chunks} chunks"
+        );
+        drop(held);
+        for fact in ["move(n1, n2).", "move(n1, n2)."] {
+            let held = s.snapshot();
+            let off = publish_copies(&mut s, |s| {
+                s.retract_facts(fact).expect("retract");
+            });
+            drop(held);
+            let held = s.snapshot();
+            let on = publish_copies(&mut s, |s| {
+                s.assert_facts(fact).expect("re-assert");
+            });
+            drop(held);
+            assert_eq!((off, on), ([0, 0], [0, 0]), "{side}x{side}: toggle");
+        }
+        let held = s.snapshot();
+        let [bytes, chunks] = publish_copies(&mut s, |s| batch8(s, "x"));
+        assert!(
+            0 < bytes && bytes <= BATCH8_BOUND && chunks <= 6 + 8 * 4,
+            "{side}x{side}: batch of 8 copied {bytes} bytes in {chunks} chunks"
+        );
+        // The held snapshot still is the pre-batch state.
+        assert!(held
+            .prepare("?- win(x0).")
+            .unwrap()
+            .execute(&held)
+            .unwrap()
+            .next()
+            .is_none());
+        drop(held);
+
+        // Snapshots taken and dropped *between* commits (an embedded
+        // caller's pattern): every chunk is taken back, none copied.
+        drop(s.snapshot());
+        let leaf = publish_copies(&mut s, |s| {
+            s.assert_facts("move(w1, n6).").expect("leaf insert");
+        });
+        drop(s.snapshot());
+        let off = publish_copies(&mut s, |s| {
+            s.retract_facts("move(n1, n2).").expect("retract");
+        });
+        drop(s.snapshot());
+        let batch = publish_copies(&mut s, |s| batch8(s, "y"));
+        assert_eq!(
+            (leaf, off, batch),
+            ([0, 0], [0, 0], [0, 0]),
+            "{side}x{side}: no live snapshot"
+        );
+
+        // The capture itself copies the two model bitsets.
+        let atoms = s.ground_program().atom_count();
+        let [copied] = counter_growth(&mut s, ["snapshot.model_bytes"], |s| drop(s.snapshot()));
+        assert_eq!(copied, 2 * 8 * atoms.div_ceil(64) as u64, "{side}x{side}");
+        model_bytes.push(copied);
+    }
+    // …which is what grows with the board (4× the atoms, 4× the bytes),
+    // while the bounds above did not move.
+    assert!(model_bytes[1] > 3 * model_bytes[0], "{model_bytes:?}");
+}
+
+/// `approx_bytes` feeds the `max_memory_bytes` guard, so its scale must
+/// survive the move from flat `Vec` + `HashMap` storage to chunked
+/// arenas: on the 32×32 board each of the three estimates stays within
+/// ±15% of what the flat layout reported (the literals, recorded at the
+/// last commit before the change).
+#[test]
+fn approx_bytes_track_the_flat_accounting() {
+    use global_sls::prelude::*;
+    let mut store = TermStore::new();
+    let program = win_grid(&mut store, 32, 32);
+    let s = Session::from_parts(store, program).expect("board grounds");
+    for (what, got, flat) in [
+        ("TermStore", s.store().approx_bytes(), 295_184usize),
+        ("SymbolTable", s.store().symbols().approx_bytes(), 109_248),
+        ("GroundProgram", s.ground_program().approx_bytes(), 503_176),
+    ] {
+        let (lo, hi) = (flat * 85 / 100, flat * 115 / 100);
+        assert!(
+            (lo..=hi).contains(&got),
+            "{what}::approx_bytes = {got}, outside ±15% of the flat layout's {flat}"
+        );
+    }
+    // Sharing must not change what the writer accounts for: a chunk is
+    // counted once, from the writer's side, snapshot or not.
+    let mut s = s;
+    let before = (s.store().approx_bytes(), s.ground_program().approx_bytes());
+    let held = s.snapshot();
+    assert_eq!(
+        (s.store().approx_bytes(), s.ground_program().approx_bytes()),
+        before
+    );
+    drop(held);
 }
