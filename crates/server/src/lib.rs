@@ -36,7 +36,11 @@
 //! ## Group-commit semantics
 //!
 //! One writer thread exclusively owns each session and drains a
-//! bounded commit queue. Each drain takes the contiguous run of queued
+//! bounded commit queue, at most one group per [`GROUP_INTERVAL`] (the
+//! commit cadence, `server` module docs): requests that arrive within
+//! the interval share the next group's fsync and publish, a request
+//! that finds the writer idle is committed at once. Each drain takes
+//! the contiguous run of queued
 //! batches and commits it via [`gsls_core::Session::commit_group`]:
 //! every batch is appended to the WAL *unsynced*, validated, governed,
 //! and applied under its own budget; one covering fsync at the end
@@ -81,4 +85,4 @@ pub mod server;
 
 pub use client::{expect_interrupted, Client, ClientError, CommitReceipt, QueryResults};
 pub use frame::{read_frame, write_frame, FrameError, FrameReader, MAX_FRAME};
-pub use server::{Server, ServerConfig, DEFAULT_IDLE_TIMEOUT, MAX_ANSWERS};
+pub use server::{Server, ServerConfig, DEFAULT_IDLE_TIMEOUT, GROUP_INTERVAL, MAX_ANSWERS};

@@ -18,7 +18,7 @@
 //!   is built on.
 
 use global_sls::prelude::*;
-use global_sls::serve::{read_frame, write_frame, Server, ServerConfig};
+use global_sls::serve::{read_frame, write_frame, Server, ServerConfig, GROUP_INTERVAL};
 use gsls_lang::{
     decode_request, decode_response, encode_request, encode_response, peek_request_kind, Request,
     Response, TruthTag, PROTO_VERSION,
@@ -51,6 +51,16 @@ fn start(data_dir: Option<PathBuf>) -> Server {
         ..ServerConfig::default()
     })
     .expect("server start")
+}
+
+/// Value of a counter in a Prometheus scrape.
+fn scraped(scrape: &str, name: &str) -> u64 {
+    scrape
+        .lines()
+        .find(|l| !l.starts_with('#') && l.split_whitespace().next() == Some(name))
+        .and_then(|l| l.split_whitespace().nth(1))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("{name} missing from scrape"))
 }
 
 // ---------------------------------------------------------------------
@@ -292,16 +302,8 @@ fn concurrent_commits_group_under_one_fsync() {
     }
 
     let scrape = seed.metrics().unwrap();
-    let get = |name: &str| -> u64 {
-        scrape
-            .lines()
-            .find(|l| !l.starts_with('#') && l.split_whitespace().next() == Some(name))
-            .and_then(|l| l.split_whitespace().nth(1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("{name} missing from scrape"))
-    };
-    let records = get("gsls_wal_group_records");
-    let syncs = get("gsls_wal_group_syncs");
+    let records = scraped(&scrape, "gsls_wal_group_records");
+    let syncs = scraped(&scrape, "gsls_wal_group_syncs");
     assert_eq!(records, (WRITERS * COMMITS + 1) as u64);
     assert!(
         syncs < records,
@@ -320,6 +322,78 @@ fn concurrent_commits_group_under_one_fsync() {
     let mut session = Session::open(dir.join("default")).unwrap();
     let r = session.query("?- move(w7, X).").unwrap();
     assert_eq!(r.answers.len(), COMMITS);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn commit_groups_start_on_the_cadence() {
+    let dir = temp_dir("cadence");
+    let mut server = start(Some(dir.clone()));
+    let addr = server.addr();
+    let mut c = Client::connect(addr).unwrap();
+    let commit = |c: &mut Client, fact: String| {
+        c.commit("", &fact, "", GovernOpts::default()).unwrap();
+    };
+
+    // Back to back from one closed-loop client: every commit after the
+    // first waits for its slot, so K of them span at least K - 1
+    // intervals. A lower bound: no scheduler can make it fail.
+    const K: u32 = 40;
+    let t = Instant::now();
+    for j in 0..K {
+        commit(&mut c, format!("p(a{j})."));
+    }
+    assert!(
+        t.elapsed() >= GROUP_INTERVAL * (K - 1),
+        "{K} back-to-back commits took {:?}",
+        t.elapsed()
+    );
+
+    // A commit that finds the writer idle is not held: were it, none of
+    // these could finish inside one interval.
+    let fastest = (0..10)
+        .map(|j| {
+            std::thread::sleep(GROUP_INTERVAL * 2);
+            let t = Instant::now();
+            commit(&mut c, format!("p(b{j})."));
+            t.elapsed()
+        })
+        .min()
+        .unwrap();
+    assert!(
+        fastest < GROUP_INTERVAL,
+        "idle commits took {fastest:?} at best"
+    );
+
+    // Several closed-loop writers: whoever asks within the interval
+    // shares the next group, so fsyncs stay well below commits.
+    let before = c.metrics().unwrap();
+    const WRITERS: usize = 4;
+    const COMMITS: usize = 15;
+    let handles: Vec<_> = (0..WRITERS)
+        .map(|i| {
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                for j in 0..COMMITS {
+                    c.commit("", &format!("q(w{i}, {j})."), "", GovernOpts::default())
+                        .unwrap();
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    let after = c.metrics().unwrap();
+    let grew = |name: &str| scraped(&after, name) - scraped(&before, name);
+    let (records, syncs) = (grew("gsls_wal_group_records"), grew("gsls_wal_group_syncs"));
+    assert_eq!(records, (WRITERS * COMMITS) as u64);
+    assert!(
+        syncs * 2 <= records,
+        "{records} records from {WRITERS} writers took {syncs} fsync groups"
+    );
+    drop(c);
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
