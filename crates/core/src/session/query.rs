@@ -3,12 +3,22 @@
 //! surface over the live session. [`super::Snapshot`]s and the
 //! [`crate::Solver`] shim run the very same plans through the very
 //! same [`Answers::start`].
+//!
+//! A positive literal reaches its candidate atoms by one of three
+//! access paths ([`Access`]), chosen when the goal is compiled — which
+//! slots are bound when a literal is entered is a static fact of the
+//! goal order, and the goal order is never changed: a **point** lookup
+//! in the interning table when every argument is bound, the
+//! reader-built **argument index** ([`GroundAtoms::arg_candidates`])
+//! when some argument is, and a **scan** of the predicate's atoms when
+//! none is. So a partially bound literal costs about its answers, not
+//! its predicate.
 
 use super::{record_trip, Session, SessionError, Snapshot};
 use crate::global::GlobalTree;
 use crate::govern::{Guard, InterruptCause, InterruptPhase, QueryOpts, TripInfo};
 use crate::solver::{Engine, QueryResult};
-use gsls_ground::{GroundAtomId, GroundAtoms};
+use gsls_ground::{ArgCandidates, GroundAtomId, GroundAtoms};
 use gsls_lang::{
     arena, parse_goal, Arena, Atom, FxHashMap, Goal, Pred, Subst, Symbol, Term, TermId, TermStore,
     Var,
@@ -41,6 +51,9 @@ pub(super) struct QueryObs {
     answers: Counter,
     point_lookups: Counter,
     scans: Counter,
+    index_lookups: Counter,
+    index_seals: Counter,
+    candidates: Counter,
     interrupts: Counter,
     /// For cold-path trip recording (dynamic counter + ring event).
     obs: Obs,
@@ -54,6 +67,9 @@ impl QueryObs {
             answers: reg.counter("query.answers"),
             point_lookups: reg.counter("query.point_lookups"),
             scans: reg.counter("query.scans"),
+            index_lookups: reg.counter("query.index_lookups"),
+            index_seals: reg.counter("query.index_seals"),
+            candidates: reg.counter("query.candidates"),
             interrupts: reg.counter("query.interrupts"),
             obs: obs.clone(),
         }
@@ -138,15 +154,31 @@ enum PatArg {
     App(Symbol, Box<[PatArg]>),
 }
 
+/// How a literal finds its candidate atoms, given which of its slots
+/// the literals before it have bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Access {
+    /// Every argument is a constant or a bound slot: one hash probe.
+    /// (Negative literals always are — they are checked at the leaf.)
+    Point,
+    /// Argument `argpos` (the first such) is a constant or a bound
+    /// slot: the atoms the argument index files under its value.
+    Indexed { argpos: u32 },
+    /// No argument is bound: every atom of the predicate.
+    Scan,
+}
+
 #[derive(Debug, Clone)]
 struct CompiledLit {
     pred: Pred,
     args: Box<[PatArg]>,
+    access: Access,
 }
 
 /// A goal compiled for the model-backed engine: positive literals (goal
-/// order) drive candidate enumeration over the interned atom table,
-/// residual slots enumerate the domain, negative literals check last.
+/// order) drive candidate enumeration over the interned atom table —
+/// each by the [`Access`] path its bound arguments allow — residual
+/// slots enumerate the domain, negative literals check last.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct QueryPlan {
     pos: Vec<CompiledLit>,
@@ -190,6 +222,7 @@ impl QueryPlan {
                 .iter()
                 .map(|&t| compile_arg(names, &slot_of, t))
                 .collect(),
+            access: Access::Point,
         };
         let mut pos = Vec::new();
         let mut neg = Vec::new();
@@ -209,7 +242,8 @@ impl QueryPlan {
             }
         }
         // Slots some positive literal binds (matching against ground
-        // facts binds every variable of the pattern).
+        // facts binds every variable of the pattern) — in goal order, so
+        // `bound` at a literal is exactly what is bound on entering it.
         let mut bound = vec![false; vars.len()];
         fn mark(bound: &mut [bool], a: &PatArg) {
             match a {
@@ -218,7 +252,22 @@ impl QueryPlan {
                 PatArg::App(_, args) => args.iter().for_each(|a| mark(bound, a)),
             }
         }
-        for lit in &pos {
+        for lit in &mut pos {
+            let is_bound = |a: &PatArg| match a {
+                PatArg::Const(_) => true,
+                PatArg::Slot(s) => bound[*s as usize],
+                PatArg::App(..) => false,
+            };
+            lit.access = if lit.args.iter().all(is_bound) {
+                Access::Point
+            } else {
+                match lit.args.iter().position(is_bound) {
+                    Some(argpos) => Access::Indexed {
+                        argpos: argpos as u32,
+                    },
+                    None => Access::Scan,
+                }
+            };
             lit.args.iter().for_each(|a| mark(&mut bound, a));
         }
         let residual = (0..vars.len() as u32)
@@ -230,6 +279,22 @@ impl QueryPlan {
             vars,
             residual,
         })
+    }
+
+    /// The plan [`QueryPlan::compile`] makes, with every indexed literal
+    /// demoted to a scan: the reference the index is tested against.
+    #[cfg(test)]
+    pub(crate) fn compile_without_index(
+        names: Names<'_>,
+        goal: &Goal,
+    ) -> Result<QueryPlan, SessionError> {
+        let mut plan = QueryPlan::compile(names, goal)?;
+        for lit in &mut plan.pos {
+            if matches!(lit.access, Access::Indexed { .. }) {
+                lit.access = Access::Scan;
+            }
+        }
+        Ok(plan)
     }
 
     /// Runs this plan against a view with caller-owned scratch — the
@@ -253,9 +318,6 @@ impl QueryPlan {
 /// Per-depth iteration state of one [`Answers`] run.
 #[derive(Debug, Clone)]
 struct DepthState {
-    /// Positive depths: whether the candidates come from a predicate
-    /// scan ([`Answers::scans`]) rather than the point lookup below.
-    scan: bool,
     /// The one candidate of a fully bound positive literal, until taken.
     point: Option<GroundAtomId>,
     /// Residual depths: the next domain constant.
@@ -269,7 +331,6 @@ struct DepthState {
 impl Default for DepthState {
     fn default() -> Self {
         DepthState {
-            scan: false,
             point: None,
             cursor: 0,
             mark: 0,
@@ -301,7 +362,8 @@ impl QueryScratch {
 
 /// Resolves `lit`'s arguments under the current bindings into
 /// `s.key_buf` — the atom's interning key. `false` (key incomplete)
-/// when a slot is still unbound or an argument is a compound pattern.
+/// when a slot is still unbound or an argument is a compound pattern,
+/// which [`Access::Point`] rules out.
 #[inline]
 fn resolve_key(lit: &CompiledLit, s: &mut QueryScratch) -> bool {
     s.key_buf.clear();
@@ -363,6 +425,9 @@ pub struct Answers<'a> {
     /// enumerating — candidates are pulled on demand, never copied out.
     /// Sized on the first scan, so point queries allocate nothing here.
     scans: Vec<arena::Iter<'a, u32>>,
+    /// `indexed[d]`: likewise the rest of positive depth `d`'s argument
+    /// index lookup. Sized on the first such lookup.
+    indexed: Vec<ArgCandidates<'a>>,
     /// The atom run the last candidate fell in (`GroundAtoms::atom_run`).
     run: (usize, &'a [Atom]),
     depth: usize,
@@ -382,6 +447,10 @@ pub struct Answers<'a> {
     n_answers: u64,
     n_point: u64,
     n_scan: u64,
+    n_index: u64,
+    n_seal: u64,
+    /// Atoms handed to [`try_candidate`].
+    n_candidates: u64,
 }
 
 impl<'a> Answers<'a> {
@@ -422,6 +491,7 @@ impl<'a> Answers<'a> {
             view,
             scratch,
             scans: Vec::new(),
+            indexed: Vec::new(),
             run: (0, &[]),
             depth: 0,
             started: false,
@@ -435,6 +505,9 @@ impl<'a> Answers<'a> {
             n_answers: 0,
             n_point: 0,
             n_scan: 0,
+            n_index: 0,
+            n_seal: 0,
+            n_candidates: 0,
         })
     }
 
@@ -458,26 +531,41 @@ impl<'a> Answers<'a> {
     }
 
     /// Prepares depth `d`'s iteration: for a positive depth the
-    /// predicate's scan, or the point lookup when the pattern is fully
-    /// bound; cursor reset for residual depths.
+    /// literal's access path — the point lookup, the argument index
+    /// lookup or the predicate's scan; cursor reset for residual depths.
     fn enter(&mut self, d: usize) {
         let mark = self.scratch.trail.len();
         if d < self.plan.pos.len() {
-            let lit = &self.plan.pos[d];
-            // Fast path: every argument already resolvable — one hash
-            // lookup instead of a predicate scan.
+            let (lit, atoms) = (&self.plan.pos[d], self.view.atoms);
             let s = &mut *self.scratch;
-            let scan = !resolve_key(lit, s);
-            s.depths[d].scan = scan;
-            if scan {
-                self.n_scan += 1;
-                if self.scans.len() <= d {
-                    self.scans.resize_with(d + 1, Default::default);
+            match lit.access {
+                Access::Point => {
+                    self.n_point += 1;
+                    let resolved = resolve_key(lit, s);
+                    debug_assert!(resolved, "point access with an unbound argument");
+                    s.depths[d].point = atoms.lookup_atom_parts(lit.pred.sym, &s.key_buf);
                 }
-                self.scans[d] = self.view.atoms.pred_ids(lit.pred);
-            } else {
-                self.n_point += 1;
-                s.depths[d].point = self.view.atoms.lookup_atom_parts(lit.pred.sym, &s.key_buf);
+                Access::Indexed { argpos } => {
+                    self.n_index += 1;
+                    let key = match &lit.args[argpos as usize] {
+                        PatArg::Const(t) => *t,
+                        PatArg::Slot(slot) => s.bindings[*slot as usize],
+                        PatArg::App(..) => unreachable!("compound patterns are never indexed"),
+                    };
+                    let (candidates, sealed) = atoms.arg_candidates(lit.pred, argpos, key);
+                    self.n_seal += u64::from(sealed);
+                    if self.indexed.len() <= d {
+                        self.indexed.resize_with(d + 1, Default::default);
+                    }
+                    self.indexed[d] = candidates;
+                }
+                Access::Scan => {
+                    self.n_scan += 1;
+                    if self.scans.len() <= d {
+                        self.scans.resize_with(d + 1, Default::default);
+                    }
+                    self.scans[d] = atoms.pred_ids(lit.pred);
+                }
             }
         }
         let st = &mut self.scratch.depths[d];
@@ -497,15 +585,23 @@ impl<'a> Answers<'a> {
             let (lit, view) = (&self.plan.pos[d], self.view);
             let s = &mut *self.scratch;
             let mut run = self.run;
-            let truth = if s.depths[d].scan {
-                let mut scan = std::mem::take(&mut self.scans[d]);
-                let hit = scan
-                    .find_map(|&i| try_candidate(view, lit, GroundAtomId(i), &mut run, s, mark));
-                self.scans[d] = scan;
-                hit
-            } else {
-                let point = s.depths[d].point.take();
-                point.and_then(|id| try_candidate(view, lit, id, &mut run, s, mark))
+            let truth = match lit.access {
+                Access::Scan => {
+                    let mut scan = std::mem::take(&mut self.scans[d]);
+                    let left = scan.len();
+                    let hit = scan.find_map(|&i| {
+                        try_candidate(view, lit, GroundAtomId(i), &mut run, s, mark)
+                    });
+                    self.n_candidates += (left - scan.len()) as u64;
+                    self.scans[d] = scan;
+                    hit
+                }
+                Access::Indexed { .. } => return self.advance_indexed(d, mark),
+                Access::Point => {
+                    let point = s.depths[d].point.take();
+                    self.n_candidates += u64::from(point.is_some());
+                    point.and_then(|id| try_candidate(view, lit, id, &mut run, s, mark))
+                }
             };
             self.run = run;
             if let Some(t) = truth {
@@ -524,6 +620,28 @@ impl<'a> Answers<'a> {
             s.trail.push(slot);
             true
         }
+    }
+
+    /// [`Answers::advance`] for an indexed depth. A function of its own,
+    /// never inlined: a third copy of [`try_candidate`] inside `advance`
+    /// cost the scan loop next to it 5% (80k-candidate join, 4 alternated
+    /// runs against the two-path evaluator); out of line the scan reads
+    /// the same as before there was an index.
+    #[inline(never)]
+    fn advance_indexed(&mut self, d: usize, mark: usize) -> bool {
+        let (lit, view) = (&self.plan.pos[d], self.view);
+        let s = &mut *self.scratch;
+        let mut run = self.run;
+        let tried = &mut self.n_candidates;
+        let truth = self.indexed[d].find_map(|i| {
+            *tried += 1;
+            try_candidate(view, lit, GroundAtomId(i), &mut run, s, mark)
+        });
+        self.run = run;
+        if let Some(t) = truth {
+            s.depths[d].truth = t;
+        }
+        truth.is_some()
     }
 
     /// Evaluates the leaf under the current (total) binding: checks the
@@ -665,14 +783,17 @@ impl Iterator for Answers<'_> {
 impl Drop for Answers<'_> {
     fn drop(&mut self) {
         let Some(q) = self.qobs else { return };
-        if self.n_answers > 0 {
-            q.answers.add(self.n_answers);
-        }
-        if self.n_point > 0 {
-            q.point_lookups.add(self.n_point);
-        }
-        if self.n_scan > 0 {
-            q.scans.add(self.n_scan);
+        for (counter, n) in [
+            (&q.answers, self.n_answers),
+            (&q.point_lookups, self.n_point),
+            (&q.scans, self.n_scan),
+            (&q.index_lookups, self.n_index),
+            (&q.index_seals, self.n_seal),
+            (&q.candidates, self.n_candidates),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
         }
     }
 }
@@ -726,12 +847,10 @@ fn match_pat(store: &TermStore, pat: &PatArg, tgt: TermId, s: &mut QueryScratch)
             }
         }
         PatArg::App(f, args) => match store.term(tgt) {
-            Term::App(g, targs) if g == f && targs.len() == args.len() => {
-                let targs = targs.clone();
-                args.iter()
-                    .zip(targs.iter())
-                    .all(|(p, &t)| match_pat(store, p, t, s))
-            }
+            Term::App(g, targs) if g == f && targs.len() == args.len() => args
+                .iter()
+                .zip(targs.iter())
+                .all(|(p, &t)| match_pat(store, p, t, s)),
             _ => false,
         },
     }

@@ -46,8 +46,11 @@ struct SnapshotInner {
 /// An immutable view of a committed session state. Cloning is an
 /// [`Arc`] refcount bump; the snapshot is `Send + Sync`, so any number
 /// of threads can run [`super::PreparedQuery::execute_on`] against it
-/// while the originating session keeps committing. Reads take no lock
-/// and touch no atomic.
+/// while the originating session keeps committing. Point queries and
+/// scans take no lock and touch no atomic; a literal answered through
+/// the argument index takes one uncontended lock each time it is
+/// entered (to pick up, or seal, the run it reads) and none per
+/// candidate.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     inner: Arc<SnapshotInner>,

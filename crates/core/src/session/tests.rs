@@ -423,3 +423,280 @@ fn session_matches_scratch_rebuild() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Indexed ≡ scan: the argument index is an access path, not a semantics.
+// ---------------------------------------------------------------------
+
+/// Minimal deterministic PRNG for the differential walk.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    }
+}
+
+/// One row per answer — bindings in slot order, then the truth — sorted:
+/// the answer **multiset**, whatever order the candidates came in.
+fn answer_rows(
+    answers: Vec<Answer>,
+    vars: &[gsls_lang::Var],
+    names: &TermStore,
+    terms: &TermStore,
+) -> Vec<(String, u8)> {
+    let mut rows: Vec<(String, u8)> = answers
+        .iter()
+        .map(|a| {
+            let row: Vec<String> = vars
+                .iter()
+                .filter_map(|&v| {
+                    let t = a.subst.lookup(v)?;
+                    Some(format!("{} = {}", names.var_name(v), terms.display_term(t)))
+                })
+                .collect();
+            (row.join(", "), a.truth as u8)
+        })
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// A seeded goal over the walk's vocabulary: the shapes of the
+/// session-vs-snapshot goal mix (`tests/incremental.rs`) with every
+/// argument position bound in turn, plus repeated variables, slots an
+/// earlier literal bound, foreign constants as the indexed key, compound
+/// patterns, and joins over the random program's own relations.
+fn indexed_goal(rng: &mut Rng, appended: usize, relations: &[(String, u32)]) -> String {
+    let c = |rng: &mut Rng| match rng.below(8) {
+        0 => format!("zz{}", rng.below(2)), // never interned
+        1 | 2 if appended > 0 => format!("n{}", rng.below(appended)),
+        _ => format!("c{}", rng.below(6)),
+    };
+    let rel = |rng: &mut Rng, arity: u32| {
+        let of: Vec<&String> = relations
+            .iter()
+            .filter_map(|(name, a)| (*a == arity).then_some(name))
+            .collect();
+        (!of.is_empty()).then(|| of[rng.below(of.len())].clone())
+    };
+    let (unary, binary) = (rel(rng, 1), rel(rng, 2));
+    match rng.below(20) {
+        0 => format!("?- e({}, {}).", c(rng), c(rng)),
+        1 => format!("?- e({}, X).", c(rng)),
+        2 => format!("?- e(X, {}).", c(rng)),
+        3 => "?- e(X, Y), ~w(Y).".to_owned(),
+        4 => format!("?- e({}, Y), ~w(Y).", c(rng)),
+        5 => format!("?- w(X), ~e(X, {}).", c(rng)),
+        6 => "?- p(X), e(X, Y).".to_owned(),
+        7 => "?- f(Y), e(X, Y), ~g(X).".to_owned(),
+        8 => "?- e(X, X).".to_owned(),
+        9 => format!("?- e({}, X), e(X, Y).", c(rng)),
+        10 => format!("?- e({}, X), e(Y, X), ~w(Y).", c(rng)),
+        11 => "?- e(zz0, X).".to_owned(),
+        12 => "?- f(X), ~e(zz0, X).".to_owned(),
+        13 => format!("?- e(k0({}, X), Y).", c(rng)), // stays a scan
+        14 => format!("?- e({}, k1(Y)).", c(rng)),    // indexed, matches nothing
+        15 => format!("?- nope(X, {}).", c(rng)),     // unseen predicate
+        16 | 17 => match (binary, unary) {
+            (Some(r), Some(u)) => format!("?- {u}(X), {r}(X, Y)."),
+            (Some(r), None) => format!("?- {r}({}, X), {r}(X, Y).", c(rng)),
+            _ => "?- f(X).".to_owned(),
+        },
+        18 => match binary {
+            Some(r) => format!("?- {r}(X, {}), e(Y, X).", c(rng)),
+            None => "?- g(X).".to_owned(),
+        },
+        _ => match binary {
+            Some(r) => format!("?- {r}({}, Y), ~{r}(Y, Y).", c(rng)),
+            None => "?- w(X).".to_owned(),
+        },
+    }
+}
+
+/// The plan the compiler picks — point, argument index or scan per
+/// literal — and the same plan with every indexed literal forced to a
+/// scan yield the same answer multiset: on the live session, on a
+/// snapshot, and (indexed only; it has one compile path) on the
+/// [`crate::Solver`] shim rebuilt from the same source — at every commit
+/// of a walk whose appends leave the index with no run, a fresh run, a
+/// growing tail and a re-sealed run, and whose retractions move the
+/// model under a run that stays put.
+#[test]
+fn indexed_plans_answer_exactly_as_scan_plans() {
+    use crate::solver::Solver;
+    use gsls_workloads::{random_relational_program, RandomRelationalOpts};
+
+    const LINEAR: &str = "w(X) :- e(X, Y), ~w(Y). p(X) :- f(X), ~g(X).";
+    let opts = RandomRelationalOpts {
+        constants: 6,
+        preds: 4,
+        facts: 30,
+        rules: 6,
+        ..RandomRelationalOpts::default()
+    };
+    let mut programs = 0usize;
+    for seed in 1u64..=400 {
+        let mut store = TermStore::new();
+        let random = random_relational_program(&mut store, opts, seed);
+        let base = format!("{}\n{LINEAR}", random.display(&store));
+        // The default lints refuse most random programs (unsafe rules).
+        let Ok(mut session) = Session::from_source(&base) else {
+            continue;
+        };
+        programs += 1;
+        let mut relations: Vec<(String, u32)> = session
+            .ground_program()
+            .pred_cardinalities()
+            .keys()
+            .map(|p| (session.store().symbol_name(p.sym).to_owned(), p.arity))
+            .filter(|(name, _)| name.starts_with('r'))
+            .collect();
+        relations.sort();
+        let mut rng = Rng(seed);
+        let mut active: Vec<String> = Vec::new();
+        let mut retracted: Vec<String> = Vec::new();
+        let mut appended = 0usize;
+        let (mut reseals, mut answered) = (0u64, 0usize);
+        for step in 0..16 {
+            if step % 2 == 0 {
+                // A chain over fresh constants, tied back into the old
+                // ones: ≈ 470 new `e` atoms, so the queries below meet
+                // tails of one, two and three batches before a re-seal.
+                let mut batch = Vec::new();
+                for _ in 0..350 {
+                    let k = appended;
+                    appended += 1;
+                    batch.push(format!("e(n{k}, n{}).", k + 1));
+                    match rng.below(6) {
+                        0 => batch.push(format!("e(n{k}, c{}).", rng.below(6))),
+                        1 => batch.push(format!("e(c{}, n{k}).", rng.below(6))),
+                        2 => batch.push(format!("f(n{k}).")),
+                        3 => batch.push(format!("f(n{k}). g(n{k}).")),
+                        _ => {}
+                    }
+                }
+                session.assert_facts(&batch.join(" ")).expect("append");
+                active.extend(batch);
+            } else if step % 4 == 1 {
+                let batch: Vec<String> = (0..40)
+                    .map(|_| active.swap_remove(rng.below(active.len())))
+                    .collect();
+                session.retract_facts(&batch.join(" ")).expect("retract");
+                retracted.extend(batch);
+            } else {
+                let batch: Vec<String> = retracted.drain(..20).collect();
+                session.assert_facts(&batch.join(" ")).expect("re-assert");
+                active.extend(batch);
+            }
+            assert!(
+                session.ground_program().atom_count() < 100_000,
+                "seed {seed}: the walk is meant to stay small"
+            );
+            let snapshot = session.snapshot();
+            let mut solver_store = TermStore::new();
+            let current =
+                parse_program(&mut solver_store, &format!("{base}\n{}", active.join(" ")))
+                    .expect("source parses");
+            let mut solver = Solver::new(current);
+
+            // The probe that counts re-seals of (e, 0) along the walk.
+            let seals = |s: &Session| s.metrics().counter("query.index_seals").unwrap_or(0);
+            let before = seals(&session);
+            session.query("?- e(c0, X).").expect("probe");
+            reseals += seals(&session) - before;
+
+            for _ in 0..25 {
+                let goal_src = indexed_goal(&mut rng, appended, &relations);
+                let goal = parse_goal(&mut session.store, &goal_src).expect("goal parses");
+                let names = Names {
+                    source: &session.store,
+                    target: None,
+                };
+                let (Ok(indexed), Ok(scan)) = (
+                    QueryPlan::compile(names, &goal),
+                    QueryPlan::compile_without_index(names, &goal),
+                ) else {
+                    continue;
+                };
+                let vars = indexed.vars.clone();
+                let mut live = Vec::new();
+                for plan in [indexed, scan] {
+                    let mut q = PreparedQuery {
+                        goal: goal.clone(),
+                        engine: Engine::Tabled,
+                        plan,
+                        scratch: QueryScratch::default(),
+                    };
+                    let answers: Vec<Answer> = q.execute(&mut session).expect("live run").collect();
+                    live.push(answer_rows(
+                        answers,
+                        &vars,
+                        session.store(),
+                        session.store(),
+                    ));
+                }
+                assert_eq!(
+                    live[0], live[1],
+                    "seed {seed} step {step}: {goal_src} (live)"
+                );
+                answered += usize::from(!live[0].is_empty());
+
+                let mut scratch = TermStore::new();
+                let goal = parse_goal(&mut scratch, &goal_src).expect("goal parses");
+                let names = Names {
+                    source: &scratch,
+                    target: Some(snapshot.store()),
+                };
+                for plan in [
+                    QueryPlan::compile(names, &goal).expect("compiles live, compiles frozen"),
+                    QueryPlan::compile_without_index(names, &goal).expect("likewise"),
+                ] {
+                    let answers: Vec<Answer> = snapshot
+                        .run(&plan, &Guard::none())
+                        .expect("snapshot run")
+                        .collect();
+                    let rows = answer_rows(answers, &plan.vars, &scratch, snapshot.store());
+                    assert_eq!(
+                        rows, live[1],
+                        "seed {seed} step {step}: {goal_src} (snapshot)"
+                    );
+                }
+
+                let goal = parse_goal(&mut solver_store, &goal_src).expect("goal parses");
+                let result = solver
+                    .query(&mut solver_store, &goal, Engine::Tabled)
+                    .expect("solver run");
+                let vars = goal.vars(&solver_store);
+                let answers = (result.answers.into_iter().map(|s| (s, Truth::True)))
+                    .chain(result.undefined.into_iter().map(|s| (s, Truth::Undefined)))
+                    .map(|(subst, truth)| Answer { subst, truth })
+                    .collect();
+                let rows = answer_rows(answers, &vars, &solver_store, &solver_store);
+                assert_eq!(
+                    rows, live[1],
+                    "seed {seed} step {step}: {goal_src} (solver)"
+                );
+            }
+        }
+        assert!(
+            reseals >= 3,
+            "seed {seed}: (e, 0) sealed {reseals} times — the walk must seal and re-seal twice"
+        );
+        assert!(
+            answered >= 80,
+            "seed {seed}: only {answered} goals had answers — the comparison is near-vacuous"
+        );
+        if programs == 3 {
+            break;
+        }
+    }
+    assert_eq!(
+        programs, 3,
+        "too few random programs pass the default lints"
+    );
+}

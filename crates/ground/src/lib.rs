@@ -52,10 +52,19 @@
 //! The *atom side* — [`GroundAtoms`]: atom arena, interning table,
 //! predicate → atoms lists — is all a query reads
 //! ([`GroundAtoms::lookup_atom_parts`], [`GroundAtoms::atoms_with_pred`],
-//! [`GroundAtoms::atom`]); it is append-only and lives on
+//! [`GroundAtoms::arg_candidates`], [`GroundAtoms::atom`]); it is append-only and lives on
 //! `gsls_lang::Arena` chunks, so a session snapshot captures it with
 //! [`GroundProgram::share_atoms`] — refcount bumps, no atom copied — and
-//! the writer's next interning copies only the chunks it lands in. The
+//! the writer's next interning copies only the chunks it lands in. One
+//! part of the atom side is **reader-written**: the argument index
+//! behind [`GroundAtoms::arg_candidates`] (sorted runs over a prefix of a
+//! predicate's atom list, per argument position; see `argindex`) sits in
+//! a cell that queries fill and refill on demand. The writer never looks
+//! inside it — interning, the grounder and `finalize` do not touch it —
+//! and only hands it on: `share()` gives a snapshot the same cell, so a
+//! run sealed by any state of the lineage serves all of them, while
+//! `clone()` starts an empty one, because a clone may go on to intern
+//! different atoms under the same ids. The
 //! *clause side* — heads, bodies, offsets, the three reverse indexes —
 //! stays contiguous and writer-private: only the fixpoint chains and the
 //! grounder read it (a model is already the clauses' consequence, so no
@@ -71,6 +80,7 @@
 
 #![forbid(unsafe_code)]
 
+mod argindex;
 pub mod depgraph;
 mod emission;
 mod factstore;
@@ -81,6 +91,7 @@ mod plan;
 pub mod program;
 pub mod testutil;
 
+pub use argindex::ArgCandidates;
 pub use depgraph::{AtomDepGraph, DepGraph, ProgramClass};
 pub use grounder::{
     GroundStats, Grounder, GrounderOpts, GroundingError, GroundingMode, IncrementalGrounder,

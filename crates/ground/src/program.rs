@@ -15,13 +15,16 @@
 //! ([`GroundAtoms`]: atom arena, interning table, predicate → atoms
 //! lists) is everything a query reads; it is laid out on [`Arena`]
 //! chunks, so a snapshot captures it ([`GroundProgram::share_atoms`])
-//! without copying an atom. The **clause side** (heads, bodies, offsets and the
-//! three reverse indexes) is read only by the fixpoint chains and the
-//! grounder; it stays contiguous `Vec`s, private to the writer.
+//! without copying an atom. (Its argument index is the one part readers
+//! write: see the `argindex` module.) The **clause side** (heads,
+//! bodies, offsets and the three reverse indexes) is read only by the
+//! fixpoint chains and the grounder; it stays contiguous `Vec`s, private
+//! to the writer.
 //!
 //! Nothing here knows about joins: the store is what every fixpoint
 //! engine reads and what [`crate::grounder`] appends to.
 
+use crate::argindex::{ArgCandidates, ArgIndex};
 use crate::factstore::{atom_hash, ShardedIdTable};
 use gsls_lang::{arena, Arena, Atom, CowTally, FxHashMap, Pred, Symbol, TermId, TermStore};
 
@@ -291,6 +294,12 @@ pub struct GroundAtoms {
     /// append atoms per commit pay one hash-push per *new* atom instead
     /// of a full re-scan in `finalize`.
     by_pred: FxHashMap<Pred, Arena<u32>>,
+    /// `(predicate, argument position)` → sorted runs over `by_pred`,
+    /// built and re-built by the queries that want them (see
+    /// [`crate::argindex`]). The write path never looks inside:
+    /// [`GroundAtoms::share`] hands the cell to the snapshot, `clone()`
+    /// starts an empty one.
+    arg_index: ArgIndex,
 }
 
 impl GroundAtoms {
@@ -337,6 +346,7 @@ impl GroundAtoms {
                 .iter_mut()
                 .map(|(&p, ids)| (p, ids.share()))
                 .collect(),
+            arg_index: self.arg_index.share(),
         }
     }
 
@@ -388,6 +398,27 @@ impl GroundAtoms {
         self.pred_ids(pred).map(|&i| GroundAtomId(i))
     }
 
+    /// The ids of `pred`'s atoms that can carry `key` as argument
+    /// `argpos` — the third access path, beside the point lookup and
+    /// [`GroundAtoms::pred_ids`]: a binary search in the run some reader
+    /// sealed, then the atoms interned since (unfiltered; the caller
+    /// matches every candidate anyway). The flag says this call sealed
+    /// a run, which the first lookup of a `(pred, argpos)` and one in
+    /// every `1024 + covered / 16` appended atoms do.
+    pub fn arg_candidates(
+        &self,
+        pred: Pred,
+        argpos: u32,
+        key: TermId,
+    ) -> (ArgCandidates<'_>, bool) {
+        match self.by_pred.get(&pred) {
+            Some(ids) => self
+                .arg_index
+                .candidates(&self.atoms, ids, (pred, argpos), key),
+            None => Default::default(),
+        }
+    }
+
     /// Copy-on-write work interning has done because a clone (a
     /// snapshot) shared the chunk written to. Monotone.
     pub fn cow_tally(&self) -> CowTally {
@@ -399,11 +430,12 @@ impl GroundAtoms {
     }
 
     /// Approximate heap footprint in bytes; see
-    /// [`GroundProgram::approx_bytes`].
-    fn approx_bytes(&self) -> usize {
+    /// [`GroundProgram::approx_bytes`]. Counts the argument index the
+    /// lineage's readers have built so far (8 bytes per covered atom).
+    pub fn approx_bytes(&self) -> usize {
         let atoms = self.atoms.heap_bytes() + self.atoms.len() * 16;
         let by_pred: usize = self.by_pred.values().map(|v| v.heap_bytes() + 48).sum();
-        atoms + self.table.heap_bytes() + by_pred
+        atoms + self.table.heap_bytes() + by_pred + 8 * self.arg_index.covered_total()
     }
 }
 

@@ -162,6 +162,23 @@ impl<T> Arena<T> {
         }
     }
 
+    /// Iterates the elements from index `start` on, in index order
+    /// (nothing when `start` is at or past the end) — the appended tail
+    /// behind a prefix some reader has already digested.
+    pub fn iter_from(&self, start: usize) -> Iter<'_, T> {
+        let start = start.min(self.len);
+        let mut chunks = self.chunks[start >> CHUNK_BITS..].iter();
+        let current = match chunks.next() {
+            Some(chunk) => chunk.as_vec()[start & MASK..].iter(),
+            None => [].iter(),
+        };
+        Iter {
+            chunks,
+            current,
+            remaining: self.len - start,
+        }
+    }
+
     /// Bytes of element storage the chunks hold (capacity, not length),
     /// each chunk counted once whoever else shares it. O(1).
     pub fn heap_bytes(&self) -> usize {
@@ -359,6 +376,7 @@ mod tests {
         assert_eq!((a.len(), a.chunks.len(), a.heap_bytes()), (0, 0, 0));
         assert!(a.get(0).is_none());
         assert_eq!(a.iter().count(), 0);
+        assert_eq!(a.iter_from(3).count(), 0);
         assert_eq!(a.share().len(), 0);
     }
 
@@ -375,6 +393,10 @@ mod tests {
             assert!(a.get(n).is_none());
             assert!(a.iter().copied().eq(0..n));
             assert_eq!(a.iter().len(), n);
+            for from in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, n - 1, n, n + 1] {
+                assert!(a.iter_from(from).copied().eq(from.min(n)..n), "{from}");
+                assert_eq!(a.iter_from(from).len(), n.saturating_sub(from));
+            }
             let collected: Arena<usize> = (0..n).collect();
             assert!(collected.iter().eq(a.iter()));
             assert_eq!(collected.chunks.len(), a.chunks.len());

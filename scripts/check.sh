@@ -49,11 +49,14 @@ GSLS_THREADS=2 cargo test --release -q --test incremental session_
 echo "==> cone-restart refresh gate (refresh ≡ scratch on append/switch walks,"
 echo "    the named restart traps, exact per-commit work bounds), snapshot isolation"
 echo "    (retained snapshots ≡ their epoch's rebuild; concurrent readers; rollback +"
-echo "    recover) and the publish copy gate, at 1 and 2 threads"
+echo "    recover; runs of different length) and the publish copy gate, the query"
+echo "    candidate gate (a bound-argument join tries its answers, not its predicate)"
+echo "    and indexed plans ≡ scan plans, at 1 and 2 threads"
 for threads in 1 2; do
   GSLS_THREADS=$threads cargo test --release -q -p gsls-wfs refresh_
+  GSLS_THREADS=$threads cargo test --release -q -p gsls-core indexed_
   GSLS_THREADS=$threads cargo test --release -q --test incremental -- \
-    refresh_ snapshot_isolation publish_copies
+    refresh_ snapshot_isolation publish_copies join_candidates
 done
 
 echo "==> durability recovery gate (crash-injection seed sweep)"

@@ -38,6 +38,16 @@
 //! gate**: the bytes a commit copies because a snapshot shares the
 //! store (`snapshot.cow_bytes`) are bounded by the arena chunk size, by
 //! the same constant on a 32×32 and a 64×64 board.
+//!
+//! PR 21 extends that fingerprint to **bound-argument joins** — the
+//! literals the reader-built argument index answers — with the named
+//! trap of an index whose runs outlive the snapshot that sealed them
+//! (an older snapshot under a longer run; a rebuilt engine must not
+//! inherit the old lineage's runs; readers sealing at once), and adds
+//! the **candidate gate**: `?- move(n5, Y), ~win(Y).` tries its two
+//! answers plus the unsealed tail on either board, seals exactly when
+//! the tail rule says, and a session that never asks such a query
+//! builds no index at all.
 
 use gsls_ground::{Grounder, GrounderOpts, HerbrandOpts};
 use gsls_lang::TermStore;
@@ -971,15 +981,28 @@ const FROZEN_RULES: &[&str] = &[
     "q(X, Y) :- e(X, Y), e(Y, X).",
 ];
 
+/// The goals a snapshot is fingerprinted with: the enumeration and the
+/// unbound join (predicate scans), then one join per way a literal comes
+/// to have a bound argument — a constant or a slot an earlier literal
+/// bound, in first or second position — which is what sends it through
+/// the argument index, whose runs outlive the snapshot that sealed them.
+const FROZEN_GOALS: [&str; 6] = [
+    "?- w(X).",
+    "?- e(X, Y), ~w(Y).",
+    "?- e(c0, Y), ~w(Y).",
+    "?- e(X, c0).",
+    "?- p(X), e(X, Y).",
+    "?- f(Y), e(X, Y).",
+];
+
 /// A retained snapshot with everything it answered at capture.
 struct Frozen {
     snapshot: global_sls::prelude::Snapshot,
     epoch: u64,
     /// Truth of every atom interned when the snapshot was taken.
     atoms: Vec<(gsls_lang::Atom, gsls_wfs::Truth)>,
-    /// Rendered, sorted answers of `?- w(X).` and `?- e(X, Y), ~w(Y).`.
-    wins: Vec<(String, u8)>,
-    join: Vec<(String, u8)>,
+    /// Rendered, sorted answers of each of [`FROZEN_GOALS`].
+    answers: Vec<Vec<(String, u8)>>,
     /// A constant only the *next* commit introduces.
     later: String,
     /// The program as of the epoch, for the rebuild oracle.
@@ -1008,8 +1031,10 @@ impl Frozen {
         Frozen {
             epoch: s.epoch(),
             atoms,
-            wins: frozen_answers(&snapshot, "?- w(X)."),
-            join: frozen_answers(&snapshot, "?- e(X, Y), ~w(Y)."),
+            answers: FROZEN_GOALS
+                .iter()
+                .map(|goal| frozen_answers(&snapshot, goal))
+                .collect(),
             later: format!("zz{}", s.epoch()),
             source,
             snapshot,
@@ -1025,12 +1050,13 @@ impl Frozen {
         for (atom, truth) in &self.atoms {
             assert_eq!(snap.truth_of_atom(atom), *truth, "epoch {epoch}: {atom:?}");
         }
-        assert_eq!(frozen_answers(snap, "?- w(X)."), self.wins, "epoch {epoch}");
-        assert_eq!(
-            frozen_answers(snap, "?- e(X, Y), ~w(Y)."),
-            self.join,
-            "epoch {epoch}"
-        );
+        for (goal, answers) in FROZEN_GOALS.iter().zip(&self.answers) {
+            assert_eq!(
+                &frozen_answers(snap, goal),
+                answers,
+                "epoch {epoch}: {goal}"
+            );
+        }
         // A name a later commit introduced stays foreign here: its
         // atom is false, its negation true.
         let later = &self.later;
@@ -1052,6 +1078,7 @@ impl Frozen {
         let mut names = self.snapshot.store().clone();
         let mut settled = 0usize;
         let mut wins = Vec::new();
+        let joins = bound_join_oracle(&store, &gp, &model);
         for id in gp.atom_ids() {
             let name = gp.display_atom(&store, id);
             let goal = parse_goal(&mut names, &format!("?- {name}.")).expect("atom parses");
@@ -1067,8 +1094,72 @@ impl Frozen {
         assert_eq!(non_false.count(), settled, "epoch {}", self.epoch);
         // The enumeration path (predicate scan) against the same oracle.
         wins.sort();
-        assert_eq!(self.wins, wins, "epoch {}: ?- w(X).", self.epoch);
+        assert_eq!(self.answers[0], wins, "epoch {}: ?- w(X).", self.epoch);
+        // The bound-argument joins (argument index) likewise.
+        for (goal, (got, want)) in FROZEN_GOALS[2..]
+            .iter()
+            .zip(self.answers[2..].iter().zip(&joins))
+        {
+            assert_eq!(got, want, "epoch {}: {goal}", self.epoch);
+        }
     }
+}
+
+/// What `FROZEN_GOALS[2..]`, the bound-argument joins, must answer on
+/// the program `gp` with well-founded model `model` — read off the
+/// model's atoms by name, through no query plan and no index.
+fn bound_join_oracle(
+    store: &TermStore,
+    gp: &gsls_ground::GroundProgram,
+    model: &gsls_wfs::Interp,
+) -> [Vec<(String, u8)>; 4] {
+    use gsls_wfs::Truth::{self, False, True, Undefined};
+    let truths: std::collections::HashMap<String, Truth> = gp
+        .atom_ids()
+        .map(|id| (gp.display_atom(store, id), model.truth(id)))
+        .collect();
+    let truth = |name: String| truths.get(&name).copied().unwrap_or(False);
+    let and = |a: Truth, b: Truth| match (a, b) {
+        (False, _) | (_, False) => False,
+        (True, True) => True,
+        _ => Undefined,
+    };
+    let not = |t: Truth| match t {
+        True => False,
+        False => True,
+        Undefined => Undefined,
+    };
+    let mut rows: [Vec<(String, u8)>; 4] = Default::default();
+    for (name, &edge) in &truths {
+        let Some((a, b)) = name
+            .strip_prefix("e(")
+            .and_then(|rest| rest.strip_suffix(')'))
+            .and_then(|args| args.split_once(", "))
+        else {
+            continue;
+        };
+        let found = [
+            (a == "c0").then(|| (format!("Y = {b}"), and(edge, not(truth(format!("w({b})")))))),
+            (b == "c0").then(|| (format!("X = {a}"), edge)),
+            Some((
+                format!("X = {a}, Y = {b}"),
+                and(truth(format!("p({a})")), edge),
+            )),
+            Some((
+                format!("Y = {b}, X = {a}"),
+                and(truth(format!("f({b})")), edge),
+            )),
+        ];
+        for (rows, found) in rows.iter_mut().zip(found) {
+            rows.extend(
+                found
+                    .filter(|(_, t)| *t != False)
+                    .map(|(row, t)| (row, t as u8)),
+            );
+        }
+    }
+    rows.iter_mut().for_each(|r| r.sort());
+    rows
 }
 
 /// The facts of one bulk commit: a chain over fresh constants with the
@@ -1090,6 +1181,34 @@ fn frozen_bulk(rng: &mut Walk, next_const: &mut usize, epoch: u64) -> Vec<String
     facts
 }
 
+/// Commits `facts` on one unit of fuel: interrupted at its first guard
+/// check, the commit rolls back through an engine rebuild — or, with
+/// `panic_on_fuel`, panics there and poisons the session until
+/// `recover()`, which rebuilds too. Either way the epoch stands.
+fn doomed_commit(s: &mut global_sls::prelude::Session, facts: &str, panic_on_fuel: bool) {
+    use global_sls::prelude::*;
+    let epoch = s.epoch();
+    s.begin().expect("begin");
+    s.assert_facts(facts).expect("buffered");
+    let opts = CommitOpts {
+        fuel: Some(1),
+        panic_on_fuel,
+        ..CommitOpts::default()
+    };
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.commit_with(&opts)));
+    match outcome {
+        Ok(r) => assert!(
+            !panic_on_fuel && matches!(r, Err(SessionError::Interrupted { .. })),
+            "fuel 1 must interrupt, got {r:?}"
+        ),
+        Err(_) => {
+            assert!(panic_on_fuel && s.is_poisoned());
+            s.recover().expect("recover");
+        }
+    }
+    assert_eq!(s.epoch(), epoch, "rolled back");
+}
+
 /// One isolation walk. `retain` bounds how many snapshots stay alive at
 /// once (0: each is checked and dropped before the next commit);
 /// `faults` routes the walk through a rolled-back commit and a
@@ -1108,6 +1227,7 @@ fn snapshot_isolation_walk(seed: u64, commits: usize, retain: usize, faults: boo
     let mut next_const = 0usize;
     let mut kept: std::collections::VecDeque<Arc<Frozen>> = Default::default();
     let mut all: Vec<Arc<Frozen>> = Vec::new();
+    let mut answered = false;
 
     std::thread::scope(|scope| {
         // Rendezvous channels: a send returns only once the reader has
@@ -1136,27 +1256,7 @@ fn snapshot_isolation_walk(seed: u64, commits: usize, retain: usize, faults: boo
                 // committed state — and every snapshot of it — stands.
                 let doomed = frozen_bulk(&mut rng, &mut next_const, epoch).join(" ");
                 for panic_on_fuel in [false, true] {
-                    s.begin().expect("begin");
-                    s.assert_facts(&doomed).expect("buffered");
-                    let opts = CommitOpts {
-                        fuel: Some(1),
-                        panic_on_fuel,
-                        ..CommitOpts::default()
-                    };
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        s.commit_with(&opts)
-                    }));
-                    match outcome {
-                        Ok(r) => assert!(
-                            !panic_on_fuel && matches!(r, Err(SessionError::Interrupted { .. })),
-                            "seed {seed}: fuel 1 must interrupt, got {r:?}"
-                        ),
-                        Err(_) => {
-                            assert!(panic_on_fuel && s.is_poisoned(), "seed {seed}");
-                            s.recover().expect("recover");
-                        }
-                    }
-                    assert_eq!(s.epoch(), epoch, "seed {seed}: rolled back");
+                    doomed_commit(&mut s, &doomed, panic_on_fuel);
                     kept.iter().for_each(|f| f.recheck());
                 }
             }
@@ -1192,6 +1292,7 @@ fn snapshot_isolation_walk(seed: u64, commits: usize, retain: usize, faults: boo
             }
             let source = format!("{}\n{}", sources.join("\n"), active.join("\n"));
             let frozen = Arc::new(Frozen::capture(&mut s, source));
+            answered |= frozen.answers.iter().all(|rows| !rows.is_empty());
             frozen.recheck();
             for tx in &feeds {
                 tx.send(frozen.clone()).expect("reader alive");
@@ -1224,6 +1325,10 @@ fn snapshot_isolation_walk(seed: u64, commits: usize, retain: usize, faults: boo
         frozen.recheck();
         frozen.check_against_rebuild();
     }
+    assert!(
+        answered,
+        "seed {seed}: no snapshot had answers to every fingerprint goal"
+    );
 }
 
 /// With many, one and no snapshot alive across the commits that follow.
@@ -1247,6 +1352,211 @@ fn snapshot_isolation_survives_rollback_and_recover() {
 #[test]
 fn snapshot_isolation_holds_under_concurrent_readers() {
     snapshot_isolation_walk(31, 16, usize::MAX, false, gsls_par::threads().max(2));
+}
+
+/// The named trap of the reader-built argument index: its runs live in
+/// a cell every snapshot of a lineage shares, so snapshots meet runs
+/// sealed at other lengths than their own.
+///
+/// * An **older** snapshot meets a **longer** run (sealed by a snapshot
+///   more than two chunks of `e` atoms later): it must take exactly its
+///   own prefix of it — equal to its epoch's rebuild, no id past its own
+///   atom count (which would index past its model) — and seal nothing.
+/// * A fuel-1 rollback and a panic + `recover()` rebuild the engine: a
+///   **new lineage**, whose atom ids owe nothing to the old one's. It
+///   must start with an empty cell — observed as sealing afresh, where
+///   an inherited full-length run would have been taken as is — while
+///   the old lineage's snapshots keep their runs and their answers.
+/// * Several readers released together onto a fresh lineage all seal
+///   the same `(predicate, position)` at once: whichever run gets
+///   installed, every one of them answers alike.
+#[test]
+fn snapshot_isolation_across_runs_of_different_length() {
+    use global_sls::prelude::*;
+    use gsls_lang::arena::CHUNK;
+    use std::sync::Barrier;
+
+    let joins = |snap: &Snapshot| -> Vec<Vec<(String, u8)>> {
+        FROZEN_GOALS[2..]
+            .iter()
+            .map(|goal| frozen_answers(snap, goal))
+            .collect()
+    };
+    let rebuilt = |source: &str| -> Vec<Vec<(String, u8)>> {
+        let mut store = TermStore::new();
+        let program = parse_program(&mut store, source).expect("source parses");
+        let gp = Grounder::ground(&mut store, &program).expect("source grounds");
+        bound_join_oracle(&store, &gp, &well_founded_model(&gp)).to_vec()
+    };
+    const SEALS: [&str; 1] = ["query.index_seals"];
+    // The joins index `e` by its first and by its second argument.
+    const RUNS: u64 = 2;
+
+    let mut rng = Walk(41);
+    let mut s = Session::from_source(FROZEN_BASE).expect("base program grounds");
+    let (mut next_const, mut facts) = (0usize, Vec::new());
+    let mut bulk = |s: &mut Session, facts: &mut Vec<String>| {
+        let batch = frozen_bulk(&mut rng, &mut next_const, s.epoch());
+        s.assert_facts(&batch.join(" ")).expect("bulk assert");
+        let edges = batch.iter().filter(|f| f.starts_with("e(")).count();
+        facts.extend(batch);
+        edges
+    };
+    bulk(&mut s, &mut facts);
+    // S1 is asked nothing yet: the first runs it meets will be S2's.
+    let s1 = s.snapshot();
+    let want1 = rebuilt(&format!("{FROZEN_BASE}\n{}", facts.join("\n")));
+    let mut edges = 0usize;
+    while edges <= 2 * CHUNK {
+        edges += bulk(&mut s, &mut facts);
+    }
+    let s2 = s.snapshot();
+    let want2 = rebuilt(&format!("{FROZEN_BASE}\n{}", facts.join("\n")));
+    assert!(want1.iter().chain(&want2).all(|rows| !rows.is_empty()));
+
+    let mut got = Vec::new();
+    let [seals] = counter_growth(&mut s, SEALS, |_| got = joins(&s2));
+    assert_eq!(
+        (seals, &got),
+        (RUNS, &want2),
+        "S2 seals, one run per position"
+    );
+    let [seals] = counter_growth(&mut s, SEALS, |_| got = joins(&s1));
+    assert_eq!((seals, &got), (0, &want1), "S1 under S2's longer runs");
+
+    // A rolled-back and a recovered commit: each a new lineage.
+    let doomed = frozen_bulk(&mut rng, &mut next_const, s.epoch()).join(" ");
+    for panic_on_fuel in [false, true] {
+        doomed_commit(&mut s, &doomed, panic_on_fuel);
+        let fresh = s.snapshot();
+        let readers = gsls_par::threads().max(2);
+        let gate = Barrier::new(readers);
+        let [seals] = counter_growth(&mut s, SEALS, |_| {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..readers)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            gate.wait();
+                            (joins(&fresh), joins(&s1))
+                        })
+                    })
+                    .collect();
+                for h in handles {
+                    let (new, old) = h.join().expect("reader");
+                    assert_eq!((&new, &old), (&want2, &want1), "panic {panic_on_fuel}");
+                }
+            });
+        });
+        assert!(
+            (RUNS..=RUNS * readers as u64).contains(&seals),
+            "panic {panic_on_fuel}: the rebuilt engine sealed {seals} runs — it must not \
+             inherit the old lineage's, and each reader seals a position at most once"
+        );
+        // The old lineage is untouched by all that.
+        let [seals] = counter_growth(&mut s, SEALS, |_| got = joins(&s2));
+        assert_eq!((seals, &got), (0, &want2), "S2 after the rebuild");
+    }
+}
+
+// ---------------------------------------------------------------------
+// A partially bound literal costs its answers, not its predicate.
+// ---------------------------------------------------------------------
+
+/// The noise-free form of "a bound-argument join is O(answers)": the
+/// query-path counters as exact counts, the same on a 32×32 and a 64×64
+/// board. `n5` sits on the top row of either board and moves right and
+/// down, so `?- move(n5, Y), ~win(Y).` has two candidates wherever the
+/// index has sealed — plus the atoms appended since, the tail, which a
+/// re-seal empties once it passes `1024 + covered / 16`. The index is
+/// built on demand: a session that commits, snapshots and enumerates
+/// `?- win(X).` (a scan, as ever) seals nothing and accounts for not one
+/// byte more; the first join seals once and the memory guard sees the
+/// run; the next hundred, live or on a snapshot taken before the seal,
+/// seal nothing.
+#[test]
+fn join_candidates_are_bounded_by_the_answers_not_the_board() {
+    use global_sls::prelude::*;
+    const NAMES: [&str; 4] = [
+        "query.index_lookups",
+        "query.index_seals",
+        "query.scans",
+        "query.candidates",
+    ];
+    const JOIN: &str = "?- move(n5, Y), ~win(Y).";
+    const OUT_DEGREE: u64 = 2;
+    let atoms_of = |s: &Session, name: &str| -> u64 {
+        let cards = s.ground_program().pred_cardinalities();
+        let of = cards
+            .iter()
+            .find(|(p, _)| s.store().symbol_name(p.sym) == name);
+        *of.expect("predicate has atoms").1 as u64
+    };
+    let index_bytes = |s: &Session| s.ground_program().atoms().approx_bytes();
+
+    let mut boards = Vec::new();
+    for side in [32usize, 64] {
+        let mut store = TermStore::new();
+        let program = win_grid(&mut store, side, side);
+        let mut s = Session::from_parts(store, program).expect("board grounds");
+        s.assert_facts("move(w0, n5).").expect("leaf insert");
+        let early = s.snapshot();
+        let bytes = index_bytes(&s);
+        let wins = atoms_of(&s, "win");
+        let enumeration = counter_growth(&mut s, NAMES, |s| {
+            s.query("?- win(X).").expect("live enumeration");
+            frozen_answers(&early, "?- win(X).");
+        });
+        assert_eq!(
+            enumeration,
+            [0, 0, 2, 2 * wins],
+            "{side}x{side}: ?- win(X)."
+        );
+        assert_eq!(
+            index_bytes(&s),
+            bytes,
+            "{side}x{side}: no index was asked for"
+        );
+
+        let moves = atoms_of(&s, "move");
+        let first = counter_growth(&mut s, NAMES, |s| {
+            s.query(JOIN).expect("first join");
+        });
+        assert_eq!(first, [1, 1, 0, OUT_DEGREE], "{side}x{side}: first join");
+        assert_eq!(index_bytes(&s), bytes + 8 * moves as usize, "{side}x{side}");
+        let warm = counter_growth(&mut s, NAMES, |s| {
+            for _ in 0..50 {
+                s.query(JOIN).expect("warm join");
+                frozen_answers(&early, JOIN);
+            }
+        });
+        assert_eq!(warm, [100, 0, 0, 100 * OUT_DEGREE], "{side}x{side}: warm");
+
+        // An append walk: every join tries its two answers plus the tail,
+        // and the tail is re-sealed exactly when the rule says.
+        let (mut covered, mut len, mut reseals) = (moves, moves, 0u64);
+        for batch in 0..14 {
+            let facts: Vec<String> = (0..200)
+                .map(|i| format!("move(x{batch}_{i}, n6)."))
+                .collect();
+            s.assert_facts(&facts.join(" ")).expect("append");
+            len += 200;
+            let reseal = len - covered > 1024 + covered / 16;
+            if reseal {
+                (covered, reseals) = (len, reseals + 1);
+            }
+            let join = counter_growth(&mut s, NAMES, |s| {
+                s.query(JOIN).expect("join over a tail");
+            });
+            let want = [1, u64::from(reseal), 0, OUT_DEGREE + (len - covered)];
+            assert_eq!(join, want, "{side}x{side}: batch {batch}");
+        }
+        assert!(
+            reseals >= 1,
+            "{side}x{side}: the walk never crossed the threshold"
+        );
+        boards.push((first, warm));
+    }
+    assert_eq!(boards[0], boards[1], "the same counts on both boards");
 }
 
 // ---------------------------------------------------------------------

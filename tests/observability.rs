@@ -243,9 +243,9 @@ fn guard_trips_leave_forensics() {
     assert!(detail.contains("deadline_over_ns"));
 }
 
-/// Query-path counters: executions, streamed answers, and the
-/// point-lookup vs. residual-scan split — also from snapshots on
-/// another thread.
+/// Query-path counters: executions, streamed answers, and the split
+/// between the three access paths — point lookup, argument index,
+/// predicate scan — also from snapshots on another thread.
 #[test]
 fn query_counters_track_execution_shape() {
     let mut s = Session::from_source("move(a, b). move(b, a). move(b, c).").unwrap();
@@ -254,9 +254,15 @@ fn query_counters_track_execution_shape() {
     let m = s.metrics();
     assert_eq!(m.counter("query.executions"), Some(1));
     assert!(m.counter("query.answers").unwrap_or(0) >= 1);
-    assert!(
-        m.counter("query.scans").unwrap_or(0) >= 1,
-        "an open variable forces a predicate scan"
+    assert_eq!(
+        (
+            m.counter("query.index_lookups"),
+            m.counter("query.index_seals"),
+            m.counter("query.candidates"),
+            m.counter("query.scans").unwrap_or(0),
+        ),
+        (Some(1), Some(1), Some(1), 0),
+        "one bound argument: the index hands over move(a, b) alone, no scan"
     );
     // Fully-ground query → point lookup.
     assert_eq!(s.truth("?- move(b, c).").unwrap(), Truth::True);
@@ -272,8 +278,14 @@ fn query_counters_track_execution_shape() {
         .join()
         .unwrap();
     assert_eq!(n, 3);
-    let after = s.metrics().counter("query.executions").unwrap_or(0);
+    let m = s.metrics();
+    let after = m.counter("query.executions").unwrap_or(0);
     assert_eq!(after, before + 1, "snapshot reads count as executions");
+    assert_eq!(
+        m.counter("query.scans"),
+        Some(1),
+        "no bound argument forces a predicate scan"
+    );
 }
 
 /// Disabling the bundle stops recording without disturbing what was
