@@ -22,9 +22,12 @@
 //!
 //! An interrupted commit unwinds exactly like a failed one: the WAL
 //! record is truncated off, the program is restored, and the engine is
-//! rebuilt at the previous epoch — a timeout is a rolled-back
-//! transaction, never a poisoned session (only an unwind that storage
-//! refuses to complete poisons). An interrupted query stops
+//! truncated back to the previous epoch — whatever the commit had
+//! appended when the guard tripped is cut off again, at a cost
+//! proportional to that — so a timeout is a rolled-back transaction,
+//! never a poisoned session (only an unwind that storage refuses to
+//! complete poisons), and never a stall for the writers queued behind
+//! it. An interrupted query stops
 //! yielding and reports the cause through
 //! [`crate::session::Answers::interrupted`] — the answers already
 //! streamed remain valid (a partial-answers outcome).

@@ -27,12 +27,14 @@
 //!
 //! [`session`] is a module tree cut along the decisions it makes, one
 //! definition each (its docs carry the full map and diagram):
-//! `engine` — the materialized state and its single `build`;
+//! `engine` — the materialized state, its single `build` and its
+//! `truncate_to`;
 //! `commit` — [`UpdateBatch`] and the one pipeline every write is a
 //! call of, `validate → admit → journal → apply → publish`, WAL replay
 //! entering at `apply`, a failure after `journal` either *unwound*
-//! (engine rebuilt, WAL cut to its mark) or leaving the session
-//! *poisoned* until [`Session::recover`] completes the unwind;
+//! (engine truncated, WAL cut, both to the rollback point's marks) or
+//! leaving the session *poisoned* until [`Session::recover`] completes
+//! the unwind;
 //! `query` — the one goal compiler and the one streaming evaluator
 //! ([`Answers`]) behind every `execute*`; `snapshot` — the frozen
 //! `Send + Sync` read view; `errors` — [`SessionError`] and friends.

@@ -4,7 +4,7 @@
 //! `unwind` (or poison) behind every failure. The stages, their failure
 //! modes and the diagram are in the [module docs](super).
 
-use super::engine::note_arities;
+use super::engine::EngineMark;
 use super::{record_trip, CommitError, CommitRejection, Session, SessionError};
 use crate::govern::{CommitOpts, Guard, InterruptCause, InterruptPhase, TripInfo};
 use gsls_analyze::{analyze_batch, estimate_batch_instances, Lint, LintLevel, LintReport};
@@ -132,16 +132,30 @@ enum JournalMode {
 }
 
 /// The committed state to return to when a commit (or a whole group)
-/// cannot complete. While one is armed in `Session::poisoned` the
-/// session is poisoned; [`Session::unwind`] consumes it.
-#[derive(Debug)]
+/// cannot complete: lengths only, read in O(1) when the point is armed —
+/// the forward commit journals nothing and clones nothing for it. While
+/// one is armed in `Session::poisoned` the session is poisoned;
+/// [`Session::unwind`] consumes it.
+#[derive(Debug, Clone, Copy)]
 pub(super) struct RollbackPoint {
     program_len: usize,
     epoch: u64,
-    /// The retracted-fact set (apply edits the live one in place).
-    disabled: FxHashMap<u32, Atom>,
+    /// The engine's append-only lengths, retract-set undo log included.
+    engine: EngineMark,
     /// WAL length before the first record to cut, when one was written.
     wal_mark: Option<u64>,
+    /// Set while an apply or an unwind is in flight over this point, so
+    /// it is what a panic escaping either leaves armed: no invariant of
+    /// the engine can be assumed then, and the unwind rebuilds from
+    /// source instead of truncating.
+    torn: bool,
+}
+
+impl RollbackPoint {
+    /// The same point, as armed while an apply or unwind runs over it.
+    fn torn(self) -> RollbackPoint {
+        RollbackPoint { torn: true, ..self }
+    }
 }
 
 impl Session {
@@ -262,9 +276,10 @@ impl Session {
     /// deadline, the cancel flag and the memory budget every
     /// [`crate::govern::TICK_INTERVAL`] work units. An interrupted
     /// commit returns [`SessionError::Interrupted`] after unwinding
-    /// completely — WAL record truncated, engine rebuilt at the
-    /// previous epoch — so a timeout behaves exactly like a
-    /// rolled-back transaction. The session's cancel flag is cleared
+    /// completely — WAL record truncated, engine truncated back to the
+    /// previous epoch (what the commit appended is cut off, at the
+    /// commit's cost, not the program's) — so a timeout behaves exactly
+    /// like a rolled-back transaction. The session's cancel flag is cleared
     /// when the commit starts; a [`Session::interrupt_handle`]
     /// cancellation therefore targets the *running* operation, and a
     /// subsequent commit starts fresh.
@@ -289,8 +304,10 @@ impl Session {
     /// Semantics per batch are identical to [`Session::commit_with`]:
     /// each batch is validated, admission-checked and governed by its
     /// own [`CommitOpts`] (so one slow batch times out as a rolled-back
-    /// transaction — its WAL record is truncated off the tail — while
-    /// the rest of the group commits), and each successful batch bumps
+    /// transaction — its WAL record and whatever it appended in memory
+    /// are truncated off the tail, at a cost proportional to that, not
+    /// to the program — while the rest of the group commits), and each
+    /// successful batch bumps
     /// the epoch. The durability contract is **fsync before ack**, not
     /// fsync before apply: callers must not acknowledge any batch until
     /// this method returns `Ok`, because a crash before the covering
@@ -299,8 +316,10 @@ impl Session {
     /// in the (discarded) result vector — and, because the batches are
     /// already applied in memory while their durability is unknown, it
     /// **poisons the session**: further writes are refused until
-    /// [`Session::recover`] has unwound the whole group — engine back
-    /// at the state before the group, its records cut off the WAL.
+    /// [`Session::recover`] has unwound the whole group — engine
+    /// truncated back to the state before the group (snapshots taken
+    /// in between keep answering as their epoch did), its records cut
+    /// off the WAL.
     ///
     /// Fails fast — before touching anything — if the session is
     /// poisoned or a buffered transaction is open.
@@ -342,6 +361,8 @@ impl Session {
             // Only after the covering fsync may the WAL rotate.
             self.maybe_checkpoint();
         }
+        // The group stands: nothing older than now can be rolled back to.
+        self.engine.forget_undo();
         Ok(results)
     }
 
@@ -430,6 +451,11 @@ impl Session {
         }
         let wal_mark = self.journal(&pending.batch, mode)?;
         let stats = self.apply_and_publish(pending.batch, &guard, wal_mark)?;
+        if mode == JournalMode::Immediate {
+            // Committed for good; a group keeps its members' undo
+            // entries until its covering fsync.
+            self.engine.forget_undo();
+        }
         // Total recorded before the (amortized, swallowed)
         // auto-checkpoint so the phase histograms sum to it.
         let dur = t_total.elapsed().as_nanos() as u64;
@@ -630,11 +656,12 @@ impl Session {
         guard: &Guard,
         wal_mark: Option<u64>,
     ) -> Result<CommitStats, SessionError> {
-        // Armed before the first mutation, so a panic escaping
-        // mid-apply leaves it for `Session::recover`.
-        self.poisoned = Some(self.rollback_point(wal_mark));
+        // Armed — and marked torn — before the first mutation, so a
+        // panic escaping mid-apply leaves it for `Session::recover`.
+        let point = self.rollback_point(wal_mark);
+        self.poisoned = Some(point.torn());
         let applied = self.apply_steps(batch, guard);
-        let point = self.poisoned.take().expect("armed above");
+        self.poisoned = None;
         match applied {
             Ok(stats) => {
                 // Phase `commit.publish`: the new epoch becomes visible
@@ -717,7 +744,7 @@ impl Session {
                 .map_err(|e| self.grounding_error(e, guard))?;
         }
         for &ci in &enable {
-            self.engine.disabled.remove(&ci);
+            self.engine.reassert(ci);
         }
 
         // 3. Retracts: switch fact clauses off. A retract that lands on
@@ -730,9 +757,7 @@ impl Session {
             let Some(ci) = self.engine.source_fact_clause(&atom) else {
                 continue; // never asserted — nothing to retract
             };
-            if let std::collections::hash_map::Entry::Vacant(slot) = self.engine.disabled.entry(ci)
-            {
-                slot.insert(atom);
+            if self.engine.retract(ci, atom) {
                 if let Some(pos) = enable.iter().position(|&e| e == ci) {
                     enable.swap_remove(pos);
                 } else {
@@ -778,45 +803,91 @@ impl Session {
         stats.new_clauses = gp.clause_count() - clauses_before;
         // Everything this batch appended (rules, new facts) defines the
         // arity of whatever predicate it was first to mention.
-        note_arities(
-            &mut self.engine.arities,
-            &self.program.clauses()[first_new..],
-        );
+        self.engine
+            .note_arities(&self.program.clauses()[first_new..]);
         Ok(stats)
     }
 
     // ---- unwind ------------------------------------------------------
 
     /// The committed state as of now, as the point a failing commit
-    /// (or group) returns to.
+    /// (or group) returns to. A handful of lengths; O(1).
     fn rollback_point(&self, wal_mark: Option<u64>) -> RollbackPoint {
         RollbackPoint {
             program_len: self.program.len(),
             epoch: self.epoch,
-            disabled: self.engine.disabled.clone(),
+            engine: self.engine.mark(),
             wal_mark,
+            torn: false,
         }
     }
 
-    /// Returns the session to `point`: program truncated, engine
-    /// rebuilt from source with the point's retract set, WAL cut back
-    /// to the point's mark so the unwound records can never replay.
-    /// Both halves are always attempted (a poisoned session should at
-    /// least serve a consistent model); if either fails the point is
-    /// re-armed — the session stays poisoned — and the error returned.
+    /// Returns the session to `point`. In memory that is a truncation
+    /// (`EngineState::truncate_to`): program, ground state and chains
+    /// are cut back to the point's lengths and the retract-set edits
+    /// inverted — work proportional to what the failed commit (or
+    /// group) appended, with every run of the argument index that
+    /// covers only surviving atoms kept for the readers. Only a point a
+    /// **panic** left armed rebuilds the engine from source, because no
+    /// invariant survives one. Then the WAL is cut back to the point's
+    /// mark so the unwound records can never replay. Both halves are
+    /// always attempted (a poisoned session should at least serve a
+    /// consistent model); if either fails the point is re-armed — the
+    /// session stays poisoned — and the error returned.
     fn unwind(&mut self, point: RollbackPoint) -> Result<(), SessionError> {
-        self.program.truncate(point.program_len);
-        let rebuilt = self.install_engine(point.disabled.values().cloned());
+        let t_unwind = Instant::now();
+        // Armed torn throughout: a panic in here leaves a rebuild owed.
+        self.poisoned = Some(point.torn());
+        let mut truncated = None;
+        let restored = if point.torn {
+            let retracted = self.engine.retracted_at(&point.engine);
+            self.program.truncate(point.program_len);
+            self.sobs.rollback_rebuilds.add(1);
+            self.install_engine(retracted)
+        } else {
+            // Successful commits being undone too (a group) have
+            // overwritten the model; a lone failed one has not.
+            let model_stale = self.epoch != point.epoch;
+            let cut = self.engine.truncate_to(&point.engine, model_stale);
+            self.program.truncate(point.program_len);
+            self.rebase_subsystem_stats();
+            let q = &self.sobs;
+            q.rollback_truncations.add(1);
+            q.rollback_reprimes.add(cut.reprimes as u64);
+            q.rollback_dropped_atoms.add(cut.atoms as u64);
+            q.rollback_dropped_clauses.add(cut.clauses as u64);
+            truncated = Some(cut);
+            Ok(())
+        };
         self.epoch = point.epoch;
         let cut = match (point.wal_mark, &mut self.durable) {
             (Some(mark), Some(log)) => log.truncate_to(mark).map_err(SessionError::from),
             _ => Ok(()),
         };
-        let outcome = rebuilt.and(cut);
-        if outcome.is_err() {
-            self.poisoned = Some(point);
-        }
-        outcome
+        self.poisoned = match (&restored, &cut) {
+            (Ok(()), Ok(())) => None,
+            // Memory is the point's state: re-marked (a rebuild
+            // renumbers), and a retry only has the WAL left to cut.
+            (Ok(()), Err(_)) => Some(RollbackPoint {
+                engine: self.engine.mark(),
+                torn: false,
+                ..point
+            }),
+            (Err(_), _) => Some(point.torn()),
+        };
+        // Phase `commit.unwind`, with what it dropped for the trace.
+        let dur = t_unwind.elapsed().as_nanos() as u64;
+        self.sobs.phase_unwind.record(dur);
+        self.obs
+            .tracer()
+            .span_event_with("commit.unwind", t_unwind, dur, || match truncated {
+                Some(cut) => format!(
+                    "dropped_atoms={} dropped_clauses={} reprimes={}",
+                    cut.atoms, cut.clauses, cut.reprimes
+                ),
+                None => "engine rebuilt from source".to_owned(),
+            });
+        restored.and(cut)
     }
 
     // ---- WAL replay and auto-checkpoint ---------------------------

@@ -128,9 +128,10 @@ pub enum SessionError {
     /// The durability layer failed (WAL append, checkpoint write,
     /// corrupt stored state on open).
     Durable(String),
-    /// An earlier commit could not be fully unwound — the engine
-    /// rebuild failed, its WAL record could not be cut off, a group's
-    /// covering fsync failed, or a panic escaped mid-apply. The session
+    /// An earlier commit could not be fully unwound — its WAL record
+    /// could not be cut off, a group's covering fsync failed, or a panic
+    /// escaped mid-apply (and the engine rebuild that follows one has
+    /// yet to run, or failed). The session
     /// serves reads of the last consistent model and refuses writes
     /// until [`super::Session::recover`] completes the unwind.
     Poisoned,

@@ -48,7 +48,7 @@
 //! |---|---|---|
 //! | `mod` | [`Session`]: construction, durable open, checkpoint, accessors | what a session *is* |
 //! | `errors` | [`CommitError`], [`CommitRejection`], [`SessionError`] | the error vocabulary |
-//! | `engine` | `EngineState` and its single `build` | how ground program, chains, model and retract set derive from source |
+//! | `engine` | `EngineState`, its single `build` and its `truncate_to` | how ground program, chains, model and retract set derive from source — and return to an earlier state of themselves |
 //! | `commit` | [`UpdateBatch`], the update surface, `run_commit`, `unwind` | how a write becomes committed state — or provably doesn't |
 //! | `query` | `QueryPlan`, [`Answers`], [`PreparedQuery`] | how a goal compiles and streams |
 //! | `snapshot` | [`Snapshot`], [`SnapshotQuery`] | what a frozen read view holds |
@@ -73,12 +73,23 @@
 //!
 //! ```text
 //! validate ──▶ admit ──────▶ journal ─────▶ apply ──────────▶ publish
-//! `Rejected`   `Interrupted  append fails:  fails, interrupted or panics:
-//! (nothing     {Admission}`  frame cut      UNWIND — engine rebuilt at the
+//! `Rejected`   `Interrupted  append fails:  fails or is interrupted:
+//! (nothing     {Admission}`  frame cut      UNWIND — engine truncated to the
 //! journaled,   (over a       back off the   rollback point, WAL cut to its
-//! nothing      `CommitOpts`  WAL            mark — OR POISON: reads only,
-//! mutated)     cap)                         until `recover()` completes it
+//! nothing      `CommitOpts`  WAL            mark; panics: POISON — reads
+//! mutated)     cap)                         only, until `recover()` rebuilds
 //! ```
+//!
+//! The unwind is the eighth phase, `commit.unwind`: what a failed commit
+//! appended — atoms, clauses, fact rows, table entries, chain state — is
+//! cut off by length (`EngineState::truncate_to`), the switches it
+//! flipped flip back, and the model, which a commit writes last, was
+//! never touched; the cost is the failed commit's own, counted by
+//! `rollback.truncations` / `.dropped_atoms` / `.dropped_clauses` (and
+//! `.reprimes` when the interrupt landed inside a fixpoint chain).
+//! `EngineState::build` — re-ground and re-solve from source — is left
+//! with what it is for: construction, reopening, and `recover()` after a
+//! panic (`rollback.rebuilds`).
 //!
 //! ## Semantics of updates
 //!
@@ -144,7 +155,8 @@ pub struct Session {
     /// Monotone commit counter; snapshots carry the epoch they saw.
     epoch: u64,
     global_opts: GlobalOpts,
-    /// Grounding options, kept for engine rebuilds when a commit unwinds.
+    /// Grounding options, kept for the engine rebuild `recover()` owes
+    /// after a panic.
     opts: GrounderOpts,
     /// Per-lint levels for the static analysis gating every rule batch
     /// (and the seed program).
@@ -202,6 +214,15 @@ struct SessionObs {
     phase_refresh: Histogram,
     phase_index: Histogram,
     phase_publish: Histogram,
+    /// `commit.unwind`: one observation per rollback, either arm.
+    phase_unwind: Histogram,
+    /// Rollbacks by truncation / by rebuild (after a panic), the chains
+    /// a truncation had to re-solve, and what truncations dropped.
+    rollback_truncations: Counter,
+    rollback_rebuilds: Counter,
+    rollback_reprimes: Counter,
+    rollback_dropped_atoms: Counter,
+    rollback_dropped_clauses: Counter,
     ground_rounds: Counter,
     ground_join_candidates: Counter,
     ground_index_probes: Counter,
@@ -247,6 +268,12 @@ impl SessionObs {
             phase_refresh: reg.histogram("commit.refresh"),
             phase_index: reg.histogram("commit.index"),
             phase_publish: reg.histogram("commit.publish"),
+            phase_unwind: reg.histogram("commit.unwind"),
+            rollback_truncations: reg.counter("rollback.truncations"),
+            rollback_rebuilds: reg.counter("rollback.rebuilds"),
+            rollback_reprimes: reg.counter("rollback.reprimes"),
+            rollback_dropped_atoms: reg.counter("rollback.dropped_atoms"),
+            rollback_dropped_clauses: reg.counter("rollback.dropped_clauses"),
             ground_rounds: reg.counter("ground.rounds"),
             ground_join_candidates: reg.counter("ground.join_candidates"),
             ground_index_probes: reg.counter("ground.index_probes"),
@@ -432,21 +459,28 @@ impl Session {
 
     /// Replaces the engine with one rebuilt from the source program
     /// and the given retracted-fact set — the in-memory half of an
-    /// unwind. The committed *state* is preserved exactly; internal
-    /// clause/atom numbering may change.
+    /// unwind after a **panic**, when the live engine can no longer be
+    /// trusted enough to truncate. The committed *state* is preserved
+    /// exactly; internal clause/atom numbering may change.
     fn install_engine(
         &mut self,
         retracted: impl IntoIterator<Item = Atom>,
     ) -> Result<(), SessionError> {
         self.engine = EngineState::build(&mut self.store, &self.program, self.opts, retracted)?;
-        // Fresh engine objects restart their lifetime stats at zero;
-        // re-anchor the delta baselines so the rebuild's own work (a
-        // rollback, not a commit) is never flushed to the registry.
+        self.rebase_subsystem_stats();
+        Ok(())
+    }
+
+    /// Re-anchors the per-commit delta baselines at the subsystems'
+    /// current lifetime stats, so a rollback's own work — the failed
+    /// commit's and the unwind's, or a rebuilt engine's counters
+    /// restarting at zero — is never flushed to the registry as a
+    /// commit's.
+    fn rebase_subsystem_stats(&mut self) {
         self.base_gstats = self.engine.grounder.stats();
         self.base_t = self.engine.t_chain.stats();
         self.base_u = self.engine.u_chain.stats();
         self.base_cow = self.cow_tally();
-        Ok(())
     }
 
     // ---- durable sessions --------------------------------------------
@@ -672,8 +706,8 @@ impl Session {
     }
 
     /// Whether the session is poisoned: a failed commit could not be
-    /// fully unwound (engine rebuild or WAL cut failed), a group's
-    /// covering fsync failed, or a panic escaped mid-commit. Reads keep
+    /// fully unwound (its WAL cut failed), a group's covering fsync
+    /// failed, or a panic escaped mid-commit. Reads keep
     /// serving; writes are refused until [`Session::recover`] completes
     /// the unwind.
     pub fn is_poisoned(&self) -> bool {

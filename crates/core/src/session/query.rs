@@ -18,7 +18,7 @@ use super::{record_trip, Session, SessionError, Snapshot};
 use crate::global::GlobalTree;
 use crate::govern::{Guard, InterruptCause, InterruptPhase, QueryOpts, TripInfo};
 use crate::solver::{Engine, QueryResult};
-use gsls_ground::{ArgCandidates, GroundAtomId, GroundAtoms};
+use gsls_ground::{ArgCandidates, GroundAtomId, GroundAtoms, Reseal};
 use gsls_lang::{
     arena, parse_goal, Arena, Atom, FxHashMap, Goal, Pred, Subst, Symbol, Term, TermId, TermStore,
     Var,
@@ -52,7 +52,10 @@ pub(super) struct QueryObs {
     point_lookups: Counter,
     scans: Counter,
     index_lookups: Counter,
+    /// Lookups that (re)built an index's big run / merged its unsealed
+    /// tail into the small one.
     index_seals: Counter,
+    index_merges: Counter,
     candidates: Counter,
     interrupts: Counter,
     /// For cold-path trip recording (dynamic counter + ring event).
@@ -69,6 +72,7 @@ impl QueryObs {
             scans: reg.counter("query.scans"),
             index_lookups: reg.counter("query.index_lookups"),
             index_seals: reg.counter("query.index_seals"),
+            index_merges: reg.counter("query.index_merges"),
             candidates: reg.counter("query.candidates"),
             interrupts: reg.counter("query.interrupts"),
             obs: obs.clone(),
@@ -449,6 +453,7 @@ pub struct Answers<'a> {
     n_scan: u64,
     n_index: u64,
     n_seal: u64,
+    n_merge: u64,
     /// Atoms handed to [`try_candidate`].
     n_candidates: u64,
 }
@@ -507,6 +512,7 @@ impl<'a> Answers<'a> {
             n_scan: 0,
             n_index: 0,
             n_seal: 0,
+            n_merge: 0,
             n_candidates: 0,
         })
     }
@@ -552,8 +558,12 @@ impl<'a> Answers<'a> {
                         PatArg::Slot(slot) => s.bindings[*slot as usize],
                         PatArg::App(..) => unreachable!("compound patterns are never indexed"),
                     };
-                    let (candidates, sealed) = atoms.arg_candidates(lit.pred, argpos, key);
-                    self.n_seal += u64::from(sealed);
+                    let (candidates, resealed) = atoms.arg_candidates(lit.pred, argpos, key);
+                    match resealed {
+                        Some(Reseal::Base) => self.n_seal += 1,
+                        Some(Reseal::Delta) => self.n_merge += 1,
+                        None => {}
+                    }
                     if self.indexed.len() <= d {
                         self.indexed.resize_with(d + 1, Default::default);
                     }
@@ -789,6 +799,7 @@ impl Drop for Answers<'_> {
             (&q.scans, self.n_scan),
             (&q.index_lookups, self.n_index),
             (&q.index_seals, self.n_seal),
+            (&q.index_merges, self.n_merge),
             (&q.candidates, self.n_candidates),
         ] {
             if n > 0 {

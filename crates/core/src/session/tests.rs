@@ -524,8 +524,9 @@ fn indexed_goal(rng: &mut Rng, appended: usize, relations: &[(String, u32)]) -> 
 /// snapshot, and (indexed only; it has one compile path) on the
 /// [`crate::Solver`] shim rebuilt from the same source — at every commit
 /// of a walk whose appends leave the index with no run, a fresh run, a
-/// growing tail and a re-sealed run, and whose retractions move the
-/// model under a run that stays put.
+/// tail merged into the small run and the small run folded into the
+/// big one (each at least twice), and whose retractions move the model
+/// under runs that stay put.
 #[test]
 fn indexed_plans_answer_exactly_as_scan_plans() {
     use crate::solver::Solver;
@@ -561,7 +562,7 @@ fn indexed_plans_answer_exactly_as_scan_plans() {
         let mut active: Vec<String> = Vec::new();
         let mut retracted: Vec<String> = Vec::new();
         let mut appended = 0usize;
-        let (mut reseals, mut answered) = (0u64, 0usize);
+        let (mut reseals, mut merges, mut answered) = (0u64, 0u64, 0usize);
         for step in 0..16 {
             if step % 2 == 0 {
                 // A chain over fresh constants, tied back into the old
@@ -604,11 +605,16 @@ fn indexed_plans_answer_exactly_as_scan_plans() {
                     .expect("source parses");
             let mut solver = Solver::new(current);
 
-            // The probe that counts re-seals of (e, 0) along the walk.
-            let seals = |s: &Session| s.metrics().counter("query.index_seals").unwrap_or(0);
-            let before = seals(&session);
+            // The probe that counts what (e, 0) rebuilds along the walk.
+            let built = |s: &Session| {
+                let m = s.metrics();
+                ["query.index_seals", "query.index_merges"].map(|n| m.counter(n).unwrap_or(0))
+            };
+            let before = built(&session);
             session.query("?- e(c0, X).").expect("probe");
-            reseals += seals(&session) - before;
+            let after = built(&session);
+            reseals += after[0] - before[0];
+            merges += after[1] - before[1];
 
             for _ in 0..25 {
                 let goal_src = indexed_goal(&mut rng, appended, &relations);
@@ -684,8 +690,9 @@ fn indexed_plans_answer_exactly_as_scan_plans() {
             }
         }
         assert!(
-            reseals >= 3,
-            "seed {seed}: (e, 0) sealed {reseals} times — the walk must seal and re-seal twice"
+            reseals >= 3 && merges >= 2,
+            "seed {seed}: (e, 0) was sealed {reseals} times and merged into {merges} times — \
+             the walk must seal, and cross each of the two thresholds twice"
         );
         assert!(
             answered >= 80,

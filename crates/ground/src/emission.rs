@@ -189,6 +189,60 @@ impl Emission {
         self.new_atoms.clear();
     }
 
+    /// Whether `id` heads an emitted clause (and so has a fact-store row
+    /// once the delta it is queued on has been flushed).
+    pub(crate) fn is_derivable(&self, id: GroundAtomId) -> bool {
+        self.derivable.get(id.index()).is_some_and(|&d| d)
+    }
+
+    /// Cuts a persistent kernel's emission state back to the first
+    /// `n_atoms` atoms / `n_clauses` clauses — a quiescent state it was
+    /// in earlier — by inverting what each dropped clause recorded: its
+    /// clause-table entry, its fact-dedup mark (a source fact's
+    /// `fact_clause` entry is recognised by pointing at the clause; any
+    /// other fact-shaped clause is a permanent one), and the
+    /// `derivable` flag of a head no surviving clause derives. The
+    /// program truncates ([`GroundProgram::truncate_to`]; it must have
+    /// been finalized at the mark), the delta queue empties, and the
+    /// binding scratch an interrupted join left half-bound is reset.
+    /// O(dropped).
+    pub(crate) fn truncate_to(&mut self, n_atoms: usize, n_clauses: usize) {
+        debug_assert!(self.persistent, "batch kernels are dropped, not cut back");
+        let nc = self.gp.clause_count();
+        let mut old_heads: Vec<GroundAtomId> = Vec::new();
+        for ci in n_clauses as u32..nc as u32 {
+            let c = self.gp.clause(ci);
+            if c.is_fact() {
+                if self.fact_clause.get(&c.head.0) == Some(&ci) {
+                    self.fact_clause.remove(&c.head.0);
+                } else if let Some(seen) = self.free_fact_seen.get_mut(c.head.index()) {
+                    *seen = false;
+                }
+            }
+            if c.head.index() < n_atoms {
+                old_heads.push(c.head);
+            }
+        }
+        let gp = &self.gp;
+        self.clause_table
+            .truncate_to(n_clauses as u32..nc as u32, |ci| {
+                let c = gp.clause(ci);
+                clause_hash(c.head.0, c.pos, c.neg)
+            });
+        self.gp.truncate_to(n_atoms, n_clauses);
+        self.derivable.truncate(n_atoms);
+        self.free_fact_seen.truncate(n_atoms);
+        for h in old_heads {
+            if self.gp.clauses_for(h).is_empty() {
+                self.derivable[h.index()] = false;
+            }
+        }
+        self.new_atoms.clear();
+        self.bindings.fill(UNBOUND);
+        self.slot_trail.clear();
+        self.key_buf.clear();
+    }
+
     /// Enumerates the (depth-bounded) Herbrand universe, once per run.
     /// Deferred so that runs which never enumerate a residual variable —
     /// every rule's variables bound by its positive body — skip the

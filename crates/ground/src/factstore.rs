@@ -99,6 +99,25 @@ impl SigIndex {
     }
 }
 
+impl SigIndex {
+    /// Undoes [`SigIndex::push_row`] for `row`, the last row posted: it
+    /// is the last entry of its key's list, and a list it empties goes
+    /// (the key was first seen with that row).
+    fn pop_row(&mut self, row: u32, args: &[TermId], key_buf: &mut Vec<TermId>) {
+        key_buf.clear();
+        key_buf.extend(self.argpos.iter().map(|&p| args[p as usize]));
+        let list = self
+            .map
+            .get_mut(key_buf.as_slice())
+            .expect("a posted row has a posting list");
+        debug_assert_eq!(list.last(), Some(&row));
+        list.pop();
+        if list.is_empty() {
+            self.map.remove(key_buf.as_slice());
+        }
+    }
+}
+
 /// The per-predicate fact store driving semi-naive evaluation.
 #[derive(Debug, Default)]
 pub(crate) struct FactStore {
@@ -237,6 +256,47 @@ impl FactStore {
             .map
             .get(key)
             .map_or(&[][..], Vec::as_slice)
+    }
+
+    /// Cuts the store back to an earlier quiescent state, given what is
+    /// left of it: `derivable` says whether an atom still heads a
+    /// clause. A row is pushed when its atom is first derived, and rows
+    /// of one predicate are in push order — so the rows added since are
+    /// exactly each predicate's trailing rows whose atom is no longer
+    /// derivable, popped here with their postings. Predicate slots and
+    /// composite indexes registered since (a rule batch's) are dropped
+    /// by count. Every delta ends empty. O(dropped).
+    pub fn truncate_to(
+        &mut self,
+        derivable: impl Fn(GroundAtomId) -> bool,
+        n_preds: usize,
+        n_indexes: usize,
+    ) {
+        if n_indexes < self.indexes.len() {
+            self.indexes.truncate(n_indexes);
+            self.sig_handles.retain(|_, h| (*h as usize) < n_indexes);
+            for pf in &mut self.preds {
+                pf.handles.retain(|&h| (h as usize) < n_indexes);
+            }
+        }
+        if n_preds < self.preds.len() {
+            self.preds.truncate(n_preds);
+            self.slots.retain(|_, s| (*s as usize) < n_preds);
+        }
+        let mut key_buf: Vec<TermId> = Vec::new();
+        for pf in &mut self.preds {
+            let a = pf.arity as usize;
+            while pf.ids.last().is_some_and(|&id| !derivable(id)) {
+                pf.ids.pop();
+                pf.rows -= 1;
+                let args = &pf.cols[pf.rows as usize * a..];
+                for &h in &pf.handles {
+                    self.indexes[h as usize].pop_row(pf.rows, args, &mut key_buf);
+                }
+                pf.cols.truncate(pf.rows as usize * a);
+            }
+            pf.old_rows = pf.rows;
+        }
     }
 
     /// Ends a round: the previous delta becomes old, `new_atoms`

@@ -55,9 +55,12 @@
 //! * **the fact store** is frozen after planning only in batch mode — a
 //!   later rule may join a predicate no current plan touches.
 //!
-//! **After an `Err`** (clause budget, guard trip) the program is
-//! finalized but holds part of a delta: the only valid move is to drop
-//! the kernel — `global_sls::Session` rebuilds its engine from source.
+//! **After an `Err`** (clause budget, guard trip) the kernel holds part
+//! of a delta, un-finalized. Every length it appends to has one owner,
+//! so the way back is a cut: [`IncrementalGrounder::truncate_to`] a
+//! [`GroundMark`] taken before the operation — what
+//! `global_sls::Session` does to roll a commit back, in time
+//! proportional to what the commit appended. (Or drop the kernel.)
 //!
 //! The Subst-based reference implementations — [`GroundingMode::Full`]
 //! and the [`JoinStrategy::Naive`] differential oracle — live in
@@ -213,6 +216,32 @@ impl GroundStats {
     }
 }
 
+/// A state of an [`IncrementalGrounder`], as the lengths of everything
+/// it appends to ([`IncrementalGrounder::mark`]) — what
+/// [`IncrementalGrounder::truncate_to`] cuts back to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GroundMark {
+    atoms: usize,
+    clauses: usize,
+    universe: usize,
+    templates: usize,
+    plans: usize,
+    preds: usize,
+    indexes: usize,
+}
+
+impl GroundMark {
+    /// Ground atoms interned at the mark.
+    pub fn atom_count(&self) -> usize {
+        self.atoms
+    }
+
+    /// Ground clauses stored at the mark.
+    pub fn clause_count(&self) -> usize {
+        self.clauses
+    }
+}
+
 /// Batch grounding: one [`IncrementalGrounder`] kernel built, run once
 /// and dropped, its finalized program returned.
 pub enum Grounder {}
@@ -285,7 +314,10 @@ impl Grounder {
 ///   constants at all, the batch grounder's invented constant persists
 ///   in the session universe.)
 /// * The program is re-[`finalized`](GroundProgram::finalize) after
-///   every operation, failed ones included.
+///   every operation that completes. One that returns `Err` leaves part
+///   of a delta behind and the reverse indexes where they were: the
+///   kernel must be cut back ([`IncrementalGrounder::truncate_to`]) to a
+///   [`mark`](IncrementalGrounder::mark) taken before it, or dropped.
 pub struct IncrementalGrounder {
     em: Emission,
     /// Membership view of `em.universe` (constants, function-free).
@@ -387,6 +419,53 @@ impl IncrementalGrounder {
     /// text and have no entry here.
     pub fn fact_clause_of(&self, id: GroundAtomId) -> Option<u32> {
         self.em.fact_clause.get(&id.0).copied()
+    }
+
+    /// The kernel's append-only lengths as of now: plain counts, read in
+    /// O(1), with nothing journaled on the way there. Meaningful between
+    /// operations (the delta queue empty, the program finalized), which
+    /// is where a session arms its rollback points.
+    pub fn mark(&self) -> GroundMark {
+        debug_assert!(self.em.gp.is_finalized(), "mark taken mid-operation");
+        GroundMark {
+            atoms: self.em.gp.atom_count(),
+            clauses: self.em.gp.clause_count(),
+            universe: self.em.universe.len(),
+            templates: self.templates.len(),
+            plans: self.planner.plans.len(),
+            preds: self.facts.pred_count(),
+            indexes: self.facts.index_count(),
+        }
+    }
+
+    /// Returns the kernel to `mark`: everything appended since — by
+    /// operations that completed and by one an `Err` cut short — is
+    /// dropped, in time proportional to what is dropped, and the kernel
+    /// is exactly as fit for further deltas as it was at the mark (same
+    /// ids handed out again, same dedup verdicts, same fact rows and
+    /// postings, the program finalized). Snapshots published in between
+    /// keep the chunks they share. The [`TermStore`] is not involved:
+    /// terms interned since stay interned, as harmless as any other
+    /// unused term.
+    pub fn truncate_to(&mut self, mark: &GroundMark) {
+        for &c in self.em.universe.iter_from(mark.universe) {
+            self.uni_set.remove(&c);
+        }
+        self.em.universe.truncate_to(mark.universe);
+        self.templates.truncate(mark.templates);
+        self.residual_rules
+            .retain(|&r| (r as usize) < mark.templates);
+        self.planner.plans.truncate(mark.plans);
+        self.planner.dependents.truncate(mark.preds);
+        for plans in &mut self.planner.dependents {
+            plans.retain(|&p| (p as usize) < mark.plans);
+        }
+        self.em.truncate_to(mark.atoms, mark.clauses);
+        let em = &self.em;
+        self.facts
+            .truncate_to(|id| em.is_derivable(id), mark.preds, mark.indexes);
+        self.em.stats.plans = self.planner.plans.len() as u32;
+        self.em.stats.indexes = self.facts.index_count() as u32;
     }
 
     /// The production path: rule-template compilation, seed round, plan
@@ -543,8 +622,9 @@ impl IncrementalGrounder {
     /// delta states directly; if the delta grew the active domain every
     /// residual-slot rule is then re-joined in full (only the
     /// combinations touching new constants survive dedup); semi-naive
-    /// rounds run to quiescence; and the program is re-finalized, also
-    /// on `Err`.
+    /// rounds run to quiescence; and the program is re-finalized — not
+    /// on `Err`, after which the caller cuts the kernel back or drops
+    /// it, and either way the merge would be wasted.
     fn ground_delta(
         &mut self,
         run: &mut Run<'_>,
@@ -568,7 +648,9 @@ impl IncrementalGrounder {
             Ok(())
         };
         let r = joins(self, run);
-        self.finalize();
+        if r.is_ok() {
+            self.finalize();
+        }
         r
     }
 
@@ -585,7 +667,7 @@ impl IncrementalGrounder {
     /// facts enable is emitted. Facts whose atoms already have a fact
     /// clause are skipped (re-assertion after retraction is a clause
     /// re-enable, not a grounding change). Atoms and clauses are only
-    /// appended; the program is re-finalized on return. `guard` governs
+    /// appended; the program is re-finalized on `Ok`. `guard` governs
     /// this call only.
     ///
     /// The caller is expected to append the same facts (in order) to

@@ -57,12 +57,14 @@
 //! [`GroundProgram::share_atoms`] — refcount bumps, no atom copied — and
 //! the writer's next interning copies only the chunks it lands in. One
 //! part of the atom side is **reader-written**: the argument index
-//! behind [`GroundAtoms::arg_candidates`] (sorted runs over a prefix of a
-//! predicate's atom list, per argument position; see `argindex`) sits in
-//! a cell that queries fill and refill on demand. The writer never looks
-//! inside it — interning, the grounder and `finalize` do not touch it —
-//! and only hands it on: `share()` gives a snapshot the same cell, so a
-//! run sealed by any state of the lineage serves all of them, while
+//! behind [`GroundAtoms::arg_candidates`] (two sorted runs — a big one
+//! and a small one that absorbs recent appends — over a prefix of a
+//! predicate's atom list, per argument position, so a lookup walks at
+//! most 64 unsealed atoms; see `argindex`) sits in a cell that queries
+//! fill and refill on demand. The writer never looks inside it —
+//! interning, the grounder and `finalize` do not touch it — and only
+//! hands it on: `share()` gives a snapshot the same cell, so a run
+//! sealed by any state of the lineage serves all of them, while
 //! `clone()` starts an empty one, because a clone may go on to intern
 //! different atoms under the same ids. The
 //! *clause side* — heads, bodies, offsets, the three reverse indexes —
@@ -77,6 +79,20 @@
 //! invalidate the indexes; call `finalize` again before using any
 //! index-backed accessor (they panic otherwise). [`Grounder::ground`]
 //! returns programs already finalized.
+//!
+//! **Truncation contract:** appends are the only mutation, so every
+//! earlier state is a prefix of the current one and
+//! [`GroundProgram::truncate_to`] /
+//! [`IncrementalGrounder::truncate_to`] return to it in time
+//! proportional to what is dropped: clause arrays and reverse-index
+//! tails are cut, dropped atoms are unlinked from the interning table
+//! and their predicates' lists, fact rows and postings are popped.
+//! Snapshots published in between keep the chunks they share
+//! (`gsls_lang::Arena::truncate_to`). Of the argument index the writer
+//! keeps every run that covers only surviving atoms and moves to a
+//! fresh cell — a snapshot from inside the cut range is on a dead branch
+//! of the lineage, and what it seals later must not reach the states
+//! that reuse its ids.
 
 #![forbid(unsafe_code)]
 
@@ -91,11 +107,11 @@ mod plan;
 pub mod program;
 pub mod testutil;
 
-pub use argindex::ArgCandidates;
+pub use argindex::{ArgCandidates, Reseal};
 pub use depgraph::{AtomDepGraph, DepGraph, ProgramClass};
 pub use grounder::{
-    GroundStats, Grounder, GrounderOpts, GroundingError, GroundingMode, IncrementalGrounder,
-    JoinStrategy,
+    GroundMark, GroundStats, Grounder, GrounderOpts, GroundingError, GroundingMode,
+    IncrementalGrounder, JoinStrategy,
 };
 pub use herbrand::{augment_program, herbrand_universe, term_transform, HerbrandOpts};
 pub use program::{ClauseRef, Csr, GroundAtomId, GroundAtoms, GroundClause, GroundProgram};

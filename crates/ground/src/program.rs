@@ -24,7 +24,7 @@
 //! Nothing here knows about joins: the store is what every fixpoint
 //! engine reads and what [`crate::grounder`] appends to.
 
-use crate::argindex::{ArgCandidates, ArgIndex};
+use crate::argindex::{ArgCandidates, ArgIndex, Reseal};
 use crate::factstore::{atom_hash, ShardedIdTable};
 use gsls_lang::{arena, Arena, Atom, CowTally, FxHashMap, Pred, Symbol, TermId, TermStore};
 
@@ -242,6 +242,32 @@ impl Csr {
         }
     }
 
+    /// The inverse of [`Csr::grow`]: cuts the map back to its first
+    /// `n_keys` keys and to the items below `item_mark`. Rows of dropped
+    /// keys are a cut of both arrays' tails. Items at or past the mark
+    /// inside *surviving* rows sit at each row's end (items ascend
+    /// within a row — they are clause indices, filed in clause order),
+    /// so removing them is one compaction pass from `dirty_from`, the
+    /// first surviving key that has one (`n_keys` when none does — a
+    /// tail-append growth touched no old row — and the pass is skipped).
+    fn truncate(&mut self, n_keys: usize, item_mark: u32, dirty_from: usize) {
+        let n_keys = n_keys.min(self.len());
+        self.off.truncate(n_keys + 1);
+        if dirty_from < n_keys {
+            let mut write = self.off[dirty_from] as usize;
+            for k in dirty_from..n_keys {
+                let (start, end) = (self.off[k] as usize, self.off[k + 1] as usize);
+                let keep = self.items[start..end].partition_point(|&item| item < item_mark);
+                self.off[k] = write as u32;
+                self.items.copy_within(start..start + keep, write);
+                write += keep;
+            }
+            self.off[n_keys] = write as u32;
+        }
+        self.items
+            .truncate(self.off.last().map_or(0, |&end| end as usize));
+    }
+
     /// Number of keys.
     pub fn len(&self) -> usize {
         self.off.len().saturating_sub(1)
@@ -335,6 +361,40 @@ impl GroundAtoms {
         id
     }
 
+    /// Cuts the atom side back to its first `n` atoms — the inverse of
+    /// the interning since: the dropped ids are unlinked from the table
+    /// (re-hashed from the arena *before* it is cut), come off the tail
+    /// of their predicates' lists (the lists ascend, so a predicate's
+    /// dropped atoms are exactly its last ones), and the argument index
+    /// forks ([`crate::argindex`]: runs over surviving prefixes are
+    /// kept). O(dropped). Snapshots keep every chunk they share.
+    fn truncate_to(&mut self, n: usize) {
+        let len = self.atoms.len();
+        if n >= len {
+            return;
+        }
+        let mut dropped: FxHashMap<Pred, usize> = FxHashMap::default();
+        for id in n..len {
+            *dropped.entry(self.atoms[id].pred_id()).or_default() += 1;
+        }
+        let atoms = &self.atoms;
+        self.table.truncate_to(n as u32..len as u32, |id| {
+            let a = &atoms[id as usize];
+            atom_hash(a.pred, &a.args)
+        });
+        for (pred, k) in dropped {
+            let ids = self.by_pred.get_mut(&pred).expect("interned under it");
+            ids.truncate_to(ids.len() - k);
+            if ids.is_empty() {
+                self.by_pred.remove(&pred);
+            }
+        }
+        self.atoms.truncate_to(n);
+        let by_pred = &self.by_pred;
+        self.arg_index
+            .truncate_to(|pred| by_pred.get(&pred).map_or(0, Arena::len));
+    }
+
     /// Publishes the atom side: the returned value shares every chunk
     /// with this one ([`Arena::share`]). O(chunks + predicates).
     pub fn share(&mut self) -> GroundAtoms {
@@ -400,17 +460,19 @@ impl GroundAtoms {
 
     /// The ids of `pred`'s atoms that can carry `key` as argument
     /// `argpos` — the third access path, beside the point lookup and
-    /// [`GroundAtoms::pred_ids`]: a binary search in the run some reader
-    /// sealed, then the atoms interned since (unfiltered; the caller
-    /// matches every candidate anyway). The flag says this call sealed
-    /// a run, which the first lookup of a `(pred, argpos)` and one in
-    /// every `1024 + covered / 16` appended atoms do.
+    /// [`GroundAtoms::pred_ids`]: a binary search in each of the two
+    /// runs readers have sealed, then the few atoms interned since
+    /// (unfiltered; the caller matches every candidate anyway). Also
+    /// says what this call rebuilt: the big run on the first lookup of
+    /// a `(pred, argpos)` and once in every `1024 + covered / 16`
+    /// appended atoms, the small one whenever it found more than 64
+    /// unsealed.
     pub fn arg_candidates(
         &self,
         pred: Pred,
         argpos: u32,
         key: TermId,
-    ) -> (ArgCandidates<'_>, bool) {
+    ) -> (ArgCandidates<'_>, Option<Reseal>) {
         match self.by_pred.get(&pred) {
             Some(ids) => self
                 .arg_index
@@ -568,6 +630,55 @@ impl GroundProgram {
             .reserve(n_clauses.saturating_sub(self.heads.len()));
         self.body_start.reserve(n_clauses);
         self.neg_start.reserve(n_clauses);
+    }
+
+    /// Cuts the program back to its first `n_atoms` atoms and
+    /// `n_clauses` clauses — a state it was in earlier (appends are the
+    /// only mutation), so no surviving clause mentions a dropped atom.
+    /// The clause arrays truncate; the atom side unlinks what it drops
+    /// (`GroundAtoms::truncate_to`); the reverse indexes are cut back
+    /// only as far as a `finalize` had absorbed the suffix
+    /// (`Csr::truncate`), and a program that was finalized at the mark
+    /// is finalized again on return. O(dropped), plus one compaction
+    /// pass over an index whose old rows the suffix had been merged
+    /// into.
+    pub fn truncate_to(&mut self, n_atoms: usize, n_clauses: usize) {
+        assert!(
+            n_atoms <= self.atom_count() && n_clauses <= self.heads.len(),
+            "truncate_to past the end of the program"
+        );
+        if let Some(idx) = &mut self.index {
+            if idx.n_atoms > n_atoms || idx.n_clauses > n_clauses {
+                // The first surviving key of each index that filed a
+                // dropped clause.
+                let mut dirty = [n_atoms; 3];
+                let mut file = |which: usize, key: GroundAtomId| {
+                    dirty[which] = dirty[which].min(key.index());
+                };
+                for ci in n_clauses..idx.n_clauses {
+                    let (start, end) = (self.body_start[ci], self.body_start[ci + 1]);
+                    let mid = self.neg_start[ci];
+                    file(0, self.heads[ci]);
+                    self.body[start as usize..mid as usize]
+                        .iter()
+                        .for_each(|&a| file(1, a));
+                    self.body[mid as usize..end as usize]
+                        .iter()
+                        .for_each(|&a| file(2, a));
+                }
+                let item_mark = n_clauses as u32;
+                idx.by_head.truncate(n_atoms, item_mark, dirty[0]);
+                idx.watch_pos.truncate(n_atoms, item_mark, dirty[1]);
+                idx.watch_neg.truncate(n_atoms, item_mark, dirty[2]);
+                idx.n_atoms = idx.n_atoms.min(n_atoms);
+                idx.n_clauses = idx.n_clauses.min(n_clauses);
+            }
+        }
+        self.heads.truncate(n_clauses);
+        self.neg_start.truncate(n_clauses);
+        self.body_start.truncate(n_clauses + 1);
+        self.body.truncate(self.body_start[n_clauses] as usize);
+        self.atoms.truncate_to(n_atoms);
     }
 
     /// Looks up a ground atom from borrowed parts without interning (and
@@ -984,6 +1095,88 @@ mod tests {
                 assert_eq!(gp.watch_pos(a), fresh.watch_pos(a), "watch_pos {a:?}");
                 assert_eq!(gp.watch_neg(a), fresh.watch_neg(a), "watch_neg {a:?}");
             }
+        }
+    }
+
+    #[test]
+    fn csr_grow_then_truncate_is_the_csr_before() {
+        // (key, item) pairs; items ascend, as clause indices do.
+        let old: Vec<(u32, u32)> = vec![(0, 0), (2, 0), (2, 1), (3, 2), (0, 3)];
+        let each = |pairs: &[(u32, u32)]| {
+            let pairs = pairs.to_vec();
+            move |sink: &mut dyn FnMut(u32, u32)| pairs.iter().for_each(|&(k, v)| sink(k, v))
+        };
+        let before = Csr::build(4, each(&old));
+        // Tail-append growth: every new pair lands on a new key.
+        let tail = [(4, 4), (6, 4), (6, 5)];
+        let mut grown = before.clone();
+        grown.grow(7, each(&tail), &mut Csr::default());
+        assert_eq!(grown.row(6), &[4, 5]);
+        grown.truncate(4, 4, 4);
+        assert_eq!(grown, before, "tail-append growth");
+        // Merged growth: new pairs on old keys (and on new ones).
+        let merged = [(2, 4), (0, 5), (5, 5), (3, 6)];
+        let mut grown = before.clone();
+        let mut spare = Csr::default();
+        grown.grow(6, each(&merged), &mut spare);
+        assert_eq!(grown.row(2), &[0, 1, 4]);
+        assert_eq!(spare, before, "the merge replaced the arrays");
+        grown.truncate(4, 4, 0);
+        assert_eq!(grown, before, "merged growth");
+        // Keys appended, no pair at all (atoms interned, no clause).
+        let mut grown = before.clone();
+        grown.grow(9, each(&[]), &mut Csr::default());
+        grown.truncate(4, 4, 4);
+        assert_eq!(grown, before, "key-only growth");
+    }
+
+    #[test]
+    fn truncate_to_is_the_inverse_of_appending_and_finalizing() {
+        // Grow a finalized program by clauses that watch old and new
+        // atoms, with and without a finalize in between; cutting back
+        // must give the program as it was — clause views, every reverse
+        // index, the interning table and the predicate lists.
+        let (mut s, mut gp) = ground("e(a). e(b). p(X) :- e(X), ~q(X). q(a). r :- ~p(a).");
+        let (n_atoms, n_clauses) = (gp.atom_count(), gp.clause_count());
+        let snapshot = |gp: &GroundProgram, s: &TermStore| {
+            let rows: Vec<_> = gp
+                .atom_ids()
+                .map(|a| {
+                    (
+                        gp.clauses_for(a).to_vec(),
+                        gp.watch_pos(a).to_vec(),
+                        gp.watch_neg(a).to_vec(),
+                    )
+                })
+                .collect();
+            let mut cards: Vec<_> = gp.pred_cardinalities().into_iter().collect();
+            cards.sort();
+            (gp.display(s), rows, cards)
+        };
+        let before = snapshot(&gp, &s);
+        for finalize_first in [true, false] {
+            let held = gp.share_atoms();
+            for round in 0..3 {
+                let h = s.intern_symbol(&format!("n{round}"));
+                let d = s.intern_symbol(&format!("m{round}"));
+                let h = gp.intern_atom(Atom::new(h, Vec::new()));
+                let d = gp.intern_atom(Atom::new(d, Vec::new()));
+                gp.push_clause_parts(h, &[GroundAtomId(round), d], &[GroundAtomId(0)]);
+                gp.push_clause_parts(GroundAtomId(1), &[d], &[h]);
+                if finalize_first {
+                    gp.finalize();
+                }
+            }
+            gp.truncate_to(n_atoms, n_clauses);
+            assert!(gp.is_finalized(), "finalized at the mark, finalized after");
+            assert_eq!(snapshot(&gp, &s), before, "finalize_first {finalize_first}");
+            let n0 = s.intern_symbol("n0");
+            assert!(gp.lookup_atom(&Atom::new(n0, Vec::new())).is_none());
+            assert_eq!(held.atom_count(), n_atoms, "a shared atom side is a value");
+            // The freed id is handed out again.
+            let again = gp.intern_atom(Atom::new(n0, Vec::new()));
+            assert_eq!(again.index(), n_atoms);
+            gp.truncate_to(n_atoms, n_clauses);
         }
     }
 

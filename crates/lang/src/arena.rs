@@ -16,6 +16,15 @@
 //! after a snapshot the writer re-copies at most the tail chunk of each
 //! arena it appends to.
 //!
+//! Append-only has one exception, the rollback of a commit:
+//! [`Arena::truncate_to`] cuts the arena back to a length it had
+//! earlier. Whole tail chunks are dropped (a clone that shares them
+//! keeps them alive) and the last kept chunk is shortened — in place if
+//! only this arena holds it, otherwise by leaving the published chunk to
+//! its clones and taking a copy of the kept prefix. Either way a clone
+//! never sees the cut, nor the different values the writer pushes into
+//! the freed positions afterwards.
+//!
 //! `clone()` keeps value semantics for every caller: shared chunks cost
 //! one refcount bump each, owned ones are copied — so cloning a frozen
 //! value (a snapshot's store) copies nothing, and cloning a live writer
@@ -271,6 +280,40 @@ impl<T: Clone> Arena<T> {
         self.len += 1;
     }
 
+    /// Cuts the arena back to its first `len` elements (a no-op when it
+    /// holds no more): whole tail chunks are dropped and the last kept
+    /// one is shortened. A chunk only this arena holds is shortened in
+    /// place and keeps its capacity, so truncating and pushing again
+    /// inside one chunk allocates nothing. A chunk a clone still shares
+    /// is left to the clone as it is — a published chunk never changes
+    /// under a reader — and this arena takes a copy of the kept prefix
+    /// (tallied as copy-on-write), which its next pushes then extend:
+    /// every clone keeps reading the values it was published with,
+    /// whatever the writer pushes into the same positions afterwards.
+    pub fn truncate_to(&mut self, len: usize) {
+        if len >= self.len {
+            return;
+        }
+        self.chunks.truncate(len.div_ceil(CHUNK));
+        self.len = len;
+        let keep = len & MASK;
+        if keep == 0 {
+            return; // the last kept chunk is full (or none is kept)
+        }
+        let tail = self.chunks.last_mut().expect("a partial tail chunk");
+        if let Chunk::Shared(shared) = tail {
+            if Arc::get_mut(shared).is_none() {
+                self.cow.chunks += 1;
+                self.cow.bytes += (keep * std::mem::size_of::<T>()) as u64;
+                let mut copy = Vec::with_capacity(shared.capacity());
+                copy.extend(shared[..keep].iter().cloned());
+                *tail = Chunk::Owned(copy);
+                return;
+            }
+        }
+        Self::owned(tail, &mut self.cow).truncate(keep);
+    }
+
     /// Mutable access to the element at `i`, unsharing its chunk first.
     ///
     /// # Panics
@@ -498,6 +541,45 @@ mod tests {
         // A clone of a frozen value copies nothing.
         let c = frozen.clone();
         assert_eq!(counts(&c), vec![4, 2]);
+    }
+
+    #[test]
+    fn truncate_drops_tail_chunks_and_copies_at_most_the_kept_prefix() {
+        let mut a: Arena<u64> = (0..2 * CHUNK as u64 + 10).collect();
+        // Unshared: cut in place, nothing tallied, capacity kept.
+        a.truncate_to(2 * CHUNK + 4);
+        assert_eq!((a.len(), counts(&a)), (2 * CHUNK + 4, vec![0, 0, 0]));
+        assert_eq!(a.cow_tally(), CowTally::default());
+        // Shared: the clone keeps its chunk whole; the writer copies the
+        // four values it keeps, and what it pushes next is its own.
+        let frozen = a.share();
+        a.truncate_to(2 * CHUNK + 2);
+        assert_eq!(counts(&a), vec![2, 2, 0]);
+        assert_eq!(
+            a.cow_tally(),
+            CowTally {
+                chunks: 1,
+                bytes: 2 * 8
+            }
+        );
+        a.push(77);
+        assert_eq!(
+            (frozen.len(), frozen[2 * CHUNK + 2]),
+            (2 * CHUNK + 4, 2 * CHUNK as u64 + 2)
+        );
+        assert_eq!((a.len(), a[2 * CHUNK + 2]), (2 * CHUNK + 3, 77));
+        // Cut at a chunk boundary, or past the end: no chunk is touched.
+        a.truncate_to(a.len() + 5);
+        a.truncate_to(2 * CHUNK);
+        assert_eq!((a.len(), counts(&a)), (2 * CHUNK, vec![2, 2]));
+        assert_eq!(a.cow_tally().chunks, 1);
+        // A published chunk whose clone is gone is taken back, not copied.
+        drop(frozen);
+        a.truncate_to(CHUNK + 1);
+        assert_eq!((counts(&a), a.cow_tally().chunks), (vec![1, 0], 1));
+        assert!(a.iter().copied().eq(0..CHUNK as u64 + 1));
+        a.truncate_to(0);
+        assert_eq!((a.len(), a.chunks.len(), a.iter().count()), (0, 0, 0));
     }
 
     #[test]

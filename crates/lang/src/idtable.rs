@@ -12,7 +12,11 @@
 //! shared: [`IdTable::share`] publishes a table in one refcount bump
 //! per chunk, and an insert into a table a clone still shares copies
 //! the one chunk the claimed slot lives in. A grow builds a fresh slot
-//! array, as any hash table does.
+//! array, as any hash table does. [`IdTable::truncate_to`] unlinks a
+//! range of ids again (the caller is cutting its backing store back to
+//! a mark): backward-shift deletes, which under sharing are slot writes
+//! like any other — a clone keeps the chunks it was published with and
+//! goes on finding every id it held.
 
 use crate::arena::{Arena, CowTally};
 
@@ -117,6 +121,64 @@ impl IdTable {
         }
         *self.slots.get_mut(i) = pack(id, hash);
         self.len += 1;
+    }
+
+    /// Unlinks every stored id in `ids` — the inverse of the inserts
+    /// that claimed them, for a caller cutting its backing store back to
+    /// a mark. `rehash` must still resolve every stored id, the ones in
+    /// `ids` included: call this **before** the backing elements are
+    /// cut. Ids in the range the table never held (a clause store's
+    /// facts, say) are skipped. Each removal is a backward-shift delete —
+    /// no tombstones, so probe walks stay as short as if the ids had
+    /// never been inserted — and costs its probe cluster: O(dropped)
+    /// overall. The slot array keeps its size.
+    ///
+    /// Under sharing a removal is an ordinary slot write: a chunk a
+    /// clone still shares is copied first, and the clone goes on finding
+    /// the ids it was published with.
+    pub fn truncate_to(&mut self, ids: std::ops::Range<u32>, mut rehash: impl FnMut(u32) -> u64) {
+        for id in ids.rev() {
+            self.remove(rehash(id), id, &mut rehash);
+        }
+    }
+
+    /// Removes `id`, whose key hashes to `hash`, by backward-shift
+    /// deletion; whether it was stored.
+    fn remove(&mut self, hash: u64, id: u32, mut rehash: impl FnMut(u32) -> u64) -> bool {
+        if self.slots.is_empty() {
+            return false;
+        }
+        let mask = self.slots.len() - 1;
+        let mut hole = hash as usize & mask;
+        loop {
+            let s = self.slots[hole];
+            if s == EMPTY {
+                return false;
+            }
+            if (s >> 32) as u32 == id {
+                break;
+            }
+            hole = (hole + 1) & mask;
+        }
+        // Close the gap: an entry further along its cluster moves back
+        // into the hole unless its home slot lies after the hole (it
+        // would become unreachable from there).
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let s = self.slots[j];
+            if s == EMPTY {
+                break;
+            }
+            let home = rehash((s >> 32) as u32) as usize & mask;
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
+                *self.slots.get_mut(hole) = s;
+                hole = j;
+            }
+        }
+        *self.slots.get_mut(hole) = EMPTY;
+        self.len -= 1;
+        true
     }
 
     /// Pre-sizes the table for about `n` entries, rehashing the current
@@ -239,6 +301,14 @@ impl ShardedIdTable {
     /// [`IdTable::insert_unique`] on the key's shard.
     pub fn insert_unique(&mut self, hash: u64, id: u32, rehash: impl FnMut(u32) -> u64) {
         self.shards[shard_of(hash)].insert_unique(hash, id, rehash);
+    }
+
+    /// [`IdTable::truncate_to`], each id on its key's shard.
+    pub fn truncate_to(&mut self, ids: std::ops::Range<u32>, mut rehash: impl FnMut(u32) -> u64) {
+        for id in ids.rev() {
+            let hash = rehash(id);
+            self.shards[shard_of(hash)].remove(hash, id, &mut rehash);
+        }
     }
 
     /// Pre-sizes every shard for a **total** of about `n` entries,

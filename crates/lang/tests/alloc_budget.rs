@@ -2,10 +2,13 @@
 //! request to parse into, so `new()` must be free and the first
 //! interned constant must cost a small, *recorded* number of
 //! allocations — the arenas and tables allocate lazily and nothing is
-//! stored twice. One test per binary: the counter is thread-local, but
-//! keeping the file to itself keeps the numbers exact.
+//! stored twice. And of a rollback: cutting an [`Arena`] or an
+//! [`IdTable`] back and appending again inside one unshared chunk must
+//! not allocate at all. The counter is thread-local, so the tests do
+//! not disturb each other's numbers.
 
-use gsls_lang::TermStore;
+use gsls_lang::idtable::IdTable;
+use gsls_lang::{Arena, TermStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -73,4 +76,36 @@ fn a_fresh_store_is_free_and_its_first_constant_costs_a_recorded_handful() {
     });
     assert!(found.is_some());
     assert_eq!(n, 0);
+}
+
+#[test]
+fn truncate_and_push_again_inside_one_unshared_chunk_allocates_nothing() {
+    let mut arena: Arena<u64> = (0..100).collect();
+    let keys: Vec<u64> = (0..100u64)
+        .map(|k| k.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        .collect();
+    let mut table = IdTable::default();
+    for (i, &k) in keys.iter().enumerate() {
+        table.insert_unique(k, i as u32, |id| keys[id as usize]);
+    }
+    let ((), n) = allocs_during(|| {
+        for round in 0..3 {
+            arena.truncate_to(40);
+            table.truncate_to(40..100, |id| keys[id as usize]);
+            for (i, &k) in keys.iter().enumerate().skip(40) {
+                arena.push(round + i as u64);
+                table.insert_unique(k, i as u32, |id| keys[id as usize]);
+            }
+        }
+    });
+    assert_eq!(n, 0, "a cut and a re-push inside one chunk allocated");
+    assert_eq!((arena.len(), arena[99], table.len()), (100, 2 + 99, 100));
+    // Published and taken back (the snapshot is gone): still nothing.
+    drop((arena.share(), table.share()));
+    let ((), n) = allocs_during(|| {
+        arena.truncate_to(10);
+        table.truncate_to(10..100, |id| keys[id as usize]);
+        arena.push(7);
+    });
+    assert_eq!(n, 0, "a cut of a chunk nobody else holds allocated");
 }

@@ -1,8 +1,9 @@
 //! Model-based properties of the two sharing primitives every interning
 //! structure is built from: [`Arena`] against `Vec`, [`IdTable`] against
-//! `HashMap`, under random interleavings of writes, `share`, `clone` and
-//! drops of the shared values — plus the same contract one level up, on
-//! a [`TermStore`]. (The chunk-exact cases — refcounts per chunk, which
+//! `HashMap`, under random interleavings of writes, `share`, `clone`,
+//! `truncate_to` (a rolled-back commit: the writer cuts back and pushes
+//! *different* values into the same positions) and drops of the shared
+//! values — plus the same contract one level up, on a [`TermStore`]. (The chunk-exact cases — refcounts per chunk, which
 //! chunk a write copies — live next to the arena's private fields, in
 //! its unit tests.)
 
@@ -36,17 +37,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Pushes (in bursts, so walks cross several chunk boundaries),
-    /// in-place writes, `share`, `clone` and drops in random order: the
-    /// writer always equals the `Vec` model, and every retained shared
-    /// or cloned arena equals the model as of the moment it was taken.
+    /// in-place writes, `share`, `clone`, truncations and drops in
+    /// random order: the writer always equals the `Vec` model, and every
+    /// retained shared or cloned arena — taken before, inside or after a
+    /// range that is later cut off and pushed over with other values —
+    /// equals the model as of the moment it was taken.
     #[test]
     fn arena_matches_vec_under_push_share_clone_drop(seed in any::<u64>()) {
         let mut rng = TestRng::new(seed);
         let mut arena: Arena<u64> = Arena::new();
         let mut model: Vec<u64> = Vec::new();
         let mut kept: Vec<Frozen<Arena<u64>, Vec<u64>>> = Vec::new();
-        for _ in 0..60 {
-            match rng.below(6) {
+        for _ in 0..80 {
+            match rng.below(8) {
                 0 | 1 => {
                     for _ in 0..rng.below(CHUNK as u64 * 3 / 4) {
                         let v = rng.next_u64();
@@ -66,6 +69,19 @@ proptest! {
                     let i = rng.below(kept.len() as u64) as usize;
                     drop(kept.swap_remove(i));
                 }
+                6 => {
+                    // Mostly a short cut inside the tail chunk, sometimes
+                    // anywhere (whole chunks go), sometimes a no-op past
+                    // the end.
+                    let len = model.len() as u64;
+                    let to = match rng.below(4) {
+                        0 => rng.below(len + 1),
+                        1 => len + rng.below(3),
+                        _ => len - rng.below(len.min(CHUNK as u64 / 2) + 1),
+                    } as usize;
+                    arena.truncate_to(to);
+                    model.truncate(to);
+                }
                 _ => {}
             }
             assert_same(&arena, &model);
@@ -84,9 +100,13 @@ proptest! {
     }
 
     /// `find_or_insert` / `find` against a `HashMap`, with tables shared
-    /// mid-walk (some right before a grow) and dropped at random: the
-    /// writer agrees with the map, and a shared table keeps finding
-    /// exactly the keys interned when it was taken.
+    /// mid-walk (some right before a grow), cut back to an earlier id
+    /// mark (`truncate_to`, before the backing store is) and dropped at
+    /// random: the writer agrees with the map — a dropped key misses and
+    /// re-inserts under a fresh id, a surviving one hits — the sharded
+    /// table agrees with the flat one, and a shared table keeps finding
+    /// exactly the keys interned when it was taken, under the ids they
+    /// had then.
     #[test]
     fn id_table_matches_hash_map_under_insert_share_drop(seed in any::<u64>()) {
         let mut rng = TestRng::new(seed);
@@ -96,10 +116,13 @@ proptest! {
         let mut table = IdTable::default();
         let mut sharded = ShardedIdTable::default();
         let mut model: HashMap<u64, u32> = HashMap::new();
-        let mut kept: Vec<Frozen<(IdTable, ShardedIdTable), usize>> = Vec::new();
+        // A shared table reads the backing store as it was shared (in
+        // the engine: the arena published with it).
+        type Backing = (Vec<u64>, HashMap<u64, u32>);
+        let mut kept: Vec<Frozen<(IdTable, ShardedIdTable), Backing>> = Vec::new();
         let hash = |k: u64| k.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (k >> 7);
-        for _ in 0..40 {
-            match rng.below(4) {
+        for _ in 0..50 {
+            match rng.below(5) {
                 0 | 1 => {
                     for _ in 0..rng.below(600) {
                         let k = rng.below(5_000);
@@ -126,25 +149,41 @@ proptest! {
                 }
                 2 => kept.push(Frozen {
                     value: (table.share(), sharded.share()),
-                    model: keys.len(),
+                    model: (keys.clone(), model.clone()),
                 }),
                 3 if !kept.is_empty() => {
                     let i = rng.below(kept.len() as u64) as usize;
                     drop(kept.swap_remove(i));
                 }
+                4 => {
+                    let len = keys.len() as u64;
+                    let mark = (len - rng.below(len.min(700) + 1)) as u32;
+                    let dropped = mark..keys.len() as u32;
+                    table.truncate_to(dropped.clone(), |id| hash(keys[id as usize]));
+                    sharded.truncate_to(dropped, |id| hash(keys[id as usize]));
+                    keys.truncate(mark as usize);
+                    model.retain(|_, id| *id < mark);
+                }
                 _ => {}
             }
             prop_assert_eq!(table.len(), model.len());
             prop_assert_eq!(sharded.len(), model.len());
+            for _ in 0..64 {
+                let k = rng.below(5_000);
+                let eq = |id: u32| keys[id as usize] == k;
+                prop_assert_eq!(table.find(hash(k), eq), model.get(&k).copied());
+                prop_assert_eq!(sharded.find(hash(k), eq), model.get(&k).copied());
+            }
             for frozen in &kept {
                 let (flat, shards) = &frozen.value;
-                prop_assert_eq!(flat.len(), frozen.model);
+                let (keys, model) = &frozen.model;
+                prop_assert_eq!(flat.len(), model.len());
+                prop_assert_eq!(shards.len(), model.len());
                 for _ in 0..64 {
                     let k = rng.below(5_000);
-                    let want = model.get(&k).copied().filter(|&id| (id as usize) < frozen.model);
                     let eq = |id: u32| keys[id as usize] == k;
-                    prop_assert_eq!(flat.find(hash(k), eq), want);
-                    prop_assert_eq!(shards.find(hash(k), eq), want);
+                    prop_assert_eq!(flat.find(hash(k), eq), model.get(&k).copied());
+                    prop_assert_eq!(shards.find(hash(k), eq), model.get(&k).copied());
                 }
             }
         }

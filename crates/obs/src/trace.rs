@@ -137,13 +137,30 @@ impl Tracer {
     /// Records a completed span measured by the caller (for phases
     /// whose duration is derived, e.g. ground-minus-finalize).
     pub fn span_event(&self, label: &'static str, start: Instant, dur_ns: u64) {
-        if !self.inner.on.load(Ordering::Relaxed) {
-            return;
+        if self.inner.on.load(Ordering::Relaxed) {
+            self.push_span(label, start, dur_ns, None);
         }
+    }
+
+    /// [`Tracer::span_event`] with a payload built only while recording
+    /// is on (cold paths: what a rollback dropped).
+    pub fn span_event_with(
+        &self,
+        label: &'static str,
+        start: Instant,
+        dur_ns: u64,
+        detail: impl FnOnce() -> String,
+    ) {
+        if self.inner.on.load(Ordering::Relaxed) {
+            self.push_span(label, start, dur_ns, Some(detail()));
+        }
+    }
+
+    fn push_span(&self, label: &'static str, start: Instant, dur_ns: u64, detail: Option<String>) {
         let at_ns = start
             .checked_duration_since(self.inner.epoch)
             .map_or(0, |d| d.as_nanos() as u64);
-        self.push(label, at_ns, dur_ns, None);
+        self.push(label, at_ns, dur_ns, detail);
     }
 
     fn push(&self, label: &'static str, at_ns: u64, dur_ns: u64, detail: Option<String>) {

@@ -151,11 +151,15 @@ pub fn well_founded_refresh(
 /// evaluation runs governed ([`IncrementalLfp::evaluate_governed`]) and
 /// the outer alternation checks the guard once per round, so a
 /// cancellation, deadline, or fuel trip surfaces within one tick
-/// interval of work. On interruption `model` is untouched, the chain
-/// that tripped is left unprimed (it re-primes on next use) and the
-/// error carries the trip cause; the previous model no longer bounds a
-/// later `start` then — restart from `∅`, or rebuild the chains as the
-/// session rollback path does.
+/// interval of work. On interruption `model` is untouched — it is
+/// written last — the chain that tripped is left unprimed (it re-primes
+/// on next use) and the error carries the trip cause. The chains then
+/// hold fixpoints of *some* contexts over the program as it is, which
+/// is all the next call needs: roll the program change back
+/// ([`IncrementalLfp::shrink_to`] and the inverse switches, as the
+/// session does) and refresh from the untouched model's true set, or
+/// go on from any other `start` below the new true set — `∅` always
+/// is.
 pub fn well_founded_refresh_governed(
     gp: &GroundProgram,
     t_chain: &mut IncrementalLfp,
@@ -225,8 +229,12 @@ impl ChangeCone {
         guard: &Guard,
     ) -> Result<&BitSet, InterruptCause> {
         let n = gp.atom_count();
+        // (A rolled-back commit leaves the program smaller than the
+        // scratch last saw it.)
+        self.cone.truncate(n);
         self.cone.grow(n);
         self.cone.clear();
+        self.start.truncate(n);
         self.start.grow(n);
         self.start.copy_from(old_true);
         self.stack.clear();
@@ -249,6 +257,18 @@ impl ChangeCone {
             }
         }
         Ok(&self.start)
+    }
+
+    /// The set [`ChangeCone::restart_set`] last computed, cut back to
+    /// the first `n_atoms` atoms — for undoing an append: the walk runs
+    /// on the program that still holds the appended clauses (they are
+    /// the change), the refresh on the prefix that is left. Every atom
+    /// past the cut heads only appended clauses, so it was in the cone
+    /// and the cut drops no member (one that heads no clause at all was
+    /// never true).
+    pub fn start_cut_to(&mut self, n_atoms: usize) -> &BitSet {
+        self.start.truncate(n_atoms);
+        &self.start
     }
 }
 

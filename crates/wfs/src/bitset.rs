@@ -166,8 +166,9 @@ impl BitSet {
     }
 
     /// Grows the capacity to `new_len`, preserving the current members.
-    /// No-op when `new_len` is not larger than the current capacity —
-    /// a bitset never shrinks, so ids handed out earlier stay valid.
+    /// No-op when `new_len` is not larger than the current capacity
+    /// (only [`BitSet::truncate`] shrinks), so ids handed out earlier
+    /// stay valid.
     /// This is the resize hook the session engines use when a commit
     /// appends ground atoms.
     pub fn grow(&mut self, new_len: usize) {
@@ -176,6 +177,20 @@ impl BitSet {
         }
         self.words.resize(new_len.div_ceil(64), 0);
         self.len = new_len;
+    }
+
+    /// Cuts the capacity back to `new_len`, dropping the members at or
+    /// past it; a no-op when `new_len` is not smaller. The inverse of
+    /// [`BitSet::grow`], for the engines a rolled-back commit shrinks
+    /// again (the ids past the cut were handed out by the commit being
+    /// undone, so nothing valid refers to them).
+    pub fn truncate(&mut self, new_len: usize) {
+        if new_len >= self.len {
+            return;
+        }
+        self.words.truncate(new_len.div_ceil(64));
+        self.len = new_len;
+        self.trim();
     }
 
     /// Builds a set with explicit capacity `cap` from an iterator of
@@ -231,6 +246,24 @@ mod tests {
         assert!(c.is_empty());
         let empty = BitSet::new(70);
         assert_eq!(empty.complement().count(), 70);
+    }
+
+    #[test]
+    fn truncate_drops_members_past_the_cut_and_regrows_clean() {
+        let mut s = BitSet::from_indices(200, [0, 63, 64, 130, 131, 199]);
+        s.truncate(131);
+        assert_eq!(s.capacity(), 131);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 63, 64, 130]);
+        assert_eq!(s.count(), 4);
+        // Equal to a set that never had the dropped members — the stray
+        // bits of the last word are gone, so growing brings none back.
+        assert_eq!(s, BitSet::from_indices(131, [0, 63, 64, 130]));
+        s.grow(200);
+        assert_eq!(s, BitSet::from_indices(200, [0, 63, 64, 130]));
+        s.truncate(300); // not smaller: a no-op
+        assert_eq!(s.capacity(), 200);
+        s.truncate(64);
+        assert_eq!((s.count(), s.words().len()), (2, 1));
     }
 
     #[test]

@@ -509,6 +509,53 @@ impl IncrementalLfp {
         self.propagate(gp)
     }
 
+    /// The inverse of [`Self::grow`]: cuts the engine back to the first
+    /// `n_atoms` atoms and `n_clauses` clauses of the program it grew
+    /// over — a prefix the append-only contract makes a program of its
+    /// own (a clause below the cut mentions no atom past it). A no-op
+    /// for an engine that never grew past the cut, whatever `gp` holds.
+    ///
+    /// A **primed** engine that absorbed the suffix first switches the
+    /// dropped clauses off through the delete-and-rederive path of
+    /// [`Self::set_clauses_enabled`] — work proportional to their cone —
+    /// so the state invariant holds for the prefix program against the
+    /// stored context; `gp` must then still be the *uncut*, finalized
+    /// program. An unprimed engine just truncates and re-primes on its
+    /// next evaluation, as it would have anyway.
+    pub fn shrink_to(&mut self, gp: &GroundProgram, n_atoms: usize, n_clauses: usize) {
+        let nc = self.missing.len();
+        if n_clauses < nc {
+            if self.primed {
+                assert_eq!(
+                    (gp.clause_count(), gp.atom_count()),
+                    (nc, self.n_atoms),
+                    "shrink_to needs the program this engine grew over"
+                );
+                self.disabled[n_clauses..].fill(true);
+                let dropped: Vec<u32> = (n_clauses as u32..nc as u32).collect();
+                self.switch_clauses(gp, &dropped, &[])
+                    .expect("an ungoverned clause switch cannot be interrupted");
+            }
+            self.missing.truncate(n_clauses);
+            self.disabled.truncate(n_clauses);
+        }
+        if n_atoms < self.n_atoms {
+            // No dropped atom is derived any more: only dropped clauses
+            // had one for a head.
+            self.s.truncate(n_atoms);
+            self.out.truncate(n_atoms);
+            self.n_atoms = n_atoms;
+            debug_assert!(!self.primed || self.out.count() == self.out_count);
+        }
+    }
+
+    /// Whether the engine holds a fixpoint for its stored context — false
+    /// before the first evaluation and after an interrupted operation,
+    /// when the next evaluation computes from scratch.
+    pub fn is_primed(&self) -> bool {
+        self.primed
+    }
+
     /// Switches clauses off (`disable`) and back on (`enable`) — the
     /// session's fact-retraction hook, though any clause index works.
     /// Disabling an alive satisfied clause retracts its head's

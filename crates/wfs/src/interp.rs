@@ -57,11 +57,19 @@ impl Interp {
         self.pos.capacity()
     }
 
-    /// Grows the capacity to `n` atoms (never shrinks); the new atoms
-    /// come up undefined.
+    /// Grows the capacity to `n` atoms (a smaller `n` is a no-op); the
+    /// new atoms come up undefined.
     pub fn grow(&mut self, n: usize) {
         self.pos.grow(n);
         self.neg.grow(n);
+    }
+
+    /// Cuts the capacity back to `n` atoms, dropping the verdicts of the
+    /// atoms at or past it (no-op when `n` is not smaller): the model
+    /// side of rolling back a commit that appended atoms.
+    pub fn truncate(&mut self, n: usize) {
+        self.pos.truncate(n);
+        self.neg.truncate(n);
     }
 
     /// Overwrites `self`, in place, with the interpretation bounded by

@@ -102,19 +102,8 @@ impl Maintained {
     /// the clauses from `first_new` on, flip the switches, restart the
     /// alternation below the cone of everything that changed.
     fn refresh(&mut self, first_new: u32, disable: &[u32], enable: &[u32]) {
-        self.gp.finalize();
+        self.absorb(disable, enable, 3);
         let gp = &self.gp;
-        for &ci in disable {
-            self.disabled[ci as usize] = true;
-        }
-        for &ci in enable {
-            self.disabled[ci as usize] = false;
-        }
-        for chain in [&mut self.t_chain, &mut self.u_chain, &mut self.inside] {
-            chain.grow(gp);
-            chain.set_clauses_enabled(gp, disable, enable);
-        }
-        self.model.grow(gp.atom_count());
         let changed = (first_new..gp.clause_count() as u32)
             .chain(disable.iter().copied())
             .chain(enable.iter().copied());
@@ -129,6 +118,73 @@ impl Maintained {
             start,
             &mut self.model,
         );
+    }
+
+    /// The first half of a commit's maintenance — finalize, record the
+    /// switches, grow and switch the first `chains` of the three chains,
+    /// size the model — which is as far as an interrupted commit gets:
+    /// the model itself is written last, by the refresh.
+    fn absorb(&mut self, disable: &[u32], enable: &[u32], chains: usize) {
+        self.gp.finalize();
+        let gp = &self.gp;
+        for &ci in disable {
+            self.disabled[ci as usize] = true;
+        }
+        for &ci in enable {
+            self.disabled[ci as usize] = false;
+        }
+        for chain in [&mut self.t_chain, &mut self.u_chain, &mut self.inside]
+            .into_iter()
+            .take(chains)
+        {
+            chain.grow(gp);
+            chain.set_clauses_enabled(gp, disable, enable);
+        }
+        self.model.grow(gp.atom_count());
+    }
+
+    /// Rolls back to the program's first `n_atoms` atoms / `n_clauses`
+    /// clauses and flips `switched` back, the way a session unwinds:
+    /// chains shrink over the uncut program, the program truncates, the
+    /// switches flip back, and the model — untouched if the commit being
+    /// undone never refreshed it, else (`model_stale`) refreshed below
+    /// the cone of everything dropped or flipped.
+    fn undo(&mut self, n_atoms: usize, n_clauses: usize, switched: &[u32], model_stale: bool) {
+        let gp = &self.gp;
+        if model_stale {
+            let changed =
+                (n_clauses as u32..gp.clause_count() as u32).chain(switched.iter().copied());
+            self.cone
+                .restart_set(gp, changed, self.model.pos(), &Guard::none())
+                .expect("ungoverned");
+        }
+        for chain in [&mut self.t_chain, &mut self.u_chain, &mut self.inside] {
+            chain.shrink_to(gp, n_atoms, n_clauses);
+        }
+        self.gp.truncate_to(n_atoms, n_clauses);
+        self.disabled.truncate(n_clauses);
+        let (mut off, mut on) = (Vec::new(), Vec::new());
+        for &ci in switched {
+            let flag = &mut self.disabled[ci as usize];
+            *flag = !*flag;
+            if *flag { &mut off } else { &mut on }.push(ci);
+        }
+        let gp = &self.gp;
+        assert!(gp.is_finalized());
+        for chain in [&mut self.t_chain, &mut self.u_chain, &mut self.inside] {
+            chain.set_clauses_enabled(gp, &off, &on);
+        }
+        self.model.truncate(n_atoms);
+        if model_stale {
+            let start = self.cone.start_cut_to(n_atoms);
+            well_founded_refresh(
+                gp,
+                &mut self.t_chain,
+                &mut self.u_chain,
+                start,
+                &mut self.model,
+            );
+        }
     }
 
     /// The program a from-scratch solver sees: same atom ids, switched-
@@ -188,7 +244,13 @@ proptest! {
     /// `set_clauses_enabled` flips — alone and combined in one step, as
     /// a commit combines them: after every step the cone-restart model
     /// equals `well_founded_model_scratch` of the result, in both
-    /// `NegMode` users.
+    /// `NegMode` users. A third of the steps are then **undone**
+    /// (`shrink_to` + `truncate_to`, the session's rollback): some after
+    /// committing in full, so the model has to be refreshed back, some
+    /// after only growing and switching zero to three of the chains, as
+    /// an interrupted commit leaves them — either way the state must be
+    /// the scratch model of the program before the step, and the walk
+    /// goes on from it.
     #[test]
     fn refresh_cone_restart_matches_scratch_on_random_walks(
         clauses in prop::collection::vec(clause_strategy(), 1..14),
@@ -198,6 +260,7 @@ proptest! {
         m.check("after the initial solve");
         for (step, (kind, pick_a, pick_b, clause)) in walk.iter().enumerate() {
             let first_new = m.gp.clause_count() as u32;
+            let n_atoms = m.gp.atom_count();
             if kind % 3 != 1 {
                 m.push(clause.0, &clause.1);
                 if kind % 5 == 0 {
@@ -215,9 +278,29 @@ proptest! {
                     if m.disabled[ci as usize] { &mut enable } else { &mut disable }.push(ci);
                 }
             }
-            m.refresh(first_new, &disable, &enable);
-            m.check(&format!("at step {step} (+{} clauses, -{disable:?} +{enable:?})",
-                m.gp.clause_count() as u32 - first_new));
+            let what = format!("step {step} (+{} clauses, -{disable:?} +{enable:?})",
+                m.gp.clause_count() as u32 - first_new);
+            let switched: Vec<u32> = disable.iter().chain(&enable).copied().collect();
+            match (kind / 16) % 6 {
+                undone @ (0 | 1) => {
+                    if undone == 0 {
+                        m.refresh(first_new, &disable, &enable);
+                        m.check(&format!("at {what}"));
+                    } else {
+                        m.absorb(&disable, &enable, usize::from(*pick_b % 4));
+                    }
+                    m.undo(n_atoms, first_new as usize, &switched, undone == 0);
+                    prop_assert_eq!(
+                        (m.gp.atom_count(), m.gp.clause_count()),
+                        (n_atoms, first_new as usize)
+                    );
+                    m.check(&format!("after undoing {what}"));
+                }
+                _ => {
+                    m.refresh(first_new, &disable, &enable);
+                    m.check(&format!("at {what}"));
+                }
+            }
         }
     }
 }

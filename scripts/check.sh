@@ -46,17 +46,19 @@ GSLS_THREADS=2 cargo test --release -q --test parallel_diff
 echo "==> session maintenance property at 2 threads (session ≡ rebuild)"
 GSLS_THREADS=2 cargo test --release -q --test incremental session_
 
-echo "==> cone-restart refresh gate (refresh ≡ scratch on append/switch walks,"
+echo "==> cone-restart refresh gate (refresh ≡ scratch on append/switch/undo walks,"
 echo "    the named restart traps, exact per-commit work bounds), snapshot isolation"
 echo "    (retained snapshots ≡ their epoch's rebuild; concurrent readers; rollback +"
 echo "    recover; runs of different length) and the publish copy gate, the query"
-echo "    candidate gate (a bound-argument join tries its answers, not its predicate)"
-echo "    and indexed plans ≡ scan plans, at 1 and 2 threads"
+echo "    candidate gate (a bound-argument join tries its answers, not its predicate),"
+echo "    indexed plans ≡ scan plans, and the rollback gates (truncate ≡ rebuild at"
+echo "    every guard check and for the commits after; a snapshot inside a rolled-back"
+echo "    group; rollback work bounded by the delta), at 1 and 2 threads"
 for threads in 1 2; do
   GSLS_THREADS=$threads cargo test --release -q -p gsls-wfs refresh_
   GSLS_THREADS=$threads cargo test --release -q -p gsls-core indexed_
   GSLS_THREADS=$threads cargo test --release -q --test incremental -- \
-    refresh_ snapshot_isolation publish_copies join_candidates
+    refresh_ snapshot_isolation publish_copies join_candidates rollback_
 done
 
 echo "==> durability recovery gate (crash-injection seed sweep)"

@@ -90,11 +90,16 @@
 //!
 //! Failure is non-fatal by design: a commit that fails mid-apply
 //! (e.g. the grounding clause budget) is unwound — its WAL record is
-//! truncated off and the engine state is rebuilt at the previous epoch
-//! — so it degrades to a rolled-back transaction and the session stays
-//! writable. Only an unwind that cannot complete — the rebuild fails,
-//! or the WAL record cannot be cut off, so it could still replay —
-//! poisons the session, and [`prelude::Session::recover`] retries it:
+//! truncated off the log and what it appended in memory is truncated
+//! off the engine, which is back at the previous epoch for the price of
+//! the failed commit, not of the program (the ground state is
+//! append-only, so undoing a commit is cutting a suffix off; the model,
+//! written last, was never touched) — so it degrades to a rolled-back
+//! transaction and the session stays writable. Only an unwind that
+//! cannot complete — the WAL record cannot be cut off, so it could
+//! still replay — poisons the session, as does a panic escaping
+//! mid-commit, after which no in-memory invariant can be trusted and
+//! [`prelude::Session::recover`] rebuilds the engine from source:
 //! *unwind or poison*, never carry on over a record nobody was acked
 //! for. The crash-injection harness behind this lives in
 //! [`durable`](gsls_durable): a [`internals::FaultPlan`]-driven storage
@@ -111,10 +116,10 @@
 //! |-------|------|-------------|
 //! | [`prelude::SessionError::Rejected`] | up-front validation / lint gate | untouched — nothing journaled |
 //! | `Interrupted { phase: Admission, .. }` | predicted cost exceeds a [`prelude::CommitOpts`] cap | untouched — rejected before the WAL |
-//! | `Interrupted { phase: Grounding \| ModelRefresh, .. }` | deadline, cancel, or budget trips mid-apply | rolled back — WAL record truncated, engine rebuilt at the previous epoch |
+//! | `Interrupted { phase: Grounding \| ModelRefresh, .. }` | deadline, cancel, or budget trips mid-apply | rolled back — WAL record truncated, engine truncated to the previous epoch (cost: what the commit appended; `rollback.truncations`) |
 //! | [`prelude::SessionError::Grounding`] | the grounder's own clause budget | rolled back, same path |
 //! | [`prelude::SessionError::Durable`] | storage failure on the WAL append (or its fsync) | untouched in memory; the frame is cut back off the WAL (the log refuses further appends until it is), so the commit never happened |
-//! | [`prelude::SessionError::Poisoned`] | an unwind could not complete (rebuild failed, or the WAL record could not be cut off), a group's covering fsync failed, or a panic escaped mid-commit | reads serve the last consistent model; [`prelude::Session::recover`] completes the unwind — engine *and* WAL back at the last acked state |
+//! | [`prelude::SessionError::Poisoned`] | an unwind could not complete (the WAL record could not be cut off), a group's covering fsync failed, or a panic escaped mid-commit | reads serve the last consistent model; [`prelude::Session::recover`] completes the unwind — engine (truncated; rebuilt from source after a panic, `rollback.rebuilds`) *and* WAL back at the last acked state |
 //!
 //! The [`prelude::InterruptCause`] inside `Interrupted` says *why*
 //! (`Cancelled`, `DeadlineExceeded`, `MemoryBudget`); the

@@ -30,6 +30,9 @@
 //! streamed (a *partial* outcome, like a resolution budget), because
 //! read-only evaluation has nothing to roll back.
 
+mod common;
+
+use common::assert_matches_rebuild;
 use global_sls::internals::Guard;
 use global_sls::prelude::*;
 use gsls_workloads::win_grid;
@@ -69,6 +72,16 @@ const WALK_BASE: &str = "
     p(X) :- f(X), ~g(X).
     f(c0).
 ";
+
+/// Goals for the truncate ≡ rebuild fingerprint every sweep below takes
+/// after a rollback (`common::assert_matches_rebuild`): a scan, and a
+/// literal bound in its first, its second and a joined position.
+const GOALS: [&str; 4] = [
+    "?- w(X).",
+    "?- e(k0, Y), ~w(Y).",
+    "?- e(X, k1).",
+    "?- f(X), t(X, Y).",
+];
 
 /// The model as displayable fact sets (true, undefined).
 fn fingerprint(s: &Session) -> (BTreeSet<String>, BTreeSet<String>) {
@@ -312,6 +325,7 @@ fn interrupt_at_every_phase(durable: bool) {
         assert!(!s.is_poisoned(), "fuel {fuel}: interrupt must not poison");
         assert_eq!(s.epoch(), epoch_before, "fuel {fuel}");
         assert_eq!(fingerprint(&s), fp_before, "fuel {fuel}: state diverged");
+        assert_matches_rebuild(&mut s, &[], &GOALS, &format!("fuel {fuel}"));
         if let (Some(d), Some(before)) = (&dir, wal_before) {
             use global_sls::durable::{scan_dir, wal_path};
             let gens = scan_dir(d).unwrap();
@@ -391,6 +405,8 @@ fn interrupt_at_every_check_of_a_retraction() {
         }
         assert!(!s.is_poisoned(), "fuel {fuel}: interrupt must not poison");
         assert_eq!(fingerprint(&s), fp_before, "fuel {fuel}: state diverged");
+        let goals = ["?- t(k0, Y).", "?- e(X, k41).", "?- t(X, k80)."];
+        assert_matches_rebuild(&mut s, &[], &goals, &format!("fuel {fuel}"));
     }
     assert!(
         interrupts >= 2,
@@ -469,6 +485,7 @@ fn panic_at_every_stage(durable: bool) {
             fp_before,
             "fuel {fuel}: recovered state diverged"
         );
+        assert_matches_rebuild(&mut s, &[], &GOALS, &format!("fuel {fuel}"));
     }
     assert!(panicked >= 2, "the sweep should panic in several stages");
 
@@ -630,6 +647,8 @@ fn cancel_interleaved_walk(seed: u64) {
                         fp_before,
                         "seed {seed} step {step}: interrupted commit leaked state"
                     );
+                    let ctx = format!("seed {seed} step {step}: truncated");
+                    assert_matches_rebuild(&mut s, &[], &GOALS, &ctx);
                     // Retry ungoverned: the session must not hold a
                     // grudge.
                     s.assert_facts(&batch).expect("retry commits");
@@ -648,6 +667,8 @@ fn cancel_interleaved_walk(seed: u64) {
                         fp_before,
                         "seed {seed} step {step}: recovery diverged"
                     );
+                    let ctx = format!("seed {seed} step {step}: recovered");
+                    assert_matches_rebuild(&mut s, &[], &GOALS, &ctx);
                     s.assert_facts(&batch).expect("retry after recovery");
                     committed.push(batch.clone());
                 }

@@ -114,7 +114,9 @@ fn wide_rule_opts() -> RandomRelationalOpts {
 /// opening with a fact so the active domain never starts empty — as an
 /// initial program plus 1–4 batches cut at random points, all-fact
 /// batches through `extend` (source facts) and the rest through
-/// `add_rules` (whose facts are permanent); (2) one batch grounding of
+/// `add_rules` (whose facts are permanent), each batch first fed
+/// *doomed* and cut back off with `truncate_to` (truncate ≡ never having
+/// fed it); (2) one batch grounding of
 /// the merged program; (3) the naive oracle on it. A source and a
 /// permanent copy of one fact count as one clause; a bodied clause
 /// stored twice is a failure.
@@ -152,13 +154,28 @@ fn assert_kernel_matches_batch_and_naive(opts: RandomRelationalOpts, seed: u64) 
         for c in batch {
             fed.push(c.clone());
         }
-        if batch.iter().all(|c| c.is_fact() && c.is_ground(&store)) {
-            let atoms: Vec<Atom> = batch.iter().map(|c| c.head.clone()).collect();
-            kernel.extend(&mut store, &atoms, &Guard::none())
-        } else {
-            kernel.add_rules(&mut store, &fed, first_new, &Guard::none())
-        }
-        .expect("batch grounds");
+        let mut feed = |kernel: &mut IncrementalGrounder, guard: &Guard| {
+            if batch.iter().all(|c| c.is_fact() && c.is_ground(&store)) {
+                let atoms: Vec<Atom> = batch.iter().map(|c| c.head.clone()).collect();
+                kernel.extend(&mut store, &atoms, guard)
+            } else {
+                kernel.add_rules(&mut store, &fed, first_new, guard)
+            }
+        };
+        // Every batch is fed twice: first doomed — starved of fuel so it
+        // stops at its first or second guard check, or (unstarved) run
+        // to completion — and cut back off the kernel, then for real.
+        // The cut must leave nothing behind that the second feed, or
+        // any later batch, could trip over.
+        let mark = kernel.mark();
+        let doomed = match below(3) {
+            2 => Guard::none(),
+            fuel => Guard::builder().fuel(fuel as u64).build(),
+        };
+        let _ = feed(&mut kernel, &doomed);
+        kernel.truncate_to(&mark);
+        assert_eq!(kernel.mark(), mark, "cuts {cuts:?}, seed {seed}");
+        feed(&mut kernel, &Guard::none()).expect("batch grounds");
     }
     let mut fed_in_batches = sorted_clauses(&store, kernel.ground_program());
     fed_in_batches.dedup_by(|a, b| a == b && !a.contains(":-"));

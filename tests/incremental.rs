@@ -48,7 +48,22 @@
 //! answers plus the unsealed tail on either board, seals exactly when
 //! the tail rule says, and a session that never asks such a query
 //! builds no index at all.
+//!
+//! PR 22 adds **rollback is a truncation**: a commit interrupted at any
+//! of its guard checks, whatever kind of batch it carried, leaves a
+//! session indistinguishable from a from-source rebuild — now and after
+//! the same eight further commits on both (`tests/common` holds the
+//! fingerprint); a group whose covering fsync failed is cut back across
+//! its successful commits while a snapshot taken inside it keeps
+//! answering as its epoch's rebuild does; and the **rollback work
+//! gate**: the `rollback.*` counters of a doomed insert are the same
+//! small constants on a 32×32 and a 64×64 board.
 
+mod common;
+
+use common::{
+    assert_fingerprints_eq, assert_matches_rebuild, frozen_answers, rebuilt_like, state_fingerprint,
+};
 use gsls_ground::{Grounder, GrounderOpts, HerbrandOpts};
 use gsls_lang::TermStore;
 use gsls_wfs::{
@@ -1009,17 +1024,6 @@ struct Frozen {
     source: String,
 }
 
-fn frozen_answers(snapshot: &global_sls::prelude::Snapshot, goal: &str) -> Vec<(String, u8)> {
-    let q = snapshot.prepare(goal).expect("goal compiles on a snapshot");
-    let mut rows: Vec<(String, u8)> = q
-        .execute(snapshot)
-        .expect("snapshot run")
-        .map(|a| (q.render_answer(snapshot, &a), a.truth as u8))
-        .collect();
-    rows.sort();
-    rows
-}
-
 impl Frozen {
     fn capture(s: &mut global_sls::prelude::Session, source: String) -> Frozen {
         let snapshot = s.snapshot();
@@ -1181,10 +1185,10 @@ fn frozen_bulk(rng: &mut Walk, next_const: &mut usize, epoch: u64) -> Vec<String
     facts
 }
 
-/// Commits `facts` on one unit of fuel: interrupted at its first guard
-/// check, the commit rolls back through an engine rebuild — or, with
+/// Commits `facts` on one unit of fuel: interrupted at its second guard
+/// check, the commit is rolled back by truncation — or, with
 /// `panic_on_fuel`, panics there and poisons the session until
-/// `recover()`, which rebuilds too. Either way the epoch stands.
+/// `recover()`, which rebuilds the engine. Either way the epoch stands.
 fn doomed_commit(s: &mut global_sls::prelude::Session, facts: &str, panic_on_fuel: bool) {
     use global_sls::prelude::*;
     let epoch = s.epoch();
@@ -1250,14 +1254,17 @@ fn snapshot_isolation_walk(seed: u64, commits: usize, retain: usize, faults: boo
         for step in 0..commits {
             let epoch = s.epoch();
             if faults && step == commits / 2 {
-                // A commit interrupted at its first guard check rolls
-                // back through an engine rebuild; one that panics there
-                // poisons the session until `recover()`. Either way the
+                // A commit interrupted mid-grounding is truncated off
+                // again, under the live snapshots that share its
+                // chunks; one that panics there poisons the session
+                // until `recover()` rebuilds it. Either way the
                 // committed state — and every snapshot of it — stands.
                 let doomed = frozen_bulk(&mut rng, &mut next_const, epoch).join(" ");
                 for panic_on_fuel in [false, true] {
                     doomed_commit(&mut s, &doomed, panic_on_fuel);
                     kept.iter().for_each(|f| f.recheck());
+                    let ctx = format!("seed {seed}, panic {panic_on_fuel}");
+                    assert_matches_rebuild(&mut s, &retracted, &FROZEN_GOALS, &ctx);
                 }
             }
             match rng.below(6) {
@@ -1339,8 +1346,8 @@ fn snapshot_isolation_holds_with_many_one_and_no_live_snapshots() {
     }
 }
 
-/// Through a fuel-1 rollback (engine rebuilt under the live snapshots)
-/// and a mid-commit panic followed by `recover()`.
+/// Through a fuel-1 rollback (the engine truncated under the live
+/// snapshots) and a mid-commit panic followed by `recover()` (rebuilt).
 #[test]
 fn snapshot_isolation_survives_rollback_and_recover() {
     for seed in [21u64, 22] {
@@ -1362,11 +1369,15 @@ fn snapshot_isolation_holds_under_concurrent_readers() {
 ///   more than two chunks of `e` atoms later): it must take exactly its
 ///   own prefix of it — equal to its epoch's rebuild, no id past its own
 ///   atom count (which would index past its model) — and seal nothing.
-/// * A fuel-1 rollback and a panic + `recover()` rebuild the engine: a
-///   **new lineage**, whose atom ids owe nothing to the old one's. It
-///   must start with an empty cell — observed as sealing afresh, where
-///   an inherited full-length run would have been taken as is — while
-///   the old lineage's snapshots keep their runs and their answers.
+/// * A fuel-1 rollback **truncates**: the session is the same lineage
+///   cut back to a prefix, and every run over that prefix is still
+///   right — it keeps them, observed as sealing *nothing* when readers
+///   return to it (what a rollback used to cost them: a full re-seal).
+/// * A panic + `recover()` **rebuilds** the engine: a new lineage, whose
+///   atom ids owe nothing to the old one's. It must start with an empty
+///   cell — observed as sealing afresh, where an inherited full-length
+///   run would have been taken as is — while the old lineage's
+///   snapshots keep their runs and their answers.
 /// * Several readers released together onto a fresh lineage all seal
 ///   the same `(predicate, position)` at once: whichever run gets
 ///   installed, every one of them answers alike.
@@ -1424,7 +1435,8 @@ fn snapshot_isolation_across_runs_of_different_length() {
     let [seals] = counter_growth(&mut s, SEALS, |_| got = joins(&s1));
     assert_eq!((seals, &got), (0, &want1), "S1 under S2's longer runs");
 
-    // A rolled-back and a recovered commit: each a new lineage.
+    // A rolled-back commit — the same lineage, cut back — and a
+    // recovered one: a new lineage.
     let doomed = frozen_bulk(&mut rng, &mut next_const, s.epoch()).join(" ");
     for panic_on_fuel in [false, true] {
         doomed_commit(&mut s, &doomed, panic_on_fuel);
@@ -1447,14 +1459,18 @@ fn snapshot_isolation_across_runs_of_different_length() {
                 }
             });
         });
-        assert!(
-            (RUNS..=RUNS * readers as u64).contains(&seals),
-            "panic {panic_on_fuel}: the rebuilt engine sealed {seals} runs — it must not \
-             inherit the old lineage's, and each reader seals a position at most once"
-        );
+        if panic_on_fuel {
+            assert!(
+                (RUNS..=RUNS * readers as u64).contains(&seals),
+                "the rebuilt engine sealed {seals} runs — it must not inherit the old \
+                 lineage's, and each reader seals a position at most once"
+            );
+        } else {
+            assert_eq!(seals, 0, "the truncated engine lost runs that still fit");
+        }
         // The old lineage is untouched by all that.
         let [seals] = counter_growth(&mut s, SEALS, |_| got = joins(&s2));
-        assert_eq!((seals, &got), (0, &want2), "S2 after the rebuild");
+        assert_eq!((seals, &got), (0, &want2), "S2 after the rollback");
     }
 }
 
@@ -1466,24 +1482,27 @@ fn snapshot_isolation_across_runs_of_different_length() {
 /// query-path counters as exact counts, the same on a 32×32 and a 64×64
 /// board. `n5` sits on the top row of either board and moves right and
 /// down, so `?- move(n5, Y), ~win(Y).` has two candidates wherever the
-/// index has sealed — plus the atoms appended since, the tail, which a
-/// re-seal empties once it passes `1024 + covered / 16`. The index is
-/// built on demand: a session that commits, snapshots and enumerates
-/// `?- win(X).` (a scan, as ever) seals nothing and accounts for not one
-/// byte more; the first join seals once and the memory guard sees the
-/// run; the next hundred, live or on a snapshot taken before the seal,
-/// seal nothing.
+/// index has sealed — plus the atoms appended since, the tail, which is
+/// never longer than 64: the join that finds it longer merges it into
+/// the index's small run, and the small run folds into the big one once
+/// it passes `1024 + base / 16`. The index is built on demand: a
+/// session that commits, snapshots and enumerates `?- win(X).` (a scan,
+/// as ever) seals nothing and accounts for not one byte more; the first
+/// join seals once and the memory guard sees the run; the next hundred,
+/// live or on a snapshot taken before the seal, seal nothing.
 #[test]
 fn join_candidates_are_bounded_by_the_answers_not_the_board() {
     use global_sls::prelude::*;
-    const NAMES: [&str; 4] = [
+    const NAMES: [&str; 5] = [
         "query.index_lookups",
         "query.index_seals",
+        "query.index_merges",
         "query.scans",
         "query.candidates",
     ];
     const JOIN: &str = "?- move(n5, Y), ~win(Y).";
     const OUT_DEGREE: u64 = 2;
+    const TAIL: u64 = 64;
     let atoms_of = |s: &Session, name: &str| -> u64 {
         let cards = s.ground_program().pred_cardinalities();
         let of = cards
@@ -1508,7 +1527,7 @@ fn join_candidates_are_bounded_by_the_answers_not_the_board() {
         });
         assert_eq!(
             enumeration,
-            [0, 0, 2, 2 * wins],
+            [0, 0, 0, 2, 2 * wins],
             "{side}x{side}: ?- win(X)."
         );
         assert_eq!(
@@ -1521,7 +1540,7 @@ fn join_candidates_are_bounded_by_the_answers_not_the_board() {
         let first = counter_growth(&mut s, NAMES, |s| {
             s.query(JOIN).expect("first join");
         });
-        assert_eq!(first, [1, 1, 0, OUT_DEGREE], "{side}x{side}: first join");
+        assert_eq!(first, [1, 1, 0, 0, OUT_DEGREE], "{side}x{side}: first join");
         assert_eq!(index_bytes(&s), bytes + 8 * moves as usize, "{side}x{side}");
         let warm = counter_growth(&mut s, NAMES, |s| {
             for _ in 0..50 {
@@ -1529,32 +1548,52 @@ fn join_candidates_are_bounded_by_the_answers_not_the_board() {
                 frozen_answers(&early, JOIN);
             }
         });
-        assert_eq!(warm, [100, 0, 0, 100 * OUT_DEGREE], "{side}x{side}: warm");
+        assert_eq!(
+            warm,
+            [100, 0, 0, 0, 100 * OUT_DEGREE],
+            "{side}x{side}: warm"
+        );
 
-        // An append walk: every join tries its two answers plus the tail,
-        // and the tail is re-sealed exactly when the rule says.
-        let (mut covered, mut len, mut reseals) = (moves, moves, 0u64);
+        // An append walk, 200 atoms then 30, a join after each: every
+        // join tries its two answers plus a tail of at most 64 — the 200
+        // were merged in by the join that met them, the 30 are walked —
+        // and the small run folds into the big one exactly when the rule
+        // says.
+        let (mut base, mut covered, mut len) = (moves, moves, moves);
+        let (mut folds, mut merges) = (0u64, 0u64);
+        let mut walk = Vec::new();
         for batch in 0..14 {
-            let facts: Vec<String> = (0..200)
-                .map(|i| format!("move(x{batch}_{i}, n6)."))
-                .collect();
-            s.assert_facts(&facts.join(" ")).expect("append");
-            len += 200;
-            let reseal = len - covered > 1024 + covered / 16;
-            if reseal {
-                (covered, reseals) = (len, reseals + 1);
+            for (step, n) in [(0, 200u64), (1, 30)] {
+                let facts: Vec<String> = (0..n)
+                    .map(|i| format!("move(x{batch}_{step}_{i}, n6)."))
+                    .collect();
+                s.assert_facts(&facts.join(" ")).expect("append");
+                len += n;
+                let (mut fold, mut merge) = (0, 0);
+                if len - covered > TAIL {
+                    if len - base > 1024 + base / 16 {
+                        (fold, base) = (1, len);
+                    } else {
+                        merge = 1;
+                    }
+                    covered = len;
+                }
+                let join = counter_growth(&mut s, NAMES, |s| {
+                    s.query(JOIN).expect("join over a tail");
+                });
+                let want = [1, fold, merge, 0, OUT_DEGREE + (len - covered)];
+                assert_eq!(join, want, "{side}x{side}: batch {batch}.{step}");
+                assert!(len - covered <= TAIL);
+                folds += fold;
+                merges += merge;
+                walk.push([fold + merge, OUT_DEGREE + (len - covered)]);
             }
-            let join = counter_growth(&mut s, NAMES, |s| {
-                s.query(JOIN).expect("join over a tail");
-            });
-            let want = [1, u64::from(reseal), 0, OUT_DEGREE + (len - covered)];
-            assert_eq!(join, want, "{side}x{side}: batch {batch}");
         }
         assert!(
-            reseals >= 1,
-            "{side}x{side}: the walk never crossed the threshold"
+            folds >= 1 && merges >= 10,
+            "{side}x{side}: {folds} folds, {merges} merges — the walk crossed too few thresholds"
         );
-        boards.push((first, warm));
+        boards.push((first, warm, walk));
     }
     assert_eq!(boards[0], boards[1], "the same counts on both boards");
 }
@@ -1711,4 +1750,551 @@ fn approx_bytes_track_the_flat_accounting() {
         before
     );
     drop(held);
+}
+
+// ---------------------------------------------------------------------
+// Rollback is a truncation: truncate ≡ rebuild, and the same future.
+// ---------------------------------------------------------------------
+
+/// Where every rollback case starts: the isolation walk's program with
+/// two of its three rules in, one bulk of facts committed and twenty of
+/// them retracted — so the atom table, both dedup spaces, the fact
+/// rows, the retracted set and the model all have something in them —
+/// plus the pieces the doomed batches and the commits after them are
+/// made of, generated once so both sides of a comparison get the same
+/// text.
+struct RollbackBed {
+    s: global_sls::prelude::Session,
+    active: Vec<String>,
+    retracted: Vec<String>,
+    /// A bulk over fresh constants (it grows the active domain).
+    fresh: Vec<String>,
+    /// A second one, for after the rollback.
+    later: Vec<String>,
+}
+
+/// The kinds of batch a rollback has to undo.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Doomed {
+    Facts,
+    Retract,
+    Reassert,
+    Mixed,
+    Rules,
+}
+
+const ROLLBACK_RULES: &str = "q(X, Y) :- e(X, Y), e(Y, X). m(X) :- f(X), ~q(X, X). d(X) :- ~f(X).";
+
+fn rollback_bed(seed: u64) -> RollbackBed {
+    use global_sls::prelude::*;
+    let mut rng = Walk(seed);
+    let mut s = Session::from_source(FROZEN_BASE).expect("base program grounds");
+    // `d/1` enumerates the active domain: deniable, and wanted here.
+    s.set_lint_config(LintConfig::permissive());
+    s.add_rules(FROZEN_RULES[0]).expect("rule 0");
+    s.add_rules(FROZEN_RULES[1]).expect("rule 1");
+    let mut next_const = 0usize;
+    let mut active = frozen_bulk(&mut rng, &mut next_const, 0);
+    s.assert_facts(&active.join(" ")).expect("bulk assert");
+    let retracted: Vec<String> = (0..20)
+        .map(|_| active.swap_remove(rng.below(active.len())))
+        .collect();
+    s.retract_facts(&retracted.join(" ")).expect("retract");
+    let fresh = frozen_bulk(&mut rng, &mut next_const, 1);
+    let later = frozen_bulk(&mut rng, &mut next_const, 2);
+    RollbackBed {
+        s,
+        active,
+        retracted,
+        fresh,
+        later,
+    }
+}
+
+impl RollbackBed {
+    /// Buffers the doomed batch of `kind` into an open transaction.
+    fn buffer(&mut self, kind: Doomed) {
+        let s = &mut self.s;
+        s.begin().expect("begin");
+        if kind == Doomed::Rules {
+            s.add_rules(ROLLBACK_RULES).expect("buffered rules");
+        }
+        if matches!(kind, Doomed::Facts | Doomed::Mixed | Doomed::Rules) {
+            s.assert_facts(&self.fresh.join(" ")).expect("buffered");
+        }
+        if matches!(kind, Doomed::Reassert | Doomed::Mixed) {
+            s.assert_facts(&self.retracted[..10].join(" "))
+                .expect("buffered");
+        }
+        if matches!(kind, Doomed::Retract | Doomed::Mixed) {
+            s.retract_facts(&self.active[..30].join(" "))
+                .expect("buffered");
+        }
+    }
+
+    /// The retracted set after the doomed batch of `kind` *committed*.
+    fn retracted_after(&self, kind: Doomed) -> Vec<String> {
+        let mut out = self.retracted.clone();
+        if matches!(kind, Doomed::Reassert | Doomed::Mixed) {
+            out.drain(..10);
+        }
+        if matches!(kind, Doomed::Retract | Doomed::Mixed) {
+            out.extend_from_slice(&self.active[..30]);
+        }
+        out
+    }
+
+    /// The eight commits every comparison goes on with, as `(asserts,
+    /// retracts, rules)` text: first the very batch that was rolled
+    /// back (its names, ids and dedup entries must all be free again),
+    /// then retractions inside it, re-assertions of old retractions,
+    /// fresh constants, a rule, and facts tying new constants to old.
+    fn future(&self, kind: Doomed) -> Vec<[String; 3]> {
+        let none = String::new;
+        let rules = if kind == Doomed::Rules {
+            "k(X) :- f(X), e(X, Y)."
+        } else {
+            ROLLBACK_RULES
+        };
+        vec![
+            [self.fresh.join(" "), none(), none()],
+            [
+                none(),
+                format!(
+                    "{} {}",
+                    self.fresh[5..15].join(" "),
+                    self.active[40..45].join(" ")
+                ),
+                none(),
+            ],
+            [self.retracted[10..].join(" "), none(), none()],
+            [self.later.join(" "), none(), none()],
+            [none(), none(), rules.to_owned()],
+            [none(), self.active[50..65].join(" "), none()],
+            [
+                format!(
+                    "{} e(c3, zq0). f(zq0). e(zq0, zq1).",
+                    self.fresh[5..10].join(" ")
+                ),
+                none(),
+                none(),
+            ],
+            [
+                "e(zq1, c0). g(zq0).".to_owned(),
+                self.later[..8].join(" "),
+                none(),
+            ],
+        ]
+    }
+}
+
+fn apply_future(s: &mut global_sls::prelude::Session, [asserts, retracts, rules]: &[String; 3]) {
+    s.begin().expect("begin");
+    if !rules.is_empty() {
+        s.add_rules(rules).expect("buffered rules");
+    }
+    if !asserts.is_empty() {
+        s.assert_facts(asserts).expect("buffered asserts");
+    }
+    if !retracts.is_empty() {
+        s.retract_facts(retracts).expect("buffered retracts");
+    }
+    s.commit().expect("future commit");
+}
+
+const ROLLBACK_COUNTERS: [&str; 3] = [
+    "rollback.truncations",
+    "rollback.rebuilds",
+    "rollback.reprimes",
+];
+
+/// **Truncate ≡ rebuild, and the same future.** Every kind of batch —
+/// fresh facts (the active domain grows), retractions, re-assertions,
+/// all three at once, and a rule batch — is interrupted at *every*
+/// guard check it performs (fuel 1, 2, … until it commits): in the
+/// seed round, mid-join, between rounds, in the chains' growth and
+/// switching, in the cone walk and in every round of the alternation.
+/// Each time the session, rolled back by truncation, must be
+/// indistinguishable from what it was, and from `EngineState::build`
+/// over the same source — verdicts, goal answers through all three
+/// access paths, the clause multiset, cardinalities, the active domain —
+/// and so must a twin whose commit *panicked* at the same check and
+/// was `recover()`ed through the rebuild. Then the truncated session
+/// and the rebuilt oracle run the same eight commits, starting with the
+/// rolled-back batch itself, and must agree after each: a stale dedup
+/// entry, `fact_clause` slot, fact row or posting steers only *later*
+/// grounding.
+#[test]
+fn rollback_truncation_matches_rebuild() {
+    use global_sls::prelude::*;
+    for (seed, kind) in [
+        (51u64, Doomed::Facts),
+        (52, Doomed::Retract),
+        (53, Doomed::Reassert),
+        (54, Doomed::Mixed),
+        (55, Doomed::Rules),
+    ] {
+        let mut reprimed = 0u64;
+        let mut fuel = 0u64;
+        loop {
+            fuel += 1;
+            let ctx = format!("{kind:?}, fuel {fuel}");
+            let mut bed = rollback_bed(seed);
+            let before = state_fingerprint(&mut bed.s, &FROZEN_GOALS);
+            let epoch = bed.s.epoch();
+            let program_len = bed.s.program().len();
+            let bytes = bed.s.ground_program().approx_bytes();
+
+            // The truncation arm.
+            bed.buffer(kind);
+            let opts = CommitOpts {
+                fuel: Some(fuel),
+                ..CommitOpts::default()
+            };
+            let mut outcome = None;
+            let [cut, rebuilt, reprimes] = counter_growth(&mut bed.s, ROLLBACK_COUNTERS, |s| {
+                outcome = Some(s.commit_with(&opts));
+            });
+            match outcome.expect("ran") {
+                Ok(_) => {
+                    assert_eq!([cut, rebuilt], [0, 0], "{ctx}: nothing to roll back");
+                    let retracted = bed.retracted_after(kind);
+                    assert_matches_rebuild(&mut bed.s, &retracted, &FROZEN_GOALS, &ctx);
+                    break;
+                }
+                Err(SessionError::Interrupted { .. }) => {}
+                Err(other) => panic!("{ctx}: {other:?}"),
+            }
+            assert_eq!([cut, rebuilt], [1, 0], "{ctx}: a clean Err truncates");
+            reprimed += reprimes;
+            assert!(!bed.s.is_poisoned(), "{ctx}");
+            assert_eq!(
+                (bed.s.epoch(), bed.s.program().len()),
+                (epoch, program_len),
+                "{ctx}"
+            );
+            let cut_back = state_fingerprint(&mut bed.s, &FROZEN_GOALS);
+            assert_fingerprints_eq(&cut_back, &before, &format!("{ctx}: ≡ before"));
+            let mut oracle = rebuilt_like(&bed.s, &bed.retracted);
+            let built = state_fingerprint(&mut oracle, &FROZEN_GOALS);
+            assert_fingerprints_eq(&cut_back, &built, &format!("{ctx}: ≡ rebuild"));
+            // What the memory guard will be told: within a chunk's worth
+            // of slack of what it was (capacities the doomed batch grew
+            // stay grown), not a board's.
+            let now = bed.s.ground_program().approx_bytes();
+            assert!(
+                now >= bytes && now - bytes <= bytes / 2 + (64 << 10),
+                "{ctx}: approx_bytes {bytes} -> {now}"
+            );
+
+            // The rebuild arm: the same commit panics at the same check.
+            let mut twin = rollback_bed(seed);
+            twin.buffer(kind);
+            let panicking = CommitOpts {
+                panic_on_fuel: true,
+                ..opts
+            };
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                twin.s.commit_with(&panicking)
+            }));
+            assert!(unwound.is_err() && twin.s.is_poisoned(), "{ctx}: panics");
+            let [cut, rebuilt, _] = counter_growth(&mut twin.s, ROLLBACK_COUNTERS, |s| {
+                s.recover().expect("recover");
+            });
+            assert_eq!([cut, rebuilt], [0, 1], "{ctx}: after a panic, rebuild");
+            let recovered = state_fingerprint(&mut twin.s, &FROZEN_GOALS);
+            assert_fingerprints_eq(&recovered, &before, &format!("{ctx}: recovered"));
+
+            // The same future on the truncated session and the oracle.
+            for (i, step) in bed.future(kind).iter().enumerate() {
+                apply_future(&mut bed.s, step);
+                apply_future(&mut oracle, step);
+                let (got, want) = (
+                    state_fingerprint(&mut bed.s, &FROZEN_GOALS),
+                    state_fingerprint(&mut oracle, &FROZEN_GOALS),
+                );
+                assert_fingerprints_eq(&got, &want, &format!("{ctx}: future commit {i}"));
+            }
+        }
+        assert!(
+            fuel >= 6,
+            "{kind:?}: only {fuel} guard checks — a vacuous sweep"
+        );
+        assert!(
+            kind == Doomed::Facts || reprimed >= 1,
+            "{kind:?}: no interrupt ever landed inside a fixpoint chain"
+        );
+    }
+}
+
+/// **A mark that spans successful commits, with a snapshot inside the
+/// cut range.** A group of three commits — a bulk over fresh constants,
+/// a retract + re-assert, another bulk — is applied and then loses its
+/// covering fsync: the session is poisoned with all three in memory,
+/// and reads keep serving, so a snapshot taken now sits *inside* the
+/// range `recover()` is about to cut, sharing its chunks. A reader
+/// fingerprints it (sealing runs longer than anything the cut leaves).
+/// `recover()` then truncates across the three epochs — here the model
+/// *was* overwritten, so it is refreshed below the cone of what is
+/// dropped — and:
+///
+/// * the session is its pre-group self and ≡ a rebuild, and it kept the
+///   runs that fit (its joins seal nothing: the rollback cost the
+///   readers nothing), while the too-long ones are gone from its cell;
+/// * the snapshot from inside, and one from before, answer exactly as
+///   they did and as their epochs' rebuilds do — also after the writer
+///   has pushed *different* atoms into the very chunk positions, ids
+///   and table slots the cut freed;
+/// * a run the stranded snapshot seals *after* the fork (a position
+///   nobody had asked for) never reaches the session, which seals its
+///   own and answers from the atoms it really has.
+#[test]
+fn rollback_of_a_group_strands_its_snapshots_on_a_dead_branch() {
+    use global_sls::internals::FaultPlan;
+    use global_sls::prelude::*;
+
+    let dir = entry_temp_dir("rollback_group");
+    // Syncs #0 and #1 are the two set-up commits'; #2 covers the group.
+    let dopts = DurableOpts {
+        storage: StorageKind::Faulty(FaultPlan {
+            fail_syncs: vec![2],
+            ..FaultPlan::default()
+        }),
+        checkpoint_records: usize::MAX,
+        checkpoint_bytes: u64::MAX,
+        ..DurableOpts::default()
+    };
+    // With the two-column rule `q` in: `(q, 0)` is the position nobody
+    // asks about until after the fork.
+    let base = format!("{FROZEN_BASE} {}", FROZEN_RULES[2]);
+    let mut store = TermStore::new();
+    let program = parse_program(&mut store, &base).expect("base parses");
+    let mut s = Session::open_with_parts(&dir, store, program, GrounderOpts::default(), dopts)
+        .expect("durable open");
+    let mut rng = Walk(61);
+    let mut next_const = 0usize;
+    let mut active = frozen_bulk(&mut rng, &mut next_const, 0);
+    s.assert_facts(&active.join(" ")).expect("bulk (sync #0)");
+    let retracted: Vec<String> = (0..12)
+        .map(|_| active.swap_remove(rng.below(active.len())))
+        .collect();
+    s.retract_facts(&retracted.join(" "))
+        .expect("retract (sync #1)");
+    let source = |active: &[String]| format!("{base}\n{}", active.join("\n"));
+    // Before the group: its fingerprinting seals the runs that will fit.
+    let old = Frozen::capture(&mut s, source(&active));
+    let before = state_fingerprint(&mut s, &FROZEN_GOALS);
+    let epoch = s.epoch();
+
+    let mut first = frozen_bulk(&mut rng, &mut next_const, 1);
+    first.push("e(u0, u1). e(u1, u0). f(u0).".to_owned());
+    let third = frozen_bulk(&mut rng, &mut next_const, 2);
+    let mut batch = |asserts: &str, retracts: &str| {
+        let mut atoms = |src: &str| -> Vec<Atom> {
+            parse_program(s.store_mut(), src)
+                .expect("facts parse")
+                .clauses()
+                .iter()
+                .map(|c| c.head.clone())
+                .collect()
+        };
+        let batch = UpdateBatch {
+            asserts: atoms(asserts),
+            retracts: atoms(retracts),
+            ..UpdateBatch::default()
+        };
+        (batch, CommitOpts::none())
+    };
+    let group = vec![
+        batch(&first.join(" "), ""),
+        batch(&retracted[..6].join(" "), &active[..9].join(" ")),
+        batch(&third.join(" "), ""),
+    ];
+    let err = s.commit_group(group).unwrap_err();
+    assert!(matches!(err, SessionError::Durable(_)), "got {err:?}");
+    assert!(s.is_poisoned() && s.epoch() == epoch + 3);
+
+    // Inside the range: all three commits applied.
+    let mut applied: Vec<String> = active[9..].to_vec();
+    applied.extend(retracted[..6].iter().cloned());
+    applied.extend(first.iter().chain(&third).cloned());
+    let merges = ["query.index_seals", "query.index_merges"];
+    let mut inside = None;
+    let built = counter_growth(&mut s, merges, |s| {
+        inside = Some(Frozen::capture(s, source(&applied)));
+    });
+    let inside = inside.expect("captured");
+    assert!(
+        built.iter().sum::<u64>() >= 2,
+        "the reader inside the range built no run past the cut: {built:?}"
+    );
+
+    let [cut, rebuilt, atoms] = counter_growth(
+        &mut s,
+        [
+            "rollback.truncations",
+            "rollback.rebuilds",
+            "rollback.dropped_atoms",
+        ],
+        |s| s.recover().expect("recover"),
+    );
+    assert_eq!([cut, rebuilt], [1, 0], "a failed group fsync truncates");
+    assert!(
+        atoms as usize > 2 * first.len(),
+        "three commits' atoms went"
+    );
+    assert!(!s.is_poisoned() && s.epoch() == epoch);
+    let cut_back = state_fingerprint(&mut s, &FROZEN_GOALS);
+    assert_fingerprints_eq(&cut_back, &before, "group: ≡ before");
+    assert_matches_rebuild(&mut s, &retracted, &FROZEN_GOALS, "group: ≡ rebuild");
+    // (Four fingerprints of the session since the cut, and not one run
+    // built: it kept the ones sealed before the group.)
+    let kept = counter_growth(&mut s, merges, |s| {
+        state_fingerprint(s, &FROZEN_GOALS);
+    });
+    assert_eq!(kept, [0, 0], "the session rebuilt runs it should have kept");
+    for frozen in [&old, &inside] {
+        frozen.recheck();
+        frozen.check_against_rebuild();
+    }
+
+    // After the fork the stranded snapshot seals `(q, 0)`, over a list
+    // that holds atoms the session no longer has…
+    const LATE: &str = "?- f(X), q(X, Y).";
+    let stranded = frozen_answers(&inside.snapshot, LATE);
+    assert!(!stranded.is_empty());
+    // …and the session interns *other* atoms under the freed ids, in the
+    // freed chunk positions and table slots.
+    let other: Vec<String> = (0..third.len() + first.len())
+        .map(|i| format!("e(y{i}, y{}). e(y{}, y{i}). f(y{i}).", i + 1, i + 1))
+        .collect();
+    s.assert_facts(&other.join(" "))
+        .expect("a different future");
+    active.extend(other);
+    let [seals] = counter_growth(&mut s, ["query.index_seals"], |s| {
+        let live = s.snapshot();
+        let got = frozen_answers(&live, LATE);
+        assert!(got.len() > stranded.len() && got.iter().any(|(row, _)| row == "X = y0, Y = y1"));
+    });
+    assert_eq!(seals, 1, "the session seals (q, 0) for itself");
+    assert_matches_rebuild(
+        &mut s,
+        &retracted,
+        &FROZEN_GOALS,
+        "group: a different future",
+    );
+    assert_eq!(frozen_answers(&inside.snapshot, LATE), stranded);
+    for frozen in [&old, &inside] {
+        frozen.recheck();
+        frozen.check_against_rebuild();
+    }
+    drop(s);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// A failed commit costs what it appended, not the program.
+// ---------------------------------------------------------------------
+
+/// The noise-free form of "rollback is O(delta)": the `rollback.*`
+/// registry counters as exact counts, the same on a 32×32 and a 64×64
+/// board. A leaf insert interrupted on one unit of fuel — at the second
+/// round's memory check, after its two atoms and two clauses are in —
+/// is undone by one truncation that drops exactly those, re-primes no
+/// chain (the interrupt never reached one) and rebuilds nothing; a
+/// batch of eight, the same times eight. Interrupted later — every fuel
+/// value up to the one that lets it commit, which puts the interrupt
+/// between the rounds of the alternation, with both chains grown over
+/// the suffix — the same insert still drops two and two, by switching
+/// the two clauses off on the chains (its cone, not a re-prime: a chain
+/// is only ever left unprimed by an interrupt *inside* one of its
+/// passes, a thousand work units in, which
+/// `rollback_truncation_matches_rebuild` reaches and this insert is too
+/// small to). That the engine was not rebuilt on the way
+/// also shows on the read side: the argument-index runs the readers
+/// had built are still there (a rebuilt engine starts with none).
+#[test]
+fn rollback_work_is_bounded_by_the_delta_not_the_board() {
+    use global_sls::prelude::*;
+    const NAMES: [&str; 5] = [
+        "rollback.truncations",
+        "rollback.rebuilds",
+        "rollback.reprimes",
+        "rollback.dropped_atoms",
+        "rollback.dropped_clauses",
+    ];
+    const JOIN: &str = "?- move(n5, Y), ~win(Y).";
+    let doomed = |s: &mut Session, facts: &str, fuel: u64| -> ([u64; 5], bool) {
+        let mut committed = false;
+        let counts = counter_growth(s, NAMES, |s| {
+            s.begin().expect("begin");
+            s.assert_facts(facts).expect("buffered");
+            let opts = CommitOpts {
+                fuel: Some(fuel),
+                ..CommitOpts::default()
+            };
+            committed = match s.commit_with(&opts) {
+                Ok(_) => true,
+                Err(SessionError::Interrupted { .. }) => false,
+                Err(other) => panic!("fuel {fuel}: {other:?}"),
+            };
+        });
+        (counts, committed)
+    };
+
+    let mut boards = Vec::new();
+    for side in [32usize, 64] {
+        let mut store = TermStore::new();
+        let program = win_grid(&mut store, side, side);
+        let mut s = Session::from_parts(store, program).expect("board grounds");
+        s.query(JOIN).expect("the readers' run is sealed");
+        let (atoms, clauses) = (
+            s.ground_program().atom_count(),
+            s.ground_program().clause_count(),
+        );
+
+        let (insert, _) = doomed(&mut s, "move(r0, n0).", 1);
+        assert_eq!(insert, [1, 0, 0, 2, 2], "{side}x{side}: doomed insert");
+        let batch: Vec<String> = (0..8).map(|i| format!("move(b{i}, n{i}).")).collect();
+        let (batch8, _) = doomed(&mut s, &batch.join(" "), 1);
+        assert_eq!(batch8, [1, 0, 0, 16, 16], "{side}x{side}: doomed batch8");
+
+        // At every later guard check too.
+        let mut sweep = Vec::new();
+        for fuel in 2.. {
+            let (counts, committed) = doomed(&mut s, "move(r1, n7).", fuel);
+            if committed {
+                assert_eq!(counts, [0; 5], "{side}x{side}: fuel {fuel} commits");
+                break;
+            }
+            assert_eq!(counts, [1, 0, 0, 2, 2], "{side}x{side}: fuel {fuel}");
+            sweep.push(fuel);
+        }
+        assert!(
+            sweep.len() >= 2,
+            "{side}x{side}: interrupted only at fuel {sweep:?}"
+        );
+        assert_eq!(
+            (
+                s.ground_program().atom_count(),
+                s.ground_program().clause_count()
+            ),
+            (atoms + 2, clauses + 2),
+            "{side}x{side}: only the committed insert stayed"
+        );
+        let kept = counter_growth(
+            &mut s,
+            [
+                "query.index_seals",
+                "query.index_merges",
+                "query.candidates",
+            ],
+            |s| {
+                s.query(JOIN).expect("join after the rollbacks");
+            },
+        );
+        assert_eq!(kept, [0, 0, 2 + 1], "{side}x{side}: the run survived");
+        boards.push((insert, batch8, sweep));
+    }
+    assert_eq!(boards[0], boards[1], "the same counts on both boards");
 }

@@ -243,6 +243,64 @@ fn guard_trips_leave_forensics() {
     assert!(detail.contains("deadline_over_ns"));
 }
 
+/// A rolled-back commit is observable end to end: the `rollback.*`
+/// counters say which way it was undone and what was dropped, the
+/// `commit.unwind` phase histogram takes one observation, and the ring
+/// shows the trip and then the unwind span, carrying the counts. A
+/// panicked commit recovered with `recover()` counts as a rebuild.
+#[test]
+fn rollbacks_are_counted_timed_and_traced() {
+    const COUNTERS: [&str; 5] = [
+        "rollback.truncations",
+        "rollback.rebuilds",
+        "rollback.reprimes",
+        "rollback.dropped_atoms",
+        "rollback.dropped_clauses",
+    ];
+    let mut s = Session::from_source("w(X) :- e(X, Y), ~w(Y). e(a, b).").unwrap();
+    let read = |s: &Session| {
+        let m = s.metrics();
+        (
+            COUNTERS.map(|name| m.counter(name).expect("registered at construction")),
+            m.histogram("commit.unwind").map_or(0, |h| h.count),
+        )
+    };
+    assert_eq!(read(&s), ([0; 5], 0));
+    s.recent_events();
+
+    let doomed = |s: &mut Session, panic_on_fuel: bool| {
+        s.begin().unwrap();
+        s.assert_facts("e(b, c). e(c, d).").unwrap();
+        let opts = CommitOpts {
+            fuel: Some(1),
+            panic_on_fuel,
+            ..CommitOpts::default()
+        };
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.commit_with(&opts)))
+    };
+    let err = doomed(&mut s, false).expect("no panic").unwrap_err();
+    assert!(matches!(err, SessionError::Interrupted { .. }), "{err:?}");
+    // e(b, c), e(c, d), w(c), w(d) and the four clauses over them.
+    assert_eq!(read(&s), ([1, 0, 0, 4, 4], 1));
+    let events = s.recent_events();
+    let at = |label: &str| events.iter().position(|e| e.label == label);
+    let (trip, unwind) = (at("guard.trip").unwrap(), at("commit.unwind").unwrap());
+    assert!(trip < unwind, "the trip, then the unwind");
+    let span = &events[unwind];
+    assert!(span.dur_ns > 0);
+    assert_eq!(
+        span.detail.as_deref(),
+        Some("dropped_atoms=4 dropped_clauses=4 reprimes=0")
+    );
+
+    assert!(doomed(&mut s, true).is_err(), "the injected panic escapes");
+    s.recover().unwrap();
+    assert_eq!(read(&s), ([1, 1, 0, 4, 4], 2));
+    // Undone either way: the same commit goes through, ungoverned.
+    s.assert_facts("e(b, c). e(c, d).").unwrap();
+    assert_eq!(s.truth("?- w(c).").unwrap(), Truth::True);
+}
+
 /// Query-path counters: executions, streamed answers, and the split
 /// between the three access paths — point lookup, argument index,
 /// predicate scan — also from snapshots on another thread.
@@ -258,10 +316,11 @@ fn query_counters_track_execution_shape() {
         (
             m.counter("query.index_lookups"),
             m.counter("query.index_seals"),
+            m.counter("query.index_merges"),
             m.counter("query.candidates"),
             m.counter("query.scans").unwrap_or(0),
         ),
-        (Some(1), Some(1), Some(1), 0),
+        (Some(1), Some(1), Some(0), Some(1), 0),
         "one bound argument: the index hands over move(a, b) alone, no scan"
     );
     // Fully-ground query → point lookup.

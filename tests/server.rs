@@ -8,7 +8,9 @@
 //! * the group-commit write path: concurrent committers are fsync'd in
 //!   groups, each client acked individually, per-batch governance
 //!   (an expired deadline interrupts exactly that client while the
-//!   session keeps serving);
+//!   session keeps serving; commits interrupted mid-apply between other
+//!   writers' are truncated off, never rebuilt, and nobody queues
+//!   behind a rebuild);
 //! * ungraceful clients: disconnects mid-frame, half-written frames,
 //!   and raw garbage never poison a session;
 //! * a concurrent reader/writer storm whose final state must equal a
@@ -435,6 +437,105 @@ fn expired_deadline_interrupts_exactly_that_client() {
     let q = b.query("?- e(n2, n3).", GovernOpts::default()).unwrap();
     assert_eq!(q.truth, "false");
     server.shutdown();
+}
+
+/// One client's interrupted commits land *between* two other writers'
+/// commits, in the same writer queue. (A deadline that is already over
+/// when the batch is dequeued never starts — the test above; what has to
+/// be rolled back is one that expires *mid-commit*, made deterministic
+/// here as a budget of one guard check.) Each is rolled back by
+/// truncating what it appended — never by rebuilding the engine, which
+/// used to stall every writer queued behind it for as long as the whole
+/// program takes to re-ground — the others are all acknowledged, and
+/// the served state equals a sequential oracle that only saw what was
+/// acknowledged.
+#[test]
+fn interrupted_commits_between_other_writers_are_truncated_off() {
+    let dir = temp_dir("deadline_between_writers");
+    let mut server = start(Some(dir.clone()));
+    let addr = server.addr();
+    let mut seed = Client::connect(addr).unwrap();
+    const RULES: &str = "reach(X, Y) :- e(X, Y). reach(X, Z) :- e(X, Y), reach(Y, Z). \
+                         odd(X) :- e(X, Y), ~odd(Y).";
+    seed.commit(RULES, "", "", GovernOpts::default()).unwrap();
+    let before = seed.metrics().unwrap();
+
+    const COMMITS: usize = 12;
+    let acked = |i: usize, j: usize| format!("e(v{i}_{j}, v{i}_{}).", j + 1);
+    let writers: Vec<_> = (0..2)
+        .map(|i| {
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                for j in 0..COMMITS {
+                    c.commit("", &acked(i, j), "", GovernOpts::default())
+                        .expect("an unhurried writer is acknowledged");
+                }
+            })
+        })
+        .collect();
+    let hurried = std::thread::spawn(move || {
+        let mut c = Client::connect(addr).unwrap();
+        let strict = GovernOpts {
+            fuel: Some(1),
+            ..GovernOpts::default()
+        };
+        for j in 0..COMMITS {
+            // Tied into the others' chains, so a leak would show.
+            let chain: String = (0..30)
+                .map(|k| format!("e(v0_{k}, late{j}_{k}). e(late{j}_{k}, v1_0). "))
+                .collect();
+            let err = c.commit("", &chain, "", strict).unwrap_err();
+            assert!(
+                global_sls::serve::client::expect_interrupted(&err),
+                "expected Interrupted, got {err}"
+            );
+        }
+    });
+    for h in writers {
+        h.join().unwrap();
+    }
+    hurried.join().unwrap();
+
+    let after = seed.metrics().unwrap();
+    let grew = |name: &str| scraped(&after, name) - scraped(&before, name);
+    assert_eq!(grew("gsls_rollback_truncations"), COMMITS as u64);
+    assert_eq!(grew("gsls_rollback_rebuilds"), 0);
+    assert_eq!(grew("gsls_commit_count"), 2 * COMMITS as u64);
+
+    let mut oracle = Session::from_source(RULES).unwrap();
+    for i in 0..2 {
+        for j in 0..COMMITS {
+            oracle.assert_facts(&acked(i, j)).unwrap();
+        }
+    }
+    let served_truth =
+        |c: &mut Client, goal: &str| c.query(goal, GovernOpts::default()).unwrap().truth;
+    for goal in [
+        format!("?- reach(v0_0, v0_{COMMITS})."),
+        format!("?- reach(v1_0, v1_{COMMITS})."),
+        "?- reach(v0_0, v1_0).".to_owned(),
+        "?- e(v0_0, late0_0).".to_owned(),
+        "?- odd(v0_0).".to_owned(),
+        "?- odd(v1_1).".to_owned(),
+    ] {
+        let want = match oracle.truth(&goal).unwrap() {
+            Truth::True => "true",
+            Truth::False => "false",
+            Truth::Undefined => "undefined",
+        };
+        assert_eq!(served_truth(&mut seed, &goal), want, "{goal}");
+    }
+    drop(seed);
+    server.shutdown();
+    // Nothing of the timed-out batches reached the log either.
+    let mut reopened = Session::open(dir.join("default")).unwrap();
+    assert_eq!(reopened.epoch(), 1 + 2 * COMMITS as u64);
+    assert_eq!(
+        reopened.truth("?- e(v0_0, late0_0).").unwrap(),
+        Truth::False
+    );
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
