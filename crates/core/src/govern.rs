@@ -7,7 +7,7 @@
 //! counter, checked every [`TICK_INTERVAL`] work units by every hot
 //! loop in the engine — the grounder's join/seed rounds, the
 //! incremental fixpoint chains behind the well-founded refresh, the
-//! streaming query iterator, and the parallel SCC wavefront.
+//! streaming query iterator, and SCC-by-SCC tabling.
 //!
 //! This module adds the session-facing policy types:
 //!

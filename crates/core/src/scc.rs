@@ -1,21 +1,16 @@
-//! The SCC-local alternating-fixpoint solver — one worker's worth of
-//! tabled-engine state.
+//! The SCC-local alternating-fixpoint solver — the tabled engine's
+//! reusable scratch.
 //!
 //! [`SccSolver`] owns everything solving a single SCC needs beyond the
-//! shared immutable [`GroundProgram`]: a [`Propagator`] clone and the
-//! global-sized (sparsely cleared) bitset scratch for the alternating
-//! rounds. The sequential [`crate::tabled::TabledEngine`] holds exactly
-//! one; the parallel wavefront holds one **per worker**
-//! ([`SccSolver::for_worker`] is the clone-for-worker constructor the
-//! `Send` audit pins) — workers share the CSR program read-only and
-//! exchange verdicts only through the published table, so no lock is
-//! ever taken while an SCC is being solved.
+//! immutable [`GroundProgram`]: a [`Propagator`] and the global-sized
+//! (sparsely cleared) bitset scratch for the alternating rounds.
+//! [`crate::tabled::TabledEngine`] holds exactly one and solves SCCs on
+//! it one after the other.
 //!
 //! External atoms (body literals outside the SCC) are resolved through
-//! a caller-supplied lookup: the memo table for the sequential engine,
-//! an atomic verdict table for the parallel one. The scheduling
-//! contract — an SCC is solved only after every lower SCC has
-//! published — makes the lookup total; a miss panics.
+//! a caller-supplied lookup — the engine's memo table. The scheduling
+//! contract — an SCC is solved only after every SCC it depends on —
+//! makes the lookup total; a miss panics.
 
 use gsls_ground::{ClauseRef, GroundAtomId, GroundProgram};
 use gsls_wfs::{BitSet, Propagator, Truth};
@@ -42,10 +37,7 @@ pub struct SccSolver {
 
 impl SccSolver {
     /// Creates solver state sized to `gp` (which must be finalized).
-    /// This is also the **clone-for-worker constructor**: each parallel
-    /// worker builds its own solver over the shared program; nothing in
-    /// here aliases another worker's state.
-    pub fn for_worker(gp: &GroundProgram) -> Self {
+    pub fn new(gp: &GroundProgram) -> Self {
         let n = gp.atom_count();
         SccSolver {
             prop: Propagator::new(gp),
@@ -216,9 +208,9 @@ impl SccSolver {
 mod tests {
     use super::*;
 
-    /// The shared-CSR + per-worker-state contract, pinned by the type
-    /// system: worker state moves onto spawned threads, the program is
-    /// shared by reference.
+    /// An engine moves onto whichever thread evaluates with it, and
+    /// threads share the program by reference — pinned by the type
+    /// system.
     #[test]
     fn worker_contract_types_are_send_and_sync() {
         fn assert_send<T: Send>() {}

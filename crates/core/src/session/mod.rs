@@ -132,7 +132,6 @@ use gsls_durable::{
 use gsls_ground::{GroundProgram, GroundStats, GrounderOpts};
 use gsls_lang::{parse_program, Atom, CowTally, FxHashMap, Program, TermStore};
 use gsls_obs::{Counter, Histogram, MetricsSnapshot, Obs, TraceEvent};
-use gsls_par::{pool_totals, PoolTotals};
 use gsls_wfs::{IncStats, Interp};
 use query::QueryObs;
 use std::path::Path;
@@ -190,7 +189,6 @@ pub struct Session {
     base_gstats: GroundStats,
     base_t: IncStats,
     base_u: IncStats,
-    base_par: PoolTotals,
     base_cow: CowTally,
 }
 
@@ -236,9 +234,6 @@ struct SessionObs {
     wal_recovered_records: Counter,
     wal_fallbacks: Counter,
     wal_torn_bytes: Counter,
-    par_steals: Counter,
-    par_parks: Counter,
-    par_aborts: Counter,
     /// Bytes the writer copied because a live snapshot shared the chunk
     /// it wrote into, and the number of such chunks.
     cow_bytes: Counter,
@@ -286,9 +281,6 @@ impl SessionObs {
             wal_recovered_records: reg.counter("wal.recovered_records"),
             wal_fallbacks: reg.counter("wal.fallbacks"),
             wal_torn_bytes: reg.counter("wal.torn_bytes"),
-            par_steals: reg.counter("par.steals"),
-            par_parks: reg.counter("par.parks"),
-            par_aborts: reg.counter("par.aborts"),
             cow_bytes: reg.counter("snapshot.cow_bytes"),
             cow_chunks: reg.counter("snapshot.chunks_shared"),
             snapshot_model_bytes: reg.counter("snapshot.model_bytes"),
@@ -452,7 +444,6 @@ impl Session {
             base_gstats,
             base_t,
             base_u,
-            base_par: pool_totals(),
             base_cow,
         })
     }
@@ -819,20 +810,6 @@ impl Session {
         if cone > 0 {
             self.sobs.lfp_cone.record(cone);
         }
-
-        // The worker pool is process-wide, so only the delta since this
-        // session's last flush is attributable here.
-        let p = pool_totals();
-        self.sobs
-            .par_steals
-            .add(p.steals.saturating_sub(self.base_par.steals));
-        self.sobs
-            .par_parks
-            .add(p.parks.saturating_sub(self.base_par.parks));
-        self.sobs
-            .par_aborts
-            .add(p.aborts.saturating_sub(self.base_par.aborts));
-        self.base_par = p;
 
         // What sharing chunks with live snapshots cost this commit.
         let cow = self.cow_tally();

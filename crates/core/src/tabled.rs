@@ -22,29 +22,12 @@
 //! completeness, Theorems 5.4/6.2, are exercised by `tests/` property
 //! tests against the bottom-up oracle); `Undefined` is the effective
 //! stand-in for "ideal global SLS-resolution is indeterminate".
-//!
-//! ## Parallel SCC evaluation
-//!
-//! SCCs with no dependency path between them are semantically
-//! independent, so the condensation is a wavefront: [`TabledEngine::
-//! truth_parallel`] hands ready SCCs (in-degree zero over untabled
-//! dependencies) to a [`gsls_par::TaskDag`] running on work-stealing
-//! deques. Each worker owns an [`SccSolver`] — a [`gsls_wfs::
-//! Propagator`] clone plus bitset scratch over the shared immutable CSR
-//! program — and publishes verdicts through a lock-free atomic verdict
-//! table; completing an SCC decrements its dependents' in-degrees and
-//! enqueues the newly ready ones. Because every SCC still sees exactly
-//! the verdicts of its lower SCCs, the parallel result is **identical**
-//! to the sequential one at every thread count (pinned by
-//! `tests/parallel_diff.rs`).
 
 use crate::scc::SccSolver;
 use gsls_ground::{depgraph, GroundAtomId, GroundProgram};
 use gsls_lang::FxHashMap;
 use gsls_par::govern::{Guard, InterruptCause};
-use gsls_par::TaskDag;
 use gsls_wfs::Truth;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Statistics for one query evaluation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -57,43 +40,19 @@ pub struct TabledStats {
     pub max_scc: usize,
 }
 
-/// Atomic verdict encoding for the parallel wavefront: `0` = untabled.
-const V_NONE: u8 = 0;
-
-#[inline]
-fn encode(t: Truth) -> u8 {
-    match t {
-        Truth::True => 1,
-        Truth::False => 2,
-        Truth::Undefined => 3,
-    }
-}
-
-#[inline]
-fn decode(v: u8) -> Option<Truth> {
-    match v {
-        1 => Some(Truth::True),
-        2 => Some(Truth::False),
-        3 => Some(Truth::Undefined),
-        _ => None,
-    }
-}
-
 /// The memoized engine over a ground program.
 ///
 /// SCC-local alternating fixpoints all run through one engine-owned
 /// [`SccSolver`] (a [`gsls_wfs::Propagator`] restricted to the SCC's
 /// clause range, with bitset scratch cleared sparsely per SCC) — after
-/// warm-up, solving an SCC performs no heap allocation. The parallel
-/// path ([`TabledEngine::truth_parallel`]) instead builds one solver
-/// per worker; see the module docs.
+/// warm-up, solving an SCC performs no heap allocation.
 #[derive(Debug, Clone)]
 pub struct TabledEngine {
     gp: GroundProgram,
     /// Memo table: verdicts for already-evaluated atoms.
     table: Vec<Option<Truth>>,
     stats_total: TabledStats,
-    /// Solver state for the sequential path.
+    /// Scratch every SCC-local fixpoint runs on.
     solver: SccSolver,
 }
 
@@ -102,7 +61,7 @@ impl TabledEngine {
     pub fn new(mut gp: GroundProgram) -> Self {
         gp.finalize();
         let n = gp.atom_count();
-        let solver = SccSolver::for_worker(&gp);
+        let solver = SccSolver::new(&gp);
         TabledEngine {
             gp,
             table: vec![None; n],
@@ -129,36 +88,23 @@ impl TabledEngine {
     /// The truth of `atom` in the well-founded model, evaluating (and
     /// memoizing) the relevant subprogram on demand.
     pub fn truth(&mut self, atom: GroundAtomId) -> Truth {
-        self.truth_parallel(atom, 1)
-    }
-
-    /// [`TabledEngine::truth`] with the SCC wavefront solved on
-    /// `threads` workers. `threads <= 1` is the sequential path,
-    /// bit-identical to [`TabledEngine::truth`]; any other count
-    /// produces the same verdicts by the determinism contract (see the
-    /// module docs). Pick a count with [`gsls_par::threads`].
-    pub fn truth_parallel(&mut self, atom: GroundAtomId, threads: usize) -> Truth {
-        self.truth_parallel_governed(atom, threads, &Guard::none())
+        self.truth_governed(atom, &Guard::none())
             .expect("an ungoverned evaluation cannot be interrupted")
     }
 
-    /// [`TabledEngine::truth_parallel`] under a [`Guard`]: the
-    /// sequential path checks the guard once per SCC; the parallel path
-    /// threads it into the wavefront, where the first trip aborts the
-    /// work-stealing queues and unparks every worker. On interruption,
-    /// verdicts of SCCs that *completed* stay memoized — memoization is
-    /// monotone, so a partial table is simply a smaller table and the
-    /// next call resumes from it.
-    pub fn truth_parallel_governed(
+    /// [`TabledEngine::truth`] under a [`Guard`], checked once per SCC.
+    /// On interruption, verdicts of SCCs that *completed* stay memoized
+    /// — memoization is monotone, so a partial table is simply a smaller
+    /// table and the next call resumes from it.
+    pub fn truth_governed(
         &mut self,
         atom: GroundAtomId,
-        threads: usize,
         guard: &Guard,
     ) -> Result<Truth, InterruptCause> {
         if let Some(t) = self.table[atom.index()] {
             return Ok(t);
         }
-        self.evaluate_from(atom, threads, guard)?;
+        self.evaluate_from(atom, guard)?;
         Ok(self.table[atom.index()].expect("evaluation must decide the root atom"))
     }
 
@@ -168,12 +114,7 @@ impl TabledEngine {
     }
 
     /// Evaluates all atoms reachable from `root` that are not yet tabled.
-    fn evaluate_from(
-        &mut self,
-        root: GroundAtomId,
-        threads: usize,
-        guard: &Guard,
-    ) -> Result<(), InterruptCause> {
+    fn evaluate_from(&mut self, root: GroundAtomId, guard: &Guard) -> Result<(), InterruptCause> {
         // 1. Reachable, untabled atoms (DFS over body edges).
         let mut reach: Vec<GroundAtomId> = Vec::new();
         let mut seen = vec![false; self.gp.atom_count()];
@@ -221,18 +162,13 @@ impl TabledEngine {
         for comp in &comps {
             self.stats_total.max_scc = self.stats_total.max_scc.max(comp.len());
         }
-        // 3. Solve the SCCs bottom-up (sequential) or as a wavefront
-        // over the condensation (parallel).
-        if threads <= 1 || comps.len() <= 1 {
-            for comp in comps {
-                guard.check()?;
-                let atoms: Vec<GroundAtomId> = comp.iter().map(|&l| reach[l as usize]).collect();
-                self.solve_scc(&atoms);
-            }
-            Ok(())
-        } else {
-            self.solve_sccs_parallel(&reach, &adj, &comps, threads, guard)
+        // 3. Solve the SCCs bottom-up.
+        for comp in comps {
+            guard.check()?;
+            let atoms: Vec<GroundAtomId> = comp.iter().map(|&l| reach[l as usize]).collect();
+            self.solve_scc(&atoms);
         }
+        Ok(())
     }
 
     /// Solves one SCC on the engine-owned [`SccSolver`], reading
@@ -248,83 +184,6 @@ impl TabledEngine {
         for (&a, &v) in atoms.iter().zip(solver.verdicts()) {
             table[a.index()] = Some(v);
         }
-    }
-
-    /// The wavefront: schedules the SCC condensation on `threads`
-    /// workers, each owning an [`SccSolver`] over the shared CSR
-    /// program and publishing through a lock-free atomic verdict table.
-    ///
-    /// `comps` are Tarjan components of the `reach`-local graph `adj`
-    /// in reverse topological order; edges go from an SCC to the SCCs
-    /// it depends on, so the DAG dependency of component `c` on the
-    /// component of each successor atom is exactly "solve deps first".
-    fn solve_sccs_parallel(
-        &mut self,
-        reach: &[GroundAtomId],
-        adj: &[Vec<u32>],
-        comps: &[Vec<u32>],
-        threads: usize,
-        guard: &Guard,
-    ) -> Result<(), InterruptCause> {
-        let n = comps.len();
-        let mut comp_of = vec![0u32; reach.len()];
-        for (ci, comp) in comps.iter().enumerate() {
-            for &l in comp {
-                comp_of[l as usize] = ci as u32;
-            }
-        }
-        let mut dag = TaskDag::new(n);
-        // Dedup edges per component with a stamp so a dependent's
-        // in-degree counts each lower SCC once.
-        let mut stamp = vec![u32::MAX; n];
-        for (ci, comp) in comps.iter().enumerate() {
-            for &l in comp {
-                for &m in &adj[l as usize] {
-                    let d = comp_of[m as usize];
-                    if d != ci as u32 && stamp[d as usize] != ci as u32 {
-                        stamp[d as usize] = ci as u32;
-                        dag.add_dep(ci as u32, d);
-                    }
-                }
-            }
-        }
-        let Self { gp, table, .. } = self;
-        // Read snapshot of already-published verdicts: atoms tabled by
-        // earlier queries are external to every SCC here.
-        let verdicts: Vec<AtomicU8> = table
-            .iter()
-            .map(|t| AtomicU8::new(t.map_or(V_NONE, encode)))
-            .collect();
-        let verdicts = &verdicts[..];
-        let run = dag.run_governed(
-            threads,
-            guard,
-            |_worker| (SccSolver::for_worker(gp), Vec::<GroundAtomId>::new()),
-            |(solver, atom_buf), c| {
-                atom_buf.clear();
-                atom_buf.extend(comps[c as usize].iter().map(|&l| reach[l as usize]));
-                solver.solve(gp, atom_buf, |b| {
-                    decode(verdicts[b.index()].load(Ordering::Acquire))
-                        .expect("external atom tabled")
-                });
-                for (&a, &v) in atom_buf.iter().zip(solver.verdicts()) {
-                    verdicts[a.index()].store(encode(v), Ordering::Release);
-                }
-            },
-        );
-        // Completed SCCs published final verdicts even if the wavefront
-        // was interrupted mid-flight: memoization is monotone, so keep
-        // them (an uninterrupted run decides every reachable atom).
-        for &a in reach {
-            if let Some(v) = decode(verdicts[a.index()].load(Ordering::Acquire)) {
-                table[a.index()] = Some(v);
-            }
-        }
-        debug_assert!(
-            run.is_err() || reach.iter().all(|a| table[a.index()].is_some()),
-            "uninterrupted wavefront left an atom undecided"
-        );
-        run
     }
 }
 
@@ -433,59 +292,31 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_on_whole_programs() {
-        for src in [
-            "q. p :- ~q. r :- ~p.",
-            "p :- ~q. q :- ~p. r :- ~s. s.",
-            "p :- q, ~r. q :- r, ~p. r :- p, ~q. s :- ~p, ~q, ~r.",
-            "move(a, b). move(b, a). move(b, c). win(X) :- move(X, Y), ~win(Y).",
-            "e(a, b). e(b, c). t(X, Y) :- e(X, Y). t(X, Z) :- e(X, Y), t(Y, Z).",
-        ] {
-            for threads in [2, 4, 8] {
-                let (_, mut e) = engine(src);
-                let gp = e.ground_program().clone();
-                let wfm = well_founded_model(&gp);
-                for a in gp.atom_ids() {
-                    assert_eq!(
-                        e.truth_parallel(a, threads),
-                        wfm.truth(a),
-                        "atom {a:?} in {src} at {threads} threads"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_memoizes_like_sequential() {
-        let (s, mut e) = engine("q. p :- ~q. r :- ~p.");
-        let gp = e.ground_program().clone();
-        let _ = e.truth_parallel(id(&s, &gp, "r"), 4);
-        let before = e.stats().evaluated_atoms;
-        let _ = e.truth(id(&s, &gp, "p"));
-        assert_eq!(e.stats().evaluated_atoms, before, "second query free");
-    }
-
-    #[test]
     fn governed_evaluation_interrupts_and_resumes() {
         let src = "e(a, b). e(b, c). e(c, d). t(X, Y) :- e(X, Y). \
                    t(X, Z) :- e(X, Y), t(Y, Z). w(X) :- e(X, Y), ~w(Y).";
-        for threads in [1, 4] {
-            let (s, mut e) = engine(src);
-            let gp = e.ground_program().clone();
-            let root = id(&s, &gp, "t(a, d)");
-            // Zero fuel: the very first guard check trips, sequential
-            // and wavefront paths alike.
-            let starved = Guard::builder().fuel(0).build();
-            let err = e.truth_parallel_governed(root, threads, &starved);
-            assert_eq!(err, Err(InterruptCause::Cancelled), "{threads} threads");
-            // The partial memo table is monotone: an ungoverned retry
-            // finishes and agrees with the model.
-            let wfm = well_founded_model(&gp);
-            assert_eq!(e.truth_parallel(root, threads), wfm.truth(root));
-            for a in gp.atom_ids() {
-                assert_eq!(e.truth_parallel(a, threads), wfm.truth(a));
-            }
+        let (s, mut e) = engine(src);
+        let gp = e.ground_program().clone();
+        let root = id(&s, &gp, "t(a, d)");
+        let wfm = well_founded_model(&gp);
+        // Zero fuel: the very first guard check trips.
+        let starved = Guard::builder().fuel(0).build();
+        assert_eq!(
+            e.truth_governed(root, &starved),
+            Err(InterruptCause::Cancelled)
+        );
+        // Two checks of fuel: two SCCs are tabled before the trip.
+        let short = Guard::builder().fuel(2).build();
+        assert_eq!(
+            e.truth_governed(root, &short),
+            Err(InterruptCause::Cancelled)
+        );
+        assert_eq!(e.tabled_count(), 2);
+        // The partial memo table is monotone: an ungoverned retry
+        // finishes and agrees with the model.
+        assert_eq!(e.truth(root), wfm.truth(root));
+        for a in gp.atom_ids() {
+            assert_eq!(e.truth(a), wfm.truth(a));
         }
     }
 

@@ -11,7 +11,7 @@
 //! ([`Run`]). See [`crate::grounder`] for how the kernel drives it and
 //! for where batch and persistent kernels differ.
 
-use crate::factstore::{atom_hash, clause_hash, shard_of, FactStore, IdTable, Role, SHARDS};
+use crate::factstore::{clause_hash, FactStore, IdTable, Role};
 use crate::grounder::{GroundStats, GrounderOpts, GroundingError};
 use crate::herbrand::herbrand_universe;
 use crate::plan::{ArgSpec, JoinPlan, RuleTemplate, NO_INDEX, UNBOUND};
@@ -253,139 +253,6 @@ impl Emission {
                 .into_iter()
                 .collect();
         }
-    }
-
-    /// The sharded parallel seed round (`opts.threads > 1`).
-    ///
-    /// Ground facts dominate real programs, and seeding them is pure
-    /// interning — the superlinear 10^6-atom cost the ROADMAP tracked.
-    /// Three phases, each deterministic:
-    ///
-    /// 1. **Route** (parallel over fact chunks): hash every fact head
-    ///    and route `(hash, stream index)` into its interning shard —
-    ///    keys of different shards can never collide, so shards are
-    ///    independent dedup problems.
-    /// 2. **Dedup** (parallel over shards): each shard replays its
-    ///    entries in stream order against a private [`IdTable`],
-    ///    recording the distinct atoms with their first-occurrence
-    ///    index.
-    /// 3. **Merge** (sequential, no hashing): walk the fact stream
-    ///    once, assigning global ids at each first occurrence — the
-    ///    same first-occurrence order the sequential seed round interns
-    ///    in — emitting the fact clauses, then bulk-load the sharded
-    ///    table with the now-final ids (no probes: entries are unique
-    ///    by construction).
-    ///
-    /// The emitted clause set is therefore identical at every thread
-    /// count, and identical to the sequential path whenever ground
-    /// facts precede the residual seed rules (it differs only in
-    /// emission order otherwise — `tests/parallel_diff.rs` pins the
-    /// set identity).
-    pub(crate) fn seed_facts_parallel(
-        &mut self,
-        store: &TermStore,
-        program: &Program,
-        templates: &[Option<RuleTemplate>],
-    ) -> Result<(), GroundingError> {
-        let facts: Vec<&Atom> = program
-            .clauses()
-            .iter()
-            .zip(templates)
-            .filter_map(|(c, t)| t.is_none().then_some(&c.head))
-            .collect();
-        let n_threads = self.opts.threads;
-        let max_depth = self.max_depth;
-        // Phase 1: hash and route, chunks in stream order.
-        let routed: Vec<Vec<Vec<(u64, u32)>>> =
-            gsls_par::par_chunks(n_threads, &facts, n_threads * 4, |offset, chunk| {
-                let mut buckets: Vec<Vec<(u64, u32)>> = vec![Vec::new(); SHARDS];
-                for (i, head) in chunk.iter().enumerate() {
-                    if max_depth != u32::MAX
-                        && head.args.iter().any(|&a| store.depth(a) > max_depth)
-                    {
-                        continue;
-                    }
-                    let h = atom_hash(head.pred, &head.args);
-                    buckets[shard_of(h)].push((h, (offset + i) as u32));
-                }
-                buckets
-            });
-        // Phase 2: per-shard dedup against a private table.
-        struct ShardOut {
-            /// `(first-occurrence fact index, hash)` per distinct atom.
-            uniq: Vec<(u32, u64)>,
-            /// `(fact index, uniq index)` per routed entry.
-            assign: Vec<(u32, u32)>,
-        }
-        let shard_outs: Vec<ShardOut> = gsls_par::par_map(n_threads, SHARDS, |s| {
-            let total: usize = routed.iter().map(|b| b[s].len()).sum();
-            let mut table = IdTable::default();
-            table.reserve(total, |_| unreachable!("rehash of an empty table"));
-            let mut uniq: Vec<(u32, u64)> = Vec::new();
-            let mut assign: Vec<(u32, u32)> = Vec::with_capacity(total);
-            for buckets in &routed {
-                for &(h, fi) in &buckets[s] {
-                    let head = facts[fi as usize];
-                    let cand = uniq.len() as u32;
-                    let found = table.find_or_insert(
-                        h,
-                        cand,
-                        |u| {
-                            let first = facts[uniq[u as usize].0 as usize];
-                            first.pred == head.pred && first.args == head.args
-                        },
-                        |u| uniq[u as usize].1,
-                    );
-                    match found {
-                        Some(u) => assign.push((fi, u)),
-                        None => {
-                            uniq.push((fi, h));
-                            assign.push((fi, cand));
-                        }
-                    }
-                }
-            }
-            ShardOut { uniq, assign }
-        });
-        // Phase 3: deterministic merge. `SHARDS` in the shard byte
-        // marks depth-pruned facts, which emit nothing.
-        let mut of_fact: Vec<(u8, u32)> = vec![(SHARDS as u8, 0); facts.len()];
-        for (s, out) in shard_outs.iter().enumerate() {
-            for &(fi, u) in &out.assign {
-                of_fact[fi as usize] = (s as u8, u);
-            }
-        }
-        let total_uniq: usize = shard_outs.iter().map(|o| o.uniq.len()).sum();
-        self.gp
-            .reserve(self.gp.atom_count() + total_uniq, total_uniq);
-        let mut global: Vec<Vec<u32>> = shard_outs
-            .iter()
-            .map(|o| vec![u32::MAX; o.uniq.len()])
-            .collect();
-        for (fi, &(s, u)) in of_fact.iter().enumerate() {
-            if s as usize == SHARDS {
-                continue;
-            }
-            let slot = &mut global[s as usize][u as usize];
-            if *slot != u32::MAX {
-                self.stats.dedup_hits += 1;
-                continue;
-            }
-            // (On a budget error the half-built program is discarded,
-            // so the atom pushed ahead of emit_fact's check is fine.)
-            let id = self.gp.push_atom_raw(facts[fi].clone());
-            *slot = id.0;
-            self.emit_fact(id, FactKind::Source)?;
-        }
-        for (s, out) in shard_outs.iter().enumerate() {
-            self.gp.bulk_intern_unique(
-                out.uniq
-                    .iter()
-                    .enumerate()
-                    .map(|(u, &(_fi, h))| (h, global[s][u])),
-            );
-        }
-        Ok(())
     }
 
     /// Executes plan literal `li` under the current bindings: an index
@@ -705,9 +572,7 @@ impl Emission {
 
     /// Emits the fact clause for a head already known novel in its
     /// `kind`'s space: budget check, dedup mark, clause push, delta
-    /// queue. The single emission step shared by
-    /// [`Emission::push_unique`]'s fact branch and the parallel seed
-    /// merge — keep the invariants in one place.
+    /// queue — the tail of [`Emission::push_unique`]'s fact branch.
     fn emit_fact(&mut self, head_id: GroundAtomId, kind: FactKind) -> Result<(), GroundingError> {
         if self.gp.clause_count() >= self.opts.max_clauses {
             return Err(GroundingError::ClauseBudget(self.opts.max_clauses));

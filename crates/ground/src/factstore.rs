@@ -34,7 +34,7 @@ use crate::program::{GroundAtomId, GroundProgram};
 use gsls_lang::fxhash::FxHasher;
 // The interning table the atom and clause stores dedup through lives in
 // `gsls-lang`, next to the arena it is laid out on.
-pub(crate) use gsls_lang::idtable::{shard_of, IdTable, ShardedIdTable, SHARDS};
+pub(crate) use gsls_lang::idtable::IdTable;
 use gsls_lang::{FxHashMap, Pred, TermId};
 use std::hash::{Hash, Hasher};
 
@@ -428,43 +428,26 @@ mod tests {
     }
 
     #[test]
-    fn sharded_table_matches_flat_semantics() {
+    fn reserved_table_fills_without_growing() {
         let keys: Vec<u64> = (0..2000u64)
             .map(|i| i.wrapping_mul(0x9e3779b97f4a7c15))
             .collect();
-        let mut flat = IdTable::default();
-        let mut sharded = ShardedIdTable::default();
-        sharded.reserve(keys.len(), |id| keys[id as usize]);
+        let mut t = IdTable::default();
+        t.reserve(keys.len(), |id| keys[id as usize]);
+        let slots = t.slot_count();
         for (i, &k) in keys.iter().enumerate() {
             let eq = |id: u32| keys[id as usize] == k;
-            let rh = |id: u32| keys[id as usize];
-            assert_eq!(flat.find_or_insert(k, i as u32, eq, rh), None);
-            assert_eq!(sharded.find_or_insert(k, i as u32, eq, rh), None);
+            let rehash = |_| unreachable!("a reserved table does not grow");
+            assert_eq!(t.find_or_insert(k, i as u32, eq, rehash), None);
         }
-        assert_eq!(sharded.len(), keys.len());
+        assert_eq!((t.len(), t.slot_count()), (keys.len(), slots));
         for (i, &k) in keys.iter().enumerate() {
             assert_eq!(
-                sharded.find(k, |id| keys[id as usize] == k),
+                t.find(k, |id| keys[id as usize] == k),
                 Some(i as u32),
                 "key {i}"
             );
         }
-    }
-
-    #[test]
-    fn insert_unique_bulk_load_then_find() {
-        let keys: Vec<u64> = (0..800u64)
-            .map(|i| i.wrapping_mul(0xd1b54a32d192ed03))
-            .collect();
-        let mut t = ShardedIdTable::default();
-        // Deliberately no reserve: growth paths must stay correct.
-        for (i, &k) in keys.iter().enumerate() {
-            t.insert_unique(k, i as u32, |id| keys[id as usize]);
-        }
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(t.find(k, |id| keys[id as usize] == k), Some(i as u32));
-        }
-        assert_eq!(t.len(), keys.len());
     }
 
     #[test]

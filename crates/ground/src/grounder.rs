@@ -65,8 +65,8 @@
 //! The Subst-based reference implementations — [`GroundingMode::Full`]
 //! and the [`JoinStrategy::Naive`] differential oracle — live in
 //! `instantiate.rs` and share only the emission step with the kernel;
-//! `tests/grounding_diff.rs` and `tests/parallel_diff.rs` pin planned ≡
-//! naive ≡ kernel-fed-in-batches at the clause-set level.
+//! `tests/grounding_diff.rs` pins planned ≡ naive ≡
+//! kernel-fed-in-batches at the clause-set level.
 
 use crate::emission::{Emission, FactKind, Run};
 use crate::factstore::{FactStore, Role};
@@ -121,13 +121,6 @@ pub struct GrounderOpts {
     pub mode: GroundingMode,
     /// Join evaluation strategy for [`GroundingMode::Relevant`].
     pub strategy: JoinStrategy,
-    /// Worker threads for the seed round. `1` (the default) is the
-    /// sequential path, bit-identical to every previous release; larger
-    /// counts shard the ground facts across workers (`gsls-par`) and
-    /// merge with deterministic first-occurrence ordering, so the
-    /// emitted **clause set** is identical at every count (pinned by
-    /// `tests/parallel_diff.rs`). Pick a count with [`gsls_par::threads`].
-    pub threads: usize,
 }
 
 impl Default for GrounderOpts {
@@ -137,7 +130,6 @@ impl Default for GrounderOpts {
             max_clauses: 2_000_000,
             mode: GroundingMode::Relevant,
             strategy: JoinStrategy::Planned,
-            threads: 1,
         }
     }
 }
@@ -494,18 +486,11 @@ impl IncrementalGrounder {
         // dominated by their facts, each contributing one atom and one
         // clause (further growth is the usual amortized doubling).
         em.gp.reserve(program.len(), program.len());
-        let par_seed = em.opts.threads > 1 && templates.iter().any(Option::is_none);
-        if par_seed {
-            // Ground facts go through the sharded parallel round; the
-            // (rare) seed rules with residual variables follow
-            // sequentially, exactly as below.
-            em.seed_facts_parallel(run.store, program, templates)?;
-        }
         for (ci, clause) in program.clauses().iter().enumerate() {
             match &templates[ci] {
                 // Initial-program ground facts are source facts: a
                 // session may retract them.
-                None if !par_seed && !em.exceeds_depth(run.store, &clause.head.args) => {
+                None if !em.exceeds_depth(run.store, &clause.head.args) => {
                     em.emit_ground_fact(run, &clause.head, FactKind::Source)?;
                 }
                 None => {}
@@ -538,8 +523,8 @@ impl IncrementalGrounder {
         // derived heads track the delta rows — about one new atom and
         // clause per seed fact — so doubling the seeded counts removes
         // the grow-and-rehash cascade that dominated the 10^6-atom
-        // profiles (each sharded grow rehashes 1/16th of the store, and
-        // after this reserve the join rounds trigger none at all).
+        // profiles (a grow rehashes the whole atom table; after this
+        // reserve the join rounds trigger none at all).
         let seeded_atoms = em.gp.atom_count();
         let seeded_clauses = em.gp.clause_count();
         em.gp.reserve(seeded_atoms * 2, seeded_clauses * 2);
@@ -926,74 +911,6 @@ mod tests {
             assert!(text.contains(&format!("r(v{i})")), "r(v{i}) missing");
         }
         assert!(!text.contains("r(v13)"));
-    }
-
-    #[test]
-    fn parallel_seed_matches_sequential_bit_for_bit() {
-        // Facts-first programs: the parallel merge assigns ids in the
-        // same first-occurrence order as sequential interning, so even
-        // the id assignment (not just the clause set) must agree.
-        let mut src = String::new();
-        for i in 0..300 {
-            src.push_str(&format!("e(v{}, v{}).\n", i % 40, (i * 7 + 3) % 40));
-        }
-        src.push_str("t(X, Y) :- e(X, Y). t(X, Z) :- e(X, Y), t(Y, Z).\n");
-        let mut s1 = TermStore::new();
-        let p1 = parse_program(&mut s1, &src).unwrap();
-        let seq = Grounder::ground(&mut s1, &p1).unwrap();
-        for threads in [2, 8] {
-            let mut s2 = TermStore::new();
-            let p2 = parse_program(&mut s2, &src).unwrap();
-            let par = Grounder::ground_with(
-                &mut s2,
-                &p2,
-                GrounderOpts {
-                    threads,
-                    ..GrounderOpts::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(par.atom_count(), seq.atom_count(), "{threads} threads");
-            assert_eq!(par.clause_count(), seq.clause_count());
-            for (a, b) in seq.clauses().zip(par.clauses()) {
-                assert_eq!(a, b, "clause divergence at {threads} threads");
-            }
-            // The interning table must resolve every atom to its id.
-            for id in par.atom_ids() {
-                assert_eq!(par.lookup_atom(par.atom(id)), Some(id));
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_seed_dedups_and_respects_budget() {
-        let src = "p(a). p(a). p(b). q(X) :- p(X).";
-        let mut s = TermStore::new();
-        let p = parse_program(&mut s, src).unwrap();
-        let gp = Grounder::ground_with(
-            &mut s,
-            &p,
-            GrounderOpts {
-                threads: 4,
-                ..GrounderOpts::default()
-            },
-        )
-        .unwrap();
-        // Two distinct p facts (one duplicate dropped) + two q rules.
-        assert_eq!(gp.clause_count(), 4);
-        let mut s2 = TermStore::new();
-        let p2 = parse_program(&mut s2, "d(a). d(b). d(c). d(d).").unwrap();
-        let err = Grounder::ground_with(
-            &mut s2,
-            &p2,
-            GrounderOpts {
-                threads: 4,
-                max_clauses: 3,
-                ..GrounderOpts::default()
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, GroundingError::ClauseBudget(3));
     }
 
     #[test]

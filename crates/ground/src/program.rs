@@ -25,7 +25,7 @@
 //! engine reads and what [`crate::grounder`] appends to.
 
 use crate::argindex::{ArgCandidates, ArgIndex, Reseal};
-use crate::factstore::{atom_hash, ShardedIdTable};
+use crate::factstore::{atom_hash, IdTable};
 use gsls_lang::{arena, Arena, Atom, CowTally, FxHashMap, Pred, Symbol, TermId, TermStore};
 
 /// Identity of an interned ground atom within a [`GroundProgram`].
@@ -311,9 +311,7 @@ pub struct GroundAtoms {
     atoms: Arena<Atom>,
     /// Open-addressing interning table over `atoms` (identity = `(pred,
     /// args)`; probes hash borrowed parts, so lookups allocate nothing).
-    /// Sharded by high hash bits so growth rehashes one shard at a time
-    /// and the parallel seed round can dedup shards on separate workers.
-    table: ShardedIdTable,
+    table: IdTable,
     /// predicate → interned atom ids (query-enumeration index).
     /// Maintained incrementally at interning time — unlike the CSR
     /// reverse indexes it never needs a rebuild, so sessions that
@@ -352,8 +350,8 @@ impl GroundAtoms {
             .map(GroundAtomId)
     }
 
-    /// Appends an atom the table does not hold (or, for the parallel
-    /// seed merge, will be bulk-loaded with afterwards).
+    /// Appends an atom [`GroundAtoms::intern_probe`] just claimed a
+    /// slot for.
     fn push(&mut self, atom: Atom) -> GroundAtomId {
         let id = GroundAtomId(u32::try_from(self.atoms.len()).expect("ground atom overflow"));
         self.by_pred.entry(atom.pred_id()).or_default().push(id.0);
@@ -592,27 +590,6 @@ impl GroundProgram {
         match self.atoms.intern_probe(pred, args) {
             Some(id) => id,
             None => self.atoms.push(Atom::new(pred, args.to_vec())),
-        }
-    }
-
-    /// Appends an atom **without** touching the interning table. Only
-    /// the parallel seed merge may use this: it deduplicated the atoms
-    /// per shard already and bulk-loads the table afterwards
-    /// ([`GroundProgram::bulk_intern_unique`]).
-    pub(crate) fn push_atom_raw(&mut self, atom: Atom) -> GroundAtomId {
-        self.atoms.push(atom)
-    }
-
-    /// Bulk-loads interning entries `(hash, id)` whose atoms were
-    /// appended by [`GroundProgram::push_atom_raw`]. Keys must be
-    /// distinct from each other and from every stored entry.
-    pub(crate) fn bulk_intern_unique(&mut self, entries: impl Iterator<Item = (u64, u32)>) {
-        let GroundAtoms { atoms, table, .. } = &mut self.atoms;
-        for (h, id) in entries {
-            table.insert_unique(h, id, |i| {
-                let a = &atoms[i as usize];
-                atom_hash(a.pred, &a.args)
-            });
         }
     }
 

@@ -12,7 +12,9 @@
 //! shared: [`IdTable::share`] publishes a table in one refcount bump
 //! per chunk, and an insert into a table a clone still shares copies
 //! the one chunk the claimed slot lives in. A grow builds a fresh slot
-//! array, as any hash table does. [`IdTable::truncate_to`] unlinks a
+//! array, as any hash table does — every stored id is rehashed, once
+//! per doubling, so a caller that knows its load calls
+//! [`IdTable::reserve`] first. [`IdTable::truncate_to`] unlinks a
 //! range of ids again (the caller is cutting its backing store back to
 //! a mark): backward-shift deletes, which under sharing are slot writes
 //! like any other — a clone keeps the chunks it was published with and
@@ -106,21 +108,6 @@ impl IdTable {
             }
             i = (i + 1) & mask;
         }
-    }
-
-    /// Inserts an id whose key is **known absent** (no equality probes,
-    /// no duplicate check) — the bulk-load path for the parallel seed
-    /// round, whose shard-local dedup already guaranteed uniqueness.
-    /// `rehash` is only consulted if the insert triggers a grow.
-    pub fn insert_unique(&mut self, hash: u64, id: u32, rehash: impl FnMut(u32) -> u64) {
-        self.make_room(rehash);
-        let mask = self.slots.len() - 1;
-        let mut i = hash as usize & mask;
-        while self.slots[i] != EMPTY {
-            i = (i + 1) & mask;
-        }
-        *self.slots.get_mut(i) = pack(id, hash);
-        self.len += 1;
     }
 
     /// Unlinks every stored id in `ids` — the inverse of the inserts
@@ -250,104 +237,5 @@ impl IdTable {
     /// Copy-on-write work inserts into this table have done.
     pub fn cow_tally(&self) -> CowTally {
         self.retired_cow + self.slots.cow_tally()
-    }
-}
-
-/// Number of shards in a [`ShardedIdTable`]. A fixed power of two:
-/// enough that 8 workers rarely contend and each shard's grow-rehash
-/// touches 1/16th of the entries, small enough that tiny programs don't
-/// pay for empty tables.
-pub const SHARDS: usize = 16;
-
-/// The shard a key hashes into. Uses high hash bits: the probe index
-/// comes from the low bits and the tag from bits 32..64, so shard
-/// selection only narrows the tag by log₂([`SHARDS`]) bits.
-#[inline]
-pub fn shard_of(hash: u64) -> usize {
-    ((hash >> 59) as usize) & (SHARDS - 1)
-}
-
-/// An [`IdTable`] split into [`SHARDS`] hash-disjoint shards.
-///
-/// Two jobs: (1) the grounder's parallel seed round deduplicates each
-/// shard on a separate worker — keys of different shards can never be
-/// equal, so per-shard dedup is exact; (2) even sequentially, a grow
-/// rehashes one shard at a time instead of the whole table, which is
-/// what turned the 10^6-atom interning profile from rehash storms into
-/// amortized noise (the tables also get pre-sized from the seed round's
-/// cardinality — see the grounder).
-#[derive(Debug, Clone, Default)]
-pub struct ShardedIdTable {
-    shards: [IdTable; SHARDS],
-}
-
-impl ShardedIdTable {
-    /// [`IdTable::find`] on the key's shard.
-    pub fn find(&self, hash: u64, eq: impl FnMut(u32) -> bool) -> Option<u32> {
-        self.shards[shard_of(hash)].find(hash, eq)
-    }
-
-    /// [`IdTable::find_or_insert`] on the key's shard.
-    pub fn find_or_insert(
-        &mut self,
-        hash: u64,
-        candidate: u32,
-        eq: impl FnMut(u32) -> bool,
-        rehash: impl FnMut(u32) -> u64,
-    ) -> Option<u32> {
-        self.shards[shard_of(hash)].find_or_insert(hash, candidate, eq, rehash)
-    }
-
-    /// [`IdTable::insert_unique`] on the key's shard.
-    pub fn insert_unique(&mut self, hash: u64, id: u32, rehash: impl FnMut(u32) -> u64) {
-        self.shards[shard_of(hash)].insert_unique(hash, id, rehash);
-    }
-
-    /// [`IdTable::truncate_to`], each id on its key's shard.
-    pub fn truncate_to(&mut self, ids: std::ops::Range<u32>, mut rehash: impl FnMut(u32) -> u64) {
-        for id in ids.rev() {
-            let hash = rehash(id);
-            self.shards[shard_of(hash)].remove(hash, id, &mut rehash);
-        }
-    }
-
-    /// Pre-sizes every shard for a **total** of about `n` entries,
-    /// assuming the uniform key distribution a good hash gives (a small
-    /// per-shard slack absorbs the variance; an unlucky shard just
-    /// grows once).
-    pub fn reserve(&mut self, n: usize, mut rehash: impl FnMut(u32) -> u64) {
-        let per = n / SHARDS + n / (SHARDS * 4) + 8;
-        for shard in &mut self.shards {
-            shard.reserve(per, &mut rehash);
-        }
-    }
-
-    /// [`IdTable::share`] on every shard.
-    pub fn share(&mut self) -> ShardedIdTable {
-        ShardedIdTable {
-            shards: std::array::from_fn(|s| self.shards[s].share()),
-        }
-    }
-
-    /// Total number of stored ids.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(IdTable::len).sum()
-    }
-
-    /// Whether no id is stored.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(IdTable::is_empty)
-    }
-
-    /// Bytes of slot storage over all shards. O([`SHARDS`]).
-    pub fn heap_bytes(&self) -> usize {
-        self.shards.iter().map(IdTable::heap_bytes).sum()
-    }
-
-    /// Copy-on-write work over all shards.
-    pub fn cow_tally(&self) -> CowTally {
-        self.shards
-            .iter()
-            .fold(CowTally::default(), |t, s| t + s.cow_tally())
     }
 }

@@ -85,16 +85,26 @@ fn truncate_and_push_again_inside_one_unshared_chunk_allocates_nothing() {
         .map(|k| k.wrapping_mul(0x9e37_79b9_7f4a_7c15))
         .collect();
     let mut table = IdTable::default();
-    for (i, &k) in keys.iter().enumerate() {
-        table.insert_unique(k, i as u32, |id| keys[id as usize]);
+    let insert = |table: &mut IdTable, i: usize| {
+        let k = keys[i];
+        let hit = table.find_or_insert(
+            k,
+            i as u32,
+            |id| keys[id as usize] == k,
+            |id| keys[id as usize],
+        );
+        assert_eq!(hit, None, "keys are distinct");
+    };
+    for i in 0..keys.len() {
+        insert(&mut table, i);
     }
     let ((), n) = allocs_during(|| {
         for round in 0..3 {
             arena.truncate_to(40);
             table.truncate_to(40..100, |id| keys[id as usize]);
-            for (i, &k) in keys.iter().enumerate().skip(40) {
+            for i in 40..keys.len() {
                 arena.push(round + i as u64);
-                table.insert_unique(k, i as u32, |id| keys[id as usize]);
+                insert(&mut table, i);
             }
         }
     });

@@ -8,7 +8,7 @@
 //! its unit tests.)
 
 use gsls_lang::arena::CHUNK;
-use gsls_lang::idtable::{IdTable, ShardedIdTable};
+use gsls_lang::idtable::IdTable;
 use gsls_lang::{Arena, CowTally, TermStore};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -103,10 +103,9 @@ proptest! {
     /// mid-walk (some right before a grow), cut back to an earlier id
     /// mark (`truncate_to`, before the backing store is) and dropped at
     /// random: the writer agrees with the map — a dropped key misses and
-    /// re-inserts under a fresh id, a surviving one hits — the sharded
-    /// table agrees with the flat one, and a shared table keeps finding
-    /// exactly the keys interned when it was taken, under the ids they
-    /// had then.
+    /// re-inserts under a fresh id, a surviving one hits — and a shared
+    /// table keeps finding exactly the keys interned when it was taken,
+    /// under the ids they had then.
     #[test]
     fn id_table_matches_hash_map_under_insert_share_drop(seed in any::<u64>()) {
         let mut rng = TestRng::new(seed);
@@ -114,12 +113,11 @@ proptest! {
         // like every arena a table interns over).
         let mut keys: Vec<u64> = Vec::new();
         let mut table = IdTable::default();
-        let mut sharded = ShardedIdTable::default();
         let mut model: HashMap<u64, u32> = HashMap::new();
         // A shared table reads the backing store as it was shared (in
         // the engine: the arena published with it).
         type Backing = (Vec<u64>, HashMap<u64, u32>);
-        let mut kept: Vec<Frozen<(IdTable, ShardedIdTable), Backing>> = Vec::new();
+        let mut kept: Vec<Frozen<IdTable, Backing>> = Vec::new();
         let hash = |k: u64| k.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (k >> 7);
         for _ in 0..50 {
             match rng.below(5) {
@@ -133,13 +131,6 @@ proptest! {
                             |id| keys[id as usize] == k,
                             |id| hash(keys[id as usize]),
                         );
-                        let got_sharded = sharded.find_or_insert(
-                            hash(k),
-                            candidate,
-                            |id| keys[id as usize] == k,
-                            |id| hash(keys[id as usize]),
-                        );
-                        prop_assert_eq!(got, got_sharded);
                         prop_assert_eq!(got, model.get(&k).copied());
                         if got.is_none() {
                             keys.push(k);
@@ -148,7 +139,7 @@ proptest! {
                     }
                 }
                 2 => kept.push(Frozen {
-                    value: (table.share(), sharded.share()),
+                    value: table.share(),
                     model: (keys.clone(), model.clone()),
                 }),
                 3 if !kept.is_empty() => {
@@ -159,31 +150,26 @@ proptest! {
                     let len = keys.len() as u64;
                     let mark = (len - rng.below(len.min(700) + 1)) as u32;
                     let dropped = mark..keys.len() as u32;
-                    table.truncate_to(dropped.clone(), |id| hash(keys[id as usize]));
-                    sharded.truncate_to(dropped, |id| hash(keys[id as usize]));
+                    table.truncate_to(dropped, |id| hash(keys[id as usize]));
                     keys.truncate(mark as usize);
                     model.retain(|_, id| *id < mark);
                 }
                 _ => {}
             }
             prop_assert_eq!(table.len(), model.len());
-            prop_assert_eq!(sharded.len(), model.len());
             for _ in 0..64 {
                 let k = rng.below(5_000);
                 let eq = |id: u32| keys[id as usize] == k;
                 prop_assert_eq!(table.find(hash(k), eq), model.get(&k).copied());
-                prop_assert_eq!(sharded.find(hash(k), eq), model.get(&k).copied());
             }
             for frozen in &kept {
-                let (flat, shards) = &frozen.value;
+                let flat = &frozen.value;
                 let (keys, model) = &frozen.model;
                 prop_assert_eq!(flat.len(), model.len());
-                prop_assert_eq!(shards.len(), model.len());
                 for _ in 0..64 {
                     let k = rng.below(5_000);
                     let eq = |id: u32| keys[id as usize] == k;
                     prop_assert_eq!(flat.find(hash(k), eq), model.get(&k).copied());
-                    prop_assert_eq!(shards.find(hash(k), eq), model.get(&k).copied());
                 }
             }
         }
@@ -274,15 +260,21 @@ fn insert_into_a_shared_table_copies_one_slot_chunk() {
     let mut table = IdTable::default();
     table.reserve(2 * keys.len(), |_| unreachable!("empty"));
     let slots = table.slot_count();
-    let insert = |table: &mut IdTable, i: usize| {
+    let insert = |table: &mut IdTable, keys: &[u64], i: usize| {
         let k = keys[i];
-        table.insert_unique(k, i as u32, |id| keys[id as usize]);
+        let hit = table.find_or_insert(
+            k,
+            i as u32,
+            |id| keys[id as usize] == k,
+            |id| keys[id as usize],
+        );
+        assert_eq!(hit, None, "keys are distinct");
     };
     for i in 0..keys.len() - 1 {
-        insert(&mut table, i);
+        insert(&mut table, &keys, i);
     }
     let frozen = table.share();
-    insert(&mut table, keys.len() - 1);
+    insert(&mut table, &keys, keys.len() - 1);
     assert_eq!(table.slot_count(), slots, "no grow");
     assert_eq!(
         table.cow_tally(),
@@ -295,7 +287,6 @@ fn insert_into_a_shared_table_copies_one_slot_chunk() {
     // Unshared again: the next insert lands in place.
     let mut keys = keys;
     keys.push(0xdead_beef);
-    let (k, id) = (keys[keys.len() - 1], keys.len() as u32 - 1);
-    table.insert_unique(k, id, |id| keys[id as usize]);
+    insert(&mut table, &keys, keys.len() - 1);
     assert_eq!(table.cow_tally().chunks, 1);
 }

@@ -5,7 +5,7 @@
 //! memory budget, and (for deterministic fault injection) an optional
 //! fuel counter that trips after a fixed number of checks. Every hot
 //! loop in the workspace — grounder join rounds, fixpoint propagation,
-//! query enumeration, the wavefront scheduler — carries a `Guard` and
+//! query enumeration, SCC-by-SCC tabling — carries a `Guard` and
 //! polls it every [`TICK_INTERVAL`] work units via [`Guard::tick`].
 //!
 //! The design goal is that an **ungoverned** guard ([`Guard::none`])

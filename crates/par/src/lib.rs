@@ -1,52 +1,27 @@
-//! # gsls-par — a dependency-free work-stealing parallel runtime
+//! # gsls-par — the resource guard and the thread-count policy
 //!
-//! The workspace's two heaviest stages — SCC-by-SCC evaluation of the
-//! well-founded model and the grounder's seed round — are both
-//! embarrassingly parallel once their data dependencies are made
-//! explicit: independent SCCs of the atom dependency graph's
-//! condensation are semantically independent, and seed facts intern
-//! into hash-disjoint shards. This crate provides the scheduling
-//! substrate both clients run on, using **only `std::thread` and
-//! `std::sync`** (matching the workspace's offline-shim policy: no
-//! rayon, no crossbeam).
+//! Two small things every other crate of the workspace reads, kept in
+//! the one dependency-free crate at the bottom of the graph (**only
+//! `std::sync`**, matching the workspace's offline-shim policy):
 //!
-//! * [`pool`] — per-worker deques with stealing ([`StealQueues`]) and
-//!   the flat data-parallel helpers [`par_map`] / [`par_chunks`];
-//! * [`dag`] — [`TaskDag`]: a dependency-graph scheduler that runs a
-//!   DAG of tasks on the deques, decrementing dependents' in-degrees as
-//!   tasks complete and enqueueing newly-ready ones (the wavefront
-//!   pattern used by subsumption-style layered controllers, where
-//!   independent layers run concurrently under a fixed arbitration
-//!   order);
 //! * [`govern`] — [`Guard`]: the engine-wide cancellation / deadline /
-//!   memory-budget token every hot loop polls, wired into the deques'
-//!   abort protocol by [`TaskDag::run_governed`].
+//!   memory-budget token every hot loop polls;
+//! * [`threads`] / [`threads_from`] — how many threads a component that
+//!   fans out should start: the server's reader pool, and the reader
+//!   fan-outs of the concurrency tests.
+//!
+//! Evaluation itself — grounding, the alternating fixpoint, SCC-by-SCC
+//! tabling — is sequential, as the paper's effective procedure is: this
+//! crate schedules nothing.
 //!
 //! ## Thread-count policy
 //!
-//! Callers pass an explicit thread count; `1` always means "run inline
-//! on the calling thread, no spawns, bit-identical to the sequential
-//! code". The conventional way to pick a count is [`threads`], which
-//! honours the `GSLS_THREADS` environment override and falls back to
-//! [`std::thread::available_parallelism`].
-//!
-//! ## Determinism contract
-//!
-//! The runtime never makes results depend on scheduling: [`TaskDag`]
-//! guarantees a task runs only after all of its dependencies, so a task
-//! whose output is a pure function of its dependencies' outputs
-//! produces the same value at every thread count, and [`par_map`] /
-//! [`par_chunks`] return results in task order regardless of which
-//! worker computed them. The `parallel_diff` suite pins this end to end
-//! for the tabled engine and the grounder.
+//! [`threads`] honours the `GSLS_THREADS` environment override and
+//! falls back to [`std::thread::available_parallelism`].
 
-pub mod dag;
 pub mod govern;
-pub mod pool;
 
-pub use dag::TaskDag;
 pub use govern::{Guard, GuardBuilder, InterruptCause, InterruptHandle, TICK_INTERVAL};
-pub use pool::{par_chunks, par_map, pool_totals, PoolTotals, StealQueues};
 
 /// Hard cap on accepted thread counts; a `GSLS_THREADS` typo should not
 /// try to spawn a million workers.

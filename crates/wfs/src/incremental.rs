@@ -709,8 +709,8 @@ mod tests {
 
     #[test]
     fn incremental_state_is_send() {
-        // `Clone` is the clone-for-worker constructor: a worker owning
-        // an `IncrementalLfp` clone shares only the immutable program.
+        // A session's chains move with it onto the server's writer
+        // thread; they share only the immutable program.
         fn assert_send<T: Send>() {}
         assert_send::<IncrementalLfp>();
     }

@@ -36,8 +36,8 @@
 //! enumeration, `W_P`/`V_P` stages, and the tabled engine's SCC-local
 //! fixpoints in `gsls-core` — hold one propagator plus caller-owned
 //! output bitsets and therefore perform **zero heap allocation per
-//! reduct call** after warm-up (verified by the `perf_report` harness
-//! with a counting allocator). The convenience functions ([`lfp_with`],
+//! reduct call** after warm-up (pinned by `tests/alloc_zero.rs` with a
+//! counting allocator). The convenience functions ([`lfp_with`],
 //! [`greatest_unfounded`], …) allocate fresh scratch per call and exist
 //! for tests and one-shot callers; see [`propagator`] for the full
 //! contract, including the pre-clearing rule for

@@ -48,14 +48,13 @@
 //! the substrate's difference-driven mode instead:
 //! [`crate::incremental::IncrementalLfp`].
 //!
-//! ## Parallel workers
+//! ## Threads
 //!
 //! A `Propagator` holds no interior mutability and no references into
-//! the program, so it is `Send` (pinned by a compile-time test): the
-//! parallel tabled engine's contract is one **clone per worker** over
-//! the shared immutable `GroundProgram` (`Sync`), with `Clone` as the
-//! clone-for-worker constructor — cloned scratch is warm-sized, never
-//! aliased.
+//! the program, so it is `Send` (pinned by a compile-time test): an
+//! engine that owns one moves to whichever thread evaluates with it,
+//! over a `GroundProgram` threads share by reference (`Sync`). A clone
+//! has warm-sized scratch of its own, never aliased.
 
 use crate::bitset::BitSet;
 use crate::interp::Interp;
@@ -468,8 +467,8 @@ mod tests {
 
     #[test]
     fn worker_contract_types_are_send() {
-        // The shared-CSR + per-worker-state contract: workers receive a
-        // Propagator clone by value and share the program by reference.
+        // A thread receives a Propagator by value and shares the program
+        // by reference.
         fn assert_send<T: Send>() {}
         fn assert_sync<T: Sync>() {}
         assert_send::<Propagator>();

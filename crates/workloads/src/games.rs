@@ -106,13 +106,6 @@ pub fn win_grid(store: &mut TermStore, w: usize, h: usize) -> Program {
     win_game(store, &edges)
 }
 
-/// The 10^6-atom-class stress profile from the ROADMAP: a 600×600 grid
-/// board (~1.2·10^6 ground atoms, ~1.7·10^6 ground clauses). Gated
-/// behind `--stress` in `perf_report` so the default bench stays fast.
-pub fn win_grid_stress(store: &mut TermStore) -> Program {
-    win_grid(store, 600, 600)
-}
-
 /// A random game graph: `n` positions, each with out-degree sampled from
 /// `0..=max_degree` (degree 0 makes lost positions, cycles make draws).
 pub fn win_random(store: &mut TermStore, n: usize, max_degree: usize, seed: u64) -> Program {

@@ -15,7 +15,7 @@ pub mod random;
 pub mod stratified;
 pub mod van_gelder;
 
-pub use games::{win_chain, win_cycle, win_grid, win_grid_stress, win_random, win_tree};
+pub use games::{win_chain, win_cycle, win_grid, win_random, win_tree};
 pub use random::{
     random_program, random_relational_program, RandomProgramOpts, RandomRelationalOpts,
 };

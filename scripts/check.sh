@@ -27,11 +27,11 @@ echo "    compiles nor notices it, so API drift must fail here, not at the next 
 (cd benchmark && cargo test -q)
 
 echo "==> gsls-lint gate (examples + workload generators deny-clean)"
-cargo run --release -p gsls-bench --bin gsls-lint -- \
+cargo run --release --bin gsls-lint -- \
   examples/lp/win_game.lp examples/lp/reach.lp --workloads
 
 echo "==> gsls-lint defect corpus (must be rejected, exit 1)"
-if cargo run --release -p gsls-bench --bin gsls-lint -- examples/lp/defects.lp; then
+if cargo run --release --bin gsls-lint -- examples/lp/defects.lp; then
   echo "gsls-lint failed to reject examples/lp/defects.lp" >&2
   exit 1
 fi
@@ -40,10 +40,7 @@ echo "==> grounding diff suite (planned == naive on the four workloads and on"
 echo "    random programs; kernel fed in batches == batch == naive)"
 cargo test --release -q --test grounding_diff
 
-echo "==> parallel diff suite at 2 threads (gsls-par determinism gate)"
-GSLS_THREADS=2 cargo test --release -q --test parallel_diff
-
-echo "==> session maintenance property at 2 threads (session ≡ rebuild)"
+echo "==> session maintenance property with 2 snapshot readers (session ≡ rebuild)"
 GSLS_THREADS=2 cargo test --release -q --test incremental session_
 
 echo "==> cone-restart refresh gate (refresh ≡ scratch on append/switch/undo walks,"
@@ -53,13 +50,11 @@ echo "    recover; runs of different length) and the publish copy gate, the quer
 echo "    candidate gate (a bound-argument join tries its answers, not its predicate),"
 echo "    indexed plans ≡ scan plans, and the rollback gates (truncate ≡ rebuild at"
 echo "    every guard check and for the commits after; a snapshot inside a rolled-back"
-echo "    group; rollback work bounded by the delta), at 1 and 2 threads"
-for threads in 1 2; do
-  GSLS_THREADS=$threads cargo test --release -q -p gsls-wfs refresh_
-  GSLS_THREADS=$threads cargo test --release -q -p gsls-core indexed_
-  GSLS_THREADS=$threads cargo test --release -q --test incremental -- \
-    refresh_ snapshot_isolation publish_copies join_candidates rollback_
-done
+echo "    group; rollback work bounded by the delta)"
+cargo test --release -q -p gsls-wfs refresh_
+cargo test --release -q -p gsls-core indexed_
+cargo test --release -q --test incremental -- \
+  refresh_ snapshot_isolation publish_copies join_candidates rollback_
 
 echo "==> durability recovery gate (crash-injection seed sweep)"
 cargo test --release -q --test durability
@@ -70,26 +65,25 @@ for seed in 3 17 101; do
 done
 
 echo "==> governance gate (interrupt-at-every-phase, panic-at-every-stage,"
-echo "    cross-thread cancel) at 2 threads"
-GSLS_THREADS=2 cargo test --release -q --test governance
+echo "    cross-thread cancel)"
+cargo test --release -q --test governance
 for seed in 7 43 191; do
   echo "    GSLS_GOVERN_SEED=$seed"
-  GSLS_GOVERN_SEED=$seed GSLS_THREADS=2 cargo test --release -q --test governance \
+  GSLS_GOVERN_SEED=$seed cargo test --release -q --test governance \
     cancel_interleaved_walk_matches_rebuild
 done
 
 echo "==> observability gate (counters, phase histograms, bounded ring,"
-echo "    trip forensics) at default and 2 threads"
+echo "    trip forensics)"
 cargo test --release -q --test observability
-GSLS_THREADS=2 cargo test --release -q --test observability
 
 echo "==> gsls-obs CLI smoke (commit + query must land in the registry)"
-cargo run --release -p gsls-bench --bin gsls-obs -- \
+cargo run --release --bin gsls-obs -- \
   examples/lp/win_game.lp --assert "move(obs1, obs2)." --query "?- win(X)." --json \
   | grep -q '"commit.refresh"'
 
 echo "==> observability overhead gate (instrumented commit <= 3% vs disabled)"
-cargo run --release -p gsls-bench --bin perf_report -- --obs-gate
+cargo test --release -q --test observability -- --ignored obs_overhead
 
 echo "==> server suite (framing fuzz, group commit, ungraceful clients,"
 echo "    storm vs oracle) at 1 and 2 threads"

@@ -17,7 +17,7 @@
 //! * `--budget N`    instantiation-estimate budget (default 1,000,000);
 //! * `--json`        machine-readable output, one JSON object per line.
 //!
-//! Run: `cargo run --release -p gsls-bench --bin gsls-lint -- <args>`.
+//! Run: `cargo run --release --bin gsls-lint -- <args>`.
 
 use gsls_analyze::{analyze, AnalyzerOpts, LintConfig, LintReport};
 use gsls_lang::{parse_program, Program, TermStore};

@@ -21,7 +21,7 @@
 //! * `--prom`              metrics in the Prometheus text exposition format
 //!   (what `gsls-serve`'s scrape endpoint returns).
 //!
-//! Run: `cargo run --release -p gsls-bench --bin gsls-obs -- <args>`.
+//! Run: `cargo run --release --bin gsls-obs -- <args>`.
 
 use gsls_core::Session;
 use gsls_obs::TraceEvent;

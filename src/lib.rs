@@ -137,10 +137,10 @@
 //! [`prelude::QueryOpts`]. [`prelude::Session::interrupt_handle`]
 //! returns a `Send + Sync` [`prelude::InterruptHandle`] any thread can
 //! use to cancel the operation in flight; every hot loop in the engine
-//! — grounding join rounds, fixpoint propagation, the parallel SCC
-//! wavefront, query backtracking — polls the shared guard every ~1024
-//! work units. An interrupted *query* is even gentler than a commit:
-//! the stream just ends, the answers already yielded stay valid, and
+//! — grounding join rounds, fixpoint propagation, SCC-by-SCC tabling,
+//! query backtracking — polls the shared guard every ~1024 work units.
+//! An interrupted *query* is even gentler than a commit: the stream
+//! just ends, the answers already yielded stay valid, and
 //! [`prelude::QueryResult::interrupted`] reports the cause.
 //!
 //! ```
@@ -213,19 +213,19 @@
 //! records one histogram per phase (`commit.validate`,
 //! `commit.admission`, `commit.journal`, `commit.ground`,
 //! `commit.refresh`, `commit.index`, `commit.publish`, plus
-//! `commit.total`); the grounder, fixpoint chains, WAL, scheduler, and
-//! query evaluator feed counters (`ground.*`, `lfp.*`, `wal.*`,
-//! `par.*`, `query.*`), and `snapshot.*` counts what sharing the store
-//! with live snapshots made commits copy; guard trips surface both as
+//! `commit.total`); the grounder, fixpoint chains, WAL and query
+//! evaluator feed counters (`ground.*`, `lfp.*`, `wal.*`, `query.*`),
+//! and `snapshot.*` counts what sharing the store with live snapshots
+//! made commits copy; guard trips surface both as
 //! `guard.trips.<phase>.<cause>` counters and as ring events carrying
 //! the [`prelude::TripInfo`] resource readings.
 //! [`prelude::Session::metrics`] snapshots everything consistently —
 //! cheap enough to call per request — and
 //! [`prelude::Session::recent_events`] drains the ring for post-hoc
 //! reconstruction of a slow commit. The same numbers are inspectable
-//! offline with the `gsls-obs` binary, and `perf_report --obs-gate`
-//! (run by `scripts/check.sh`) holds the always-on overhead at ≤ 3% on
-//! a warm single-fact commit.
+//! offline with the `gsls-obs` binary, and the `obs_overhead` release
+//! test of `tests/observability.rs` (run by `scripts/check.sh`) holds
+//! the always-on overhead at ≤ 3% on a warm single-fact commit.
 //!
 //! ```
 //! use global_sls::prelude::*;
@@ -366,7 +366,7 @@
 //! | [`wfs`] | bottom-up well-founded semantics; difference-driven fixpoint chains |
 //! | [`resolution`] | SLD / SLDNF / SLS baselines |
 //! | [`core`] | the `Session` engine and its frozen-prefix `Snapshot`s, the `Solver` shim, global SLS-resolution trees |
-//! | [`par`] | work-stealing runtime (parallel SCC evaluation, sharded grounding) |
+//! | [`par`] | resource guard (`govern`) and thread-count policy |
 //! | [`durable`] | write-ahead log, checkpoint/restore, crash-injection harness |
 //! | [`obs`] | metrics registry, latency histograms, span tracing (std-only, dependency leaf) |
 //! | [`serve`] | TCP server + client: wire protocol, group-commit write path, reader pool |

@@ -731,6 +731,38 @@ fn auto_checkpoint_with_retention_recovers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A reopen that replays a long WAL tail folds it into a fresh
+/// checkpoint, so the next reopen decodes one image and replays
+/// nothing; a short tail is left alone and replays again.
+#[test]
+fn reopen_folds_a_long_wal_tail_into_a_checkpoint() {
+    let replayed = |s: &Session| s.metrics().counter("wal.recovered_records").unwrap_or(0);
+    let reopen = |dir: &Path| {
+        Session::open_with(dir, GrounderOpts::default(), no_auto_checkpoint()).expect("reopen")
+    };
+    for (tail, second_replay) in [(3u64, 3u64), (9, 0)] {
+        let dir = temp_dir(&format!("fold{tail}"));
+        {
+            let mut s = open_base(&dir, no_auto_checkpoint());
+            for i in 0..tail {
+                s.assert_facts(&format!("e(c{i}, c{}).", i + 1)).unwrap();
+            }
+        }
+        let first = reopen(&dir);
+        assert_eq!((first.epoch(), replayed(&first)), (tail, tail));
+        drop(first);
+        let mut second = reopen(&dir);
+        assert_eq!(
+            (second.epoch(), replayed(&second)),
+            (tail, second_replay),
+            "a {tail}-record tail"
+        );
+        let last = format!("?- t(c0, c{tail}).");
+        assert_eq!(second.truth(&last).unwrap(), Truth::True);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// A corrupt newest checkpoint falls back to the previous generation
 /// and replays forward through both WALs — state identical.
 #[test]

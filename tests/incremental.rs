@@ -10,7 +10,7 @@
 //! leave a model identical to a from-scratch `well_founded_model`
 //! rebuild of the merged program after every commit — checked both on
 //! the live session and through a `Snapshot` read from
-//! `gsls_par::threads()` worker threads (`GSLS_THREADS=2` in check.sh).
+//! `gsls_par::threads()` reader threads (`GSLS_THREADS=2` in check.sh).
 //!
 //! PR 12 pins **one pipeline, one compiler** differentially: the same
 //! seeded batch sequence through every commit entry point (auto-commit,
@@ -355,7 +355,8 @@ fn session_walk(seed: u64, commits: usize) {
             .collect();
         let _ = sess_names;
 
-        // Snapshot read from `threads` workers: same verdicts.
+        // Snapshot read from `threads` readers, each taking a contiguous
+        // share of the atoms: same verdicts.
         let parsed: Vec<Atom> = {
             let mut s = session.store().clone();
             atoms
@@ -370,8 +371,21 @@ fn session_walk(seed: u64, commits: usize) {
                 .collect()
         };
         let snapshot = session.snapshot();
-        let verdicts = gsls_par::par_map(threads, parsed.len(), |i| {
-            snapshot.truth_of_atom(&parsed[i])
+        let per_reader = parsed.len().div_ceil(threads).max(1);
+        let verdicts: Vec<Truth> = std::thread::scope(|scope| {
+            let readers: Vec<_> = parsed
+                .chunks(per_reader)
+                .map(|mine| {
+                    let snapshot = &snapshot;
+                    scope.spawn(move || -> Vec<Truth> {
+                        mine.iter().map(|a| snapshot.truth_of_atom(a)).collect()
+                    })
+                })
+                .collect();
+            readers
+                .into_iter()
+                .flat_map(|reader| reader.join().expect("reader joins"))
+                .collect()
         });
         for (i, (name, want)) in atoms.iter().enumerate() {
             assert_eq!(
@@ -395,7 +409,7 @@ proptest! {
 
 /// A fixed-seed long walk that stays in the suite even when the
 /// property harness samples few cases (and the `GSLS_THREADS=2` gate in
-/// check.sh reruns exactly this under two worker threads).
+/// check.sh reruns exactly this with two snapshot readers).
 #[test]
 fn session_walk_fixed_seeds() {
     for seed in [3, 7, 0xdeadbeef] {
