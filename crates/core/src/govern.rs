@@ -16,7 +16,9 @@
 //!   and memory budget (admission-controlled *before* WAL journaling,
 //!   enforced again during grounding).
 //! * [`QueryOpts`] — per-query limits for
-//!   [`crate::PreparedQuery::execute_governed`].
+//!   [`crate::Session::query_governed`], or for
+//!   [`crate::PreparedQuery::execute_governed`] through the guard
+//!   [`crate::Session::query_guard`] builds from them.
 //! * [`InterruptPhase`] — where an interruption surfaced, carried by
 //!   `SessionError::Interrupted` together with the [`InterruptCause`].
 //!
@@ -159,9 +161,9 @@ impl CommitOpts {
     }
 }
 
-/// Per-query resource limits for
-/// [`crate::PreparedQuery::execute_governed`] and
-/// [`crate::Session::query_governed`].
+/// Per-query resource limits for [`crate::Session::query_governed`] and
+/// [`crate::Session::query_guard`] (whose guard
+/// [`crate::PreparedQuery::execute_governed`] takes).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryOpts {
     /// Wall-clock deadline; tripping yields `DeadlineExceeded`.

@@ -27,7 +27,7 @@
 //!
 //! [`session`] is a module tree cut along the decisions it makes, one
 //! definition each (its docs carry the full map and diagram):
-//! `engine` — the materialized state, its single `build` and its
+//! `engine` — the maintained state, its single `build` and its
 //! `truncate_to`;
 //! `commit` — [`UpdateBatch`] and the one pipeline every write is a
 //! call of, `validate → admit → journal → apply → publish`, WAL replay
@@ -35,9 +35,10 @@
 //! (engine truncated, WAL cut, both to the rollback point's marks) or
 //! leaving the session *poisoned* until [`Session::recover`] completes
 //! the unwind;
-//! `query` — the one goal compiler and the one streaming evaluator
-//! ([`Answers`]) behind every `execute*`; `snapshot` — the frozen
-//! `Send + Sync` read view; `errors` — [`SessionError`] and friends.
+//! `query` — the one goal compiler, the one streaming evaluator
+//! ([`Answers`]) and the one compiled query ([`PreparedQuery`]), run on
+//! either [`QuerySource`]; `snapshot` — the frozen `Send + Sync` read
+//! view; `errors` — [`SessionError`] and friends.
 //!
 //! ```
 //! use gsls_core::{Engine, Solver};
@@ -83,8 +84,8 @@ pub use ordinal::Ordinal;
 pub use rule::{RuleKind, Selection};
 pub use scc::SccSolver;
 pub use session::{
-    Answer, Answers, CommitError, CommitRejection, CommitStats, PreparedQuery, Session,
-    SessionError, Snapshot, SnapshotQuery, UpdateBatch,
+    Answer, Answers, CommitError, CommitRejection, CommitStats, PreparedQuery, QuerySource,
+    Session, SessionError, Snapshot, UpdateBatch,
 };
 pub use slp::{SlpNode, SlpNodeKind, SlpOpts, SlpTree};
 pub use solver::{Engine, QueryResult, Solver, SolverError};

@@ -1,4 +1,4 @@
-//! The engine state a [`super::Session`] keeps materialized — grounder,
+//! The engine state a [`super::Session`] keeps up to date — grounder,
 //! the two warm fixpoint chains, the model, the retracted-fact set and
 //! the predicate arities — the **one** way to build it from source, and
 //! the way back to an earlier state of it: every part only ever appends

@@ -3,7 +3,7 @@
 //!
 //! A [`Session`] owns the [`TermStore`], the source [`Program`], the
 //! ground program and the engine state, and keeps the **well-founded
-//! model continuously materialized** across updates:
+//! model continuously up to date** across updates:
 //!
 //! * **Transactional updates** — [`Session::assert_facts`],
 //!   [`Session::retract_facts`] and [`Session::add_rules`] buffer into
@@ -24,11 +24,12 @@
 //!   the property Ross's global tree makes literal (the tree for `← A`
 //!   only visits atoms `A` depends on), keeps every verdict outside that
 //!   cone fixed.
-//! * **Prepared queries** — [`Session::prepare`] compiles a goal once
-//!   into a [`PreparedQuery`] (pattern specs, slot layout, engine
-//!   choice, reusable scratch); [`PreparedQuery::execute`] streams
-//!   bindings through the [`Answers`] iterator instead of materializing
-//!   vectors.
+//! * **Prepared queries** — [`Session::prepare`] and
+//!   [`Snapshot::prepare`] compile a goal once into the one
+//!   [`PreparedQuery`] type (a store-free plan plus the goal's variable
+//!   names); [`PreparedQuery::execute`] runs it on either source — the
+//!   live session or a snapshot — and streams bindings through the
+//!   [`Answers`] iterator instead of collecting vectors.
 //! * **Snapshot reads** — [`Session::snapshot`] returns an immutable,
 //!   [`Send`]`+`[`Sync`] [`Snapshot`] of the committed state: a frozen
 //!   prefix that shares the term store, the atom table and the domain
@@ -50,8 +51,8 @@
 //! | `errors` | [`CommitError`], [`CommitRejection`], [`SessionError`] | the error vocabulary |
 //! | `engine` | `EngineState`, its single `build` and its `truncate_to` | how ground program, chains, model and retract set derive from source — and return to an earlier state of themselves |
 //! | `commit` | [`UpdateBatch`], the update surface, `run_commit`, `unwind` | how a write becomes committed state — or provably doesn't |
-//! | `query` | `QueryPlan`, [`Answers`], [`PreparedQuery`] | how a goal compiles and streams |
-//! | `snapshot` | [`Snapshot`], [`SnapshotQuery`] | what a frozen read view holds |
+//! | `query` | `QueryPlan`, [`Answers`], [`PreparedQuery`], [`QuerySource`] | how a goal compiles and streams, on either source |
+//! | `snapshot` | [`Snapshot`] | what a frozen read view holds |
 //!
 //! ## The commit pipeline
 //!
@@ -117,11 +118,10 @@ mod tests;
 
 pub use commit::{CommitStats, UpdateBatch};
 pub use errors::{CommitError, CommitRejection, SessionError};
-pub use query::{Answer, Answers, PreparedQuery};
-pub(crate) use query::{ModelView, Names, QueryPlan, QueryScratch};
-pub use snapshot::{Snapshot, SnapshotQuery};
+pub use query::{Answer, Answers, PreparedQuery, QuerySource};
+pub(crate) use query::{ModelView, Names, QueryPlan};
+pub use snapshot::Snapshot;
 
-use crate::global::GlobalOpts;
 use crate::govern::{Guard, InterruptCause, InterruptHandle, InterruptPhase, TripInfo};
 use commit::{Pending, RollbackPoint};
 use engine::EngineState;
@@ -153,7 +153,6 @@ pub struct Session {
     txn: Option<Pending>,
     /// Monotone commit counter; snapshots carry the epoch they saw.
     epoch: u64,
-    global_opts: GlobalOpts,
     /// Grounding options, kept for the engine rebuild `recover()` owes
     /// after a panic.
     opts: GrounderOpts,
@@ -432,7 +431,6 @@ impl Session {
             engine,
             txn: None,
             epoch,
-            global_opts: GlobalOpts::default(),
             opts,
             lint_config: LintConfig::default(),
             last_report: LintReport::default(),
@@ -599,13 +597,6 @@ impl Session {
         Ok(())
     }
 
-    /// Overrides the global-tree budgets used by
-    /// [`crate::Engine::GlobalTree`]-prepared queries.
-    pub fn with_global_opts(mut self, opts: GlobalOpts) -> Self {
-        self.global_opts = opts;
-        self
-    }
-
     // ---- static analysis ---------------------------------------------
 
     /// Replaces the lint configuration gating every subsequent rule
@@ -707,8 +698,9 @@ impl Session {
 
     /// A `Send + Sync` handle that cancels the session's *currently
     /// running* governed operation ([`Session::commit_with`],
-    /// [`Session::query_governed`], …) from another thread. Each
-    /// governed operation clears the flag on entry, so a cancellation
+    /// [`Session::query_governed`], a run under a
+    /// [`Session::query_guard`], …) from another thread. Each governed
+    /// operation clears the flag on entry, so a cancellation
     /// is consumed by the operation it lands on (or by the next one to
     /// start) and never lingers.
     pub fn interrupt_handle(&self) -> InterruptHandle {

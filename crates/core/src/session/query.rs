@@ -1,8 +1,9 @@
 //! The model-backed query engine: one goal compiler ([`QueryPlan`]),
-//! one streaming evaluator ([`Answers`]), and the [`PreparedQuery`]
-//! surface over the live session. [`super::Snapshot`]s and the
-//! [`crate::Solver`] shim run the very same plans through the very
-//! same [`Answers::start`].
+//! one streaming evaluator ([`Answers`]), and one compiled query
+//! ([`PreparedQuery`]) that runs on whichever [`QuerySource`] it is
+//! handed — the live session or a [`Snapshot`](super::Snapshot), the
+//! same [`ModelView`] either way. The [`crate::Solver`] shim runs the
+//! very same plans through the very same [`Answers::start`].
 //!
 //! A positive literal reaches its candidate atoms by one of three
 //! access paths ([`Access`]), chosen when the goal is compiled — which
@@ -14,10 +15,9 @@
 //! none is. So a partially bound literal costs about its answers, not
 //! its predicate.
 
-use super::{record_trip, Session, SessionError, Snapshot};
-use crate::global::GlobalTree;
+use super::{record_trip, Session, SessionError};
 use crate::govern::{Guard, InterruptCause, InterruptPhase, QueryOpts, TripInfo};
-use crate::solver::{Engine, QueryResult};
+use crate::solver::QueryResult;
 use gsls_ground::{ArgCandidates, GroundAtomId, GroundAtoms, Reseal};
 use gsls_lang::{
     arena, parse_goal, Arena, Atom, FxHashMap, Goal, Pred, Subst, Symbol, Term, TermId, TermStore,
@@ -45,8 +45,12 @@ const MAX_QUERY_INSTANCES: usize = 100_000;
 /// *borrows* them: it accumulates plain `u64`s during enumeration and
 /// flushes on drop — zero atomics per answer, and no refcount traffic
 /// per execution on cache lines every reader thread shares.
+///
+/// Nominally `pub` only because [`QuerySource`]'s sealed half hands it
+/// out; this module is private, so nothing outside the crate can name
+/// it, and its fields are private.
 #[derive(Clone)]
-pub(super) struct QueryObs {
+pub struct QueryObs {
     executions: Counter,
     answers: Counter,
     point_lookups: Counter,
@@ -91,14 +95,48 @@ impl std::fmt::Debug for QueryObs {
 /// batch state — the same four things either way, which is what makes
 /// a live read "the snapshot of now". A query reads atoms and truth
 /// values, never clauses, so the view holds the ground program's atom
-/// side only.
+/// side only. (Nominally `pub` for the same reason as [`QueryObs`].)
 #[derive(Clone, Copy)]
-pub(crate) struct ModelView<'a> {
-    pub store: &'a TermStore,
-    pub atoms: &'a GroundAtoms,
-    pub model: &'a Interp,
+pub struct ModelView<'a> {
+    pub(crate) store: &'a TermStore,
+    pub(crate) atoms: &'a GroundAtoms,
+    pub(crate) model: &'a Interp,
     /// Constants for residual (all-negative) enumeration.
-    pub domain: &'a Arena<TermId>,
+    pub(crate) domain: &'a Arena<TermId>,
+}
+
+/// What a [`PreparedQuery`] runs on: `&Session` (its committed model)
+/// or `&Snapshot` (the model it captured). Both supply the same
+/// [`ModelView`] and count into the session's `query.*` counters.
+/// Sealed: no other type implements it.
+pub trait QuerySource<'a>: sealed::Source<'a> {}
+
+pub(super) mod sealed {
+    use super::{ModelView, QueryObs};
+
+    /// The crate-private half of [`super::QuerySource`].
+    pub trait Source<'a>: Copy {
+        fn view(self) -> ModelView<'a>;
+        fn qobs(self) -> &'a QueryObs;
+    }
+}
+
+impl<'a> QuerySource<'a> for &'a Session {}
+
+impl<'a> sealed::Source<'a> for &'a Session {
+    /// The session's read view — what [`Session::snapshot`] freezes.
+    fn view(self) -> ModelView<'a> {
+        ModelView {
+            store: &self.store,
+            atoms: self.engine.grounder.ground_program().atoms(),
+            model: &self.engine.model,
+            domain: self.engine.grounder.universe(),
+        }
+    }
+
+    fn qobs(self) -> &'a QueryObs {
+        &self.sobs.query
+    }
 }
 
 /// Where a goal's names are looked up, i.e. the one thing that differs
@@ -183,7 +221,7 @@ struct CompiledLit {
 /// order) drive candidate enumeration over the interned atom table —
 /// each by the [`Access`] path its bound arguments allow — residual
 /// slots enumerate the domain, negative literals check last.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct QueryPlan {
     pos: Vec<CompiledLit>,
     neg: Vec<CompiledLit>,
@@ -300,23 +338,6 @@ impl QueryPlan {
         }
         Ok(plan)
     }
-
-    /// Runs this plan against a view with caller-owned scratch — the
-    /// [`crate::Solver`] shim's entry into the shared evaluator
-    /// (ungoverned, uncounted).
-    pub(crate) fn run<'a>(
-        &'a self,
-        view: ModelView<'a>,
-        scratch: &'a mut QueryScratch,
-    ) -> Result<Answers<'a>, SessionError> {
-        Answers::start(
-            self,
-            view,
-            ScratchSlot::Borrowed(scratch),
-            Guard::none(),
-            None,
-        )
-    }
 }
 
 /// Per-depth iteration state of one [`Answers`] run.
@@ -343,10 +364,8 @@ impl Default for DepthState {
     }
 }
 
-/// Reusable evaluation scratch, cached inside a [`PreparedQuery`]
-/// across executions (snapshot runs allocate their own).
-#[derive(Debug, Default, Clone)]
-pub(crate) struct QueryScratch {
+/// Evaluation scratch, owned by one [`Answers`] run.
+struct QueryScratch {
     bindings: Vec<TermId>,
     depths: Vec<DepthState>,
     trail: Vec<u32>,
@@ -383,30 +402,6 @@ fn resolve_key(lit: &CompiledLit, s: &mut QueryScratch) -> bool {
     true
 }
 
-pub(super) enum ScratchSlot<'a> {
-    Borrowed(&'a mut QueryScratch),
-    Owned(Box<QueryScratch>),
-}
-
-impl std::ops::Deref for ScratchSlot<'_> {
-    type Target = QueryScratch;
-    fn deref(&self) -> &QueryScratch {
-        match self {
-            ScratchSlot::Borrowed(s) => s,
-            ScratchSlot::Owned(s) => s,
-        }
-    }
-}
-
-impl std::ops::DerefMut for ScratchSlot<'_> {
-    fn deref_mut(&mut self) -> &mut QueryScratch {
-        match self {
-            ScratchSlot::Borrowed(s) => s,
-            ScratchSlot::Owned(s) => s,
-        }
-    }
-}
-
 /// One streamed answer: a substitution for the goal variables and the
 /// truth of that instance (`True` or `Undefined`; false instances are
 /// never yielded).
@@ -420,11 +415,11 @@ pub struct Answer {
 
 /// A streaming iterator over the true and undefined instances of a
 /// prepared query — answers are produced on demand; nothing is
-/// materialized unless the caller collects.
+/// collected unless the caller collects.
 pub struct Answers<'a> {
     plan: &'a QueryPlan,
     view: ModelView<'a>,
-    scratch: ScratchSlot<'a>,
+    scratch: QueryScratch,
     /// `scans[d]`: the rest of the predicate scan positive depth `d` is
     /// enumerating — candidates are pulled on demand, never copied out.
     /// Sized on the first scan, so point queries allocate nothing here.
@@ -437,9 +432,6 @@ pub struct Answers<'a> {
     depth: usize,
     started: bool,
     done: bool,
-    /// Global-tree engine only: pre-materialized answers + verdict.
-    materialized: Option<std::vec::IntoIter<Answer>>,
-    overall: Option<(Truth, bool)>,
     /// Resource governance: checked once per backtracking step.
     guard: Guard,
     tick: u32,
@@ -460,13 +452,12 @@ pub struct Answers<'a> {
 
 impl<'a> Answers<'a> {
     /// Starts a run of `plan` against `view` — the single entry every
-    /// execution surface (live, governed, snapshot, solver shim) goes
-    /// through. Fails fast if a residual enumeration would exceed the
-    /// instance budget.
-    pub(super) fn start(
+    /// execution surface ([`PreparedQuery`] on either source, the
+    /// solver shim) goes through. Fails fast if a residual enumeration
+    /// would exceed the instance budget.
+    pub(crate) fn start(
         plan: &'a QueryPlan,
         view: ModelView<'a>,
-        mut scratch: ScratchSlot<'a>,
         guard: Guard,
         qobs: Option<&'a QueryObs>,
     ) -> Result<Answers<'a>, SessionError> {
@@ -485,12 +476,12 @@ impl<'a> Answers<'a> {
             }
         }
         let total = plan.pos.len() + plan.residual.len();
-        scratch.bindings.clear();
-        scratch.bindings.resize(plan.vars.len(), UNBOUND);
-        scratch.trail.clear();
-        if scratch.depths.len() < total {
-            scratch.depths.resize(total, DepthState::default());
-        }
+        let scratch = QueryScratch {
+            bindings: vec![UNBOUND; plan.vars.len()],
+            depths: vec![DepthState::default(); total],
+            trail: Vec::new(),
+            key_buf: Vec::new(),
+        };
         Ok(Answers {
             plan,
             view,
@@ -501,8 +492,6 @@ impl<'a> Answers<'a> {
             depth: 0,
             started: false,
             done: false,
-            materialized: None,
-            overall: None,
             guard,
             tick: 0,
             interrupted: None,
@@ -543,7 +532,7 @@ impl<'a> Answers<'a> {
         let mark = self.scratch.trail.len();
         if d < self.plan.pos.len() {
             let (lit, atoms) = (&self.plan.pos[d], self.view.atoms);
-            let s = &mut *self.scratch;
+            let s = &mut self.scratch;
             match lit.access {
                 Access::Point => {
                     self.n_point += 1;
@@ -593,7 +582,7 @@ impl<'a> Answers<'a> {
             // run — in locals, not behind `self`: a board-sized predicate
             // walks 10^5 candidates per query.
             let (lit, view) = (&self.plan.pos[d], self.view);
-            let s = &mut *self.scratch;
+            let s = &mut self.scratch;
             let mut run = self.run;
             let truth = match lit.access {
                 Access::Scan => {
@@ -625,7 +614,7 @@ impl<'a> Answers<'a> {
                 return false;
             };
             self.scratch.depths[d].cursor += 1;
-            let s = &mut *self.scratch;
+            let s = &mut self.scratch;
             s.bindings[slot as usize] = c;
             s.trail.push(slot);
             true
@@ -640,7 +629,7 @@ impl<'a> Answers<'a> {
     #[inline(never)]
     fn advance_indexed(&mut self, d: usize, mark: usize) -> bool {
         let (lit, view) = (&self.plan.pos[d], self.view);
-        let s = &mut *self.scratch;
+        let s = &mut self.scratch;
         let mut run = self.run;
         let tried = &mut self.n_candidates;
         let truth = self.indexed[d].find_map(|i| {
@@ -663,7 +652,7 @@ impl<'a> Answers<'a> {
             truth = min_truth(truth, self.scratch.depths[d].truth);
         }
         for lit in &self.plan.neg {
-            let s = &mut *self.scratch;
+            let s = &mut self.scratch;
             let resolved = resolve_key(lit, s);
             debug_assert!(resolved, "leaf with an unbound slot or compound pattern");
             let t = self
@@ -692,7 +681,6 @@ impl<'a> Answers<'a> {
 
     /// Drains the iterator into a compatibility [`QueryResult`].
     pub fn collect_result(mut self) -> QueryResult {
-        let overall = self.overall;
         let mut answers = Vec::new();
         let mut undefined = Vec::new();
         for a in self.by_ref() {
@@ -702,24 +690,18 @@ impl<'a> Answers<'a> {
                 Truth::False => unreachable!("false instances are never yielded"),
             }
         }
-        let (truth, floundered) = match overall {
-            Some((t, f)) => (t, f),
-            None => {
-                let t = if !answers.is_empty() {
-                    Truth::True
-                } else if !undefined.is_empty() {
-                    Truth::Undefined
-                } else {
-                    Truth::False
-                };
-                (t, false)
-            }
+        let truth = if !answers.is_empty() {
+            Truth::True
+        } else if !undefined.is_empty() {
+            Truth::Undefined
+        } else {
+            Truth::False
         };
         QueryResult {
             truth,
             answers,
             undefined,
-            floundered,
+            floundered: false,
             interrupted: self.interrupted,
         }
     }
@@ -729,13 +711,6 @@ impl Iterator for Answers<'_> {
     type Item = Answer;
 
     fn next(&mut self) -> Option<Answer> {
-        if let Some(m) = &mut self.materialized {
-            let a = m.next();
-            if a.is_some() {
-                self.n_answers += 1;
-            }
-            return a;
-        }
         if self.done {
             return None;
         }
@@ -882,174 +857,87 @@ fn min_truth(a: Truth, b: Truth) -> Truth {
     }
 }
 
-/// A query compiled once and executable many times: goal compilation,
-/// engine choice and evaluation scratch are cached across calls.
-/// Execute against the live session ([`PreparedQuery::execute`]) or
-/// against a [`Snapshot`] from any thread
-/// ([`PreparedQuery::execute_on`]).
+/// A query compiled once and runnable any number of times — on the live
+/// session or on any [`Snapshot`](super::Snapshot) of it, from any
+/// thread: the plan is store-free and every run owns its scratch, so a
+/// run needs only `&self`. [`Session::prepare`] and
+/// [`Snapshot::prepare`](super::Snapshot::prepare) make one.
 #[derive(Debug)]
 pub struct PreparedQuery {
-    pub(super) goal: Goal,
-    pub(super) engine: Engine,
-    pub(super) plan: QueryPlan,
-    pub(super) scratch: QueryScratch,
+    plan: QueryPlan,
+    /// The goal's variable names, in binding-slot order.
+    var_names: Box<[String]>,
 }
 
 impl PreparedQuery {
-    /// The compiled goal.
-    pub fn goal(&self) -> &Goal {
-        &self.goal
+    /// Wraps `plan`; `parsed` is the store its goal was parsed into,
+    /// which names the goal's variables.
+    pub(super) fn new(plan: QueryPlan, parsed: &TermStore) -> PreparedQuery {
+        let var_names = plan.vars.iter().map(|&v| parsed.var_name(v)).collect();
+        PreparedQuery { plan, var_names }
     }
 
-    /// The engine this query runs on.
-    pub fn engine(&self) -> Engine {
-        self.engine
+    /// Streams the answers on `on` — `&session` or `&snapshot`.
+    pub fn execute<'a>(&'a self, on: impl QuerySource<'a>) -> Result<Answers<'a>, SessionError> {
+        self.execute_governed(on, &Guard::none())
     }
 
-    /// Runs against the live session's committed model, reusing the
-    /// cached scratch buffers (zero steady-state allocation for
-    /// point queries).
-    pub fn execute<'a>(
-        &'a mut self,
-        session: &'a mut Session,
-    ) -> Result<Answers<'a>, SessionError> {
-        // The global-tree engine builds terms, so it runs first, while
-        // the session is still mutably borrowed; its answers then ride
-        // the same stream as pre-materialized results.
-        let tree = match self.engine {
-            Engine::Tabled => None,
-            Engine::GlobalTree => {
-                let tree = GlobalTree::build(
-                    &mut session.store,
-                    &session.program,
-                    &self.goal,
-                    session.global_opts,
-                );
-                let answers: Vec<Answer> = tree
-                    .answers(&mut session.store)
-                    .into_iter()
-                    .map(|a| Answer {
-                        subst: a.subst,
-                        truth: Truth::True,
-                    })
-                    .collect();
-                Some((answers, tree.verdict()))
-            }
-        };
-        let mut out = self.start_live(session, Guard::none())?;
-        if let Some((answers, verdict)) = tree {
-            out.done = true;
-            out.materialized = Some(answers.into_iter());
-            out.overall = Some(verdict);
-        }
-        Ok(out)
-    }
-
-    /// Governed variant of [`PreparedQuery::execute`]: the returned
-    /// stream checks `opts` (deadline, fuel) plus the session's
-    /// [`Session::interrupt_handle`] every
-    /// [`crate::govern::TICK_INTERVAL`] backtracking steps. When a limit
-    /// trips, the stream simply ends — answers already yielded stay
-    /// valid — and [`Answers::interrupted`] reports the cause.
-    ///
-    /// Only the model-backed [`Engine::Tabled`] streams incrementally;
-    /// the global-tree engine materializes up front and is rejected
-    /// here as [`SessionError::Unsupported`].
+    /// Governed variant of [`PreparedQuery::execute`]: the stream checks
+    /// `guard` every [`crate::govern::TICK_INTERVAL`] backtracking steps.
+    /// When a limit trips, the stream simply ends — answers already
+    /// yielded stay valid — and [`Answers::interrupted`] reports the
+    /// cause. Build the guard with [`Guard::builder`] (share its
+    /// [`crate::govern::InterruptHandle`] across reader threads), or
+    /// with [`Session::query_guard`] to let the session's
+    /// [`Session::interrupt_handle`] cancel the run.
     pub fn execute_governed<'a>(
-        &'a mut self,
-        session: &'a mut Session,
-        opts: &QueryOpts,
-    ) -> Result<Answers<'a>, SessionError> {
-        self.require_tabled(
-            "the global-tree engine materializes its answers up front; \
-             governed streaming serves the model-backed engine",
-        )?;
-        let guard = session.governed_guard(opts.deadline, None, opts.fuel, false);
-        self.start_live(session, guard)
-    }
-
-    fn start_live<'a>(
-        &'a mut self,
-        session: &'a Session,
-        guard: Guard,
-    ) -> Result<Answers<'a>, SessionError> {
-        Answers::start(
-            &self.plan,
-            session.view(),
-            ScratchSlot::Borrowed(&mut self.scratch),
-            guard,
-            Some(&session.sobs.query),
-        )
-    }
-
-    /// Runs against a snapshot — `&self`, so one prepared query can be
-    /// shared by many reader threads (each run allocates its own
-    /// scratch).
-    pub fn execute_on<'a>(&'a self, snapshot: &'a Snapshot) -> Result<Answers<'a>, SessionError> {
-        self.execute_on_governed(snapshot, &Guard::none())
-    }
-
-    /// Governed variant of [`PreparedQuery::execute_on`]: the caller
-    /// supplies the [`Guard`] (snapshots have no session cancel flag;
-    /// build one with [`Guard::builder`] and share its
-    /// [`crate::govern::InterruptHandle`] across reader threads).
-    pub fn execute_on_governed<'a>(
         &'a self,
-        snapshot: &'a Snapshot,
+        on: impl QuerySource<'a>,
         guard: &Guard,
     ) -> Result<Answers<'a>, SessionError> {
-        self.require_tabled(
-            "the global-tree engine needs the live session (it builds terms); \
-             snapshots serve the model-backed engine",
-        )?;
-        snapshot.run(&self.plan, guard)
+        Answers::start(&self.plan, on.view(), guard.clone(), Some(on.qobs()))
     }
 
-    fn require_tabled(&self, why: &str) -> Result<(), SessionError> {
-        match self.engine {
-            Engine::Tabled => Ok(()),
-            Engine::GlobalTree => Err(SessionError::Unsupported(why.to_owned())),
+    /// Renders one answer's bindings as `"X = a, Y = b"` (empty for a
+    /// ground goal): variable names from the parsed goal, terms from
+    /// the store of `on`, the source the answer came from.
+    pub fn render_answer<'a>(&self, on: impl QuerySource<'a>, answer: &Answer) -> String {
+        let store = on.view().store;
+        // One buffer per answer: an enumeration renders 10^4 of these.
+        let mut out = String::new();
+        for (&v, name) in self.plan.vars.iter().zip(self.var_names.iter()) {
+            if let Some(t) = answer.subst.lookup(v) {
+                if !out.is_empty() {
+                    out.push_str(", ");
+                }
+                out.push_str(name);
+                out.push_str(" = ");
+                store.fmt_term(t, &mut out);
+            }
         }
+        out
     }
 }
 
 impl Session {
-    /// Compiles a query (e.g. `"?- win(X)."`) into a reusable
-    /// [`PreparedQuery`] on the default (model-backed) engine.
+    /// Compiles a query (e.g. `"?- win(X)."`) into a [`PreparedQuery`]
+    /// that runs on this session or on any of its snapshots. The goal
+    /// parses into the live store, so a query prepared before a commit
+    /// still sees the constants that commit introduces.
     pub fn prepare(&mut self, src: &str) -> Result<PreparedQuery, SessionError> {
         let goal = parse_goal(&mut self.store, src)?;
-        self.prepare_goal(goal, Engine::Tabled)
-    }
-
-    /// Compiles an already-parsed goal for `engine`.
-    pub fn prepare_goal(
-        &mut self,
-        goal: Goal,
-        engine: Engine,
-    ) -> Result<PreparedQuery, SessionError> {
-        let plan = match engine {
-            Engine::Tabled => {
-                let names = Names {
-                    source: &self.store,
-                    target: None,
-                };
-                QueryPlan::compile(names, &goal)?
-            }
-            // The tree materializes its own answers; nothing to enumerate.
-            Engine::GlobalTree => QueryPlan::default(),
+        let names = Names {
+            source: &self.store,
+            target: None,
         };
-        Ok(PreparedQuery {
-            goal,
-            engine,
-            plan,
-            scratch: QueryScratch::default(),
-        })
+        let plan = QueryPlan::compile(names, &goal)?;
+        Ok(PreparedQuery::new(plan, &self.store))
     }
 
-    /// One-shot convenience: parse, prepare, execute, materialize.
+    /// One-shot convenience: parse, prepare, execute, collect.
     pub fn query(&mut self, src: &str) -> Result<QueryResult, SessionError> {
-        let mut q = self.prepare(src)?;
-        let r = q.execute(self)?.collect_result();
+        let q = self.prepare(src)?;
+        let r = q.execute(&*self)?.collect_result();
         Ok(r)
     }
 
@@ -1063,9 +951,19 @@ impl Session {
         src: &str,
         opts: &QueryOpts,
     ) -> Result<QueryResult, SessionError> {
-        let mut q = self.prepare(src)?;
-        let r = q.execute_governed(self, opts)?.collect_result();
+        let q = self.prepare(src)?;
+        let guard = self.query_guard(opts);
+        let r = q.execute_governed(&*self, &guard)?.collect_result();
         Ok(r)
+    }
+
+    /// The guard for one governed query: `opts`' deadline and fuel plus
+    /// the session's cancel flag, which is cleared here — so
+    /// [`Session::interrupt_handle`] cancels the run this guard is
+    /// handed to ([`PreparedQuery::execute_governed`], on the session or
+    /// on a snapshot), and a stale cancel never lands on it.
+    pub fn query_guard(&self, opts: &QueryOpts) -> Guard {
+        self.governed_guard(opts.deadline, None, opts.fuel, false)
     }
 
     /// Truth of a single (ground) query — shorthand over
@@ -1080,16 +978,6 @@ impl Session {
         match self.ground_program().lookup_atom(atom) {
             Some(id) => self.engine.model.truth(id),
             None => Truth::False,
-        }
-    }
-
-    /// The session's read view — what [`Session::snapshot`] freezes.
-    fn view(&self) -> ModelView<'_> {
-        ModelView {
-            store: &self.store,
-            atoms: self.engine.grounder.ground_program().atoms(),
-            model: &self.engine.model,
-            domain: self.engine.grounder.universe(),
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Immutable, `Send + Sync` views of a committed session state, and the
-//! fully read-only query surface over them.
+//! fully read-only way to compile a query against one.
 //!
 //! A committed epoch is a value: for a function-free program the
 //! well-founded model is a function of the program, and the Herbrand
@@ -21,9 +21,8 @@
 //! [`Session::metrics`] report that work per commit, and
 //! `snapshot.model_bytes` what the captures copied.
 
-use super::query::{Answers, ModelView, Names, QueryObs, QueryPlan, ScratchSlot};
-use super::{Answer, Session, SessionError};
-use crate::govern::Guard;
+use super::query::{sealed, ModelView, Names, QueryObs, QueryPlan, QuerySource};
+use super::{PreparedQuery, Session, SessionError};
 use gsls_ground::GroundAtoms;
 use gsls_lang::{parse_goal, Arena, Atom, TermId, TermStore};
 use gsls_wfs::{Interp, Truth};
@@ -45,12 +44,12 @@ struct SnapshotInner {
 
 /// An immutable view of a committed session state. Cloning is an
 /// [`Arc`] refcount bump; the snapshot is `Send + Sync`, so any number
-/// of threads can run [`super::PreparedQuery::execute_on`] against it
-/// while the originating session keeps committing. Point queries and
-/// scans take no lock and touch no atomic; a literal answered through
-/// the argument index takes one uncontended lock each time it is
-/// entered (to pick up, or seal, the run it reads) and none per
-/// candidate.
+/// of threads can run one shared [`PreparedQuery`] against it — the
+/// same `execute` that takes `&Session` takes `&Snapshot` — while the
+/// originating session keeps committing. Point queries and scans take
+/// no lock and touch no atomic; a literal answered through the argument
+/// index takes one uncontended lock each time it is entered (to pick
+/// up, or seal, the run it reads) and none per candidate.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     inner: Arc<SnapshotInner>,
@@ -83,15 +82,6 @@ impl Snapshot {
         }
     }
 
-    fn view(&self) -> ModelView<'_> {
-        ModelView {
-            store: &self.inner.store,
-            atoms: &self.inner.atoms,
-            model: &self.inner.model,
-            domain: &self.inner.domain,
-        }
-    }
-
     /// Compiles query text (e.g. `"?- win(X)."`) against this
     /// snapshot's **immutable** store: the goal parses into a private
     /// scratch store and every constant translates by read-only
@@ -101,12 +91,12 @@ impl Snapshot {
     /// simply false (and their negations true), matching the
     /// committed-state semantics.
     ///
-    /// The compiled query remains valid on *later* snapshots of the
-    /// same session (ids are stable under the append-only arena), but
-    /// a constant unknown at compile time stays foreign even if a
-    /// later commit introduces it — recompile per snapshot when that
-    /// matters.
-    pub fn prepare(&self, src: &str) -> Result<SnapshotQuery, SessionError> {
+    /// The compiled query remains valid on the session and on *later*
+    /// snapshots of it (ids are stable under the append-only arena),
+    /// but a constant unknown at compile time stays foreign even if a
+    /// later commit introduces it — recompile per snapshot, or prepare
+    /// on the session ([`Session::prepare`]), when that matters.
+    pub fn prepare(&self, src: &str) -> Result<PreparedQuery, SessionError> {
         let mut scratch = TermStore::new();
         let goal = parse_goal(&mut scratch, src)?;
         let names = Names {
@@ -114,85 +104,24 @@ impl Snapshot {
             target: Some(&self.inner.store),
         };
         let plan = QueryPlan::compile(names, &goal)?;
-        Ok(SnapshotQuery {
-            plan,
-            names: scratch,
-        })
-    }
-
-    /// Streams `plan` over this snapshot under `guard`; each run
-    /// allocates its own scratch, so `&self` serves any number of
-    /// reader threads.
-    pub(super) fn run<'a>(
-        &'a self,
-        plan: &'a QueryPlan,
-        guard: &Guard,
-    ) -> Result<Answers<'a>, SessionError> {
-        Answers::start(
-            plan,
-            self.view(),
-            ScratchSlot::Owned(Box::default()),
-            guard.clone(),
-            Some(&self.inner.qobs),
-        )
+        Ok(PreparedQuery::new(plan, &scratch))
     }
 }
 
-/// A query compiled by [`Snapshot::prepare`] — fully read-only on the
-/// snapshot it runs against (`&self` everywhere), so one instance can
-/// serve many reader threads.
-#[derive(Debug)]
-pub struct SnapshotQuery {
-    plan: QueryPlan,
-    /// The scratch store that parsed the goal; keeps the goal's
-    /// variable names for rendering answers.
-    names: TermStore,
-}
+impl<'a> QuerySource<'a> for &'a Snapshot {}
 
-impl SnapshotQuery {
-    /// Streams the answers over `snapshot` (each run allocates its own
-    /// scratch).
-    pub fn execute<'a>(&'a self, snapshot: &'a Snapshot) -> Result<Answers<'a>, SessionError> {
-        snapshot.run(&self.plan, &Guard::none())
-    }
-
-    /// Governed variant: the stream checks `guard` every
-    /// [`crate::govern::TICK_INTERVAL`] backtracking steps and, when a
-    /// limit trips, ends early with [`Answers::interrupted`] set.
-    pub fn execute_governed<'a>(
-        &'a self,
-        snapshot: &'a Snapshot,
-        guard: &Guard,
-    ) -> Result<Answers<'a>, SessionError> {
-        snapshot.run(&self.plan, guard)
-    }
-
-    /// The goal's variable names, in binding-slot order.
-    pub fn var_names(&self) -> Vec<String> {
-        self.plan
-            .vars
-            .iter()
-            .map(|&v| self.names.var_name(v))
-            .collect()
-    }
-
-    /// Renders one answer's bindings as `"X = a, Y = b"` (empty for a
-    /// ground goal): variable names from the parsed goal, terms from
-    /// the snapshot's store.
-    pub fn render_answer(&self, snapshot: &Snapshot, answer: &Answer) -> String {
-        // One buffer per answer: an enumeration renders 10^4 of these.
-        let mut out = String::new();
-        for &v in &self.plan.vars {
-            if let Some(t) = answer.subst.lookup(v) {
-                if !out.is_empty() {
-                    out.push_str(", ");
-                }
-                self.names.write_var_name(v, &mut out);
-                out.push_str(" = ");
-                snapshot.store().fmt_term(t, &mut out);
-            }
+impl<'a> sealed::Source<'a> for &'a Snapshot {
+    fn view(self) -> ModelView<'a> {
+        ModelView {
+            store: &self.inner.store,
+            atoms: &self.inner.atoms,
+            model: &self.inner.model,
+            domain: &self.inner.domain,
         }
-        out
+    }
+
+    fn qobs(self) -> &'a QueryObs {
+        &self.inner.qobs
     }
 }
 

@@ -4,13 +4,14 @@
 use super::*;
 use crate::solver::Engine;
 use gsls_analyze::{Lint, LintLevel};
-use gsls_lang::{parse_goal, Goal};
+use gsls_lang::parse_goal;
 use gsls_wfs::Truth;
 
 #[test]
 fn snapshot_is_send_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Snapshot>();
+    assert_send_sync::<PreparedQuery>();
 }
 
 #[test]
@@ -80,10 +81,10 @@ fn add_rules_against_live_facts() {
 #[test]
 fn prepared_query_reuse_across_commits() {
     let mut sess = Session::from_source("d(a). good(X) :- d(X), ~bad(X).").unwrap();
-    let mut q = sess.prepare("?- good(X).").unwrap();
-    assert_eq!(q.execute(&mut sess).unwrap().count(), 1);
+    let q = sess.prepare("?- good(X).").unwrap();
+    assert_eq!(q.execute(&sess).unwrap().count(), 1);
     sess.assert_facts("d(b). d(c). bad(b).").unwrap();
-    let answers: Vec<Answer> = q.execute(&mut sess).unwrap().collect();
+    let answers: Vec<Answer> = q.execute(&sess).unwrap().collect();
     assert_eq!(answers.len(), 2, "a and c");
     for a in &answers {
         assert_eq!(a.truth, Truth::True);
@@ -93,17 +94,17 @@ fn prepared_query_reuse_across_commits() {
 #[test]
 fn answers_stream_lazily() {
     let mut sess = Session::from_source("d(a). d(b). d(c). d(e).").unwrap();
-    let mut q = sess.prepare("?- d(X).").unwrap();
-    let mut it = q.execute(&mut sess).unwrap();
+    let q = sess.prepare("?- d(X).").unwrap();
+    let mut it = q.execute(&sess).unwrap();
     assert!(it.next().is_some());
     assert!(it.next().is_some());
     drop(it); // abandoning mid-stream is fine
-    assert_eq!(q.execute(&mut sess).unwrap().count(), 4);
+    assert_eq!(q.execute(&sess).unwrap().count(), 4);
 }
 
 #[test]
 fn snapshot_isolation_under_writes() {
-    let mut sess = Session::from_source("q(a). d(a). d(b).").unwrap();
+    let mut sess = Session::from_source("q(a). d(a). d(b). d(c).").unwrap();
     let q = sess.prepare("?- ~q(X).").unwrap();
     let snap = sess.snapshot();
     let snap2 = sess.snapshot();
@@ -111,36 +112,40 @@ fn snapshot_isolation_under_writes() {
     // Writer moves on.
     sess.assert_facts("q(b).").unwrap();
     let live = sess.query("?- ~q(X).").unwrap();
-    assert_eq!(live.answers.len(), 0);
+    assert_eq!(live.answers.len(), 1);
     // The snapshot still sees epoch 0: ~q(b) holds there.
-    let frozen: Vec<Answer> = q.execute_on(&snap).unwrap().collect();
-    assert_eq!(frozen.len(), 1);
+    let frozen: Vec<Answer> = q.execute(&snap).unwrap().collect();
+    assert_eq!(frozen.len(), 2);
     assert_eq!(frozen[0].subst.display(snap.store()), "{X = b}");
-    // Threads: query the same snapshot concurrently.
-    let handles: Vec<_> = (0..4)
-        .map(|_| {
-            let snap = snap.clone();
-            std::thread::spawn(move || {
-                let q = PreparedQuery {
-                    goal: Goal::empty(),
-                    engine: Engine::Tabled,
-                    plan: QueryPlan::compile(
-                        Names {
-                            source: snap.store(),
-                            target: None,
-                        },
-                        &Goal::empty(),
-                    )
-                    .unwrap(),
-                    scratch: QueryScratch::default(),
-                };
-                q.execute_on(&snap).unwrap().count()
-            })
-        })
+    // One prepared query, shared by four threads: on a snapshot of now
+    // it answers exactly as on the session, on the old one as before.
+    let now = sess.snapshot();
+    let rows = |answers: Answers<'_>, on: &Snapshot| -> Vec<String> {
+        answers.map(|a| q.render_answer(on, &a)).collect()
+    };
+    let on_session: Vec<String> = q
+        .execute(&sess)
+        .unwrap()
+        .map(|a| q.render_answer(&sess, &a))
         .collect();
-    for h in handles {
-        assert_eq!(h.join().unwrap(), 1, "empty goal: one vacuous answer");
-    }
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    (
+                        rows(q.execute(&now).unwrap(), &now),
+                        rows(q.execute(&snap).unwrap(), &snap),
+                    )
+                })
+            })
+            .collect();
+        for h in handles {
+            let (current, old) = h.join().unwrap();
+            assert_eq!(current, on_session, "a snapshot of now is the session");
+            assert_eq!(current, ["X = c"]);
+            assert_eq!(old, ["X = b", "X = c"], "the old snapshot keeps its epoch");
+        }
+    });
 }
 
 #[test]
@@ -632,13 +637,8 @@ fn indexed_plans_answer_exactly_as_scan_plans() {
                 let vars = indexed.vars.clone();
                 let mut live = Vec::new();
                 for plan in [indexed, scan] {
-                    let mut q = PreparedQuery {
-                        goal: goal.clone(),
-                        engine: Engine::Tabled,
-                        plan,
-                        scratch: QueryScratch::default(),
-                    };
-                    let answers: Vec<Answer> = q.execute(&mut session).expect("live run").collect();
+                    let q = PreparedQuery::new(plan, &session.store);
+                    let answers: Vec<Answer> = q.execute(&session).expect("live run").collect();
                     live.push(answer_rows(
                         answers,
                         &vars,
@@ -662,11 +662,11 @@ fn indexed_plans_answer_exactly_as_scan_plans() {
                     QueryPlan::compile(names, &goal).expect("compiles live, compiles frozen"),
                     QueryPlan::compile_without_index(names, &goal).expect("likewise"),
                 ] {
-                    let answers: Vec<Answer> = snapshot
-                        .run(&plan, &Guard::none())
-                        .expect("snapshot run")
-                        .collect();
-                    let rows = answer_rows(answers, &plan.vars, &scratch, snapshot.store());
+                    let vars = plan.vars.clone();
+                    let q = PreparedQuery::new(plan, &scratch);
+                    let answers: Vec<Answer> =
+                        q.execute(&snapshot).expect("snapshot run").collect();
+                    let rows = answer_rows(answers, &vars, &scratch, snapshot.store());
                     assert_eq!(
                         rows, live[1],
                         "seed {seed} step {step}: {goal_src} (snapshot)"

@@ -20,7 +20,8 @@
 //!   compared in the experiment harness, not proxied here.
 
 use crate::global::{GlobalOpts, GlobalTree};
-use crate::session::{ModelView, Names, QueryPlan, QueryScratch, SessionError};
+use crate::govern::Guard;
+use crate::session::{Answers, ModelView, Names, QueryPlan, SessionError};
 use gsls_ground::{herbrand, GroundProgram, Grounder, GrounderOpts};
 use gsls_lang::{Goal, Literal, Program, Subst, TermStore};
 use gsls_wfs::{well_founded_model, Interp, Truth};
@@ -30,7 +31,7 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Memoized effective engine (function-free programs): the
-    /// materialized well-founded model behind the streaming query
+    /// precomputed well-founded model behind the streaming query
     /// evaluator.
     #[default]
     Tabled,
@@ -110,7 +111,6 @@ struct ModelState {
 pub struct Solver {
     program: Program,
     ready: Option<ModelState>,
-    global_opts: GlobalOpts,
     grounder_opts: GrounderOpts,
 }
 
@@ -120,15 +120,8 @@ impl Solver {
         Solver {
             program,
             ready: None,
-            global_opts: GlobalOpts::default(),
             grounder_opts: GrounderOpts::default(),
         }
-    }
-
-    /// Overrides the global-tree budgets.
-    pub fn with_global_opts(mut self, opts: GlobalOpts) -> Self {
-        self.global_opts = opts;
-        self
     }
 
     /// Overrides the grounding options.
@@ -208,13 +201,13 @@ impl Solver {
             model: &st.model,
             domain: &st.domain,
         };
-        let mut scratch = QueryScratch::default();
-        let answers = plan.run(view, &mut scratch)?;
+        // Ungoverned and uncounted: a solver has no session registry.
+        let answers = Answers::start(&plan, view, Guard::none(), None)?;
         Ok(answers.collect_result())
     }
 
     fn query_global(&self, store: &mut TermStore, goal: &Goal) -> QueryResult {
-        let tree = GlobalTree::build(store, &self.program, goal, self.global_opts);
+        let tree = GlobalTree::build(store, &self.program, goal, GlobalOpts::default());
         let answers = tree
             .answers(store)
             .into_iter()
@@ -233,7 +226,7 @@ impl Solver {
     /// Builds (and returns) the global tree for a goal — for traces and
     /// level inspection.
     pub fn global_tree(&self, store: &mut TermStore, goal: &Goal) -> GlobalTree {
-        GlobalTree::build(store, &self.program, goal, self.global_opts)
+        GlobalTree::build(store, &self.program, goal, GlobalOpts::default())
     }
 }
 

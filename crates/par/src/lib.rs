@@ -7,8 +7,8 @@
 //! * [`govern`] — [`Guard`]: the engine-wide cancellation / deadline /
 //!   memory-budget token every hot loop polls;
 //! * [`threads`] / [`threads_from`] — how many threads a component that
-//!   fans out should start: the server's reader pool, and the reader
-//!   fan-outs of the concurrency tests.
+//!   fans out should start: the reader fan-outs of the concurrency
+//!   tests, and `benchmark/`'s `host.par_threads`.
 //!
 //! Evaluation itself — grounding, the alternating fixpoint, SCC-by-SCC
 //! tabling — is sequential, as the paper's effective procedure is: this

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! gsls-serve [--addr HOST:PORT] [--data-dir DIR] [--max-conns N]
-//!            [--readers N] [--queue-depth N] [--group-max N]
+//!            [--queue-depth N] [--group-max N]
 //!            [--idle-timeout-ms N] [--remote-admin]
 //! ```
 //!
@@ -18,7 +18,7 @@ use std::time::Duration;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: gsls-serve [--addr HOST:PORT] [--data-dir DIR] [--max-conns N]\n\
-         \x20                 [--readers N] [--queue-depth N] [--group-max N]\n\
+         \x20                 [--queue-depth N] [--group-max N]\n\
          \x20                 [--idle-timeout-ms N] [--remote-admin]"
     );
     ExitCode::from(2)
@@ -51,10 +51,6 @@ fn main() -> ExitCode {
             },
             "--max-conns" => match take("--max-conns").and_then(|v| v.parse().ok()) {
                 Some(v) => cfg.max_conns = v,
-                None => return usage(),
-            },
-            "--readers" => match take("--readers").and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.readers = v,
                 None => return usage(),
             },
             "--queue-depth" => match take("--queue-depth").and_then(|v| v.parse().ok()) {

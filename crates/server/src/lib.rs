@@ -5,8 +5,8 @@
 //! contiguous queued commit batches are journaled as one WAL apply with
 //! a single fsync amortized across them, and every waiting client gets
 //! its own typed reply only after that fsync (the "fsync before ack"
-//! contract). Reads run on `Arc`'d snapshots across a reader pool and
-//! never block the writer.
+//! contract). Each query runs on its connection's thread against an
+//! `Arc`'d snapshot and never blocks the writer.
 //!
 //! ## Wire protocol
 //!

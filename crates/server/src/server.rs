@@ -1,6 +1,6 @@
-//! The server: thread-per-connection front end, one writer thread per
-//! session draining a bounded commit queue with **group commit**, and a
-//! shared reader pool running queries on `Arc`'d snapshots.
+//! The server: thread-per-connection front end that answers queries
+//! itself on `Arc`'d snapshots, and one writer thread per session
+//! draining a bounded commit queue with **group commit**.
 //!
 //! ## Threads and ownership
 //!
@@ -9,10 +9,12 @@
 //!   spawns one thread per accepted connection.
 //! * Each **connection thread** owns its socket. It reads one frame,
 //!   routes on [`peek_request_kind`] *without* decoding the payload,
-//!   and answers reads itself (metrics/events from cloned [`Obs`]
-//!   handles) or forwards work: commits and checkpoints to the
-//!   session's writer, queries to the reader pool. Replies come back
-//!   over a per-request rendezvous channel.
+//!   and answers reads itself: metrics/events from cloned [`Obs`]
+//!   handles, and queries via [`Snapshot::prepare`] on a clone of the
+//!   session's latest snapshot — compilation and evaluation are fully
+//!   read-only, so a query never blocks the writer and vice versa.
+//!   Commits and checkpoints go to the session's writer, whose reply
+//!   comes back over a per-request rendezvous channel.
 //! * Each session's **writer thread** exclusively owns its
 //!   [`Session`]. It blocks on the commit queue, holds the group open
 //!   until its slot on the **commit cadence** ([`GROUP_INTERVAL`] after
@@ -25,10 +27,10 @@
 //!   and each waiting client gets its own typed reply (a batch that
 //!   trips its deadline gets `Error{kind: Interrupted}` while the rest
 //!   of the group commits).
-//! * The **reader pool** (default [`gsls_par::threads`] threads)
-//!   executes queries via [`Snapshot::prepare`] on a clone of the
-//!   session's latest snapshot — compilation and evaluation are fully
-//!   read-only, so readers never block the writer and vice versa.
+//!
+//! A query runs where it arrives: its connection waits for the reply
+//! either way, and [`ServerConfig::max_conns`] bounds how many run at
+//! once.
 //!
 //! ## Commit cadence
 //!
@@ -137,8 +139,6 @@ pub struct ServerConfig {
     pub max_conns: usize,
     /// Idle timeout per connection.
     pub idle_timeout: Duration,
-    /// Reader-pool size; 0 means [`gsls_par::threads`].
-    pub readers: usize,
     /// Bounded depth of each session's commit queue; senders block
     /// when it is full (backpressure, not rejection).
     pub queue_depth: usize,
@@ -158,7 +158,6 @@ impl Default for ServerConfig {
             data_dir: None,
             max_conns: 64,
             idle_timeout: DEFAULT_IDLE_TIMEOUT,
-            readers: 0,
             queue_depth: 64,
             group_max: 32,
             remote_admin: false,
@@ -179,23 +178,14 @@ enum Job {
     Checkpoint { reply: mpsc::SyncSender<Response> },
 }
 
-/// A query for the reader pool.
-struct QueryJob {
-    svc: Arc<SessionSvc>,
-    goal: String,
-    opts: GovernOpts,
-    received: Instant,
-    reply: mpsc::SyncSender<Response>,
-}
-
-/// Per-session serving state shared between connection threads, the
-/// session's writer, and the reader pool.
+/// Per-session serving state shared between connection threads and the
+/// session's writer.
 struct SessionSvc {
     name: String,
     /// Commit-queue sender; `None` once shutdown has begun.
     tx: Mutex<Option<mpsc::SyncSender<Job>>>,
     /// The latest committed snapshot, refreshed by the writer after
-    /// every group. Readers clone it out (an `Arc` bump) and run on
+    /// every group. Queries clone it out (an `Arc` bump) and run on
     /// the clone, so the lock is held only for the clone.
     snap: Mutex<Snapshot>,
     /// The session's observability bundle (shared storage).
@@ -225,8 +215,6 @@ struct Shared {
     shutdown: AtomicBool,
     conns: AtomicUsize,
     sessions: Mutex<HashMap<String, SessionEntry>>,
-    /// Reader-pool sender; `None` once shutdown has begun.
-    pool_tx: Mutex<Option<mpsc::Sender<QueryJob>>>,
 }
 
 /// A running server. Dropping it shuts it down (graceful drain).
@@ -234,7 +222,6 @@ pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
-    readers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -244,29 +231,12 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let readers = if cfg.readers == 0 {
-            gsls_par::threads()
-        } else {
-            cfg.readers
-        };
-        let (pool_tx, pool_rx) = mpsc::channel::<QueryJob>();
-        let pool_rx = Arc::new(Mutex::new(pool_rx));
         let shared = Arc::new(Shared {
             cfg,
             shutdown: AtomicBool::new(false),
             conns: AtomicUsize::new(0),
             sessions: Mutex::new(HashMap::new()),
-            pool_tx: Mutex::new(Some(pool_tx)),
         });
-        let mut reader_handles = Vec::with_capacity(readers);
-        for i in 0..readers {
-            let rx = pool_rx.clone();
-            reader_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("gsls-reader-{i}"))
-                    .spawn(move || reader_loop(rx))?,
-            );
-        }
         let accept_shared = shared.clone();
         let accept = std::thread::Builder::new()
             .name("gsls-accept".into())
@@ -275,7 +245,6 @@ impl Server {
             addr,
             shared,
             accept: Some(accept),
-            readers: reader_handles,
         })
     }
 
@@ -299,11 +268,8 @@ impl Server {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        // Connections are gone; drop the reader pool and writers.
-        *self.shared.pool_tx.lock().unwrap() = None;
-        for h in self.readers.drain(..) {
-            let _ = h.join();
-        }
+        // Connections — and the queries running on them — are gone;
+        // flush and stop the writers.
         let svcs: Vec<Arc<SessionSvc>> = self
             .shared
             .sessions
@@ -588,30 +554,14 @@ fn handle_request(
                 Ok(s) => s,
                 Err(resp) => return resp,
             };
-            let (goal, opts) = match decode_request(scratch, payload) {
-                Ok(Request::Query { goal, opts }) => (goal, opts),
-                Ok(_) => return err(ErrorKind::Protocol, "kind/payload mismatch"),
-                Err(e) => return err(ErrorKind::Protocol, format!("bad query: {e:?}")),
-            };
-            let (rtx, rrx) = mpsc::sync_channel(1);
-            let job = QueryJob {
-                svc: s,
-                goal,
-                opts,
-                received,
-                reply: rtx,
-            };
-            let tx = shared.pool_tx.lock().unwrap().clone();
-            match tx {
-                Some(tx) => {
-                    if tx.send(job).is_err() {
-                        return err(ErrorKind::Internal, "reader pool is gone");
-                    }
+            match decode_request(scratch, payload) {
+                Ok(Request::Query { goal, opts }) => {
+                    let snap = s.snap.lock().unwrap().clone();
+                    run_query(&snap, &goal, &opts, received)
                 }
-                None => return err(ErrorKind::Shutdown, "server is draining"),
+                Ok(_) => err(ErrorKind::Protocol, "kind/payload mismatch"),
+                Err(e) => err(ErrorKind::Protocol, format!("bad query: {e:?}")),
             }
-            rrx.recv()
-                .unwrap_or_else(|_| err(ErrorKind::Internal, "reader pool is gone"))
         }
         RequestKind::Metrics => match ensure_bound(shared, svc) {
             Ok(s) => Response::Text(render_prometheus(s.obs.registry())),
@@ -905,7 +855,7 @@ fn commit_run(session: &mut Session, svc: &SessionSvc, run: Vec<Job>) {
             // in the very next query it sends.
             let next = session.snapshot();
             let prev = std::mem::replace(&mut *svc.snap.lock().unwrap(), next);
-            // Readers take this mutex per query: the previous snapshot's
+            // Queries take this mutex each: the previous snapshot's
             // destructor (it may be the last holder) runs outside it.
             drop(prev);
             for (r, (reply, bumps)) in results.into_iter().zip(waiting) {
@@ -946,21 +896,8 @@ fn commit_run(session: &mut Session, svc: &SessionSvc, run: Vec<Job>) {
 }
 
 // ---------------------------------------------------------------------
-// Reader pool: queries on snapshots
+// Queries: on the connection thread, on a snapshot
 // ---------------------------------------------------------------------
-
-fn reader_loop(rx: Arc<Mutex<mpsc::Receiver<QueryJob>>>) {
-    loop {
-        let job = {
-            let guard = rx.lock().unwrap();
-            guard.recv()
-        };
-        let Ok(job) = job else { return };
-        let snap = job.svc.snap.lock().unwrap().clone();
-        let resp = run_query(&snap, &job.goal, &job.opts, job.received);
-        let _ = job.reply.send(resp);
-    }
-}
 
 /// Compiles and evaluates one query on a snapshot — read-only, never
 /// touches the owning session.

@@ -276,8 +276,9 @@ impl ChangeCone {
 /// through one shared [`Propagator`] from scratch (template-copied
 /// counters, full negative-clause rescan). Zero allocation per reduct
 /// call, but O(program) work per call regardless of how little the
-/// context moved. Kept as the measured baseline for the perf harness
-/// and as the differential-testing oracle for the incremental path.
+/// context moved. The differential-testing oracle for the incremental
+/// path (`tests/incremental.rs`, `crates/wfs/tests/`), and also
+/// `benchmark/`'s calibration kernel and its oracle's model.
 pub fn well_founded_model_scratch(gp: &GroundProgram) -> Interp {
     let n = gp.atom_count();
     let mut prop = Propagator::new(gp);
@@ -309,8 +310,10 @@ pub fn well_founded_model_scratch(gp: &GroundProgram) -> Interp {
 
 /// The pre-propagator baseline: identical semantics to
 /// [`well_founded_model`], but every `A(·)` call rebuilds its watch
-/// structure from scratch ([`lfp_with_rebuild`]). Kept only so the perf
-/// harness can quantify the substrate win end-to-end.
+/// structure from scratch ([`lfp_with_rebuild`]). The oracle that
+/// shares neither the CSR watch lists nor the [`Propagator`] with the
+/// engine, compared against it by `tests/incremental.rs` and
+/// `crates/wfs/tests/properties.rs`.
 pub fn well_founded_model_rebuild(gp: &GroundProgram) -> Interp {
     let n = gp.atom_count();
     let a = |s: &BitSet| lfp_with_rebuild(gp, |q| !s.contains(q.index()));

@@ -6,8 +6,9 @@
 //! engines making many reduct calls (alternating fixpoint, stable-model
 //! enumeration, staged iterations, the tabled engine) hold a `Propagator`
 //! directly so no per-call allocation happens. [`lfp_with_rebuild`] keeps
-//! the old rebuild-everything-per-call implementation as the measured
-//! baseline for the perf harness.
+//! the old rebuild-everything-per-call implementation: the reduct
+//! oracle independent of the CSR and the `Propagator`, behind
+//! [`crate::well_founded_model_rebuild`].
 
 use crate::bitset::BitSet;
 use crate::interp::Interp;
@@ -72,7 +73,10 @@ pub fn lfp_with(gp: &GroundProgram, neg_sat: impl Fn(GroundAtomId) -> bool) -> B
 /// The pre-CSR baseline: identical semantics to [`lfp_with`], but
 /// rebuilds the entire watch structure (`vec![Vec::new(); n]`) on every
 /// call, as the engines did before the reusable propagator existed. Kept
-/// only so the perf harness can quantify the win; do not use in engines.
+/// as the oracle independent of the CSR and the `Propagator` (through
+/// [`crate::well_founded_model_rebuild`], compared by
+/// `tests/incremental.rs` and `crates/wfs/tests/properties.rs`); do not
+/// use in engines.
 pub fn lfp_with_rebuild(gp: &GroundProgram, neg_sat: impl Fn(GroundAtomId) -> bool) -> BitSet {
     let n = gp.atom_count();
     let mut truth = BitSet::new(n);

@@ -33,7 +33,7 @@ const DB: &str = "
     eq_app(app).
 ";
 
-fn show(label: &str, session: &mut Session, q: &mut PreparedQuery) -> Result<(), SessionError> {
+fn show(label: &str, session: &Session, q: &PreparedQuery) -> Result<(), SessionError> {
     let mut it = q.execute(session)?;
     let mut names = Vec::new();
     while let Some(a) = it.next() {
@@ -52,10 +52,10 @@ fn main() -> Result<(), SessionError> {
     assert!(DepGraph::from_program(session.program()).is_stratified());
 
     // Prepared queries over the maintained model.
-    let mut leaves = session.prepare("?- leaf(X).")?;
-    let mut independent = session.prepare("?- independent(X).")?;
-    show("?- leaf(X)", &mut session, &mut leaves)?;
-    show("?- independent(X)", &mut session, &mut independent)?;
+    let leaves = session.prepare("?- leaf(X).")?;
+    let independent = session.prepare("?- independent(X).")?;
+    show("?- leaf(X)", &session, &leaves)?;
+    show("?- independent(X)", &session, &independent)?;
 
     // The SLS-resolution baseline agrees (stratified program).
     {
@@ -80,12 +80,12 @@ fn main() -> Result<(), SessionError> {
         "   ({} new ground atoms, {} new ground clauses)",
         stats.new_atoms, stats.new_clauses
     );
-    show("?- independent(X)", &mut session, &mut independent)?;
+    show("?- independent(X)", &session, &independent)?;
 
     // …then app drops its UI dependency: libui's whole cone detaches.
     println!("\n-- commit: retract dep(app, libui) --");
     session.retract_facts("dep(app, libui).")?;
-    show("?- independent(X)", &mut session, &mut independent)?;
+    show("?- independent(X)", &session, &independent)?;
 
     // Bottom-up baseline: the perfect model (= well-founded model) of
     // the original database, computed from scratch.

@@ -13,7 +13,7 @@ use global_sls::internals::TabledEngine;
 use global_sls::prelude::*;
 use global_sls::workloads::win_random;
 
-fn classify(session: &mut Session, q: &mut PreparedQuery) -> Result<(), SessionError> {
+fn classify(session: &Session, q: &PreparedQuery) -> Result<(), SessionError> {
     // One streamed pass: true and undefined instances arrive from the
     // iterator; every other position of the predicate is lost.
     let mut won = Vec::new();
@@ -47,16 +47,16 @@ fn main() -> Result<(), SessionError> {
     let program = win_random(&mut store, 24, 2, 7);
     println!("Random game with 24 positions (seed 7):");
     let mut session = Session::from_parts(store, program)?;
-    let mut wins = session.prepare("?- win(X).")?;
-    classify(&mut session, &mut wins)?;
+    let wins = session.prepare("?- win(X).")?;
+    classify(&session, &wins)?;
 
     // Live edits, each an incremental commit over the same session.
     println!("\nAfter asserting an extra move n0 → n1:");
     session.assert_facts("move(n0, n1).")?;
-    classify(&mut session, &mut wins)?;
+    classify(&session, &wins)?;
     println!("\nAfter retracting it again:");
     session.retract_facts("move(n0, n1).")?;
-    classify(&mut session, &mut wins)?;
+    classify(&session, &wins)?;
 
     // Goal-directedness of the raw memoized engine: two disconnected
     // boards; querying board 1 never evaluates board 2.

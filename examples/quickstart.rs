@@ -23,9 +23,9 @@ fn main() -> Result<(), SessionError> {
     }
 
     // Prepared query: compiled once, streamed per execution.
-    let mut winners = session.prepare("?- win(X).")?;
+    let winners = session.prepare("?- win(X).")?;
     println!("\n?- win(X).");
-    let mut it = winners.execute(&mut session)?;
+    let mut it = winners.execute(&session)?;
     while let Some(ans) = it.next() {
         println!("  {} for {}", ans.truth, ans.subst.display(it.store()));
     }
@@ -37,7 +37,7 @@ fn main() -> Result<(), SessionError> {
     // warm fixpoint chains; nothing is rebuilt.
     session.assert_facts("move(c, a).")?;
     println!("\nafter assert move(c, a):");
-    let mut it = winners.execute(&mut session)?;
+    let mut it = winners.execute(&session)?;
     while let Some(ans) = it.next() {
         println!("  {} for {}", ans.truth, ans.subst.display(it.store()));
     }
@@ -57,7 +57,7 @@ fn main() -> Result<(), SessionError> {
         let snapshot = snapshot.clone();
         std::thread::spawn(move || {
             let q = frozen;
-            q.execute_on(&snapshot).map(|a| a.collect_result().truth)
+            q.execute(&snapshot).map(|a| a.collect_result().truth)
         })
     };
     println!(

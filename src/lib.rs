@@ -23,8 +23,8 @@
 //! )?;
 //!
 //! // Prepared queries compile once and stream answers.
-//! let mut winners = session.prepare("?- win(X).")?;
-//! let wins: Vec<Answer> = winners.execute(&mut session)?.collect();
+//! let winners = session.prepare("?- win(X).")?;
+//! let wins: Vec<Answer> = winners.execute(&session)?.collect();
 //! assert_eq!(wins.len(), 1); // win(b): b can move to the lost c
 //! assert_eq!(wins[0].truth, Truth::True);
 //!
@@ -47,11 +47,12 @@
 //! // Snapshots are immutable, Send + Sync and share the store with the
 //! // session instead of copying it: readers on other threads keep
 //! // their epoch while the session commits on.
+//! // One prepared query runs on either: the snapshot or the session.
 //! let snapshot = session.snapshot();
-//! let frozen = session.prepare("?- win(X).")?;
 //! session.assert_facts("move(c, a).")?;
-//! assert_eq!(frozen.execute_on(&snapshot)?.count(), 1); // pre-commit view
-//! assert_eq!(session.truth("?- win(b).")?, Truth::Undefined); // live view
+//! assert_eq!(winners.execute(&snapshot)?.count(), 1); // pre-commit view
+//! let live: Vec<Answer> = winners.execute(&session)?.collect(); // live view
+//! assert!(live.len() == 3 && live.iter().all(|a| a.truth == Truth::Undefined));
 //! # Ok::<(), SessionError>(())
 //! ```
 //!
@@ -132,9 +133,10 @@
 //! Governance is opt-in per operation. [`prelude::Session::commit_with`]
 //! takes [`prelude::CommitOpts`] (wall-clock deadline, clause cap,
 //! approximate memory budget over the term store + ground program +
-//! indexes); [`prelude::Session::query_governed`] and
-//! [`prelude::PreparedQuery::execute_governed`] take
-//! [`prelude::QueryOpts`]. [`prelude::Session::interrupt_handle`]
+//! indexes); [`prelude::Session::query_governed`] takes
+//! [`prelude::QueryOpts`], and [`prelude::PreparedQuery::execute_governed`]
+//! takes a guard — [`prelude::Session::query_guard`] builds one from
+//! the same opts. [`prelude::Session::interrupt_handle`]
 //! returns a `Send + Sync` [`prelude::InterruptHandle`] any thread can
 //! use to cancel the operation in flight; every hot loop in the engine
 //! — grounding join rounds, fixpoint propagation, SCC-by-SCC tabling,
@@ -293,8 +295,8 @@
 //! session: a half-written frame fails its length/CRC check and never
 //! reaches the engine, and a fully queued commit whose client is gone
 //! commits normally (the reply just has nobody to go to). Queries run
-//! on [`prelude::Snapshot`]s in a reader pool and never block the
-//! writer. See `examples/serve_demo.rs` for the whole loop, and the
+//! on [`prelude::Snapshot`]s, each on its connection's thread, and
+//! never block the writer. See `examples/serve_demo.rs` for the whole loop, and the
 //! `gsls-serve` / `gsls-client` binaries for the CLI pair.
 //!
 //! ## Diagnostics & linting
@@ -369,7 +371,7 @@
 //! | [`par`] | resource guard (`govern`) and thread-count policy |
 //! | [`durable`] | write-ahead log, checkpoint/restore, crash-injection harness |
 //! | [`obs`] | metrics registry, latency histograms, span tracing (std-only, dependency leaf) |
-//! | [`serve`] | TCP server + client: wire protocol, group-commit write path, reader pool |
+//! | [`serve`] | TCP server + client: wire protocol, group-commit write path, queries on snapshots |
 //! | [`workloads`] | experiment program generators |
 //!
 //! The [`prelude`] re-exports the user-facing surface; diagnostic and
@@ -395,8 +397,7 @@ pub mod prelude {
     pub use gsls_core::{
         Answer, Answers, CommitError, CommitOpts, CommitRejection, CommitStats, Engine,
         InterruptCause, InterruptHandle, InterruptPhase, PreparedQuery, QueryOpts, QueryResult,
-        Session, SessionError, Snapshot, SnapshotQuery, Solver, SolverError, Status, TripInfo,
-        UpdateBatch,
+        Session, SessionError, Snapshot, Solver, SolverError, Status, TripInfo, UpdateBatch,
     };
     pub use gsls_durable::{DurableOpts, StorageKind};
     pub use gsls_ground::{

@@ -750,8 +750,9 @@ fn cancel_stops_a_streaming_query() {
     let mut s = Session::from_parts(store, program).unwrap();
     let handle = s.interrupt_handle();
 
-    let mut q = s.prepare("?- move(X, Y).").unwrap();
-    let mut stream = q.execute_governed(&mut s, &QueryOpts::default()).unwrap();
+    let q = s.prepare("?- move(X, Y).").unwrap();
+    let guard = s.query_guard(&QueryOpts::default());
+    let mut stream = q.execute_governed(&s, &guard).unwrap();
     let mut yielded = 0usize;
     for a in stream.by_ref() {
         assert!(matches!(a.truth, Truth::True | Truth::Undefined));
@@ -772,7 +773,7 @@ fn cancel_stops_a_streaming_query() {
     let snap = s.snapshot();
     let guard = Guard::builder().fuel(1).build();
     let q2 = s.prepare("?- move(X, Y).").unwrap();
-    let got: Vec<Answer> = q2.execute_on_governed(&snap, &guard).unwrap().collect();
+    let got: Vec<Answer> = q2.execute_governed(&snap, &guard).unwrap().collect();
     // fuel(1) survives two checks: the cut lands at the second
     // TICK_INTERVAL crossing, i.e. at most 2048 backtracking steps.
     assert!(got.len() <= 2048, "starved snapshot stream must be partial");

@@ -704,7 +704,7 @@ fn session_and_snapshot_prepare_agree_on_seeded_goals() {
             let goal = seeded_goal(&mut rng);
             let live = session.prepare(&goal);
             let frozen = snapshot.prepare(&goal);
-            let (mut live, frozen) = match (live, frozen) {
+            let (live, frozen) = match (live, frozen) {
                 (Ok(l), Ok(f)) => (l, f),
                 (Err(l), Err(f)) => {
                     assert_eq!(l, f, "seed {seed}: {goal} fails differently");
@@ -712,24 +712,11 @@ fn session_and_snapshot_prepare_agree_on_seeded_goals() {
                 }
                 (l, f) => panic!("seed {seed}: {goal} compiles on one side only: {l:?} / {f:?}"),
             };
-            let vars = live.goal().vars(session.store());
-            let got_live: BTreeSet<(String, u8)> = {
-                let answers: Vec<Answer> = live.execute(&mut session).expect("live run").collect();
-                answers
-                    .iter()
-                    .map(|a| {
-                        let store = session.store();
-                        let row: Vec<String> = vars
-                            .iter()
-                            .filter_map(|&v| {
-                                let t = a.subst.lookup(v)?;
-                                Some(format!("{} = {}", store.var_name(v), store.display_term(t)))
-                            })
-                            .collect();
-                        (row.join(", "), a.truth as u8)
-                    })
-                    .collect()
-            };
+            let got_live: BTreeSet<(String, u8)> = live
+                .execute(&session)
+                .expect("live run")
+                .map(|a| (live.render_answer(&session, &a), a.truth as u8))
+                .collect();
             let got_frozen: BTreeSet<(String, u8)> = frozen
                 .execute(&snapshot)
                 .expect("snapshot run")

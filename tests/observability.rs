@@ -334,7 +334,7 @@ fn query_counters_track_execution_shape() {
     let snap = s.snapshot();
     let pq = s.prepare("?- move(X, Y).").unwrap();
     let before = s.metrics().counter("query.executions").unwrap_or(0);
-    let n = std::thread::spawn(move || pq.execute_on(&snap).unwrap().count())
+    let n = std::thread::spawn(move || pq.execute(&snap).unwrap().count())
         .join()
         .unwrap();
     assert_eq!(n, 3);

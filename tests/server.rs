@@ -14,8 +14,9 @@
 //! * ungraceful clients: disconnects mid-frame, half-written frames,
 //!   and raw garbage never poison a session;
 //! * a concurrent reader/writer storm whose final state must equal a
-//!   sequential oracle session fed the same batches (run under
-//!   `GSLS_THREADS=2` in check.sh);
+//!   sequential oracle session fed the same batches;
+//! * the drain with a query in flight on its connection thread: a
+//!   complete reply or a closed socket, never a partial frame;
 //! * the `commit_group` / `Snapshot::prepare` core surfaces the server
 //!   is built on.
 
@@ -974,6 +975,86 @@ fn open_binds_named_sessions_and_busy_cap_is_typed() {
     }
     drop(c);
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `Shutdown` from one loopback client while another streams
+/// enumerations of the 40×40 board back to back: the query in flight on
+/// its connection thread finishes, so its client reads a complete
+/// `Answers` reply or a closed socket — never a partial frame — and the
+/// drained session reopens.
+#[test]
+fn drain_with_a_query_in_flight_answers_whole_or_closes() {
+    let dir = temp_dir("drain_query");
+    let moves = {
+        let mut store = TermStore::new();
+        let program = global_sls::workloads::win_grid(&mut store, 40, 40);
+        let mut seeded = Session::open_with_parts(
+            dir.join("default"),
+            store,
+            program,
+            GrounderOpts::default(),
+            DurableOpts::default(),
+        )
+        .unwrap();
+        seeded.query("?- move(X, Y).").unwrap().answers.len()
+    };
+    assert!(
+        moves > 3_000,
+        "the board is meant to take a while to enumerate"
+    );
+
+    let mut server = start(Some(dir.clone()));
+    let addr = server.addr();
+    let mut reader = Client::connect(addr).unwrap();
+    reader.set_timeout(Some(Duration::from_secs(30))).unwrap();
+    reader.open("default").unwrap();
+    let (first_tx, first_rx) = std::sync::mpsc::channel();
+    let enumerate = std::thread::spawn(move || {
+        let req = Request::Query {
+            goal: "?- move(X, Y).".into(),
+            opts: GovernOpts::default(),
+        };
+        let mut complete = 0usize;
+        loop {
+            match reader.roundtrip(&req) {
+                Ok(Response::Answers {
+                    answers,
+                    undefined,
+                    interrupted,
+                    ..
+                }) => {
+                    assert_eq!(
+                        answers.len() + undefined.len(),
+                        moves,
+                        "a partial answer set"
+                    );
+                    assert!(!interrupted);
+                    complete += 1;
+                    let _ = first_tx.send(());
+                }
+                Ok(other) => panic!("a query got {other:?}"),
+                // A clean close at a frame boundary, or the socket torn
+                // down under a request the server never read.
+                Err(ClientError::Io(_)) => return complete,
+                Err(ClientError::Protocol(m)) if m == "connection closed" => return complete,
+                Err(e) => panic!("after {complete} complete replies: {e}"),
+            }
+        }
+    });
+    first_rx.recv().expect("the first enumeration completes");
+
+    let mut admin = Client::connect(addr).unwrap();
+    admin.shutdown_server().unwrap();
+    server.shutdown();
+    let complete = enumerate.join().unwrap();
+    assert!(complete >= 1);
+
+    let mut reopened = Session::open(dir.join("default")).unwrap();
+    assert_eq!(
+        reopened.query("?- move(X, Y).").unwrap().answers.len(),
+        moves
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
