@@ -25,11 +25,11 @@
 //!   only visits atoms `A` depends on), keeps every verdict outside that
 //!   cone fixed.
 //! * **Prepared queries** — [`Session::prepare`] and
-//!   [`Snapshot::prepare`] compile a goal once into the one
-//!   [`PreparedQuery`] type (a store-free plan plus the goal's variable
-//!   names); [`PreparedQuery::execute`] runs it on either source — the
-//!   live session or a snapshot — and streams bindings through the
-//!   [`Answers`] iterator instead of collecting vectors.
+//!   [`Snapshot::prepare`] are one compile into one [`PreparedQuery`]:
+//!   parse into scratch, resolve names by read-only lookup (a read
+//!   interns nothing), re-probe the names the source lacked per run.
+//!   [`PreparedQuery::execute`] runs it on the live session or a
+//!   snapshot and streams bindings through the [`Answers`] iterator.
 //! * **Snapshot reads** — [`Session::snapshot`] returns an immutable,
 //!   [`Send`]`+`[`Sync`] [`Snapshot`] of the committed state: a frozen
 //!   prefix that shares the term store, the atom table and the domain

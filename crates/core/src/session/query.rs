@@ -25,6 +25,7 @@ use gsls_lang::{
 };
 use gsls_obs::{Counter, Obs};
 use gsls_wfs::{Interp, Truth};
+use std::borrow::Cow;
 
 /// Sentinel for an unbound query binding slot.
 const UNBOUND: TermId = TermId(u32::MAX);
@@ -139,46 +140,72 @@ impl<'a> sealed::Source<'a> for &'a Session {
     }
 }
 
-/// Where a goal's names are looked up, i.e. the one thing that differs
-/// between compiling for the live session and for a shared snapshot.
+/// How a goal's names reach the store its plan runs against: parsed into
+/// `source`, resolved into `target` (which may be `source`) by read-only
+/// lookup. Names `target` lacks become [`FOREIGN_SYM`] / [`FOREIGN_TERM`],
+/// which match no candidate (unknown atom ⇒ false, its negation ⇒ true).
 #[derive(Clone, Copy)]
 pub(crate) struct Names<'a> {
-    /// The store the goal was parsed into.
     pub source: &'a TermStore,
-    /// `None`: `source` is the store the plan runs against, every id is
-    /// already right. `Some(target)`: resolve into `target` by
-    /// **read-only** structural lookup, interning nothing there; names
-    /// it has never seen become [`FOREIGN_SYM`] / [`FOREIGN_TERM`]
-    /// sentinels that match no candidate (unknown atom ⇒ false, its
-    /// negation ⇒ true).
-    pub target: Option<&'a TermStore>,
+    pub target: &'a TermStore,
 }
 
 impl Names<'_> {
     fn symbol(&self, sym: Symbol) -> Symbol {
-        self.target.map_or(sym, |target| {
-            target
-                .lookup_symbol(self.source.symbol_name(sym))
-                .unwrap_or(FOREIGN_SYM)
-        })
+        self.target
+            .lookup_symbol(self.source.symbol_name(sym))
+            .unwrap_or(FOREIGN_SYM)
     }
 
     /// A ground term's id in the target store; [`FOREIGN_TERM`] when
     /// any of its symbols or subterms is absent there.
     fn ground_term(&self, t: TermId) -> TermId {
-        let Some(target) = self.target else { return t };
         let Term::App(sym, args) = self.source.term(t) else {
             unreachable!("ground_term on a non-ground term")
         };
-        let mut targs = Vec::with_capacity(args.len());
-        for &a in args.iter() {
-            targs.push(self.ground_term(a));
-        }
+        let targs: Vec<TermId> = args.iter().map(|&a| self.ground_term(a)).collect();
         if targs.contains(&FOREIGN_TERM) {
             return FOREIGN_TERM;
         }
         let sym = self.symbol(*sym);
-        target.lookup_app(sym, &targs).unwrap_or(FOREIGN_TERM)
+        self.target.lookup_app(sym, &targs).unwrap_or(FOREIGN_TERM)
+    }
+
+    /// Notes what `lit`, compiled from `atom`, left foreign: its predicate
+    /// and its constant arguments. A compound needs no note: a session
+    /// interns none (commits reject function symbols).
+    fn note_late(&self, atom: &Atom, lit: &CompiledLit, late: &mut Vec<Late>) {
+        let name = |sym| self.source.symbol_name(sym).into();
+        if lit.pred.sym == FOREIGN_SYM {
+            late.push(Late::Pred(name(atom.pred)));
+        }
+        for (&t, arg) in atom.args.iter().zip(lit.args.iter()) {
+            match (arg, self.source.term(t)) {
+                (PatArg::Const(FOREIGN_TERM), Term::App(c, a)) if a.is_empty() => {
+                    late.push(Late::Const(name(*c)))
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
+/// A name a goal uses that the store it compiled against lacked: a
+/// predicate is known once its symbol is, a constant once its term is.
+#[derive(Debug, Clone)]
+enum Late {
+    Pred(Box<str>),
+    Const(Box<str>),
+}
+
+impl Late {
+    fn known(&self, store: &TermStore) -> bool {
+        match self {
+            Late::Pred(name) => store.lookup_symbol(name).is_some(),
+            Late::Const(name) => store
+                .lookup_symbol(name)
+                .is_some_and(|c| store.lookup_app(c, &[]).is_some()),
+        }
     }
 }
 
@@ -230,6 +257,8 @@ pub(crate) struct QueryPlan {
     pub(super) vars: Vec<Var>,
     /// Slots no positive literal binds, in slot order.
     residual: Vec<u32>,
+    /// The names the target lacked that a later commit can introduce.
+    late: Vec<Late>,
 }
 
 impl QueryPlan {
@@ -266,10 +295,10 @@ impl QueryPlan {
                 .collect(),
             access: Access::Point,
         };
-        let mut pos = Vec::new();
-        let mut neg = Vec::new();
+        let (mut pos, mut neg, mut late) = (Vec::new(), Vec::new(), Vec::new());
         for lit in goal.literals() {
             let c = compile_lit(&lit.atom);
+            names.note_late(&lit.atom, &c, &mut late);
             if lit.is_pos() {
                 pos.push(c);
             } else {
@@ -320,6 +349,7 @@ impl QueryPlan {
             neg,
             vars,
             residual,
+            late,
         })
     }
 
@@ -341,7 +371,7 @@ impl QueryPlan {
 }
 
 /// Per-depth iteration state of one [`Answers`] run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct DepthState {
     /// The one candidate of a fully bound positive literal, until taken.
     point: Option<GroundAtomId>,
@@ -349,19 +379,9 @@ struct DepthState {
     cursor: usize,
     /// Trail length on entry — advance/backtrack undoes to here.
     mark: usize,
-    /// Truth of the matched candidate (positive depths).
-    truth: Truth,
-}
-
-impl Default for DepthState {
-    fn default() -> Self {
-        DepthState {
-            point: None,
-            cursor: 0,
-            mark: 0,
-            truth: Truth::True,
-        }
-    }
+    /// Whether the matched candidate is undefined (positive depths;
+    /// a false one never matches).
+    undefined: bool,
 }
 
 /// Evaluation scratch, owned by one [`Answers`] run.
@@ -407,7 +427,9 @@ fn resolve_key(lit: &CompiledLit, s: &mut QueryScratch) -> bool {
 /// never yielded).
 #[derive(Debug, Clone)]
 pub struct Answer {
-    /// Bindings for the goal's variables.
+    /// Bindings for the goal's variables, as parsed into the query's
+    /// scratch store, to terms of the source's: render with
+    /// [`PreparedQuery::render_answer`], never `Subst::display(store)`.
     pub subst: Subst,
     /// `True` or `Undefined`.
     pub truth: Truth,
@@ -417,7 +439,8 @@ pub struct Answer {
 /// prepared query — answers are produced on demand; nothing is
 /// collected unless the caller collects.
 pub struct Answers<'a> {
-    plan: &'a QueryPlan,
+    /// The prepared plan, or one this run recompiled for a late name.
+    plan: Cow<'a, QueryPlan>,
     view: ModelView<'a>,
     scratch: QueryScratch,
     /// `scans[d]`: the rest of the predicate scan positive depth `d` is
@@ -456,7 +479,7 @@ impl<'a> Answers<'a> {
     /// solver shim) goes through. Fails fast if a residual enumeration
     /// would exceed the instance budget.
     pub(crate) fn start(
-        plan: &'a QueryPlan,
+        plan: Cow<'a, QueryPlan>,
         view: ModelView<'a>,
         guard: Guard,
         qobs: Option<&'a QueryObs>,
@@ -512,17 +535,6 @@ impl<'a> Answers<'a> {
     /// analogous to a resolution engine returning a budget outcome.
     pub fn interrupted(&self) -> Option<InterruptCause> {
         self.interrupted
-    }
-
-    /// The term store answers resolve against — lets callers render
-    /// streamed substitutions while the iterator still borrows the
-    /// session.
-    pub fn store(&self) -> &TermStore {
-        self.view.store
-    }
-
-    fn total_depth(&self) -> usize {
-        self.plan.pos.len() + self.plan.residual.len()
     }
 
     /// Prepares depth `d`'s iteration: for a positive depth the
@@ -604,7 +616,7 @@ impl<'a> Answers<'a> {
             };
             self.run = run;
             if let Some(t) = truth {
-                s.depths[d].truth = t;
+                s.depths[d].undefined = t == Truth::Undefined;
             }
             truth.is_some()
         } else {
@@ -638,19 +650,19 @@ impl<'a> Answers<'a> {
         });
         self.run = run;
         if let Some(t) = truth {
-            s.depths[d].truth = t;
+            s.depths[d].undefined = t == Truth::Undefined;
         }
         truth.is_some()
     }
 
     /// Evaluates the leaf under the current (total) binding: checks the
     /// negative literals, folds the three-valued conjunction, and
-    /// builds the answer. `None` = this instance is false.
+    /// builds (and counts) the answer. `None` = this instance is false.
+    /// No conjunct that reaches the fold is false, so it is undefined iff
+    /// one is.
     fn leaf(&mut self) -> Option<Answer> {
-        let mut truth = Truth::True;
-        for d in 0..self.plan.pos.len() {
-            truth = min_truth(truth, self.scratch.depths[d].truth);
-        }
+        let pos = &self.scratch.depths[..self.plan.pos.len()];
+        let mut undefined = pos.iter().any(|st| st.undefined);
         for lit in &self.plan.neg {
             let s = &mut self.scratch;
             let resolved = resolve_key(lit, s);
@@ -660,22 +672,24 @@ impl<'a> Answers<'a> {
                 .atoms
                 .lookup_atom_parts(lit.pred.sym, &s.key_buf)
                 .map_or(Truth::False, |id| self.view.model.truth(id));
-            let neg_t = match t {
-                Truth::True => Truth::False,
-                Truth::False => Truth::True,
-                Truth::Undefined => Truth::Undefined,
-            };
-            if neg_t == Truth::False {
-                return None;
+            match t {
+                Truth::True => return None,
+                Truth::Undefined => undefined = true,
+                Truth::False => {}
             }
-            truth = min_truth(truth, neg_t);
         }
+        let truth = if undefined {
+            Truth::Undefined
+        } else {
+            Truth::True
+        };
         let mut subst = Subst::new();
         for (i, &v) in self.plan.vars.iter().enumerate() {
             let b = self.scratch.bindings[i];
             debug_assert_ne!(b, UNBOUND, "leaf with unbound goal variable");
             subst.bind(v, b);
         }
+        self.n_answers += 1;
         Some(Answer { subst, truth })
     }
 
@@ -714,16 +728,12 @@ impl Iterator for Answers<'_> {
         if self.done {
             return None;
         }
-        let total = self.total_depth();
+        let total = self.plan.pos.len() + self.plan.residual.len();
         if !self.started {
             self.started = true;
             if total == 0 {
                 self.done = true;
-                let a = self.leaf();
-                if a.is_some() {
-                    self.n_answers += 1;
-                }
-                return a;
+                return self.leaf();
             }
             self.enter(0);
             self.depth = 0;
@@ -748,7 +758,6 @@ impl Iterator for Answers<'_> {
             if self.advance(self.depth) {
                 if self.depth + 1 == total {
                     if let Some(a) = self.leaf() {
-                        self.n_answers += 1;
                         return Some(a);
                     }
                 } else {
@@ -842,39 +851,41 @@ fn match_pat(store: &TermStore, pat: &PatArg, tgt: TermId, s: &mut QueryScratch)
     }
 }
 
-fn min_truth(a: Truth, b: Truth) -> Truth {
-    fn rank(t: Truth) -> u8 {
-        match t {
-            Truth::False => 0,
-            Truth::Undefined => 1,
-            Truth::True => 2,
-        }
-    }
-    if rank(a) <= rank(b) {
-        a
-    } else {
-        b
-    }
-}
-
 /// A query compiled once and runnable any number of times — on the live
 /// session or on any [`Snapshot`](super::Snapshot) of it, from any
 /// thread: the plan is store-free and every run owns its scratch, so a
 /// run needs only `&self`. [`Session::prepare`] and
-/// [`Snapshot::prepare`](super::Snapshot::prepare) make one.
+/// [`Snapshot::prepare`](super::Snapshot::prepare) make one, the same
+/// way; a name a later commit introduces starts to match (late names).
 #[derive(Debug)]
 pub struct PreparedQuery {
     plan: QueryPlan,
     /// The goal's variable names, in binding-slot order.
     var_names: Box<[String]>,
+    /// The goal text, kept (else empty) while the plan has late names:
+    /// a run recompiles it once one of them is known.
+    src: Box<str>,
 }
 
 impl PreparedQuery {
-    /// Wraps `plan`; `parsed` is the store its goal was parsed into,
-    /// which names the goal's variables.
-    pub(super) fn new(plan: QueryPlan, parsed: &TermStore) -> PreparedQuery {
-        let var_names = plan.vars.iter().map(|&v| parsed.var_name(v)).collect();
-        PreparedQuery { plan, var_names }
+    /// Parses `src` into a scratch store and compiles it against
+    /// `store` by read-only lookup: every prepare, and every recompile
+    /// for a late name, is this call.
+    pub(super) fn compile(store: &TermStore, src: &str) -> Result<PreparedQuery, SessionError> {
+        let mut scratch = TermStore::new();
+        let goal = parse_goal(&mut scratch, src)?;
+        let names = Names {
+            source: &scratch,
+            target: store,
+        };
+        let plan = QueryPlan::compile(names, &goal)?;
+        let var_names = plan.vars.iter().map(|&v| scratch.var_name(v)).collect();
+        let src = if plan.late.is_empty() { "" } else { src }.into();
+        Ok(PreparedQuery {
+            plan,
+            var_names,
+            src,
+        })
     }
 
     /// Streams the answers on `on` — `&session` or `&snapshot`.
@@ -889,13 +900,23 @@ impl PreparedQuery {
     /// cause. Build the guard with [`Guard::builder`] (share its
     /// [`crate::govern::InterruptHandle`] across reader threads), or
     /// with [`Session::query_guard`] to let the session's
-    /// [`Session::interrupt_handle`] cancel the run.
+    /// [`Session::interrupt_handle`] cancel the run. Each late name is
+    /// probed in `on`'s store; if one is known there, the run recompiles
+    /// (every such run: the recompiled plan is not kept).
     pub fn execute_governed<'a>(
         &'a self,
         on: impl QuerySource<'a>,
         guard: &Guard,
     ) -> Result<Answers<'a>, SessionError> {
-        Answers::start(&self.plan, on.view(), guard.clone(), Some(on.qobs()))
+        let view = on.view();
+        let store = view.store;
+        let learned = self.plan.late.iter().any(|late| late.known(store));
+        let plan = if learned {
+            Cow::Owned(PreparedQuery::compile(store, &self.src)?.plan)
+        } else {
+            Cow::Borrowed(&self.plan)
+        };
+        Answers::start(plan, view, guard.clone(), Some(on.qobs()))
     }
 
     /// Renders one answer's bindings as `"X = a, Y = b"` (empty for a
@@ -921,24 +942,19 @@ impl PreparedQuery {
 
 impl Session {
     /// Compiles a query (e.g. `"?- win(X)."`) into a [`PreparedQuery`]
-    /// that runs on this session or on any of its snapshots. The goal
-    /// parses into the live store, so a query prepared before a commit
-    /// still sees the constants that commit introduces.
-    pub fn prepare(&mut self, src: &str) -> Result<PreparedQuery, SessionError> {
-        let goal = parse_goal(&mut self.store, src)?;
-        let names = Names {
-            source: &self.store,
-            target: None,
-        };
-        let plan = QueryPlan::compile(names, &goal)?;
-        Ok(PreparedQuery::new(plan, &self.store))
+    /// that runs on this session or on any of its snapshots, exactly as
+    /// [`Snapshot::prepare`](super::Snapshot::prepare) does: a read
+    /// interns nothing into the session.
+    pub fn prepare(&self, src: &str) -> Result<PreparedQuery, SessionError> {
+        PreparedQuery::compile(&self.store, src)
     }
 
-    /// One-shot convenience: parse, prepare, execute, collect.
-    pub fn query(&mut self, src: &str) -> Result<QueryResult, SessionError> {
+    /// One-shot convenience: parse, prepare, execute, collect. As in an
+    /// [`Answer`], each `Subst` binds the goal's scratch variables: compare
+    /// them, or render through [`PreparedQuery::render_answer`].
+    pub fn query(&self, src: &str) -> Result<QueryResult, SessionError> {
         let q = self.prepare(src)?;
-        let r = q.execute(&*self)?.collect_result();
-        Ok(r)
+        q.execute(self).map(Answers::collect_result)
     }
 
     /// Governed one-shot query: like [`Session::query`] but the
@@ -946,15 +962,10 @@ impl Session {
     /// [`Session::interrupt_handle`]. A tripped limit yields a
     /// *partial* result — the answers found so far, with
     /// [`QueryResult::interrupted`] set to the cause — never an error.
-    pub fn query_governed(
-        &mut self,
-        src: &str,
-        opts: &QueryOpts,
-    ) -> Result<QueryResult, SessionError> {
+    pub fn query_governed(&self, src: &str, opts: &QueryOpts) -> Result<QueryResult, SessionError> {
         let q = self.prepare(src)?;
-        let guard = self.query_guard(opts);
-        let r = q.execute_governed(&*self, &guard)?.collect_result();
-        Ok(r)
+        q.execute_governed(self, &self.query_guard(opts))
+            .map(Answers::collect_result)
     }
 
     /// The guard for one governed query: `opts`' deadline and fuel plus
@@ -968,7 +979,7 @@ impl Session {
 
     /// Truth of a single (ground) query — shorthand over
     /// [`Session::query`].
-    pub fn truth(&mut self, src: &str) -> Result<Truth, SessionError> {
+    pub fn truth(&self, src: &str) -> Result<Truth, SessionError> {
         Ok(self.query(src)?.truth)
     }
 

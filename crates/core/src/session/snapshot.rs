@@ -1,5 +1,4 @@
-//! Immutable, `Send + Sync` views of a committed session state, and the
-//! fully read-only way to compile a query against one.
+//! Immutable, `Send + Sync` views of a committed session state.
 //!
 //! A committed epoch is a value: for a function-free program the
 //! well-founded model is a function of the program, and the Herbrand
@@ -21,10 +20,10 @@
 //! [`Session::metrics`] report that work per commit, and
 //! `snapshot.model_bytes` what the captures copied.
 
-use super::query::{sealed, ModelView, Names, QueryObs, QueryPlan, QuerySource};
+use super::query::{sealed, ModelView, QueryObs, QuerySource};
 use super::{PreparedQuery, Session, SessionError};
 use gsls_ground::GroundAtoms;
-use gsls_lang::{parse_goal, Arena, Atom, TermId, TermStore};
+use gsls_lang::{Arena, Atom, TermId, TermStore};
 use gsls_wfs::{Interp, Truth};
 use std::sync::Arc;
 
@@ -82,29 +81,13 @@ impl Snapshot {
         }
     }
 
-    /// Compiles query text (e.g. `"?- win(X)."`) against this
-    /// snapshot's **immutable** store: the goal parses into a private
-    /// scratch store and every constant translates by read-only
-    /// lookup, so any number of reader threads can prepare and run
-    /// queries concurrently while the owning session keeps committing.
-    /// Names the snapshot has never seen are legal — their atoms are
-    /// simply false (and their negations true), matching the
-    /// committed-state semantics.
-    ///
-    /// The compiled query remains valid on the session and on *later*
-    /// snapshots of it (ids are stable under the append-only arena),
-    /// but a constant unknown at compile time stays foreign even if a
-    /// later commit introduces it — recompile per snapshot, or prepare
-    /// on the session ([`Session::prepare`]), when that matters.
+    /// Compiles query text (e.g. `"?- win(X)."`) exactly as
+    /// [`Session::prepare`] does, against this snapshot's immutable
+    /// store, so reader threads prepare concurrently with commits. A name
+    /// unknown here matches nothing (its negation holds) until a run finds
+    /// it on a source a later commit introduced it to.
     pub fn prepare(&self, src: &str) -> Result<PreparedQuery, SessionError> {
-        let mut scratch = TermStore::new();
-        let goal = parse_goal(&mut scratch, src)?;
-        let names = Names {
-            source: &scratch,
-            target: Some(&self.inner.store),
-        };
-        let plan = QueryPlan::compile(names, &goal)?;
-        Ok(PreparedQuery::new(plan, &scratch))
+        PreparedQuery::compile(&self.inner.store, src)
     }
 }
 

@@ -6,6 +6,7 @@ use crate::solver::Engine;
 use gsls_analyze::{Lint, LintLevel};
 use gsls_lang::parse_goal;
 use gsls_wfs::Truth;
+use std::borrow::Cow;
 
 #[test]
 fn snapshot_is_send_sync() {
@@ -16,7 +17,7 @@ fn snapshot_is_send_sync() {
 
 #[test]
 fn quickstart_flow() {
-    let mut sess =
+    let sess =
         Session::from_source("move(a, b). move(b, a). move(b, c). win(X) :- move(X, Y), ~win(Y).")
             .unwrap();
     assert_eq!(sess.truth("?- win(b).").unwrap(), Truth::True);
@@ -25,7 +26,38 @@ fn quickstart_flow() {
     let r = sess.query("?- win(X).").unwrap();
     assert_eq!(r.truth, Truth::True);
     assert_eq!(r.answers.len(), 1);
-    assert_eq!(r.answers[0].display(sess.store()), "{X = b}");
+    // The substitution binds the goal's own variables: it renders
+    // through a prepared query, not through the session's store.
+    let q = sess.prepare("?- win(X).").unwrap();
+    let answer = Answer {
+        subst: r.answers[0].clone(),
+        truth: r.truth,
+    };
+    assert_eq!(q.render_answer(&sess, &answer), "X = b");
+}
+
+/// Reading interns nothing: a thousand text queries, then a thousand
+/// over constants the session has never seen, leave the live store
+/// exactly as they found it.
+#[test]
+fn read_path_interns_nothing_into_the_session() {
+    let sess =
+        Session::from_source("move(a, b). move(b, a). move(b, c). win(X) :- move(X, Y), ~win(Y).")
+            .unwrap();
+    let footprint = |s: &Session| {
+        let store = s.store();
+        (store.var_count(), store.len(), store.approx_bytes())
+    };
+    let before = footprint(&sess);
+    for _ in 0..1000 {
+        assert_eq!(sess.truth("?- win(X).").unwrap(), Truth::True);
+    }
+    assert_eq!(footprint(&sess), before, "1,000 enumerations");
+    for i in 0..1000 {
+        let goal = format!("?- win(zebra{i}).");
+        assert_eq!(sess.truth(&goal).unwrap(), Truth::False);
+    }
+    assert_eq!(footprint(&sess), before, "1,000 unseen constants");
 }
 
 #[test]
@@ -82,6 +114,13 @@ fn add_rules_against_live_facts() {
 fn prepared_query_reuse_across_commits() {
     let mut sess = Session::from_source("d(a). good(X) :- d(X), ~bad(X).").unwrap();
     let q = sess.prepare("?- good(X).").unwrap();
+    // A constant and a predicate no commit has introduced yet, and a
+    // constant named like a predicate the program already has.
+    let late = [
+        sess.prepare("?- d(zebra).").unwrap(),
+        sess.prepare("?- nope(X).").unwrap(),
+        sess.prepare("?- d(bad).").unwrap(),
+    ];
     assert_eq!(q.execute(&sess).unwrap().count(), 1);
     sess.assert_facts("d(b). d(c). bad(b).").unwrap();
     let answers: Vec<Answer> = q.execute(&sess).unwrap().collect();
@@ -89,11 +128,30 @@ fn prepared_query_reuse_across_commits() {
     for a in &answers {
         assert_eq!(a.truth, Truth::True);
     }
+
+    // Once a commit introduces the late names, the plans match them —
+    // on the session and on a newer snapshot; an older one still treats
+    // them as foreign.
+    let old = sess.snapshot();
+    for late in &late {
+        assert_eq!(late.execute(&sess).unwrap().count(), 0);
+    }
+    sess.assert_facts("d(zebra). nope(a). d(bad).").unwrap();
+    let new = sess.snapshot();
+    for late in &late {
+        assert_eq!(late.execute(&sess).unwrap().count(), 1);
+        assert_eq!(late.execute(&new).unwrap().count(), 1);
+        assert_eq!(late.execute(&old).unwrap().count(), 0);
+    }
+    let rows: Vec<String> = (late[1].execute(&new).unwrap())
+        .map(|a| late[1].render_answer(&new, &a))
+        .collect();
+    assert_eq!(rows, ["X = a"]);
 }
 
 #[test]
 fn answers_stream_lazily() {
-    let mut sess = Session::from_source("d(a). d(b). d(c). d(e).").unwrap();
+    let sess = Session::from_source("d(a). d(b). d(c). d(e).").unwrap();
     let q = sess.prepare("?- d(X).").unwrap();
     let mut it = q.execute(&sess).unwrap();
     assert!(it.next().is_some());
@@ -116,7 +174,7 @@ fn snapshot_isolation_under_writes() {
     // The snapshot still sees epoch 0: ~q(b) holds there.
     let frozen: Vec<Answer> = q.execute(&snap).unwrap().collect();
     assert_eq!(frozen.len(), 2);
-    assert_eq!(frozen[0].subst.display(snap.store()), "{X = b}");
+    assert_eq!(q.render_answer(&snap, &frozen[0]), "X = b");
     // One prepared query, shared by four threads: on a snapshot of now
     // it answers exactly as on the session, on the old one as before.
     let now = sess.snapshot();
@@ -446,6 +504,13 @@ impl Rng {
     }
 }
 
+/// Runs a hand-compiled `plan` on `on`, as [`PreparedQuery::execute`]
+/// runs a prepared one.
+fn run_plan<'a>(plan: QueryPlan, on: impl QuerySource<'a>) -> Vec<Answer> {
+    let answers = Answers::start(Cow::Owned(plan), on.view(), Guard::none(), Some(on.qobs()));
+    answers.expect("plans run").collect()
+}
+
 /// One row per answer — bindings in slot order, then the truth — sorted:
 /// the answer **multiset**, whatever order the candidates came in.
 fn answer_rows(
@@ -623,28 +688,27 @@ fn indexed_plans_answer_exactly_as_scan_plans() {
 
             for _ in 0..25 {
                 let goal_src = indexed_goal(&mut rng, appended, &relations);
-                let goal = parse_goal(&mut session.store, &goal_src).expect("goal parses");
-                let names = Names {
-                    source: &session.store,
-                    target: None,
+                let mut scratch = TermStore::new();
+                let goal = parse_goal(&mut scratch, &goal_src).expect("goal parses");
+                // The indexed plan and its all-scan twin, against `target`.
+                let plans = |target| -> Result<[QueryPlan; 2], SessionError> {
+                    let names = Names {
+                        source: &scratch,
+                        target,
+                    };
+                    Ok([
+                        QueryPlan::compile(names, &goal)?,
+                        QueryPlan::compile_without_index(names, &goal)?,
+                    ])
                 };
-                let (Ok(indexed), Ok(scan)) = (
-                    QueryPlan::compile(names, &goal),
-                    QueryPlan::compile_without_index(names, &goal),
-                ) else {
+                let Ok(live_plans) = plans(session.store()) else {
                     continue;
                 };
-                let vars = indexed.vars.clone();
+                let vars = live_plans[0].vars.clone();
                 let mut live = Vec::new();
-                for plan in [indexed, scan] {
-                    let q = PreparedQuery::new(plan, &session.store);
-                    let answers: Vec<Answer> = q.execute(&session).expect("live run").collect();
-                    live.push(answer_rows(
-                        answers,
-                        &vars,
-                        session.store(),
-                        session.store(),
-                    ));
+                for plan in live_plans {
+                    let answers = run_plan(plan, &session);
+                    live.push(answer_rows(answers, &vars, &scratch, session.store()));
                 }
                 assert_eq!(
                     live[0], live[1],
@@ -652,20 +716,8 @@ fn indexed_plans_answer_exactly_as_scan_plans() {
                 );
                 answered += usize::from(!live[0].is_empty());
 
-                let mut scratch = TermStore::new();
-                let goal = parse_goal(&mut scratch, &goal_src).expect("goal parses");
-                let names = Names {
-                    source: &scratch,
-                    target: Some(snapshot.store()),
-                };
-                for plan in [
-                    QueryPlan::compile(names, &goal).expect("compiles live, compiles frozen"),
-                    QueryPlan::compile_without_index(names, &goal).expect("likewise"),
-                ] {
-                    let vars = plan.vars.clone();
-                    let q = PreparedQuery::new(plan, &scratch);
-                    let answers: Vec<Answer> =
-                        q.execute(&snapshot).expect("snapshot run").collect();
+                for plan in plans(snapshot.store()).expect("compiles live, compiles frozen") {
+                    let answers = run_plan(plan, &snapshot);
                     let rows = answer_rows(answers, &vars, &scratch, snapshot.store());
                     assert_eq!(
                         rows, live[1],

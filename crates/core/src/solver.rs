@@ -25,6 +25,7 @@ use crate::session::{Answers, ModelView, Names, QueryPlan, SessionError};
 use gsls_ground::{herbrand, GroundProgram, Grounder, GrounderOpts};
 use gsls_lang::{Goal, Literal, Program, Subst, TermStore};
 use gsls_wfs::{well_founded_model, Interp, Truth};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Engine selection.
@@ -191,7 +192,7 @@ impl Solver {
         self.ensure_ready(store)?;
         let names = Names {
             source: store,
-            target: None,
+            target: store,
         };
         let plan = QueryPlan::compile(names, goal)?;
         let st = self.ready.as_ref().expect("ensure_ready succeeded");
@@ -202,7 +203,7 @@ impl Solver {
             domain: &st.domain,
         };
         // Ungoverned and uncounted: a solver has no session registry.
-        let answers = Answers::start(&plan, view, Guard::none(), None)?;
+        let answers = Answers::start(Cow::Borrowed(&plan), view, Guard::none(), None)?;
         Ok(answers.collect_result())
     }
 

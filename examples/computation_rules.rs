@@ -44,7 +44,7 @@ fn main() -> Result<(), SessionError> {
     );
 
     // Cross-check with the session's maintained bottom-up model.
-    let mut session = Session::from_source(ex33)?;
+    let session = Session::from_source(ex33)?;
     println!(
         "\nSession reads on Example 3.3: p={}, q={}, s={}",
         session.truth("?- p.")?,

@@ -34,11 +34,9 @@ const DB: &str = "
 ";
 
 fn show(label: &str, session: &Session, q: &PreparedQuery) -> Result<(), SessionError> {
-    let mut it = q.execute(session)?;
-    let mut names = Vec::new();
-    while let Some(a) = it.next() {
-        names.push(a.subst.display(it.store()));
-    }
+    let names: Vec<String> = (q.execute(session)?)
+        .map(|a| q.render_answer(session, &a))
+        .collect();
     println!("{label}: {names:?}");
     Ok(())
 }

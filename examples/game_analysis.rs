@@ -18,16 +18,14 @@ fn classify(session: &Session, q: &PreparedQuery) -> Result<(), SessionError> {
     // iterator; every other position of the predicate is lost.
     let mut won = Vec::new();
     let mut drawn = Vec::new();
-    let mut it = q.execute(session)?;
-    while let Some(ans) = it.next() {
-        let name = ans.subst.display(it.store());
+    for ans in q.execute(session)? {
+        let name = q.render_answer(session, &ans);
         match ans.truth {
             Truth::True => won.push(name),
             Truth::Undefined => drawn.push(name),
             Truth::False => unreachable!("streams only true/undefined"),
         }
     }
-    drop(it);
     let gp = session.ground_program();
     let total = gp
         .atom_ids()

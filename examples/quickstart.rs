@@ -25,11 +25,10 @@ fn main() -> Result<(), SessionError> {
     // Prepared query: compiled once, streamed per execution.
     let winners = session.prepare("?- win(X).")?;
     println!("\n?- win(X).");
-    let mut it = winners.execute(&session)?;
-    while let Some(ans) = it.next() {
-        println!("  {} for {}", ans.truth, ans.subst.display(it.store()));
+    for ans in winners.execute(&session)? {
+        let row = winners.render_answer(&session, &ans);
+        println!("  {} for {row}", ans.truth);
     }
-    drop(it);
 
     // Incremental update: give c an escape move back to a. Every
     // position now sits on a cycle — the whole board becomes a draw.
@@ -37,11 +36,10 @@ fn main() -> Result<(), SessionError> {
     // warm fixpoint chains; nothing is rebuilt.
     session.assert_facts("move(c, a).")?;
     println!("\nafter assert move(c, a):");
-    let mut it = winners.execute(&session)?;
-    while let Some(ans) = it.next() {
-        println!("  {} for {}", ans.truth, ans.subst.display(it.store()));
+    for ans in winners.execute(&session)? {
+        let row = winners.render_answer(&session, &ans);
+        println!("  {} for {row}", ans.truth);
     }
-    drop(it);
     println!("  win(b)  ⇒  {}", session.truth("?- win(b).")?);
 
     // Snapshot: an immutable, Send + Sync view of the committed state.

@@ -42,7 +42,7 @@ fn analyse(title: &str, src: &str) {
     }
     // The served view: a session answers every atom from its maintained
     // model — atoms the relevant grounding never interned are false.
-    let mut session = Session::from_source(src).expect("zoo programs are function-free");
+    let session = Session::from_source(src).expect("zoo programs are function-free");
     let served: Vec<String> = gp
         .atom_ids()
         .map(|a| {

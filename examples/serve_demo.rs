@@ -97,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     server.shutdown();
 
     // 7. The state survived: reopen the session directory directly.
-    let mut session = Session::open(data_dir.join("default"))?;
+    let session = Session::open(data_dir.join("default"))?;
     assert_eq!(session.truth("?- move(a, b).")?, Truth::True);
     println!("reopened at epoch {}", session.epoch());
     let _ = std::fs::remove_dir_all(&data_dir);

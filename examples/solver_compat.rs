@@ -39,7 +39,7 @@ fn main() -> Result<(), SessionError> {
 
     // The same program behind a session gives the same answers — the
     // solver is a shim over the session's query machinery.
-    let mut session = Session::from_source(WINGAME)?;
+    let session = Session::from_source(WINGAME)?;
     let live = session.query("?- win(X).")?;
     assert_eq!(live.truth, batch.truth);
     assert_eq!(live.answers.len(), batch.answers.len());

@@ -48,13 +48,16 @@ echo "    the named restart traps, exact per-commit work bounds), snapshot isola
 echo "    (retained snapshots ≡ their epoch's rebuild; concurrent readers; rollback +"
 echo "    recover; runs of different length) and the publish copy gate, the query"
 echo "    candidate gate (a bound-argument join tries its answers, not its predicate),"
-echo "    indexed plans ≡ scan plans, and the rollback gates (truncate ≡ rebuild at"
+echo "    indexed plans ≡ scan plans, the rollback gates (truncate ≡ rebuild at"
 echo "    every guard check and for the commits after; a snapshot inside a rolled-back"
-echo "    group; rollback work bounded by the delta)"
+echo "    group; rollback work bounded by the delta), the read-path gate (text queries"
+echo "    intern nothing into the session), the late-name gate (a plan matches names"
+echo "    a later commit introduces) and the prepare walk (prepared once ≡ prepared"
+echo "    fresh, on the session, a new snapshot and the first one)"
 cargo test --release -q -p gsls-wfs refresh_
-cargo test --release -q -p gsls-core indexed_
+cargo test --release -q -p gsls-core -- indexed_ read_path_ prepared_query_
 cargo test --release -q --test incremental -- \
-  refresh_ snapshot_isolation publish_copies join_candidates rollback_
+  refresh_ snapshot_isolation publish_copies join_candidates rollback_ prepare_
 
 echo "==> durability recovery gate (crash-injection seed sweep)"
 cargo test --release -q --test durability

@@ -23,8 +23,9 @@
 //!
 //! Run: `cargo run --release --bin gsls-obs -- <args>`.
 
-use gsls_core::Session;
+use gsls_core::{Answer, Session, SessionError};
 use gsls_obs::TraceEvent;
+use gsls_wfs::Truth;
 use std::process::ExitCode;
 
 struct Cli {
@@ -116,15 +117,20 @@ fn run() -> Result<(), String> {
     }
     let mut query_lines = Vec::new();
     for goal in &cli.queries {
-        let r = session
-            .query(goal)
-            .map_err(|e| format!("--query {goal:?}: {e}"))?;
-        let mut line = format!("{goal}  =>  {} ({} answers)", r.truth, r.answers.len());
-        for subst in r.answers.iter().take(8) {
-            line.push_str(&format!("\n    {}", subst.display(session.store())));
+        let err = |e: SessionError| format!("--query {goal:?}: {e}");
+        let q = session.prepare(goal).map_err(err)?;
+        let r = q.execute(&session).map_err(err)?.collect_result();
+        let n = r.answers.len();
+        let mut line = format!("{goal}  =>  {} ({n} answers)", r.truth);
+        for subst in r.answers.into_iter().take(8) {
+            let answer = Answer {
+                subst,
+                truth: Truth::True,
+            };
+            line.push_str(&format!("\n    {}", q.render_answer(&session, &answer)));
         }
-        if r.answers.len() > 8 {
-            line.push_str(&format!("\n    ... {} more", r.answers.len() - 8));
+        if n > 8 {
+            line.push_str(&format!("\n    ... {} more", n - 8));
         }
         query_lines.push(line);
     }

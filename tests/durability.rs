@@ -540,7 +540,7 @@ fn assert_failed_commit_never_surfaces(
     let live = (s.epoch(), fingerprint(&s));
     assert_eq!(live.0, acked.0 + 1, "{ctx}");
     drop(s);
-    let mut reopened = Session::open_with(dir, GrounderOpts::default(), no_auto_checkpoint())
+    let reopened = Session::open_with(dir, GrounderOpts::default(), no_auto_checkpoint())
         .expect("reopen on real storage");
     assert_eq!(
         (reopened.epoch(), fingerprint(&reopened)),
@@ -751,7 +751,7 @@ fn reopen_folds_a_long_wal_tail_into_a_checkpoint() {
         let first = reopen(&dir);
         assert_eq!((first.epoch(), replayed(&first)), (tail, tail));
         drop(first);
-        let mut second = reopen(&dir);
+        let second = reopen(&dir);
         assert_eq!(
             (second.epoch(), replayed(&second)),
             (tail, second_replay),
@@ -858,7 +858,7 @@ fn rejected_batch_leaves_session_writable() {
     s.assert_facts("f(c0). g(c0).").unwrap();
     assert_eq!(s.truth("?- p(c0).").unwrap(), Truth::False);
     drop(s);
-    let mut reopened = Session::open(&dir).unwrap();
+    let reopened = Session::open(&dir).unwrap();
     assert_eq!(reopened.truth("?- g(c0).").unwrap(), Truth::True);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -913,7 +913,7 @@ fn lint_denied_batch_never_reaches_the_wal() {
     // Still writable durably, and a reopen never sees the denied rule.
     s.assert_facts("f(c1).").unwrap();
     drop(s);
-    let mut reopened = Session::open(&dir).unwrap();
+    let reopened = Session::open(&dir).unwrap();
     assert_eq!(reopened.truth("?- f(c1).").unwrap(), Truth::True);
     assert_eq!(reopened.truth("?- p(c1).").unwrap(), Truth::True);
     let _ = std::fs::remove_dir_all(&dir);
@@ -990,7 +990,7 @@ fn budget_failure_restores_previous_state() {
     assert_eq!(s.truth("?- f(c2).").unwrap(), Truth::True);
     drop(s);
     // …and the failed batch never replays.
-    let mut reopened = Session::open_with(&dir, gopts, no_auto_checkpoint()).unwrap();
+    let reopened = Session::open_with(&dir, gopts, no_auto_checkpoint()).unwrap();
     assert_eq!(reopened.truth("?- e(d0, d1).").unwrap(), Truth::False);
     assert_eq!(reopened.truth("?- f(c2).").unwrap(), Truth::True);
     let _ = std::fs::remove_dir_all(&dir);

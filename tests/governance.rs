@@ -493,7 +493,7 @@ fn panic_at_every_stage(durable: bool) {
     // lands on the rollback oracle — the torn WAL record never replays.
     if let Some(d) = dir {
         drop(s);
-        let mut reopened =
+        let reopened =
             Session::open_with(&d, GrounderOpts::default(), no_auto_checkpoint()).unwrap();
         assert_eq!(
             reopened.epoch(),
@@ -702,7 +702,7 @@ fn cancel_interleaved_walk(seed: u64) {
 fn governed_query_returns_partial_answers() {
     let mut store = TermStore::new();
     let program = win_grid(&mut store, 40, 40);
-    let mut s = Session::from_parts(store, program).unwrap();
+    let s = Session::from_parts(store, program).unwrap();
 
     let full = s.query("?- move(X, Y).").unwrap();
     assert!(full.interrupted.is_none());
@@ -721,10 +721,10 @@ fn governed_query_returns_partial_answers() {
         "a starved query must not finish: {} vs {total}",
         partial.answers.len()
     );
-    // Every partial answer is a real answer.
-    let all: BTreeSet<String> = full.answers.iter().map(|a| a.display(s.store())).collect();
+    // Every partial answer is a real answer (both goals parse to the
+    // same variables, so their substitutions compare directly).
     for a in &partial.answers {
-        assert!(all.contains(&a.display(s.store())));
+        assert!(full.answers.contains(a));
     }
 
     // An expired deadline reports DeadlineExceeded the same way.

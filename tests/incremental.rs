@@ -16,8 +16,10 @@
 //! seeded batch sequence through every commit entry point (auto-commit,
 //! `begin`/`commit`, `commit_with`, `commit_group` of one, WAL replay)
 //! must produce identical epochs, `CommitStats`, models and WAL bytes;
-//! and the same seeded goals through `Session::prepare` and
-//! `Snapshot::prepare` must produce identical answer sets.
+//! and seeded goals prepared once through `Session::prepare` and
+//! `Snapshot::prepare`, before a walk of commits that introduce their
+//! unseen names, must answer after every commit exactly as plans
+//! prepared fresh on the session, on a new snapshot and on the first.
 //!
 //! PR 14 adds the **work gate** for the cone-restarted refresh: the
 //! fixpoint work one commit does, read off the exact `lfp.*` registry
@@ -655,16 +657,18 @@ fn session_commit_entry_points_agree() {
 }
 
 // ---------------------------------------------------------------------
-// One query compiler: Session::prepare ≡ Snapshot::prepare.
+// One prepare: a plan prepared once ≡ one prepared fresh, on every source.
 // ---------------------------------------------------------------------
 
 /// A seeded goal over the walk vocabulary — point lookups, scans,
 /// joins, residual enumeration — salted with constants and predicates
-/// no store has ever interned and with compound-pattern arguments
+/// no store has ever interned, with the constant `w` (a name the store
+/// knows only as a predicate), and with compound-pattern arguments
 /// (which no function-free atom can match).
 fn seeded_goal(rng: &mut Walk) -> String {
-    let c = |rng: &mut Walk| match rng.below(5) {
+    let c = |rng: &mut Walk| match rng.below(6) {
         0 => format!("zz{}", rng.below(3)), // never seen
+        1 => "w".to_owned(),                // seen, but only as a predicate
         _ => format!("c{}", rng.below(6)),
     };
     match rng.below(12) {
@@ -683,10 +687,44 @@ fn seeded_goal(rng: &mut Walk) -> String {
     }
 }
 
+/// A batch over the names [`seeded_goal`] salts its goals with and the
+/// base vocabulary lacks: `zz*` constants, the constant `w`, and the
+/// `nope*` predicates (`nope0` and `nope1` binary, `nope2` unary — one
+/// arity per name, as the commit gate requires).
+fn late_name_batch(rng: &mut Walk) -> String {
+    let c = |rng: &mut Walk| match rng.below(4) {
+        0 => format!("c{}", rng.below(6)),
+        1 => "w".to_owned(),
+        _ => format!("zz{}", rng.below(3)),
+    };
+    let facts: Vec<String> = (0..1 + rng.below(3))
+        .map(|_| match rng.below(4) {
+            0 => format!("e({}, {}).", c(rng), c(rng)),
+            1 => format!("f({}).", c(rng)),
+            2 => format!("nope{}({}, {}).", rng.below(2), c(rng), c(rng)),
+            _ => format!("nope2({}).", c(rng)),
+        })
+        .collect();
+    facts.join(" ")
+}
+
+/// Sixty seeded goals, each prepared once on the session and once on
+/// its first snapshot, before a walk of commits that introduce the
+/// goals' unseen names. After every commit each kept plan answers
+/// exactly as a plan prepared fresh — on the session, on a snapshot of
+/// now, and on the first snapshot, where a plan from the newer session
+/// must treat the later names as foreign.
 #[test]
 fn session_and_snapshot_prepare_agree_on_seeded_goals() {
+    use global_sls::core::QuerySource;
     use global_sls::prelude::*;
     use std::collections::BTreeSet;
+
+    fn rows<'a>(q: &'a PreparedQuery, on: impl QuerySource<'a>) -> BTreeSet<(String, u8)> {
+        (q.execute(on).expect("prepared plans run"))
+            .map(|a| (q.render_answer(on, &a), a.truth as u8))
+            .collect()
+    }
 
     for seed in [2u64, 19, 0xabcdef] {
         let mut rng = Walk(seed);
@@ -696,38 +734,53 @@ fn session_and_snapshot_prepare_agree_on_seeded_goals() {
         for batch in script_entry_batches(seed, 8) {
             commit_via(&mut session, Entry::Auto, &batch);
         }
-        // Taken before any goal is prepared: the live store then learns
-        // the goals' new names, the snapshot's store never does.
-        let snapshot = session.snapshot();
-        let mut answered = 0usize;
+        let first = session.snapshot();
+        let mut kept = Vec::new();
         for _ in 0..60 {
             let goal = seeded_goal(&mut rng);
-            let live = session.prepare(&goal);
-            let frozen = snapshot.prepare(&goal);
-            let (live, frozen) = match (live, frozen) {
-                (Ok(l), Ok(f)) => (l, f),
-                (Err(l), Err(f)) => {
-                    assert_eq!(l, f, "seed {seed}: {goal} fails differently");
-                    continue;
-                }
+            match (session.prepare(&goal), first.prepare(&goal)) {
+                (Ok(l), Ok(f)) => kept.push((goal, [l, f])),
+                (Err(l), Err(f)) => assert_eq!(l, f, "seed {seed}: {goal} fails differently"),
                 (l, f) => panic!("seed {seed}: {goal} compiles on one side only: {l:?} / {f:?}"),
-            };
-            let got_live: BTreeSet<(String, u8)> = live
-                .execute(&session)
-                .expect("live run")
-                .map(|a| (live.render_answer(&session, &a), a.truth as u8))
-                .collect();
-            let got_frozen: BTreeSet<(String, u8)> = frozen
-                .execute(&snapshot)
-                .expect("snapshot run")
-                .map(|a| (frozen.render_answer(&snapshot, &a), a.truth as u8))
-                .collect();
-            assert_eq!(got_live, got_frozen, "seed {seed}: {goal}");
-            answered += usize::from(!got_live.is_empty());
+            }
         }
+        let before: Vec<_> = kept.iter().map(|(_, [l, _])| rows(l, &session)).collect();
+        let answered = before.iter().filter(|r| !r.is_empty()).count();
         assert!(
             answered >= 10,
             "seed {seed}: only {answered} goals had answers — the comparison is near-vacuous"
+        );
+
+        let mut changed = 0usize;
+        for step in 0..6 {
+            session
+                .assert_facts(&late_name_batch(&mut rng))
+                .expect("late-name batch commits");
+            let now = session.snapshot();
+            for ((goal, kept), before) in kept.iter().zip(&before) {
+                let [fresh, fresh_now, fresh_first] = [
+                    session.prepare(goal),
+                    now.prepare(goal),
+                    first.prepare(goal),
+                ]
+                .map(|q| q.expect("compiled once, compiles again"));
+                let live = rows(&fresh, &session);
+                let then = rows(&fresh_first, &first);
+                let at = format!("seed {seed} step {step}: {goal}");
+                assert_eq!(rows(&fresh_now, &now), live, "{at}: a snapshot of now");
+                for (q, from) in kept.iter().zip(["session", "first snapshot"]) {
+                    assert_eq!(rows(q, &session), live, "{at}: kept {from} plan, live");
+                    assert_eq!(rows(q, &now), live, "{at}: kept {from} plan, now");
+                    assert_eq!(rows(q, &first), then, "{at}: kept {from} plan, first");
+                }
+                assert_eq!(rows(&fresh, &first), then, "{at}: newer plan, first");
+                assert_eq!(rows(&fresh_now, &first), then, "{at}: newer plan, first");
+                changed += usize::from(live != *before);
+            }
+        }
+        assert!(
+            changed > 0,
+            "seed {seed}: no goal's answers moved — the walk never exercised a late name"
         );
     }
 }

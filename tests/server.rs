@@ -322,7 +322,7 @@ fn concurrent_commits_group_under_one_fsync() {
     server.shutdown();
 
     // ... and durable: reopen the session directory directly.
-    let mut session = Session::open(dir.join("default")).unwrap();
+    let session = Session::open(dir.join("default")).unwrap();
     let r = session.query("?- move(w7, X).").unwrap();
     assert_eq!(r.answers.len(), COMMITS);
     let _ = std::fs::remove_dir_all(&dir);
@@ -529,7 +529,7 @@ fn interrupted_commits_between_other_writers_are_truncated_off() {
     drop(seed);
     server.shutdown();
     // Nothing of the timed-out batches reached the log either.
-    let mut reopened = Session::open(dir.join("default")).unwrap();
+    let reopened = Session::open(dir.join("default")).unwrap();
     assert_eq!(reopened.epoch(), 1 + 2 * COMMITS as u64);
     assert_eq!(
         reopened.truth("?- e(v0_0, late0_0).").unwrap(),
@@ -989,7 +989,7 @@ fn drain_with_a_query_in_flight_answers_whole_or_closes() {
     let moves = {
         let mut store = TermStore::new();
         let program = global_sls::workloads::win_grid(&mut store, 40, 40);
-        let mut seeded = Session::open_with_parts(
+        let seeded = Session::open_with_parts(
             dir.join("default"),
             store,
             program,
@@ -1050,7 +1050,7 @@ fn drain_with_a_query_in_flight_answers_whole_or_closes() {
     let complete = enumerate.join().unwrap();
     assert!(complete >= 1);
 
-    let mut reopened = Session::open(dir.join("default")).unwrap();
+    let reopened = Session::open(dir.join("default")).unwrap();
     assert_eq!(
         reopened.query("?- move(X, Y).").unwrap().answers.len(),
         moves
@@ -1118,7 +1118,7 @@ fn commit_group_applies_per_batch_and_recovers() {
     }
     // The group's covering fsync made both good batches durable; the
     // doomed one was truncated off the tail and must not resurrect.
-    let mut sess = Session::open(&dir).unwrap();
+    let sess = Session::open(&dir).unwrap();
     assert_eq!(sess.epoch(), 2);
     assert_eq!(sess.truth("?- t(a, d).").unwrap(), Truth::True);
     assert_eq!(sess.truth("?- e(d, e).").unwrap(), Truth::False);
@@ -1142,6 +1142,13 @@ fn snapshot_prepare_runs_read_only_queries() {
     assert_eq!(q2.execute(&snap).unwrap().count(), 0);
     let q3 = snap.prepare("?- ~win(zebra).").unwrap();
     assert_eq!(q3.execute(&snap).unwrap().count(), 1);
+    // A constant and a predicate no commit has introduced yet, and a
+    // constant named like a predicate the program already has.
+    let late_names = [
+        snap.prepare("?- move(c, zebra).").unwrap(),
+        snap.prepare("?- nope(X).").unwrap(),
+        snap.prepare("?- move(c, win).").unwrap(),
+    ];
     assert_eq!(snap.store().len(), terms_before, "prepare interned terms");
 
     // Many threads, one snapshot, concurrent prepare+execute.
@@ -1168,4 +1175,14 @@ fn snapshot_prepare_runs_read_only_queries() {
     // ...one big cycle now: every position is an undefined draw.
     assert_eq!(late.len(), 3);
     assert!(late.iter().all(|a| a.truth == Truth::Undefined));
+
+    // ...and it learns the names a later commit introduces: still
+    // foreign on `snap`, matched on a snapshot taken after the commit.
+    sess.assert_facts("move(c, zebra). nope(a). move(c, win).")
+        .unwrap();
+    let snap3 = sess.snapshot();
+    for q in &late_names {
+        assert_eq!(q.execute(&snap).unwrap().count(), 0);
+        assert_eq!(q.execute(&snap3).unwrap().count(), 1);
+    }
 }
