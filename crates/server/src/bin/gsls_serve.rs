@@ -2,14 +2,15 @@
 //!
 //! ```text
 //! gsls-serve [--addr HOST:PORT] [--data-dir DIR] [--max-conns N]
-//!            [--queue-depth N] [--group-max N]
 //!            [--idle-timeout-ms N] [--remote-admin]
 //! ```
 //!
 //! Serves until a client sends `Shutdown` (see `gsls-client shutdown`),
-//! then drains gracefully. With no `--data-dir` the sessions are
-//! in-memory (nothing survives a restart). `Shutdown` is honored from
-//! loopback peers only, unless `--remote-admin` opts in.
+//! then drains gracefully and exits. With no `--data-dir` the sessions
+//! are in-memory (nothing survives a restart). `Shutdown` is honored
+//! from loopback peers only, unless `--remote-admin` opts in. A
+//! connection that sends no byte for `--idle-timeout-ms` (default 30 s,
+//! must be nonzero) is closed.
 
 use gsls_serve::{Server, ServerConfig};
 use std::process::ExitCode;
@@ -18,7 +19,6 @@ use std::time::Duration;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: gsls-serve [--addr HOST:PORT] [--data-dir DIR] [--max-conns N]\n\
-         \x20                 [--queue-depth N] [--group-max N]\n\
          \x20                 [--idle-timeout-ms N] [--remote-admin]"
     );
     ExitCode::from(2)
@@ -53,14 +53,6 @@ fn main() -> ExitCode {
                 Some(v) => cfg.max_conns = v,
                 None => return usage(),
             },
-            "--queue-depth" => match take("--queue-depth").and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.queue_depth = v,
-                None => return usage(),
-            },
-            "--group-max" => match take("--group-max").and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.group_max = v,
-                None => return usage(),
-            },
             "--idle-timeout-ms" => match take("--idle-timeout-ms").and_then(|v| v.parse().ok()) {
                 Some(v) => cfg.idle_timeout = Duration::from_millis(v),
                 None => return usage(),
@@ -79,15 +71,12 @@ fn main() -> ExitCode {
     let mut server = match Server::start(cfg) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("gsls-serve: bind failed: {e}");
+            eprintln!("gsls-serve: start failed: {e}");
             return ExitCode::FAILURE;
         }
     };
     println!("gsls-serve listening on {}", server.addr());
-    while !server.shutdown_requested() {
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    println!("gsls-serve draining");
-    server.shutdown();
+    server.wait();
+    println!("gsls-serve drained");
     ExitCode::SUCCESS
 }

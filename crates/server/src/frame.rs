@@ -71,107 +71,31 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// from an ungraceful one.
 ///
 /// A read timeout (`WouldBlock`/`TimedOut`) surfaces as
-/// [`FrameError::Io`] and **abandons** any partial frame — use a
-/// [`FrameReader`] when the socket has a read timeout and the frame
-/// must survive it.
+/// [`FrameError::Io`] and abandons any partial frame. Each `read` call
+/// gets the whole timeout, so on a socket it bounds the gap between two
+/// bytes, not the time the frame takes to arrive.
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
-    let mut fr = FrameReader::new();
-    match fr.poll(r)? {
-        Some(payload) => Ok(payload),
-        None => Err(FrameError::Io(io::Error::new(
-            io::ErrorKind::WouldBlock,
-            "frame read timed out",
-        ))),
-    }
-}
-
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
-/// Incremental frame reader for sockets with a read timeout.
-///
-/// [`read_frame`] restarts from scratch on every call, so a timeout in
-/// the middle of a frame — a >timeout gap between TCP segments of one
-/// large request — would discard the bytes already consumed and desync
-/// the stream. `FrameReader` instead keeps the partial header/payload
-/// across calls: [`FrameReader::poll`] returns `Ok(None)` on a timeout
-/// and resumes exactly where it stopped on the next call, so a slow but
-/// well-behaved peer is never desynced. [`FrameReader::consumed`] lets
-/// callers distinguish a genuinely idle connection (no bytes of any
-/// frame yet) from a slow in-progress transfer.
-#[derive(Debug, Default)]
-pub struct FrameReader {
-    header: [u8; FRAME_HEADER],
-    hgot: usize,
-    /// Allocated once the header is complete; length = payload length.
-    payload: Vec<u8>,
-    pgot: usize,
-    have_header: bool,
-}
-
-impl FrameReader {
-    /// A reader positioned between frames.
-    pub fn new() -> FrameReader {
-        FrameReader::default()
-    }
-
-    /// Bytes of the in-progress frame consumed so far (0 when the
-    /// reader sits between frames).
-    pub fn consumed(&self) -> usize {
-        self.hgot + self.pgot
-    }
-
-    /// Advances the frame as far as the stream allows. Returns
-    /// `Ok(Some(payload))` once a full frame is available,
-    /// `Ok(None)` when the read timed out (`WouldBlock`/`TimedOut`) —
-    /// partial progress is kept and the next call resumes it — and
-    /// `Err` for everything else ([`FrameError`] semantics as in
-    /// [`read_frame`]).
-    pub fn poll(&mut self, r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
-        while self.hgot < self.header.len() {
-            match r.read(&mut self.header[self.hgot..]) {
-                Ok(0) => {
-                    return Err(if self.hgot == 0 {
-                        FrameError::Closed
-                    } else {
-                        FrameError::Truncated
-                    })
-                }
-                Ok(n) => self.hgot += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) if is_timeout(&e) => return Ok(None),
-                Err(e) => return Err(FrameError::Io(e)),
-            }
+    let mut header = [0u8; FRAME_HEADER];
+    let mut got = 0;
+    while got < header.len() {
+        match r.read(&mut header[got..]) {
+            Ok(0) if got == 0 => return Err(FrameError::Closed),
+            Ok(0) => return Err(FrameError::Truncated),
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(FrameError::Io(e)),
         }
-        let (len, crc) =
-            parse_frame_header(&self.header, MAX_FRAME).map_err(FrameError::TooLarge)?;
-        if !self.have_header {
-            self.payload = vec![0u8; len];
-            self.pgot = 0;
-            self.have_header = true;
-        }
-        while self.pgot < self.payload.len() {
-            match r.read(&mut self.payload[self.pgot..]) {
-                Ok(0) => return Err(FrameError::Truncated),
-                Ok(n) => self.pgot += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) if is_timeout(&e) => return Ok(None),
-                Err(e) => return Err(FrameError::Io(e)),
-            }
-        }
-        let payload = std::mem::take(&mut self.payload);
-        self.hgot = 0;
-        self.pgot = 0;
-        self.have_header = false;
-        if crc32(&payload) != crc {
-            return Err(FrameError::BadCrc);
-        }
-        Ok(Some(payload))
     }
+    let (len, crc) = parse_frame_header(&header, MAX_FRAME).map_err(FrameError::TooLarge)?;
+    let mut payload = vec![0u8; len];
+    r.read_exact(&mut payload).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => FrameError::Truncated,
+        _ => FrameError::Io(e),
+    })?;
+    if crc32(&payload) != crc {
+        return Err(FrameError::BadCrc);
+    }
+    Ok(payload)
 }
 
 #[cfg(test)]
@@ -216,56 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_reader_resumes_across_timeouts() {
-        let payload: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &payload).unwrap();
-        write_frame(&mut buf, b"second").unwrap();
-        // One byte per read, a timeout before every byte: the reader
-        // must keep its partial header/payload across every Ok(None).
-        let mut r = Trickle {
-            data: &buf,
-            pos: 0,
-            chunk: 1,
-            ready: false,
-        };
-        let mut fr = FrameReader::new();
-        let mut frames = Vec::new();
-        let mut timeouts = 0usize;
-        let mut last_consumed = 0usize;
-        while frames.len() < 2 {
-            match fr.poll(&mut r).unwrap() {
-                Some(p) => {
-                    assert_eq!(fr.consumed(), 0, "reader must reset between frames");
-                    last_consumed = 0;
-                    frames.push(p);
-                }
-                None => {
-                    timeouts += 1;
-                    // Progress is monotone within a frame and visible to
-                    // the caller (this is what feeds the idle clock).
-                    assert!(fr.consumed() >= last_consumed);
-                    last_consumed = fr.consumed();
-                }
-            }
-        }
-        assert_eq!(frames[0], payload);
-        assert_eq!(frames[1], b"second");
-        assert!(
-            timeouts > buf.len() / 2,
-            "trickle should have timed out often"
-        );
-        // And the plain read_frame wrapper surfaces a timeout as Io.
-        let mut r = Trickle {
-            data: &buf,
-            pos: 0,
-            chunk: 1,
-            ready: false,
-        };
-        assert!(matches!(read_frame(&mut r), Err(FrameError::Io(_))));
-    }
-
-    #[test]
     fn tears_and_flips_are_typed_errors() {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"payload").unwrap();
@@ -290,5 +164,13 @@ mod tests {
             read_frame(&mut &huge[..]),
             Err(FrameError::TooLarge(_))
         ));
+        // A read timeout surfaces as Io, not as a close or a tear.
+        let mut r = Trickle {
+            data: &buf,
+            pos: 0,
+            chunk: 1,
+            ready: false,
+        };
+        assert!(matches!(read_frame(&mut r), Err(FrameError::Io(_))));
     }
 }

@@ -63,17 +63,17 @@
 //! * connection threads own nothing but their socket, so their death
 //!   releases only their connection slot.
 //!
-//! A *slow* client is not an ungraceful one: frames are read through a
-//! resumable [`frame::FrameReader`], so arbitrary gaps between the TCP
-//! segments of one frame resume where they stopped (and reset the idle
-//! clock) rather than desyncing the stream. Commit payloads decode
-//! into a throwaway store and are translated into the session's arena
-//! only after validation, so malformed or rejected commits cannot grow
-//! session memory. Idle connections are closed after
-//! [`ServerConfig::idle_timeout`]; over-cap connects get one
+//! A *slow* client is not an ungraceful one: a connection blocks in one
+//! read per frame and is closed only when [`ServerConfig::idle_timeout`]
+//! passes without a byte, inside a frame or between frames. Commit
+//! payloads decode into a throwaway store and are translated into the
+//! session's arena only after validation, so malformed or rejected
+//! commits cannot grow session memory. Over-cap connects get one
 //! `Error{kind: Busy}` reply; `Shutdown` is honored from loopback
 //! peers only unless [`ServerConfig::remote_admin`] opts in; shutdown
-//! drains: accepted requests finish, writers flush their queues
+//! ([`Server::shutdown`], or [`Server::wait`] after a `Shutdown`
+//! request) drains: blocked reads end, accepted requests finish,
+//! writers flush their queues
 //! (covering fsync included) before the server joins them. If a
 //! covering fsync itself fails, no batch in the group is acked and the
 //! session is poisoned (its in-memory state no longer provably matches
@@ -84,5 +84,5 @@ pub mod frame;
 pub mod server;
 
 pub use client::{expect_interrupted, Client, ClientError, CommitReceipt, QueryResults};
-pub use frame::{read_frame, write_frame, FrameError, FrameReader, MAX_FRAME};
+pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME};
 pub use server::{Server, ServerConfig, DEFAULT_IDLE_TIMEOUT, GROUP_INTERVAL, MAX_ANSWERS};

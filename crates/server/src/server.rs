@@ -4,13 +4,17 @@
 //!
 //! ## Threads and ownership
 //!
-//! * The **accept thread** owns the listener (nonblocking, ~10ms poll
-//!   so shutdown is responsive), enforces the connection cap, and
-//!   spawns one thread per accepted connection.
-//! * Each **connection thread** owns its socket. It reads one frame,
-//!   routes on [`peek_request_kind`] *without* decoding the payload,
-//!   and answers reads itself: metrics/events from cloned [`Obs`]
-//!   handles, and queries via [`Snapshot::prepare`] on a clone of the
+//! * The **accept thread** owns the listener and blocks in `accept`.
+//!   It enforces the connection cap, registers a handle to each
+//!   accepted socket, and spawns one thread per connection. Stopping
+//!   the server raises a flag and wakes `accept` with one loopback
+//!   connect.
+//! * Each **connection thread** owns its socket. It blocks reading one
+//!   frame — at most [`ServerConfig::idle_timeout`] between two bytes,
+//!   then the connection is closed as idle — routes on
+//!   [`peek_request_kind`] *without* decoding the payload, and answers
+//!   reads itself: metrics/events from cloned [`Obs`] handles, and
+//!   queries via [`Snapshot::prepare`] on a clone of the
 //!   session's latest snapshot — compilation and evaluation are fully
 //!   read-only, so a query never blocks the writer and vice versa.
 //!   Commits and checkpoints go to the session's writer, whose reply
@@ -19,7 +23,7 @@
 //!   [`Session`]. It blocks on the commit queue, holds the group open
 //!   until its slot on the **commit cadence** ([`GROUP_INTERVAL`] after
 //!   the previous group's slot; not at all when the writer was idle
-//!   that long), drains whatever has queued by then (up to `group_max`)
+//!   that long), drains whatever has queued by then (up to `GROUP_MAX`)
 //!   and commits the contiguous run as one group: every batch journaled
 //!   unsynced, applied, and one covering fsync at the end
 //!   ([`Session::commit_group`]). Replies are
@@ -61,11 +65,12 @@
 //! commits it normally and the reply send fails harmlessly. Frame-level
 //! damage (bad CRC, oversized length, torn write) is answered with a
 //! protocol error where a reply is still possible and otherwise just
-//! closes the socket. A merely *slow* peer is neither of those:
-//! [`FrameReader`] keeps partially-read frames across the read-timeout
-//! poll, so a >100ms gap between TCP segments inside one frame resumes
-//! where it stopped (and counts as activity for the idle clock) instead
-//! of desyncing the stream.
+//! closes the socket.
+//!
+//! Shutdown stops the accept thread, then shuts down the read half of
+//! every registered socket, which ends each connection's blocked read
+//! at once. A connection busy with a request finishes it, replies, and
+//! then closes.
 //!
 //! If a group's covering fsync fails, no waiter is acked (every one
 //! gets a typed error), the session is poisoned by
@@ -82,7 +87,7 @@
 //! metrics/events scrape is not gated — do not bind a server holding
 //! sensitive data on an untrusted network.
 
-use crate::frame::{write_frame, FrameError, FrameReader};
+use crate::frame::{read_frame, write_frame, FrameError};
 use gsls_core::{CommitOpts, Guard, Session, SessionError, Snapshot, UpdateBatch};
 use gsls_lang::{
     decode_request, encode_response, peek_request_kind, Atom, CommitNumbers, ErrorKind, GovernOpts,
@@ -92,23 +97,23 @@ use gsls_obs::{render_prometheus, Obs};
 use gsls_wfs::Truth;
 use std::collections::HashMap;
 use std::io::{self, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long a connection may sit idle (no complete request) before the
+/// How long a connection may go without sending a byte before the
 /// server closes it.
 pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Socket poll granularity: how quickly blocked reads notice shutdown
-/// and the idle clock.
-const POLL: Duration = Duration::from_millis(100);
+/// Bounded depth of each session's commit queue; senders block when it
+/// is full (backpressure, not rejection).
+const QUEUE_DEPTH: usize = 64;
 
-/// Accept-loop poll granularity.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// Most batches committed as one group (one fsync).
+const GROUP_MAX: usize = 32;
 
 /// The commit cadence: the least spacing between the slots of two commit
 /// groups of one session (see "Commit cadence" in the module docs). The
@@ -137,13 +142,10 @@ pub struct ServerConfig {
     /// Maximum concurrent connections; excess accepts are answered
     /// with `Error{kind: Busy}` and closed.
     pub max_conns: usize,
-    /// Idle timeout per connection.
+    /// Idle timeout per connection: the longest wait for the next byte
+    /// from the peer, inside a frame or between frames. Must be
+    /// nonzero.
     pub idle_timeout: Duration,
-    /// Bounded depth of each session's commit queue; senders block
-    /// when it is full (backpressure, not rejection).
-    pub queue_depth: usize,
-    /// Maximum batches committed as one group (one fsync).
-    pub group_max: usize,
     /// Honor admin requests ([`Request::Shutdown`]) from non-loopback
     /// peers. Off by default: when the server is bound on a routable
     /// interface, any peer that can connect could otherwise put it
@@ -158,8 +160,6 @@ impl Default for ServerConfig {
             data_dir: None,
             max_conns: 64,
             idle_timeout: DEFAULT_IDLE_TIMEOUT,
-            queue_depth: 64,
-            group_max: 32,
             remote_admin: false,
         }
     }
@@ -167,15 +167,17 @@ impl Default for ServerConfig {
 
 /// A work item for a session's writer thread.
 enum Job {
-    /// A raw, *undecoded* commit frame: the writer decodes it with
-    /// `&mut` access to the session's term store.
-    Commit {
-        payload: Vec<u8>,
-        received: Instant,
-        reply: mpsc::SyncSender<Response>,
-    },
+    Commit(Commit),
     /// Forced checkpoint + WAL rotation.
-    Checkpoint { reply: mpsc::SyncSender<Response> },
+    Checkpoint(mpsc::SyncSender<Response>),
+}
+
+/// A raw, *undecoded* commit frame: the writer decodes it with `&mut`
+/// access to the session's term store.
+struct Commit {
+    payload: Vec<u8>,
+    received: Instant,
+    reply: mpsc::SyncSender<Response>,
 }
 
 /// Per-session serving state shared between connection threads and the
@@ -193,54 +195,73 @@ struct SessionSvc {
     writer: Mutex<Option<JoinHandle<()>>>,
 }
 
-/// A sessions-map entry: live, or still opening. Opening a durable
-/// session can mean a full WAL replay (seconds), which must not run
-/// under the map lock — binders of *other* sessions would stall on it.
-/// The first binder claims the name with an [`OpenSlot`], opens with
-/// the map unlocked, and publishes the verdict; concurrent binders of
-/// the *same* name wait on the slot.
-enum SessionEntry {
-    Ready(Arc<SessionSvc>),
-    Opening(Arc<OpenSlot>),
-}
-
-/// Rendezvous for concurrent binders of one still-opening session.
-struct OpenSlot {
-    done: Mutex<Option<Result<Arc<SessionSvc>, Response>>>,
-    cv: Condvar,
-}
+/// One session name's cell. Opening a durable session can mean a full
+/// WAL replay (seconds), which must not run under the map lock —
+/// binders of *other* sessions would stall on it. So the map lock only
+/// finds or inserts the cell; the open runs in [`OnceLock::get_or_init`],
+/// where concurrent binders of the *same* name wait for its verdict.
+type SessionCell = Arc<OnceLock<Result<Arc<SessionSvc>, Response>>>;
 
 struct Shared {
     cfg: ServerConfig,
+    /// Where a loopback connect reaches the listener (wakes `accept`).
+    wake: SocketAddr,
     shutdown: AtomicBool,
-    conns: AtomicUsize,
-    sessions: Mutex<HashMap<String, SessionEntry>>,
+    /// A handle to every live connection's socket, by connection id:
+    /// its length is the cap check, and shutdown closes their read
+    /// halves to end blocked reads.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    sessions: Mutex<HashMap<String, SessionCell>>,
+}
+
+impl Shared {
+    /// Raises the shutdown flag and wakes the accept thread. A failed
+    /// connect means the listener is already gone.
+    fn stop(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.wake);
+    }
 }
 
 /// A running server. Dropping it shuts it down (graceful drain).
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
+    /// The accept thread; it returns the connection threads it spawned.
+    accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
     /// Binds and starts serving. Returns once the listener is live;
     /// `addr()` reports the actual bound address (useful with port 0).
+    /// A zero `idle_timeout` is an `InvalidInput` error.
     pub fn start(cfg: ServerConfig) -> io::Result<Server> {
+        if cfg.idle_timeout.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "idle_timeout must be nonzero",
+            ));
+        }
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let mut wake = addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let shared = Arc::new(Shared {
             cfg,
+            wake,
             shutdown: AtomicBool::new(false),
-            conns: AtomicUsize::new(0),
+            conns: Mutex::new(HashMap::new()),
             sessions: Mutex::new(HashMap::new()),
         });
         let accept_shared = shared.clone();
         let accept = std::thread::Builder::new()
             .name("gsls-accept".into())
-            .spawn(move || accept_loop(listener, accept_shared))?;
+            .spawn(move || accept_loop(listener, &accept_shared))?;
         Ok(Server {
             addr,
             shared,
@@ -253,36 +274,42 @@ impl Server {
         self.addr
     }
 
-    /// Whether a client has requested shutdown ([`Request::Shutdown`]).
-    /// The owner of the `Server` is expected to poll this and call
-    /// [`Server::shutdown`] — the request only raises the flag.
-    pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Graceful drain: stop accepting, let in-flight requests finish,
     /// close connections, flush every session's writer (group-commit
     /// queue fully drained and fsync'd), and join all threads.
     pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
+        if self.accept.is_some() {
+            self.shared.stop();
+        }
+        self.wait();
+    }
+
+    /// Blocks until a client's [`Request::Shutdown`] stops the accept
+    /// thread, then drains as [`Server::shutdown`] does. Returns at once
+    /// if the server has already drained.
+    pub fn wait(&mut self) {
+        let Some(accept) = self.accept.take() else {
+            return;
+        };
+        let conns = accept.join().unwrap_or_default();
+        // No connection registers after the accept thread is gone: end
+        // every blocked read, then let in-flight requests finish.
+        for stream in self.shared.conns.lock().unwrap().values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        for h in conns {
             let _ = h.join();
         }
         // Connections — and the queries running on them — are gone;
-        // flush and stop the writers.
+        // flush and stop the writers. Opens ran on connection threads,
+        // so every cell is set; a failed open's cell has no writer.
         let svcs: Vec<Arc<SessionSvc>> = self
             .shared
             .sessions
             .lock()
             .unwrap()
             .drain()
-            .filter_map(|(_, e)| match e {
-                SessionEntry::Ready(s) => Some(s),
-                // Opens run on connection threads, which were all
-                // joined above — an Opening entry here is unreachable,
-                // but dropping it is always safe (no writer yet).
-                SessionEntry::Opening(_) => None,
-            })
+            .filter_map(|(_, cell)| cell.get()?.as_ref().ok().cloned())
             .collect();
         for svc in svcs {
             *svc.tx.lock().unwrap() = None;
@@ -359,40 +386,43 @@ fn query_guard(o: &GovernOpts, received: Instant) -> Guard {
 // Accept + connection threads
 // ---------------------------------------------------------------------
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                conns.retain(|h| !h.is_finished());
-                if shared.conns.load(Ordering::SeqCst) >= shared.cfg.max_conns {
-                    let _ = refuse(stream);
-                    continue;
-                }
-                shared.conns.fetch_add(1, Ordering::SeqCst);
-                let s = shared.clone();
-                if let Ok(h) =
-                    std::thread::Builder::new()
-                        .name("gsls-conn".into())
-                        .spawn(move || {
-                            conn_loop(stream, &s);
-                            s.conns.fetch_sub(1, Ordering::SeqCst);
-                        })
-                {
-                    conns.push(h);
-                } else {
-                    shared.conns.fetch_sub(1, Ordering::SeqCst);
-                }
+/// Accepts until the shutdown flag is up (checked after every accept,
+/// so the wake-up connect is dropped with the listener) and returns
+/// the connection threads still to join.
+fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) -> Vec<JoinHandle<()>> {
+    let mut threads: Vec<JoinHandle<()>> = Vec::new();
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok(stream) = stream else { continue };
+        threads.retain(|h| !h.is_finished());
+        let mut conns = shared.conns.lock().unwrap();
+        if conns.len() >= shared.cfg.max_conns {
+            drop(conns);
+            let _ = refuse(stream);
+            continue;
+        }
+        let Ok(handle) = stream.try_clone() else {
+            continue;
+        };
+        conns.insert(id, handle);
+        drop(conns);
+        let s = shared.clone();
+        let spawned = std::thread::Builder::new()
+            .name("gsls-conn".into())
+            .spawn(move || {
+                conn_loop(stream, &s);
+                s.conns.lock().unwrap().remove(&id);
+            });
+        match spawned {
+            Ok(h) => threads.push(h),
+            Err(_) => {
+                shared.conns.lock().unwrap().remove(&id);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
         }
     }
-    for h in conns {
-        let _ = h.join();
-    }
+    threads
 }
 
 /// Over-cap connections get one typed refusal, then the socket closes.
@@ -406,7 +436,14 @@ fn refuse(stream: TcpStream) -> io::Result<()> {
 
 fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL));
+    // A read that sees no byte for this long ends the connection: the
+    // idle rule, on the socket's own timer.
+    if stream
+        .set_read_timeout(Some(shared.cfg.idle_timeout))
+        .is_err()
+    {
+        return;
+    }
     // Admin requests (Shutdown) are honored from loopback peers, or
     // from anyone once `remote_admin` opts in.
     let admin = shared.cfg.remote_admin
@@ -423,32 +460,12 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
     // connection thread handles itself (commits decode writer-side).
     let mut scratch = TermStore::new();
     let mut svc: Option<Arc<SessionSvc>> = None;
-    let mut last_activity = Instant::now();
     let mut out = Vec::new();
-    // The frame reader keeps partially-read frames across the POLL
-    // read timeout: a >POLL gap between TCP segments inside one frame
-    // (large commit, network jitter) resumes instead of desyncing.
-    let mut fr = FrameReader::new();
-    let mut progressed = 0usize;
     loop {
-        let payload = match fr.poll(&mut reader) {
-            Ok(Some(p)) => p,
-            Ok(None) => {
-                // Idle tick. Partial-frame byte progress counts as
-                // activity so a slow in-flight transfer is not reaped.
-                if fr.consumed() > progressed {
-                    progressed = fr.consumed();
-                    last_activity = Instant::now();
-                }
-                if shared.shutdown.load(Ordering::SeqCst)
-                    || last_activity.elapsed() >= shared.cfg.idle_timeout
-                {
-                    return;
-                }
-                continue;
-            }
-            Err(FrameError::Closed) => return,
-            Err(FrameError::Truncated) | Err(FrameError::Io(_)) => return,
+        // Closed, Truncated and Io (an idle timeout, or shutdown's
+        // SHUT_RD) all end the connection.
+        let payload = match read_frame(&mut reader) {
+            Ok(p) => p,
             Err(e @ (FrameError::BadCrc | FrameError::TooLarge(_))) => {
                 // The stream is still framed; answer, then hang up
                 // (we cannot trust subsequent bytes from this peer).
@@ -457,12 +474,11 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 let _ = write_frame(&mut writer, &out).and_then(|_| writer.flush());
                 return;
             }
+            Err(_) => return,
         };
-        progressed = 0;
-        last_activity = Instant::now();
         let resp = handle_request(
             &payload,
-            last_activity,
+            Instant::now(),
             shared,
             admin,
             &mut svc,
@@ -476,6 +492,9 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
         {
             return;
         }
+        // Linux still delivers bytes after SHUT_RD: a peer that sends
+        // its next request the moment it reads a reply would otherwise
+        // keep its connection alive through the drain.
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
@@ -507,7 +526,7 @@ fn handle_request(
                     "shutdown is admin-only: connect from loopback or enable remote_admin",
                 );
             }
-            shared.shutdown.store(true, Ordering::SeqCst);
+            shared.stop();
             Response::Text("draining".into())
         }
         RequestKind::Open => match decode_request(scratch, payload) {
@@ -529,13 +548,13 @@ fn handle_request(
             };
             let (rtx, rrx) = mpsc::sync_channel(1);
             let job = if kind == RequestKind::Commit {
-                Job::Commit {
+                Job::Commit(Commit {
                     payload: payload.to_vec(),
                     received,
                     reply: rtx,
-                }
+                })
             } else {
-                Job::Checkpoint { reply: rtx }
+                Job::Checkpoint(rtx)
             };
             let tx = s.tx.lock().unwrap().clone();
             match tx {
@@ -595,9 +614,8 @@ fn ensure_bound(
 
 /// Gets or creates the named session service. The expensive part —
 /// [`Session::open`], which can replay a long WAL — runs with the map
-/// **unlocked**: the first binder claims the name with an [`OpenSlot`],
-/// concurrent binders of the same name wait on the slot, and binders
-/// of other sessions are never blocked.
+/// **unlocked**, inside the name's [`SessionCell`]: binders of the same
+/// name wait for its verdict, binders of other sessions never do.
 fn bind_session(shared: &Arc<Shared>, name: &str) -> Result<Arc<SessionSvc>, Response> {
     if !valid_session_name(name) {
         return Err(err(
@@ -608,55 +626,22 @@ fn bind_session(shared: &Arc<Shared>, name: &str) -> Result<Arc<SessionSvc>, Res
     if shared.shutdown.load(Ordering::SeqCst) {
         return Err(err(ErrorKind::Shutdown, "server is draining"));
     }
-    enum Plan {
-        Ready(Arc<SessionSvc>),
-        Wait(Arc<OpenSlot>),
-        Open(Arc<OpenSlot>),
-    }
-    let plan = {
+    let cell = shared
+        .sessions
+        .lock()
+        .unwrap()
+        .entry(name.to_string())
+        .or_default()
+        .clone();
+    let result = cell.get_or_init(|| open_session_svc(shared, name)).clone();
+    if result.is_err() {
+        // Leave no trace: the next binder retries the open (unless a
+        // retry has already replaced this cell).
         let mut sessions = shared.sessions.lock().unwrap();
-        match sessions.get(name) {
-            Some(SessionEntry::Ready(s)) => Plan::Ready(s.clone()),
-            Some(SessionEntry::Opening(slot)) => Plan::Wait(slot.clone()),
-            None => {
-                let slot = Arc::new(OpenSlot {
-                    done: Mutex::new(None),
-                    cv: Condvar::new(),
-                });
-                sessions.insert(name.to_string(), SessionEntry::Opening(slot.clone()));
-                Plan::Open(slot)
-            }
-        }
-    };
-    let slot = match plan {
-        Plan::Ready(s) => return Ok(s),
-        Plan::Wait(slot) => {
-            let mut done = slot.done.lock().unwrap();
-            while done.is_none() {
-                done = slot.cv.wait(done).unwrap();
-            }
-            return done.clone().unwrap();
-        }
-        Plan::Open(slot) => slot,
-    };
-    // We claimed the name: open with the map unlocked, then publish
-    // the verdict to the map first, the slot second (waiters that race
-    // in before the verdict land on one or the other, never neither).
-    let result = open_session_svc(shared, name);
-    {
-        let mut sessions = shared.sessions.lock().unwrap();
-        match &result {
-            Ok(svc) => {
-                sessions.insert(name.to_string(), SessionEntry::Ready(svc.clone()));
-            }
-            Err(_) => {
-                // Leave no trace: the next binder retries the open.
-                sessions.remove(name);
-            }
+        if sessions.get(name).is_some_and(|c| Arc::ptr_eq(c, &cell)) {
+            sessions.remove(name);
         }
     }
-    *slot.done.lock().unwrap() = Some(result.clone());
-    slot.cv.notify_all();
     result
 }
 
@@ -670,7 +655,7 @@ fn open_session_svc(shared: &Arc<Shared>, name: &str) -> Result<Arc<SessionSvc>,
     };
     let snap = session.snapshot();
     let obs = session.obs();
-    let (tx, rx) = mpsc::sync_channel::<Job>(shared.cfg.queue_depth);
+    let (tx, rx) = mpsc::sync_channel::<Job>(QUEUE_DEPTH);
     let svc = Arc::new(SessionSvc {
         name: name.to_string(),
         tx: Mutex::new(Some(tx)),
@@ -679,10 +664,9 @@ fn open_session_svc(shared: &Arc<Shared>, name: &str) -> Result<Arc<SessionSvc>,
         writer: Mutex::new(None),
     });
     let wsvc = svc.clone();
-    let group_max = shared.cfg.group_max.max(1);
     let writer = std::thread::Builder::new()
         .name(format!("gsls-writer-{name}"))
-        .spawn(move || writer_loop(session, rx, wsvc, group_max))
+        .spawn(move || writer_loop(session, rx, wsvc))
         .map_err(|e| err(ErrorKind::Internal, format!("spawn failed: {e}")))?;
     *svc.writer.lock().unwrap() = Some(writer);
     Ok(svc)
@@ -692,12 +676,7 @@ fn open_session_svc(shared: &Arc<Shared>, name: &str) -> Result<Arc<SessionSvc>,
 // Writer thread: the group-commit write path
 // ---------------------------------------------------------------------
 
-fn writer_loop(
-    mut session: Session,
-    rx: mpsc::Receiver<Job>,
-    svc: Arc<SessionSvc>,
-    group_max: usize,
-) {
+fn writer_loop(mut session: Session, rx: mpsc::Receiver<Job>, svc: Arc<SessionSvc>) {
     // The earliest instant the next group may start.
     let mut slot = Instant::now();
     // recv() returning Err means every sender is gone (shutdown):
@@ -710,7 +689,7 @@ fn writer_loop(
         // slot already past (an idle writer) is not delayed at all, and
         // the cadence restarts from its arrival.
         let start = slot.max(Instant::now());
-        while jobs.len() < group_max {
+        while jobs.len() < GROUP_MAX {
             let wait = start.saturating_duration_since(Instant::now());
             if wait.is_zero() {
                 break;
@@ -726,18 +705,20 @@ fn writer_loop(
         // finishes the group: neither wake-up latency nor the group's
         // own cost stretches the cadence.
         slot = start + GROUP_INTERVAL;
-        while jobs.len() < group_max {
+        while jobs.len() < GROUP_MAX {
             match rx.try_recv() {
                 Ok(j) => jobs.push(j),
                 Err(_) => break,
             }
         }
-        while !jobs.is_empty() {
-            match jobs[0] {
-                Job::Checkpoint { .. } => {
-                    let Job::Checkpoint { reply } = jobs.remove(0) else {
-                        unreachable!()
-                    };
+        // Each contiguous run of commits is one group; a checkpoint
+        // ends the run before it.
+        let mut run = Vec::new();
+        for job in jobs {
+            match job {
+                Job::Commit(c) => run.push(c),
+                Job::Checkpoint(reply) => {
+                    commit_run(&mut session, &svc, std::mem::take(&mut run));
                     let resp = match session.checkpoint() {
                         Ok(()) => Response::Text(format!(
                             "checkpointed {} at epoch {}",
@@ -748,24 +729,16 @@ fn writer_loop(
                     };
                     let _ = reply.send(resp);
                 }
-                Job::Commit { .. } => {
-                    // Collect the contiguous run of commits starting
-                    // here and commit them as one group.
-                    let mut run = Vec::new();
-                    while !jobs.is_empty() && matches!(jobs[0], Job::Commit { .. }) {
-                        run.push(jobs.remove(0));
-                    }
-                    commit_run(&mut session, &svc, run);
-                }
             }
         }
+        commit_run(&mut session, &svc, run);
     }
 }
 
-/// Decodes and group-commits one contiguous run of commit jobs,
-/// replying to each client individually — after the covering fsync
-/// *and* after the new snapshot is published, so an acked client
-/// immediately reads its own write.
+/// Decodes and group-commits one contiguous run of commit jobs (an
+/// empty run does nothing), replying to each client individually —
+/// after the covering fsync *and* after the new snapshot is published,
+/// so an acked client immediately reads its own write.
 ///
 /// Each payload decodes into a **throwaway store**: a commit that
 /// never reaches the engine (malformed, mis-shaped, rejected by
@@ -774,18 +747,15 @@ fn writer_loop(
 /// session memory without bound with commits that never succeed. Only
 /// batches that pass every pre-check are translated into the session
 /// store ([`TermStore::translate_into`]).
-fn commit_run(session: &mut Session, svc: &SessionSvc, run: Vec<Job>) {
+fn commit_run(session: &mut Session, svc: &SessionSvc, run: Vec<Commit>) {
     let mut batches: Vec<(UpdateBatch, CommitOpts)> = Vec::with_capacity(run.len());
     let mut waiting: Vec<(mpsc::SyncSender<Response>, bool)> = Vec::with_capacity(run.len());
-    for job in run {
-        let Job::Commit {
-            payload,
-            received,
-            reply,
-        } = job
-        else {
-            unreachable!()
-        };
+    for Commit {
+        payload,
+        received,
+        reply,
+    } in run
+    {
         let mut scratch = TermStore::new();
         let (decoded, opts) = match decode_request(&mut scratch, &payload) {
             Ok(Request::Commit {

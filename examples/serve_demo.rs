@@ -5,7 +5,6 @@
 //! Run: `cargo run --example serve_demo`
 
 use global_sls::prelude::*;
-use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let data_dir = std::env::temp_dir().join(format!("gsls_serve_demo_{}", std::process::id()));
@@ -91,10 +90,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let syncs = get("gsls_wal_group_syncs");
     println!("group commit: {records} records over {syncs} fsync groups");
 
-    // 6. Graceful shutdown: writers flush their queues first.
+    // 6. Graceful shutdown: the request stops the server, and `wait`
+    //    returns once the writers have flushed their queues.
     client.shutdown_server()?;
-    std::thread::sleep(Duration::from_millis(50));
-    server.shutdown();
+    server.wait();
 
     // 7. The state survived: reopen the session directory directly.
     let session = Session::open(data_dir.join("default"))?;

@@ -89,7 +89,9 @@ echo "==> observability overhead gate (instrumented commit <= 3% vs disabled)"
 cargo test --release -q --test observability -- --ignored obs_overhead
 
 echo "==> server suite (framing fuzz, group commit, ungraceful clients,"
-echo "    storm vs oracle, drain with a query in flight)"
+echo "    storm vs oracle, drain with a query in flight, idle reap"
+echo "    (idle_connections_are_reaped_and_active_ones_kept), the drain ending"
+echo "    blocked reads (drain_unblocks_waiting_connections))"
 cargo test --release -q --test server
 
 echo "==> gsls-serve/gsls-client live smoke (commit, query, scrape, shutdown)"
@@ -114,6 +116,15 @@ client assert "move(b, c)."
 client query "?- win(X)." | grep -q "true"
 client metrics | grep -q "^gsls_wal_group_syncs"
 client shutdown
+# The drain must finish on its own: a hang fails the gate, not CI.
+for _ in $(seq 1 100); do
+  kill -0 "$serve_pid" 2>/dev/null || break
+  sleep 0.1
+done
+if kill -0 "$serve_pid" 2>/dev/null; then
+  echo "gsls-serve still running 10s after shutdown" >&2
+  exit 1
+fi
 wait "$serve_pid"
 trap - EXIT
 rm -rf "$serve_dir"

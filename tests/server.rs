@@ -17,11 +17,16 @@
 //!   sequential oracle session fed the same batches;
 //! * the drain with a query in flight on its connection thread: a
 //!   complete reply or a closed socket, never a partial frame;
+//! * connection lifetime: idle reaping, the drain ending blocked reads,
+//!   the connection cap releasing a closed connection's slot, and
+//!   concurrent or failed opens of one session name;
 //! * the `commit_group` / `Snapshot::prepare` core surfaces the server
 //!   is built on.
 
 use global_sls::prelude::*;
-use global_sls::serve::{read_frame, write_frame, Server, ServerConfig, GROUP_INTERVAL};
+use global_sls::serve::{
+    read_frame, write_frame, FrameError, Server, ServerConfig, GROUP_INTERVAL,
+};
 use gsls_lang::{
     decode_request, decode_response, encode_request, encode_response, peek_request_kind, Request,
     Response, TruthTag, PROTO_VERSION,
@@ -698,10 +703,11 @@ fn storm_matches_sequential_oracle() {
 
 #[test]
 fn slow_peer_trickling_a_frame_is_never_desynced_or_reaped() {
-    // The server polls its sockets every ~100ms; a peer that pauses
-    // longer than that *inside* a frame must resume exactly where it
-    // stopped (no desync) and must not be idle-reaped while the bytes
-    // are still trickling in.
+    // The idle timeout bounds the gap between two bytes, not the time a
+    // frame takes: a peer that pauses 150ms between the chunks of one
+    // frame under a 600ms timeout must resume exactly where it stopped
+    // (no desync) and must not be idle-reaped while the bytes are still
+    // trickling in.
     let mut server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".into(),
         data_dir: None,
@@ -973,6 +979,161 @@ fn open_binds_named_sessions_and_busy_cap_is_typed() {
         Response::Error { kind, .. } => assert_eq!(kind, gsls_lang::ErrorKind::Busy),
         other => panic!("expected Busy, got {other:?}"),
     }
+    drop(c);
+
+    // A closed connection releases its slot: once `a`'s thread has seen
+    // the close, a new connection is served.
+    drop(a);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let served = Client::connect(addr).and_then(|mut c| c.ping());
+        if served.is_ok() {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the slot was never released");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Asserts the server closed `s`: a clean close or a reset, not the
+/// client's own read timeout.
+fn reads_close(s: &mut TcpStream) {
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    match read_frame(s) {
+        Err(FrameError::Closed) => {}
+        Err(FrameError::Io(e))
+            if !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) => {}
+        other => panic!("expected the server to close, got {other:?}"),
+    }
+}
+
+/// Sends one `Ping` frame on a raw socket and reads the `Pong`.
+fn raw_ping(s: &mut TcpStream) {
+    let mut payload = Vec::new();
+    encode_request(&TermStore::new(), &Request::Ping, &mut payload);
+    write_frame(s, &payload).unwrap();
+    s.flush().unwrap();
+    assert_eq!(
+        decode_response(&read_frame(s).unwrap()).unwrap(),
+        Response::Pong
+    );
+}
+
+#[test]
+fn idle_connections_are_reaped_and_active_ones_kept() {
+    let mut server = Server::start(ServerConfig {
+        idle_timeout: Duration::from_millis(300),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+
+    // A silent connection is closed once the timeout passes.
+    let mut silent = TcpStream::connect(addr).unwrap();
+    let t = Instant::now();
+    reads_close(&mut silent);
+    let waited = t.elapsed();
+    assert!(
+        waited >= Duration::from_millis(250) && waited < Duration::from_secs(5),
+        "a silent connection was closed after {waited:?}"
+    );
+
+    // A connection that pings every 100ms is never reaped.
+    let mut busy = TcpStream::connect(addr).unwrap();
+    let t = Instant::now();
+    while t.elapsed() < Duration::from_millis(1500) {
+        raw_ping(&mut busy);
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    server.shutdown();
+}
+
+/// The drain shuts down the read half of every live connection, so
+/// neither an idle peer nor one stalled inside a frame holds it up for
+/// the idle timeout.
+#[test]
+fn drain_unblocks_waiting_connections() {
+    let mut server = Server::start(ServerConfig {
+        idle_timeout: Duration::from_secs(60),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    // A ping each: every connection is accepted and registered.
+    let mut idle: Vec<TcpStream> = (0..4)
+        .map(|_| {
+            let mut s = TcpStream::connect(addr).unwrap();
+            raw_ping(&mut s);
+            s
+        })
+        .collect();
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    raw_ping(&mut stalled);
+    stalled.write_all(&100u32.to_le_bytes()).unwrap();
+    stalled.write_all(&0u32.to_le_bytes()).unwrap();
+    stalled.flush().unwrap();
+
+    let t = Instant::now();
+    server.shutdown();
+    assert!(
+        t.elapsed() < Duration::from_secs(5),
+        "the drain took {:?}",
+        t.elapsed()
+    );
+    for s in idle.iter_mut().chain([&mut stalled]) {
+        reads_close(s);
+    }
+}
+
+#[test]
+fn concurrent_binders_of_one_name_share_one_session() {
+    let dir = temp_dir("binders");
+    let mut server = start(Some(dir.clone()));
+    let addr = server.addr();
+    const BINDERS: usize = 8;
+    let barrier = std::sync::Arc::new(std::sync::Barrier::new(BINDERS));
+    let handles: Vec<_> = (0..BINDERS)
+        .map(|i| {
+            let barrier = barrier.clone();
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                barrier.wait();
+                assert_eq!(c.open("shared").unwrap(), 0);
+                c.commit("", &format!("bound(b{i})."), "", GovernOpts::default())
+                    .unwrap();
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    let mut fresh = Client::connect(addr).unwrap();
+    fresh.open("shared").unwrap();
+    let q = fresh.query("?- bound(X).", GovernOpts::default()).unwrap();
+    assert_eq!(q.answers.len(), BINDERS);
+    drop(fresh);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failed_open_leaves_no_trace() {
+    let dir = temp_dir("failed_open");
+    let mut server = start(Some(dir.clone()));
+    let mut c = Client::connect(server.addr()).unwrap();
+    // A regular file where the session directory should go.
+    let blocker = dir.join("blocked");
+    std::fs::write(&blocker, b"not a directory").unwrap();
+    assert!(c.open("blocked").is_err());
+    std::fs::remove_file(&blocker).unwrap();
+    assert_eq!(c.open("blocked").unwrap(), 0);
+    c.commit("", "unblocked(yes).", "", GovernOpts::default())
+        .unwrap();
     drop(c);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
