@@ -356,9 +356,9 @@ impl Session {
     }
 
     /// [`Session::from_parts`] with explicit grounding options. Only
-    /// the clause budget and seed-round thread count apply: the session
-    /// engine always grounds on the planned relevant path (the
-    /// `mode`/`strategy` fields are for the batch [`crate::Solver`]).
+    /// `max_clauses` applies to a session: it always grounds on the
+    /// planned relevant path over its active domain (the program's
+    /// constants), so `mode`, `strategy` and `universe` are ignored.
     ///
     /// The seed program is gated by the static analyzer under the
     /// default [`LintConfig`] — see [`Session::with_opts_lints`] to

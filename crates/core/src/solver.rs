@@ -22,7 +22,7 @@
 use crate::global::{GlobalOpts, GlobalTree};
 use crate::govern::Guard;
 use crate::session::{Answers, ModelView, Names, QueryPlan, SessionError};
-use gsls_ground::{herbrand, GroundProgram, Grounder, GrounderOpts};
+use gsls_ground::{herbrand, GroundProgram, Grounder};
 use gsls_lang::{Goal, Literal, Program, Subst, TermStore};
 use gsls_wfs::{well_founded_model, Interp, Truth};
 use std::borrow::Cow;
@@ -112,7 +112,6 @@ struct ModelState {
 pub struct Solver {
     program: Program,
     ready: Option<ModelState>,
-    grounder_opts: GrounderOpts,
 }
 
 impl Solver {
@@ -121,14 +120,7 @@ impl Solver {
         Solver {
             program,
             ready: None,
-            grounder_opts: GrounderOpts::default(),
         }
-    }
-
-    /// Overrides the grounding options.
-    pub fn with_grounder_opts(mut self, opts: GrounderOpts) -> Self {
-        self.grounder_opts = opts;
-        self
     }
 
     /// The program under evaluation.
@@ -141,7 +133,7 @@ impl Solver {
             return Err(SolverError::NotFunctionFree);
         }
         if self.ready.is_none() {
-            let gp = Grounder::ground_with(store, &self.program, self.grounder_opts)
+            let gp = Grounder::ground(store, &self.program)
                 .map_err(|e| SolverError::Grounding(e.to_string()))?;
             let model = well_founded_model(&gp);
             let domain = herbrand::constants_with_default(store, &self.program)

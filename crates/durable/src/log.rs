@@ -88,9 +88,6 @@ pub struct DurableOpts {
     pub checkpoint_records: usize,
     /// ... or once it holds this many bytes, whichever comes first.
     pub checkpoint_bytes: u64,
-    /// Fsync every appended record (the durability guarantee; turning
-    /// this off trades crash safety for latency).
-    pub fsync: bool,
     /// Storage backend for the WAL.
     pub storage: StorageKind,
 }
@@ -100,7 +97,6 @@ impl Default for DurableOpts {
         DurableOpts {
             checkpoint_records: 1024,
             checkpoint_bytes: 4 << 20,
-            fsync: true,
             storage: StorageKind::File,
         }
     }
@@ -231,17 +227,15 @@ impl DurableLog {
         self.wal.len()
     }
 
-    /// Appends one commit-batch record, fsync'ing per the options.
-    /// On success the record is durable *before* the caller mutates
-    /// in-memory state.
+    /// Appends and fsyncs one commit-batch record. On success the record
+    /// is durable *before* the caller mutates in-memory state.
     pub fn append(&mut self, payload: &[u8]) -> Result<(), DurableError> {
-        self.append_record(payload, self.opts.fsync)
+        self.append_record(payload, true)
     }
 
-    /// Appends one record **without** fsync'ing, regardless of the
-    /// configured fsync policy — the group-commit write path. The
-    /// caller owes a [`Self::sync_group`] before acknowledging any of
-    /// the appended batches; until then the record is on the page
+    /// Appends one record **without** fsync'ing — the group-commit write
+    /// path. The caller owes a [`Self::sync_group`] before acknowledging
+    /// any of the appended batches; until then the record is on the page
     /// cache only and a crash may tear it off (recovery truncates the
     /// torn tail, which is safe precisely because no ack was sent).
     pub fn append_unsynced(&mut self, payload: &[u8]) -> Result<(), DurableError> {
@@ -263,14 +257,9 @@ impl DurableLog {
 
     /// One fsync covering the `records` batches appended (unsynced)
     /// since the last sync — the amortization step of group commit.
-    /// Respects the configured fsync policy: with `fsync: false` the
-    /// group counters still advance (the grouping happened) but no
-    /// physical sync is issued.
     pub fn sync_group(&mut self, records: u64) -> Result<(), DurableError> {
-        if self.opts.fsync {
-            self.wal.sync()?;
-            self.obs.fsyncs.add(1);
-        }
+        self.wal.sync()?;
+        self.obs.fsyncs.add(1);
         self.obs.group_syncs.add(1);
         self.obs.group_records.add(records);
         Ok(())

@@ -69,8 +69,8 @@ pub use fxhash::{FxHashMap, FxHashSet};
 pub use parser::{parse_goal, parse_program, parse_query, parse_term};
 pub use program::{Goal, Program, Span};
 pub use proto::{
-    decode_request, decode_response, encode_request, encode_response, peek_request_kind,
-    CommitNumbers, ErrorKind, GovernOpts, Request, RequestKind, Response, TruthTag, PROTO_VERSION,
+    decode_request, decode_response, encode_request, encode_response, CommitNumbers, ErrorKind,
+    GovernOpts, Request, Response, TruthTag, PROTO_VERSION,
 };
 pub use rename::Renamer;
 pub use subst::Subst;

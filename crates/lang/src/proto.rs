@@ -101,28 +101,6 @@ pub enum Request {
     Shutdown,
 }
 
-/// Discriminates [`Request`]s without a full decode — connection
-/// threads route on this before the (store-coupled) payload decode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestKind {
-    /// [`Request::Ping`]
-    Ping,
-    /// [`Request::Open`]
-    Open,
-    /// [`Request::Commit`]
-    Commit,
-    /// [`Request::Query`]
-    Query,
-    /// [`Request::Metrics`]
-    Metrics,
-    /// [`Request::Events`]
-    Events,
-    /// [`Request::Checkpoint`]
-    Checkpoint,
-    /// [`Request::Shutdown`]
-    Shutdown,
-}
-
 /// What a failed request failed *as* — coarse classes a client can
 /// dispatch on without parsing the message text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -311,28 +289,6 @@ pub fn encode_request(store: &TermStore, req: &Request, out: &mut Vec<u8>) {
         Request::Checkpoint => out.push(REQ_CHECKPOINT),
         Request::Shutdown => out.push(REQ_SHUTDOWN),
     }
-}
-
-/// Reads the version and tag bytes only — the cheap routing peek a
-/// connection thread performs before handing the payload to whichever
-/// thread owns the right store.
-pub fn peek_request_kind(bytes: &[u8]) -> Result<RequestKind, WireError> {
-    let mut r = WireReader::new(bytes);
-    let version = r.byte()?;
-    if version != PROTO_VERSION {
-        return Err(WireError::BadTag(version));
-    }
-    Ok(match r.byte()? {
-        REQ_PING => RequestKind::Ping,
-        REQ_OPEN => RequestKind::Open,
-        REQ_COMMIT => RequestKind::Commit,
-        REQ_QUERY => RequestKind::Query,
-        REQ_METRICS => RequestKind::Metrics,
-        REQ_EVENTS => RequestKind::Events,
-        REQ_CHECKPOINT => RequestKind::Checkpoint,
-        REQ_SHUTDOWN => RequestKind::Shutdown,
-        t => return Err(WireError::BadTag(t)),
-    })
 }
 
 /// Decodes one request, interning clause/atom payloads into `store`.
@@ -576,7 +532,6 @@ mod tests {
         let req = commit_request(&mut store);
         let mut buf = Vec::new();
         encode_request(&store, &req, &mut buf);
-        assert_eq!(peek_request_kind(&buf).unwrap(), RequestKind::Commit);
         let mut store2 = TermStore::new();
         let got = decode_request(&mut store2, &buf).unwrap();
         match (&req, &got) {
@@ -681,7 +636,6 @@ mod tests {
         let mut buf = Vec::new();
         encode_request(&store, &Request::Ping, &mut buf);
         buf[0] = PROTO_VERSION + 1;
-        assert!(peek_request_kind(&buf).is_err());
         let mut s = TermStore::new();
         assert!(decode_request(&mut s, &buf).is_err());
         let mut buf = Vec::new();

@@ -7,7 +7,6 @@
 //! needed).
 
 use crate::atom::{Atom, Literal};
-use crate::clause::Clause;
 use crate::fxhash::FxHashMap;
 use crate::program::Goal;
 use crate::term::{Term, TermId, TermStore, Var};
@@ -105,18 +104,6 @@ impl Subst {
                 .map(|l| self.resolve_literal(store, l))
                 .collect(),
         )
-    }
-
-    /// Applies the substitution to a clause.
-    pub fn resolve_clause(&self, store: &mut TermStore, clause: &Clause) -> Clause {
-        Clause {
-            head: self.resolve_atom(store, &clause.head),
-            body: clause
-                .body
-                .iter()
-                .map(|l| self.resolve_literal(store, l))
-                .collect(),
-        }
     }
 
     /// Restricts the substitution to `vars`, fully resolving each binding.

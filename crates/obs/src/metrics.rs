@@ -10,7 +10,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use crate::json_escape;
 
@@ -210,12 +209,6 @@ impl Histogram {
         self.cell.buckets[bucket_of(v)].fetch_add(1, RELAXED);
         self.cell.sum.fetch_add(v, RELAXED);
         self.cell.max.fetch_max(v, RELAXED);
-    }
-
-    /// Records a duration as nanoseconds.
-    #[inline]
-    pub fn record_duration(&self, d: Duration) {
-        self.record(d.as_nanos().min(u64::MAX as u128) as u64);
     }
 
     /// Point-in-time summary of this histogram alone.

@@ -65,10 +65,12 @@
 //!
 //! A *slow* client is not an ungraceful one: a connection blocks in one
 //! read per frame and is closed only when [`ServerConfig::idle_timeout`]
-//! passes without a byte, inside a frame or between frames. Commit
-//! payloads decode into a throwaway store and are translated into the
-//! session's arena only after validation, so malformed or rejected
-//! commits cannot grow session memory. Over-cap connects get one
+//! passes without a byte, inside a frame or between frames. Every
+//! request decodes once, on its connection thread, into a store of its
+//! own, before any session is bound; a commit is shape-checked there and
+//! translated into the session's arena only when the writer runs it, so
+//! malformed, mis-shaped or expired commits cannot grow session memory.
+//! Over-cap connects get one
 //! `Error{kind: Busy}` reply; `Shutdown` is honored from loopback
 //! peers only unless [`ServerConfig::remote_admin`] opts in; shutdown
 //! ([`Server::shutdown`], or [`Server::wait`] after a `Shutdown`

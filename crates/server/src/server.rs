@@ -11,14 +11,16 @@
 //!   connect.
 //! * Each **connection thread** owns its socket. It blocks reading one
 //!   frame — at most [`ServerConfig::idle_timeout`] between two bytes,
-//!   then the connection is closed as idle — routes on
-//!   [`peek_request_kind`] *without* decoding the payload, and answers
-//!   reads itself: metrics/events from cloned [`Obs`] handles, and
-//!   queries via [`Snapshot::prepare`] on a clone of the
-//!   session's latest snapshot — compilation and evaluation are fully
-//!   read-only, so a query never blocks the writer and vice versa.
-//!   Commits and checkpoints go to the session's writer, whose reply
-//!   comes back over a per-request rendezvous channel.
+//!   then the connection is closed as idle — decodes it once, into a
+//!   fresh [`TermStore`] of the request's own, and routes on the decoded
+//!   [`Request`]. It answers reads itself: metrics/events from cloned
+//!   [`Obs`] handles, and queries via [`Snapshot::prepare`] on a clone
+//!   of the session's latest snapshot — compilation and evaluation are
+//!   fully read-only, so a query never blocks the writer and vice versa.
+//!   A commit is shape-checked here (a mis-shaped batch is rejected
+//!   without being queued) and goes, with its store, to the session's
+//!   writer, as do checkpoints; the reply comes back over a per-request
+//!   rendezvous channel.
 //! * Each session's **writer thread** exclusively owns its
 //!   [`Session`]. It blocks on the commit queue, holds the group open
 //!   until its slot on the **commit cadence** ([`GROUP_INTERVAL`] after
@@ -90,8 +92,8 @@
 use crate::frame::{read_frame, write_frame, FrameError};
 use gsls_core::{CommitOpts, Guard, Session, SessionError, Snapshot, UpdateBatch};
 use gsls_lang::{
-    decode_request, encode_response, peek_request_kind, Atom, CommitNumbers, ErrorKind, GovernOpts,
-    Request, RequestKind, Response, TermStore, TruthTag,
+    decode_request, encode_response, Atom, CommitNumbers, ErrorKind, GovernOpts, Request, Response,
+    TermStore, TruthTag,
 };
 use gsls_obs::{render_prometheus, Obs};
 use gsls_wfs::Truth;
@@ -167,16 +169,18 @@ impl Default for ServerConfig {
 
 /// A work item for a session's writer thread.
 enum Job {
-    Commit(Commit),
+    Commit(Box<Commit>),
     /// Forced checkpoint + WAL rotation.
     Checkpoint(mpsc::SyncSender<Response>),
 }
 
-/// A raw, *undecoded* commit frame: the writer decodes it with `&mut`
-/// access to the session's term store.
+/// A decoded, shape-checked commit. Its batch lives in `store`, the
+/// request's own: the writer translates it into the session's store
+/// only when the commit runs.
 struct Commit {
-    payload: Vec<u8>,
-    received: Instant,
+    store: TermStore,
+    batch: UpdateBatch,
+    opts: CommitOpts,
     reply: mpsc::SyncSender<Response>,
 }
 
@@ -456,9 +460,6 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
         Err(_) => return,
     };
     let mut writer = BufWriter::new(stream);
-    // Scratch store for decoding the string-only requests the
-    // connection thread handles itself (commits decode writer-side).
-    let mut scratch = TermStore::new();
     let mut svc: Option<Arc<SessionSvc>> = None;
     let mut out = Vec::new();
     loop {
@@ -476,14 +477,7 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
             }
             Err(_) => return,
         };
-        let resp = handle_request(
-            &payload,
-            Instant::now(),
-            shared,
-            admin,
-            &mut svc,
-            &mut scratch,
-        );
+        let resp = handle_request(&payload, Instant::now(), shared, admin, &mut svc);
         out.clear();
         encode_response(&resp, &mut out);
         if write_frame(&mut writer, &out)
@@ -501,103 +495,113 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-/// Routes one framed request and produces its reply. `svc` is the
-/// session this connection is bound to (bound lazily to `"default"`);
-/// `admin` says whether this peer may issue admin requests (loopback,
-/// or anyone under [`ServerConfig::remote_admin`]).
+/// Decodes one framed request, routes it and produces its reply. `svc`
+/// is the session this connection is bound to (bound lazily to
+/// `"default"`); `admin` says whether this peer may issue admin requests
+/// (loopback, or anyone under [`ServerConfig::remote_admin`]).
+///
+/// The request decodes into a **store of its own**: nothing it carries
+/// is interned into a session before the writer translates an accepted
+/// commit, so requests that never commit (malformed, mis-shaped,
+/// rejected, expired, or reads) cannot grow the session's append-only
+/// arena.
 fn handle_request(
     payload: &[u8],
     received: Instant,
     shared: &Arc<Shared>,
     admin: bool,
     svc: &mut Option<Arc<SessionSvc>>,
-    scratch: &mut TermStore,
 ) -> Response {
-    let kind = match peek_request_kind(payload) {
-        Ok(k) => k,
+    let mut store = TermStore::new();
+    let req = match decode_request(&mut store, payload) {
+        Ok(r) => r,
         Err(e) => return err(ErrorKind::Protocol, format!("bad request: {e:?}")),
     };
-    match kind {
-        RequestKind::Ping => Response::Pong,
-        RequestKind::Shutdown => {
-            if !admin {
-                return err(
-                    ErrorKind::Rejected,
-                    "shutdown is admin-only: connect from loopback or enable remote_admin",
-                );
-            }
-            shared.stop();
-            Response::Text("draining".into())
+    let s = match req {
+        Request::Ping => return Response::Pong,
+        Request::Shutdown if !admin => {
+            return err(
+                ErrorKind::Rejected,
+                "shutdown is admin-only: connect from loopback or enable remote_admin",
+            )
         }
-        RequestKind::Open => match decode_request(scratch, payload) {
-            Ok(Request::Open { session }) => match bind_session(shared, &session) {
+        Request::Shutdown => {
+            shared.stop();
+            return Response::Text("draining".into());
+        }
+        Request::Open { session } => {
+            return match bind_session(shared, &session) {
                 Ok(s) => {
                     let epoch = s.snap.lock().unwrap().epoch();
                     *svc = Some(s);
                     Response::Opened { session, epoch }
                 }
                 Err(resp) => resp,
-            },
-            Ok(_) => err(ErrorKind::Protocol, "kind/payload mismatch"),
-            Err(e) => err(ErrorKind::Protocol, format!("bad open: {e:?}")),
-        },
-        RequestKind::Commit | RequestKind::Checkpoint => {
-            let s = match ensure_bound(shared, svc) {
-                Ok(s) => s,
-                Err(resp) => return resp,
-            };
-            let (rtx, rrx) = mpsc::sync_channel(1);
-            let job = if kind == RequestKind::Commit {
-                Job::Commit(Commit {
-                    payload: payload.to_vec(),
-                    received,
-                    reply: rtx,
-                })
-            } else {
-                Job::Checkpoint(rtx)
-            };
-            let tx = s.tx.lock().unwrap().clone();
-            match tx {
-                Some(tx) => {
-                    if tx.send(job).is_err() {
-                        return err(ErrorKind::Internal, "session writer is gone");
-                    }
-                }
-                None => return err(ErrorKind::Shutdown, "server is draining"),
-            }
-            rrx.recv()
-                .unwrap_or_else(|_| err(ErrorKind::Internal, "session writer is gone"))
-        }
-        RequestKind::Query => {
-            let s = match ensure_bound(shared, svc) {
-                Ok(s) => s,
-                Err(resp) => return resp,
-            };
-            match decode_request(scratch, payload) {
-                Ok(Request::Query { goal, opts }) => {
-                    let snap = s.snap.lock().unwrap().clone();
-                    run_query(&snap, &goal, &opts, received)
-                }
-                Ok(_) => err(ErrorKind::Protocol, "kind/payload mismatch"),
-                Err(e) => err(ErrorKind::Protocol, format!("bad query: {e:?}")),
             }
         }
-        RequestKind::Metrics => match ensure_bound(shared, svc) {
-            Ok(s) => Response::Text(render_prometheus(s.obs.registry())),
-            Err(resp) => resp,
+        _ => match ensure_bound(shared, svc) {
+            Ok(s) => s,
+            Err(resp) => return resp,
         },
-        RequestKind::Events => match ensure_bound(shared, svc) {
-            Ok(s) => {
-                let mut text = String::new();
-                for ev in s.obs.tracer().drain() {
-                    text.push_str(&ev.to_json());
-                    text.push('\n');
-                }
-                Response::Text(text)
+    };
+    match req {
+        Request::Query { goal, opts } => {
+            let snap = s.snap.lock().unwrap().clone();
+            run_query(&snap, &goal, &opts, received)
+        }
+        Request::Metrics => Response::Text(render_prometheus(s.obs.registry())),
+        Request::Events => {
+            let mut text = String::new();
+            for ev in s.obs.tracer().drain() {
+                text.push_str(&ev.to_json());
+                text.push('\n');
             }
-            Err(resp) => resp,
-        },
+            Response::Text(text)
+        }
+        Request::Commit {
+            rules,
+            asserts,
+            retracts,
+            opts,
+        } => {
+            let batch = UpdateBatch {
+                rules,
+                asserts,
+                retracts,
+            };
+            // The session's own shape check, run against the request's store.
+            if let Err(rejection) = batch.check_shape(&store) {
+                return session_err(&rejection.into());
+            }
+            let opts = commit_opts(&opts, received);
+            submit(&s, |reply| {
+                Job::Commit(Box::new(Commit {
+                    store,
+                    batch,
+                    opts,
+                    reply,
+                }))
+            })
+        }
+        Request::Checkpoint => submit(&s, Job::Checkpoint),
+        Request::Ping | Request::Shutdown | Request::Open { .. } => unreachable!("answered above"),
     }
+}
+
+/// Queues a job on the session's writer and waits for its reply.
+fn submit(s: &SessionSvc, job: impl FnOnce(mpsc::SyncSender<Response>) -> Job) -> Response {
+    let (rtx, rrx) = mpsc::sync_channel(1);
+    let tx = s.tx.lock().unwrap().clone();
+    match tx {
+        Some(tx) => {
+            if tx.send(job(rtx)).is_err() {
+                return err(ErrorKind::Internal, "session writer is gone");
+            }
+        }
+        None => return err(ErrorKind::Shutdown, "server is draining"),
+    }
+    rrx.recv()
+        .unwrap_or_else(|_| err(ErrorKind::Internal, "session writer is gone"))
 }
 
 fn ensure_bound(
@@ -716,7 +720,7 @@ fn writer_loop(mut session: Session, rx: mpsc::Receiver<Job>, svc: Arc<SessionSv
         let mut run = Vec::new();
         for job in jobs {
             match job {
-                Job::Commit(c) => run.push(c),
+                Job::Commit(c) => run.push(*c),
                 Job::Checkpoint(reply) => {
                     commit_run(&mut session, &svc, std::mem::take(&mut run));
                     let resp = match session.checkpoint() {
@@ -735,62 +739,31 @@ fn writer_loop(mut session: Session, rx: mpsc::Receiver<Job>, svc: Arc<SessionSv
     }
 }
 
-/// Decodes and group-commits one contiguous run of commit jobs (an
-/// empty run does nothing), replying to each client individually —
-/// after the covering fsync *and* after the new snapshot is published,
-/// so an acked client immediately reads its own write.
+/// Group-commits one contiguous run of commit jobs (an empty run does
+/// nothing), replying to each client individually — after the covering
+/// fsync *and* after the new snapshot is published, so an acked client
+/// immediately reads its own write.
 ///
-/// Each payload decodes into a **throwaway store**: a commit that
-/// never reaches the engine (malformed, mis-shaped, rejected by
-/// validation, already over its deadline) must not intern anything
-/// into the session's append-only arena, or a client could grow
-/// session memory without bound with commits that never succeed. Only
-/// batches that pass every pre-check are translated into the session
-/// store ([`TermStore::translate_into`]).
+/// Every job arrives decoded and shape-checked. A job already past its
+/// deadline is answered here and never reaches the engine; only the
+/// others are translated from their own store into the session's
+/// ([`TermStore::translate_into`]), so nothing of a commit that never
+/// starts is interned into the session's append-only arena.
 fn commit_run(session: &mut Session, svc: &SessionSvc, run: Vec<Commit>) {
     let mut batches: Vec<(UpdateBatch, CommitOpts)> = Vec::with_capacity(run.len());
     let mut waiting: Vec<(mpsc::SyncSender<Response>, bool)> = Vec::with_capacity(run.len());
     for Commit {
-        payload,
-        received,
+        store: scratch,
+        batch: decoded,
+        opts,
         reply,
     } in run
     {
-        let mut scratch = TermStore::new();
-        let (decoded, opts) = match decode_request(&mut scratch, &payload) {
-            Ok(Request::Commit {
-                rules,
-                asserts,
-                retracts,
-                opts,
-            }) => (
-                UpdateBatch {
-                    rules,
-                    asserts,
-                    retracts,
-                },
-                opts,
-            ),
-            Ok(_) => {
-                let _ = reply.send(err(ErrorKind::Protocol, "kind/payload mismatch"));
-                continue;
-            }
-            Err(e) => {
-                let _ = reply.send(err(ErrorKind::Protocol, format!("bad commit: {e:?}")));
-                continue;
-            }
-        };
-        let copts = commit_opts(&opts, received);
-        if copts.deadline.is_some_and(|d| Instant::now() >= d) {
+        if opts.deadline.is_some_and(|d| Instant::now() >= d) {
             let _ = reply.send(err(
                 ErrorKind::Interrupted,
                 "deadline expired before the commit could start",
             ));
-            continue;
-        }
-        // The session's own shape check, run against the scratch store.
-        if let Err(rejection) = decoded.check_shape(&scratch) {
-            let _ = reply.send(session_err(&rejection.into()));
             continue;
         }
         let store = session.store_mut();
@@ -811,7 +784,7 @@ fn commit_run(session: &mut Session, svc: &SessionSvc, run: Vec<Commit>) {
                 .collect(),
         };
         let bumps = !batch.is_empty();
-        batches.push((batch, copts));
+        batches.push((batch, opts));
         waiting.push((reply, bumps));
     }
     if batches.is_empty() {

@@ -46,54 +46,28 @@ pub fn well_founded_model(gp: &GroundProgram) -> Interp {
 
 /// [`well_founded_model`] plus iteration statistics.
 ///
-/// **Difference-driven:** the `T`-chain contexts (`U₀ ⊇ U₁ ⊇ …`) and
-/// `U`-chain contexts (`T₀ ⊆ T₁ ⊆ …`) each change by a few atoms per
-/// round, so each chain keeps its own [`IncrementalLfp`] and every
-/// `A(S)` after the first two re-enqueues only the clauses whose
-/// negative context actually changed (revivals on the growing `T`-chain,
-/// retractions on the shrinking `U`-chain) instead of template-copying
-/// all counters and rescanning every clause. After the two priming
-/// scans, per-round work is proportional to the *delta*, and no heap is
-/// allocated once the scratch queues reach steady capacity.
-///
-/// Fixpoint detection uses derivation *counts*: along the alternating
-/// iteration `T` grows and `U` shrinks monotonically, so unchanged
-/// cardinalities imply unchanged sets.
+/// Two fresh [`IncrementalLfp`] chains run [`well_founded_refresh`] from
+/// `T₀ = ∅` — the same alternation a session build runs. Each chain
+/// diffs every context against the one it last saw, so after the two
+/// priming scans a round re-enqueues only the clauses whose negative
+/// context changed (revivals on the growing `T`-chain, retractions on the
+/// shrinking `U`-chain): per-round work is proportional to the *delta*.
+/// The statistics are the chains' own counters: `reduct_calls` sums
+/// both chains' evaluations, and `rounds` is the `T`-chain's.
 pub fn well_founded_model_with_stats(gp: &GroundProgram) -> (Interp, AlternatingStats) {
     let mut t_chain = IncrementalLfp::new(gp, NegMode::SatisfiedOutside);
     let mut u_chain = IncrementalLfp::new(gp, NegMode::SatisfiedOutside);
-
-    // U₀ = A(T₀) with T₀ = ∅ (the t-chain's not-yet-primed empty out).
-    let mut reduct_calls = 1u32;
-    let mut t_count = 0usize;
-    let mut u_count = u_chain.evaluate(gp, t_chain.out());
-    let mut rounds = 1u32;
-    loop {
-        reduct_calls += 2;
-        let tc = t_chain.evaluate(gp, u_chain.out());
-        let uc = u_chain.evaluate(gp, t_chain.out());
-        let stable = tc == t_count && uc == u_count;
-        t_count = tc;
-        u_count = uc;
-        if stable {
-            break;
-        }
-        rounds += 1;
-    }
+    let mut model = Interp::new(gp.atom_count());
+    let start = BitSet::new(gp.atom_count());
+    well_founded_refresh(gp, &mut t_chain, &mut u_chain, &start, &mut model);
+    let (t, u) = (t_chain.stats(), u_chain.stats());
     let stats = AlternatingStats {
-        reduct_calls,
-        rounds,
-        clause_checks: t_chain.stats().clause_checks + u_chain.stats().clause_checks,
-        enqueues: t_chain.stats().enqueues + u_chain.stats().enqueues,
+        reduct_calls: (t.evaluations + u.evaluations) as u32,
+        rounds: t.evaluations as u32,
+        clause_checks: t.clause_checks + u.clause_checks,
+        enqueues: t.enqueues + u.enqueues,
     };
-    let t = t_chain.into_out();
-    let mut false_set = u_chain.into_out();
-    debug_assert!(
-        t.is_subset(&false_set),
-        "alternating fixpoint order violated"
-    );
-    false_set.complement_in_place();
-    (Interp::from_parts(t, false_set), stats)
+    (model, stats)
 }
 
 /// Brings the well-founded model of `gp` up to date on **warm** chains

@@ -140,11 +140,6 @@ impl Propagator {
         }
     }
 
-    /// The atom capacity this propagator was sized for.
-    pub fn atom_capacity(&self) -> usize {
-        self.n_atoms
-    }
-
     fn check(&self, gp: &GroundProgram, out: &BitSet) {
         debug_assert_eq!(self.missing.len(), gp.clause_count(), "program changed");
         debug_assert_eq!(self.n_atoms, gp.atom_count(), "program changed");

@@ -91,7 +91,8 @@ cargo test --release -q --test observability -- --ignored obs_overhead
 echo "==> server suite (framing fuzz, group commit, ungraceful clients,"
 echo "    storm vs oracle, drain with a query in flight, idle reap"
 echo "    (idle_connections_are_reaped_and_active_ones_kept), the drain ending"
-echo "    blocked reads (drain_unblocks_waiting_connections))"
+echo "    blocked reads (drain_unblocks_waiting_connections), a malformed commit"
+echo "    answered before any session binds (malformed_commit_binds_no_session))"
 cargo test --release -q --test server
 
 echo "==> gsls-serve/gsls-client live smoke (commit, query, scrape, shutdown)"

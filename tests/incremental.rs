@@ -2116,7 +2116,6 @@ fn rollback_of_a_group_strands_its_snapshots_on_a_dead_branch() {
         }),
         checkpoint_records: usize::MAX,
         checkpoint_bytes: u64::MAX,
-        ..DurableOpts::default()
     };
     // With the two-column rule `q` in: `(q, 0)` is the position nobody
     // asks about until after the fork.

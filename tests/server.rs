@@ -18,8 +18,9 @@
 //! * the drain with a query in flight on its connection thread: a
 //!   complete reply or a closed socket, never a partial frame;
 //! * connection lifetime: idle reaping, the drain ending blocked reads,
-//!   the connection cap releasing a closed connection's slot, and
-//!   concurrent or failed opens of one session name;
+//!   the connection cap releasing a closed connection's slot,
+//!   concurrent or failed opens of one session name, and a malformed
+//!   commit answered before any session is bound;
 //! * the `commit_group` / `Snapshot::prepare` core surfaces the server
 //!   is built on.
 
@@ -28,8 +29,8 @@ use global_sls::serve::{
     read_frame, write_frame, FrameError, Server, ServerConfig, GROUP_INTERVAL,
 };
 use gsls_lang::{
-    decode_request, decode_response, encode_request, encode_response, peek_request_kind, Request,
-    Response, TruthTag, PROTO_VERSION,
+    decode_request, decode_response, encode_request, encode_response, Request, Response, TruthTag,
+    PROTO_VERSION,
 };
 use proptest::prelude::*;
 use std::io::Write as _;
@@ -152,19 +153,6 @@ fn proto_round_trips_under_fuzz() {
         let req = random_request(&mut rng, &mut store);
         let mut bytes = Vec::new();
         encode_request(&store, &req, &mut bytes);
-        assert_eq!(
-            peek_request_kind(&bytes).unwrap(),
-            match &req {
-                Request::Ping => gsls_lang::RequestKind::Ping,
-                Request::Open { .. } => gsls_lang::RequestKind::Open,
-                Request::Commit { .. } => gsls_lang::RequestKind::Commit,
-                Request::Query { .. } => gsls_lang::RequestKind::Query,
-                Request::Metrics => gsls_lang::RequestKind::Metrics,
-                Request::Events => gsls_lang::RequestKind::Events,
-                Request::Checkpoint => gsls_lang::RequestKind::Checkpoint,
-                Request::Shutdown => gsls_lang::RequestKind::Shutdown,
-            }
-        );
         // Decoding into a *fresh* store must reproduce the same
         // structure (display-compare clauses; ids differ by design).
         let mut store2 = TermStore::new();
@@ -234,7 +222,6 @@ fn proto_rejects_damage_without_panicking() {
         wrong[0] = PROTO_VERSION.wrapping_add(1 + rng.below(200) as u8);
         let mut s = TermStore::new();
         assert!(decode_request(&mut s, &wrong).is_err());
-        assert!(peek_request_kind(&wrong).is_err());
     }
     // Responses too: truncations of a fuzzed response never panic.
     for _ in 0..60 {
@@ -760,8 +747,9 @@ fn slow_peer_trickling_a_frame_is_never_desynced_or_reaped() {
 
 #[test]
 fn rejected_commits_answer_typed_and_leave_the_session_serving() {
-    // Shape-invalid commits are bounced off a scratch decode before
-    // anything reaches the session's term arena.
+    // Shape-invalid commits are bounced off the connection thread's
+    // decode, into the request's own store, before anything reaches the
+    // session's term arena.
     let mut server = start(None);
     let addr = server.addr();
     let mut good = Client::connect(addr).unwrap();
@@ -824,8 +812,9 @@ fn rejected_commits_answer_typed_and_leave_the_session_serving() {
 
 #[test]
 fn translate_into_rebuilds_identical_structure() {
-    // The writer-side scratch-store path: decode into a throwaway
-    // store, translate into the long-lived one, and the batch must be
+    // The commit path's two stores: decode into a throwaway store (the
+    // connection thread), translate into the long-lived one (the
+    // writer), and the batch must be
     // structurally identical (displays match; ids need not).
     let mut scratch = TermStore::new();
     let prog = parse_program(
@@ -1104,6 +1093,9 @@ fn concurrent_binders_of_one_name_share_one_session() {
                 let mut c = Client::connect(addr).unwrap();
                 barrier.wait();
                 assert_eq!(c.open("shared").unwrap(), 0);
+                // No commit may publish before every binder has read its
+                // open epoch.
+                barrier.wait();
                 c.commit("", &format!("bound(b{i})."), "", GovernOpts::default())
                     .unwrap();
             })
@@ -1117,6 +1109,27 @@ fn concurrent_binders_of_one_name_share_one_session() {
     let q = fresh.query("?- bound(X).", GovernOpts::default()).unwrap();
     assert_eq!(q.answers.len(), BINDERS);
     drop(fresh);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A commit frame whose body does not decode is answered on the
+/// connection thread, before the connection binds a session: no
+/// `default` session is opened, so no directory is created for it.
+#[test]
+fn malformed_commit_binds_no_session() {
+    let dir = temp_dir("malformed_commit");
+    let mut server = start(Some(dir.clone()));
+    let mut s = TcpStream::connect(server.addr()).unwrap();
+    // The commit tag, then bytes that do not decode as a commit body.
+    write_frame(&mut s, &[PROTO_VERSION, 2, 0xff, 0xff, 0xff, 0xff]).unwrap();
+    s.flush().unwrap();
+    match decode_response(&read_frame(&mut s).unwrap()).unwrap() {
+        Response::Error { kind, .. } => assert_eq!(kind, gsls_lang::ErrorKind::Protocol),
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    assert!(!dir.join("default").exists());
+    drop(s);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
