@@ -59,15 +59,6 @@ impl Ordinal {
         self.coeffs.len() <= 1
     }
 
-    /// The value as a finite number, if finite.
-    pub fn as_finite(&self) -> Option<u64> {
-        match self.coeffs.len() {
-            0 => Some(0),
-            1 => Some(self.coeffs[0]),
-            _ => None,
-        }
-    }
-
     /// Whether this is a successor ordinal (finite part > 0). Levels of
     /// well-determined goals are always successors (Sec. 4).
     pub fn is_successor(&self) -> bool {

@@ -234,29 +234,17 @@ impl Session {
     pub fn add_rules(&mut self, src: &str) -> Result<usize, SessionError> {
         self.check_writable()?;
         let batch = parse_program(&mut self.store, src)?;
-        let spans = batch.spans().to_vec();
-        self.add_rule_clauses_spanned(batch.clauses().to_vec(), spans)
-    }
-
-    /// Adds already-built rule clauses.
-    pub fn add_rule_clauses(&mut self, clauses: Vec<Clause>) -> Result<usize, SessionError> {
-        let spans = vec![None; clauses.len()];
-        self.add_rule_clauses_spanned(clauses, spans)
-    }
-
-    fn add_rule_clauses_spanned(
-        &mut self,
-        clauses: Vec<Clause>,
-        spans: Vec<Option<Span>>,
-    ) -> Result<usize, SessionError> {
-        self.check_writable()?;
-        if !clauses.iter().all(|c| c.is_function_free(&self.store)) {
+        if !batch
+            .clauses()
+            .iter()
+            .all(|c| c.is_function_free(&self.store))
+        {
             return Err(SessionError::NotFunctionFree);
         }
-        let n = clauses.len();
+        let n = batch.clauses().len();
         self.buffer(|p| {
-            p.batch.rules.extend(clauses);
-            p.rule_spans.extend(spans);
+            p.batch.rules.extend_from_slice(batch.clauses());
+            p.rule_spans.extend_from_slice(batch.spans());
         })?;
         Ok(n)
     }

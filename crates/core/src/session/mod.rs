@@ -560,16 +560,6 @@ impl Session {
         Ok(session)
     }
 
-    /// Whether this session journals its commits to a durable log.
-    pub fn is_durable(&self) -> bool {
-        self.durable.is_some()
-    }
-
-    /// The durable directory, when the session was opened with one.
-    pub fn durable_dir(&self) -> Option<&Path> {
-        self.durable.as_ref().map(DurableLog::dir)
-    }
-
     /// Takes an explicit checkpoint: atomically writes a snapshot of
     /// the committed state as the next checkpoint generation and
     /// rotates the write-ahead log. Errors for non-durable sessions.

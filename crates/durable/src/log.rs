@@ -211,11 +211,6 @@ impl DurableLog {
         ))
     }
 
-    /// The directory this log lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Attaches I/O counters; subsequent appends, rotations, and
     /// truncates record into them.
     pub fn set_obs(&mut self, obs: WalObs) {

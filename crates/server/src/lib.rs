@@ -5,8 +5,9 @@
 //! contiguous queued commit batches are journaled as one WAL apply with
 //! a single fsync amortized across them, and every waiting client gets
 //! its own typed reply only after that fsync (the "fsync before ack"
-//! contract). Each query runs on its connection's thread against an
-//! `Arc`'d snapshot and never blocks the writer.
+//! contract). Every request runs on the thread of the connection that
+//! sent it: a query against an `Arc`'d snapshot, never blocking a
+//! commit; a commit under the session's writer lock.
 //!
 //! ## Wire protocol
 //!
@@ -35,13 +36,16 @@
 //!
 //! ## Group-commit semantics
 //!
-//! One writer thread exclusively owns each session and drains a
-//! bounded commit queue, at most one group per [`GROUP_INTERVAL`] (the
-//! commit cadence, `server` module docs): requests that arrive within
-//! the interval share the next group's fsync and publish, a request
-//! that finds the writer idle is committed at once. Each drain takes
-//! the contiguous run of queued
-//! batches and commits it via [`gsls_core::Session::commit_group`]:
+//! Each session sits behind one writer lock, held only while a group
+//! runs. A commit waits on the connection thread that received it, and
+//! one waiting thread per session leads: it sleeps to the next slot of
+//! the commit cadence ([`GROUP_INTERVAL`], `server` module docs) and
+//! runs the group for itself and the others, then hands the lead on.
+//! Requests that arrive within the interval share the next group's
+//! fsync and publish, a request that finds the session idle is
+//! committed at once. Each group takes the oldest pending batches and
+//! commits them via
+//! [`gsls_core::Session::commit_group`]:
 //! every batch is appended to the WAL *unsynced*, validated, governed,
 //! and applied under its own budget; one covering fsync at the end
 //! makes the whole run durable. Replies are sent only after that
@@ -58,25 +62,26 @@
 //!
 //! * a half-written frame fails its length/CRC check and is dropped —
 //!   nothing reaches the engine;
-//! * a fully received commit whose client is gone commits normally;
-//!   the reply send fails harmlessly;
-//! * connection threads own nothing but their socket, so their death
-//!   releases only their connection slot.
+//! * a fully received commit whose client is gone commits normally —
+//!   its connection thread does not read while the commit is pending —
+//!   and only the reply write fails;
+//! * connection threads own nothing but their socket between requests,
+//!   so their death releases only their connection slot.
 //!
 //! A *slow* client is not an ungraceful one: a connection blocks in one
 //! read per frame and is closed only when [`ServerConfig::idle_timeout`]
 //! passes without a byte, inside a frame or between frames. Every
 //! request decodes once, on its connection thread, into a store of its
 //! own, before any session is bound; a commit is shape-checked there and
-//! translated into the session's arena only when the writer runs it, so
+//! translated into the session's arena only when its group runs, so
 //! malformed, mis-shaped or expired commits cannot grow session memory.
 //! Over-cap connects get one
 //! `Error{kind: Busy}` reply; `Shutdown` is honored from loopback
 //! peers only unless [`ServerConfig::remote_admin`] opts in; shutdown
 //! ([`Server::shutdown`], or [`Server::wait`] after a `Shutdown`
-//! request) drains: blocked reads end, accepted requests finish,
-//! writers flush their queues
-//! (covering fsync included) before the server joins them. If a
+//! request) drains: blocked reads end, and accepted requests — pending
+//! commits with their covering fsync included — finish before the
+//! connection threads are joined and the sessions closed. If a
 //! covering fsync itself fails, no batch in the group is acked and the
 //! session is poisoned (its in-memory state no longer provably matches
 //! the WAL) rather than serving unacknowledged writes.

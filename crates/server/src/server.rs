@@ -1,6 +1,6 @@
-//! The server: thread-per-connection front end that answers queries
-//! itself on `Arc`'d snapshots, and one writer thread per session
-//! draining a bounded commit queue with **group commit**.
+//! The server: thread-per-connection, and every request runs on the
+//! connection that received it — queries on `Arc`'d snapshots, commits
+//! in **groups** under the session's writer lock.
 //!
 //! ## Threads and ownership
 //!
@@ -8,7 +8,8 @@
 //!   It enforces the connection cap, registers a handle to each
 //!   accepted socket, and spawns one thread per connection. Stopping
 //!   the server raises a flag and wakes `accept` with one loopback
-//!   connect.
+//!   connect. A failed `accept` (e.g. out of descriptors) is retried
+//!   after a short back-off.
 //! * Each **connection thread** owns its socket. It blocks reading one
 //!   frame — at most [`ServerConfig::idle_timeout`] between two bytes,
 //!   then the connection is closed as idle — decodes it once, into a
@@ -16,63 +17,78 @@
 //!   [`Request`]. It answers reads itself: metrics/events from cloned
 //!   [`Obs`] handles, and queries via [`Snapshot::prepare`] on a clone
 //!   of the session's latest snapshot — compilation and evaluation are
-//!   fully read-only, so a query never blocks the writer and vice versa.
+//!   fully read-only, so a query never blocks a commit and vice versa.
 //!   A commit is shape-checked here (a mis-shaped batch is rejected
-//!   without being queued) and goes, with its store, to the session's
-//!   writer, as do checkpoints; the reply comes back over a per-request
-//!   rendezvous channel.
-//! * Each session's **writer thread** exclusively owns its
-//!   [`Session`]. It blocks on the commit queue, holds the group open
-//!   until its slot on the **commit cadence** ([`GROUP_INTERVAL`] after
-//!   the previous group's slot; not at all when the writer was idle
-//!   that long), drains whatever has queued by then (up to `GROUP_MAX`)
-//!   and commits the contiguous run as one group: every batch journaled
-//!   unsynced, applied, and one covering fsync at the end
-//!   ([`Session::commit_group`]). Replies are
-//!   sent only **after** that fsync — the group-commit ack contract —
-//!   and each waiting client gets its own typed reply (a batch that
-//!   trips its deadline gets `Error{kind: Interrupted}` while the rest
-//!   of the group commits).
+//!   without being queued), added to the session's pending list, and
+//!   committed in a group run by this thread or by another connection's.
 //!
-//! A query runs where it arrives: its connection waits for the reply
-//! either way, and [`ServerConfig::max_conns`] bounds how many run at
-//! once.
+//! A session's **writer** lock owns the [`Session`], and one thread
+//! with a commit pending **leads**: it sleeps, holding no lock, until
+//! the next slot on the **commit cadence** ([`GROUP_INTERVAL`] after
+//! the previous group's slot; not at all when the session was idle that
+//! long), then runs the group under the writer: the oldest pending
+//! commits (up to `GROUP_MAX`), every batch journaled unsynced,
+//! applied, and one covering fsync at the end
+//! ([`Session::commit_group`]). It leads until its own commit is
+//! answered, then hands the lead to the thread of the oldest commit
+//! still pending. Every other thread blocks on its own reply, so one
+//! thread wakes per slot and a finished group wakes exactly its
+//! waiters. Replies are sent only **after** that fsync — the
+//! group-commit ack contract — and each waiting client gets its own
+//! typed reply (a batch that trips its deadline gets
+//! `Error{kind: Interrupted}` while the rest of the group commits).
+//!
+//! Every request runs where it arrives: its connection waits for the
+//! reply either way, and [`ServerConfig::max_conns`] bounds how many
+//! run — and how many commits are pending — at once.
 //!
 //! ## Commit cadence
 //!
-//! A commit on the 200×200 board costs the writer under a millisecond
-//! (publishing is a frozen prefix, not a copy), which is less than the
-//! two thread handoffs and the socket round trip around it. Left to run
-//! back to back, a closed-loop client's commit rate is therefore set by
-//! the scheduler, not by the engine: it moved by ±7% between identical
-//! runs here and twice that on a busier host, every commit paid its own
-//! fsync, publish and copy-on-write of the chunks the previous snapshot
-//! still shared, and a second writer's request that arrived 0.1 ms
-//! late missed the group. So groups start on a cadence: at most one
-//! group — one fsync, one publish, one checkpoint decision — per
-//! [`GROUP_INTERVAL`] and session, slots measured from the previous
-//! *slot* (wake-up latency and the group's own cost do not accumulate).
-//! What that buys: a fixed ceiling on fsyncs and published snapshots
-//! per second whatever the number of writers, groups that actually
-//! form, and a commit rate under load that repeats to a fraction of a
-//! percent. What it costs: a client that commits back to back waits
-//! for the next slot, so its latency is the interval rather than the
-//! commit. A commit that arrives at an idle writer is never held.
+//! A commit on the 200×200 board costs under a millisecond (publishing
+//! is a frozen prefix, not a copy), which is less than the socket round
+//! trip around it. Left to run back to back, a closed-loop client's
+//! commit rate is therefore set by the scheduler, not by the engine: it
+//! moved by ±7% between identical runs here and twice that on a busier
+//! host, every commit paid its own fsync, publish and copy-on-write of
+//! the chunks the previous snapshot still shared, and a second writer's
+//! request that arrived 0.1 ms late missed the group. So groups start
+//! on a cadence: at most one group — one fsync, one publish, one
+//! checkpoint decision — per [`GROUP_INTERVAL`] and session, slots
+//! measured from the previous *slot* (wake-up latency and the group's
+//! own cost do not accumulate). What that buys: a fixed ceiling on
+//! fsyncs and published snapshots per second whatever the number of
+//! writers, groups that actually form, and a commit rate under load
+//! that repeats to a fraction of a percent. What it costs: a client
+//! that commits back to back waits for the next slot, so its latency is
+//! the interval rather than the commit. A commit that arrives at an
+//! idle session is never held, and commits that arrive before a slot
+//! join its group. A group starts at its slot even when `GROUP_MAX`
+//! commits are already pending, so under saturation the ceiling is
+//! `GROUP_MAX` commits per interval.
 //!
 //! ## Failure model
 //!
 //! A client disconnecting mid-request can never poison a session: its
 //! frame either never fully arrived (the connection thread drops it on
-//! the floor) or its job is already queued, in which case the writer
-//! commits it normally and the reply send fails harmlessly. Frame-level
+//! the floor) or its commit is already pending. A pending commit is
+//! committed normally — its connection thread does not read the socket
+//! while it waits — and only the reply write fails. Frame-level
 //! damage (bad CRC, oversized length, torn write) is answered with a
 //! protocol error where a reply is still possible and otherwise just
 //! closes the socket.
 //!
 //! Shutdown stops the accept thread, then shuts down the read half of
 //! every registered socket, which ends each connection's blocked read
-//! at once. A connection busy with a request finishes it, replies, and
-//! then closes.
+//! at once. A connection busy with a request — a pending commit
+//! included — finishes it, replies, and then closes; so once every
+//! connection thread is joined, every accepted commit has run.
+//!
+//! A group that panics poisons the writer lock. Its unanswered
+//! waiters, and every later commit or checkpoint on that session, are
+//! answered `Internal` "session writer is gone"; the connection that
+//! ran it keeps serving.
+//! A panic anywhere else on a connection thread closes that connection
+//! and frees its `max_conns` slot.
 //!
 //! If a group's covering fsync fails, no waiter is acked (every one
 //! gets a typed error), the session is poisoned by
@@ -100,9 +116,11 @@ use gsls_wfs::Truth;
 use std::collections::HashMap;
 use std::io::{self, BufWriter, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::mpsc::{self, TryRecvError};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -110,18 +128,14 @@ use std::time::{Duration, Instant};
 /// server closes it.
 pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Bounded depth of each session's commit queue; senders block when it
-/// is full (backpressure, not rejection).
-const QUEUE_DEPTH: usize = 64;
-
 /// Most batches committed as one group (one fsync).
 const GROUP_MAX: usize = 32;
 
 /// The commit cadence: the least spacing between the slots of two commit
-/// groups of one session (see "Commit cadence" in the module docs). The
-/// writer starts at most one group — one covering fsync, one snapshot
+/// groups of one session (see "Commit cadence" in the module docs). A
+/// session starts at most one group — one covering fsync, one snapshot
 /// publish — per interval; requests that arrive sooner join the next
-/// group, and a request that finds the writer idle starts one at once.
+/// group, and a request that finds the session idle starts one at once.
 /// Three times the p50 and twice the p90 of a served commit on the
 /// 200×200 board, so a slot is rarely overrun.
 pub const GROUP_INTERVAL: Duration = Duration::from_millis(3);
@@ -130,6 +144,10 @@ pub const GROUP_INTERVAL: Duration = Duration::from_millis(3);
 /// the frame size limit; enumeration stops at the cap (use governance
 /// budgets for finer control).
 pub const MAX_ANSWERS: usize = 65_536;
+
+/// Pause before retrying a failed `accept`: out of descriptors, the
+/// connection stays queued and an immediate retry fails the same way.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Server tuning knobs. `Default` is sized for tests and small
 /// deployments; the bins expose each field as a flag.
@@ -142,7 +160,9 @@ pub struct ServerConfig {
     /// no WAL, nothing survives a restart.
     pub data_dir: Option<PathBuf>,
     /// Maximum concurrent connections; excess accepts are answered
-    /// with `Error{kind: Busy}` and closed.
+    /// with `Error{kind: Busy}` and closed. A connection has at most
+    /// one request in flight, so this also bounds the commits pending
+    /// on a session.
     pub max_conns: usize,
     /// Idle timeout per connection: the longest wait for the next byte
     /// from the peer, inside a frame or between frames. Must be
@@ -167,36 +187,39 @@ impl Default for ServerConfig {
     }
 }
 
-/// A work item for a session's writer thread.
-enum Job {
-    Commit(Box<Commit>),
-    /// Forced checkpoint + WAL rotation.
-    Checkpoint(mpsc::SyncSender<Response>),
-}
-
-/// A decoded, shape-checked commit. Its batch lives in `store`, the
-/// request's own: the writer translates it into the session's store
-/// only when the commit runs.
+/// A decoded, shape-checked commit waiting for a group. Its batch lives
+/// in `store`, the request's own: it is translated into the session's
+/// store only when its group runs.
 struct Commit {
     store: TermStore,
     batch: UpdateBatch,
     opts: CommitOpts,
-    reply: mpsc::SyncSender<Response>,
+    /// The reply, or `None`: the lead, handed to this commit's thread.
+    reply: mpsc::SyncSender<Option<Response>>,
 }
 
-/// Per-session serving state shared between connection threads and the
-/// session's writer.
+/// Commits waiting for a group, and the cadence they wait on.
+struct Pending {
+    /// Oldest first.
+    commits: Vec<Commit>,
+    /// Whether a thread leads: waits for the next slot or runs a group.
+    led: bool,
+    /// The earliest instant the next group may start.
+    slot: Instant,
+}
+
+/// Per-session serving state shared by the connection threads.
 struct SessionSvc {
     name: String,
-    /// Commit-queue sender; `None` once shutdown has begun.
-    tx: Mutex<Option<mpsc::SyncSender<Job>>>,
-    /// The latest committed snapshot, refreshed by the writer after
-    /// every group. Queries clone it out (an `Arc` bump) and run on
-    /// the clone, so the lock is held only for the clone.
+    /// The latest committed snapshot, refreshed after every group.
+    /// Queries clone it out (an `Arc` bump) and run on the clone, so
+    /// the lock is held only for the clone.
     snap: Mutex<Snapshot>,
     /// The session's observability bundle (shared storage).
     obs: Obs,
-    writer: Mutex<Option<JoinHandle<()>>>,
+    pending: Mutex<Pending>,
+    /// Held only while a group or a checkpoint runs.
+    writer: Mutex<Session>,
 }
 
 /// One session name's cell. Opening a durable session can mean a full
@@ -278,9 +301,9 @@ impl Server {
         self.addr
     }
 
-    /// Graceful drain: stop accepting, let in-flight requests finish,
-    /// close connections, flush every session's writer (group-commit
-    /// queue fully drained and fsync'd), and join all threads.
+    /// Graceful drain: stop accepting, let in-flight requests (pending
+    /// commits included) finish, close connections, join all threads
+    /// and close the sessions.
     pub fn shutdown(&mut self) {
         if self.accept.is_some() {
             self.shared.stop();
@@ -304,23 +327,9 @@ impl Server {
         for h in conns {
             let _ = h.join();
         }
-        // Connections — and the queries running on them — are gone;
-        // flush and stop the writers. Opens ran on connection threads,
-        // so every cell is set; a failed open's cell has no writer.
-        let svcs: Vec<Arc<SessionSvc>> = self
-            .shared
-            .sessions
-            .lock()
-            .unwrap()
-            .drain()
-            .filter_map(|(_, cell)| cell.get()?.as_ref().ok().cloned())
-            .collect();
-        for svc in svcs {
-            *svc.tx.lock().unwrap() = None;
-            if let Some(h) = svc.writer.lock().unwrap().take() {
-                let _ = h.join();
-            }
-        }
+        // A connection thread returns only once its commit's group has
+        // run, so nothing is pending. Dropping the sessions closes them.
+        self.shared.sessions.lock().unwrap().clear();
     }
 }
 
@@ -390,16 +399,19 @@ fn query_guard(o: &GovernOpts, received: Instant) -> Guard {
 // Accept + connection threads
 // ---------------------------------------------------------------------
 
-/// Accepts until the shutdown flag is up (checked after every accept,
-/// so the wake-up connect is dropped with the listener) and returns
-/// the connection threads still to join.
+/// Accepts until the shutdown flag is up (checked after every accept
+/// result, so the wake-up connect is dropped with the listener) and
+/// returns the connection threads still to join.
 fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) -> Vec<JoinHandle<()>> {
     let mut threads: Vec<JoinHandle<()>> = Vec::new();
     for (id, stream) in (0u64..).zip(listener.incoming()) {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let Ok(stream) = stream else { continue };
+        let Ok(stream) = stream else {
+            std::thread::sleep(ACCEPT_BACKOFF);
+            continue;
+        };
         threads.retain(|h| !h.is_finished());
         let mut conns = shared.conns.lock().unwrap();
         if conns.len() >= shared.cfg.max_conns {
@@ -416,7 +428,9 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) -> Vec<JoinHandle<()
         let spawned = std::thread::Builder::new()
             .name("gsls-conn".into())
             .spawn(move || {
-                conn_loop(stream, &s);
+                // A panic closes this connection (its socket drops as
+                // it unwinds) and still frees its slot.
+                let _ = panic::catch_unwind(AssertUnwindSafe(|| conn_loop(stream, &s)));
                 s.conns.lock().unwrap().remove(&id);
             });
         match spawned {
@@ -501,7 +515,7 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
 /// (loopback, or anyone under [`ServerConfig::remote_admin`]).
 ///
 /// The request decodes into a **store of its own**: nothing it carries
-/// is interned into a session before the writer translates an accepted
+/// is interned into a session before its group translates an accepted
 /// commit, so requests that never commit (malformed, mis-shaped,
 /// rejected, expired, or reads) cannot grow the session's append-only
 /// arena.
@@ -573,35 +587,23 @@ fn handle_request(
             if let Err(rejection) = batch.check_shape(&store) {
                 return session_err(&rejection.into());
             }
-            let opts = commit_opts(&opts, received);
-            submit(&s, |reply| {
-                Job::Commit(Box::new(Commit {
-                    store,
-                    batch,
-                    opts,
-                    reply,
-                }))
-            })
+            commit(&s, store, batch, commit_opts(&opts, received))
         }
-        Request::Checkpoint => submit(&s, Job::Checkpoint),
-        Request::Ping | Request::Shutdown | Request::Open { .. } => unreachable!("answered above"),
-    }
-}
-
-/// Queues a job on the session's writer and waits for its reply.
-fn submit(s: &SessionSvc, job: impl FnOnce(mpsc::SyncSender<Response>) -> Job) -> Response {
-    let (rtx, rrx) = mpsc::sync_channel(1);
-    let tx = s.tx.lock().unwrap().clone();
-    match tx {
-        Some(tx) => {
-            if tx.send(job(rtx)).is_err() {
-                return err(ErrorKind::Internal, "session writer is gone");
+        Request::Checkpoint => {
+            let Ok(mut session) = s.writer.lock() else {
+                return writer_gone();
+            };
+            match session.checkpoint() {
+                Ok(()) => Response::Text(format!(
+                    "checkpointed {} at epoch {}",
+                    s.name,
+                    session.epoch()
+                )),
+                Err(e) => session_err(&e),
             }
         }
-        None => return err(ErrorKind::Shutdown, "server is draining"),
+        Request::Ping | Request::Shutdown | Request::Open { .. } => unreachable!("answered above"),
     }
-    rrx.recv()
-        .unwrap_or_else(|_| err(ErrorKind::Internal, "session writer is gone"))
 }
 
 fn ensure_bound(
@@ -649,109 +651,112 @@ fn bind_session(shared: &Arc<Shared>, name: &str) -> Result<Arc<SessionSvc>, Res
     result
 }
 
-/// Opens (or creates) the named session, takes its first snapshot, and
-/// spawns its writer thread. Called by [`bind_session`] outside the
-/// sessions-map lock.
+/// Opens (or creates) the named session and takes its first snapshot.
+/// Called by [`bind_session`] outside the sessions-map lock.
 fn open_session_svc(shared: &Arc<Shared>, name: &str) -> Result<Arc<SessionSvc>, Response> {
     let mut session = match &shared.cfg.data_dir {
         Some(root) => Session::open(root.join(name)).map_err(|e| session_err(&e))?,
         None => Session::new(),
     };
-    let snap = session.snapshot();
-    let obs = session.obs();
-    let (tx, rx) = mpsc::sync_channel::<Job>(QUEUE_DEPTH);
-    let svc = Arc::new(SessionSvc {
+    Ok(Arc::new(SessionSvc {
         name: name.to_string(),
-        tx: Mutex::new(Some(tx)),
-        snap: Mutex::new(snap),
-        obs,
-        writer: Mutex::new(None),
-    });
-    let wsvc = svc.clone();
-    let writer = std::thread::Builder::new()
-        .name(format!("gsls-writer-{name}"))
-        .spawn(move || writer_loop(session, rx, wsvc))
-        .map_err(|e| err(ErrorKind::Internal, format!("spawn failed: {e}")))?;
-    *svc.writer.lock().unwrap() = Some(writer);
-    Ok(svc)
+        snap: Mutex::new(session.snapshot()),
+        obs: session.obs(),
+        pending: Mutex::new(Pending {
+            commits: Vec::new(),
+            led: false,
+            slot: Instant::now(),
+        }),
+        writer: Mutex::new(session),
+    }))
 }
 
 // ---------------------------------------------------------------------
-// Writer thread: the group-commit write path
+// Commits: the group-commit write path, on the connection threads
 // ---------------------------------------------------------------------
 
-fn writer_loop(mut session: Session, rx: mpsc::Receiver<Job>, svc: Arc<SessionSvc>) {
-    // The earliest instant the next group may start.
-    let mut slot = Instant::now();
-    // recv() returning Err means every sender is gone (shutdown):
-    // everything already queued has been drained first, so this is the
-    // graceful flush.
-    while let Ok(first) = rx.recv() {
-        let mut jobs = vec![first];
-        // Hold the group open until its slot on the cadence, gathering
-        // whatever else arrives meanwhile. A request that finds the
-        // slot already past (an idle writer) is not delayed at all, and
-        // the cadence restarts from its arrival.
-        let start = slot.max(Instant::now());
-        while jobs.len() < GROUP_MAX {
-            let wait = start.saturating_duration_since(Instant::now());
-            if wait.is_zero() {
-                break;
-            }
-            match rx.recv_timeout(wait) {
-                Ok(j) => jobs.push(j),
-                // Timeout: the slot has come. Disconnected: draining,
-                // flush what is queued without waiting.
-                Err(_) => break,
-            }
+fn writer_gone() -> Response {
+    err(ErrorKind::Internal, "session writer is gone")
+}
+
+/// Queues a commit on `s.pending` and waits for its reply. One waiting
+/// thread at a time leads: it sleeps, holding no lock, until the next
+/// slot, takes the oldest pending commits (up to `GROUP_MAX`) and runs
+/// them as a group under the writer, and goes on leading while its own
+/// commit is still pending. Once it is answered, it hands the lead to
+/// the thread of the oldest pending commit. Every other thread blocks
+/// on its own reply channel, so only the leader wakes for a slot.
+fn commit(s: &SessionSvc, store: TermStore, batch: UpdateBatch, opts: CommitOpts) -> Response {
+    let (reply, rx) = mpsc::sync_channel(1);
+    let leads = {
+        let mut p = s.pending.lock().unwrap();
+        p.commits.push(Commit {
+            store,
+            batch,
+            opts,
+            reply,
+        });
+        !std::mem::replace(&mut p.led, true)
+    };
+    if !leads {
+        match rx.recv() {
+            Ok(Some(resp)) => return resp,
+            // The lead, handed on by the previous leader.
+            Ok(None) => {}
+            Err(_) => return writer_gone(),
         }
-        // Measured from the slot, not from when this thread woke up or
-        // finishes the group: neither wake-up latency nor the group's
-        // own cost stretches the cadence.
-        slot = start + GROUP_INTERVAL;
-        while jobs.len() < GROUP_MAX {
-            match rx.try_recv() {
-                Ok(j) => jobs.push(j),
-                Err(_) => break,
-            }
-        }
-        // Each contiguous run of commits is one group; a checkpoint
-        // ends the run before it.
-        let mut run = Vec::new();
-        for job in jobs {
-            match job {
-                Job::Commit(c) => run.push(*c),
-                Job::Checkpoint(reply) => {
-                    commit_run(&mut session, &svc, std::mem::take(&mut run));
-                    let resp = match session.checkpoint() {
-                        Ok(()) => Response::Text(format!(
-                            "checkpointed {} at epoch {}",
-                            svc.name,
-                            session.epoch()
-                        )),
-                        Err(e) => session_err(&e),
-                    };
-                    let _ = reply.send(resp);
-                }
-            }
-        }
-        commit_run(&mut session, &svc, run);
     }
+    let resp = loop {
+        // A session idle past its slot commits at once, and the
+        // cadence restarts from now.
+        let start = s.pending.lock().unwrap().slot.max(Instant::now());
+        std::thread::sleep(start.saturating_duration_since(Instant::now()));
+        let run: Vec<Commit> = {
+            let mut p = s.pending.lock().unwrap();
+            // The next slot is measured from this one, not from when
+            // the group ends: neither wake-up latency nor the group's
+            // own cost stretches the cadence.
+            p.slot = start + GROUP_INTERVAL;
+            let n = p.commits.len().min(GROUP_MAX);
+            p.commits.drain(..n).collect()
+        };
+        // A group that panics poisons the writer. Its unanswered
+        // commits, and every later group's, drop their reply senders.
+        let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+            if let Ok(mut session) = s.writer.lock() {
+                commit_run(&mut session, s, run);
+            }
+        }));
+        match rx.try_recv() {
+            Ok(resp) => break resp.unwrap_or_else(writer_gone),
+            Err(TryRecvError::Disconnected) => break writer_gone(),
+            Err(TryRecvError::Empty) => {}
+        }
+    };
+    let mut p = s.pending.lock().unwrap();
+    match p.commits.first() {
+        Some(next) => {
+            let _ = next.reply.send(None);
+        }
+        None => p.led = false,
+    }
+    resp
 }
 
-/// Group-commits one contiguous run of commit jobs (an empty run does
+/// Group-commits one run of pending commits (an empty run does
 /// nothing), replying to each client individually — after the covering
 /// fsync *and* after the new snapshot is published, so an acked client
-/// immediately reads its own write.
+/// immediately reads its own write. The caller holds the writer lock.
 ///
-/// Every job arrives decoded and shape-checked. A job already past its
+/// Every commit arrives decoded and shape-checked. One already past its
 /// deadline is answered here and never reaches the engine; only the
 /// others are translated from their own store into the session's
 /// ([`TermStore::translate_into`]), so nothing of a commit that never
 /// starts is interned into the session's append-only arena.
 fn commit_run(session: &mut Session, svc: &SessionSvc, run: Vec<Commit>) {
     let mut batches: Vec<(UpdateBatch, CommitOpts)> = Vec::with_capacity(run.len());
-    let mut waiting: Vec<(mpsc::SyncSender<Response>, bool)> = Vec::with_capacity(run.len());
+    let mut waiting: Vec<(mpsc::SyncSender<Option<Response>>, bool)> =
+        Vec::with_capacity(run.len());
     for Commit {
         store: scratch,
         batch: decoded,
@@ -760,10 +765,10 @@ fn commit_run(session: &mut Session, svc: &SessionSvc, run: Vec<Commit>) {
     } in run
     {
         if opts.deadline.is_some_and(|d| Instant::now() >= d) {
-            let _ = reply.send(err(
+            let _ = reply.send(Some(err(
                 ErrorKind::Interrupted,
                 "deadline expired before the commit could start",
-            ));
+            )));
             continue;
         }
         let store = session.store_mut();
@@ -821,7 +826,7 @@ fn commit_run(session: &mut Session, svc: &SessionSvc, run: Vec<Commit>) {
                     }
                     Err(e) => session_err(&e),
                 };
-                let _ = reply.send(resp);
+                let _ = reply.send(Some(resp));
             }
         }
         Err(e) => {
@@ -832,7 +837,7 @@ fn commit_run(session: &mut Session, svc: &SessionSvc, run: Vec<Commit>) {
             // state only — never writes whose owners were told Error.
             let resp = session_err(&e);
             for (reply, _) in waiting {
-                let _ = reply.send(resp.clone());
+                let _ = reply.send(Some(resp.clone()));
             }
         }
     }

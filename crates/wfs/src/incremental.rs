@@ -195,12 +195,6 @@ impl IncrementalLfp {
         self.context_changed
     }
 
-    /// Consumes the engine, returning the fixpoint set (for final model
-    /// construction without a copy).
-    pub fn into_out(self) -> BitSet {
-        self.out
-    }
-
     #[inline]
     fn sat(s: &BitSet, mode: NegMode, q: GroundAtomId) -> bool {
         s.contains(q.index()) == (mode == NegMode::SatisfiedInside)

@@ -31,8 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("seeded at epoch {}", receipt.epoch);
 
     // 3. Concurrent writers: each commits its own fact batch. The
-    //    session's writer thread drains them as groups — many WAL
-    //    records, few fsyncs.
+    //    session commits them as groups — many WAL records, few fsyncs.
     let writers: Vec<_> = (0..4)
         .map(|i| {
             std::thread::spawn(move || -> Result<u64, ClientError> {

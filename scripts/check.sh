@@ -91,14 +91,18 @@ cargo test --release -q --test observability -- --ignored obs_overhead
 echo "==> server suite (framing fuzz, group commit, ungraceful clients,"
 echo "    storm vs oracle, drain with a query in flight, idle reap"
 echo "    (idle_connections_are_reaped_and_active_ones_kept), the drain ending"
-echo "    blocked reads (drain_unblocks_waiting_connections), a malformed commit"
+echo "    blocked reads (drain_unblocks_waiting_connections), the drain with commits"
+echo "    in flight (drain_with_commits_in_flight_loses_no_ack), a malformed commit"
 echo "    answered before any session binds (malformed_commit_binds_no_session))"
 cargo test --release -q --test server
 
-echo "==> gsls-serve/gsls-client live smoke (commit, query, scrape, shutdown)"
+echo "==> gsls-serve/gsls-client live smoke (commit, query, scrape, out of"
+echo "    descriptors, shutdown)"
 cargo build --release -p gsls-serve --bins
 serve_dir="$(mktemp -d)"
 serve_log="$serve_dir/server.log"
+# Created here: the server's redirect may open it after the first poll.
+: >"$serve_log"
 target/release/gsls-serve --addr 127.0.0.1:0 --data-dir "$serve_dir/data" \
   >"$serve_log" 2>&1 &
 serve_pid=$!
@@ -116,6 +120,25 @@ client commit "move(a, b). move(b, a). win(X) :- move(X, Y), ~win(Y)."
 client assert "move(b, c)."
 client query "?- win(X)." | grep -q "true"
 client metrics | grep -q "^gsls_wal_group_syncs"
+# Out of descriptors, a connection stays queued and every accept fails:
+# the accept thread must back off, not spin. Cap the server's soft limit
+# at its lowest free descriptor, connect once, and read its CPU time.
+free_fd=0
+while [ -e "/proc/$serve_pid/fd/$free_fd" ]; do free_fd=$((free_fd + 1)); done
+nofile="$(prlimit --pid "$serve_pid" --nofile --output SOFT --noheadings | tr -d ' ')"
+prlimit --pid "$serve_pid" --nofile="$free_fd:"
+serve_cpu_ms() { sed 's/^.*) //' "/proc/$serve_pid/stat" | awk '{ print ($12 + $13) * 10 }'; }
+exec 9<>"/dev/tcp/${serve_addr%:*}/${serve_addr##*:}"
+sleep 0.2
+cpu_before="$(serve_cpu_ms)"
+sleep 1
+cpu_ms=$(($(serve_cpu_ms) - cpu_before))
+exec 9>&-
+prlimit --pid "$serve_pid" --nofile="$nofile:"
+if [ "$cpu_ms" -gt 200 ]; then
+  echo "gsls-serve used ${cpu_ms} ms of CPU in 1 s out of descriptors" >&2
+  exit 1
+fi
 client shutdown
 # The drain must finish on its own: a hang fails the gate, not CI.
 for _ in $(seq 1 100); do

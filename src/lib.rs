@@ -278,9 +278,11 @@
 //! query guards, with deadlines measured from server receipt — so
 //! end-to-end governance works exactly like in-process governance.
 //!
-//! **Group commit.** One writer thread exclusively owns each session
-//! and drains a bounded commit queue: each drain takes the contiguous
-//! run of queued batches, journals every batch to the WAL *unsynced*,
+//! **Group commit.** Each session sits behind one writer lock. A
+//! commit waits on the connection thread that received it, and one
+//! waiting thread per session leads: at the next slot of the commit
+//! cadence it takes the oldest pending batches as one group, journals
+//! every batch to the WAL *unsynced*,
 //! validates/governs/applies each under its own budget, then issues a
 //! single covering fsync for the whole run
 //! ([`prelude::Session::commit_group`]). Clients are answered only
@@ -293,11 +295,11 @@
 //!
 //! **Disconnects.** A client vanishing mid-request can never poison a
 //! session: a half-written frame fails its length/CRC check and never
-//! reaches the engine, and a fully queued commit whose client is gone
+//! reaches the engine, and a fully received commit whose client is gone
 //! commits normally (the reply just has nobody to go to). Queries run
 //! on [`prelude::Snapshot`]s, each on its connection's thread, and
-//! never block the writer. See `examples/serve_demo.rs` for the whole loop, and the
-//! `gsls-serve` / `gsls-client` binaries for the CLI pair.
+//! never block a commit. See `examples/serve_demo.rs` for the whole
+//! loop, and the `gsls-serve` / `gsls-client` binaries for the CLI pair.
 //!
 //! ## Diagnostics & linting
 //!

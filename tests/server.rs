@@ -16,7 +16,8 @@
 //! * a concurrent reader/writer storm whose final state must equal a
 //!   sequential oracle session fed the same batches;
 //! * the drain with a query in flight on its connection thread: a
-//!   complete reply or a closed socket, never a partial frame;
+//!   complete reply or a closed socket, never a partial frame; and with
+//!   commits in flight: every acked commit is on disk when it returns;
 //! * connection lifetime: idle reaping, the drain ending blocked reads,
 //!   the connection cap releasing a closed connection's slot,
 //!   concurrent or failed opens of one session name, and a malformed
@@ -433,12 +434,12 @@ fn expired_deadline_interrupts_exactly_that_client() {
 }
 
 /// One client's interrupted commits land *between* two other writers'
-/// commits, in the same writer queue. (A deadline that is already over
-/// when the batch is dequeued never starts — the test above; what has to
-/// be rolled back is one that expires *mid-commit*, made deterministic
-/// here as a budget of one guard check.) Each is rolled back by
+/// commits, in the same session's pending list. (A deadline that is
+/// already over when the batch's group takes it never starts — the test
+/// above; what has to be rolled back is one that expires *mid-commit*,
+/// made deterministic here as a budget of one guard check.) Each is rolled back by
 /// truncating what it appended — never by rebuilding the engine, which
-/// used to stall every writer queued behind it for as long as the whole
+/// used to stall every commit queued behind it for as long as the whole
 /// program takes to re-ground — the others are all acknowledged, and
 /// the served state equals a sequential oracle that only saw what was
 /// acknowledged.
@@ -1232,6 +1233,77 @@ fn drain_with_a_query_in_flight_answers_whole_or_closes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A drain while writers commit back to back: every commit a connection
+/// accepted runs before `shutdown` returns, because its connection
+/// thread waits for the group that takes it. So the log holds every
+/// acked fact and nothing that was never sent — and the session is
+/// closed by then, so it reopens while the `Server` value is still
+/// alive.
+#[test]
+fn drain_with_commits_in_flight_loses_no_ack() {
+    const WRITERS: usize = 4;
+    let dir = temp_dir("drain_commits");
+    let mut server = start(Some(dir.clone()));
+    let addr = server.addr();
+    let (acks_tx, acks_rx) = std::sync::mpsc::channel();
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|k| {
+            let acks_tx = acks_tx.clone();
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                c.set_timeout(Some(Duration::from_secs(30))).unwrap();
+                let (mut sent, mut acked) = (0usize, 0usize);
+                loop {
+                    let fact = format!("f(w{k}, n{sent}).");
+                    sent += 1;
+                    match c.commit("", &fact, "", GovernOpts::default()) {
+                        Ok(_) => acked += 1,
+                        Err(ClientError::Io(_)) => return (sent, acked),
+                        Err(ClientError::Protocol(m)) if m == "connection closed" => {
+                            return (sent, acked)
+                        }
+                        Err(e) => panic!("writer {k} after {acked} acks: {e}"),
+                    }
+                    if acked == 3 {
+                        acks_tx.send(()).unwrap();
+                    }
+                }
+            })
+        })
+        .collect();
+    for _ in 0..WRITERS {
+        acks_rx.recv().expect("every writer reaches 3 acks");
+    }
+
+    let mut admin = Client::connect(addr).unwrap();
+    admin.shutdown_server().unwrap();
+    server.shutdown();
+    let counts: Vec<(usize, usize)> = writers.into_iter().map(|h| h.join().unwrap()).collect();
+
+    let reopened = Session::open(dir.join("default")).unwrap();
+    for (k, &(sent, acked)) in counts.iter().enumerate() {
+        for i in 0..acked {
+            assert_eq!(
+                reopened.truth(&format!("?- f(w{k}, n{i}).")).unwrap(),
+                Truth::True,
+                "writer {k}'s acked commit {i} is lost"
+            );
+        }
+        let on_disk = reopened
+            .query(&format!("?- f(w{k}, X)."))
+            .unwrap()
+            .answers
+            .len();
+        assert!(
+            acked <= on_disk && on_disk <= sent,
+            "writer {k}: {acked} acked, {on_disk} on disk, {sent} sent"
+        );
+    }
+    drop(reopened);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // The core surfaces the server is built on
 // ---------------------------------------------------------------------
@@ -1246,7 +1318,7 @@ fn commit_group_applies_per_batch_and_recovers() {
             p.clauses()[0].head.clone()
         };
         // Parse batch contents straight into the session's own store —
-        // the same thing the server's writer thread does when decoding.
+        // the same thing a server commit group does when translating.
         let rules: Vec<Clause> = parse_program(
             sess.store_mut(),
             "e(a, b). e(b, c). t(X, Y) :- e(X, Y). t(X, Z) :- e(X, Y), t(Y, Z).",
