@@ -134,17 +134,18 @@ pub fn read_checkpoint(path: &Path) -> Result<Vec<u8>, DurableError> {
     }
     let len = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
     let crc = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes"));
-    let payload = &bytes[20..];
-    if payload.len() != len {
+    // Drop the header in place: the payload keeps the buffer it was read into.
+    bytes.drain(..20);
+    if bytes.len() != len {
         return Err(DurableError::Corrupt(format!(
             "checkpoint payload length {} != header {len}",
-            payload.len()
+            bytes.len()
         )));
     }
-    if crc32(payload) != crc {
+    if crc32(&bytes) != crc {
         return Err(DurableError::Corrupt("checkpoint checksum mismatch".into()));
     }
-    Ok(payload.to_vec())
+    Ok(bytes)
 }
 
 #[cfg(test)]

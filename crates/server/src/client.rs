@@ -84,7 +84,8 @@ pub struct QueryResults {
     pub answers: Vec<String>,
     /// Rendered bindings whose instances are undefined.
     pub undefined: Vec<String>,
-    /// Whether governance (or the answer cap) ended enumeration early.
+    /// Whether governance (or the reply's answer or byte cap) ended
+    /// enumeration early.
     pub interrupted: bool,
 }
 

@@ -27,6 +27,11 @@
 //! | `Checkpoint`  | —                                     | `Text` |
 //! | `Shutdown`    | —                                     | `Text` |
 //!
+//! A query's `Answers` reply is bounded by count ([`MAX_ANSWERS`]) and
+//! by bytes (one frame, [`MAX_FRAME`]): enumeration stops before either
+//! is exceeded and the partial set comes back with `interrupted` set,
+//! so no reply is too large to send.
+//!
 //! Any failure is `Error{kind, message}` with a coarse
 //! [`gsls_lang::ErrorKind`] the client can dispatch on. Per-request
 //! `deadline_ms`/`fuel`/`max_memory_bytes`/`max_clauses` budgets map

@@ -105,7 +105,7 @@
 //! metrics/events scrape is not gated — do not bind a server holding
 //! sensitive data on an untrusted network.
 
-use crate::frame::{read_frame, write_frame, FrameError};
+use crate::frame::{read_frame, write_frame, FrameError, MAX_FRAME};
 use gsls_core::{CommitOpts, Guard, Session, SessionError, Snapshot, UpdateBatch};
 use gsls_lang::{
     decode_request, encode_response, Atom, CommitNumbers, ErrorKind, GovernOpts, Request, Response,
@@ -140,10 +140,19 @@ const GROUP_MAX: usize = 32;
 /// 200×200 board, so a slot is rarely overrun.
 pub const GROUP_INTERVAL: Duration = Duration::from_millis(3);
 
-/// Cap on rendered answers per query response, keeping replies under
-/// the frame size limit; enumeration stops at the cap (use governance
-/// budgets for finer control).
+/// Cap on rendered answers per query response. A reply is bounded by
+/// count *and* by bytes: enumeration also stops before the rendered
+/// answers would outgrow a frame ([`MAX_FRAME`]).
+/// Either stop answers the partial set with `interrupted` set (use
+/// governance budgets for finer control).
 pub const MAX_ANSWERS: usize = 65_536;
+
+/// Rendered bytes one `Answers` reply may carry: a frame less room for
+/// the reply's fixed fields (version, tag, truth, two counts, flag).
+const ANSWER_BYTES: usize = MAX_FRAME - 64;
+
+/// Most bytes a rendered answer's varint length prefix takes.
+const ANSWER_PREFIX: usize = 10;
 
 /// Pause before retrying a failed `accept`: out of descriptors, the
 /// connection stays queued and an immediate retry fails the same way.
@@ -862,17 +871,24 @@ fn run_query(snap: &Snapshot, goal: &str, opts: &GovernOpts, received: Instant) 
         Err(e) => return session_err(&e),
     };
     let mut truncated = false;
+    let mut bytes = 0;
     for a in it.by_ref() {
         if answers_true.len() + answers_undef.len() >= MAX_ANSWERS {
             truncated = true;
             break;
         }
         let rendered = q.render_answer(snap, &a);
-        match a.truth {
-            Truth::True => answers_true.push(rendered),
-            Truth::Undefined => answers_undef.push(rendered),
-            Truth::False => {}
+        let out = match a.truth {
+            Truth::True => &mut answers_true,
+            Truth::Undefined => &mut answers_undef,
+            Truth::False => continue,
+        };
+        bytes += rendered.len() + ANSWER_PREFIX;
+        if bytes > ANSWER_BYTES {
+            truncated = true;
+            break;
         }
+        out.push(rendered);
     }
     let interrupted = it.interrupted().is_some() || truncated;
     let truth = if !answers_true.is_empty() {

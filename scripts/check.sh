@@ -59,7 +59,9 @@ cargo test --release -q -p gsls-core -- indexed_ read_path_ prepared_query_
 cargo test --release -q --test incremental -- \
   refresh_ snapshot_isolation publish_copies join_candidates rollback_ prepare_
 
-echo "==> durability recovery gate (crash-injection seed sweep)"
+echo "==> durability recovery gate (the codec and CRC-32 as they ship, optimised;"
+echo "    crash-injection seed sweep)"
+cargo test --release -q -p gsls-durable
 cargo test --release -q --test durability
 for seed in 3 17 101; do
   echo "    GSLS_FAULT_SEED=$seed"
@@ -93,7 +95,9 @@ echo "    storm vs oracle, drain with a query in flight, idle reap"
 echo "    (idle_connections_are_reaped_and_active_ones_kept), the drain ending"
 echo "    blocked reads (drain_unblocks_waiting_connections), the drain with commits"
 echo "    in flight (drain_with_commits_in_flight_loses_no_ack), a malformed commit"
-echo "    answered before any session binds (malformed_commit_binds_no_session))"
+echo "    answered before any session binds (malformed_commit_binds_no_session), a"
+echo "    reply too large for a frame cut to a partial answer set"
+echo "    (oversized_reply_is_cut_to_a_frame_and_the_connection_kept))"
 cargo test --release -q --test server
 
 echo "==> gsls-serve/gsls-client live smoke (commit, query, scrape, out of"

@@ -271,6 +271,10 @@
 //! | `Checkpoint` | — | `Text` |
 //! | `Shutdown` | — | `Text` (server drains and stops) |
 //!
+//! An `Answers` reply holds at most [`serve::MAX_ANSWERS`] answers and
+//! fits one frame ([`serve::MAX_FRAME`]); an enumeration that would
+//! outgrow either ends early with `interrupted` set.
+//!
 //! Failures come back as `Error{kind, message}` with a coarse kind
 //! (`Parse`, `Rejected`, `Interrupted`, `Busy`, …). Each request's
 //! optional `deadline_ms` / `fuel` / `max_memory_bytes` /

@@ -20,14 +20,16 @@
 //!   commits in flight: every acked commit is on disk when it returns;
 //! * connection lifetime: idle reaping, the drain ending blocked reads,
 //!   the connection cap releasing a closed connection's slot,
-//!   concurrent or failed opens of one session name, and a malformed
-//!   commit answered before any session is bound;
+//!   concurrent or failed opens of one session name, a malformed
+//!   commit answered before any session is bound, and a reply too large
+//!   for one frame cut to a partial, interrupted answer set;
 //! * the `commit_group` / `Snapshot::prepare` core surfaces the server
 //!   is built on.
 
 use global_sls::prelude::*;
 use global_sls::serve::{
-    read_frame, write_frame, FrameError, Server, ServerConfig, GROUP_INTERVAL,
+    read_frame, write_frame, FrameError, Server, ServerConfig, GROUP_INTERVAL, MAX_ANSWERS,
+    MAX_FRAME,
 };
 use gsls_lang::{
     decode_request, decode_response, encode_request, encode_response, Request, Response, TruthTag,
@@ -1133,6 +1135,50 @@ fn malformed_commit_binds_no_session() {
     drop(s);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A reply is bounded by bytes as well as by answer count: 65,536
+/// answers of about 270 rendered bytes each (≈ 17.7 MB) stay under
+/// `MAX_ANSWERS` but not under a frame. The server answers the partial
+/// set with `interrupted` set, in one frame, and the connection keeps
+/// serving.
+#[test]
+fn oversized_reply_is_cut_to_a_frame_and_the_connection_kept() {
+    let mut server = start(None);
+    let mut c = Client::connect(server.addr()).unwrap();
+    let pad = "x".repeat(130);
+    let facts: String = (0..256)
+        .map(|i| format!("a(a{pad}{i}). b(b{pad}{i}). "))
+        .collect();
+    c.commit("", &facts, "", GovernOpts::default()).unwrap();
+    let req = Request::Query {
+        goal: "?- a(X), b(Y).".into(),
+        opts: GovernOpts::default(),
+    };
+    let resp = c.roundtrip(&req).unwrap();
+    let mut encoded = Vec::new();
+    encode_response(&resp, &mut encoded);
+    assert!(
+        encoded.len() <= MAX_FRAME,
+        "reply of {} bytes",
+        encoded.len()
+    );
+    match resp {
+        Response::Answers {
+            answers,
+            interrupted,
+            ..
+        } => {
+            assert!(interrupted);
+            assert!(!answers.is_empty() && answers.len() < MAX_ANSWERS);
+        }
+        other => panic!("expected answers, got {other:?}"),
+    }
+    let r = c.query("?- a(X).", GovernOpts::default()).unwrap();
+    assert_eq!(r.answers.len(), 256);
+    assert!(!r.interrupted);
+    drop(c);
+    server.shutdown();
 }
 
 #[test]
