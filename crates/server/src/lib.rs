@@ -43,13 +43,14 @@
 //!
 //! Each session sits behind one writer lock, held only while a group
 //! runs. A commit waits on the connection thread that received it, and
-//! one waiting thread per session leads: it sleeps to the next slot of
-//! the commit cadence ([`GROUP_INTERVAL`], `server` module docs) and
-//! runs the group for itself and the others, then hands the lead on.
-//! Requests that arrive within the interval share the next group's
-//! fsync and publish, a request that finds the session idle is
-//! committed at once. Each group takes the oldest pending batches and
-//! commits them via
+//! one waiting thread per session leads: it runs the group for itself
+//! and the others, then hands the lead on. A lone writer's commit, or
+//! one that finds the session idle, is committed at once. While writers
+//! contend — more than one commit pending, or the last group shared —
+//! the leader first sleeps to the next slot of the commit cadence
+//! ([`GROUP_INTERVAL`], `server` module docs), and requests that arrive
+//! within the interval share that group's fsync and publish. Each group
+//! takes the oldest pending batches and commits them via
 //! [`gsls_core::Session::commit_group`]:
 //! every batch is appended to the WAL *unsynced*, validated, governed,
 //! and applied under its own budget; one covering fsync at the end

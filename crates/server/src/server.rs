@@ -23,16 +23,17 @@
 //!   committed in a group run by this thread or by another connection's.
 //!
 //! A session's **writer** lock owns the [`Session`], and one thread
-//! with a commit pending **leads**: it sleeps, holding no lock, until
-//! the next slot on the **commit cadence** ([`GROUP_INTERVAL`] after
-//! the previous group's slot; not at all when the session was idle that
-//! long), then runs the group under the writer: the oldest pending
-//! commits (up to `GROUP_MAX`), every batch journaled unsynced,
-//! applied, and one covering fsync at the end
+//! with a commit pending **leads**. While writers contend — more than
+//! one commit pending, or the last group shared by several — it sleeps,
+//! holding no lock, until the next slot on the **commit cadence**
+//! ([`GROUP_INTERVAL`] after the previous group's slot); a lone
+//! writer's commit is not held at all. Then it runs the group under the
+//! writer: the oldest pending commits (up to `GROUP_MAX`), every batch
+//! journaled unsynced, applied, and one covering fsync at the end
 //! ([`Session::commit_group`]). It leads until its own commit is
 //! answered, then hands the lead to the thread of the oldest commit
 //! still pending. Every other thread blocks on its own reply, so one
-//! thread wakes per slot and a finished group wakes exactly its
+//! thread wakes per group and a finished group wakes exactly its
 //! waiters. Replies are sent only **after** that fsync — the
 //! group-commit ack contract — and each waiting client gets its own
 //! typed reply (a batch that trips its deadline gets
@@ -46,23 +47,26 @@
 //!
 //! A commit on the 200×200 board costs under a millisecond (publishing
 //! is a frozen prefix, not a copy), which is less than the socket round
-//! trip around it. Left to run back to back, a closed-loop client's
-//! commit rate is therefore set by the scheduler, not by the engine: it
-//! moved by ±7% between identical runs here and twice that on a busier
-//! host, every commit paid its own fsync, publish and copy-on-write of
-//! the chunks the previous snapshot still shared, and a second writer's
-//! request that arrived 0.1 ms late missed the group. So groups start
-//! on a cadence: at most one group — one fsync, one publish, one
-//! checkpoint decision — per [`GROUP_INTERVAL`] and session, slots
-//! measured from the previous *slot* (wake-up latency and the group's
-//! own cost do not accumulate). What that buys: a fixed ceiling on
-//! fsyncs and published snapshots per second whatever the number of
-//! writers, groups that actually form, and a commit rate under load
-//! that repeats to a fraction of a percent. What it costs: a client
-//! that commits back to back waits for the next slot, so its latency is
-//! the interval rather than the commit. A commit that arrives at an
-//! idle session is never held, and commits that arrive before a slot
-//! join its group. A group starts at its slot even when `GROUP_MAX`
+//! trip around it. Several writers left to run back to back each pay
+//! their own fsync, publish and copy-on-write of the chunks the
+//! previous snapshot still shared, and a second writer's request that
+//! arrives 0.1 ms late misses the group. So while writers contend,
+//! groups start on a cadence: at most one group — one fsync, one
+//! publish, one checkpoint decision — per [`GROUP_INTERVAL`] and
+//! session, slots measured from the previous *slot* (wake-up latency
+//! and the group's own cost do not accumulate). What that buys: a fixed
+//! ceiling on fsyncs and published snapshots per second whatever the
+//! number of writers, and groups that actually form. What it costs: a
+//! contending client waits for the next slot.
+//!
+//! Contention is what the session last saw: a group waits for its slot
+//! only when more than one commit is pending as it starts, or the
+//! previous group held more than one. A lone writer has nothing to
+//! share an fsync with, so its commits run at once, back to back, and
+//! its latency is the commit and the round trip. Once two writers'
+//! commits meet in one group, the cadence holds while they keep
+//! committing; one group of a single commit ends it. Commits that
+//! arrive before a slot join its group. A group starts at its slot even when `GROUP_MAX`
 //! commits are already pending, so under saturation the ceiling is
 //! `GROUP_MAX` commits per interval.
 //!
@@ -132,12 +136,13 @@ pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 const GROUP_MAX: usize = 32;
 
 /// The commit cadence: the least spacing between the slots of two commit
-/// groups of one session (see "Commit cadence" in the module docs). A
-/// session starts at most one group — one covering fsync, one snapshot
-/// publish — per interval; requests that arrive sooner join the next
-/// group, and a request that finds the session idle starts one at once.
-/// Three times the p50 and twice the p90 of a served commit on the
-/// 200×200 board, so a slot is rarely overrun.
+/// groups of one session while writers contend (see "Commit cadence" in
+/// the module docs). Under contention a session starts at most one group
+/// — one covering fsync, one snapshot publish — per interval, and
+/// requests that arrive sooner join the next group; a lone writer's
+/// commit, or one that finds the session idle, starts a group at once.
+/// About twice the p50 of a lone writer's served commit on the 200×200
+/// board, so a contended slot is rarely overrun.
 pub const GROUP_INTERVAL: Duration = Duration::from_millis(3);
 
 /// Cap on rendered answers per query response. A reply is bounded by
@@ -207,14 +212,18 @@ struct Commit {
     reply: mpsc::SyncSender<Option<Response>>,
 }
 
-/// Commits waiting for a group, and the cadence they wait on.
+/// Commits waiting for a group, and the cadence they wait on while
+/// writers contend.
 struct Pending {
     /// Oldest first.
     commits: Vec<Commit>,
     /// Whether a thread leads: waits for the next slot or runs a group.
     led: bool,
-    /// The earliest instant the next group may start.
+    /// The earliest instant the next group may start under contention.
     slot: Instant,
+    /// Whether the last group held more than one commit: a second
+    /// writer is in sight, so the next group waits for its slot.
+    shared: bool,
 }
 
 /// Per-session serving state shared by the connection threads.
@@ -675,6 +684,7 @@ fn open_session_svc(shared: &Arc<Shared>, name: &str) -> Result<Arc<SessionSvc>,
             commits: Vec::new(),
             led: false,
             slot: Instant::now(),
+            shared: false,
         }),
         writer: Mutex::new(session),
     }))
@@ -689,12 +699,14 @@ fn writer_gone() -> Response {
 }
 
 /// Queues a commit on `s.pending` and waits for its reply. One waiting
-/// thread at a time leads: it sleeps, holding no lock, until the next
-/// slot, takes the oldest pending commits (up to `GROUP_MAX`) and runs
-/// them as a group under the writer, and goes on leading while its own
-/// commit is still pending. Once it is answered, it hands the lead to
-/// the thread of the oldest pending commit. Every other thread blocks
-/// on its own reply channel, so only the leader wakes for a slot.
+/// thread at a time leads: it takes the oldest pending commits (up to
+/// `GROUP_MAX`) and runs them as a group under the writer — at once
+/// when it is the only commit pending and the last group was not
+/// shared, otherwise after sleeping, holding no lock, to the next slot
+/// — and goes on leading while its own commit is still pending. Once it
+/// is answered, it hands the lead to the thread of the oldest pending
+/// commit. Every other thread blocks on its own reply channel, so only
+/// the leader wakes for a group.
 fn commit(s: &SessionSvc, store: TermStore, batch: UpdateBatch, opts: CommitOpts) -> Response {
     let (reply, rx) = mpsc::sync_channel(1);
     let leads = {
@@ -716,17 +728,24 @@ fn commit(s: &SessionSvc, store: TermStore, batch: UpdateBatch, opts: CommitOpts
         }
     }
     let resp = loop {
-        // A session idle past its slot commits at once, and the
-        // cadence restarts from now.
-        let start = s.pending.lock().unwrap().slot.max(Instant::now());
-        std::thread::sleep(start.saturating_duration_since(Instant::now()));
         let run: Vec<Commit> = {
             let mut p = s.pending.lock().unwrap();
+            // Only contention holds a group to its slot: a backlog, or
+            // a last group that was shared. A lone writer, or a session
+            // idle past its slot, commits at once.
+            let mut start = Instant::now();
+            if p.shared || p.commits.len() > 1 {
+                start = start.max(p.slot);
+                drop(p);
+                std::thread::sleep(start.saturating_duration_since(Instant::now()));
+                p = s.pending.lock().unwrap();
+            }
             // The next slot is measured from this one, not from when
             // the group ends: neither wake-up latency nor the group's
             // own cost stretches the cadence.
             p.slot = start + GROUP_INTERVAL;
             let n = p.commits.len().min(GROUP_MAX);
+            p.shared = n > 1;
             p.commits.drain(..n).collect()
         };
         // A group that panics poisons the writer. Its unanswered

@@ -284,11 +284,11 @@
 //!
 //! **Group commit.** Each session sits behind one writer lock. A
 //! commit waits on the connection thread that received it, and one
-//! waiting thread per session leads: at the next slot of the commit
-//! cadence it takes the oldest pending batches as one group, journals
-//! every batch to the WAL *unsynced*,
-//! validates/governs/applies each under its own budget, then issues a
-//! single covering fsync for the whole run
+//! waiting thread per session leads: it takes the oldest pending
+//! batches as one group — at once for a lone writer, at the next slot
+//! of the commit cadence while writers contend — journals every batch
+//! to the WAL *unsynced*, validates/governs/applies each under its own
+//! budget, then issues a single covering fsync for the whole run
 //! ([`prelude::Session::commit_group`]). Clients are answered only
 //! after that fsync — fsync before *ack*, not before *apply* — so
 //! under concurrent writers the fsync cost is amortized across the

@@ -10,7 +10,9 @@
 //!   (an expired deadline interrupts exactly that client while the
 //!   session keeps serving; commits interrupted mid-apply between other
 //!   writers' are truncated off, never rebuilt, and nobody queues
-//!   behind a rebuild);
+//!   behind a rebuild); a lone writer is never held to the commit
+//!   cadence, several still share groups, and acked epochs stay
+//!   gapless and ordered under one, two and four writers;
 //! * ungraceful clients: disconnects mid-frame, half-written frames,
 //!   and raw garbage never poison a session;
 //! * a concurrent reader/writer storm whose final state must equal a
@@ -323,29 +325,33 @@ fn concurrent_commits_group_under_one_fsync() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn commit_groups_start_on_the_cadence() {
-    let dir = temp_dir("cadence");
-    let mut server = start(Some(dir.clone()));
-    let addr = server.addr();
-    let mut c = Client::connect(addr).unwrap();
-    let commit = |c: &mut Client, fact: String| {
-        c.commit("", &fact, "", GovernOpts::default()).unwrap();
-    };
+/// Back-to-back commits from one client in the lone-writer checks. A
+/// cadence that held each one to its slot would need at least `K - 1`
+/// intervals for them.
+const K: u32 = 40;
 
-    // Back to back from one closed-loop client: every commit after the
-    // first waits for its slot, so K of them span at least K - 1
-    // intervals. A lower bound: no scheduler can make it fail.
-    const K: u32 = 40;
+/// Commits `K` facts `p(<tag>J).` back to back from one client and
+/// asserts they took less than `bound`.
+fn lone_writer_is_not_held(c: &mut Client, tag: &str, bound: Duration) {
     let t = Instant::now();
     for j in 0..K {
-        commit(&mut c, format!("p(a{j})."));
+        c.commit("", &format!("p({tag}{j})."), "", GovernOpts::default())
+            .unwrap();
     }
     assert!(
-        t.elapsed() >= GROUP_INTERVAL * (K - 1),
-        "{K} back-to-back commits took {:?}",
+        t.elapsed() < bound,
+        "{K} back-to-back commits from one writer took {:?}",
         t.elapsed()
     );
+}
+
+#[test]
+fn a_lone_writer_commits_at_once_and_writers_still_group() {
+    // One closed-loop client has nobody to share a group with: its
+    // commits are never held to a slot.
+    let mut server = start(None);
+    let mut c = Client::connect(server.addr()).unwrap();
+    lone_writer_is_not_held(&mut c, "a", GROUP_INTERVAL * (K - 1) / 2);
 
     // A commit that finds the writer idle is not held: were it, none of
     // these could finish inside one interval.
@@ -353,7 +359,8 @@ fn commit_groups_start_on_the_cadence() {
         .map(|j| {
             std::thread::sleep(GROUP_INTERVAL * 2);
             let t = Instant::now();
-            commit(&mut c, format!("p(b{j})."));
+            c.commit("", &format!("p(b{j})."), "", GovernOpts::default())
+                .unwrap();
             t.elapsed()
         })
         .min()
@@ -362,9 +369,15 @@ fn commit_groups_start_on_the_cadence() {
         fastest < GROUP_INTERVAL,
         "idle commits took {fastest:?} at best"
     );
+    drop(c);
+    server.shutdown();
 
     // Several closed-loop writers: whoever asks within the interval
     // shares the next group, so fsyncs stay well below commits.
+    let dir = temp_dir("cadence");
+    let mut server = start(Some(dir.clone()));
+    let addr = server.addr();
+    let mut c = Client::connect(addr).unwrap();
     let before = c.metrics().unwrap();
     const WRITERS: usize = 4;
     const COMMITS: usize = 15;
@@ -390,7 +403,58 @@ fn commit_groups_start_on_the_cadence() {
         syncs * 2 <= records,
         "{records} records from {WRITERS} writers took {syncs} fsync groups"
     );
+
+    // Once the other writers are gone, the survivor commits at once
+    // again. Each commit now pays an fsync, which an unoptimised build
+    // beside a busy core stretches to over a millisecond, so the bound
+    // is the cadence's own least span rather than half of it.
+    lone_writer_is_not_held(&mut c, "c", GROUP_INTERVAL * (K - 1));
     drop(c);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn acked_epochs_are_gapless_under_one_two_and_four_writers() {
+    let dir = temp_dir("epochs");
+    let mut server = start(Some(dir.clone()));
+    let addr = server.addr();
+    const M: usize = 20;
+    for n in [1usize, 2, 4] {
+        let session = format!("writers{n}");
+        let mut c = Client::connect(addr).unwrap();
+        let e0 = c.open(&session).unwrap();
+        let handles: Vec<_> = (0..n)
+            .map(|i| {
+                let session = session.clone();
+                std::thread::spawn(move || {
+                    let mut c = Client::connect(addr).unwrap();
+                    c.open(&session).unwrap();
+                    (0..M)
+                        .map(|j| {
+                            c.commit("", &format!("f(w{i}, n{j})."), "", GovernOpts::default())
+                                .unwrap()
+                                .epoch
+                        })
+                        .collect::<Vec<u64>>()
+                })
+            })
+            .collect();
+        let mut all = Vec::new();
+        for h in handles {
+            let acked = h.join().unwrap();
+            assert!(
+                acked.windows(2).all(|w| w[0] < w[1]),
+                "{n} writers: one client's acks went backwards: {acked:?}"
+            );
+            all.extend(acked);
+        }
+        all.sort_unstable();
+        let expected: Vec<u64> = (e0 + 1..=e0 + (n * M) as u64).collect();
+        assert_eq!(all, expected, "{n} writers: acked epochs are not gapless");
+        let q = c.query("?- f(X, Y).", GovernOpts::default()).unwrap();
+        assert_eq!(q.answers.len(), n * M, "{n} writers: a fact is missing");
+    }
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
