@@ -908,8 +908,9 @@ impl Session {
 
     /// Auto-checkpoint after a commit once the WAL passes the
     /// configured thresholds. Failures are swallowed: the commit
-    /// itself is already durable in the WAL, and the checkpoint will
-    /// be retried after the next commit.
+    /// itself is already durable in the WAL, and the log has already
+    /// rotated onto a fresh WAL, so the next attempt comes once that
+    /// WAL passes the thresholds.
     fn maybe_checkpoint(&mut self) {
         if self.durable.as_ref().is_some_and(|l| l.should_checkpoint()) {
             let _ = self.checkpoint();

@@ -565,8 +565,9 @@ impl Session {
     /// rotates the write-ahead log. Errors for non-durable sessions.
     /// (Checkpoints are also taken automatically once the active WAL
     /// passes the thresholds in [`DurableOpts`]; those failures are
-    /// swallowed and retried at the next commit — this explicit call
-    /// is the one that reports them.)
+    /// swallowed — the log has already rotated onto a fresh WAL, so the
+    /// next attempt comes once that WAL passes the thresholds — and
+    /// this explicit call is the one that reports them.)
     pub fn checkpoint(&mut self) -> Result<(), SessionError> {
         if self.is_poisoned() {
             return Err(SessionError::Poisoned);

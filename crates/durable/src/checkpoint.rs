@@ -25,7 +25,7 @@
 use crate::codec::crc32;
 use crate::DurableError;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Leading magic of every checkpoint file.
@@ -83,12 +83,10 @@ pub fn scan_dir(dir: &Path) -> Result<Generations, DurableError> {
     Ok(gens)
 }
 
-/// Fsyncs `dir` itself so a just-completed rename survives power loss.
-/// Best-effort: some filesystems refuse opening directories for sync.
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
+/// Fsyncs `dir` itself so a just-completed create or rename in it
+/// survives power loss.
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
 }
 
 /// Writes generation `gen`'s checkpoint atomically (temp file + fsync
@@ -112,7 +110,7 @@ pub fn write_checkpoint(dir: &Path, gen: u64, payload: &[u8]) -> Result<(), Dura
         f.sync_all()?;
     }
     fs::rename(&tmp_path, &final_path)?;
-    sync_dir(dir);
+    sync_dir(dir)?;
     Ok(())
 }
 
@@ -200,6 +198,13 @@ mod tests {
         // Intact file still reads after restoring.
         fs::write(&path, &clean).unwrap();
         assert!(read_checkpoint(&path).is_ok());
+    }
+
+    #[test]
+    fn sync_dir_of_a_missing_directory_is_an_error() {
+        let dir = temp_dir("sync_dir");
+        sync_dir(&dir).unwrap();
+        assert!(sync_dir(&dir.join("missing")).is_err());
     }
 
     #[test]

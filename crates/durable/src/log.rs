@@ -16,12 +16,15 @@
 //! every WAL from that generation forward, replayed in order. If the
 //! newest checkpoint fails its checksum, recovery falls back to the
 //! previous generation and replays through *both* WALs — epoch stamps
-//! on each record make the longer replay idempotent. Two generations
-//! are retained; older ones are deleted when a checkpoint completes.
+//! on each record make the longer replay idempotent. The two newest
+//! checkpoints, and every WAL from the older one on, are retained;
+//! older generations are deleted when a checkpoint completes.
 
-use crate::checkpoint::{ckpt_path, read_checkpoint, scan_dir, wal_path, write_checkpoint};
+use crate::checkpoint::{
+    ckpt_path, read_checkpoint, scan_dir, sync_dir, wal_path, write_checkpoint,
+};
 use crate::fault::{FaultPlan, FaultyFile};
-use crate::wal::{FileStorage, Wal, WalStorage, RECORD_HEADER};
+use crate::wal::{FileStorage, Wal, WalScan, WalStorage, RECORD_HEADER};
 use crate::DurableError;
 use gsls_obs::{Counter, Registry};
 use std::fs;
@@ -143,7 +146,12 @@ impl DurableLog {
     /// Opens (creating if needed) the durable log in `dir` and
     /// recovers its state: newest valid checkpoint plus the WAL tail.
     pub fn open(dir: &Path, opts: DurableOpts) -> Result<(DurableLog, Recovered), DurableError> {
-        fs::create_dir_all(dir)?;
+        if !dir.is_dir() {
+            fs::create_dir_all(dir)?;
+            // The new directory's own entry must survive a crash too.
+            let parent = dir.parent().filter(|p| !p.as_os_str().is_empty());
+            sync_dir(parent.unwrap_or(Path::new(".")))?;
+        }
         let gens = scan_dir(dir)?;
 
         // Pick the newest checkpoint that verifies; fall back once.
@@ -187,8 +195,7 @@ impl DurableLog {
             torn_bytes += scan.torn_bytes;
             records.extend(scan.records);
         }
-        let storage = open_storage(&opts.storage, &wal_path(dir, active_gen))?;
-        let (wal, scan) = Wal::open(storage)?;
+        let (wal, scan) = open_wal(dir, active_gen, &opts.storage)?;
         torn_bytes += scan.torn_bytes;
         let active_records = scan.records.len();
         records.extend(scan.records);
@@ -280,27 +287,32 @@ impl DurableLog {
         self.records >= self.opts.checkpoint_records || self.wal.len() >= self.opts.checkpoint_bytes
     }
 
-    /// Installs a new checkpoint: writes it atomically as the next
-    /// generation, rotates to a fresh WAL, and deletes generations
-    /// older than the retained two. Crash-safe at every step — a
-    /// crash before the rename keeps the old generation; after it,
-    /// recovery uses the new checkpoint and the (possibly empty) new
-    /// WAL; retention deletes are pure garbage collection.
+    /// Installs a new checkpoint: rotates to a fresh WAL as the next
+    /// generation, writes the checkpoint atomically as that generation,
+    /// and deletes generations older than the two newest checkpoints.
+    /// Crash-safe at every step — the new WAL's directory entry is
+    /// durable before the checkpoint that makes it the recovery base
+    /// can be; a crash before the checkpoint's rename recovers from the
+    /// old generation and replays both WALs; after it, recovery uses
+    /// the new checkpoint and the new WAL; retention deletes are pure
+    /// garbage collection. After an error, records appended go to a WAL
+    /// that recovery replays, and the next checkpoint retains it.
     pub fn install_checkpoint(&mut self, payload: &[u8]) -> Result<(), DurableError> {
         let new_gen = self.gen + 1;
-        write_checkpoint(&self.dir, new_gen, payload)?;
-        let storage = open_storage(&self.opts.storage, &wal_path(&self.dir, new_gen))?;
-        let (wal, _) = Wal::open(storage)?;
+        let (wal, _) = open_wal(&self.dir, new_gen, &self.opts.storage)?;
         self.wal = wal;
         self.gen = new_gen;
         self.records = 0;
         self.obs.rotations.add(1);
+        write_checkpoint(&self.dir, new_gen, payload)?;
         self.obs.checkpoint_bytes.add(payload.len() as u64);
-        // Retain this generation and the previous one; GC the rest.
-        if new_gen >= 2 {
-            let gens = scan_dir(&self.dir)?;
+        // Retain this checkpoint, the one before it and every WAL
+        // from that one on (a failed checkpoint leaves a generation with
+        // a WAL and none); GC the rest.
+        let gens = scan_dir(&self.dir)?;
+        if let [.., keep, _] = gens.checkpoints[..] {
             for g in gens.checkpoints.into_iter().chain(gens.wals) {
-                if g + 2 <= new_gen {
+                if g < keep {
                     let _ = fs::remove_file(ckpt_path(&self.dir, g));
                     let _ = fs::remove_file(wal_path(&self.dir, g));
                 }
@@ -308,6 +320,18 @@ impl DurableLog {
         }
         Ok(())
     }
+}
+
+/// Opens (creating if missing) generation `gen`'s WAL in `dir` for
+/// appending. An empty WAL may be new, or left by a failed rotation: its
+/// directory entry is fsynced before it is returned, so no record acked
+/// from it can outlive its name.
+fn open_wal(dir: &Path, gen: u64, kind: &StorageKind) -> Result<(Wal, WalScan), DurableError> {
+    let (wal, scan) = Wal::open(open_storage(kind, &wal_path(dir, gen))?)?;
+    if wal.is_empty() {
+        sync_dir(dir)?;
+    }
+    Ok((wal, scan))
 }
 
 fn open_storage(kind: &StorageKind, path: &Path) -> Result<Box<dyn WalStorage>, DurableError> {
@@ -395,6 +419,48 @@ mod tests {
         assert_eq!(
             rec.records,
             vec![b"mid-1".to_vec(), b"mid-2".to_vec(), b"post-1".to_vec()]
+        );
+    }
+
+    #[test]
+    fn a_failed_checkpoint_loses_no_record() {
+        let dir = temp_dir("failed_ckpt");
+        let (mut log, _) = DurableLog::open(&dir, opts(100)).unwrap();
+        log.append(b"before").unwrap();
+        // A directory in the temp file's place fails the checkpoint write.
+        fs::create_dir(ckpt_path(&dir, 1).with_extension("gsls.tmp")).unwrap();
+        assert!(log.install_checkpoint(b"never installed").is_err());
+        log.append(b"after").unwrap();
+        drop(log);
+        let (mut log, rec) = DurableLog::open(&dir, opts(100)).unwrap();
+        assert!(rec.checkpoint.is_none());
+        assert_eq!(rec.records, vec![b"before".to_vec(), b"after".to_vec()]);
+
+        // The generation the failed checkpoint left has a WAL and no
+        // checkpoint; the next two that succeed must still retain two.
+        fs::remove_dir(ckpt_path(&dir, 1).with_extension("gsls.tmp")).unwrap();
+        log.install_checkpoint(b"second").unwrap();
+        log.append(b"mid").unwrap();
+        fs::create_dir(ckpt_path(&dir, 3).with_extension("gsls.tmp")).unwrap();
+        assert!(log.install_checkpoint(b"never installed").is_err());
+        log.append(b"late").unwrap();
+        fs::remove_dir(ckpt_path(&dir, 3).with_extension("gsls.tmp")).unwrap();
+        log.install_checkpoint(b"fourth").unwrap();
+        log.append(b"last").unwrap();
+        drop(log);
+        assert_eq!(scan_dir(&dir).unwrap().checkpoints, vec![2, 4]);
+
+        // Corrupt the newest: recovery falls back and replays the rest.
+        let newest = ckpt_path(&dir, 4);
+        let mut bytes = fs::read(&newest).unwrap();
+        *bytes.last_mut().unwrap() ^= 1;
+        fs::write(&newest, &bytes).unwrap();
+        let (_, rec) = DurableLog::open(&dir, opts(100)).unwrap();
+        assert!(rec.fell_back);
+        assert_eq!(rec.checkpoint.as_deref(), Some(&b"second"[..]));
+        assert_eq!(
+            rec.records,
+            vec![b"mid".to_vec(), b"late".to_vec(), b"last".to_vec()]
         );
     }
 

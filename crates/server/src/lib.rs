@@ -44,14 +44,14 @@
 //! Each session sits behind one writer lock, held only while a group
 //! runs. A commit waits on the connection thread that received it, and
 //! one waiting thread per session leads: it runs the group for itself
-//! and the others, then hands the lead on. A lone writer's commit, or
-//! one that finds the session idle, is committed at once. While writers
-//! contend — more than one commit pending, or the last group shared —
-//! the leader first sleeps to the next slot of the commit cadence
-//! ([`GROUP_INTERVAL`], `server` module docs), and requests that arrive
-//! within the interval share that group's fsync and publish. Each group
-//! takes the oldest pending batches and commits them via
-//! [`gsls_core::Session::commit_group`]:
+//! and the others, then hands the lead on. There is no timer: a group
+//! is what arrived while the last one ran. The leader waits only for
+//! the writers of the last group to send again, and never longer than
+//! that group's run (`server` module docs, "Group formation"), so a
+//! lone writer's commit, or one that finds the session idle, is
+//! committed at once, and writers that keep committing share each
+//! group's fsync and publish. Each group takes the oldest pending
+//! batches and commits them via [`gsls_core::Session::commit_group`]:
 //! every batch is appended to the WAL *unsynced*, validated, governed,
 //! and applied under its own budget; one covering fsync at the end
 //! makes the whole run durable. Replies are sent only after that
@@ -98,4 +98,4 @@ pub mod server;
 
 pub use client::{expect_interrupted, Client, ClientError, CommitReceipt, QueryResults};
 pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME};
-pub use server::{Server, ServerConfig, DEFAULT_IDLE_TIMEOUT, GROUP_INTERVAL, MAX_ANSWERS};
+pub use server::{Server, ServerConfig, DEFAULT_IDLE_TIMEOUT, MAX_ANSWERS};

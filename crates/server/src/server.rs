@@ -23,13 +23,10 @@
 //!   committed in a group run by this thread or by another connection's.
 //!
 //! A session's **writer** lock owns the [`Session`], and one thread
-//! with a commit pending **leads**. While writers contend — more than
-//! one commit pending, or the last group shared by several — it sleeps,
-//! holding no lock, until the next slot on the **commit cadence**
-//! ([`GROUP_INTERVAL`] after the previous group's slot); a lone
-//! writer's commit is not held at all. Then it runs the group under the
-//! writer: the oldest pending commits (up to `GROUP_MAX`), every batch
-//! journaled unsynced, applied, and one covering fsync at the end
+//! with a commit pending **leads**. It waits, holding no lock, for the
+//! group to form (below), then runs it under the writer: the oldest
+//! pending commits (up to `GROUP_MAX`), every batch journaled unsynced,
+//! applied, and one covering fsync at the end
 //! ([`Session::commit_group`]). It leads until its own commit is
 //! answered, then hands the lead to the thread of the oldest commit
 //! still pending. Every other thread blocks on its own reply, so one
@@ -43,32 +40,27 @@
 //! reply either way, and [`ServerConfig::max_conns`] bounds how many
 //! run — and how many commits are pending — at once.
 //!
-//! ## Commit cadence
+//! ## Group formation
 //!
-//! A commit on the 200×200 board costs under a millisecond (publishing
-//! is a frozen prefix, not a copy), which is less than the socket round
-//! trip around it. Several writers left to run back to back each pay
-//! their own fsync, publish and copy-on-write of the chunks the
-//! previous snapshot still shared, and a second writer's request that
-//! arrives 0.1 ms late misses the group. So while writers contend,
-//! groups start on a cadence: at most one group — one fsync, one
-//! publish, one checkpoint decision — per [`GROUP_INTERVAL`] and
-//! session, slots measured from the previous *slot* (wake-up latency
-//! and the group's own cost do not accumulate). What that buys: a fixed
-//! ceiling on fsyncs and published snapshots per second whatever the
-//! number of writers, and groups that actually form. What it costs: a
-//! contending client waits for the next slot.
+//! A group is what arrives while the last one ran, and it is clocked by
+//! the last group itself, with no timer: the leader waits until every
+//! connection thread whose commit was in the last group has sent
+//! another, but never past a window as long as that group's run,
+//! counted from its end. A wait never lengthens the next window. A
+//! full `GROUP_MAX` backlog starts the group at once. So:
 //!
-//! Contention is what the session last saw: a group waits for its slot
-//! only when more than one commit is pending as it starts, or the
-//! previous group held more than one. A lone writer has nothing to
-//! share an fsync with, so its commits run at once, back to back, and
-//! its latency is the commit and the round trip. Once two writers'
-//! commits meet in one group, the cadence holds while they keep
-//! committing; one group of a single commit ends it. Commits that
-//! arrive before a slot join its group. A group starts at its slot even when `GROUP_MAX`
-//! commits are already pending, so under saturation the ceiling is
-//! `GROUP_MAX` commits per interval.
+//! * a lone writer is the only writer of its last group: it never waits;
+//! * a commit that arrives after the window has closed starts at once,
+//!   so sparse writers are not delayed, and writers that pause between
+//!   commits wait at most one run;
+//! * two writers whose commits alternate (one arrives while the other's
+//!   group runs) meet in the next group;
+//! * a writer that left costs at most one window, once — it is not in
+//!   the group that window closes; one that is only late (say,
+//!   descheduled on a busy host) rejoins with the group its next commit
+//!   lands in;
+//! * a group that ran an inline checkpoint lengthens the next window
+//!   once.
 //!
 //! ## Failure model
 //!
@@ -124,8 +116,8 @@ use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, TryRecvError};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::thread::{JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
 /// How long a connection may go without sending a byte before the
@@ -134,16 +126,6 @@ pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Most batches committed as one group (one fsync).
 const GROUP_MAX: usize = 32;
-
-/// The commit cadence: the least spacing between the slots of two commit
-/// groups of one session while writers contend (see "Commit cadence" in
-/// the module docs). Under contention a session starts at most one group
-/// — one covering fsync, one snapshot publish — per interval, and
-/// requests that arrive sooner join the next group; a lone writer's
-/// commit, or one that finds the session idle, starts a group at once.
-/// About twice the p50 of a lone writer's served commit on the 200×200
-/// board, so a contended slot is rarely overrun.
-pub const GROUP_INTERVAL: Duration = Duration::from_millis(3);
 
 /// Cap on rendered answers per query response. A reply is bounded by
 /// count *and* by bytes: enumeration also stops before the rendered
@@ -208,22 +190,34 @@ struct Commit {
     store: TermStore,
     batch: UpdateBatch,
     opts: CommitOpts,
+    /// The connection thread that sent it. A connection is one thread
+    /// with at most one request in flight, and a `ThreadId` is never
+    /// reused.
+    writer: ThreadId,
     /// The reply, or `None`: the lead, handed to this commit's thread.
     reply: mpsc::SyncSender<Option<Response>>,
 }
 
-/// Commits waiting for a group, and the cadence they wait on while
-/// writers contend.
+/// Commits waiting for a group, and what the next group waits for (see
+/// "Group formation" in the module docs).
 struct Pending {
     /// Oldest first.
     commits: Vec<Commit>,
-    /// Whether a thread leads: waits for the next slot or runs a group.
+    /// Whether a thread leads: waits for its group or runs it.
     led: bool,
-    /// The earliest instant the next group may start under contention.
-    slot: Instant,
-    /// Whether the last group held more than one commit: a second
-    /// writer is in sight, so the next group waits for its slot.
-    shared: bool,
+    /// The connection threads of the last group's commits.
+    writers: Vec<ThreadId>,
+    /// When the next group stops waiting for `writers`.
+    until: Instant,
+}
+
+impl Pending {
+    /// Whether the next group has formed: a full group is pending, or
+    /// every writer of the last group has sent again.
+    fn formed(&self) -> bool {
+        let sent = |w: &ThreadId| self.commits.iter().any(|c| c.writer == *w);
+        self.commits.len() >= GROUP_MAX || self.writers.iter().all(sent)
+    }
 }
 
 /// Per-session serving state shared by the connection threads.
@@ -236,6 +230,9 @@ struct SessionSvc {
     /// The session's observability bundle (shared storage).
     obs: Obs,
     pending: Mutex<Pending>,
+    /// Signalled on every commit added to `pending`; the leader waits
+    /// on it for its group to form.
+    arrived: Condvar,
     /// Held only while a group or a checkpoint runs.
     writer: Mutex<Session>,
 }
@@ -683,9 +680,10 @@ fn open_session_svc(shared: &Arc<Shared>, name: &str) -> Result<Arc<SessionSvc>,
         pending: Mutex::new(Pending {
             commits: Vec::new(),
             led: false,
-            slot: Instant::now(),
-            shared: false,
+            writers: Vec::new(),
+            until: Instant::now(),
         }),
+        arrived: Condvar::new(),
         writer: Mutex::new(session),
     }))
 }
@@ -699,12 +697,11 @@ fn writer_gone() -> Response {
 }
 
 /// Queues a commit on `s.pending` and waits for its reply. One waiting
-/// thread at a time leads: it takes the oldest pending commits (up to
-/// `GROUP_MAX`) and runs them as a group under the writer — at once
-/// when it is the only commit pending and the last group was not
-/// shared, otherwise after sleeping, holding no lock, to the next slot
-/// — and goes on leading while its own commit is still pending. Once it
-/// is answered, it hands the lead to the thread of the oldest pending
+/// thread at a time leads: it waits for its group to form (see "Group
+/// formation" in the module docs), takes the oldest pending commits (up
+/// to `GROUP_MAX`) and runs them as a group under the writer, and goes
+/// on leading while its own commit is still pending. Once it is
+/// answered, it hands the lead to the thread of the oldest pending
 /// commit. Every other thread blocks on its own reply channel, so only
 /// the leader wakes for a group.
 fn commit(s: &SessionSvc, store: TermStore, batch: UpdateBatch, opts: CommitOpts) -> Response {
@@ -715,10 +712,12 @@ fn commit(s: &SessionSvc, store: TermStore, batch: UpdateBatch, opts: CommitOpts
             store,
             batch,
             opts,
+            writer: std::thread::current().id(),
             reply,
         });
         !std::mem::replace(&mut p.led, true)
     };
+    s.arrived.notify_one();
     if !leads {
         match rx.recv() {
             Ok(Some(resp)) => return resp,
@@ -729,25 +728,18 @@ fn commit(s: &SessionSvc, store: TermStore, batch: UpdateBatch, opts: CommitOpts
     }
     let resp = loop {
         let run: Vec<Commit> = {
-            let mut p = s.pending.lock().unwrap();
-            // Only contention holds a group to its slot: a backlog, or
-            // a last group that was shared. A lone writer, or a session
-            // idle past its slot, commits at once.
-            let mut start = Instant::now();
-            if p.shared || p.commits.len() > 1 {
-                start = start.max(p.slot);
-                drop(p);
-                std::thread::sleep(start.saturating_duration_since(Instant::now()));
-                p = s.pending.lock().unwrap();
-            }
-            // The next slot is measured from this one, not from when
-            // the group ends: neither wake-up latency nor the group's
-            // own cost stretches the cadence.
-            p.slot = start + GROUP_INTERVAL;
+            let p = s.pending.lock().unwrap();
+            let window = p.until.saturating_duration_since(Instant::now());
+            let (mut p, _) = s
+                .arrived
+                .wait_timeout_while(p, window, |p| !p.formed())
+                .unwrap();
             let n = p.commits.len().min(GROUP_MAX);
-            p.shared = n > 1;
-            p.commits.drain(..n).collect()
+            let run: Vec<Commit> = p.commits.drain(..n).collect();
+            p.writers = run.iter().map(|c| c.writer).collect();
+            run
         };
+        let start = Instant::now();
         // A group that panics poisons the writer. Its unanswered
         // commits, and every later group's, drop their reply senders.
         let _ = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -755,6 +747,9 @@ fn commit(s: &SessionSvc, store: TermStore, batch: UpdateBatch, opts: CommitOpts
                 commit_run(&mut session, s, run);
             }
         }));
+        // The next group waits at most as long as this one ran, counted
+        // from its end.
+        s.pending.lock().unwrap().until = Instant::now() + start.elapsed();
         match rx.try_recv() {
             Ok(resp) => break resp.unwrap_or_else(writer_gone),
             Err(TryRecvError::Disconnected) => break writer_gone(),
@@ -790,6 +785,7 @@ fn commit_run(session: &mut Session, svc: &SessionSvc, run: Vec<Commit>) {
         batch: decoded,
         opts,
         reply,
+        ..
     } in run
     {
         if opts.deadline.is_some_and(|d| Instant::now() >= d) {

@@ -97,9 +97,9 @@ echo "    blocked reads (drain_unblocks_waiting_connections), the drain with com
 echo "    in flight (drain_with_commits_in_flight_loses_no_ack), a malformed commit"
 echo "    answered before any session binds (malformed_commit_binds_no_session), a"
 echo "    reply too large for a frame cut to a partial answer set"
-echo "    (oversized_reply_is_cut_to_a_frame_and_the_connection_kept), a lone writer"
-echo "    never held to the cadence while several still group"
-echo "    (a_lone_writer_commits_at_once_and_writers_still_group), acks in epoch"
+echo "    (oversized_reply_is_cut_to_a_frame_and_the_connection_kept), group commit"
+echo "    with no timer: a lone writer never held while two or four writers share"
+echo "    fsyncs (a_lone_writer_commits_at_once_and_writers_still_group), acks in epoch"
 echo "    order under 1, 2 and 4 writers"
 echo "    (acked_epochs_are_gapless_under_one_two_and_four_writers))"
 cargo test --release -q --test server

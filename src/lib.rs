@@ -285,8 +285,9 @@
 //! **Group commit.** Each session sits behind one writer lock. A
 //! commit waits on the connection thread that received it, and one
 //! waiting thread per session leads: it takes the oldest pending
-//! batches as one group — at once for a lone writer, at the next slot
-//! of the commit cadence while writers contend — journals every batch
+//! batches as one group — at once for a lone writer; while several
+//! write, once every writer of the last group has sent again or that
+//! group's run has passed again, with no timer — journals every batch
 //! to the WAL *unsynced*, validates/governs/applies each under its own
 //! budget, then issues a single covering fsync for the whole run
 //! ([`prelude::Session::commit_group`]). Clients are answered only

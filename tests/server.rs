@@ -10,9 +10,9 @@
 //!   (an expired deadline interrupts exactly that client while the
 //!   session keeps serving; commits interrupted mid-apply between other
 //!   writers' are truncated off, never rebuilt, and nobody queues
-//!   behind a rebuild); a lone writer is never held to the commit
-//!   cadence, several still share groups, and acked epochs stay
-//!   gapless and ordered under one, two and four writers;
+//!   behind a rebuild); a lone writer is never held, two or four
+//!   writers share fsyncs, and acked epochs stay gapless and ordered
+//!   under one, two and four writers;
 //! * ungraceful clients: disconnects mid-frame, half-written frames,
 //!   and raw garbage never poison a session;
 //! * a concurrent reader/writer storm whose final state must equal a
@@ -30,8 +30,7 @@
 
 use global_sls::prelude::*;
 use global_sls::serve::{
-    read_frame, write_frame, FrameError, Server, ServerConfig, GROUP_INTERVAL, MAX_ANSWERS,
-    MAX_FRAME,
+    read_frame, write_frame, FrameError, Server, ServerConfig, MAX_ANSWERS, MAX_FRAME,
 };
 use gsls_lang::{
     decode_request, decode_response, encode_request, encode_response, Request, Response, TruthTag,
@@ -326,9 +325,13 @@ fn concurrent_commits_group_under_one_fsync() {
 }
 
 /// Back-to-back commits from one client in the lone-writer checks. A
-/// cadence that held each one to its slot would need at least `K - 1`
-/// intervals for them.
+/// commit timer that held each one to a slot `CADENCE` apart would need
+/// at least `K - 1` of them.
 const K: u32 = 40;
+
+/// The time unit of the lone-writer bounds: a 3 ms commit timer is what
+/// they rule out.
+const CADENCE: Duration = Duration::from_millis(3);
 
 /// Commits `K` facts `p(<tag>J).` back to back from one client and
 /// asserts they took less than `bound`.
@@ -348,16 +351,16 @@ fn lone_writer_is_not_held(c: &mut Client, tag: &str, bound: Duration) {
 #[test]
 fn a_lone_writer_commits_at_once_and_writers_still_group() {
     // One closed-loop client has nobody to share a group with: its
-    // commits are never held to a slot.
+    // commits are never held.
     let mut server = start(None);
     let mut c = Client::connect(server.addr()).unwrap();
-    lone_writer_is_not_held(&mut c, "a", GROUP_INTERVAL * (K - 1) / 2);
+    lone_writer_is_not_held(&mut c, "a", CADENCE * (K - 1) / 2);
 
     // A commit that finds the writer idle is not held: were it, none of
-    // these could finish inside one interval.
+    // these could finish inside one `CADENCE`.
     let fastest = (0..10)
         .map(|j| {
-            std::thread::sleep(GROUP_INTERVAL * 2);
+            std::thread::sleep(CADENCE * 2);
             let t = Instant::now();
             c.commit("", &format!("p(b{j})."), "", GovernOpts::default())
                 .unwrap();
@@ -365,15 +368,12 @@ fn a_lone_writer_commits_at_once_and_writers_still_group() {
         })
         .min()
         .unwrap();
-    assert!(
-        fastest < GROUP_INTERVAL,
-        "idle commits took {fastest:?} at best"
-    );
+    assert!(fastest < CADENCE, "idle commits took {fastest:?} at best");
     drop(c);
     server.shutdown();
 
-    // Several closed-loop writers: whoever asks within the interval
-    // shares the next group, so fsyncs stay well below commits.
+    // Several closed-loop writers: each group waits for the writers of
+    // the last one to send again, so fsyncs stay well below commits.
     let dir = temp_dir("cadence");
     let mut server = start(Some(dir.clone()));
     let addr = server.addr();
@@ -407,8 +407,41 @@ fn a_lone_writer_commits_at_once_and_writers_still_group() {
     // Once the other writers are gone, the survivor commits at once
     // again. Each commit now pays an fsync, which an unoptimised build
     // beside a busy core stretches to over a millisecond, so the bound
-    // is the cadence's own least span rather than half of it.
-    lone_writer_is_not_held(&mut c, "c", GROUP_INTERVAL * (K - 1));
+    // is a 3 ms timer's own least span rather than half of it.
+    lone_writer_is_not_held(&mut c, "c", CADENCE * (K - 1));
+
+    // Two writers share fsyncs too, on a session with no history,
+    // started together: each waits for the other instead of committing
+    // alone.
+    c.open("pair").unwrap();
+    let before = c.metrics().unwrap();
+    const PAIR_COMMITS: usize = 300;
+    let ready = std::sync::Arc::new(std::sync::Barrier::new(2));
+    let handles: Vec<_> = (0..2)
+        .map(|i| {
+            let ready = ready.clone();
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                c.open("pair").unwrap();
+                ready.wait();
+                for j in 0..PAIR_COMMITS {
+                    c.commit("", &format!("r(w{i}, {j})."), "", GovernOpts::default())
+                        .unwrap();
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    let after = c.metrics().unwrap();
+    let grew = |name: &str| scraped(&after, name) - scraped(&before, name);
+    let (records, syncs) = (grew("gsls_wal_group_records"), grew("gsls_wal_group_syncs"));
+    assert_eq!(records, (2 * PAIR_COMMITS) as u64);
+    assert!(
+        syncs * 3 <= records * 2,
+        "{records} records from 2 writers took {syncs} fsync groups"
+    );
     drop(c);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
