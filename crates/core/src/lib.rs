@@ -30,7 +30,9 @@
 //! `engine` — the maintained state, its single `build` and its
 //! `truncate_to`;
 //! `commit` — [`UpdateBatch`] and the one pipeline every write is a
-//! call of, `validate → admit → journal → apply → publish`, WAL replay
+//! call of, `validate → admit → journal → apply → publish` per batch
+//! inside one group loop that fsyncs the group's records once before
+//! any commit returns (a lone commit is a group of one), WAL replay
 //! entering at `apply`, a failure after `journal` either *unwound*
 //! (engine truncated, WAL cut, both to the rollback point's marks) or
 //! leaving the session *poisoned* until [`Session::recover`] completes

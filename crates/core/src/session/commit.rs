@@ -1,8 +1,9 @@
 //! The write path: the buffered update surface and the **one** commit
-//! pipeline every write goes through — `run_commit`: validate → admit →
-//! journal → apply → publish, with WAL replay entering at the apply stage and
-//! `unwind` (or poison) behind every failure. The stages, their failure
-//! modes and the diagram are in the [module docs](super).
+//! pipeline every write goes through — `run_group`, one covering fsync
+//! over `run_commit` per batch: validate → admit → journal → apply →
+//! publish, with WAL replay entering at the apply stage and `unwind` (or
+//! poison) behind every failure. The stages, their failure modes and the
+//! diagram are in the [module docs](super).
 
 use super::engine::EngineMark;
 use super::{record_trip, CommitError, CommitRejection, Session, SessionError};
@@ -114,21 +115,6 @@ impl From<UpdateBatch> for Pending {
             rule_spans: Vec::new(),
         }
     }
-}
-
-/// How a commit's WAL record reaches disk.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum JournalMode {
-    /// Fsync this record before the in-memory apply (the classic
-    /// write-ahead contract of [`Session::commit`]).
-    Immediate,
-    /// Append without fsync; the caller issues one group fsync over
-    /// the whole run of records **before acknowledging any of them**.
-    /// The durability contract weakens from "fsync before apply" to
-    /// "fsync before ack": a crash inside the group can only lose
-    /// commits nobody was told succeeded (recovery truncates the
-    /// unsynced tail).
-    Deferred,
 }
 
 /// The committed state to return to when a commit (or a whole group)
@@ -271,15 +257,28 @@ impl Session {
     /// when the commit starts; a [`Session::interrupt_handle`]
     /// cancellation therefore targets the *running* operation, and a
     /// subsequent commit starts fresh.
+    ///
+    /// The commit is a group of one ([`Session::commit_group`]): its
+    /// record is fsynced after the apply and before this returns. Should
+    /// that fsync fail, the commit is unwound at once and the `Err`
+    /// reports a rolled-back transaction; only if the WAL cut fails too
+    /// does the session stay poisoned until [`Session::recover`].
     pub fn commit_with(&mut self, opts: &CommitOpts) -> Result<CommitStats, SessionError> {
-        self.commit_txn(Some(opts))
+        self.commit_txn(Some(*opts))
     }
 
-    fn commit_txn(&mut self, opts: Option<&CommitOpts>) -> Result<CommitStats, SessionError> {
+    fn commit_txn(&mut self, opts: Option<CommitOpts>) -> Result<CommitStats, SessionError> {
         self.check_writable()?;
-        match self.txn.take() {
-            Some(pending) => self.run_commit(pending, opts, JournalMode::Immediate),
-            None => Ok(CommitStats::default()),
+        let Some(pending) = self.txn.take() else {
+            return Ok(CommitStats::default());
+        };
+        match self.run_group(vec![(pending, opts)]) {
+            Ok(mut results) => results.pop().expect("one result per batch"),
+            Err(e) => {
+                // The covering fsync failed: undo the lone commit now.
+                let _ = self.recover();
+                Err(e)
+            }
         }
     }
 
@@ -287,7 +286,9 @@ impl Session {
     /// journaled to the WAL *without* an fsync, applied in memory, and
     /// the whole run is made durable by a single covering fsync at the
     /// end — the group-commit write path a serving front end drains its
-    /// commit queue through. Returns one result per batch, in order.
+    /// commit queue through, and the one every commit takes
+    /// ([`Session::commit`] is a group of one). Returns one result per
+    /// batch, in order.
     ///
     /// Semantics per batch are identical to [`Session::commit_with`]:
     /// each batch is validated, admission-checked and governed by its
@@ -295,11 +296,10 @@ impl Session {
     /// transaction — its WAL record and whatever it appended in memory
     /// are truncated off the tail, at a cost proportional to that, not
     /// to the program — while the rest of the group commits), and each
-    /// successful batch bumps
-    /// the epoch. The durability contract is **fsync before ack**, not
-    /// fsync before apply: callers must not acknowledge any batch until
-    /// this method returns `Ok`, because a crash before the covering
-    /// fsync tears unsynced records off the recovered WAL. An `Err`
+    /// successful batch bumps the epoch. The durability contract is
+    /// **fsync before ack**: callers must not acknowledge any batch
+    /// until this method returns `Ok`, because a crash before the
+    /// covering fsync tears unsynced records off the recovered WAL. An `Err`
     /// from the covering fsync therefore invalidates every `Ok` entry
     /// in the (discarded) result vector — and, because the batches are
     /// already applied in memory while their durability is unknown, it
@@ -319,18 +319,30 @@ impl Session {
         if self.txn.is_some() {
             return Err(SessionError::NestedTransaction);
         }
+        let batches = batches.into_iter().map(|(b, o)| (b.into(), Some(o)));
+        self.run_group(batches.collect())
+    }
+
+    /// The group loop behind every commit: [`Session::run_commit`] per
+    /// batch, then one covering fsync, then the checkpoint and the undo
+    /// log's release — each only here. A failed fsync leaves the session
+    /// poisoned at the point before the group.
+    fn run_group(
+        &mut self,
+        batches: Vec<(Pending, Option<CommitOpts>)>,
+    ) -> Result<Vec<Result<CommitStats, SessionError>>, SessionError> {
         let group_start = self.rollback_point(self.durable.as_ref().map(DurableLog::wal_len));
         let mut results = Vec::with_capacity(batches.len());
         let mut journaled = 0u64;
-        for (batch, opts) in batches {
+        for (pending, opts) in batches {
             if self.is_poisoned() {
                 // An earlier batch failed *and* its unwind failed;
                 // nothing further can apply.
                 results.push(Err(SessionError::Poisoned));
                 continue;
             }
-            let journals = !batch.is_empty() && self.durable.is_some();
-            let r = self.run_commit(batch.into(), Some(&opts), JournalMode::Deferred);
+            let journals = !pending.batch.is_empty() && self.durable.is_some();
+            let r = self.run_commit(pending, opts.as_ref());
             if r.is_ok() && journals {
                 journaled += 1;
             }
@@ -377,17 +389,12 @@ impl Session {
     /// Buffers an update into the open transaction, or applies it
     /// immediately (auto-commit) when none is open.
     fn buffer(&mut self, add: impl FnOnce(&mut Pending)) -> Result<(), SessionError> {
-        match &mut self.txn {
-            Some(p) => {
-                add(p);
-                Ok(())
-            }
-            None => {
-                let mut p = Pending::default();
-                add(&mut p);
-                self.run_commit(p, None, JournalMode::Immediate).map(|_| ())
-            }
+        let auto = self.txn.is_none();
+        add(self.txn.get_or_insert_with(Pending::default));
+        if auto {
+            self.commit_txn(None)?;
         }
+        Ok(())
     }
 
     fn parse_facts(&mut self, src: &str) -> Result<Vec<Atom>, SessionError> {
@@ -412,7 +419,6 @@ impl Session {
         &mut self,
         pending: Pending,
         opts: Option<&CommitOpts>,
-        mode: JournalMode,
     ) -> Result<CommitStats, SessionError> {
         let guard = match opts {
             Some(o) => self.governed_guard(o.deadline, o.max_memory_bytes, o.fuel, o.panic_on_fuel),
@@ -437,24 +443,13 @@ impl Session {
                 .span("commit.admission", Some(&self.sobs.phase_admission));
             self.admit(&pending, opts, &guard)?;
         }
-        let wal_mark = self.journal(&pending.batch, mode)?;
+        let wal_mark = self.journal(&pending.batch)?;
         let stats = self.apply_and_publish(pending.batch, &guard, wal_mark)?;
-        if mode == JournalMode::Immediate {
-            // Committed for good; a group keeps its members' undo
-            // entries until its covering fsync.
-            self.engine.forget_undo();
-        }
-        // Total recorded before the (amortized, swallowed)
-        // auto-checkpoint so the phase histograms sum to it.
+        // The group's covering fsync and checkpoint come after, so the
+        // phase histograms sum to this total.
         let dur = t_total.elapsed().as_nanos() as u64;
         self.sobs.commit_total.record(dur);
         self.obs.tracer().span_event("commit.total", t_total, dur);
-        // Deferred records are not yet fsync'd; the group driver
-        // checkpoints after its covering sync instead (a checkpoint
-        // rotation must never strand them).
-        if mode == JournalMode::Immediate {
-            self.maybe_checkpoint();
-        }
         Ok(stats)
     }
 
@@ -596,14 +591,11 @@ impl Session {
         Ok(())
     }
 
-    /// Journals the batch as one WAL record (durable sessions only) and
-    /// returns the WAL length before it — the mark a later unwind cuts
-    /// back to.
-    fn journal(
-        &mut self,
-        batch: &UpdateBatch,
-        mode: JournalMode,
-    ) -> Result<Option<u64>, SessionError> {
+    /// Journals the batch as one unsynced WAL record (durable sessions
+    /// only) and returns the WAL length before it — the mark a later
+    /// unwind cuts back to. The record becomes durable at its group's
+    /// covering fsync, before any ack ([`Session::run_group`]).
+    fn journal(&mut self, batch: &UpdateBatch) -> Result<Option<u64>, SessionError> {
         let Some(log) = &mut self.durable else {
             return Ok(None);
         };
@@ -618,17 +610,13 @@ impl Session {
             &batch.retracts,
         );
         let mark = log.wal_len();
-        let appended = match mode {
-            JournalMode::Immediate => log.append(&payload),
-            JournalMode::Deferred => log.append_unsynced(&payload),
-        };
-        if let Err(e) = appended {
+        if let Err(e) = log.append_unsynced(&payload) {
             // Nothing is applied, so memory still equals the acked
             // state — but the frame may be on storage, where the next
-            // commit's fsync would make it durable behind our back. Cut
-            // it off. Should that fail too, the log stays dirty and
-            // refuses appends until a cut succeeds: no acked record can
-            // land behind this one, so memory needs no poisoning.
+            // fsync would make it durable behind our back. Cut it off.
+            // Should that fail too, the log stays dirty and refuses
+            // appends until a cut succeeds: no acked record can land
+            // behind this one, so memory needs no poisoning.
             log.truncate_to(mark)?;
             return Err(e.into());
         }

@@ -57,28 +57,33 @@
 //! ## The commit pipeline
 //!
 //! Auto-commit, [`Session::commit`], [`Session::commit_with`] and each
-//! batch of [`Session::commit_group`] are one call of the same function;
-//! WAL replay ([`Session::open`]) enters it at `apply`. The entry points
-//! differ only in the guard (none, or built from `CommitOpts`) and in
-//! whether `journal` fsyncs now or leaves it to the group's covering
-//! fsync. `apply` is ground → index → refresh: delta-ground the batch,
-//! finalize the CSR indexes, then `EngineState::refresh_model` — the
-//! same function a from-source build runs on unprimed chains — grows
-//! and switches the chains and restarts the alternation below the
-//! change's cone, every loop of it polling the commit's guard.
-//! `publish` bumps the epoch and flushes the commit's counters
-//! (snapshots are captured on demand, so there is nothing to
-//! invalidate). Seven phase histograms (`commit.validate`,
+//! batch of [`Session::commit_group`] are one call of the same function
+//! inside one group loop — a lone commit is a group of one — and WAL
+//! replay ([`Session::open`]) enters it at `apply`. The entry points
+//! differ only in the guard (none, or built from `CommitOpts`).
+//! `journal` appends the record unsynced; once the group's batches have
+//! applied, one covering fsync makes their records durable before any
+//! of them returns (fsync before ack), and only then may the WAL rotate
+//! into a checkpoint. `apply` is ground → index → refresh: delta-ground
+//! the batch, finalize the CSR indexes, then
+//! `EngineState::refresh_model` — the same function a from-source build
+//! runs on unprimed chains — grows and switches the chains and restarts
+//! the alternation below the change's cone, every loop of it polling
+//! the commit's guard. `publish` bumps the epoch and flushes the
+//! commit's counters (snapshots are captured on demand, so there is
+//! nothing to invalidate). Seven phase histograms (`commit.validate`,
 //! `.admission`, `.journal`, `.ground`, `.index`, `.refresh`,
-//! `.publish`) add up to `commit.total`.
+//! `.publish`) add up to `commit.total`, which ends before the group's
+//! covering fsync (counted by `wal.group_syncs`).
 //!
 //! ```text
-//! validate ──▶ admit ──────▶ journal ─────▶ apply ──────────▶ publish
-//! `Rejected`   `Interrupted  append fails:  fails or is interrupted:
-//! (nothing     {Admission}`  frame cut      UNWIND — engine truncated to the
-//! journaled,   (over a       back off the   rollback point, WAL cut to its
-//! nothing      `CommitOpts`  WAL            mark; panics: POISON — reads
-//! mutated)     cap)                         only, until `recover()` rebuilds
+//! validate ──▶ admit ──────▶ journal ─────▶ apply ──────────▶ publish ──▶ fsync (per group)
+//! `Rejected`   `Interrupted  append fails:  fails or is interrupted:      fails: UNWIND a
+//! (nothing     {Admission}`  frame cut      UNWIND — engine truncated to  lone commit at
+//! journaled,   (over a       back off the   the rollback point, WAL cut   once; POISON a
+//! nothing      `CommitOpts`  WAL            to its mark; panics: POISON   group until
+//! mutated)     cap)                         — reads only, until           `recover()`
+//!                                           `recover()` rebuilds
 //! ```
 //!
 //! The unwind is the eighth phase, `commit.unwind`: what a failed commit

@@ -46,7 +46,8 @@ pub struct WalObs {
     pub rotations: Counter,
     /// Checkpoint payload bytes written.
     pub checkpoint_bytes: Counter,
-    /// Journaled records unwound by a failed in-memory apply.
+    /// Journaled records cut off the WAL by an unwind (a failed apply,
+    /// or a group whose covering fsync failed).
     pub truncates: Counter,
     /// Group-commit fsyncs: one per [`DurableLog::sync_group`] call
     /// that actually reached storage.
@@ -126,8 +127,10 @@ pub struct DurableLog {
     /// Active generation: appends go to `wal-<gen>.log`.
     gen: u64,
     wal: Wal,
-    /// Records appended to the active WAL (including recovered ones).
-    records: usize,
+    /// End offset of each record in the active WAL (recovered ones
+    /// included): its length is the record count, and a cut to a mark
+    /// keeps exactly the records that end at or below it.
+    ends: Vec<u64>,
     /// I/O counters (detached until [`Self::set_obs`]).
     obs: WalObs,
 }
@@ -137,7 +140,7 @@ impl std::fmt::Debug for DurableLog {
         f.debug_struct("DurableLog")
             .field("dir", &self.dir)
             .field("gen", &self.gen)
-            .field("records", &self.records)
+            .field("records", &self.ends.len())
             .finish()
     }
 }
@@ -197,7 +200,6 @@ impl DurableLog {
         }
         let (wal, scan) = open_wal(dir, active_gen, &opts.storage)?;
         torn_bytes += scan.torn_bytes;
-        let active_records = scan.records.len();
         records.extend(scan.records);
 
         Ok((
@@ -206,7 +208,7 @@ impl DurableLog {
                 opts,
                 gen: active_gen,
                 wal,
-                records: active_records,
+                ends: scan.offsets,
                 obs: WalObs::default(),
             },
             Recovered {
@@ -246,7 +248,7 @@ impl DurableLog {
 
     fn append_record(&mut self, payload: &[u8], sync: bool) -> Result<(), DurableError> {
         self.wal.append(payload, sync)?;
-        self.records += 1;
+        self.ends.push(self.wal.len());
         self.obs.appends.add(1);
         self.obs
             .appended_bytes
@@ -273,18 +275,17 @@ impl DurableLog {
     /// append (so its partial or un-synced frame is gone before the
     /// next one lands). `Err` means the bytes may still be on storage.
     pub fn truncate_to(&mut self, mark: u64) -> Result<(), DurableError> {
-        let unwinds_record = mark < self.wal.len();
         self.wal.truncate_to(mark)?;
-        if unwinds_record {
-            self.records = self.records.saturating_sub(1);
-            self.obs.truncates.add(1);
-        }
+        let kept = self.ends.partition_point(|&end| end <= mark);
+        self.obs.truncates.add((self.ends.len() - kept) as u64);
+        self.ends.truncate(kept);
         Ok(())
     }
 
     /// Whether the active WAL has grown past the checkpoint thresholds.
     pub fn should_checkpoint(&self) -> bool {
-        self.records >= self.opts.checkpoint_records || self.wal.len() >= self.opts.checkpoint_bytes
+        self.ends.len() >= self.opts.checkpoint_records
+            || self.wal.len() >= self.opts.checkpoint_bytes
     }
 
     /// Installs a new checkpoint: rotates to a fresh WAL as the next
@@ -302,7 +303,7 @@ impl DurableLog {
         let (wal, _) = open_wal(&self.dir, new_gen, &self.opts.storage)?;
         self.wal = wal;
         self.gen = new_gen;
-        self.records = 0;
+        self.ends.clear();
         self.obs.rotations.add(1);
         write_checkpoint(&self.dir, new_gen, payload)?;
         self.obs.checkpoint_bytes.add(payload.len() as u64);
@@ -475,6 +476,23 @@ mod tests {
         drop(log);
         let (_, rec) = DurableLog::open(&dir, opts(100)).unwrap();
         assert_eq!(rec.records, vec![b"keep".to_vec()]);
+    }
+
+    #[test]
+    fn a_cut_of_several_records_keeps_the_record_count() {
+        let dir = temp_dir("cut_count");
+        let (mut log, _) = DurableLog::open(&dir, opts(4)).unwrap();
+        let mark = log.wal_len();
+        for _ in 0..3 {
+            log.append_unsynced(b"doomed").unwrap();
+        }
+        log.truncate_to(mark).unwrap();
+        for _ in 0..3 {
+            log.append_unsynced(b"kept").unwrap();
+        }
+        assert!(!log.should_checkpoint(), "3 records held, 4 needed");
+        log.append_unsynced(b"fourth").unwrap();
+        assert!(log.should_checkpoint());
     }
 
     #[test]

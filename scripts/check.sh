@@ -60,7 +60,8 @@ cargo test --release -q --test incremental -- \
   refresh_ snapshot_isolation publish_copies join_candidates rollback_ prepare_
 
 echo "==> durability recovery gate (the codec and CRC-32 as they ship, optimised;"
-echo "    crash-injection seed sweep)"
+echo "    one_fsync_per_committed_batch_none_per_rolled_back_one,"
+echo "    a_cut_of_several_records_keeps_the_record_count; crash-injection seed sweep)"
 cargo test --release -q -p gsls-durable
 cargo test --release -q --test durability
 for seed in 3 17 101; do

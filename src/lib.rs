@@ -61,13 +61,15 @@
 //! [`prelude::Session::open`] roots a session in a directory and makes
 //! every commit **durable**: the batch is validated up front (typed
 //! [`prelude::CommitError`] rejections mutate nothing), serialized as a
-//! checksummed write-ahead-log record, and fsync'd *before* the
-//! in-memory apply — so an acknowledged commit survives a crash at any
-//! instant. Reopening the directory loads the newest valid checkpoint
-//! (falling back one generation if the newest fails its checksum) and
-//! replays the WAL tail through the normal commit path; a torn or
-//! corrupt tail left by a crash mid-append is detected by checksum and
-//! truncated, never replayed. Checkpoints are taken automatically once
+//! checksummed write-ahead-log record, applied, and fsync'd *before the
+//! commit returns* — a lone commit is a group of one, and a group's
+//! records share one covering fsync — so an acknowledged commit
+//! survives a crash at any instant, and one that never returned `Ok`
+//! is never replayed. Reopening the directory loads the newest valid
+//! checkpoint (falling back one generation if the newest fails its
+//! checksum) and replays the WAL tail through the normal commit path; a
+//! torn or corrupt tail left by a crash mid-append is detected by
+//! checksum and truncated, never replayed. Checkpoints are taken automatically once
 //! the WAL passes the [`prelude::DurableOpts`] thresholds, or on demand
 //! with [`prelude::Session::checkpoint`]; they are written atomically
 //! (temp file + rename) and rotate the WAL.
@@ -119,8 +121,8 @@
 //! | `Interrupted { phase: Admission, .. }` | predicted cost exceeds a [`prelude::CommitOpts`] cap | untouched — rejected before the WAL |
 //! | `Interrupted { phase: Grounding \| ModelRefresh, .. }` | deadline, cancel, or budget trips mid-apply | rolled back — WAL record truncated, engine truncated to the previous epoch (cost: what the commit appended; `rollback.truncations`) |
 //! | [`prelude::SessionError::Grounding`] | the grounder's own clause budget | rolled back, same path |
-//! | [`prelude::SessionError::Durable`] | storage failure on the WAL append (or its fsync) | untouched in memory; the frame is cut back off the WAL (the log refuses further appends until it is), so the commit never happened |
-//! | [`prelude::SessionError::Poisoned`] | an unwind could not complete (the WAL record could not be cut off), a group's covering fsync failed, or a panic escaped mid-commit | reads serve the last consistent model; [`prelude::Session::recover`] completes the unwind — engine (truncated; rebuilt from source after a panic, `rollback.rebuilds`) *and* WAL back at the last acked state |
+//! | [`prelude::SessionError::Durable`] | storage failure on the WAL append, or on the fsync that covers the record after the apply | a failed append: untouched in memory, the frame cut back off the WAL (the log refuses further appends until it is); a failed fsync: a lone commit is unwound like a failed apply (poisoned only if its record cannot be cut off), a [`prelude::Session::commit_group`] is poisoned (next row). Either way the commit never happened |
+//! | [`prelude::SessionError::Poisoned`] | an unwind could not complete (the WAL record could not be cut off), a [`prelude::Session::commit_group`]'s covering fsync failed, or a panic escaped mid-commit | reads serve the last consistent model; [`prelude::Session::recover`] completes the unwind — engine (truncated; rebuilt from source after a panic, `rollback.rebuilds`) *and* WAL back at the last acked state |
 //!
 //! The [`prelude::InterruptCause`] inside `Interrupted` says *why*
 //! (`Cancelled`, `DeadlineExceeded`, `MemoryBudget`); the
@@ -291,7 +293,8 @@
 //! to the WAL *unsynced*, validates/governs/applies each under its own
 //! budget, then issues a single covering fsync for the whole run
 //! ([`prelude::Session::commit_group`]). Clients are answered only
-//! after that fsync — fsync before *ack*, not before *apply* — so
+//! after that fsync — fsync before *ack*, not before *apply*, the
+//! contract of every commit (an embedded one is a group of one) — so
 //! under concurrent writers the fsync cost is amortized across the
 //! group (watch `wal.group_records` / `wal.group_syncs` in the
 //! scrape). A batch that fails its own validation or budget is

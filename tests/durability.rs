@@ -23,7 +23,8 @@
 //!   (a failed fsync, a failed truncate) and pin the unwind-or-poison
 //!   contract: a commit that was not acked is cut off the WAL — or the
 //!   session stays poisoned until it is — so it can never replay, and
-//!   never shadows a later acked commit, in sync-each and group mode;
+//!   never shadows a later acked commit, for a single commit (a group
+//!   of one) and for a group of several;
 //! * the remaining tests pin checkpoint rotation/fallback and the
 //!   failed-commit recovery semantics (rejected and failed batches
 //!   degrade to rolled-back transactions; rollback un-poisons).
@@ -557,14 +558,16 @@ fn assert_failed_commit_never_surfaces(
     }
 }
 
-/// Sync-each mode: the fsync of a commit's record fails. The record's
+/// A single commit's covering fsync fails after its apply. The record's
 /// bytes are in the page cache, where the *next* commit's fsync would
 /// make them durable under the same epoch — replaying the failed batch
-/// and skipping the acked one. With and without the cut failing too.
+/// and skipping the acked one. The commit unwinds at once, so the caller
+/// sees a rolled-back transaction; only when the cut fails too does the
+/// session stay poisoned until `recover()`.
 #[test]
-fn failed_fsync_in_sync_each_mode_never_surfaces() {
+fn failed_fsync_of_a_single_commit_never_surfaces() {
     for cut_fails in [false, true] {
-        let ctx = format!("sync_each_cut_fails_{cut_fails}");
+        let ctx = format!("single_cut_fails_{cut_fails}");
         let dir = temp_dir(&ctx);
         let plan = FaultPlan {
             fail_syncs: vec![1],
@@ -576,9 +579,64 @@ fn failed_fsync_in_sync_each_mode_never_surfaces() {
         let acked = (s.epoch(), fingerprint(&s));
         let err = s.assert_facts("e(c1, c2).").unwrap_err(); // sync #1 fails
         assert!(matches!(err, SessionError::Durable(_)), "got {err:?}");
+        assert_eq!(
+            s.is_poisoned(),
+            cut_fails,
+            "{ctx}: poisoned exactly when the WAL cut failed too"
+        );
         assert_failed_commit_never_surfaces(&ctx, s, &dir, &acked, &["e(c1, c2)"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Every commit is a group of one: an auto-commit and a `begin`/`commit`
+/// each cost exactly one covering fsync, and a commit rolled back after
+/// its journal costs none and leaves the WAL at its earlier length.
+#[test]
+fn one_fsync_per_committed_batch_none_per_rolled_back_one() {
+    let dir = temp_dir("one_fsync");
+    let mut s = open_base(&dir, no_auto_checkpoint());
+    let counts = |s: &Session| {
+        let m = s.metrics();
+        ["wal.fsyncs", "wal.group_syncs", "wal.group_records"].map(|c| m.counter(c).unwrap_or(0))
+    };
+    let wal_file = wal_path(&dir, *scan_dir(&dir).unwrap().wals.iter().max().unwrap());
+    let wal_len = || std::fs::metadata(&wal_file).unwrap().len();
+
+    let before = counts(&s);
+    s.assert_facts("e(c0, c1).").expect("auto-commit");
+    let after = counts(&s);
+    assert_eq!(after, before.map(|n| n + 1), "an auto-commit");
+    s.begin().unwrap();
+    s.assert_facts("e(c1, c2).").unwrap();
+    s.retract_facts("e(c0, c1).").unwrap();
+    s.commit().expect("transactional commit");
+    let before = counts(&s);
+    assert_eq!(before, after.map(|n| n + 1), "a begin/commit");
+
+    let len = wal_len();
+    s.begin().unwrap();
+    s.assert_facts("e(c2, c3).").unwrap();
+    let err = s
+        .commit_with(&CommitOpts {
+            fuel: Some(0),
+            ..CommitOpts::default()
+        })
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            SessionError::Interrupted { phase, .. } if phase != InterruptPhase::Admission
+        ),
+        "the trip must land after journaling, got {err:?}"
+    );
+    assert_eq!(
+        counts(&s)[0],
+        before[0],
+        "a rolled-back commit fsyncs nothing"
+    );
+    assert_eq!(wal_len(), len, "the rolled-back record is cut off the WAL");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A journaled commit is interrupted mid-apply and the truncate that
